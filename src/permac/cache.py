@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 
 CACHE_VERSION = 1
 _cache_dir = None
@@ -47,7 +48,7 @@ def load(module: str, operation: str, params: dict):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
-    if data.get("version") != CACHE_VERSION:
+    if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
         return None
     return data
 
@@ -59,7 +60,13 @@ def store(module: str, operation: str, params: dict, payload: dict):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     payload = dict(payload)
     payload["version"] = CACHE_VERSION
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
+    # a private temp file per writer, so concurrent stores never interleave
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                               suffix=".tmp", dir=os.path.dirname(path))
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -3,9 +3,9 @@
 Subcommands expose the verification, enumeration, evaluation and sampling
 operations with JSON reports on stdout (or --out).  Exit codes: 0 on
 success/verified, 1 on an identity mismatch (the report carries the first
-failing coefficient), 2 on usage errors.  A JSON config file can preload any
-flag; explicit flags win.  Identical configuration and seed produce
-byte-identical output.
+failing coefficient), 2 on usage errors, including arguments outside a
+command's domain.  A JSON config file can preload any flag; explicit flags
+win.  Identical configuration and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -47,6 +47,12 @@ def _parse_q_t(args):
             raise UsageError("q and t must lie in (0,1); "
                              "pass --algebraic-point to override")
     return q, t
+
+
+def _require_at_least(args, low: int, *names) -> None:
+    for name in names:
+        if getattr(args, name) < low:
+            raise UsageError(f"--{name.replace('_', '-')} must be at least {low}")
 
 
 def _spec_from_name(name: str, side: str, index: int, ring):
@@ -144,6 +150,7 @@ def cmd_macdonald_pieri(args) -> int:
 
 def _build_process(args):
     q, t = _parse_q_t(args)
+    _require_at_least(args, 1, "N", "u_deg")
     N = args.N
     plus_names = (args.spec_plus.split(";") * N)[:N]
     minus_names = (args.spec_minus.split(";") * N)[:N]
@@ -174,6 +181,9 @@ def cmd_process_partition_function(args) -> int:
 
 
 def cmd_process_moment(args) -> int:
+    _require_at_least(args, 1, "r")
+    if args.N > 1 and args.series != "E":
+        raise UsageError("multi-step moments are available only for --series E")
     ps = _build_process(args)
     series_r = [(args.series, args.r)] * args.N
     formula = process.moment_formula(ps, series_r)
@@ -194,10 +204,14 @@ def cmd_process_moment(args) -> int:
 
 def cmd_process_shift_mixed(args) -> int:
     q, t = _parse_q_t(args)
+    _require_at_least(args, 1, "r")
+    _require_at_least(args, 2, "v_deg")  # u = v^2 needs room for one power of u
     try:
         zeta = parse_rational(args.zeta)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad rational: {exc}")
+    if not zeta:
+        raise UsageError("--zeta must be nonzero")
     ring = SeriesRing(["v"], args.v_deg)
     u = ring.monomial(Fraction(1), v=2)
     ps = process.ProcessSpec(ring, q, t, u,
@@ -220,9 +234,12 @@ def cmd_process_shift_mixed(args) -> int:
 
 def cmd_plancherel_sample(args) -> int:
     q, t = _parse_q_t(args)
-    times = [float(x) for x in args.times.split(",")]
-    spec = plancherel.TrajectorySpec(args.beta, args.gamma, times,
-                                     args.depth, args.seed, args.count)
+    try:
+        times = [float(x) for x in args.times.split(",")]
+        spec = plancherel.TrajectorySpec(args.beta, args.gamma, times,
+                                         args.depth, args.seed, args.count)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     trajs = plancherel.sample_trajectories(spec, q, t)
     text = plancherel.trajectories_to_jsonl(trajs)
     if args.out:
@@ -257,21 +274,26 @@ def cmd_plancherel_check(args) -> int:
 
 def cmd_cylindric_enumerate(args) -> int:
     q, t = _parse_q_t(args)
-    profile = cylindric.CylindricProfile(args.N, _parse_profile(args.M))
+    _require_at_least(args, 0, "max_weight")
+    profile = _build_profile(args)
     _emit(args, cylindric.cp_dump(profile, args.max_weight, q, t))
     return 0
 
 
-def _parse_profile(text: str):
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(x) for x in text.replace(" ", "").split(","))
+def _build_profile(args) -> cylindric.CylindricProfile:
+    _require_at_least(args, 1, "N")
+    text = args.M.strip()
+    try:
+        steps = tuple(int(x) for x in text.replace(" ", "").split(",")) if text else ()
+        return cylindric.CylindricProfile(args.N, steps)
+    except ValueError as exc:
+        raise UsageError(f"bad profile {args.M!r}: {exc}")
 
 
 def cmd_cylindric_verify(args) -> int:
     q, t = _parse_q_t(args)
-    profile = cylindric.CylindricProfile(args.N, _parse_profile(args.M))
+    _require_at_least(args, 0, "s_deg")
+    profile = _build_profile(args)
     report = cylindric.macmahon_verify(profile, args.s_deg, q, t)
     _emit(args, report)
     return 0 if report["verified"] else 1

@@ -54,12 +54,6 @@ def _step_ok(profile: CylindricProfile, k: int, lam_k: tuple, lam_next: tuple) -
     return horizontal_strip(lam_k, lam_next)
 
 
-def is_cylindric(profile: CylindricProfile, lams) -> bool:
-    N = profile.N
-    return all(_step_ok(profile, k, lams[k - 1], lams[k % N])
-               for k in range(1, N + 1))
-
-
 def enumerate_cp(profile: CylindricProfile, max_weight: int):
     """All cylindric partitions of total weight <= max_weight."""
     N = profile.N
@@ -486,20 +480,6 @@ def vertex_skew_sum(lam: tuple, mu: tuple, p_first, p_second, q, t, unit):
     if acc is None:
         return unit * 0
     return acc
-
-
-def vertex_prefactor_trunc(ring: SeriesRing, nu: tuple, q: Fraction,
-                           t: Fraction) -> TruncSeries:
-    """prod_{s in nu} (t x^{l+1} y^{a}; q) / (x^{l+1} y^{a}; q)."""
-    from .partitions import arm_leg, cells
-
-    out = ring.one()
-    for s in cells(nu):
-        a, l = arm_leg(nu, s)
-        num = qpochhammer(ring, ring.monomial(t, x=l + 1, y=a), [q])
-        den = qpochhammer(ring, ring.monomial(Fraction(1), x=l + 1, y=a), [q])
-        out = out * num * den.inverse()
-    return out
 
 
 def vertex_ratio_single_box(nu: tuple, q: Fraction, t: Fraction) -> Fraction:

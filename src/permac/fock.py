@@ -625,31 +625,3 @@ def _ratio_pochhammer_pair(ring, zvars, u, window: int) -> LaurentPoly:
             continue
         arg = arg + LaurentPoly(zvars, ring, {(n, -n): c, (-n, n): c})
     return laurent_exp(arg, 2 * window + 2)
-
-
-def charged_diagonal_trace(op, unit, state_weight, energy_cap2: int):
-    """Weighted diagonal trace over the charged space.
-
-    Sums state_weight(lam, n) * <(lam,n) diagonal of op applied to the basis
-    state>, over states with doubled energy 2|lam| + n^2 <= energy_cap2.
-    ``unit`` is the coefficient one in the caller's arithmetic; z_lambda
-    normalizations cancel because the diagonal is read in the same basis.
-    """
-    from math import isqrt
-
-    from .partitions import partitions_up_to
-
-    out = None
-    nmax = isqrt(energy_cap2)
-    for n in range(-nmax, nmax + 1):
-        rest = energy_cap2 - n * n
-        if rest < 0:
-            continue
-        for lam in partitions_up_to(rest // 2):
-            image = op({(lam, n): unit})
-            diag = image.get((lam, n))
-            if not diag:
-                continue
-            term = diag * state_weight(lam, n)
-            out = term if out is None else out + term
-    return out

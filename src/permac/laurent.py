@@ -282,21 +282,3 @@ def cauchy_sym_prefactor(c, r: int):
         den = den * (1 - ck)
         ck = ck * c
     return out / den
-
-
-def theta3_laurent(zvars, ring, v: str, zvar: str, shift=Fraction(1)) -> LaurentPoly:
-    """theta_3(shift * zeta; u) with zeta a Laurent variable and u = v^2."""
-    dv = ring.degrees[ring._index[v]]
-    iz = zvars.index(zvar)
-    terms = {}
-    n = 0
-    while n * n * dv <= ring.cutoff:
-        for s in ((1,) if n == 0 else (1, -1)):
-            e = [0] * len(zvars)
-            e[iz] = s * n
-            coeff = (shift ** (s * n)) if not isinstance(shift, QRho) else shift ** (s * n)
-            mono = ring.monomial(coeff, **{v: n * n})
-            if mono:
-                terms[tuple(e)] = mono
-        n += 1
-    return LaurentPoly(tuple(zvars), ring, terms)

@@ -2,11 +2,15 @@
 
 Symmetric functions are sparse maps from partitions to coefficients, in
 either the power-sum basis ("p") or the monomial basis ("m").  The
+p -> m transition is a product of power sums; its inverse comes from
+back-substitution, because p_lambda is triangular in dominance order.  The
 one-parameter family P_lambda is produced weight by weight through
-Gram-Schmidt against dominance order in the m basis, with the pairing
-evaluated through exact p/m transition matrices.  Pieri coefficients come
-from the arm/leg products, independently of the orthogonalization; the two
-routes cross-check each other in the test suite.
+Gram-Schmidt in the m basis, against the pairing's Gram matrix <m_lam, m_mu>,
+which is formed once per table from the p/m transitions.  Each partition is
+projected onto every earlier partition of a linear extension of dominance,
+so unitriangularity is a checked consequence, not a premise.  Pieri
+coefficients come from the arm/leg products, independently of the
+orthogonalization; the two routes cross-check each other in the test suite.
 """
 
 from __future__ import annotations
@@ -70,34 +74,31 @@ def p_to_m(n: int) -> dict:
 
 @lru_cache(maxsize=None)
 def m_to_p(n: int) -> dict:
-    """p-basis expansions of all m_lambda with |lambda| = n (rational coeffs)."""
-    lams = list(partitions_of(n))
-    idx = {lam: i for i, lam in enumerate(lams)}
-    size = len(lams)
-    # rows: p_lam in m-coordinates
-    mat = [[Fraction(p_to_m(n)[lam].get(mu, 0)) for mu in lams] for lam in lams]
-    inv = _invert(mat)
-    out = {}
-    for j, mu in enumerate(lams):
-        out[mu] = {lams[i]: inv[j][i] for i in range(size) if inv[j][i]}
-    return out
+    """p-basis expansions of all m_lambda with |lambda| = n (rational coeffs).
 
-
-def _invert(mat):
-    n = len(mat)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise GramSingularError("singular transition matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    p_lam = sum_{mu >= lam} a_{lam mu} m_mu is triangular in dominance, and
+    partitions_of lists a linear extension of it from (n) down, so each
+    m_lam = (p_lam - sum_{mu > lam} a_{lam mu} m_mu) / a_{lam lam} only needs
+    rows already solved.
+    """
+    lams = partitions_of(n)
+    p_rows = p_to_m(n)
+    solved: dict = {}
+    for lam in lams:
+        row = p_rows[lam]
+        acc = {lam: Fraction(1)}
+        for mu, a in row.items():
+            if mu == lam:
+                continue
+            for nu, c in solved[mu].items():
+                v = acc.get(nu, 0) - a * c
+                if v:
+                    acc[nu] = v
+                else:
+                    acc.pop(nu, None)
+        diag = row[lam]
+        solved[lam] = {nu: acc[nu] / diag for nu in lams if nu in acc}
+    return solved
 
 
 def m_dict_to_p(f: dict) -> dict:
@@ -172,17 +173,45 @@ def _table_to_disk(q, t, n, table) -> dict:
                      for lam, v in table["norm"].items()}}
 
 
-def _table_from_disk(data) -> dict:
+def _table_from_disk(data, params) -> dict | None:
+    """Unpack a stored table; None when it is malformed or for another point."""
     from .scalars import parse_rational
+
+    if any(data.get(k) != v for k, v in params.items()):
+        return None
 
     def unpack(side):
         return {_lam_unkey(lk): {_lam_unkey(mk): parse_rational(c)
                                  for mk, c in mrep.items()}
                 for lk, mrep in data[side].items()}
 
-    return {"P": unpack("P"), "Q": unpack("Q"),
-            "norm": {_lam_unkey(lk): parse_rational(v)
-                     for lk, v in data["norm"].items()}}
+    try:
+        return {"P": unpack("P"), "Q": unpack("Q"),
+                "norm": {_lam_unkey(lk): parse_rational(v)
+                         for lk, v in data["norm"].items()}}
+    except (KeyError, AttributeError, TypeError, ValueError, ZeroDivisionError):
+        return None
+
+
+def _m_gram(q: Fraction, t: Fraction, n: int) -> dict:
+    """<m_lam, m_kappa> for |lam| = |kappa| = n, through the p basis."""
+    z = {nu: z_qt(nu, q, t) for nu in partitions_of(n)}
+    rows = m_to_p(n)
+    zrows = {lam: {nu: c * z[nu] for nu, c in row.items()}
+             for lam, row in rows.items()}
+    gram: dict = {lam: {} for lam in rows}
+    lams = list(rows)
+    for i, lam in enumerate(lams):
+        row = rows[lam]
+        for kappa in lams[i:]:
+            zk = zrows[kappa]
+            g = Fraction(0)
+            for nu, a in row.items():
+                d = zk.get(nu)
+                if d:
+                    g += a * d
+            gram[lam][kappa] = gram[kappa][lam] = g
+    return gram
 
 
 def macdonald_table(q: Fraction, t: Fraction, n: int) -> dict:
@@ -190,10 +219,14 @@ def macdonald_table(q: Fraction, t: Fraction, n: int) -> dict:
 
     Returns {"P": {lam: m-dict}, "Q": {lam: m-dict}, "norm": {lam: Fraction}}.
     Gram-Schmidt runs over a linear extension of dominance order from the
-    least dominant partition up; unitriangularity of the result is a theorem
-    and is asserted by the test suite rather than forced here.  Tables are
-    memoized per (q, t, weight) and optionally persisted through the disk
-    cache.
+    least dominant partition up, and projects each m_lam onto every earlier
+    P_mu, whether or not lam dominates mu.  The pairing is read from the m-basis Gram
+    matrix, built once per table, so each projection coefficient
+    <m_lam, P_mu> is one dot product of P_mu's coefficients with a Gram row.
+    Unitriangularity of the result is a theorem and is asserted by the test
+    suite rather than forced here.  Tables are memoized per (q, t, weight)
+    and optionally persisted through the disk cache; a stored table that is
+    malformed or belongs to another point counts as a miss and is rebuilt.
     """
     from . import cache
     from .scalars import format_rational
@@ -204,20 +237,21 @@ def macdonald_table(q: Fraction, t: Fraction, n: int) -> dict:
         return hit
     params = {"q": format_rational(q), "t": format_rational(t), "weight": n}
     disk = cache.load("macdonald", "pq-table", params)
-    if disk is not None:
-        table = _table_from_disk(disk)
+    table = None if disk is None else _table_from_disk(disk, params)
+    if table is not None:
         _P_TABLE_CACHE[key] = table
         return table
     lams = sorted(partitions_of(n), key=dominance_key)
-    pcoords = {lam: m_dict_to_p({lam: Fraction(1)}) for lam in lams}
+    gram = _m_gram(q, t, n)
     P: dict = {}
-    Pp: dict = {}
     norms: dict = {}
     for lam in lams:
+        g = gram[lam]
         cur = {lam: Fraction(1)}
-        cur_p = dict(pcoords[lam])
         for mu in P:
-            c = inner_product(pcoords[lam], Pp[mu], q, t)
+            c = Fraction(0)
+            for k, v in P[mu].items():
+                c += v * g[k]
             if not c:
                 continue
             f = c / norms[mu]
@@ -227,17 +261,14 @@ def macdonald_table(q: Fraction, t: Fraction, n: int) -> dict:
                     cur[k] = w
                 else:
                     cur.pop(k, None)
-            for k, v in Pp[mu].items():
-                w = cur_p.get(k, 0) - f * v
-                if w:
-                    cur_p[k] = w
-                else:
-                    cur_p.pop(k, None)
-        nrm = inner_product(cur_p, cur_p, q, t)
+        # cur - m_lam lies in the span of the earlier P_mu, all orthogonal to
+        # cur, so <cur, cur> = <cur, m_lam>
+        nrm = Fraction(0)
+        for k, v in cur.items():
+            nrm += v * g[k]
         if not nrm:
             raise GramSingularError(f"vanishing norm at (q,t)=({q},{t}), weight {n}")
         P[lam] = cur
-        Pp[lam] = cur_p
         norms[lam] = nrm
     table = {
         "P": P,

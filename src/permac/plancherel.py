@@ -91,18 +91,6 @@ def _entry_power_coeffs(lam: tuple, mu: tuple, u: Fraction, q: Fraction,
     return out
 
 
-def transfer_entry_exact(lam: tuple, mu: tuple, gamma: TruncSeries, u: Fraction,
-                         q: Fraction, t: Fraction, ring: SeriesRing) -> TruncSeries:
-    """T_{lam,mu}(u) with formal gamma: prefactor times the nu sum."""
-    c = (1 - t) / (1 - q)
-    pref = (gamma * gamma * (c * (u - 1))).exp()
-    acc = ring.zero()
-    xi = gamma * (1 - u)
-    for k, coef in _entry_power_coeffs(lam, mu, Fraction(u), q, t).items():
-        acc = acc + (xi ** k) * coef
-    return pref * acc
-
-
 def transfer_entry_float(lam: tuple, mu: tuple, gamma: float, u: float,
                          q: Fraction, t: Fraction) -> float:
     c = float((1 - t) / (1 - q))

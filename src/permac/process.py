@@ -59,10 +59,6 @@ class ProcessSpec:
             return self.u ** k
         return self.ring.scalar(self.u ** k)
 
-    def u_pow_scalar(self, n: int):
-        """u^n as a scalar (numeric) or series (formal) for kernel weights."""
-        return self.u_pow(n)
-
     # -- skew values ---------------------------------------------------------
 
     def skew(self, kind: str, lam: tuple, mu: tuple, side: str, index: int):

@@ -153,10 +153,6 @@ def rho_root(s: Fraction):
     return QRho(0, 1, s)
 
 
-def scalar_is_rational(x) -> bool:
-    return isinstance(x, (int, Fraction)) or (isinstance(x, QRho) and x.b == 0)
-
-
 def as_fraction(x) -> Fraction:
     """Project onto Q, raising if a genuine rho component is present."""
     if isinstance(x, QRho):

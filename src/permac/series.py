@@ -110,9 +110,6 @@ class TruncSeries:
             return NotImplemented
         return self.ring.compatible(other.ring) and self.terms == other.terms
 
-    def copy_terms(self):
-        return dict(self.terms)
-
     def coeff(self, **powers):
         exp = [0] * len(self.ring.symbols)
         for name, k in powers.items():

@@ -1,0 +1,76 @@
+import json
+import os
+from fractions import Fraction
+
+import pytest
+
+from permac import cache, macdonald
+from permac.scalars import format_rational
+
+Q, T = Fraction(5, 17), Fraction(4, 19)
+
+
+@pytest.fixture
+def cold(tmp_path, monkeypatch):
+    """A fresh disk cache and an empty in-memory table cache."""
+    monkeypatch.setattr(cache, "_cache_dir", str(tmp_path))
+    monkeypatch.setattr(macdonald, "_P_TABLE_CACHE", {})
+    return tmp_path
+
+
+def table_path(q, t, n):
+    return cache._path_for("macdonald", "pq-table", {
+        "q": format_rational(q), "t": format_rational(t), "weight": n})
+
+
+def reload(q, t, n):
+    """Read the table through the disk cache with the memory cache cleared."""
+    macdonald._P_TABLE_CACHE.clear()
+    return macdonald.macdonald_table(q, t, n)
+
+
+def without(key):
+    return lambda data: {k: v for k, v in data.items() if k != key}
+
+
+@pytest.mark.parametrize("damage", [
+    without("P"), without("Q"), without("norm"),
+    lambda data: {**data, "P": ["not", "a", "map"]},
+    lambda data: [data],
+], ids=["no-P", "no-Q", "no-norm", "P-not-a-map", "not-an-object"])
+def test_malformed_payload_is_rebuilt(cold, damage):
+    expect = macdonald.macdonald_table(Q, T, 3)
+    path = table_path(Q, T, 3)
+    with open(path) as fh:
+        data = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump(damage(data), fh)
+    assert reload(Q, T, 3) == expect
+    with open(path) as fh:
+        assert json.load(fh) == data
+
+
+@pytest.mark.parametrize("other", [(Fraction(2, 9), T, 3), (Q, Fraction(3, 7), 3),
+                                   (Q, T, 2)], ids=["q", "t", "weight"])
+def test_payload_of_another_table_is_rebuilt(cold, other):
+    expect = macdonald.macdonald_table(Q, T, 3)
+    macdonald.macdonald_table(*other)
+    path = table_path(Q, T, 3)
+    with open(table_path(*other)) as fh:
+        foreign = fh.read()
+    with open(path, "w") as fh:
+        fh.write(foreign)
+    assert reload(Q, T, 3) == expect
+    with open(path) as fh:
+        data = json.load(fh)
+    assert (data["q"], data["t"], data["weight"]) == (
+        format_rational(Q), format_rational(T), 3)
+
+
+def test_store_writes_through_a_private_temp_file(cold):
+    name = os.path.basename(table_path(Q, T, 2))
+    # a stale or foreign "<path>.tmp" must not block or clobber the store
+    (cold / (name + ".tmp")).mkdir()
+    table = macdonald.macdonald_table(Q, T, 2)
+    assert reload(Q, T, 2) == table
+    assert sorted(p.name for p in cold.iterdir()) == [name, name + ".tmp"]

@@ -1,8 +1,21 @@
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
 from permac.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_module(*args):
+    """Run ``python -m <args>`` with the source tree first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", *args], env=env,
+                          capture_output=True, text=True)
 
 
 def run_cli(args, tmp_path=None):
@@ -163,3 +176,28 @@ def test_console_script_entrypoint():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["psi"]
+
+
+def test_package_main_runs_cli():
+    proc = run_module("permac", "macdonald", "pieri", "--lambda", "2",
+                      "--mu", "1", "--q", "1/3", "--t", "1/5")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["psi"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["process", "moment", "--r", "0"],
+    ["process", "moment", "--series", "G", "--N", "2"],
+    ["process", "shift-mixed", "--zeta", "0"],
+    ["process", "shift-mixed", "--v-deg", "1"],
+    ["process", "partition-function", "--u-deg", "-1"],
+    ["process", "partition-function", "--N", "0"],
+    ["cylindric", "verify-macmahon", "--N", "2", "--M", "5"],
+    ["cylindric", "enumerate", "--N", "1", "--max-weight", "-1"],
+    ["plancherel", "sample", "--times", "0.0,2.0", "--beta", "1.0"],
+], ids=" ".join)
+def test_domain_errors_exit_2_without_traceback(argv):
+    proc = run_module("permac", *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -10,6 +10,7 @@ from permac.macdonald import (
     lambda_rho_p,
     lambda_rho_spec,
     m_dict_to_p,
+    m_to_p,
     macdonald_P,
     macdonald_P_p,
     macdonald_Q,
@@ -48,6 +49,16 @@ def test_p_m_transition_roundtrip():
             assert back == {lam: Fraction(1)}
 
 
+def test_m_to_p_inverts_p_to_m():
+    for n in range(10):
+        lams = partitions_of(n)
+        for lam in lams:
+            for kappa in lams:
+                entry = sum(c * p_to_m(n)[nu].get(kappa, 0)
+                            for nu, c in m_to_p(n)[lam].items())
+                assert entry == (1 if lam == kappa else 0)
+
+
 def test_p_to_m_classical_values():
     # p_1^2 = m_2 + 2 m_11, p_2 = m_2 - ... p_2 is m_2? p_2 = sum x_i^2 = m_2
     assert p_to_m(2)[(2,)] == {(2,): 1}
@@ -79,10 +90,13 @@ def test_schur_point_jacobi_trudi():
 
 
 def test_unitriangularity_and_orthogonality():
+    # inner_product weights each term with its own z_qt, independently of the
+    # Gram matrix the tables are built from
     rng = random.Random(11)
-    for trial in range(2):
-        q, t = random_qt_pair(rng)
-        for n in range(7):
+    cases = [(*random_qt_pair(rng), 6) for _ in range(2)]
+    cases.append((Fraction(1, 3), Fraction(2, 7), 7))
+    for q, t, top in cases:
+        for n in range(top + 1):
             table = macdonald_table(q, t, n)
             for lam, mrep in table["P"].items():
                 assert mrep[lam] == 1
