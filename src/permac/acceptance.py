@@ -348,10 +348,10 @@ def run_all(seed=DEFAULT_SEED, echo=print) -> dict:
     for fn in CRITERIA:
         started = time.time()
         rep = fn(seed)
-        rep["seconds"] = round(time.time() - started, 2)
+        seconds = round(time.time() - started, 2)
         reports.append(rep)
         ok &= rep["passed"]
         if echo:
             echo(f"[{'PASS' if rep['passed'] else 'FAIL'}] "
-                 f"{rep['name']} ({rep['seconds']}s)")
+                 f"{rep['name']} ({seconds}s)")
     return {"passed": ok, "criteria": reports}

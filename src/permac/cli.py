@@ -485,8 +485,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _merge_config(args, argv) -> None:
-    """Overlay JSON config values onto the namespace; explicit flags win."""
+def _leaf_options(ap, args) -> dict:
+    """Config key -> argparse action of the chosen subcommand.
+
+    Each option is reachable by its flag spelling (``u-deg``, ``lambda``) and
+    by its dest (``u_deg``, ``lam``).
+    """
+    parser = ap
+    for name in (args.command, args.subcommand):
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[name]
+    options = {}
+    for action in parser._actions:
+        if action.dest == "help":
+            continue
+        options[action.dest] = action
+        for opt in action.option_strings:
+            options[opt.lstrip("-")] = action
+    return options
+
+
+def _merge_config(ap, args, argv) -> None:
+    """Overlay JSON config values onto the namespace; explicit flags win.
+
+    Values go through the flag's argparse type and choices, as they would on
+    the command line.
+    """
     path = getattr(args, "config", None)
     if not path:
         return
@@ -495,14 +520,28 @@ def _merge_config(args, argv) -> None:
             conf = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad config file: {exc}")
+    if not isinstance(conf, dict):
+        raise UsageError("bad config file: expected a JSON object")
+    options = _leaf_options(ap, args)
     for key, val in conf.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = options.get(key)
+        if action is None:
             raise UsageError(f"unknown config key {key!r} for this subcommand")
-        flag = "--" + key.replace("_", "-")
-        if flag in argv:
+        if any(arg == opt or arg.startswith(opt + "=")
+               for arg in argv for opt in action.option_strings):
             continue  # explicit flag wins
-        setattr(args, attr, val)
+        if action.nargs == 0:  # store_true
+            if not isinstance(val, bool):
+                raise UsageError(f"config key {key!r} needs true or false")
+        else:
+            try:
+                val = (action.type or str)(str(val))
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"bad config value for {key!r}: {exc}")
+            if action.choices is not None and val not in action.choices:
+                raise UsageError(f"config key {key!r} must be one of "
+                                 f"{', '.join(action.choices)}")
+        setattr(args, action.dest, val)
 
 
 def main(argv=None) -> int:
@@ -510,13 +549,13 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        _merge_config(args, argv)
-        if args.cache_dir:
-            cache.configure(args.cache_dir)
         handler = getattr(args, "handler", None)
         if handler is None:
             ap.print_help(sys.stderr)
             return 2
+        _merge_config(ap, args, argv)
+        if args.cache_dir:
+            cache.configure(args.cache_dir)
         return handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,8 @@ from .partitions import (
     partitions_up_to,
     weight,
 )
-from .series import SeriesRing, TruncSeries, qpochhammer, qpochhammer_finite
+from .series import SeriesRing, TruncSeries, euler_inverse, geometric, \
+    qpochhammer, qpochhammer_finite
 
 
 class CylindricProfile:
@@ -277,7 +278,7 @@ def macmahon_rhs(profile: CylindricProfile, ring: SeriesRing, q: Fraction,
     """(s^N; s^N)^{-1} prod_{k in M, l not in M} (t s^[l-k]; q, s^N) ratio."""
     N = profile.N
     sN = ring.monomial(Fraction(1), s=N)
-    out = qpochhammer(ring, sN, [sN]).inverse()
+    out = euler_inverse(ring, sN)
     for k in sorted(profile.M):
         for l in range(1, N + 1):
             if l in profile.M:
@@ -406,13 +407,13 @@ def principal_p_trunc(ring: SeriesRing, nu: tuple, variant: str):
     if any(a < 0 or b < 0 for a, b in finite):
         raise ValueError("negative exponents need the Laurent evaluator")
 
+    tail = ring.gen(tvar)
+
     def p_value(n):
         acc = ring.zero()
         for a, b in finite:
             acc = acc + ring.monomial(Fraction(1), x=a * n, y=b * n)
-        head = ring.monomial(Fraction(1), **{tvar: texp * n})
-        den = ring.one() - ring.monomial(Fraction(1), **{tvar: n})
-        return acc + head * den.inverse()
+        return acc + geometric(ring, tail, n, start=texp)
 
     return p_value
 
@@ -511,7 +512,7 @@ def cor_b2_check(grade: int, q: Fraction, t: Fraction) -> dict:
         lhs = lhs + ring.monomial(Fraction(1), u=weight(lam)) * term
     u, x, y = ring.gen("u"), ring.gen("x"), ring.gen("y")
     tx = ring.monomial(t, x=1)
-    rhs = qpochhammer(ring, u, [u]).inverse() \
+    rhs = euler_inverse(ring, u) \
         * qpochhammer(ring, tx, [q, u, x, y]) \
         * qpochhammer(ring, x, [q, u, x, y]).inverse() \
         * qpochhammer(ring, x, [q, x, y]) \
@@ -627,11 +628,6 @@ def vertex_e1_trace_check(grade: int, q: Fraction, t: Fraction) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _laurent_window_prune(lp: LaurentPoly, window: int) -> LaurentPoly:
-    return LaurentPoly(lp.zvars, lp.ring, {
-        e: c for e, c in lp.terms.items() if max(abs(v) for v in e) <= window})
-
-
 def laurent_log_pochhammer(zvars, ring: SeriesRing, coeff, zexp: dict,
                            rational_moduli, u_moduli, z_moduli,
                            window: int) -> LaurentPoly:
@@ -656,21 +652,8 @@ def laurent_log_pochhammer(zvars, ring: SeriesRing, coeff, zexp: dict,
     out = LaurentPoly(tuple(zvars), ring, {})
     for k in range(1, kmax + 1):
         scalar = ring.scalar(coeff**k * Fraction(-1, k))
-        for p in rational_moduli:
-            pk = Fraction(p) ** k
-            if pk == 1:
-                raise ZeroDivisionError("modulus power equals 1")
-            scalar = scalar * (Fraction(1) / (1 - pk))
-        for mono in u_moduli:
-            geom = ring.zero()
-            j = 0
-            while True:
-                term = mono ** (j * k) if j else ring.one()
-                if not term:
-                    break
-                geom = geom + term
-                j += 1
-            scalar = scalar * geom
+        for p in rational_moduli + u_moduli:
+            scalar = scalar * geometric(ring, p, k)
         if not scalar:
             continue
         base = {tuple(e * k for e in exps): scalar}
@@ -685,7 +668,7 @@ def laurent_log_pochhammer(zvars, ring: SeriesRing, coeff, zexp: dict,
                 geo_terms[tuple(e)] = ring.one()
                 j += 1
             lp = lp * LaurentPoly(tuple(zvars), ring, geo_terms)
-        out = out + _laurent_window_prune(lp, 2 * window)
+        out = out + lp.window(2 * window)
     return out
 
 
@@ -727,21 +710,15 @@ def kernel_log_direct(zvars, ring: SeriesRing, nu: tuple, q: Fraction,
     p2 = principal_p_laurent(zvars, ring, nu, "yr_nxu", build)
     out = LaurentPoly(tuple(zvars), ring, {})
     nmax = 2 * window + ring.cutoff + 2
+    u = ring.gen("u")
     for n in range(1, nmax + 1):
-        geom = ring.zero()
-        j = 1 if wrapped else 0
-        while True:
-            mono = ring.monomial(Fraction(1), u=n * j)
-            if not mono:
-                break
-            geom = geom + mono
-            j += 1
+        geom = geometric(ring, u, n, start=1 if wrapped else 0)
         if not geom:
             continue
         c = geom * ((1 - t**n) / (1 - q**n) * Fraction(1, n))
         term = (p1(n) * p2(n)).scale(c)
-        out = out + _laurent_window_prune(term, 2 * window)
-    return _laurent_window_prune(out, 2 * window)
+        out = out + term.window(2 * window)
+    return out.window(2 * window)
 
 
 def kernel_log_factored(zvars, ring: SeriesRing, nu: tuple, q: Fraction,
@@ -758,7 +735,7 @@ def kernel_log_factored(zvars, ring: SeriesRing, nu: tuple, q: Fraction,
         den = laurent_log_pochhammer(zvars, ring, Fraction(1), {"x": ex, "y": ey},
                                      rats, umods, zmods, window)
         out = out + num - den
-    return _laurent_window_prune(out, 2 * window)
+    return out.window(2 * window)
 
 
 def thm_b1_check(nu: tuple, u_cutoff: int, window: int, q: Fraction,
@@ -787,29 +764,22 @@ def thm_b1_check(nu: tuple, u_cutoff: int, window: int, q: Fraction,
             continue
         lhs = lhs + term.map_coeffs(
             lambda c: c * ring.monomial(Fraction(1), u=weight(lam)))
-    lhs = _laurent_window_prune(lhs, build)
-    log_lhs = _laurent_window_prune(laurent_log(lhs, build), window)
+    lhs = lhs.window(build)
+    log_lhs = laurent_log(lhs, build).window(window)
 
-    euler_log = ring.zero()
+    u = ring.gen("u")
+    euler_log = ring.zero()  # -log (u; u)_inf = sum_n u^n / (n (1 - u^n))
     for n in range(1, ring.cutoff + 1):
-        j = 1
-        while True:
-            mono = ring.monomial(Fraction(1, n), u=n * j)
-            if not mono:
-                break
-            euler_log = euler_log + mono
-            j += 1
+        euler_log = euler_log + geometric(ring, u, n, start=1) * Fraction(1, n)
     kwrapped = kernel_log_direct(zvars, ring, nu, q, t, window, build,
                                  wrapped=True)
-    log_rhs = _laurent_window_prune(
-        kwrapped + LaurentPoly.constant(zvars, euler_log), window)
+    log_rhs = (kwrapped + LaurentPoly.constant(zvars, euler_log)).window(window)
     trace_match = log_lhs == log_rhs
 
     kplain = kernel_log_direct(zvars, ring, nu, q, t, window, build,
                                wrapped=False)
-    kfact = _laurent_window_prune(
-        kernel_log_factored(zvars, ring, nu, q, t, window), window)
-    factor_match = kfact == _laurent_window_prune(kplain, window)
+    kfact = kernel_log_factored(zvars, ring, nu, q, t, window).window(window)
+    factor_match = kfact == kplain.window(window)
     return {"nu": list(nu), "u_cutoff": u_cutoff, "window": window,
             "trace_match": trace_match, "factorization_match": factor_match,
             "match": trace_match and factor_match}

@@ -24,7 +24,15 @@ from .laurent import (
 )
 from .partitions import make_partition, multiplicity, weight, z_qt
 from .scalars import rho_root
-from .series import SeriesRing, TruncSeries, qpochhammer, theta3
+from .series import (
+    SeriesRing,
+    TruncSeries,
+    euler_inverse,
+    geometric,
+    qpochhammer,
+    theta3,
+    theta_terms,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -265,23 +273,15 @@ def trace_closed(spec: VertexSpec, ring: SeriesRing, u_name: str, q, t) -> Trunc
     with the u geometric factor expanded inside the ring.
     """
     u = ring.gen(u_name)
-    euler = qpochhammer(ring, u, [u]).inverse()
     expo = ring.zero()
     for n in range(1, ring.cutoff + 1):
         gm = spec.minus.get(n)
         gp = spec.plus.get(n)
         if not gm or not gp:
             continue
-        geom = ring.zero()  # u^n / (1 - u^n) = sum_{j>=1} u^(n j)
-        j = 1
-        while True:
-            mono = ring.monomial(Fraction(1), **{u_name: n * j})
-            if not mono:
-                break
-            geom = geom + mono
-            j += 1
+        geom = geometric(ring, u, n, start=1)  # u^n / (1 - u^n)
         expo = expo + gm * gp * geom * ((1 - q**n) / (1 - t**n) * Fraction(1, n))
-    return euler * expo.exp()
+    return euler_inverse(ring, u) * expo.exp()
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +569,10 @@ def two_point_fermion_trace(v_cutoff: int, window: int, zeta: Fraction,
                 continue
             term = diag * wgt
             num = term if num is None else num + term
-    brute = num.map_coeffs(lambda c: c * den.inverse())
-    # prune outside the comparison window
-    brute = LaurentPoly(zvars, ring, {
-        e: c for e, c in brute.terms.items() if max(abs(x) for x in e) <= window})
+    brute = num.map_coeffs(lambda c: c * den.inverse()).window(window)
 
     u = ring.monomial(Fraction(1), v=2)
     theta_den = theta3(ring, "v", zeta).inverse()
-    closed = LaurentPoly(zvars, ring, {})
     euler2 = qpochhammer(ring, u, [u]) ** 2
     # assemble (x-y)^{-1} * theta(zeta y/x) * (u x/y; u)^{-1} (u y/x; u)^{-1}
     geom = LaurentPoly(zvars, ring, {
@@ -584,26 +580,15 @@ def two_point_fermion_trace(v_cutoff: int, window: int, zeta: Fraction,
     th = theta3_ratio_laurent(ring, zvars, "v", zeta, window)
     pochs = _ratio_pochhammer_pair(ring, zvars, u, window)
     closed = geom * th * pochs
-    closed = closed.map_coeffs(lambda c: c * theta_den * euler2)
-    closed = LaurentPoly(zvars, ring, {
-        e: c for e, c in closed.terms.items() if max(abs(x) for x in e) <= window})
+    closed = closed.map_coeffs(lambda c: c * theta_den * euler2).window(window)
     return {"brute": brute, "closed": closed, "match": brute == closed}
 
 
 def theta3_ratio_laurent(ring, zvars, v: str, zeta, window: int) -> LaurentPoly:
     """theta_3(zeta y/x; u) as a Laurent polynomial in the ratio y/x."""
-    terms = {}
-    n = 0
-    while n * n <= ring.cutoff:
-        for s in ((1,) if n == 0 else (1, -1)):
-            m = s * n
-            if abs(m) > 2 * window + 1:
-                continue
-            mono = ring.monomial(zeta**m, **{v: n * n})
-            if mono:
-                terms[(-m, m)] = mono
-        n += 1
-    return LaurentPoly(zvars, ring, terms)
+    return LaurentPoly(zvars, ring, {
+        (-m, m): mono for m, mono in theta_terms(ring, v, zeta).items()
+        if abs(m) <= 2 * window + 1})
 
 
 def _ratio_pochhammer_pair(ring, zvars, u, window: int) -> LaurentPoly:
@@ -612,15 +597,7 @@ def _ratio_pochhammer_pair(ring, zvars, u, window: int) -> LaurentPoly:
 
     arg = LaurentPoly(zvars, ring, {})
     for n in range(1, ring.cutoff + 1):
-        geom = ring.zero()  # u^n/(1-u^n) = sum_{j>=1} u^{n j}
-        j = 1
-        while True:
-            mono = u ** (n * j)
-            if not mono:
-                break
-            geom = geom + mono
-            j += 1
-        c = geom * Fraction(1, n)
+        c = geometric(ring, u, n, start=1) * Fraction(1, n)  # u^n/(n(1-u^n))
         if not c:
             continue
         arg = arg + LaurentPoly(zvars, ring, {(n, -n): c, (-n, n): c})

@@ -133,6 +133,11 @@ class LaurentPoly:
         hi = [max(e[i] for e in self.terms) for i in range(len(self.zvars))]
         return tuple(lo), tuple(hi)
 
+    def window(self, w: int) -> "LaurentPoly":
+        """The terms whose z-exponents all lie in [-w, w]."""
+        return LaurentPoly(self.zvars, self.ring, {
+            e: c for e, c in self.terms.items() if max(abs(x) for x in e) <= w})
+
     def map_coeffs(self, f) -> "LaurentPoly":
         out = {}
         for e, c in self.terms.items():

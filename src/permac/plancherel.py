@@ -51,15 +51,6 @@ def dims(kind: str, mu: tuple, lam: tuple, q: Fraction, t: Fraction) -> Fraction
     return _dims_cached(kind, mu, lam, q, t)
 
 
-_FACT = [1]
-
-
-def _factorial(n: int) -> int:
-    while len(_FACT) <= n:
-        _FACT.append(_FACT[-1] * len(_FACT))
-    return _FACT[n]
-
-
 # ---------------------------------------------------------------------------
 # Transfer matrices
 # ---------------------------------------------------------------------------
@@ -84,7 +75,7 @@ def _entry_power_coeffs(lam: tuple, mu: tuple, u: Fraction, q: Fraction,
         dim_q = dims("dim'", nu, mu, q, t)
         if not dim_p or not dim_q:
             continue
-        coef = dim_p * dim_q / Fraction(_factorial(dl) * _factorial(dm))
+        coef = dim_p * dim_q / Fraction(math.factorial(dl) * math.factorial(dm))
         coef *= u ** weight(nu)
         k = dl + dm
         out[k] = out.get(k, Fraction(0)) + coef
@@ -105,7 +96,7 @@ def transfer_entry_float(lam: tuple, mu: tuple, gamma: float, u: float,
         dim_p = dims("dim", nu, lam, q, t)
         dim_q = dims("dim'", nu, mu, q, t)
         acc += (xi ** (dl + dm)) * float(dim_p * dim_q) \
-            / (_factorial(dl) * _factorial(dm)) * (u ** weight(nu))
+            / (math.factorial(dl) * math.factorial(dm)) * (u ** weight(nu))
     return math.exp(c * gamma * gamma * (u - 1.0)) * acc
 
 
@@ -188,7 +179,7 @@ def spot_check_float_entries(tm: TransferMatrix, q: Fraction, t: Fraction,
             dm = weight(mu) - weight(nu)
             acc += xi ** (dl + dm) * dims("dim", nu, lam, q, t) \
                 * dims("dim'", nu, mu, q, t) \
-                / Fraction(_factorial(dl) * _factorial(dm)) * uf ** weight(nu)
+                / Fraction(math.factorial(dl) * math.factorial(dm)) * uf ** weight(nu)
         c = float((1 - t) / (1 - q))
         expect = math.exp(c * float(gf) * float(gf) * (float(uf) - 1.0)) * float(acc)
         got = tm.entries[i, j]
@@ -374,7 +365,7 @@ def plancherel_skew_value(kind: str, lam: tuple, mu: tuple, xi: Fraction,
         return Fraction(0)
     d = weight(lam) - weight(mu)
     paths = dims("dim" if kind == "P" else "dim'", mu, lam, q, t)
-    return xi**d / Fraction(_factorial(d)) * paths
+    return xi**d / Fraction(math.factorial(d)) * paths
 
 
 def marginal_process_weight(lams, gamma: Fraction, u_list, q: Fraction,

@@ -22,7 +22,8 @@ from .laurent import LaurentPoly, cauchy_sym_prefactor, laurent_exp, \
 from .macdonald import observable, skew_eval
 from .partitions import contains, partitions_up_to, weight
 from .scalars import QRho, as_fraction, rho_root
-from .series import SeriesRing, TruncSeries, qpochhammer, theta3
+from .series import SeriesRing, TruncSeries, euler_inverse, geometric, \
+    qpochhammer, theta3
 
 
 class ProcessSpec:
@@ -203,19 +204,8 @@ def cauchy_kernel(ring: SeriesRing, q, t, u, p_plus, p_minus,
         pm = p_minus(n)
         if not pp or not pm:
             continue
-        term = pp * pm * ((1 - t**n) / (1 - q**n) * Fraction(1, n))
-        if isinstance(u, TruncSeries):
-            geom = ring.zero()  # 1/(1-u^n) = sum_j u^(n j)
-            j = 0
-            while True:
-                mono = u ** (n * j) if j else ring.one()
-                if not mono:
-                    break
-                geom = geom + mono
-                j += 1
-            term = term * geom
-        else:
-            term = term * (Fraction(1) / (1 - Fraction(u) ** n))
+        term = pp * pm * ((1 - t**n) / (1 - q**n) * Fraction(1, n)) \
+            * geometric(ring, u, n)
         if weight_n is not None:
             term = term * weight_n(n)
         expo = expo + term
@@ -232,11 +222,9 @@ def partition_function_closed(pspec: ProcessSpec) -> TruncSeries:
     tests.
     """
     ring = pspec.ring
-    if pspec.u_is_formal():
-        euler = qpochhammer(ring, pspec.u, [pspec.u]).inverse()
-    else:
+    if not pspec.u_is_formal():
         raise ValueError("closed partition function needs a formal u")
-    out = euler
+    out = euler_inverse(ring, pspec.u)
     for i in range(pspec.N):         # rho^+_i, i = 0..N-1
         for j in range(1, pspec.N + 1):  # rho^-_j, j = 1..N
             pp = pspec.rho_plus[i].p_value
@@ -354,19 +342,8 @@ def _kernel_exp_factor(pspec: ProcessSpec, kind: str, a: int, zvars, iz,
     arg = LaurentPoly(tuple(zvars), ring, {})
     nmax = ring.cutoff if ring.cutoff else 0
     for n in range(1, nmax + 1):
-        if pspec.u_is_formal():
-            geom = ring.zero()  # 1/(1-u^n)
-            j = 0
-            while True:
-                mono = pspec.u ** (n * j) if j else ring.one()
-                if not mono:
-                    break
-                geom = geom + mono
-                j += 1
-            un = pspec.u ** n
-        else:
-            geom = ring.scalar(Fraction(1) / (1 - Fraction(pspec.u) ** n))
-            un = ring.scalar(Fraction(pspec.u) ** n)
+        geom = geometric(ring, pspec.u, n)  # 1/(1-u^n)
+        un = pspec.u_pow(n)
         cplus = ring.zero()
         for b in range(N):
             pv = pspec.rho_plus[b].p_value(n)
@@ -415,22 +392,9 @@ def _delta_pair_factor(pspec: ProcessSpec, p1, p2, zvars, i_num, i_den,
         c = -(1 - p1**n) * (1 - p2**n) * Fraction(1, n)
         if not c:
             continue
-        if pspec.u_is_formal():
-            geom = ring.zero()
-            j = 0
-            while True:
-                mono = pspec.u ** (n * j) if j else ring.one()
-                if not mono:
-                    break
-                geom = geom + mono
-                j += 1
-            if wrapped:
-                geom = geom * (pspec.u ** n)
-                if not geom:
-                    continue
-        else:
-            un = Fraction(pspec.u) ** n
-            geom = ring.scalar((un if wrapped else Fraction(1)) / (1 - un))
+        geom = geometric(ring, pspec.u, n, start=1 if wrapped else 0)
+        if not geom:
+            continue
         e = [0] * len(zvars)
         e[i_num] += n
         e[i_den] -= n
@@ -548,6 +512,8 @@ def shift_mixed_moment_bruteforce(pspec: ProcessSpec, r: int, v_name: str,
     obs: dict = {}
     charge_num = ring.zero()
     charge_den = ring.zero()
+    # the oracle keeps its own charge sum: series.theta_terms feeds theta3 in
+    # the closed form, and the identity checked here is that theta ratio
     n = 0
     while n * n * dv <= ring.cutoff:
         for s in ((1,) if n == 0 else (1, -1)):

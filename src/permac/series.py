@@ -12,6 +12,11 @@ The ring also hosts the q-Pochhammer machinery: infinite symbols
 
 with rational moduli contributing exact factors 1/(1-p^k) and formal moduli
 expanded geometrically.
+
+This module is the one place for the series idioms the closed forms share:
+``geometric`` for p^(start k)/(1 - p^k), ``theta_terms`` for the charge
+terms zeta^m v^(m^2) of a theta sum, and ``euler_inverse`` for 1/(u; u)_inf.
+Brute-force oracles keep their own hand-written sums.
 """
 
 from __future__ import annotations
@@ -328,30 +333,22 @@ def _monomial_parts(x):
     raise TypeError(f"cannot interpret {x!r} as a monomial")
 
 
-def _modulus_power_series(ring, modulus, k: int):
-    """1/(1 - p^k) for a modulus p, as an exact scalar or geometric series."""
-    if isinstance(modulus, (int, Fraction)):
-        pk = Fraction(modulus) ** k
-        if pk == 1:
-            raise ZeroDivisionError("modulus power equals 1")
-        return Fraction(1) / (1 - pk)
-    c, e = _monomial_parts(modulus)
-    if e is None:
+def geometric(ring: SeriesRing, p, k: int, start: int = 0) -> TruncSeries:
+    """sum_{j>=start} p^(j k) = p^(start k) / (1 - p^k) as a series in ``ring``.
+
+    A rational or QRho ``p`` gives the exact scalar; a positive-degree
+    monomial gives the geometric series truncated at the ring cutoff.
+    """
+    c, e = _monomial_parts(p)
+    if e is None or not any(e):
+        c = Fraction(c) if isinstance(c, int) else c
         pk = c ** k
         if pk == 1:
             raise ZeroDivisionError("modulus power equals 1")
-        if isinstance(pk, QRho):
-            return (QRho(1, 0, pk.s) - pk).inverse()
-        return Fraction(1) / (1 - pk)
-    d = ring.degree_of(e)
-    if d <= 0:
-        raise ValueError("formal modulus must have positive degree")
-    out = {}
-    j = 0
-    while j * k * d <= ring.cutoff:
-        out[tuple(j * k * ei for ei in e)] = c ** (j * k)
-        j += 1
-    return TruncSeries(ring, out)
+        return ring.scalar(c ** (start * k) / (1 - pk))
+    step = k * ring.degree_of(e)
+    return TruncSeries(ring, {tuple(j * k * ei for ei in e): c ** (j * k)
+                              for j in range(start, ring.cutoff // step + 1)})
 
 
 def qpochhammer(ring: SeriesRing, a, moduli) -> TruncSeries:
@@ -382,7 +379,7 @@ def qpochhammer(ring: SeriesRing, a, moduli) -> TruncSeries:
             term = ring.monomial(c ** k, **{
                 n: k * ei for n, ei in zip(ring.symbols, e) if ei})
             for m in moduli:
-                term = term * _modulus_power_series(ring, m, k)
+                term = term * geometric(ring, m, k)
             logsum = logsum + term * Fraction(-1, k)
             k += 1
         return logsum.exp()
@@ -401,7 +398,7 @@ def qpochhammer(ring: SeriesRing, a, moduli) -> TruncSeries:
     while k * mindeg <= ring.cutoff:
         bracket = ring.one()
         for m in formal_moduli:
-            bracket = bracket * _modulus_power_series(ring, m, k)
+            bracket = bracket * geometric(ring, m, k)
         bracket = bracket - 1  # positive-degree part only
         logsum = logsum + bracket * (c ** k) * Fraction(-1, k)
         k += 1
@@ -423,6 +420,23 @@ def qpochhammer_finite(ring: SeriesRing, a, modulus, n: int) -> TruncSeries:
     return out
 
 
+def theta_terms(ring: SeriesRing, v: str, zeta) -> dict:
+    """Charge terms m -> zeta^m v^(m^2) of a theta sum, inside the cutoff.
+
+    ``zeta`` is a rational or QRho; the map runs m = 0, 1, -1, 2, -2, ...
+    """
+    if isinstance(zeta, int):
+        zeta = Fraction(zeta)
+    dv = ring.degrees[ring._index[v]]
+    out = {}
+    n = 0
+    while n * n * dv <= ring.cutoff:
+        for m in ((0,) if n == 0 else (n, -n)):
+            out[m] = ring.monomial(zeta ** m, **{v: n * n})
+        n += 1
+    return out
+
+
 def theta3(ring: SeriesRing, v: str, zeta) -> TruncSeries:
     """Jacobi theta sum over integer charge with u = v^2.
 
@@ -430,18 +444,7 @@ def theta3(ring: SeriesRing, v: str, zeta) -> TruncSeries:
     half-integer powers u^(n^2/2) are realized through the substitution
     u = v^2.
     """
-    dv = ring.degrees[ring._index[v]]
-    out = ring.zero()
-    n = 0
-    while n * n * dv <= ring.cutoff:
-        if n == 0:
-            out = out + ring.one()
-        else:
-            zp = zeta ** n
-            zm = (Fraction(1) / zeta) ** n if not isinstance(zeta, QRho) else (zeta.inverse()) ** n
-            out = out + ring.monomial(zp, **{v: n * n}) + ring.monomial(zm, **{v: n * n})
-        n += 1
-    return out
+    return sum(theta_terms(ring, v, zeta).values(), ring.zero())
 
 
 def euler_inverse(ring: SeriesRing, u) -> TruncSeries:

@@ -134,6 +134,34 @@ def test_config_file_merges_under_flags(tmp_path):
     assert json.loads(out)["s_cutoff"] == 3
 
 
+@pytest.mark.parametrize("conf, argv, code, expect", [
+    ({"N": "x"}, ["process", "partition-function", "--u-deg", "2"], 2, None),
+    ({"N": "2"}, ["process", "partition-function", "--u-deg", "2"], 0,
+     lambda d: d["params"]["N"] == 2),
+    ({"u_deg": 3}, ["process", "partition-function", "--u-deg=2"], 0,
+     lambda d: d["cutoffs"]["grade"] == 2),
+    ({"lambda": "1", "kind": "Q"}, ["macdonald", "expand", "--lambda", "2"], 0,
+     lambda d: d["params"]["lambda"] == [2] and d["quantity"].startswith("Q")),
+    (["N", 2], ["process", "partition-function"], 2, None),
+], ids=["bad-type", "converted-type", "equals-flag-wins", "flag-spelled-key",
+        "not-an-object"])
+def test_config_values_keep_the_flag_contract(tmp_path, conf, argv, code, expect):
+    import io
+    from contextlib import redirect_stderr
+
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        got, out = run_cli(["--config", str(path), *argv])
+    assert got == code, err.getvalue()
+    if expect is None:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert expect(json.loads(out))
+
+
 def test_out_flag_and_cache_dir(tmp_path):
     target = tmp_path / "report.json"
     cache_dir = tmp_path / "cache"
@@ -167,6 +195,9 @@ def test_verify_all_aggregates(tmp_path):
     data = json.loads(target.read_text())
     assert data["passed"] is True
     assert len(data["criteria"]) == 10
+    # wall-clock timing stays on stderr, so the report is deterministic
+    assert all(set(c) == {"name", "passed", "details"}
+               for c in data["criteria"])
 
 
 def test_console_script_entrypoint():

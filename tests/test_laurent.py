@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from permac.laurent import (
     LaurentPoly,
@@ -88,3 +90,19 @@ def test_product_coefficient_prunes_correctly():
     direct = (f1 * f2).coeff((0, 0))
     pruned = product_coefficient([f1, f2], (0, 0))
     assert direct == pruned
+
+
+@given(terms=st.dictionaries(
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    st.fractions(max_denominator=5).filter(bool), max_size=12),
+    w=st.integers(0, 6))
+def test_window_keeps_exactly_the_terms_inside(terms, w):
+    ring = SeriesRing(["u"], 2)
+    lp = LaurentPoly(("x", "y"), ring,
+                     {e: ring.scalar(c) for e, c in terms.items()})
+    kept = lp.window(w)
+    assert kept.zvars == lp.zvars
+    for e, c in lp.terms.items():
+        inside = -w <= e[0] <= w and -w <= e[1] <= w
+        assert kept.terms.get(e) == (c if inside else None)
+    assert set(kept.terms) <= set(lp.terms)

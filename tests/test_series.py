@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from permac.partitions import partitions_of
 from permac.scalars import QRho, rho_root
@@ -9,9 +11,11 @@ from permac.series import (
     SeriesRing,
     TruncSeries,
     euler_inverse,
+    geometric,
     qpochhammer,
     qpochhammer_finite,
     theta3,
+    theta_terms,
 )
 
 
@@ -202,3 +206,49 @@ def test_serialization_roundtrip():
     f = random_series(ring, rng)
     g = TruncSeries.from_json(f.to_json())
     assert g == f
+
+
+# -- the geometric-series and theta helpers ----------------------------------
+
+RHO_S = Fraction(2, 3)  # not a rational square, so Q[rho] is a field
+GEOM_RING = SeriesRing(["u", ("v", 2)], 7)
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+nonzero_rationals = rationals.filter(bool)
+qrhos = st.builds(lambda a, b: QRho(a, b, RHO_S), rationals, nonzero_rationals)
+monomials = st.builds(
+    lambda c, a, b: GEOM_RING.monomial(c, u=a, v=b),
+    nonzero_rationals, st.integers(0, 3), st.integers(0, 2),
+).filter(lambda m: m and m.min_degree() > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.one_of(rationals, qrhos, monomials), k=st.integers(1, 4),
+       start=st.sampled_from([0, 1, 2]))
+def test_geometric_times_one_minus_pk_is_leading_power(p, k, start):
+    ring = GEOM_RING
+    if isinstance(p, TruncSeries):
+        pk, lead = p ** k, p ** (start * k)
+    else:
+        pk, lead = p ** k, ring.scalar(p ** (start * k))
+        assume(pk != 1)
+    assert geometric(ring, p, k, start) * (1 - pk) == lead
+
+
+@pytest.mark.parametrize("p, k", [
+    (Fraction(1), 1), (1, 3), (Fraction(-1), 2), (QRho(-1, 0, RHO_S), 2)])
+def test_geometric_rejects_unit_power(p, k):
+    with pytest.raises(ZeroDivisionError):
+        geometric(GEOM_RING, p, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(zeta=st.one_of(nonzero_rationals, qrhos), cutoff=st.integers(0, 12),
+       dv=st.integers(1, 2))
+def test_theta_terms_symmetric_under_inverting_zeta(zeta, cutoff, dv):
+    ring = SeriesRing([("v", dv)], cutoff)
+    inv = zeta.inverse() if isinstance(zeta, QRho) else 1 / zeta
+    terms, flipped = theta_terms(ring, "v", zeta), theta_terms(ring, "v", inv)
+    assert set(terms) == {-m for m in flipped}
+    assert all(terms[m] == flipped[-m] for m in terms)
+    assert all(terms[m].coeff(v=m * m) for m in terms)
