@@ -163,9 +163,14 @@ def criterion_moment_formulas(seed=DEFAULT_SEED) -> dict:
             if process.moment_formula(ps, [(tag, r)]) != \
                     process.moment_bruteforce(ps, [(tag, r)], 4):
                 failures.append((tag, r, str(q1), str(t1)))
+    q3, t3 = random_qt_pair(rng)
+    ps3 = _single_alpha_process(1, q3, t3, 5)
+    if process.moment_formula(ps3, [("E", 3)]) != \
+            process.moment_bruteforce(ps3, [("E", 3)], 5):
+        failures.append(("E", 3, str(q3), str(t3)))
     return {"name": "moment-formulas", "passed": not failures,
             "details": {"families": ["E", "E'", "G", "G'"], "r": [1, 2],
-                        "failures": failures}}
+                        "single_step_E_r3_cutoff": 5, "failures": failures}}
 
 
 def criterion_bessel_examples(seed=DEFAULT_SEED) -> dict:

@@ -506,6 +506,22 @@ def _leaf_options(ap, args) -> dict:
     return options
 
 
+def _explicit_dests(argv) -> set:
+    """Dests that argv sets, as argparse reads it (abbreviated flags too).
+
+    Re-parses argv with a fresh parser whose every option defaults to
+    SUPPRESS, so only the options argv names land in the namespace.
+    """
+    quiet = build_parser()
+    parsers = [quiet]
+    while parsers:
+        for action in parsers.pop()._actions:
+            action.default = argparse.SUPPRESS
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return set(vars(quiet.parse_args(argv)))
+
+
 def _merge_config(ap, args, argv) -> None:
     """Overlay JSON config values onto the namespace; explicit flags win.
 
@@ -523,12 +539,12 @@ def _merge_config(ap, args, argv) -> None:
     if not isinstance(conf, dict):
         raise UsageError("bad config file: expected a JSON object")
     options = _leaf_options(ap, args)
+    explicit = _explicit_dests(argv)
     for key, val in conf.items():
         action = options.get(key)
         if action is None:
             raise UsageError(f"unknown config key {key!r} for this subcommand")
-        if any(arg == opt or arg.startswith(opt + "=")
-               for arg in argv for opt in action.option_strings):
+        if action.dest in explicit:
             continue  # explicit flag wins
         if action.nargs == 0:  # store_true
             if not isinstance(val, bool):

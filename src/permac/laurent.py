@@ -7,7 +7,11 @@ universal measure factors) whose product is scanned for one target z-monomial.
 Products are exact.  To keep them finite, every individual factor is built
 truncated (a per-factor clip bound on z-exponents), and the sequential product
 driver prunes exponent vectors that provably cannot reach the target given the
-exponent ranges of the factors still to come.
+exponent ranges of the factors still to come.  The driver picks its own
+multiplication order, greedily by variable elimination (bucket elimination,
+Dechter 1999): a z-variable is pinned to its target exponent once no factor
+still to come uses it, so taking factors that close variables early keeps the
+intermediate supports small.
 """
 
 from __future__ import annotations
@@ -147,15 +151,45 @@ class LaurentPoly:
         return LaurentPoly(self.zvars, self.ring, out)
 
 
+def _elimination_order(factors) -> list:
+    """Greedy variable-elimination order of the factors, as input indices.
+
+    A z-variable is open once some taken factor uses it and while some factor
+    still to come uses it.  Each step takes the remaining factor that
+    minimises, in this order: the number of open variables after taking it,
+    the number of variables it opens, its term count, its input index.  So
+    z-free factors come first, while the accumulator has one term.
+    """
+    zn = len(factors[0].zvars)
+    uses = [frozenset(i for i in range(zn) if any(e[i] for e in f.terms))
+            for f in factors]
+    users = [sum(i in vs for vs in uses) for i in range(zn)]
+    touched = frozenset()
+    remaining = list(range(len(factors)))
+    order = []
+    while remaining:
+        best = min(remaining, key=lambda k: (
+            sum(1 for i in touched | uses[k] if users[i] > (i in uses[k])),
+            len(uses[k] - touched), len(factors[k].terms), k))
+        remaining.remove(best)
+        order.append(best)
+        touched |= uses[best]
+        for i in uses[best]:
+            users[i] -= 1
+    return order
+
+
 def product_coefficient(factors, target: tuple) -> TruncSeries:
     """Coefficient of the target z-monomial in the product of the factors.
 
+    The factors are multiplied in ``_elimination_order``, not in list order.
     Exact provided each factor already contains every term that can matter;
     pruning only drops exponent vectors that cannot be completed to the target
-    by the remaining factors.
+    by the remaining factors, which holds for any order.
     """
     if not factors:
         raise ValueError("no factors")
+    factors = [factors[k] for k in _elimination_order(factors)]
     zn = len(factors[0].zvars)
     ranges = [f.exp_ranges() for f in factors]
     # suffix sums of reachable exponent ranges

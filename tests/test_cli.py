@@ -140,11 +140,15 @@ def test_config_file_merges_under_flags(tmp_path):
      lambda d: d["params"]["N"] == 2),
     ({"u_deg": 3}, ["process", "partition-function", "--u-deg=2"], 0,
      lambda d: d["cutoffs"]["grade"] == 2),
+    ({"u_deg": 3}, ["process", "partition-function", "--u-d", "2"], 0,
+     lambda d: d["cutoffs"]["grade"] == 2),
+    ({"u_deg": 3}, ["process", "partition-function", "--u-d=2"], 0,
+     lambda d: d["cutoffs"]["grade"] == 2),
     ({"lambda": "1", "kind": "Q"}, ["macdonald", "expand", "--lambda", "2"], 0,
      lambda d: d["params"]["lambda"] == [2] and d["quantity"].startswith("Q")),
     (["N", 2], ["process", "partition-function"], 2, None),
-], ids=["bad-type", "converted-type", "equals-flag-wins", "flag-spelled-key",
-        "not-an-object"])
+], ids=["bad-type", "converted-type", "equals-flag-wins", "abbreviated-flag-wins",
+        "abbreviated-equals-flag-wins", "flag-spelled-key", "not-an-object"])
 def test_config_values_keep_the_flag_contract(tmp_path, conf, argv, code, expect):
     import io
     from contextlib import redirect_stderr

@@ -1,7 +1,9 @@
+import functools
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permac.laurent import (
@@ -9,6 +11,7 @@ from permac.laurent import (
     cauchy_sym_prefactor,
     laurent_exp,
     laurent_log,
+    _elimination_order,
     product_coefficient,
     ratio_sym_factor,
 )
@@ -106,3 +109,48 @@ def test_window_keeps_exactly_the_terms_inside(terms, w):
         inside = -w <= e[0] <= w and -w <= e[1] <= w
         assert kept.terms.get(e) == (c if inside else None)
     assert set(kept.terms) <= set(lp.terms)
+
+
+PLAN_RING = SeriesRing(["u"], 2)
+
+
+@st.composite
+def factor_lists(draw):
+    """1-5 small factors over 2-3 z-variables, each using a random subset of
+    them: the empty subset gives z-free factors, and a factor may have no
+    terms at all."""
+    zn = draw(st.integers(2, 3))
+    zvars = tuple(f"z{i}" for i in range(zn))
+    factors = []
+    for _ in range(draw(st.integers(1, 5))):
+        used = draw(st.sets(st.integers(0, zn - 1), max_size=zn))
+        exps = st.tuples(*[st.integers(-2, 2) if i in used else st.just(0)
+                           for i in range(zn)])
+        coeffs = st.builds(
+            lambda c, k: PLAN_RING.monomial(c, u=k),
+            st.fractions(-3, 3, max_denominator=3).filter(bool),
+            st.integers(0, 2))
+        terms = draw(st.dictionaries(exps, coeffs, max_size=3))
+        factors.append(LaurentPoly(zvars, PLAN_RING, terms))
+    return factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors=factor_lists(), data=st.data())
+def test_product_coefficient_equals_unpruned_product(factors, data):
+    plain = functools.reduce(LaurentPoly.mul, factors)
+    zn = len(factors[0].zvars)
+    target = data.draw(st.one_of(st.sampled_from(sorted(plain.terms) or [(0,) * zn]),
+                                 st.tuples(*[st.integers(-3, 3)] * zn)))
+    for perm in itertools.permutations(factors):
+        assert product_coefficient(list(perm), target) == plain.coeff(target)
+
+
+def test_elimination_order_takes_z_free_factors_first():
+    ring = SeriesRing(["u"], 2)
+    z = ("z1", "z2")
+    pair = ratio_sym_factor(z, ring, 0, 1, Fraction(1, 2), 3)
+    z1 = LaurentPoly.monomial(z, ring, 2, {"z1": 1}) \
+        + LaurentPoly.constant(z, ring.one())
+    scalar = LaurentPoly.constant(z, ring.gen("u") + 1)
+    assert _elimination_order([pair, z1, scalar, pair]) == [2, 1, 0, 3]

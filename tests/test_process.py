@@ -189,6 +189,14 @@ def test_single_step_moments_formula_vs_bruteforce(tag, r):
     assert formula == brute, (tag, r, q, t)
 
 
+@pytest.mark.parametrize("r, cutoff", [(4, 4), (3, 5)])
+def test_higher_E_moments_formula_vs_bruteforce(r, cutoff):
+    # scopes that need the planned contraction order in product_coefficient
+    q, t = random_qt_pair(random.Random(40 + r))
+    ps = single_alpha_process(1, q, t, cutoff)
+    assert moment_formula(ps, [("E", r)]) == moment_bruteforce(ps, [("E", r)], cutoff)
+
+
 def test_two_step_E_moment_formula_vs_bruteforce():
     rng = random.Random(321)
     q, t = random_qt_pair(rng)
