@@ -234,14 +234,18 @@ def cmd_process_shift_mixed(args) -> int:
 
 def cmd_plancherel_sample(args) -> int:
     q, t = _parse_q_t(args)
+    _require_at_least(args, 1, "count")
     try:
         times = [float(x) for x in args.times.split(",")]
         spec = plancherel.TrajectorySpec(args.beta, args.gamma, times,
                                          args.depth, args.seed, args.count)
+        mats = plancherel.gap_matrices(spec, q, t)
+        text = plancherel.trajectories_to_jsonl(
+            plancherel.sample_trajectories(spec, q, t, mats=mats))
     except ValueError as exc:
         raise UsageError(str(exc))
-    trajs = plancherel.sample_trajectories(spec, q, t)
-    text = plancherel.trajectories_to_jsonl(trajs)
+    print(f"dropped mass: {plancherel.dropped_mass(mats, spec.beta):.3e} of the "
+          f"cycle at depth {spec.depth}", file=sys.stderr)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -252,13 +256,30 @@ def cmd_plancherel_sample(args) -> int:
 
 def cmd_plancherel_check(args) -> int:
     q, t = _parse_q_t(args)
+    _require_at_least(args, 1, "samples", "gamma_deg")
+    _require_at_least(args, 0, "reserve")
+    try:
+        plancherel.check_domain(args.gamma, args.beta, args.depth)
+        u, v = parse_rational(args.u), parse_rational(args.v)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(str(exc))
+    if args.reserve > args.depth:
+        raise UsageError("--reserve must not exceed --depth: the safe block "
+                         "|lambda| + |mu| <= depth - reserve would be empty")
+    if args.gamma_deg >= args.depth + args.reserve + 2:
+        raise UsageError("--gamma-deg must be below depth + reserve + 2: from "
+                         "that degree on, states beyond the depth reach the "
+                         "safe block")
     ring = SeriesRing(["g"], args.gamma_deg)
     defect = plancherel.semigroup_defect(
-        ring.gen("g"), parse_rational(args.u), parse_rational(args.v),
-        args.depth, q, t, reserve=args.reserve, mode="exact", ring=ring)
-    chi = plancherel.marginal_chi_square(args.gamma, args.beta, args.depth,
-                                         q, t, samples=args.samples,
-                                         seed=args.seed)
+        ring.gen("g"), u, v, args.depth, q, t, reserve=args.reserve,
+        mode="exact", ring=ring)
+    try:
+        chi = plancherel.marginal_chi_square(args.gamma, args.beta, args.depth,
+                                             q, t, samples=args.samples,
+                                             seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     ok = defect == 0 and chi["p_value"] > 0.01
     _emit(args, {
         "quantity": "plancherel process checks",

@@ -323,12 +323,14 @@ def _b_factor(lam: tuple, cell, q: Fraction, t: Fraction) -> Fraction:
     return (1 - q**a * t ** (l + 1)) / (1 - q ** (a + 1) * t**l)
 
 
+@lru_cache(maxsize=None)
 def pieri(lam: tuple, mu: tuple, q: Fraction, t: Fraction):
     """(psi, phi) for a horizontal strip lam/mu.
 
     psi multiplies Q-expansions of Q_mu g_r, phi multiplies P-expansions of
     P_mu g_r; both are products of arm/leg b ratios over row/column cells of
-    the strip.
+    the strip.  Memoized: the Young-graph path sums and the Pieri up-matrices
+    ask for each edge many times.
     """
     if not horizontal_strip(lam, mu):
         raise ValueError(f"{lam}/{mu} is not a horizontal strip")

@@ -5,7 +5,8 @@ as a sandwich of Plancherel half-vertices around u^D, with the scalar
 prefactor exp(gamma^2 (u-1) (1-t)/(1-q)).  Its matrix elements in the P/Q
 bases are weighted path counts in the Young graph (products of one-box Pieri
 coefficients), which keeps both an exact mode (gamma formal, everything
-rational) and a float mode for sampling.
+rational, summed entry by entry) and a float mode for sampling, which
+multiplies the half-vertices as matrices.
 
 Finite-dimensional laws of the periodic process are cyclic products of
 transfer matrices; the sampler draws the state at time zero from the diagonal
@@ -19,6 +20,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from . import macdonald
 from .macdonald import pieri_phi, pieri_psi
 from .partitions import add_one_box, contains, partitions_up_to, weight
 from .series import SeriesRing, TruncSeries
@@ -82,22 +84,70 @@ def _entry_power_coeffs(lam: tuple, mu: tuple, u: Fraction, q: Fraction,
     return out
 
 
-def transfer_entry_float(lam: tuple, mu: tuple, gamma: float, u: float,
-                         q: Fraction, t: Fraction) -> float:
-    c = float((1 - t) / (1 - q))
-    xi = gamma * (1.0 - u)
-    acc = 0.0
-    wl, wm = weight(lam), weight(mu)
-    for nu in partitions_up_to(min(wl, wm)):
-        if not (contains(lam, nu) and contains(mu, nu)):
+# ---------------------------------------------------------------------------
+# Half-vertices (float mode): X = exp(xi U) and Y = exp(xi U'), with U and U'
+# the one-box Pieri up-matrices, give
+#     T(u) = e^{c gamma^2 (u-1)} X u^D Y^T,   xi = gamma (1 - u).
+# The exact entries above and the spot check below keep their own nu-sums.
+# ---------------------------------------------------------------------------
+
+MAX_DEPTH = 20  # 2714 states; each dense float matrix then takes about 59 MB
+
+
+def pieri_up_matrices(depth: int, q: Fraction, t: Fraction):
+    """One-box Pieri up-matrices (U, U') over ``partitions_up_to(depth)``.
+
+    U[lam, nu] = psi_{lam/nu} and U'[lam, nu] = phi_{lam/nu} when lam is nu
+    plus one box, and 0 otherwise.  Both raise the weight by exactly one, so
+    they are nilpotent on the truncated space: U^(depth+1) = 0.
+    """
+    import numpy as np
+
+    states = partitions_up_to(depth)
+    index = {lam: i for i, lam in enumerate(states)}
+    up = np.zeros((2, len(states), len(states)))
+    for j, nu in enumerate(states):
+        if weight(nu) == depth:
             continue
-        dl = wl - weight(nu)
-        dm = wm - weight(nu)
-        dim_p = dims("dim", nu, lam, q, t)
-        dim_q = dims("dim'", nu, mu, q, t)
-        acc += (xi ** (dl + dm)) * float(dim_p * dim_q) \
-            / (math.factorial(dl) * math.factorial(dm)) * (u ** weight(nu))
-    return math.exp(c * gamma * gamma * (u - 1.0)) * acc
+        for lam in add_one_box(nu):
+            psi, phi = macdonald.pieri(lam, nu, q, t)
+            up[:, index[lam], j] = float(psi), float(phi)
+    return up[0], up[1]
+
+
+def _half_vertex(up, sizes, xi: float):
+    """exp(xi U) for a U that raises the weight ``sizes`` by one.
+
+    U^k only joins states k boxes apart, so exp(xi U) is the path-sum matrix
+    sum_k U^k times xi^d / d!, d = |lam| - |nu|.  The path sums are built
+    level by level: the rows of weight w are U @ (the rows of weight w-1).
+    """
+    import numpy as np
+
+    depth = int(sizes[-1])
+    bounds = np.searchsorted(sizes, np.arange(depth + 2))
+    paths = np.eye(len(sizes))
+    for w in range(1, depth + 1):
+        rows = slice(bounds[w], bounds[w + 1])
+        below = slice(bounds[w - 1], bounds[w])
+        paths[rows] += up[rows, below] @ paths[below]
+    coef = np.array([xi ** d / math.factorial(d) for d in range(depth + 1)])
+    return paths * coef[np.maximum(sizes[:, None] - sizes[None, :], 0)]
+
+
+def _sandwich(gamma: float, u: float, depth: int, q: Fraction, t: Fraction):
+    """(prefactor, X, u^|nu|, Y) with T(u) = prefactor * X diag(u^|nu|) Y^T."""
+    import numpy as np
+
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth must be at most {MAX_DEPTH}")
+    sizes = np.array([weight(lam) for lam in partitions_up_to(depth)])
+    up, up_dual = pieri_up_matrices(depth, q, t)
+    xi = gamma * (1.0 - u)
+    c = float((1 - t) / (1 - q))
+    pref = math.exp(c * gamma * gamma * (u - 1.0))
+    return (pref, _half_vertex(up, sizes, xi), u ** sizes.astype(float),
+            _half_vertex(up_dual, sizes, xi))
 
 
 class TransferMatrix:
@@ -118,9 +168,9 @@ def transfer_matrix(gamma, u, depth: int, q: Fraction, t: Fraction,
 
     Exact mode expects ``gamma`` to be a TruncSeries monomial in ``ring``
     (the prefactor exponential is expanded in the same truncated ring, which
-    keeps the semigroup identity exact on the safe block).  Float mode uses
-    doubles and numpy.  Row/column state lists default to all partitions of
-    weight <= depth.
+    keeps the semigroup identity exact on the safe block).  Float mode
+    multiplies the half-vertex sandwich in doubles with numpy.  Row/column
+    state lists default to all partitions of weight <= depth.
     """
     states = partitions_up_to(depth)
     rows = states if row_states is None else row_states
@@ -145,32 +195,37 @@ def transfer_matrix(gamma, u, depth: int, q: Fraction, t: Fraction,
                 if val:
                     entries[(lam, mu)] = val
         return TransferMatrix(states, entries, gamma, u, "exact")
-    import numpy as np
-
-    arr = np.zeros((len(rows), len(cols)))
-    for i, lam in enumerate(rows):
-        for j, mu in enumerate(cols):
-            arr[i, j] = transfer_entry_float(lam, mu, float(gamma), float(u), q, t)
-    return TransferMatrix(states, arr, gamma, u, "float")
+    pref, x, decay, y = _sandwich(float(gamma), float(u), depth, q, t)
+    if row_states is not None or col_states is not None:
+        index = {lam: i for i, lam in enumerate(states)}
+        x = x[[index[lam] for lam in rows]]
+        y = y[[index[mu] for mu in cols]]
+    return TransferMatrix(states, pref * ((x * decay) @ y.T), gamma, u, "float")
 
 
 def spot_check_float_entries(tm: TransferMatrix, q: Fraction, t: Fraction,
                              rng, frac: float = 0.01, tol: float = 1e-9) -> int:
     """Compare a sample of float entries against exact rationals.
 
-    Returns the number of checked entries; raises on disagreement beyond tol.
+    Checks ``frac`` n^2 entries drawn with ``rng``, or every entry once
+    ``frac`` >= 1.  The exact side is its own nu-sum over Young-graph path
+    sums, not the half-vertex sandwich.  Returns the number of checked
+    entries; raises on disagreement beyond tol.
     """
     states = tm.states
     n = len(states)
     count = max(1, int(frac * n * n))
-    ring = SeriesRing([], 0)
-    for _ in range(count):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
+    if count >= n * n:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    else:
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+    gf = Fraction(tm.gamma).limit_denominator(10**6)
+    uf = Fraction(tm.u).limit_denominator(10**6)
+    xi = gf * (1 - uf)
+    c = float((1 - t) / (1 - q))
+    pref = math.exp(c * float(gf) * float(gf) * (float(uf) - 1.0))
+    for i, j in pairs:
         lam, mu = states[i], states[j]
-        gf = Fraction(tm.gamma).limit_denominator(10**6)
-        uf = Fraction(tm.u).limit_denominator(10**6)
-        xi = gf * (1 - uf)
         acc = Fraction(0)
         for nu in partitions_up_to(min(weight(lam), weight(mu))):
             if not (contains(lam, nu) and contains(mu, nu)):
@@ -180,12 +235,11 @@ def spot_check_float_entries(tm: TransferMatrix, q: Fraction, t: Fraction,
             acc += xi ** (dl + dm) * dims("dim", nu, lam, q, t) \
                 * dims("dim'", nu, mu, q, t) \
                 / Fraction(math.factorial(dl) * math.factorial(dm)) * uf ** weight(nu)
-        c = float((1 - t) / (1 - q))
-        expect = math.exp(c * float(gf) * float(gf) * (float(uf) - 1.0)) * float(acc)
+        expect = pref * float(acc)
         got = tm.entries[i, j]
         if abs(got - expect) > tol * max(1.0, abs(expect)):
             raise AssertionError(f"float entry check failed at {lam},{mu}")
-    return count
+    return len(pairs)
 
 
 def semigroup_defect(gamma, u, v, depth: int, q, t, reserve: int = 4,
@@ -246,13 +300,26 @@ def semigroup_defect(gamma, u, v, depth: int, q, t, reserve: int = 4,
 # ---------------------------------------------------------------------------
 
 
+def check_domain(gamma: float, beta: float, depth: int) -> None:
+    """Raise ValueError unless the float sampler can run at these values."""
+    if not 0 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must lie in [0, {MAX_DEPTH}]: the dense transfer "
+                         "matrices grow with the partitions of weight <= depth")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError("gamma must be finite and nonnegative")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError("beta must be finite and positive")
+
+
 class TrajectorySpec:
     def __init__(self, beta: float, gamma: float, times, depth: int,
                  seed: int, count: int):
+        check_domain(gamma, beta, depth)
         times = list(times)
         if not times or times[0] != 0.0:
             raise ValueError("times must start at 0")
-        if any(b2 <= b1 for b1, b2 in zip(times, times[1:])) or times[-1] >= beta:
+        if any(b2 <= b1 for b1, b2 in zip(times, times[1:])) or times[-1] >= beta \
+                or not all(map(math.isfinite, times)):
             raise ValueError("times must increase strictly inside [0, beta)")
         self.beta = beta
         self.gamma = gamma
@@ -273,25 +340,47 @@ def _draw(rng, probs) -> int:
     return len(probs) - 1
 
 
+def gap_matrices(spec: TrajectorySpec, q: Fraction, t: Fraction) -> list:
+    """Float transfer matrices over the gaps of the time grid, wrapping to beta."""
+    times = spec.times + [spec.beta]
+    return [transfer_matrix(spec.gamma, math.exp(-(b - a)), spec.depth, q, t,
+                            mode="float").entries for a, b in zip(times, times[1:])]
+
+
+def dropped_mass(mats, beta: float) -> float:
+    """Cycle mass the truncation drops: 1 - tr(M_0 ... M_last) (u;u)_inf.
+
+    The gaps compose by the semigroup property, and the untruncated cycle has
+    trace 1/(u;u)_inf with u = e^{-beta}.
+    """
+    cycle = mats[0]
+    for m in mats[1:]:
+        cycle = cycle @ m
+    u = math.exp(-beta)
+    euler, k = 1.0, 1
+    while euler > 0.0 and u ** k > 1e-17:
+        euler *= 1.0 - u ** k
+        k += 1
+    return 1.0 - float(cycle.trace()) * euler
+
+
 def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction,
-                        mass_threshold: float = 1e-12):
+                        mass_threshold: float = 1e-12, mats=None):
     """Yield sampled trajectories [(time, partition), ...] for spec.count runs.
 
     The cyclic law is proportional to prod_i M_i[lam^i, lam^{i+1}] with
     lam^{n+1} = lam^0 and M_i the transfer matrix over the gap to the next
-    time (wrapping to beta).  The first state is drawn from the diagonal of
+    time (wrapping to beta); ``mats`` passes in ``gap_matrices(spec, q, t)``
+    when the caller has them.  The first state is drawn from the diagonal of
     the full cycle product, later ones from conditional rows times suffix
     products.
     """
     import numpy as np
     import random as _random
 
-    times = spec.times + [spec.beta]
-    gaps = [times[i + 1] - times[i] for i in range(len(spec.times))]
-    mats = [transfer_matrix(spec.gamma, math.exp(-g), spec.depth, q, t,
-                            mode="float").entries for g in gaps]
+    if mats is None:
+        mats = gap_matrices(spec, q, t)
     states = partitions_up_to(spec.depth)
-    n = len(states)
     # suffix[i] = M_i M_{i+1} ... M_{last}
     suffix = [None] * len(mats)
     acc = None
@@ -323,21 +412,11 @@ def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction,
         yield out
 
 
-def single_time_marginal_exact(gamma: float, beta: float, depth: int,
-                               q: Fraction, t: Fraction):
-    """Normalized truncated diagonal of T(e^-beta): the one-time law."""
-    import numpy as np
-
-    tm = transfer_matrix(gamma, math.exp(-beta), depth, q, t, mode="float")
-    diag = tm.entries.diagonal().copy()
-    return tm.states, diag / diag.sum()
-
-
 def truncated_trace_float(gamma: float, u: float, depth: int,
                           q: Fraction, t: Fraction) -> float:
     """Trace of the transfer matrix over states of weight <= depth."""
-    return sum(transfer_entry_float(lam, lam, gamma, u, q, t)
-               for lam in partitions_up_to(depth))
+    pref, x, decay, y = _sandwich(gamma, u, depth, q, t)
+    return pref * float((x * y).sum(axis=0) @ decay)
 
 
 def transfer_cycle_weight(lams, gamma: Fraction, u_list, q: Fraction,
@@ -410,20 +489,50 @@ def marginal_process_weight(lams, gamma: Fraction, u_list, q: Fraction,
     return total
 
 
+def chi_square_sf(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square distributed with integer ``dof`` >= 1.
+
+    Even dof 2m: the Poisson tail e^{-x/2} sum_{j<m} (x/2)^j / j!.  Odd dof
+    2m+1: erfc(sqrt(x/2)) + e^{-x/2} sum_{j=1..m} (x/2)^{j-1/2} / Gamma(j+1/2).
+    Every term is positive, so the sums cancel nothing.
+    """
+    if dof < 1:
+        raise ValueError("dof must be at least 1")
+    x = float(x)
+    if x <= 0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    h = x / 2
+    if dof % 2 == 0:
+        term = total = math.exp(-h)
+        for j in range(1, dof // 2):
+            term *= h / j
+            total += term
+        return total
+    total = math.erfc(math.sqrt(h))
+    term = math.exp(-h) * math.sqrt(h) / math.gamma(1.5)
+    for j in range(1, dof // 2 + 1):
+        total += term
+        term *= h / (j + 0.5)
+    return total
+
+
 def marginal_chi_square(gamma: float, beta: float, depth: int, q: Fraction,
                         t: Fraction, samples: int, seed: int,
                         min_expected: float = 5.0) -> dict:
     """Goodness-of-fit of sampled single-time states against the exact law.
 
     Bins with expected count below ``min_expected`` are pooled into a tail
-    bin before the chi-square statistic is formed.
+    bin before the chi-square statistic is formed; fewer than two bins is a
+    ValueError.
     """
-    from scipy.stats import chi2 as _chi2
-
-    states, probs = single_time_marginal_exact(gamma, beta, depth, q, t)
     spec = TrajectorySpec(beta, gamma, [0.0], depth, seed, samples)
+    mats = gap_matrices(spec, q, t)
+    diag = mats[0].diagonal()
+    states, probs = partitions_up_to(depth), diag / diag.sum()
     counts = {lam: 0 for lam in states}
-    for traj in sample_trajectories(spec, q, t):
+    for traj in sample_trajectories(spec, q, t, mats=mats):
         counts[traj[0][1]] += 1
     expected = [p * samples for p in probs]
     observed = [counts[lam] for lam in states]
@@ -434,7 +543,10 @@ def marginal_chi_square(gamma: float, beta: float, depth: int, q: Fraction,
         main.append((tail_o, tail_e))
     stat = sum((o - e) ** 2 / e for o, e in main)
     dof = len(main) - 1
-    pvalue = float(_chi2.sf(stat, dof))
+    if dof < 1:
+        raise ValueError(f"{samples} samples fill fewer than two chi-square bins "
+                         f"of expected count >= {min_expected:g}")
+    pvalue = chi_square_sf(stat, dof)
     top = sorted(zip(states, probs, observed), key=lambda x: -x[1])[:8]
     return {"statistic": stat, "dof": dof, "p_value": pvalue,
             "bins": len(main), "samples": samples,

@@ -7,15 +7,16 @@ import pytest
 
 from permac.cli import main
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
-def run_module(*args):
+def run_module(*args, timeout=None):
     """Run ``python -m <args>`` with the source tree first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", *args], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def run_cli(args, tmp_path=None):
@@ -118,6 +119,19 @@ def test_sampler_deterministic_output(tmp_path):
     assert out1 == out2
     line = json.loads(out1.splitlines()[0])
     assert set(line) == {"sample", "time", "partition"}
+
+
+def test_sampler_three_times_golden_and_dropped_mass_on_stderr():
+    # stdout is the stored stream; the truncation diagnostic goes to stderr
+    proc = run_module("permac", "plancherel", "sample", "--times", "0.0,0.3,0.6",
+                      "--depth", "8", "--count", "200", "--seed", "5",
+                      "--q", "1/3", "--t", "1/5")
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(ROOT, "tests", "golden", "plancherel-sample-3time.out")) as fh:
+        assert proc.stdout == fh.read()
+    assert proc.stderr.count("\n") == 1
+    head, mass = proc.stderr.split(" of the cycle")[0].split(": ")
+    assert head == "dropped mass" and 0 < float(mass) < 0.05
 
 
 def test_config_file_merges_under_flags(tmp_path):
@@ -230,9 +244,38 @@ def test_package_main_runs_cli():
     ["cylindric", "verify-macmahon", "--N", "2", "--M", "5"],
     ["cylindric", "enumerate", "--N", "1", "--max-weight", "-1"],
     ["plancherel", "sample", "--times", "0.0,2.0", "--beta", "1.0"],
+    ["plancherel", "sample", "--depth", "-1"],
+    ["plancherel", "check", "--depth", "-1"],
+    ["plancherel", "check", "--depth", "4", "--samples", "0"],
+    ["plancherel", "check", "--depth", "4", "--samples", "1"],
+    ["plancherel", "sample", "--gamma", "nan"],
+    ["plancherel", "sample", "--gamma", "inf"],
+    ["plancherel", "sample", "--gamma", "-0.8", "--times", "0.0,0.3,0.6",
+     "--count", "3", "--seed", "4"],
+    ["plancherel", "sample", "--gamma", "40"],
+    ["plancherel", "sample", "--beta", "nan"],
+    ["plancherel", "sample", "--times", "0.0,nan"],
+    ["plancherel", "check", "--gamma", "nan", "--depth", "4", "--samples", "100"],
+    ["plancherel", "check", "--depth", "4", "--reserve", "9", "--samples", "100"],
+    ["plancherel", "check", "--depth", "4", "--reserve", "-1", "--samples", "100"],
+    ["plancherel", "check", "--depth", "4", "--reserve", "0", "--samples", "100"],
+    ["plancherel", "check", "--depth", "4", "--gamma-deg", "0", "--samples", "100"],
+    ["plancherel", "check", "--depth", "4", "--u", "x"],
+    ["plancherel", "sample", "--count", "-5"],
 ], ids=" ".join)
 def test_domain_errors_exit_2_without_traceback(argv):
     proc = run_module("permac", *argv)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["sample", "check"])
+def test_plancherel_depth_beyond_dense_limit_exits_2(command):
+    # rejected before any matrix is built; the timeout only bounds a failure
+    from permac.plancherel import MAX_DEPTH
+
+    proc = run_module("permac", "plancherel", command,
+                      "--depth", str(MAX_DEPTH + 1), timeout=60)
+    assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -3,12 +3,22 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from permac.partitions import partitions_up_to, remove_one_box, weight
 from permac.plancherel import (
+    MAX_DEPTH,
     TrajectorySpec,
+    chi_square_sf,
     dims,
+    dropped_mass,
+    gap_matrices,
     marginal_chi_square,
     marginal_process_weight,
+    pieri_up_matrices,
     sample_trajectories,
     semigroup_defect,
     spot_check_float_entries,
@@ -74,6 +84,78 @@ def test_float_entry_spot_check():
     rng = random.Random(4)
     tm = transfer_matrix(0.5, 0.25, 5, Q0, T0, mode="float")
     assert spot_check_float_entries(tm, Q0, T0, rng) >= 1
+
+
+def test_float_entry_spot_check_depth_12():
+    rng = random.Random(12)
+    tm = transfer_matrix(0.85, math.exp(-1.0), 12, Q0, T0, mode="float")
+    assert len(tm.states) == 272
+    assert spot_check_float_entries(tm, Q0, T0, rng, frac=0.01, tol=1e-12) == 739
+
+
+def _unit_rational(draw):
+    return Fraction(draw(st.integers(1, 99)), 100)
+
+
+@settings(max_examples=12, deadline=None)
+@given(depth=st.integers(0, 6), data=st.data())
+def test_sandwich_equals_exact_nu_sum_at_every_entry(depth, data):
+    # the half-vertex product against the hand-written sum over common
+    # sub-partitions nu of exact Young-graph path sums, entry by entry
+    q, t, u = (_unit_rational(data.draw) for _ in range(3))
+    gamma = Fraction(data.draw(st.integers(0, 300)), 100)
+    tm = transfer_matrix(float(gamma), float(u), depth, q, t, mode="float")
+    n = len(tm.states)
+    assert spot_check_float_entries(tm, q, t, None, frac=1, tol=1e-12) == n * n
+
+
+def test_sandwich_is_the_exponential_series():
+    # X = sum_k (xi U)^k / k! summed literally, against transfer_matrix
+    q, t, gamma, u, depth = Fraction(2, 7), Fraction(5, 9), 0.9, 0.45, 7
+    up, up_dual = pieri_up_matrices(depth, q, t)
+
+    def half_vertex(m, xi):
+        out = term = np.eye(len(m))
+        for k in range(1, depth + 1):
+            term = term @ (xi * m) / k
+            out = out + term
+        return out
+
+    xi = gamma * (1 - u)
+    sizes = np.array([weight(lam) for lam in partitions_up_to(depth)])
+    pref = math.exp(float((1 - t) / (1 - q)) * gamma * gamma * (u - 1))
+    want = pref * half_vertex(up, xi) @ np.diag(u ** sizes) \
+        @ half_vertex(up_dual, xi).T
+    got = transfer_matrix(gamma, u, depth, q, t, mode="float").entries
+    assert np.allclose(got, want, rtol=1e-13, atol=0)
+    small = partitions_up_to(3)
+    sub = transfer_matrix(gamma, u, depth, q, t, mode="float",
+                          row_states=small[::-1], col_states=small[1:])
+    assert np.allclose(sub.entries, got[:len(small)][::-1, 1:len(small)],
+                       rtol=1e-14, atol=0)
+
+
+def test_pieri_up_matrices_add_one_box_and_are_nilpotent():
+    depth = 6
+    states = partitions_up_to(depth)
+    up, up_dual = pieri_up_matrices(depth, Q0, T0)
+    for m in (up, up_dual):
+        for i, j in zip(*np.nonzero(m)):
+            lam, nu = states[i], states[j]
+            assert weight(lam) == weight(nu) + 1 and nu in remove_one_box(lam)
+        assert np.count_nonzero(np.linalg.matrix_power(m, depth)) > 0
+        assert not np.linalg.matrix_power(m, depth + 1).any()
+    edges = sum(len(remove_one_box(lam)) for lam in states)
+    assert np.count_nonzero(up) == np.count_nonzero(up_dual) == edges
+    # psi and phi of one box onto the empty partition (see test_dims_examples)
+    assert up[1, 0] == 1 and up_dual[1, 0] == float((1 - T0) / (1 - Q0))
+
+
+def test_float_depth_is_bounded():
+    with pytest.raises(ValueError):
+        TrajectorySpec(1.0, 0.8, [0.0], MAX_DEPTH + 1, seed=1, count=1)
+    with pytest.raises(ValueError):
+        truncated_trace_float(0.8, 0.5, MAX_DEPTH + 1, Q0, T0)
 
 
 def test_semigroup_exact_small():
@@ -156,6 +238,50 @@ def test_sampler_small_gamma_freezes_trajectories():
     for k in range(1, 50):
         p_empty *= 1 - u**k
     assert empty >= 0.9 * p_empty * spec.count
+
+
+def test_dropped_mass_is_the_missing_euler_mass():
+    # one time: the cycle is T(e^-beta), whose truncated trace the Euler
+    # product (u;u)_inf completes to 1; more depth drops less mass
+    beta, gamma = 1.0, 0.85
+    u = math.exp(-beta)
+    euler = 1.0
+    for k in range(1, 60):
+        euler *= 1 - u**k
+    losses = []
+    for depth in (4, 6, 8):
+        spec = TrajectorySpec(beta, gamma, [0.0], depth, seed=1, count=1)
+        loss = dropped_mass(gap_matrices(spec, Q0, T0), beta)
+        trace = truncated_trace_float(gamma, u, depth, Q0, T0)
+        assert loss == pytest.approx(1 - trace * euler, rel=1e-12)
+        losses.append(loss)
+    assert 0 < losses[2] < losses[1] < losses[0] < 0.2
+    # truncating each gap of a cycle also cuts the intermediate sums, and
+    # every entry is nonnegative, so a 3-time cycle drops at least as much
+    spec = TrajectorySpec(beta, gamma, [0.0, 0.3, 0.6], 8, seed=1, count=1)
+    assert losses[2] <= dropped_mass(gap_matrices(spec, Q0, T0), beta) < losses[0]
+
+
+def test_chi_square_sf_matches_scipy():
+    from scipy.stats import chi2
+
+    worst = 0.0
+    for dof in range(1, 301):
+        grid = {1e-6, 0.01, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 300.0}
+        grid |= {dof * f for f in (0.01, 0.1, 0.3, 0.5, 0.8, 1, 1.2, 1.5, 2, 3)}
+        for x in grid:
+            want = float(chi2.sf(x, dof))
+            worst = max(worst, abs(chi_square_sf(x, dof) - want) / want)
+    assert worst <= 1e-12
+    assert chi_square_sf(0.0, 3) == 1.0 and chi_square_sf(math.inf, 4) == 0.0
+    assert type(chi_square_sf(np.float64(2.5), 3)) is float
+    with pytest.raises(ValueError):
+        chi_square_sf(1.0, 0)
+
+
+def test_marginal_chi_square_needs_two_bins():
+    with pytest.raises(ValueError):
+        marginal_chi_square(0.9, 1.0, 4, Q0, T0, samples=1, seed=1)
 
 
 def test_marginal_chi_square_smoke():

@@ -181,7 +181,7 @@ def test_moment_zero_specs_E1():
 @pytest.mark.parametrize("tag", ["E", "E'", "G", "G'"])
 @pytest.mark.parametrize("r", [1, 2])
 def test_single_step_moments_formula_vs_bruteforce(tag, r):
-    rng = random.Random(hash((tag, r)) % 10000)
+    rng = random.Random(f"{tag}:{r}")
     q, t = random_qt_pair(rng)
     ps = single_alpha_process(1, q, t, 4)
     brute = moment_bruteforce(ps, [(tag, r)], 4)
