@@ -82,10 +82,6 @@ def _ring_symbols_for(spec_names, N):
     return symbols
 
 
-def _series_payload(ts: TruncSeries) -> dict:
-    return ts.to_json()
-
-
 def _first_mismatch(a: TruncSeries, b: TruncSeries):
     """First differing coefficient between two series, None when equal."""
     exps = sorted(set(a.terms) | set(b.terms))
@@ -172,7 +168,7 @@ def cmd_process_partition_function(args) -> int:
         "params": {"N": args.N, "q": args.q, "t": args.t,
                    "specs": [args.spec_plus, args.spec_minus]},
         "cutoffs": {"grade": args.u_deg},
-        "series": _series_payload(closed),
+        "series": closed.to_json(),
         "oracle_match": match,
         "max_abs_discrepancy": "0" if match else "nonzero",
         "first_mismatch": _first_mismatch(closed, brute),
@@ -194,7 +190,7 @@ def cmd_process_moment(args) -> int:
         "params": {"N": args.N, "q": args.q, "t": args.t,
                    "specs": [args.spec_plus, args.spec_minus]},
         "cutoffs": {"grade": args.u_deg},
-        "series": _series_payload(formula),
+        "series": formula.to_json(),
         "oracle_match": match,
         "max_abs_discrepancy": "0" if match else "nonzero",
         "first_mismatch": _first_mismatch(formula, brute),
@@ -225,7 +221,7 @@ def cmd_process_shift_mixed(args) -> int:
         "quantity": f"shift-mixed moment, r={args.r}",
         "params": {"q": args.q, "t": args.t, "zeta": args.zeta},
         "cutoffs": {"v": args.v_deg},
-        "series": _series_payload(formula),
+        "series": formula.to_json(),
         "oracle_match": match,
         "max_abs_discrepancy": "0" if match else "nonzero",
     })
@@ -436,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_qt(pf)
     pf.set_defaults(handler=cmd_process_partition_function)
     pm = leaf(proc, "moment")
-    pm.add_argument("--series", choices=["E", "E'", "G", "G'"], default="E")
+    pm.add_argument("--series", choices=fock.FREE_FIELD_FAMILIES, default="E")
     pm.add_argument("--r", type=int, default=1)
     pm.add_argument("--N", type=int, default=1)
     pm.add_argument("--spec-plus", default="zero")

@@ -4,12 +4,19 @@ Vectors are sparse maps from partitions to coefficients in the power-sum
 basis: the basis ket labelled by lambda is a_{-lambda_1} ... a_{-lambda_l}
 applied to the vacuum, and the pairing of two basis kets is z_lambda(q,t).
 Coefficients may be scalars, truncated series, or Laurent polynomials; all
-operators below are generic over that arithmetic.
+operators below are generic over that arithmetic, and every sparse sum goes
+through the in-place ``accumulate``.
 
 The module also hosts vertex operators V(gamma) = exp(sum gamma_{-n} a_{-n}/n)
 exp(sum gamma_n a_n / n), their normal-ordered products and traces, the
 free-field realizations of the four diagonal operator families, and the
-charged extension with its bosonized fermion fields.
+charged extension with its bosonized fermion fields.  One exponential,
+``half_vertex_apply``, expands either half of a vertex operator, and every
+operator application (the free-field families and the fermion fields
+included) builds a ``VertexSpec`` and goes through ``vertex_apply``.  The
+table of the four families (``operator_family``), the eta/xi contraction
+pairs and the eta/xi exponent coefficients live here once; the moment
+kernels of the process module read them from here.
 """
 
 from __future__ import annotations
@@ -40,15 +47,20 @@ from .series import (
 # ---------------------------------------------------------------------------
 
 
+def accumulate(out: dict, key, c) -> None:
+    """out[key] += c in place, dropping the key when the sum vanishes."""
+    w = out.get(key)
+    w = c if w is None else w + c
+    if w:
+        out[key] = w
+    else:
+        out.pop(key, None)
+
+
 def fock_add(u: dict, v: dict) -> dict:
     out = dict(u)
     for lam, c in v.items():
-        w = out.get(lam)
-        w = c if w is None else w + c
-        if w:
-            out[lam] = w
-        else:
-            out.pop(lam, None)
+        accumulate(out, lam, c)
     return out
 
 
@@ -69,13 +81,7 @@ def heisenberg_apply(n: int, v: dict, q: Fraction, t: Fraction) -> dict:
     if n < 0:
         k = -n
         for lam, c in v.items():
-            mu = make_partition(sorted(lam + (k,), reverse=True))
-            w = out.get(mu)
-            w = c if w is None else w + c
-            if w:
-                out[mu] = w
-            else:
-                out.pop(mu, None)
+            accumulate(out, make_partition(sorted(lam + (k,), reverse=True)), c)
         return out
     # positive mode: remove one part equal to n per occurrence, with the
     # commutator weight n (1-q^n)/(1-t^n)
@@ -86,14 +92,7 @@ def heisenberg_apply(n: int, v: dict, q: Fraction, t: Fraction) -> dict:
             continue
         ls = list(lam)
         ls.remove(n)
-        mu = make_partition(ls)
-        add = c * (comm * m)
-        w = out.get(mu)
-        w = add if w is None else w + add
-        if w:
-            out[mu] = w
-        else:
-            out.pop(mu, None)
+        accumulate(out, make_partition(ls), c * (comm * m))
     return out
 
 
@@ -132,61 +131,49 @@ class VertexSpec:
     def merge(self, other: "VertexSpec") -> "VertexSpec":
         plus = dict(self.plus)
         for n, c in other.plus.items():
-            plus[n] = plus.get(n, 0) + c
+            accumulate(plus, n, c)
         minus = dict(self.minus)
         for n, c in other.minus.items():
-            minus[n] = minus.get(n, 0) + c
+            accumulate(minus, n, c)
         return VertexSpec(plus, minus)
 
 
-def _lowering_apply(modes: dict, v: dict, q, t) -> dict:
-    """exp(sum_n modes[n] a_n / n) v; terminates because degrees drop."""
+def z_vertex_spec(zvars, ring, zvar: str, coeffs: dict) -> VertexSpec:
+    """One-variable vertex modes gamma_{-n} = up z^n and gamma_n = down z^{-n}.
+
+    ``coeffs`` maps n >= 1 to the scalar pair (up, down); the modes are
+    Laurent monomials in ``zvar`` over ``ring``.
+    """
+    plus, minus = {}, {}
+    for n, (up, down) in coeffs.items():
+        minus[n] = LaurentPoly.monomial(zvars, ring, up, {zvar: n})
+        plus[n] = LaurentPoly.monomial(zvars, ring, down, {zvar: -n})
+    return VertexSpec(plus, minus)
+
+
+def half_vertex_apply(modes: dict, v: dict, q, t, sign: int,
+                      degree_cap: int = None) -> dict:
+    """exp(sum_n modes[n] a_{sign n} / n) v for sign = +1 or -1.
+
+    The lowering half (sign +1) terminates because degrees drop; the raising
+    half (sign -1) drops grades above ``degree_cap``.  Layer k of the
+    exponential is the previous layer hit by sum_n modes[n] a_{sign n}/(n k).
+    """
+    if sign == -1 and degree_cap is None:
+        raise ValueError("the raising half of a vertex operator needs a degree cap")
     total = dict(v)
     layer = v
     k = 1
     while layer:
         nxt: dict = {}
         for n, g in modes.items():
-            if not g:
-                continue
-            moved = heisenberg_apply(n, layer, q, t)
-            for lam, c in moved.items():
-                add = c * g * Fraction(1, n)
-                w = nxt.get(lam)
-                w = add if w is None else w + add
-                if w:
-                    nxt[lam] = w
-                else:
-                    nxt.pop(lam, None)
-        layer = fock_scale(nxt, Fraction(1, k))
-        total = fock_add(total, layer)
-        k += 1
-    return total
-
-
-def _raising_apply(modes: dict, v: dict, q, t, degree_cap: int) -> dict:
-    """exp(sum_n modes[n] a_{-n} / n) v, dropping grades above degree_cap."""
-    total = dict(v)
-    layer = v
-    k = 1
-    while layer:
-        nxt: dict = {}
-        for n, g in modes.items():
-            if not g:
-                continue
-            for lam, c in layer.items():
-                if weight(lam) + n > degree_cap:
-                    continue
-                mu = make_partition(sorted(lam + (n,), reverse=True))
-                add = c * g * Fraction(1, n)
-                w = nxt.get(mu)
-                w = add if w is None else w + add
-                if w:
-                    nxt[mu] = w
-                else:
-                    nxt.pop(mu, None)
-        layer = fock_scale(nxt, Fraction(1, k))
-        total = fock_add(total, layer)
+            gk = g * Fraction(1, n * k)
+            for lam, c in heisenberg_apply(sign * n, layer, q, t).items():
+                if degree_cap is None or weight(lam) <= degree_cap:
+                    accumulate(nxt, lam, c * gk)
+        for lam, c in nxt.items():
+            accumulate(total, lam, c)
+        layer = nxt
         k += 1
     return total
 
@@ -199,10 +186,9 @@ def vertex_apply(spec: VertexSpec, v: dict, q, t, degree_cap: int) -> dict:
     raising by k costs series degree k, a cap of (max grade of v) + (ring
     cutoff) is lossless, because anything higher carries a dead coefficient.
     """
-    if degree_cap is None:
-        raise ValueError("vertex_apply needs a degree cap")
-    lowered = _lowering_apply(spec.plus, v, q, t)
-    return _raising_apply(spec.minus, lowered, q, t, degree_cap)
+    lowered = half_vertex_apply(spec.plus, v, q, t, sign=1)
+    return half_vertex_apply(spec.minus, lowered, q, t, sign=-1,
+                             degree_cap=degree_cap)
 
 
 def gamma_spec(ring: SeriesRing, q, t, spec_p_values, sign: str) -> VertexSpec:
@@ -288,42 +274,54 @@ def trace_closed(spec: VertexSpec, ring: SeriesRing, u_name: str, q, t) -> Trunc
 # Free-field realizations of the diagonal operator families
 # ---------------------------------------------------------------------------
 
-# family tag -> (vertex kind, Cauchy pole shift c, scalar prefactor c0(r))
-#   E  : eta,  c = t^{-1}, prefactor t^{-r}
-#   E' : xi,   c = t,      prefactor t^{r}
-#   G  : eta,  c = q,      prefactor (-1)^r
-#   G' : xi,   c = q^{-1}, prefactor (-1)^r
-
 FREE_FIELD_FAMILIES = ("E", "E'", "G", "G'")
 
 
-def _family_data(family: str, q: Fraction, t: Fraction):
+def operator_family(family: str, q: Fraction, t: Fraction):
+    """(vertex kind, Cauchy pole c, prefactor c0, observable scale) of a family.
+
+    The operator is c0^r times the constant term of a product of r vertex
+    currents against the symmetrized det(1/(z_i - c z_j)); the observable
+    that the moment formulas compute is (c0 scale)^r times that constant term:
+      E  : eta,  c = t^{-1}, c0 = t^{-1}, scale t
+      E' : xi,   c = t,      c0 = t,      scale t^{-1}
+      G  : eta,  c = q,      c0 = -1,     scale 1
+      G' : xi,   c = q^{-1}, c0 = -1,     scale 1
+    """
+    one = Fraction(1)
     if family == "E":
-        return "eta", Fraction(1) / t, Fraction(1) / t
+        return "eta", one / t, one / t, t
     if family == "E'":
-        return "xi", t, t
+        return "xi", t, t, one / t
     if family == "G":
-        return "eta", q, Fraction(-1)
+        return "eta", q, -one, one
     if family == "G'":
-        return "xi", Fraction(1) / q, Fraction(-1)
+        return "xi", one / q, -one, one
     raise ValueError(f"unknown operator family {family!r}")
 
 
-def _eta_xi_modes(kind: str, zvars, ring, q, t, index: int, nmax: int):
-    """Mode coefficients of eta(z_index) or xi(z_index) as Laurent monomials."""
-    rho = rho_root(t / q)  # only used by xi
-    plus, minus = {}, {}
-    for n in range(1, nmax + 1):
-        if kind == "eta":
-            cminus = 1 - t**-n
-            cplus = -(1 - t**n)
-        else:
-            rn = rho**n
-            cminus = -(1 - t**-n) * rn
-            cplus = (1 - t**n) * rn
-        minus[n] = LaurentPoly.monomial(zvars, ring, cminus, {zvars[index]: n})
-        plus[n] = LaurentPoly.monomial(zvars, ring, cplus, {zvars[index]: -n})
-    return plus, minus
+def contraction_pair(kind: str, q: Fraction, t: Fraction):
+    """(p1, p2) of the self-contraction of eta or xi currents."""
+    if kind == "eta":
+        return q, Fraction(1) / t
+    if kind == "xi":
+        return Fraction(1) / q, t
+    raise ValueError(f"unknown vertex kind {kind!r}")
+
+
+def eta_xi_exponent(kind: str, q: Fraction, t: Fraction, nmax: int) -> dict:
+    """n -> (coefficient of z^n, coefficient of z^{-n}) in the eta/xi exponent.
+
+    eta(z) carries 1 - t^{-n} on z^n a_{-n} and -(1 - t^n) on z^{-n} a_n;
+    xi(z) flips both signs and inserts (t/q)^{n/2}.
+    """
+    if kind == "eta":
+        return {n: (1 - t**-n, -(1 - t**n)) for n in range(1, nmax + 1)}
+    if kind == "xi":
+        rho = rho_root(t / q)
+        return {n: (-(1 - t**-n) * rho**n, (1 - t**n) * rho**n)
+                for n in range(1, nmax + 1)}
+    raise ValueError(f"unknown vertex kind {kind!r}")
 
 
 def free_field_apply(family: str, r: int, v: dict, q: Fraction, t: Fraction,
@@ -338,22 +336,17 @@ def free_field_apply(family: str, r: int, v: dict, q: Fraction, t: Fraction,
         ring = SeriesRing([], 0)
     if not v:
         return {}
-    kind, c, c0 = _family_data(family, q, t)
+    kind, c, c0, _ = operator_family(family, q, t)
     prefactor = c0**r * cauchy_sym_prefactor(c, r)
     zvars = tuple(f"z{i}" for i in range(1, r + 1))
     gmax = max(weight(lam) for lam in v)
     if clip is None:
         clip = r * gmax + 2
-    nmax = gmax if gmax > 0 else 0
 
-    plus_modes: dict = {}
-    minus_modes: dict = {}
-    for i in range(r):
-        p, m = _eta_xi_modes(kind, zvars, ring, q, t, i, nmax)
-        for n in range(1, nmax + 1):
-            plus_modes[n] = plus_modes.get(n, LaurentPoly(zvars, ring, {})) + p[n]
-            minus_modes[n] = minus_modes.get(n, LaurentPoly(zvars, ring, {})) + m[n]
-
+    coeffs = eta_xi_exponent(kind, q, t, gmax)
+    spec = VertexSpec({}, {})
+    for z in zvars:
+        spec = spec.merge(z_vertex_spec(zvars, ring, z, coeffs))
     sym_factors = [ratio_sym_factor(zvars, ring, i, j, c, clip)
                    for i in range(r) for j in range(i + 1, r)]
 
@@ -361,22 +354,14 @@ def free_field_apply(family: str, r: int, v: dict, q: Fraction, t: Fraction,
     for lam, coeff in v.items():
         g = weight(lam)
         start = {lam: LaurentPoly.constant(zvars, ring.one())}
-        lowered = _lowering_apply(plus_modes, start, q, t)
-        image = _raising_apply(minus_modes, lowered, q, t, g)
-        for mu, lp in image.items():
+        for mu, lp in vertex_apply(spec, start, q, t, g).items():
             if weight(mu) != g:
                 continue  # z balance forces degree preservation
             val = product_coefficient(sym_factors + [lp], (0,) * r)
             if not val:
                 continue
             add = coeff * (val.constant_term() if not ring.symbols else val)
-            add = add * prefactor
-            w = out.get(mu)
-            w = add if w is None else w + add
-            if w:
-                out[mu] = w
-            else:
-                out.pop(mu, None)
+            accumulate(out, mu, add * prefactor)
     return out
 
 
@@ -421,38 +406,24 @@ def fermion_apply(starred: bool, zvar: str, v: dict, ring: SeriesRing,
     """
     if q != t:
         raise ValueError("fermion fields are available only at q = t")
-    iz = zvars.index(zvar)
     sgn = -1 if not starred else 1
-    nmax = grade_cap
-    plus, minus = {}, {}
-    for n in range(1, nmax + 1):
-        # psi: gamma_{-n} = z^n, gamma_n = -z^{-n}; psi*: opposite signs
-        minus[n] = LaurentPoly.monomial(zvars, ring, Fraction(-sgn), {zvar: n})
-        plus[n] = LaurentPoly.monomial(zvars, ring, Fraction(sgn), {zvar: -n})
+    # psi: gamma_{-n} = z^n, gamma_n = -z^{-n}; psi*: opposite signs
+    spec = z_vertex_spec(zvars, ring, zvar, {
+        n: (Fraction(-sgn), Fraction(sgn)) for n in range(1, grade_cap + 1)})
     out: dict = {}
     for (lam, n), coeff in v.items():
-        start = {lam: coeff}
-        lowered = _lowering_apply(plus, start, q, t)
-        raised = _raising_apply(minus, lowered, q, t, grade_cap)
-        # z^{-sgn... }: for psi the factor z^{-a_0} contributes z^{-n} on
-        # charge n; for psi* it is z^{+n}.  Charge then shifts by sgn.
+        # for psi the factor z^{-a_0} contributes z^{-n} on charge n; for
+        # psi* it is z^{+n}.  Charge then shifts by sgn.
         zpow = LaurentPoly.monomial(zvars, ring, Fraction(1), {zvar: sgn * n})
-        for mu, lp in raised.items():
-            add = lp * zpow
-            key = (mu, n + sgn)
-            w = out.get(key)
-            w = add if w is None else w + add
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
+        for mu, lp in vertex_apply(spec, {lam: coeff}, q, t, grade_cap).items():
+            accumulate(out, (mu, n + sgn), lp * zpow)
     return out
 
 
 def fermion_pair_ope(zvars, ring, xvar: str, shift: Fraction, nmax: int):
     """Normal-ordered form of psi(x) psi*(y) at y = shift * x (q = t).
 
-    Returns (coeff_poly, charge_power, spec): the operator equals
+    Returns (coeff_poly, spec): the operator equals
     coeff_poly * shift^{a_0} * V(spec) with coeff_poly = x^{-1}/(1 - shift),
     the divergent diagonal geometric series summed in closed form before any
     expansion.  The vertex modes are gamma_{-n} = (1 - shift^n) x^n and
@@ -462,12 +433,8 @@ def fermion_pair_ope(zvars, ring, xvar: str, shift: Fraction, nmax: int):
         raise ZeroDivisionError("coincident fermion arguments")
     coeff = LaurentPoly.monomial(zvars, ring, Fraction(1) / (1 - shift),
                                  {xvar: -1})
-    plus, minus = {}, {}
-    for n in range(1, nmax + 1):
-        minus[n] = LaurentPoly.monomial(zvars, ring, 1 - shift**n, {xvar: n})
-        plus[n] = LaurentPoly.monomial(zvars, ring, -(1 - shift**-n),
-                                       {xvar: -n})
-    return coeff, VertexSpec(plus, minus)
+    return coeff, z_vertex_spec(zvars, ring, xvar, {
+        n: (1 - shift**n, -(1 - shift**-n)) for n in range(1, nmax + 1)})
 
 
 def fermion_bilinear_apply(cvec: dict, t: Fraction, ring: SeriesRing,
@@ -486,23 +453,14 @@ def fermion_bilinear_apply(cvec: dict, t: Fraction, ring: SeriesRing,
     for (lam, n), amp in cvec.items():
         g = weight(lam)
         start = {lam: LaurentPoly.constant(zvars, ring.one())}
-        lowered = _lowering_apply(spec.plus, start, t, t)
-        image = _raising_apply(spec.minus, lowered, t, t, g)
-        for mu, lp in image.items():
+        for mu, lp in vertex_apply(spec, start, t, t, g).items():
             if weight(mu) != g:
                 continue
             # Int Dz takes the z^{-1} coefficient; coeff carries the z^{-1}
             val = (lp * coeff).terms.get((-1,))
             if not val:
                 continue
-            add = amp * val * (shift**n)
-            key = (mu, n)
-            w = out.get(key)
-            w = add if w is None else w + add
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
+            accumulate(out, (mu, n), amp * val * (shift**n))
     return out
 
 
@@ -513,16 +471,8 @@ def extended_E_apply(r: int, cvec: dict, q: Fraction, t: Fraction) -> dict:
     for (lam, n), c in cvec.items():
         by_charge.setdefault(n, {})[lam] = c
     for n, v in by_charge.items():
-        image = free_field_apply("E", r, v, q, t)
-        for mu, c in image.items():
-            add = c * (t**r) * (t ** (-r * n))
-            key = (mu, n)
-            w = out.get(key)
-            w = add if w is None else w + add
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
+        for mu, c in free_field_apply("E", r, v, q, t).items():
+            accumulate(out, (mu, n), c * (t**r) * (t ** (-r * n)))
     return out
 
 
@@ -544,11 +494,16 @@ def two_point_fermion_trace(v_cutoff: int, window: int, zeta: Fraction,
     zvars = ("x", "y")
     one = LaurentPoly.constant(zvars, ring.one())
 
+    def windowed(cv):
+        return {k: w for k, c in cv.items() if (w := c.window(window))}
+
     def op(cv):
+        # lossless: psi*(y) fixes every y-exponent, psi(x) then multiplies
+        # by x-monomials only, and the brute sum is windowed at the end
         nmaxch = isqrt(v_cutoff) + 1
         cap = max(weight(lam) for (lam, _n) in cv) + window + nmaxch
-        stage = fermion_apply(True, "y", cv, ring, zvars, t, t, cap)
-        return fermion_apply(False, "x", stage, ring, zvars, t, t, cap)
+        stage = windowed(fermion_apply(True, "y", cv, ring, zvars, t, t, cap))
+        return windowed(fermion_apply(False, "x", stage, ring, zvars, t, t, cap))
 
     num = None
     den = ring.zero()
@@ -569,7 +524,8 @@ def two_point_fermion_trace(v_cutoff: int, window: int, zeta: Fraction,
                 continue
             term = diag * wgt
             num = term if num is None else num + term
-    brute = num.map_coeffs(lambda c: c * den.inverse()).window(window)
+    den_inv = den.inverse()
+    brute = num.map_coeffs(lambda c: c * den_inv).window(window)
 
     u = ring.monomial(Fraction(1), v=2)
     theta_den = theta3(ring, "v", zeta).inverse()

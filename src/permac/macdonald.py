@@ -512,7 +512,7 @@ def skew_eval(kind: str, lam: tuple, mu: tuple, spec, q: Fraction, t: Fraction,
             continue
         modes[n] = pv * ((1 - t**n) / (1 - q**n))
     ket_u = {k: unit * c for k, c in ket.items()}
-    image = fock._lowering_apply(modes, ket_u, q, t)
+    image = fock.half_vertex_apply(modes, ket_u, q, t, sign=1)
     acc = None
     for nu, c in bra.items():
         d = image.get(nu)
@@ -539,9 +539,6 @@ def skew_single_alpha(kind: str, lam: tuple, mu: tuple, q, t) -> Fraction:
 # ---------------------------------------------------------------------------
 # Observables
 # ---------------------------------------------------------------------------
-
-OBSERVABLE_SERIES = ("E", "E'", "G", "G'")
-
 
 def elementary_from_powers(r: int, p_of) -> Fraction:
     """e_r via Newton's identities from power-sum values p_of(k)."""

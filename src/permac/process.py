@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .fock import contraction_pair, eta_xi_exponent, operator_family
 from .laurent import LaurentPoly, cauchy_sym_prefactor, laurent_exp, \
     product_coefficient, ratio_sym_factor
 from .macdonald import observable, skew_eval
 from .partitions import contains, partitions_up_to, weight
-from .scalars import QRho, as_fraction, rho_root
+from .scalars import QRho, as_fraction
 from .series import SeriesRing, TruncSeries, euler_inverse, geometric, \
     qpochhammer, theta3
 
@@ -192,11 +193,11 @@ def partition_function_bruteforce(pspec: ProcessSpec, depth: int) -> TruncSeries
 
 
 def cauchy_kernel(ring: SeriesRing, q, t, u, p_plus, p_minus,
-                  weight_n=None) -> TruncSeries:
-    """exp( sum_n (1-t^n)/(1-q^n) w_n p_n(rho+) p_n(rho-) / (n (1-u^n)) ).
+                  wrapped: bool = False) -> TruncSeries:
+    """exp( sum_n (1-t^n)/(1-q^n) p_n(rho+) p_n(rho-) [u^n]^wrapped / (n (1-u^n)) ).
 
-    ``weight_n`` maps n to an extra numerator weight (default 1, u^n for the
-    wrapped pairs of the periodic partition function).
+    ``wrapped`` marks the wrapped pairs of the periodic partition function,
+    which carry the extra u^n, as in ``_delta_pair_factor``.
     """
     expo = ring.zero()
     for n in range(1, ring.cutoff + 1):
@@ -204,11 +205,8 @@ def cauchy_kernel(ring: SeriesRing, q, t, u, p_plus, p_minus,
         pm = p_minus(n)
         if not pp or not pm:
             continue
-        term = pp * pm * ((1 - t**n) / (1 - q**n) * Fraction(1, n)) \
-            * geometric(ring, u, n)
-        if weight_n is not None:
-            term = term * weight_n(n)
-        expo = expo + term
+        expo = expo + pp * pm * ((1 - t**n) / (1 - q**n) * Fraction(1, n)) \
+            * geometric(ring, u, n, start=1 if wrapped else 0)
     return expo.exp()
 
 
@@ -227,14 +225,10 @@ def partition_function_closed(pspec: ProcessSpec) -> TruncSeries:
     out = euler_inverse(ring, pspec.u)
     for i in range(pspec.N):         # rho^+_i, i = 0..N-1
         for j in range(1, pspec.N + 1):  # rho^-_j, j = 1..N
-            pp = pspec.rho_plus[i].p_value
-            pm = pspec.rho_minus[j - 1].p_value
-            if j > i:
-                wn = None
-            else:
-                wn = lambda n: pspec.u_pow(n)
             out = out * cauchy_kernel(ring, pspec.q, pspec.t, pspec.u,
-                                      pp, pm, weight_n=wn)
+                                      pspec.rho_plus[i].p_value,
+                                      pspec.rho_minus[j - 1].p_value,
+                                      wrapped=j <= i)
     return out
 
 
@@ -315,34 +309,21 @@ def moment_bruteforce(pspec: ProcessSpec, series_r, depth: int) -> TruncSeries:
     return (num.truncate(depth) * den.truncate(depth).inverse()).truncate(depth)
 
 
-def _family_pole_and_params(tag: str, q: Fraction, t: Fraction):
-    if tag == "E":
-        return Fraction(1) / t, (q, Fraction(1) / t), "eta", 1
-    if tag == "G":
-        return q, (q, Fraction(1) / t), "eta", -1
-    if tag == "E'":
-        return t, (Fraction(1) / q, t), "xi", 1
-    if tag == "G'":
-        return Fraction(1) / q, (Fraction(1) / q, t), "xi", -1
-    raise ValueError(f"unknown observable series {tag!r}")
-
-
 def _kernel_exp_factor(pspec: ProcessSpec, kind: str, a: int, zvars, iz,
                        clip: int) -> LaurentPoly:
     """Per-variable exponential factor of the moment kernel for step a.
 
-    eta kind (families E, G): positive powers carry (1-t^{-n}) p_n(rho^+_b)
-    with the step-dependent u weights, negative powers carry -(1-t^n)
-    p_n(rho^-_b); xi kind flips both signs and inserts (t/q)^{n/2}.
+    z^n carries the eta/xi exponent coefficient of z^n times p_n(rho^+_b)
+    with the step-dependent u weights; z^{-n} carries the coefficient of
+    z^{-n} times p_n(rho^-_b).
     """
     ring = pspec.ring
-    q, t = pspec.q, pspec.t
     N = pspec.N
-    rho = rho_root(t / q)
-    arg = LaurentPoly(tuple(zvars), ring, {})
-    nmax = ring.cutoff if ring.cutoff else 0
-    for n in range(1, nmax + 1):
-        geom = geometric(ring, pspec.u, n)  # 1/(1-u^n)
+    zvar = zvars[iz]
+    arg = LaurentPoly(zvars, ring, {})
+    for n, (up, down) in eta_xi_exponent(kind, pspec.q, pspec.t,
+                                         ring.cutoff).items():
+        geom = geometric(ring, pspec.u, n) * Fraction(1, n)  # 1/(n(1-u^n))
         un = pspec.u_pow(n)
         cplus = ring.zero()
         for b in range(N):
@@ -358,24 +339,10 @@ def _kernel_exp_factor(pspec: ProcessSpec, kind: str, a: int, zvars, iz,
                 continue
             w = un if b < a else ring.one()
             cminus = cminus + pv * w
-        if kind == "eta":
-            cp = cplus * geom * ((1 - t**-n) * Fraction(1, n))
-            cm = cminus * geom * (-(1 - t**n) * Fraction(1, n))
-        else:
-            rn = rho**n
-            cp = cplus * geom * (-(1 - t**-n) * Fraction(1, n)) * rn
-            cm = cminus * geom * ((1 - t**n) * Fraction(1, n)) * rn
-        if cp:
-            arg = arg + LaurentPoly(tuple(zvars), ring, {_unit_exp(zvars, iz, n): cp})
-        if cm:
-            arg = arg + LaurentPoly(tuple(zvars), ring, {_unit_exp(zvars, iz, -n): cm})
+        arg = arg \
+            + LaurentPoly.monomial(zvars, ring, cplus * geom * up, {zvar: n}) \
+            + LaurentPoly.monomial(zvars, ring, cminus * geom * down, {zvar: -n})
     return laurent_exp(arg, clip)
-
-
-def _unit_exp(zvars, iz, k):
-    e = [0] * len(zvars)
-    e[iz] = k
-    return tuple(e)
 
 
 def _delta_pair_factor(pspec: ProcessSpec, p1, p2, zvars, i_num, i_den,
@@ -433,20 +400,21 @@ def moment_formula(pspec: ProcessSpec, series_r, clip: int = None) -> TruncSerie
 
     factors = []
     prefactor = Fraction(1)
+    kinds = []
     for (tag, idxs), (_, r) in zip(groups, series_r):
-        pole, _, _, sign = _family_pole_and_params(tag, q, t)
-        prefactor *= (sign ** r) * cauchy_sym_prefactor(pole, r)
+        kind, pole, c0, scale = operator_family(tag, q, t)
+        kinds.append(kind)
+        prefactor *= (c0 * scale) ** r * cauchy_sym_prefactor(pole, r)
         for ii in range(len(idxs)):
             for jj in range(ii + 1, len(idxs)):
                 factors.append(ratio_sym_factor(zvars, ring, idxs[ii], idxs[jj],
                                                 pole, clip))
     # kernel exponentials per variable
-    for a, (tag, idxs) in enumerate(groups, start=1):
-        _, _, kind, _ = _family_pole_and_params(tag, q, t)
+    for a, ((_, idxs), kind) in enumerate(zip(groups, kinds), start=1):
         for iz in idxs:
             factors.append(_kernel_exp_factor(pspec, kind, a, zvars, iz, clip))
     # universal measure part over all ordered group pairs
-    p1, p2 = _family_pole_and_params(tags[0], q, t)[1]
+    p1, p2 = contraction_pair(kinds[0], q, t)
     for b, (_, idxs_b) in enumerate(groups, start=1):
         for a, (_, idxs_a) in enumerate(groups, start=1):
             for j in idxs_b:

@@ -6,6 +6,7 @@ from permac.fock import (
     VertexSpec,
     fock_add,
     fock_scale,
+    fermion_pair_ope,
     free_field_apply,
     gamma_spec,
     heisenberg_apply,
@@ -191,6 +192,20 @@ def test_ope_reorder_consistent_with_sequential_apply():
         nrm = {k: scalar * c for k, c in
                vertex_apply(merged, v, q, t, cap).items()}
         assert seq == nrm
+
+
+def test_merge_sums_laurent_modes_with_different_mode_sets():
+    # mode 3 is in b only: the sum must not start from the int 0
+    ring = SeriesRing([("v", 1)], 2)
+    zvars = ("x", "y")
+    _, a = fermion_pair_ope(zvars, ring, "x", Fraction(2), 2)
+    _, b = fermion_pair_ope(zvars, ring, "y", Fraction(3), 3)
+    merged = a.merge(b)
+    for side in ("plus", "minus"):
+        ma, mb = getattr(a, side), getattr(b, side)
+        assert sorted(ma) == [1, 2] and sorted(mb) == [1, 2, 3]
+        assert getattr(merged, side) == {1: ma[1] + mb[1], 2: ma[2] + mb[2],
+                                         3: mb[3]}
 
 
 def test_free_field_vacuum_example():
