@@ -168,9 +168,16 @@ def criterion_moment_formulas(seed=DEFAULT_SEED) -> dict:
     if process.moment_formula(ps3, [("E", 3)]) != \
             process.moment_bruteforce(ps3, [("E", 3)], 5):
         failures.append(("E", 3, str(q3), str(t3)))
+    q4, t4 = random_qt_pair(rng)
+    ps4 = _single_alpha_process(2, q4, t4, 3)
+    steps = [("E", 2), ("E", 2)]
+    if process.moment_formula(ps4, steps) != \
+            process.moment_bruteforce(ps4, steps, 3):
+        failures.append(("two-step-E", 2, str(q4), str(t4)))
     return {"name": "moment-formulas", "passed": not failures,
             "details": {"families": ["E", "E'", "G", "G'"], "r": [1, 2],
-                        "single_step_E_r3_cutoff": 5, "failures": failures}}
+                        "single_step_E_r3_cutoff": 5,
+                        "two_step_E_r2_cutoff": 3, "failures": failures}}
 
 
 def criterion_bessel_examples(seed=DEFAULT_SEED) -> dict:

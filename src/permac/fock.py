@@ -429,6 +429,7 @@ def fermion_pair_ope(zvars, ring, xvar: str, shift: Fraction, nmax: int):
     expansion.  The vertex modes are gamma_{-n} = (1 - shift^n) x^n and
     gamma_n = -(1 - shift^{-n}) x^{-n}.
     """
+    shift = Fraction(shift)
     if shift == 1:
         raise ZeroDivisionError("coincident fermion arguments")
     coeff = LaurentPoly.monomial(zvars, ring, Fraction(1) / (1 - shift),
@@ -437,8 +438,7 @@ def fermion_pair_ope(zvars, ring, xvar: str, shift: Fraction, nmax: int):
         n: (1 - shift**n, -(1 - shift**-n)) for n in range(1, nmax + 1)})
 
 
-def fermion_bilinear_apply(cvec: dict, t: Fraction, ring: SeriesRing,
-                           clip: int = None) -> dict:
+def fermion_bilinear_apply(cvec: dict, t: Fraction, ring: SeriesRing) -> dict:
     """The r = 1 fermion bilinear Int Dz psi(z) psi*(z/t) at q = t.
 
     Normal-orders the pair through the charged OPE (closed-form scalar), then

@@ -12,11 +12,39 @@ multiplication order, greedily by variable elimination (bucket elimination,
 Dechter 1999): a z-variable is pinned to its target exponent once no factor
 still to come uses it, so taking factors that close variables early keeps the
 intermediate supports small.
+
+``product_coefficient``, ``laurent_exp`` and ``laurent_log`` share one flat,
+fraction-free kernel.  Each factor is flattened once into a list of
+(series degree, key, integer numerator), sorted by degree so the cutoff test
+is a ``break``:
+
+- The key packs the whole exponent vector into one int by a linear map
+  (``_Packing``), so adding keys adds exponents.  Its lowest digit is the
+  series degree, then a digit for the power of rho' (below), then one digit
+  per series symbol, all in base cutoff + 1, and above them the z-exponents
+  as balanced digits of base 2 bound + 1.  The map is injective on the
+  exponents that occur: a product kept under the cutoff has every series
+  digit (and the degree) at most the cutoff and a rho' digit at most 2, so no
+  digit carries, and the z bound is taken from the factors' exponent ranges,
+  the pruning boxes and the target, so every z-exponent a product reaches
+  lies strictly inside its balanced digit.
+- Each factor's coefficients become integer numerators over its ``lcm``
+  denominator; the denominators multiply along the product, and the one
+  division happens when the result is unpacked.
+- A QRho coefficient a + b rho (rho^2 = r) becomes the numerators of a and of
+  b / den(r) on rho' = den(r) rho, whose square num(r) den(r) is an integer;
+  rho'^2 folds back after each product.
+- The pruning test on the packed z-part is memoised per step.
+
+``LaurentPoly.mul`` stays the plain term-by-term product, which the tests use
+as the kernel's oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm
+from operator import itemgetter
 
 from .scalars import QRho
 from .series import SeriesRing, TruncSeries
@@ -49,6 +77,8 @@ class LaurentPoly:
             exp[zvars.index(name)] += k
         if isinstance(coeff, (int, Fraction, QRho)):
             coeff = ring.scalar(coeff)
+        elif not isinstance(coeff, TruncSeries):
+            raise TypeError(f"inexact Laurent coefficient {coeff!r}")
         if not coeff:
             return LaurentPoly(tuple(zvars), ring, {})
         return LaurentPoly(tuple(zvars), ring, {tuple(exp): coeff})
@@ -103,14 +133,12 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def mul(self, other: "LaurentPoly", keep=None) -> "LaurentPoly":
-        """Product, optionally pruned by a predicate on exponent vectors."""
+    def mul(self, other: "LaurentPoly") -> "LaurentPoly":
+        """The plain product, term by term (the oracle of the flat kernel)."""
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                if keep is not None and not keep(e):
-                    continue
                 c = c1 * c2
                 if not c:
                     continue
@@ -179,6 +207,155 @@ def _elimination_order(factors) -> list:
     return order
 
 
+class _Packing:
+    """The linear map from a term's exponents to one int key.
+
+    The term z^e rho'^j x^s of series degree d gets the key
+
+        d + C (j + 3 (s_1 + C s_2 + ...)) + S (e_1 + B_1 (e_2 + B_2 (...)))
+
+    with C = cutoff + 1, S = 3 C^(n + 1) for n series symbols and
+    B_i = 2 zbound_i + 1; rho' is the scaled root of ``_flatten``.
+    """
+
+    def __init__(self, ring: SeriesRing, zbound):
+        self.ring = ring
+        self.cutoff = ring.cutoff
+        self.C = C = ring.cutoff + 1
+        self.sweights = [3 * C ** (j + 1) for j in range(len(ring.symbols))]
+        self.S = w = 3 * C ** (len(ring.symbols) + 1)
+        self.zbases = [2 * b + 1 for b in zbound]
+        self.zweights = []
+        for b in self.zbases:
+            self.zweights.append(w)
+            w *= b
+
+    def zkey(self, e) -> int:
+        return sum(x * w for x, w in zip(e, self.zweights))
+
+    def zdigits(self, z: int):
+        """The exponents of a z-part ``key // S``, one balanced digit each."""
+        for b in self.zbases:
+            h = b // 2
+            x = (z + h) % b - h
+            yield x
+            z = (z - x) // b
+
+    def series_exp(self, skey: int) -> tuple:
+        """The series exponents of a key's low part ``key % S``."""
+        C = self.C
+        skey //= 3 * C
+        e = []
+        for _ in self.sweights:
+            e.append(skey % C)
+            skey //= C
+        return tuple(e)
+
+
+class _Box(dict):
+    """Memoised test, per packed z-part, that the z-exponents lie in a box."""
+
+    def __init__(self, pk: _Packing, lo, hi):
+        super().__init__()
+        self.digits = [(b, b // 2, a, c) for b, a, c in zip(pk.zbases, lo, hi)]
+
+    def __missing__(self, z):
+        # ``_Packing.zdigits`` inlined, stopping at the first digit outside
+        key, ok = z, True
+        for b, h, lo, hi in self.digits:
+            x = (z + h) % b - h
+            if not lo <= x <= hi:
+                ok = False
+                break
+            z = (z - x) // b
+        self[key] = ok
+        return ok
+
+
+def _flatten(lp: LaurentPoly, pk: _Packing):
+    """(common denominator, [(degree, key, numerator)] sorted by degree, radicand).
+
+    A QRho coefficient a + b rho with rho^2 = r becomes two terms,
+    a + (b / den(r)) rho', on rho' = den(r) rho, whose square is the integer
+    num(r) den(r).  The radicand is None when no coefficient is a QRho.
+    """
+    C, cutoff, degrees = pk.C, pk.cutoff, pk.ring.degrees
+    radicand = None
+    raw = []
+    for e, ts in lp.terms.items():
+        zk = pk.zkey(e)
+        for se, c in ts.terms.items():
+            d = sum(x * w for x, w in zip(se, degrees))
+            if d > cutoff:
+                continue
+            key = zk + d + sum(x * w for x, w in zip(se, pk.sweights))
+            if isinstance(c, QRho):
+                radicand = _same_radicand(radicand, c.s)
+                if c.a:
+                    raw.append((d, key, c.a))
+                if c.b:
+                    raw.append((d, key + C, c.b / c.s.denominator))
+            elif isinstance(c, (int, Fraction)):
+                raw.append((d, key, c))
+            else:
+                raise TypeError(f"inexact coefficient {c!r}")
+    den = lcm(*(c.denominator for _, _, c in raw))
+    terms = [(d, key, c.numerator * (den // c.denominator)) for d, key, c in raw]
+    terms.sort(key=itemgetter(0))
+    return den, terms, radicand
+
+
+def _same_radicand(r, s):
+    if r is not None and r != s:
+        raise ValueError("mixing QRho values over different radicands")
+    return s
+
+
+def _mul_terms(acc: dict, terms: list, pk: _Packing, keep: _Box, radicand) -> dict:
+    """acc times one flattened factor, as packed key -> integer numerator.
+
+    The break stops at the cutoff (``terms`` is sorted by degree); products
+    whose z-part fails ``keep`` are dropped, and rho'^2 folds back to its
+    integer value.
+    """
+    C, S, cutoff = pk.C, pk.S, pk.cutoff
+    out = {}
+    get = out.get
+    for k1, c1 in acc.items():
+        room = cutoff - k1 % C
+        for d2, k2, c2 in terms:
+            if d2 > room:
+                break
+            k = k1 + k2
+            if keep[k // S]:
+                out[k] = get(k, 0) + c1 * c2
+    if radicand is not None:
+        square = radicand.numerator * radicand.denominator
+        for k in [k for k in out if k // C % 3 == 2]:
+            c = out.pop(k) * square
+            out[k - 2 * C] = get(k - 2 * C, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _unflatten(acc: dict, den: int, pk: _Packing, radicand, zvars) -> LaurentPoly:
+    """The LaurentPoly of packed numerators ``acc`` over ``den``."""
+    C, S = pk.C, pk.S
+    parts = {}
+    for k, c in acc.items():
+        z = k // S
+        low = k - z * S
+        parts.setdefault((z, pk.series_exp(low)), [0, 0])[low // C % 3] += c
+    terms = {}
+    for (z, e), (a, b) in parts.items():
+        if radicand is None:
+            v = Fraction(a, den)
+        else:
+            v = QRho(Fraction(a, den), Fraction(b * radicand.denominator, den), radicand)
+        terms.setdefault(tuple(pk.zdigits(z)), {})[e] = v
+    ring = pk.ring
+    return LaurentPoly(zvars, ring, {e: TruncSeries(ring, ts) for e, ts in terms.items()})
+
+
 def product_coefficient(factors, target: tuple) -> TruncSeries:
     """Coefficient of the target z-monomial in the product of the factors.
 
@@ -190,6 +367,7 @@ def product_coefficient(factors, target: tuple) -> TruncSeries:
     if not factors:
         raise ValueError("no factors")
     factors = [factors[k] for k in _elimination_order(factors)]
+    ring = factors[0].ring
     zn = len(factors[0].zvars)
     ranges = [f.exp_ranges() for f in factors]
     # suffix sums of reachable exponent ranges
@@ -200,22 +378,64 @@ def product_coefficient(factors, target: tuple) -> TruncSeries:
         suf_hi.append(tuple(a + b for a, b in zip(suf_hi[-1], hi)))
     suf_lo.reverse()
     suf_hi.reverse()
+    # the accumulator after factor k lies in boxes[k]; a product tested
+    # there is one factor's exponent away from the previous box
+    boxes = [(tuple(t - h for t, h in zip(target, suf_hi[k + 1])),
+              tuple(t - l for t, l in zip(target, suf_lo[k + 1])))
+             for k in range(len(factors))]
 
-    acc = None
-    for k, f in enumerate(factors):
-        lo, hi = suf_lo[k + 1], suf_hi[k + 1]
+    def reach(pairs, i):
+        return max(abs(x) for lo, hi in pairs for x in (lo[i], hi[i]))
 
-        def keep(e, lo=lo, hi=hi):
-            return all(e[i] + hi[i] >= target[i] >= e[i] + lo[i] for i in range(zn))
-
-        if acc is None:
-            acc = LaurentPoly(f.zvars, f.ring,
-                              {e: c for e, c in f.terms.items() if keep(e)})
-        else:
-            acc = acc.mul(f, keep=keep)
+    zbound = [reach(boxes, i) + reach(ranges, i) for i in range(zn)]
+    pk = _Packing(ring, zbound)
+    acc = {0: 1}
+    den = 1
+    radicand = None
+    for f, (lo, hi) in zip(factors, boxes):
+        fden, terms, r = _flatten(f, pk)
+        if r is not None:
+            radicand = _same_radicand(radicand, r)
+        acc = _mul_terms(acc, terms, pk, _Box(pk, lo, hi), radicand)
+        den *= fden
         if not acc:
-            return factors[0].ring.zero()
-    return acc.coeff(target)
+            return ring.zero()
+    return _unflatten(acc, den, pk, radicand, factors[0].zvars).coeff(target)
+
+
+def _power_sum(arg: LaurentPoly, clip: int, weight, unit: bool, name: str) -> LaurentPoly:
+    """[1 +] sum_{k>=1} weight(k) arg^k, each power cut to |exponent| <= clip.
+
+    Raises ClipExhausted if the powers fail to die out.
+    """
+    zn = len(arg.zvars)
+    lo, hi = arg.exp_ranges()
+    pk = _Packing(arg.ring, [clip + max(abs(a), abs(b)) for a, b in zip(lo, hi)])
+    den, terms, radicand = _flatten(arg, pk)
+    window = _Box(pk, (-clip,) * zn, (clip,) * zn)
+    # crude but safe bound: degrees or window positions advance every step
+    kmax = (arg.ring.cutoff + 1) * (2 * clip + 1) * max(1, zn)
+    powers = []
+    power = {0: 1}
+    while True:
+        power = _mul_terms(power, terms, pk, window, radicand)
+        if not power:
+            break
+        powers.append(power)
+        if len(powers) >= kmax:
+            raise ClipExhausted(f"{name} failed to terminate; enlarge the z clip window")
+    # one denominator for the whole sum: lcm of the weights times den^K
+    K = len(powers)
+    weights = [Fraction(weight(k)) for k in range(1, K + 1)]
+    wden = lcm(*(w.denominator for w in weights))
+    total = wden * den**K
+    out = {0: total} if unit else {}
+    for k, (w, power) in enumerate(zip(weights, powers), start=1):
+        scale = w.numerator * (wden // w.denominator) * den ** (K - k)
+        for key, c in power.items():
+            out[key] = out.get(key, 0) + scale * c
+    return _unflatten({k: c for k, c in out.items() if c}, total, pk, radicand,
+                      arg.zvars)
 
 
 def laurent_exp(arg: LaurentPoly, clip: int) -> LaurentPoly:
@@ -228,28 +448,8 @@ def laurent_exp(arg: LaurentPoly, clip: int) -> LaurentPoly:
     zero = (0,) * len(arg.zvars)
     if zero in arg.terms and arg.terms[zero].constant_term():
         raise ValueError("exp of Laurent polynomial needs zero constant term")
-
-    def keep(e):
-        return all(abs(x) <= clip for x in e)
-
-    one = LaurentPoly.constant(arg.zvars, arg.ring.one())
-    out = one
-    power = one
-    fact = Fraction(1)
-    k = 1
-    # crude but safe bound: degrees or window positions advance every step
-    kmax = (arg.ring.cutoff + 1) * (2 * clip + 1) * max(1, len(arg.zvars))
-    while True:
-        power = power.mul(arg, keep=keep)
-        if not power:
-            break
-        fact *= k
-        out = out + power.scale(Fraction(1) / fact)
-        k += 1
-        if k > kmax:
-            raise ClipExhausted(
-                "laurent_exp failed to terminate; enlarge the z clip window")
-    return out
+    return _power_sum(arg, clip, lambda k: Fraction(1, factorial(k)), True,
+                      "laurent_exp")
 
 
 def laurent_log(lp: LaurentPoly, clip: int) -> LaurentPoly:
@@ -263,26 +463,9 @@ def laurent_log(lp: LaurentPoly, clip: int) -> LaurentPoly:
     const = lp.terms.get(zero)
     if const is None or const.constant_term() != 1:
         raise ValueError("laurent_log needs constant term 1")
-    one = LaurentPoly.constant(lp.zvars, lp.ring.one())
-    f = lp - one
-
-    def keep(e):
-        return all(abs(x) <= clip for x in e)
-
-    out = LaurentPoly(lp.zvars, lp.ring, {})
-    power = one
-    k = 1
-    kmax = (lp.ring.cutoff + 1) * (2 * clip + 1) * max(1, len(lp.zvars))
-    while True:
-        power = power.mul(f, keep=keep)
-        if not power:
-            break
-        out = out + power.scale(Fraction(1 if k % 2 == 1 else -1, k))
-        k += 1
-        if k > kmax:
-            raise ClipExhausted(
-                "laurent_log failed to terminate; enlarge the clip window")
-    return out
+    f = lp - LaurentPoly.constant(lp.zvars, lp.ring.one())
+    return _power_sum(f, clip, lambda k: Fraction(1 if k % 2 == 1 else -1, k), False,
+                      "laurent_log")
 
 
 def ratio_sym_factor(zvars, ring, i: int, j: int, c, clip: int) -> LaurentPoly:

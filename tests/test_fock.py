@@ -208,6 +208,16 @@ def test_merge_sums_laurent_modes_with_different_mode_sets():
                                          3: mb[3]}
 
 
+def test_fermion_pair_ope_keeps_an_int_shift_exact():
+    # an int shift must not turn shift**-n into a float mode coefficient
+    ring = SeriesRing([("v", 1)], 2)
+    coeff, spec = fermion_pair_ope(("x", "y"), ring, "x", 2, 2)
+    assert spec.plus[1].terms == {(-1, 0): ring.scalar(Fraction(-1, 2))}
+    for lp in [coeff, *spec.plus.values(), *spec.minus.values()]:
+        for ts in lp.terms.values():
+            assert all(type(c) is Fraction for c in ts.terms.values())
+
+
 def test_free_field_vacuum_example():
     out = free_field_apply("E", 1, {(): Fraction(1)}, Q0, T0)
     assert out == {(): Fraction(1) / (T0 - 1)}

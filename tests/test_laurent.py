@@ -15,7 +15,8 @@ from permac.laurent import (
     product_coefficient,
     ratio_sym_factor,
 )
-from permac.series import SeriesRing
+from permac.scalars import QRho
+from permac.series import SeriesRing, TruncSeries
 
 Q0, T0 = Fraction(1, 3), Fraction(1, 5)
 
@@ -144,6 +145,99 @@ def test_product_coefficient_equals_unpruned_product(factors, data):
                                  st.tuples(*[st.integers(-3, 3)] * zn)))
     for perm in itertools.permutations(factors):
         assert product_coefficient(list(perm), target) == plain.coeff(target)
+
+
+RADICAND = Fraction(2, 3)  # t/q of a xi family need not be a square
+
+
+@st.composite
+def graded_qrho_factor_lists(draw):
+    """2-4 factors over 2-3 z-variables with z-exponents up to +-3, series
+    coefficients in two symbols of degrees 1 and 2 at cutoff 3 or 4, and
+    QRho coefficients over a non-square radicand beside plain fractions."""
+    ring = SeriesRing([("u", 1), ("v", 2)], draw(st.integers(3, 4)))
+    zn = draw(st.integers(2, 3))
+    zvars = tuple(f"z{i}" for i in range(zn))
+    fractions = st.fractions(-2, 2, max_denominator=3)
+    scalars = st.one_of(
+        fractions.filter(bool),
+        st.builds(lambda a, b: QRho(a, b, RADICAND), fractions, fractions.filter(bool)))
+    sexps = st.tuples(st.integers(0, 3), st.integers(0, 2)) \
+        .filter(lambda e: ring.degree_of(e) <= ring.cutoff)
+    coeffs = st.dictionaries(sexps, scalars, min_size=1, max_size=3) \
+        .map(lambda terms: TruncSeries(ring, terms))
+    factors = []
+    for _ in range(draw(st.integers(2, 4))):
+        used = draw(st.sets(st.integers(0, zn - 1), max_size=zn))
+        zexps = st.tuples(*[st.integers(-3, 3) if i in used else st.just(0)
+                            for i in range(zn)])
+        factors.append(LaurentPoly(zvars, ring, draw(st.dictionaries(
+            zexps, coeffs, max_size=4))))
+    return factors
+
+
+@settings(max_examples=40, deadline=None)
+@given(factors=graded_qrho_factor_lists(), data=st.data())
+def test_product_coefficient_graded_qrho_equals_unpruned_product(factors, data):
+    plain = functools.reduce(LaurentPoly.mul, factors)
+    zn = len(factors[0].zvars)
+    target = data.draw(st.one_of(st.sampled_from(sorted(plain.terms) or [(0,) * zn]),
+                                 st.tuples(*[st.integers(-4, 4)] * zn)))
+    perms = list(itertools.permutations(factors))
+    for perm in data.draw(st.lists(st.sampled_from(perms), min_size=1, max_size=3)):
+        assert product_coefficient(list(perm), target) == plain.coeff(target)
+
+
+def windowed_power_sum(arg, clip, weights, unit):
+    """[1 +] sum_k weights[k] arg^k by the plain product, cut to the window."""
+    one = LaurentPoly.constant(arg.zvars, arg.ring.one())
+    out = one if unit else LaurentPoly(arg.zvars, arg.ring, {})
+    power = one
+    for w in weights:
+        power = power.mul(arg).window(clip)
+        out = out + power.scale(w)
+    return out
+
+
+@st.composite
+def exp_arguments(draw):
+    """Small arguments with no constant term.  A term of series degree 0
+    has nonnegative, nonzero z-exponents, so windowed powers die out."""
+    ring = SeriesRing([("u", 1), ("v", 2)], 3)
+    zvars = ("x", "y")
+    fractions = st.fractions(-2, 2, max_denominator=3).filter(bool)
+    scalars = st.one_of(fractions, st.builds(lambda a, b: QRho(a, b, RADICAND),
+                                             fractions, fractions))
+    sexps = st.sampled_from([(1, 0), (0, 1), (2, 0), (1, 1)])
+    terms = {}
+    for ze in draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                            min_size=1, max_size=3, unique=True)):
+        graded = min(ze) < 0 or ze == (0, 0)
+        se = draw(sexps) if graded else draw(st.sampled_from([(0, 0), (1, 0)]))
+        terms[ze] = ring.monomial(draw(scalars), u=se[0], v=se[1])
+    return LaurentPoly(zvars, ring, terms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(arg=exp_arguments(), clip=st.integers(1, 2))
+def test_laurent_exp_log_equal_plain_windowed_power_sums(arg, clip):
+    """The flat kernel's exp and log against the term-by-term products."""
+    nmax = (arg.ring.cutoff + 1) * (2 * clip + 1) * 2
+    fact = [Fraction(1)]
+    for k in range(1, nmax + 1):
+        fact.append(fact[-1] * k)
+    ex = laurent_exp(arg, clip)
+    assert ex == windowed_power_sum(arg, clip, [1 / fact[k] for k in range(1, nmax + 1)], True)
+    one = LaurentPoly.constant(arg.zvars, arg.ring.one())
+    lg = laurent_log(one + arg, clip)
+    assert lg == windowed_power_sum(
+        arg, clip, [Fraction((-1) ** (k + 1), k) for k in range(1, nmax + 1)], False)
+
+
+def test_monomial_rejects_an_inexact_coefficient():
+    ring = SeriesRing(["u"], 2)
+    with pytest.raises(TypeError):
+        LaurentPoly.monomial(("z",), ring, 0.5, {"z": 1})
 
 
 def test_elimination_order_takes_z_free_factors_first():

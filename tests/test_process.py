@@ -206,6 +206,15 @@ def test_two_step_E_moment_formula_vs_bruteforce():
     assert formula == brute
 
 
+@pytest.mark.parametrize("r, N", [(3, 2), (2, 3)])
+def test_multi_step_E_moments_formula_vs_bruteforce(r, N):
+    # scopes that need the flat constant-term kernel in product_coefficient
+    q, t = random_qt_pair(random.Random(f"E:{r}:{N}"))
+    ps = single_alpha_process(N, q, t, 3)
+    steps = [("E", r)] * N
+    assert moment_formula(ps, steps) == moment_bruteforce(ps, steps, 3), (q, t)
+
+
 def test_multi_step_rejects_unvalidated_families():
     ps = single_alpha_process(2, Q0, T0, 3)
     with pytest.raises(ValueError):
