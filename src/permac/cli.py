@@ -590,7 +590,7 @@ def main(argv=None) -> int:
         if args.cache_dir:
             cache.configure(args.cache_dir)
         return handler(args)
-    except UsageError as exc:
+    except (UsageError, macdonald.GramSingularError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,17 +6,21 @@ p -> m transition is a product of power sums; its inverse comes from
 back-substitution, because p_lambda is triangular in dominance order.  The
 one-parameter family P_lambda is produced weight by weight through
 Gram-Schmidt in the m basis, against the pairing's Gram matrix <m_lam, m_mu>,
-which is formed once per table from the p/m transitions.  Each partition is
-projected onto every earlier partition of a linear extension of dominance,
-so unitriangularity is a checked consequence, not a premise.  Pieri
-coefficients come from the arm/leg products, independently of the
-orthogonalization; the two routes cross-check each other in the test suite.
+which is formed once per table from the p/m transitions as an integer matrix
+over one scale.  Gram-Schmidt stays on integers: each finished P_mu is a row
+of integer numerators over one denominator, and Fractions are built only for
+the output tables.  Each partition is projected onto every earlier partition
+of a linear extension of dominance, so unitriangularity is a checked
+consequence, not a premise.  Pieri coefficients come from the arm/leg
+products, independently of the orthogonalization; the two routes
+cross-check each other in the test suite.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from . import fock
 from .partitions import (
@@ -35,7 +39,7 @@ from .partitions import (
 
 
 class GramSingularError(ArithmeticError):
-    """Gram matrix degenerated at the chosen (q, t) point."""
+    """Gram matrix undefined or degenerate at the chosen (q, t) point."""
 
 
 # ---------------------------------------------------------------------------
@@ -193,25 +197,35 @@ def _table_from_disk(data, params) -> dict | None:
         return None
 
 
-def _m_gram(q: Fraction, t: Fraction, n: int) -> dict:
-    """<m_lam, m_kappa> for |lam| = |kappa| = n, through the p basis."""
-    z = {nu: z_qt(nu, q, t) for nu in partitions_of(n)}
+def _m_gram(q: Fraction, t: Fraction, n: int):
+    """The m-basis Gram matrix at weight n as integers over one scale.
+
+    Returns (lams, G, scale): lams is partitions_of(n) sorted by
+    dominance_key, and <m_lams[a], m_lams[b]> = G[a][b] / scale.  The m_to_p
+    rows are taken over their common denominator D and the z_qt values over
+    theirs, E, so scale = D^2 E.
+    """
+    if any(t**p == 1 for p in range(1, n + 1)):
+        raise GramSingularError(f"the pairing divides by 1 - t^p = 0 at t={t}, weight {n}")
+    lams = sorted(partitions_of(n), key=dominance_key)
+    index = {lam: i for i, lam in enumerate(lams)}
     rows = m_to_p(n)
-    zrows = {lam: {nu: c * z[nu] for nu, c in row.items()}
-             for lam, row in rows.items()}
-    gram: dict = {lam: {} for lam in rows}
-    lams = list(rows)
-    for i, lam in enumerate(lams):
-        row = rows[lam]
-        for kappa in lams[i:]:
-            zk = zrows[kappa]
-            g = Fraction(0)
-            for nu, a in row.items():
-                d = zk.get(nu)
-                if d:
-                    g += a * d
-            gram[lam][kappa] = gram[kappa][lam] = g
-    return gram
+    z = [z_qt(nu, q, t) for nu in lams]
+    D = lcm(*(c.denominator for row in rows.values() for c in row.values()))
+    E = lcm(*(v.denominator for v in z))
+    Z = [v.numerator * (E // v.denominator) for v in z]
+    A = [[(index[nu], c.numerator * (D // c.denominator))
+          for nu, c in rows[lam].items()] for lam in lams]
+    AZ = [[0] * len(lams) for _ in lams]
+    for azrow, row in zip(AZ, A):
+        for k, a in row:
+            azrow[k] = a * Z[k]
+    G = [[0] * len(lams) for _ in lams]
+    for i, row in enumerate(A):
+        for j in range(i, len(lams)):
+            zj = AZ[j]
+            G[i][j] = G[j][i] = sum([a * zj[k] for k, a in row])
+    return lams, G, D * D * E
 
 
 def macdonald_table(q: Fraction, t: Fraction, n: int) -> dict:
@@ -220,9 +234,15 @@ def macdonald_table(q: Fraction, t: Fraction, n: int) -> dict:
     Returns {"P": {lam: m-dict}, "Q": {lam: m-dict}, "norm": {lam: Fraction}}.
     Gram-Schmidt runs over a linear extension of dominance order from the
     least dominant partition up, and projects each m_lam onto every earlier
-    P_mu, whether or not lam dominates mu.  The pairing is read from the m-basis Gram
-    matrix, built once per table, so each projection coefficient
-    <m_lam, P_mu> is one dot product of P_mu's coefficients with a Gram row.
+    P_mu, whether or not lam dominates mu.  It runs on integers: the pairing
+    is the integer Gram matrix G of _m_gram over its one scale, and each
+    finished P_mu is kept as integer numerators over one denominator den_mu
+    with the integer norm numerator nn_mu = sum_k num_mu[k] G[mu][k].  The
+    projection <m_lam, P_mu> is then one integer dot product C_mu, the
+    multiple of P_mu's numerators to subtract is C_mu / (nn_mu den_mu), and
+    the new row is one integer combination over the lcm L of those
+    denominators, divided once by gcd(L, row).  Fractions are built only for
+    the output: P = num / den, Q = P / norm and norm = nn / (den scale).
     Unitriangularity of the result is a theorem and is asserted by the test
     suite rather than forced here.  Tables are memoized per (q, t, weight)
     and optionally persisted through the disk cache; a stored table that is
@@ -241,40 +261,41 @@ def macdonald_table(q: Fraction, t: Fraction, n: int) -> dict:
     if table is not None:
         _P_TABLE_CACHE[key] = table
         return table
-    lams = sorted(partitions_of(n), key=dominance_key)
-    gram = _m_gram(q, t, n)
-    P: dict = {}
-    norms: dict = {}
-    for lam in lams:
-        g = gram[lam]
-        cur = {lam: Fraction(1)}
-        for mu in P:
-            c = Fraction(0)
-            for k, v in P[mu].items():
-                c += v * g[k]
+    lams, gram, scale = _m_gram(q, t, n)
+    done = []  # (support, numerators, den, nn) of each finished P_mu
+    table = {"P": {}, "Q": {}, "norm": {}}
+    for i, lam in enumerate(lams):
+        g = gram[i]
+        terms = []
+        L = 1
+        for support, nums, den, nn in done:
+            c = sum([a * g[k] for k, a in zip(support, nums)])
             if not c:
                 continue
-            f = c / norms[mu]
-            for k, v in P[mu].items():
-                w = cur.get(k, 0) - f * v
-                if w:
-                    cur[k] = w
-                else:
-                    cur.pop(k, None)
-        # cur - m_lam lies in the span of the earlier P_mu, all orthogonal to
-        # cur, so <cur, cur> = <cur, m_lam>
-        nrm = Fraction(0)
-        for k, v in cur.items():
-            nrm += v * g[k]
-        if not nrm:
+            d = nn * den
+            h = gcd(c, d)
+            terms.append((c // h, d // h, support, nums))
+            L = lcm(L, d // h)
+        row = [0] * (i + 1)
+        row[i] = L
+        for c, d, support, nums in terms:
+            f = c * (L // d)
+            for k, a in zip(support, nums):
+                row[k] -= f * a
+        h = gcd(*row)
+        support = [k for k, a in enumerate(row) if a]
+        nums = [row[k] // h for k in support]
+        den = L // h
+        # P_lam - m_lam lies in the span of the earlier P_mu, all orthogonal
+        # to P_lam, so <P_lam, P_lam> = <P_lam, m_lam> = nn / (den scale)
+        nn = sum([a * g[k] for k, a in zip(support, nums)])
+        if not nn:
             raise GramSingularError(f"vanishing norm at (q,t)=({q},{t}), weight {n}")
-        P[lam] = cur
-        norms[lam] = nrm
-    table = {
-        "P": P,
-        "Q": {lam: {k: v / norms[lam] for k, v in P[lam].items()} for lam in lams},
-        "norm": norms,
-    }
+        done.append((support, nums, den, nn))
+        table["P"][lam] = {lams[k]: Fraction(a, den) for k, a in zip(support, nums)}
+        table["Q"][lam] = {lams[k]: Fraction(a * scale, nn)
+                           for k, a in zip(support, nums)}
+        table["norm"][lam] = Fraction(nn, den * scale)
     _P_TABLE_CACHE[key] = table
     cache.store("macdonald", "pq-table", params, _table_to_disk(q, t, n, table))
     return table

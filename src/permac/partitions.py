@@ -12,11 +12,12 @@ from functools import lru_cache
 
 def make_partition(parts) -> tuple:
     """Normalize an iterable of nonnegative integers into a partition tuple."""
-    ps = tuple(int(p) for p in parts if int(p) != 0)
-    if any(p < 0 for p in ps):
-        raise ValueError(f"negative part in {parts!r}")
+    raw = tuple(int(p) for p in parts)
+    if any(p < 0 for p in raw):
+        raise ValueError(f"negative part in {raw}")
+    ps = tuple(p for p in raw if p)
     if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
-        raise ValueError(f"parts not weakly decreasing: {parts!r}")
+        raise ValueError(f"parts not weakly decreasing: {raw}")
     return ps
 
 

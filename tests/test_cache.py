@@ -8,6 +8,7 @@ from permac import cache, macdonald
 from permac.scalars import format_rational
 
 Q, T = Fraction(5, 17), Fraction(4, 19)
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 @pytest.fixture
@@ -74,3 +75,13 @@ def test_store_writes_through_a_private_temp_file(cold):
     table = macdonald.macdonald_table(Q, T, 2)
     assert reload(Q, T, 2) == table
     assert sorted(p.name for p in cold.iterdir()) == [name, name + ".tmp"]
+
+
+def test_stored_table_bytes_match_golden(cold):
+    # the disk format: weight 6 at (1/3, 2/7) as cache.store writes it
+    q, t = Fraction(1, 3), Fraction(2, 7)
+    macdonald.macdonald_table(q, t, 6)
+    with open(table_path(q, t, 6), "rb") as fh:
+        stored = fh.read()
+    with open(os.path.join(GOLDEN, "pq-table-w6-q1_3-t2_7.json"), "rb") as fh:
+        assert stored == fh.read()

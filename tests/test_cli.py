@@ -262,12 +262,24 @@ def test_package_main_runs_cli():
     ["plancherel", "check", "--depth", "4", "--gamma-deg", "0", "--samples", "100"],
     ["plancherel", "check", "--depth", "4", "--u", "x"],
     ["plancherel", "sample", "--count", "-5"],
+    ["macdonald", "expand", "--lambda", "2,1", "--basis", "m", "--q", "2",
+     "--t", "1/2", "--algebraic-point"],
+    ["macdonald", "expand", "--lambda", "2,1", "--basis", "m", "--q", "1/2",
+     "--t", "1", "--algebraic-point"],
 ], ids=" ".join)
 def test_domain_errors_exit_2_without_traceback(argv):
     proc = run_module("permac", *argv)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_bad_partition_error_reports_the_parts():
+    proc = run_module("permac", "macdonald", "expand", "--lambda=1,2",
+                      "--q", "1/3", "--t", "1/5")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("error: bad partition '1,2': "
+                           "parts not weakly decreasing: (1, 2)\n")
 
 
 @pytest.mark.parametrize("command", ["sample", "check"])

@@ -1,7 +1,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from permac import cache, macdonald
 from permac.macdonald import (
+    GramSingularError,
+    _m_gram,
     alpha_spec,
     g_row_from_powers,
     g_row_p,
@@ -30,11 +35,13 @@ from permac.macdonald import (
 from permac.partitions import (
     add_one_box,
     conjugate,
+    dominance_key,
     dominance_leq,
     horizontal_strip,
     partitions_of,
     partitions_up_to,
     weight,
+    z_qt,
 )
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing
@@ -108,6 +115,104 @@ def test_unitriangularity_and_orthogonality():
                     ip = inner_product(m_dict_to_p(table["P"][lam]),
                                        m_dict_to_p(table["Q"][mu]), q, t)
                     assert ip == (1 if lam == mu else 0)
+
+
+def _fraction_m_gram(q: Fraction, t: Fraction, n: int) -> dict:
+    """<m_lam, m_kappa> for |lam| = |kappa| = n, through the p basis."""
+    z = {nu: z_qt(nu, q, t) for nu in partitions_of(n)}
+    rows = m_to_p(n)
+    zrows = {lam: {nu: c * z[nu] for nu, c in row.items()}
+             for lam, row in rows.items()}
+    gram: dict = {lam: {} for lam in rows}
+    lams = list(rows)
+    for i, lam in enumerate(lams):
+        row = rows[lam]
+        for kappa in lams[i:]:
+            zk = zrows[kappa]
+            g = Fraction(0)
+            for nu, a in row.items():
+                d = zk.get(nu)
+                if d:
+                    g += a * d
+            gram[lam][kappa] = gram[kappa][lam] = g
+    return gram
+
+
+def _fraction_gram_schmidt(q: Fraction, t: Fraction, n: int) -> dict:
+    """Gram-Schmidt over Fractions, the oracle for the integer kernel of
+    macdonald_table: same linear extension of dominance, same projections."""
+    lams = sorted(partitions_of(n), key=dominance_key)
+    gram = _fraction_m_gram(q, t, n)
+    P: dict = {}
+    norms: dict = {}
+    for lam in lams:
+        g = gram[lam]
+        cur = {lam: Fraction(1)}
+        for mu in P:
+            c = Fraction(0)
+            for k, v in P[mu].items():
+                c += v * g[k]
+            if not c:
+                continue
+            f = c / norms[mu]
+            for k, v in P[mu].items():
+                w = cur.get(k, 0) - f * v
+                if w:
+                    cur[k] = w
+                else:
+                    cur.pop(k, None)
+        # cur - m_lam lies in the span of the earlier P_mu, all orthogonal to
+        # cur, so <cur, cur> = <cur, m_lam>
+        nrm = Fraction(0)
+        for k, v in cur.items():
+            nrm += v * g[k]
+        if not nrm:
+            raise GramSingularError(f"vanishing norm at (q,t)=({q},{t}), weight {n}")
+        P[lam] = cur
+        norms[lam] = nrm
+    return {
+        "P": P,
+        "Q": {lam: {k: v / norms[lam] for k, v in P[lam].items()} for lam in lams},
+        "norm": norms,
+    }
+
+
+@pytest.mark.parametrize("q, t", [
+    (Fraction(1, 3), Fraction(2, 7)),
+    (Fraction(56, 97), Fraction(49, 89)),
+    (Fraction(31, 97), Fraction(42, 89)),
+    (Fraction(5, 2), Fraction(7, 3)),
+], ids=["1/3,2/7", "56/97,49/89", "31/97,42/89", "5/2,7/3"])
+def test_table_equals_fraction_gram_schmidt(tmp_path, monkeypatch, q, t):
+    # cold memory and disk caches, so every table is built by the kernel
+    monkeypatch.setattr(cache, "_cache_dir", str(tmp_path))
+    monkeypatch.setattr(macdonald, "_P_TABLE_CACHE", {})
+    for n in range(10):
+        table = macdonald_table(q, t, n)
+        expect = _fraction_gram_schmidt(q, t, n)
+        assert table == expect, n
+        assert all(type(c) is Fraction for side in ("P", "Q")
+                   for row in table[side].values() for c in row.values())
+
+
+def test_integer_gram_equals_inner_product():
+    for q, t in [(Fraction(1, 3), Fraction(2, 7)), (Fraction(5, 2), Fraction(7, 3))]:
+        for n in range(8):
+            lams, gram, scale = _m_gram(q, t, n)
+            assert lams == sorted(partitions_of(n), key=dominance_key)
+            rows = m_to_p(n)
+            for a, lam in enumerate(lams):
+                for b, kappa in enumerate(lams):
+                    assert Fraction(gram[a][b], scale) == \
+                        inner_product(rows[lam], rows[kappa], q, t)
+
+
+@pytest.mark.parametrize("q, t", [(2, Fraction(1, 2)), (Fraction(1, 2), 1)],
+                         ids=["vanishing-norm", "t-equals-one"])
+def test_degenerate_point_raises_gram_singular(monkeypatch, q, t):
+    monkeypatch.setattr(macdonald, "_P_TABLE_CACHE", {})
+    with pytest.raises(GramSingularError):
+        macdonald_table(q, t, 3)
 
 
 def test_parameter_inversion():
