@@ -14,10 +14,8 @@ from fractions import Fraction
 
 from . import cylindric, fock, macdonald, plancherel, process
 from .partitions import dominance_leq, partitions_of, partitions_up_to, weight
-from .scalars import random_qt_pair, random_rational
+from .scalars import DEFAULT_SEED, random_qt_pair, random_rational
 from .series import SeriesRing, qpochhammer
-
-DEFAULT_SEED = 20240810
 
 
 def _points(seed, count, **kw):
@@ -317,7 +315,7 @@ def criterion_eigen_relations(seed=DEFAULT_SEED) -> dict:
     for q, t in points:
         for lam in partitions_up_to(3):
             ket = macdonald.macdonald_P_p(lam, q, t)
-            for family in fock.FREE_FIELD_FAMILIES:
+            for family in macdonald.FREE_FIELD_FAMILIES:
                 for r in (1, 2):
                     got = fock.free_field_apply(family, r, ket, q, t)
                     ev = macdonald.eigenvalue(family, r, lam, q, t)

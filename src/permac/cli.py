@@ -6,6 +6,9 @@ success/verified, 1 on an identity mismatch (the report carries the first
 failing coefficient), 2 on usage errors, including arguments outside a
 command's domain.  A JSON config file can preload any flag; explicit flags
 win.  Identical configuration and seed produce byte-identical output.
+
+Each handler imports the modules it runs, so ``macdonald expand`` and
+``pieri`` load no process, Fock, Laurent, Plancherel or cylindric code.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ import random
 import sys
 from fractions import Fraction
 
-from . import acceptance, cache, cylindric, fock, macdonald, plancherel, process
+from . import macdonald
 from .partitions import make_partition
-from .scalars import format_rational, parse_rational, random_qt_pair
-from .series import SeriesRing, TruncSeries
+from .scalars import (DEFAULT_SEED, format_rational, parse_rational,
+                      random_qt_pair, random_rational)
 
 
 class UsageError(Exception):
@@ -82,8 +85,8 @@ def _ring_symbols_for(spec_names, N):
     return symbols
 
 
-def _first_mismatch(a: TruncSeries, b: TruncSeries):
-    """First differing coefficient between two series, None when equal."""
+def _first_mismatch(a, b):
+    """First differing coefficient between two TruncSeries, None when equal."""
     exps = sorted(set(a.terms) | set(b.terms))
     for e in exps:
         ca = a.terms.get(e, 0)
@@ -145,6 +148,9 @@ def cmd_macdonald_pieri(args) -> int:
 
 
 def _build_process(args):
+    from . import process
+    from .series import SeriesRing
+
     q, t = _parse_q_t(args)
     _require_at_least(args, 1, "N", "u_deg")
     N = args.N
@@ -159,6 +165,8 @@ def _build_process(args):
 
 
 def cmd_process_partition_function(args) -> int:
+    from . import process
+
     ps = _build_process(args)
     closed = process.partition_function_closed(ps)
     brute = process.partition_function_bruteforce(ps, args.u_deg)
@@ -177,6 +185,8 @@ def cmd_process_partition_function(args) -> int:
 
 
 def cmd_process_moment(args) -> int:
+    from . import process
+
     _require_at_least(args, 1, "r")
     if args.N > 1 and args.series != "E":
         raise UsageError("multi-step moments are available only for --series E")
@@ -199,6 +209,9 @@ def cmd_process_moment(args) -> int:
 
 
 def cmd_process_shift_mixed(args) -> int:
+    from . import process
+    from .series import SeriesRing
+
     q, t = _parse_q_t(args)
     _require_at_least(args, 1, "r")
     _require_at_least(args, 2, "v_deg")  # u = v^2 needs room for one power of u
@@ -229,6 +242,8 @@ def cmd_process_shift_mixed(args) -> int:
 
 
 def cmd_plancherel_sample(args) -> int:
+    from . import plancherel
+
     q, t = _parse_q_t(args)
     _require_at_least(args, 1, "count")
     try:
@@ -251,6 +266,9 @@ def cmd_plancherel_sample(args) -> int:
 
 
 def cmd_plancherel_check(args) -> int:
+    from . import plancherel
+    from .series import SeriesRing
+
     q, t = _parse_q_t(args)
     _require_at_least(args, 1, "samples", "gamma_deg")
     _require_at_least(args, 0, "reserve")
@@ -290,6 +308,8 @@ def cmd_plancherel_check(args) -> int:
 
 
 def cmd_cylindric_enumerate(args) -> int:
+    from . import cylindric
+
     q, t = _parse_q_t(args)
     _require_at_least(args, 0, "max_weight")
     profile = _build_profile(args)
@@ -297,7 +317,9 @@ def cmd_cylindric_enumerate(args) -> int:
     return 0
 
 
-def _build_profile(args) -> cylindric.CylindricProfile:
+def _build_profile(args):
+    from . import cylindric
+
     _require_at_least(args, 1, "N")
     text = args.M.strip()
     try:
@@ -308,6 +330,8 @@ def _build_profile(args) -> cylindric.CylindricProfile:
 
 
 def cmd_cylindric_verify(args) -> int:
+    from . import cylindric
+
     q, t = _parse_q_t(args)
     _require_at_least(args, 0, "s_deg")
     profile = _build_profile(args)
@@ -317,9 +341,10 @@ def cmd_cylindric_verify(args) -> int:
 
 
 def cmd_vertex_verify(args) -> int:
+    from . import cylindric
+
     q, t = _parse_q_t(args)
     rng = random.Random(args.seed)
-    from .scalars import random_rational
 
     checks = {
         "empty_profile_trace": cylindric.cor_b2_check(args.grade, q, t)["match"],
@@ -340,6 +365,9 @@ def cmd_vertex_verify(args) -> int:
 
 
 def cmd_fock_trace_check(args) -> int:
+    from . import fock
+    from .series import SeriesRing
+
     rng = random.Random(args.seed)
     failures = []
     for trial in range(args.trials):
@@ -368,6 +396,8 @@ def cmd_fock_trace_check(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    from . import acceptance
+
     out = acceptance.run_all(seed=args.seed,
                              echo=(None if args.out else
                                    lambda line: print(line, file=sys.stderr)))
@@ -394,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON file with default flag values")
     ap.add_argument("--out", help="write the JSON report here instead of stdout")
     ap.add_argument("--cache-dir", help="directory for coefficient-table caches")
-    ap.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     # the same bookkeeping flags are accepted after the subcommand; SUPPRESS
     # keeps a leaf from clobbering a value given at the top level
@@ -432,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_qt(pf)
     pf.set_defaults(handler=cmd_process_partition_function)
     pm = leaf(proc, "moment")
-    pm.add_argument("--series", choices=fock.FREE_FIELD_FAMILIES, default="E")
+    pm.add_argument("--series", choices=macdonald.FREE_FIELD_FAMILIES, default="E")
     pm.add_argument("--r", type=int, default=1)
     pm.add_argument("--N", type=int, default=1)
     pm.add_argument("--spec-plus", default="zero")
@@ -580,6 +610,7 @@ def _merge_config(ap, args, argv) -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
+    args = None
     try:
         args = ap.parse_args(argv)
         handler = getattr(args, "handler", None)
@@ -588,10 +619,21 @@ def main(argv=None) -> int:
             return 2
         _merge_config(ap, args, argv)
         if args.cache_dir:
+            from . import cache
+
             cache.configure(args.cache_dir)
         return handler(args)
-    except (UsageError, macdonald.GramSingularError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # Exact arithmetic fails only where a formula the command evaluates
+        # has a pole (a vanishing 1 - q^a t^b, norm or pairing).  Inside
+        # (0,1)^2 there is none, so without --algebraic-point it is a bug.
+        if not getattr(args, "algebraic_point", False):
+            raise
+        print(f"error: (q, t) = ({args.q}, {args.t}) is a degenerate point for "
+              f"this command: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

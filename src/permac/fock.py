@@ -29,6 +29,7 @@ from .laurent import (
     product_coefficient,
     ratio_sym_factor,
 )
+from .macdonald import FREE_FIELD_FAMILIES  # noqa: F401 (re-exported: operator_family's names)
 from .partitions import make_partition, multiplicity, weight, z_qt
 from .scalars import rho_root
 from .series import (
@@ -273,9 +274,6 @@ def trace_closed(spec: VertexSpec, ring: SeriesRing, u_name: str, q, t) -> Trunc
 # ---------------------------------------------------------------------------
 # Free-field realizations of the diagonal operator families
 # ---------------------------------------------------------------------------
-
-FREE_FIELD_FAMILIES = ("E", "E'", "G", "G'")
-
 
 def operator_family(family: str, q: Fraction, t: Fraction):
     """(vertex kind, Cauchy pole c, prefactor c0, observable scale) of a family.

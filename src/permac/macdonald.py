@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from . import fock
 from .partitions import (
     arm_leg,
     cells,
@@ -159,10 +158,6 @@ def _lam_key(lam: tuple) -> str:
     return ",".join(map(str, lam))
 
 
-def _lam_unkey(s: str) -> tuple:
-    return make_partition(int(x) for x in s.split(",") if x)
-
-
 def _table_to_disk(q, t, n, table) -> dict:
     from .scalars import format_rational
 
@@ -178,21 +173,29 @@ def _table_to_disk(q, t, n, table) -> dict:
 
 
 def _table_from_disk(data, params) -> dict | None:
-    """Unpack a stored table; None when it is malformed or for another point."""
-    from .scalars import parse_rational
+    """Unpack a stored table; None when it is malformed or for another point.
 
+    P, Q and norm must each key their entries by exactly the partitions of the
+    weight, and every coefficient must be keyed by one of them and written as
+    an integer or "num/den".
+    """
     if any(data.get(k) != v for k, v in params.items()):
         return None
+    lams = {_lam_key(lam): lam for lam in partitions_of(params["weight"])}
+
+    def rational(text):
+        num, slash, den = text.partition("/")
+        return Fraction(int(num), int(den) if slash else 1)
 
     def unpack(side):
-        return {_lam_unkey(lk): {_lam_unkey(mk): parse_rational(c)
-                                 for mk, c in mrep.items()}
+        return {lams[lk]: {lams[mk]: rational(c) for mk, c in mrep.items()}
                 for lk, mrep in data[side].items()}
 
     try:
+        if any(data[side].keys() != lams.keys() for side in ("P", "Q", "norm")):
+            return None
         return {"P": unpack("P"), "Q": unpack("Q"),
-                "norm": {_lam_unkey(lk): parse_rational(v)
-                         for lk, v in data["norm"].items()}}
+                "norm": {lams[lk]: rational(v) for lk, v in data["norm"].items()}}
     except (KeyError, AttributeError, TypeError, ValueError, ZeroDivisionError):
         return None
 
@@ -513,6 +516,8 @@ def skew_eval(kind: str, lam: tuple, mu: tuple, spec, q: Fraction, t: Fraction,
     is a Specialization or a bare callable n -> p_n value; ``unit`` fixes the
     coefficient arithmetic (e.g. a ring one) for formal specializations.
     """
+    from . import fock
+
     if not contains(lam, mu):
         return unit * 0
     if lam == mu:
@@ -586,6 +591,11 @@ def g_row_from_powers(r: int, p_of, q: Fraction, t: Fraction):
             term *= p_of(kp)
         acc += term
     return acc
+
+
+# The four diagonal operator families, as observable, eigenvalue and
+# fock.operator_family name them.
+FREE_FIELD_FAMILIES = ("E", "E'", "G", "G'")
 
 
 def observable(series: str, r: int, lam: tuple, q: Fraction, t: Fraction) -> Fraction:

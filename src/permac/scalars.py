@@ -162,6 +162,10 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+# The seed of the acceptance suite and of every seeded CLI command.
+DEFAULT_SEED = 20240810
+
+
 def random_rational(rng, max_den: int = 12) -> Fraction:
     """A uniform-ish random rational strictly inside (0, 1)."""
     den = rng.randint(3, max_den)

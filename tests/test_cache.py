@@ -34,11 +34,25 @@ def without(key):
     return lambda data: {k: v for k, v in data.items() if k != key}
 
 
+def with_P(edit):
+    return lambda data: {**data, "P": edit(data["P"])}
+
+
+def set_coefficient(text):
+    return with_P(lambda P: {**P, "2,1": {**P["2,1"], "2,1": text}})
+
+
 @pytest.mark.parametrize("damage", [
     without("P"), without("Q"), without("norm"),
     lambda data: {**data, "P": ["not", "a", "map"]},
     lambda data: [data],
-], ids=["no-P", "no-Q", "no-norm", "P-not-a-map", "not-an-object"])
+    with_P(lambda P: {k: v for k, v in P.items() if k != "2,1"}),
+    with_P(lambda P: {**P, "4": {"4": "1"}}),
+    with_P(lambda P: {("1,2" if k == "2,1" else k): v for k, v in P.items()}),
+    set_coefficient("1/0"), set_coefficient("x"), set_coefficient("1.5"),
+], ids=["no-P", "no-Q", "no-norm", "P-not-a-map", "not-an-object",
+        "missing-row", "foreign-weight-key", "non-partition-key",
+        "zero-denominator", "not-a-number", "decimal"])
 def test_malformed_payload_is_rebuilt(cold, damage):
     expect = macdonald.macdonald_table(Q, T, 3)
     path = table_path(Q, T, 3)

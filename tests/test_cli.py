@@ -291,3 +291,84 @@ def test_plancherel_depth_beyond_dense_limit_exits_2(command):
                       "--depth", str(MAX_DEPTH + 1), timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+PIERI_2_1 = ["macdonald", "pieri", "--lambda", "2", "--mu", "1"]
+PARTITION_FUNCTION = ["process", "partition-function", "--N", "1", "--u-deg", "2"]
+CYLINDRIC_ENUMERATE = ["cylindric", "enumerate", "--N", "1", "--M", "1",
+                       "--max-weight", "3"]
+VERIFY_MACMAHON = ["cylindric", "verify-macmahon", "--N", "1", "--M", "1",
+                   "--s-deg", "3"]
+MOMENT = ["process", "moment", "--r", "1", "--u-deg", "2", "--series"]
+SHIFT_MIXED = ["process", "shift-mixed", "--r", "1", "--v-deg", "4"]
+
+
+def _at(q, t, *commands):
+    return [[*argv, "--q", q, "--t", t] for argv in commands]
+
+
+@pytest.mark.parametrize("argv", [
+    *_at("1", "1/2", PIERI_2_1, PARTITION_FUNCTION, CYLINDRIC_ENUMERATE,
+         VERIFY_MACMAHON),
+    *_at("1", "1", PIERI_2_1, PARTITION_FUNCTION, CYLINDRIC_ENUMERATE,
+         VERIFY_MACMAHON),
+    *_at("-1", "1/2", PIERI_2_1, PARTITION_FUNCTION, CYLINDRIC_ENUMERATE,
+         VERIFY_MACMAHON),
+    *_at("1/2", "1", [*MOMENT, "E"], [*MOMENT, "G'"], SHIFT_MIXED),
+    *_at("2", "1/2", PIERI_2_1),
+], ids=" ".join)
+def test_degenerate_point_exits_2_without_traceback(argv):
+    # each formula the command evaluates has a pole at the point
+    proc = run_module("permac", *argv, "--algebraic-point")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    *_at("-1", "1/2", ["macdonald", "pieri", "--lambda", "2,1", "--mu", "1"],
+         SHIFT_MIXED),
+    *_at("1", "1/2", [*MOMENT, "E"], SHIFT_MIXED),
+    *_at("2", "1/2", PARTITION_FUNCTION),
+], ids=" ".join)
+def test_regular_commands_at_degenerate_points_still_exit_0(argv):
+    proc = run_module("permac", *argv, "--algebraic-point")
+    assert proc.returncode == 0, proc.stderr
+
+
+HEAVY = ("acceptance", "cylindric", "plancherel", "process", "fock", "laurent")
+
+
+def test_cheap_commands_load_only_their_modules(tmp_path):
+    table = ["--q", "1/3", "--t", "1/5", "--cache-dir", str(tmp_path / "cache")]
+    expand = ["macdonald", "expand", "--lambda", "3,1", *table]
+    pieri = [*PIERI_2_1, "--q", "1/3", "--t", "1/5"]
+    assert run_module("permac", *expand).returncode == 0
+    (stored,) = (tmp_path / "cache").iterdir()
+    written = stored.stat().st_mtime_ns
+    out = [str(tmp_path / "expand.json"), str(tmp_path / "pieri.json")]
+    script = (
+        "import json, sys\n"
+        "from permac import cli\n"
+        f"codes = [cli.main(['--out', {out[0]!r}, *{expand!r}]),\n"
+        f"         cli.main(['--out', {out[1]!r}, *{pieri!r}])]\n"
+        f"loaded = [m for m in {HEAVY!r} if 'permac.' + m in sys.modules]\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n")
+    # without bytecode caching, as the benchmark runs, every loaded module
+    # is compiled from source
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "loaded": []}
+    assert stored.stat().st_mtime_ns == written  # read from the cache, not rebuilt
+
+
+def test_parser_keeps_series_choices_and_seed_default():
+    proc = run_module("permac", "process", "moment", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "{E,E',G,G'}" in proc.stdout
+    from permac.cli import build_parser
+
+    assert build_parser().parse_args(["verify", "all"]).seed == 20240810
