@@ -18,9 +18,9 @@ from .scalars import DEFAULT_SEED, random_qt_pair, random_rational
 from .series import SeriesRing, qpochhammer
 
 
-def _points(seed, count, **kw):
+def _points(seed, count):
     rng = random.Random(seed)
-    return [random_qt_pair(rng, **kw) for _ in range(count)]
+    return [random_qt_pair(rng) for _ in range(count)]
 
 
 def criterion_macdonald_basis(seed=DEFAULT_SEED) -> dict:

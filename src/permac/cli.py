@@ -106,6 +106,22 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text + "\n")
 
 
+def _emit_oracle_report(args, quantity: str, params: dict, cutoffs: dict,
+                        formula, oracle) -> int:
+    """Report a closed-form series against its oracle; 0 if equal, else 1."""
+    match = formula == oracle
+    _emit(args, {
+        "quantity": quantity,
+        "params": params,
+        "cutoffs": cutoffs,
+        "series": formula.to_json(),
+        "oracle_match": match,
+        "max_abs_discrepancy": "0" if match else "nonzero",
+        "first_mismatch": _first_mismatch(formula, oracle),
+    })
+    return 0 if match else 1
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers (return process exit status)
 # ---------------------------------------------------------------------------
@@ -164,24 +180,19 @@ def _build_process(args):
     return process.ProcessSpec(ring, q, t, ring.gen("u"), plus, minus)
 
 
+def _process_params(args) -> dict:
+    return {"N": args.N, "q": args.q, "t": args.t,
+            "specs": [args.spec_plus, args.spec_minus]}
+
+
 def cmd_process_partition_function(args) -> int:
     from . import process
 
     ps = _build_process(args)
-    closed = process.partition_function_closed(ps)
-    brute = process.partition_function_bruteforce(ps, args.u_deg)
-    match = closed == brute
-    _emit(args, {
-        "quantity": "periodic partition function",
-        "params": {"N": args.N, "q": args.q, "t": args.t,
-                   "specs": [args.spec_plus, args.spec_minus]},
-        "cutoffs": {"grade": args.u_deg},
-        "series": closed.to_json(),
-        "oracle_match": match,
-        "max_abs_discrepancy": "0" if match else "nonzero",
-        "first_mismatch": _first_mismatch(closed, brute),
-    })
-    return 0 if match else 1
+    return _emit_oracle_report(
+        args, "periodic partition function", _process_params(args),
+        {"grade": args.u_deg}, process.partition_function_closed(ps),
+        process.partition_function_bruteforce(ps, args.u_deg))
 
 
 def cmd_process_moment(args) -> int:
@@ -192,20 +203,10 @@ def cmd_process_moment(args) -> int:
         raise UsageError("multi-step moments are available only for --series E")
     ps = _build_process(args)
     series_r = [(args.series, args.r)] * args.N
-    formula = process.moment_formula(ps, series_r)
-    brute = process.moment_bruteforce(ps, series_r, args.u_deg)
-    match = formula == brute
-    _emit(args, {
-        "quantity": f"moment of {args.series}_{args.r}",
-        "params": {"N": args.N, "q": args.q, "t": args.t,
-                   "specs": [args.spec_plus, args.spec_minus]},
-        "cutoffs": {"grade": args.u_deg},
-        "series": formula.to_json(),
-        "oracle_match": match,
-        "max_abs_discrepancy": "0" if match else "nonzero",
-        "first_mismatch": _first_mismatch(formula, brute),
-    })
-    return 0 if match else 1
+    return _emit_oracle_report(
+        args, f"moment of {args.series}_{args.r}", _process_params(args),
+        {"grade": args.u_deg}, process.moment_formula(ps, series_r),
+        process.moment_bruteforce(ps, series_r, args.u_deg))
 
 
 def cmd_process_shift_mixed(args) -> int:
@@ -225,20 +226,11 @@ def cmd_process_shift_mixed(args) -> int:
     u = ring.monomial(Fraction(1), v=2)
     ps = process.ProcessSpec(ring, q, t, u,
                              [macdonald.zero_spec()], [macdonald.zero_spec()])
-    formula = process.shift_mixed_moment_formula(ps, args.r, "v", zeta)
-    brute = process.shift_mixed_moment_bruteforce(ps, args.r, "v", zeta,
-                                                  args.v_deg)
-    match = formula == brute
-    _emit(args, {
-        "first_mismatch": _first_mismatch(formula, brute),
-        "quantity": f"shift-mixed moment, r={args.r}",
-        "params": {"q": args.q, "t": args.t, "zeta": args.zeta},
-        "cutoffs": {"v": args.v_deg},
-        "series": formula.to_json(),
-        "oracle_match": match,
-        "max_abs_discrepancy": "0" if match else "nonzero",
-    })
-    return 0 if match else 1
+    return _emit_oracle_report(
+        args, f"shift-mixed moment, r={args.r}",
+        {"q": args.q, "t": args.t, "zeta": args.zeta}, {"v": args.v_deg},
+        process.shift_mixed_moment_formula(ps, args.r, "v", zeta),
+        process.shift_mixed_moment_bruteforce(ps, args.r, "v", zeta, args.v_deg))
 
 
 def cmd_plancherel_sample(args) -> int:

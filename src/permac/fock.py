@@ -31,7 +31,6 @@ from .laurent import (
 )
 from .macdonald import FREE_FIELD_FAMILIES  # noqa: F401 (re-exported: operator_family's names)
 from .partitions import make_partition, multiplicity, weight, z_qt
-from .scalars import rho_root
 from .series import (
     SeriesRing,
     TruncSeries,
@@ -310,36 +309,38 @@ def contraction_pair(kind: str, q: Fraction, t: Fraction):
 def eta_xi_exponent(kind: str, q: Fraction, t: Fraction, nmax: int) -> dict:
     """n -> (coefficient of z^n, coefficient of z^{-n}) in the eta/xi exponent.
 
-    eta(z) carries 1 - t^{-n} on z^n a_{-n} and -(1 - t^n) on z^{-n} a_n;
-    xi(z) flips both signs and inserts (t/q)^{n/2}.
+    eta(z) carries 1 - t^{-n} on z^n a_{-n} and -(1 - t^n) on z^{-n} a_n.
+    xi(z) flips both signs and carries (t/q)^{n/2} on both modes; it is
+    returned in the rescaled variable z -> (q/t)^{1/2} z, which leaves
+    -(1 - t^{-n}) on z^n and (1 - t^n) (t/q)^n on z^{-n}, both rational.
+    The rescaling is exact where the modes are used: every kernel built from
+    them is a constant term in z of a product whose other factors depend on
+    ratios z_i/z_j only, and z_i -> c z_i (one c for every variable) maps the
+    coefficient of z^0 to itself.
     """
     if kind == "eta":
         return {n: (1 - t**-n, -(1 - t**n)) for n in range(1, nmax + 1)}
     if kind == "xi":
-        rho = rho_root(t / q)
-        return {n: (-(1 - t**-n) * rho**n, (1 - t**n) * rho**n)
+        return {n: (-(1 - t**-n), (1 - t**n) * (t / q)**n)
                 for n in range(1, nmax + 1)}
     raise ValueError(f"unknown vertex kind {kind!r}")
 
 
-def free_field_apply(family: str, r: int, v: dict, q: Fraction, t: Fraction,
-                     ring: SeriesRing = None, clip: int = None) -> dict:
+def free_field_apply(family: str, r: int, v: dict, q: Fraction, t: Fraction) -> dict:
     """Apply the family operator (E_r, E'_r, G_r or G'_r hat) to a Fock vector.
 
     The Cauchy determinant det(1/(z_i - c z_j)) is replaced by its symmetrized
     product form before expansion, so the ill-defined diagonal entries never
     appear; the constant term in all z variables is then extracted exactly.
     """
-    if ring is None:
-        ring = SeriesRing([], 0)
     if not v:
         return {}
+    ring = SeriesRing([], 0)
     kind, c, c0, _ = operator_family(family, q, t)
     prefactor = c0**r * cauchy_sym_prefactor(c, r)
     zvars = tuple(f"z{i}" for i in range(1, r + 1))
     gmax = max(weight(lam) for lam in v)
-    if clip is None:
-        clip = r * gmax + 2
+    clip = r * gmax + 2
 
     coeffs = eta_xi_exponent(kind, q, t, gmax)
     spec = VertexSpec({}, {})
@@ -358,8 +359,7 @@ def free_field_apply(family: str, r: int, v: dict, q: Fraction, t: Fraction,
             val = product_coefficient(sym_factors + [lp], (0,) * r)
             if not val:
                 continue
-            add = coeff * (val.constant_term() if not ring.symbols else val)
-            accumulate(out, mu, add * prefactor)
+            accumulate(out, mu, coeff * val.constant_term() * prefactor)
     return out
 
 

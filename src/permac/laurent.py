@@ -20,20 +20,17 @@ is a ``break``:
 
 - The key packs the whole exponent vector into one int by a linear map
   (``_Packing``), so adding keys adds exponents.  Its lowest digit is the
-  series degree, then a digit for the power of rho' (below), then one digit
-  per series symbol, all in base cutoff + 1, and above them the z-exponents
-  as balanced digits of base 2 bound + 1.  The map is injective on the
-  exponents that occur: a product kept under the cutoff has every series
-  digit (and the degree) at most the cutoff and a rho' digit at most 2, so no
+  series degree, then one digit per series symbol, all in base cutoff + 1,
+  and above them the z-exponents as balanced digits of base 2 bound + 1.
+  The map is injective on the exponents that occur: a product kept under the
+  cutoff has every series digit (and the degree) at most the cutoff, so no
   digit carries, and the z bound is taken from the factors' exponent ranges,
   the pruning boxes and the target, so every z-exponent a product reaches
   lies strictly inside its balanced digit.
 - Each factor's coefficients become integer numerators over its ``lcm``
   denominator; the denominators multiply along the product, and the one
-  division happens when the result is unpacked.
-- A QRho coefficient a + b rho (rho^2 = r) becomes the numerators of a and of
-  b / den(r) on rho' = den(r) rho, whose square num(r) den(r) is an integer;
-  rho'^2 folds back after each product.
+  division happens when the result is unpacked.  A coefficient that is not
+  an int or a Fraction is a TypeError.
 - The pruning test on the packed z-part is memoised per step.
 
 ``LaurentPoly.mul`` stays the plain term-by-term product, which the tests use
@@ -210,20 +207,20 @@ def _elimination_order(factors) -> list:
 class _Packing:
     """The linear map from a term's exponents to one int key.
 
-    The term z^e rho'^j x^s of series degree d gets the key
+    The term z^e x^s of series degree d gets the key
 
-        d + C (j + 3 (s_1 + C s_2 + ...)) + S (e_1 + B_1 (e_2 + B_2 (...)))
+        d + C (s_1 + C s_2 + ...) + S (e_1 + B_1 (e_2 + B_2 (...)))
 
-    with C = cutoff + 1, S = 3 C^(n + 1) for n series symbols and
-    B_i = 2 zbound_i + 1; rho' is the scaled root of ``_flatten``.
+    with C = cutoff + 1, S = C^(n + 1) for n series symbols and
+    B_i = 2 zbound_i + 1.
     """
 
     def __init__(self, ring: SeriesRing, zbound):
         self.ring = ring
         self.cutoff = ring.cutoff
         self.C = C = ring.cutoff + 1
-        self.sweights = [3 * C ** (j + 1) for j in range(len(ring.symbols))]
-        self.S = w = 3 * C ** (len(ring.symbols) + 1)
+        self.sweights = [C ** (j + 1) for j in range(len(ring.symbols))]
+        self.S = w = C ** (len(ring.symbols) + 1)
         self.zbases = [2 * b + 1 for b in zbound]
         self.zweights = []
         for b in self.zbases:
@@ -244,7 +241,7 @@ class _Packing:
     def series_exp(self, skey: int) -> tuple:
         """The series exponents of a key's low part ``key % S``."""
         C = self.C
-        skey //= 3 * C
+        skey //= C
         e = []
         for _ in self.sweights:
             e.append(skey % C)
@@ -273,14 +270,11 @@ class _Box(dict):
 
 
 def _flatten(lp: LaurentPoly, pk: _Packing):
-    """(common denominator, [(degree, key, numerator)] sorted by degree, radicand).
+    """(common denominator, [(degree, key, numerator)] sorted by degree).
 
-    A QRho coefficient a + b rho with rho^2 = r becomes two terms,
-    a + (b / den(r)) rho', on rho' = den(r) rho, whose square is the integer
-    num(r) den(r).  The radicand is None when no coefficient is a QRho.
+    Raises TypeError on a coefficient that is not an int or a Fraction.
     """
-    C, cutoff, degrees = pk.C, pk.cutoff, pk.ring.degrees
-    radicand = None
+    cutoff, degrees = pk.cutoff, pk.ring.degrees
     raw = []
     for e, ts in lp.terms.items():
         zk = pk.zkey(e)
@@ -288,35 +282,20 @@ def _flatten(lp: LaurentPoly, pk: _Packing):
             d = sum(x * w for x, w in zip(se, degrees))
             if d > cutoff:
                 continue
-            key = zk + d + sum(x * w for x, w in zip(se, pk.sweights))
-            if isinstance(c, QRho):
-                radicand = _same_radicand(radicand, c.s)
-                if c.a:
-                    raw.append((d, key, c.a))
-                if c.b:
-                    raw.append((d, key + C, c.b / c.s.denominator))
-            elif isinstance(c, (int, Fraction)):
-                raw.append((d, key, c))
-            else:
-                raise TypeError(f"inexact coefficient {c!r}")
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {c!r} is not rational")
+            raw.append((d, zk + d + sum(x * w for x, w in zip(se, pk.sweights)), c))
     den = lcm(*(c.denominator for _, _, c in raw))
     terms = [(d, key, c.numerator * (den // c.denominator)) for d, key, c in raw]
     terms.sort(key=itemgetter(0))
-    return den, terms, radicand
+    return den, terms
 
 
-def _same_radicand(r, s):
-    if r is not None and r != s:
-        raise ValueError("mixing QRho values over different radicands")
-    return s
-
-
-def _mul_terms(acc: dict, terms: list, pk: _Packing, keep: _Box, radicand) -> dict:
+def _mul_terms(acc: dict, terms: list, pk: _Packing, keep: _Box) -> dict:
     """acc times one flattened factor, as packed key -> integer numerator.
 
     The break stops at the cutoff (``terms`` is sorted by degree); products
-    whose z-part fails ``keep`` are dropped, and rho'^2 folds back to its
-    integer value.
+    whose z-part fails ``keep`` are dropped.
     """
     C, S, cutoff = pk.C, pk.S, pk.cutoff
     out = {}
@@ -329,29 +308,15 @@ def _mul_terms(acc: dict, terms: list, pk: _Packing, keep: _Box, radicand) -> di
             k = k1 + k2
             if keep[k // S]:
                 out[k] = get(k, 0) + c1 * c2
-    if radicand is not None:
-        square = radicand.numerator * radicand.denominator
-        for k in [k for k in out if k // C % 3 == 2]:
-            c = out.pop(k) * square
-            out[k - 2 * C] = get(k - 2 * C, 0) + c
     return {k: c for k, c in out.items() if c}
 
 
-def _unflatten(acc: dict, den: int, pk: _Packing, radicand, zvars) -> LaurentPoly:
+def _unflatten(acc: dict, den: int, pk: _Packing, zvars) -> LaurentPoly:
     """The LaurentPoly of packed numerators ``acc`` over ``den``."""
-    C, S = pk.C, pk.S
-    parts = {}
-    for k, c in acc.items():
-        z = k // S
-        low = k - z * S
-        parts.setdefault((z, pk.series_exp(low)), [0, 0])[low // C % 3] += c
     terms = {}
-    for (z, e), (a, b) in parts.items():
-        if radicand is None:
-            v = Fraction(a, den)
-        else:
-            v = QRho(Fraction(a, den), Fraction(b * radicand.denominator, den), radicand)
-        terms.setdefault(tuple(pk.zdigits(z)), {})[e] = v
+    for k, c in acc.items():
+        z, low = divmod(k, pk.S)
+        terms.setdefault(tuple(pk.zdigits(z)), {})[pk.series_exp(low)] = Fraction(c, den)
     ring = pk.ring
     return LaurentPoly(zvars, ring, {e: TruncSeries(ring, ts) for e, ts in terms.items()})
 
@@ -391,16 +356,13 @@ def product_coefficient(factors, target: tuple) -> TruncSeries:
     pk = _Packing(ring, zbound)
     acc = {0: 1}
     den = 1
-    radicand = None
     for f, (lo, hi) in zip(factors, boxes):
-        fden, terms, r = _flatten(f, pk)
-        if r is not None:
-            radicand = _same_radicand(radicand, r)
-        acc = _mul_terms(acc, terms, pk, _Box(pk, lo, hi), radicand)
+        fden, terms = _flatten(f, pk)
+        acc = _mul_terms(acc, terms, pk, _Box(pk, lo, hi))
         den *= fden
         if not acc:
             return ring.zero()
-    return _unflatten(acc, den, pk, radicand, factors[0].zvars).coeff(target)
+    return _unflatten(acc, den, pk, factors[0].zvars).coeff(target)
 
 
 def _power_sum(arg: LaurentPoly, clip: int, weight, unit: bool, name: str) -> LaurentPoly:
@@ -411,14 +373,14 @@ def _power_sum(arg: LaurentPoly, clip: int, weight, unit: bool, name: str) -> La
     zn = len(arg.zvars)
     lo, hi = arg.exp_ranges()
     pk = _Packing(arg.ring, [clip + max(abs(a), abs(b)) for a, b in zip(lo, hi)])
-    den, terms, radicand = _flatten(arg, pk)
+    den, terms = _flatten(arg, pk)
     window = _Box(pk, (-clip,) * zn, (clip,) * zn)
     # crude but safe bound: degrees or window positions advance every step
     kmax = (arg.ring.cutoff + 1) * (2 * clip + 1) * max(1, zn)
     powers = []
     power = {0: 1}
     while True:
-        power = _mul_terms(power, terms, pk, window, radicand)
+        power = _mul_terms(power, terms, pk, window)
         if not power:
             break
         powers.append(power)
@@ -434,8 +396,7 @@ def _power_sum(arg: LaurentPoly, clip: int, weight, unit: bool, name: str) -> La
         scale = w.numerator * (wden // w.denominator) * den ** (K - k)
         for key, c in power.items():
             out[key] = out.get(key, 0) + scale * c
-    return _unflatten({k: c for k, c in out.items() if c}, total, pk, radicand,
-                      arg.zvars)
+    return _unflatten({k: c for k, c in out.items() if c}, total, pk, arg.zvars)
 
 
 def laurent_exp(arg: LaurentPoly, clip: int) -> LaurentPoly:

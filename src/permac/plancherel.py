@@ -88,7 +88,8 @@ def _entry_power_coeffs(lam: tuple, mu: tuple, u: Fraction, q: Fraction,
 # Half-vertices (float mode): X = exp(xi U) and Y = exp(xi U'), with U and U'
 # the one-box Pieri up-matrices, give
 #     T(u) = e^{c gamma^2 (u-1)} X u^D Y^T,   xi = gamma (1 - u).
-# The exact entries above and the spot check below keep their own nu-sums.
+# The exact entries above, which the spot check below also reads, keep
+# their own nu-sums.
 # ---------------------------------------------------------------------------
 
 MAX_DEPTH = 20  # 2714 states; each dense float matrix then takes about 59 MB
@@ -208,9 +209,10 @@ def spot_check_float_entries(tm: TransferMatrix, q: Fraction, t: Fraction,
     """Compare a sample of float entries against exact rationals.
 
     Checks ``frac`` n^2 entries drawn with ``rng``, or every entry once
-    ``frac`` >= 1.  The exact side is its own nu-sum over Young-graph path
-    sums, not the half-vertex sandwich.  Returns the number of checked
-    entries; raises on disagreement beyond tol.
+    ``frac`` >= 1.  The exact side is sum_k c_k xi^k with the c_k of
+    ``_entry_power_coeffs``, nu-sums over Young-graph path sums, not the
+    half-vertex sandwich.  Returns the number of checked entries; raises on
+    disagreement beyond tol.
     """
     states = tm.states
     n = len(states)
@@ -226,15 +228,8 @@ def spot_check_float_entries(tm: TransferMatrix, q: Fraction, t: Fraction,
     pref = math.exp(c * float(gf) * float(gf) * (float(uf) - 1.0))
     for i, j in pairs:
         lam, mu = states[i], states[j]
-        acc = Fraction(0)
-        for nu in partitions_up_to(min(weight(lam), weight(mu))):
-            if not (contains(lam, nu) and contains(mu, nu)):
-                continue
-            dl = weight(lam) - weight(nu)
-            dm = weight(mu) - weight(nu)
-            acc += xi ** (dl + dm) * dims("dim", nu, lam, q, t) \
-                * dims("dim'", nu, mu, q, t) \
-                / Fraction(math.factorial(dl) * math.factorial(dm)) * uf ** weight(nu)
+        coeffs = _entry_power_coeffs(lam, mu, uf, q, t)
+        acc = sum((c * xi**k for k, c in coeffs.items()), Fraction(0))
         expect = pref * float(acc)
         got = tm.entries[i, j]
         if abs(got - expect) > tol * max(1.0, abs(expect)):
@@ -298,6 +293,9 @@ def semigroup_defect(gamma, u, v, depth: int, q, t, reserve: int = 4,
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
+
+MIN_CYCLE_MASS = 1e-12  # a smaller truncated cycle trace cannot be normalised
+MIN_EXPECTED = 5.0  # chi-square bins expecting fewer draws pool into a tail
 
 
 def check_domain(gamma: float, beta: float, depth: int) -> None:
@@ -364,8 +362,7 @@ def dropped_mass(mats, beta: float) -> float:
     return 1.0 - float(cycle.trace()) * euler
 
 
-def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction,
-                        mass_threshold: float = 1e-12, mats=None):
+def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction, mats=None):
     """Yield sampled trajectories [(time, partition), ...] for spec.count runs.
 
     The cyclic law is proportional to prod_i M_i[lam^i, lam^{i+1}] with
@@ -390,7 +387,7 @@ def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction,
     cycle = suffix[0]
     diag = np.maximum(cycle.diagonal(), 0.0)
     total = diag.sum()
-    if total < mass_threshold:
+    if total < MIN_CYCLE_MASS:
         raise ValueError("truncated cycle mass is degenerate; raise depth")
     p0 = diag / total
 
@@ -519,11 +516,10 @@ def chi_square_sf(x: float, dof: int) -> float:
 
 
 def marginal_chi_square(gamma: float, beta: float, depth: int, q: Fraction,
-                        t: Fraction, samples: int, seed: int,
-                        min_expected: float = 5.0) -> dict:
+                        t: Fraction, samples: int, seed: int) -> dict:
     """Goodness-of-fit of sampled single-time states against the exact law.
 
-    Bins with expected count below ``min_expected`` are pooled into a tail
+    Bins with expected count below ``MIN_EXPECTED`` are pooled into a tail
     bin before the chi-square statistic is formed; fewer than two bins is a
     ValueError.
     """
@@ -536,16 +532,16 @@ def marginal_chi_square(gamma: float, beta: float, depth: int, q: Fraction,
         counts[traj[0][1]] += 1
     expected = [p * samples for p in probs]
     observed = [counts[lam] for lam in states]
-    main = [(o, e) for o, e in zip(observed, expected) if e >= min_expected]
-    tail_o = sum(o for o, e in zip(observed, expected) if e < min_expected)
-    tail_e = sum(e for o, e in zip(observed, expected) if e < min_expected)
+    main = [(o, e) for o, e in zip(observed, expected) if e >= MIN_EXPECTED]
+    tail_o = sum(o for o, e in zip(observed, expected) if e < MIN_EXPECTED)
+    tail_e = sum(e for o, e in zip(observed, expected) if e < MIN_EXPECTED)
     if tail_e > 0:
         main.append((tail_o, tail_e))
     stat = sum((o - e) ** 2 / e for o, e in main)
     dof = len(main) - 1
     if dof < 1:
         raise ValueError(f"{samples} samples fill fewer than two chi-square bins "
-                         f"of expected count >= {min_expected:g}")
+                         f"of expected count >= {MIN_EXPECTED:g}")
     pvalue = chi_square_sf(stat, dof)
     top = sorted(zip(states, probs, observed), key=lambda x: -x[1])[:8]
     return {"statistic": stat, "dof": dof, "p_value": pvalue,

@@ -22,7 +22,6 @@ from .laurent import LaurentPoly, cauchy_sym_prefactor, laurent_exp, \
     product_coefficient, ratio_sym_factor
 from .macdonald import observable, skew_eval
 from .partitions import contains, partitions_up_to, weight
-from .scalars import QRho, as_fraction
 from .series import SeriesRing, TruncSeries, euler_inverse, geometric, \
     qpochhammer, theta3
 
@@ -426,17 +425,7 @@ def moment_formula(pspec: ProcessSpec, series_r, clip: int = None) -> TruncSerie
                         factors.append(_delta_pair_factor(
                             pspec, p1, p2, zvars, j, i, wrapped=True, clip=clip))
     target = (0,) * len(zvars)
-    value = product_coefficient(factors, target)
-    out = value * prefactor
-    return _project_rational_coeffs(out)
-
-
-def _project_rational_coeffs(ts: TruncSeries) -> TruncSeries:
-    """Drop QRho wrappers; a residual rho component signals an internal bug."""
-    terms = {}
-    for e, c in ts.terms.items():
-        terms[e] = as_fraction(c) if isinstance(c, QRho) else c
-    return TruncSeries(ts.ring, terms)
+    return product_coefficient(factors, target) * prefactor
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +441,13 @@ def shift_mixed_partition_function(pspec: ProcessSpec, v_name: str, zeta):
     return th * partition_function_closed(pspec)
 
 
-def shift_mixed_moment_formula(pspec: ProcessSpec, r: int, v_name: str, zeta,
-                               clip: int = None) -> TruncSeries:
+def shift_mixed_moment_formula(pspec: ProcessSpec, r: int, v_name: str,
+                               zeta) -> TruncSeries:
     """Charged moment of the shifted E observable.
 
     Equals the plain N=1 E moment times theta_3(zeta t^-r; u)/theta_3(zeta; u).
     """
-    base = moment_formula(pspec, [("E", r)], clip=clip)
+    base = moment_formula(pspec, [("E", r)])
     tnum = theta3(pspec.ring, v_name, zeta * pspec.t ** (-r))
     tden = theta3(pspec.ring, v_name, zeta)
     return base * tnum * tden.inverse()

@@ -1,16 +1,17 @@
 """Exact scalar arithmetic.
 
-Every coefficient in this package is either a ``fractions.Fraction`` or a
-``QRho``.  ``QRho`` adjoins a formal square root ``rho`` of a fixed rational
-``s`` (in practice ``s = t/q``), so elements are ``a + b*rho`` reduced modulo
-``rho**2 = s``.  When ``s`` is a perfect square of a rational there is no need
-for the extension and plain fractions are used throughout.
+Every coefficient the package computes is a ``fractions.Fraction``: the
+free-field currents are taken in variables where all their modes are
+rational (``fock.eta_xi_exponent``), so no square root of t/q is needed.
+``QRho`` adjoins a formal square root ``rho`` of a fixed rational ``s``, so
+elements are ``a + b*rho`` reduced modulo ``rho**2 = s``.  It remains an
+exact scalar type of ``TruncSeries`` and ``LaurentPoly`` arithmetic, but the
+constant-term kernel of ``laurent`` rejects it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 
 def parse_rational(text: str) -> Fraction:
@@ -24,16 +25,6 @@ def format_rational(x) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def rational_sqrt(x: Fraction):
-    """Return the exact square root of ``x`` if it is a perfect square, else None."""
-    if x < 0:
-        return None
-    pn, pd = isqrt(x.numerator), isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
 
 
 class QRho:
@@ -145,14 +136,6 @@ class QRho:
         return out
 
 
-def rho_root(s: Fraction):
-    """A square root of ``s``: a Fraction when exact, otherwise a QRho unit."""
-    r = rational_sqrt(s)
-    if r is not None:
-        return r
-    return QRho(0, 1, s)
-
-
 def as_fraction(x) -> Fraction:
     """Project onto Q, raising if a genuine rho component is present."""
     if isinstance(x, QRho):
@@ -165,28 +148,31 @@ def as_fraction(x) -> Fraction:
 # The seed of the acceptance suite and of every seeded CLI command.
 DEFAULT_SEED = 20240810
 
+# The largest denominator of a random rational test value.
+MAX_DEN = 12
 
-def random_rational(rng, max_den: int = 12) -> Fraction:
+
+def random_rational(rng) -> Fraction:
     """A uniform-ish random rational strictly inside (0, 1)."""
-    den = rng.randint(3, max_den)
+    den = rng.randint(3, MAX_DEN)
     num = rng.randint(1, den - 1)
     return Fraction(num, den)
 
 
-def random_qt_pair(rng, max_den: int = 12, square_ratio: bool = False):
+def random_qt_pair(rng, square_ratio: bool = False):
     """Random (q, t) in (0,1)^2 with q != t, suitable as a test point.
 
     With ``square_ratio`` the pair satisfies t/q = (rational)^2 so that
-    (t/q)^(1/2) stays rational.
+    (t/q)^(1/2) is rational.
     """
     while True:
-        q = random_rational(rng, max_den)
+        q = random_rational(rng)
         if square_ratio:
             r = Fraction(rng.randint(1, 3), rng.randint(1, 3))
             t = q * r * r
             if not (0 < t < 1):
                 continue
         else:
-            t = random_rational(rng, max_den)
+            t = random_rational(rng)
         if q != t and 0 < q < 1 and 0 < t < 1:
             return q, t

@@ -1,0 +1,35 @@
+"""Round trips of the text forms the CLI and the disk cache read back."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from permac.cli import _parse_partition
+from permac.macdonald import _table_from_disk, _table_to_disk, macdonald_table
+from permac.partitions import partitions_up_to
+from permac.scalars import format_rational, parse_rational
+
+
+@given(x=st.fractions() | st.integers().map(Fraction))
+def test_parse_rational_inverts_format_rational(x):
+    assert parse_rational(format_rational(x)) == x
+
+
+def test_parse_partition_inverts_comma_join():
+    lams = partitions_up_to(8)
+    assert () in lams
+    for lam in lams:
+        assert _parse_partition(",".join(map(str, lam))) == lam
+
+
+@pytest.mark.parametrize("q, t", [(Fraction(1, 3), Fraction(1, 5)),
+                                  (Fraction(43, 97), Fraction(59, 89))])
+def test_table_from_disk_inverts_table_to_disk(q, t):
+    for n in range(7):
+        table = macdonald_table(q, t, n)
+        params = {"q": format_rational(q), "t": format_rational(t), "weight": n}
+        stored = json.loads(json.dumps(_table_to_disk(q, t, n, table)))
+        assert _table_from_disk(stored, params) == table

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from permac.partitions import partitions_of
-from permac.scalars import QRho, rho_root
+from permac.scalars import QRho
 from permac.series import (
     SeriesRing,
     TruncSeries,
@@ -181,8 +181,7 @@ def test_theta3_ratio_constant_at_u_zero():
 
 def test_qrho_scalars_in_series():
     s = Fraction(3, 2)
-    rho = rho_root(s)
-    assert isinstance(rho, QRho)
+    rho = QRho(0, 1, s)
     ring = SeriesRing(["x"], 3)
     f = ring.monomial(rho, x=1) + ring.one()
     g = f * f
