@@ -336,6 +336,7 @@ def cmd_vertex_verify(args) -> int:
     from . import cylindric
 
     q, t = _parse_q_t(args)
+    _require_at_least(args, 0, "grade")
     rng = random.Random(args.seed)
 
     checks = {
@@ -360,6 +361,8 @@ def cmd_fock_trace_check(args) -> int:
     from . import fock
     from .series import SeriesRing
 
+    _require_at_least(args, 0, "u_deg")
+    _require_at_least(args, 1, "trials")
     rng = random.Random(args.seed)
     failures = []
     for trial in range(args.trials):

@@ -82,26 +82,31 @@ def m_to_p(n: int) -> dict:
     p_lam = sum_{mu >= lam} a_{lam mu} m_mu is triangular in dominance, and
     partitions_of lists a linear extension of it from (n) down, so each
     m_lam = (p_lam - sum_{mu > lam} a_{lam mu} m_mu) / a_{lam lam} only needs
-    rows already solved.
+    rows already solved.  Each solved row is kept as integer numerators over
+    one denominator: the subtraction runs over the lcm L of the denominators
+    it meets, the new row is divided once by gcd(L a_{lam lam}, row), and
+    Fractions are built only for the output.
     """
     lams = partitions_of(n)
     p_rows = p_to_m(n)
-    solved: dict = {}
+    solved: dict = {}  # mu -> (numerators {nu: int}, denominator)
+    out: dict = {}
     for lam in lams:
         row = p_rows[lam]
-        acc = {lam: Fraction(1)}
-        for mu, a in row.items():
-            if mu == lam:
-                continue
-            for nu, c in solved[mu].items():
-                v = acc.get(nu, 0) - a * c
-                if v:
-                    acc[nu] = v
-                else:
-                    acc.pop(nu, None)
-        diag = row[lam]
-        solved[lam] = {nu: acc[nu] / diag for nu in lams if nu in acc}
-    return solved
+        terms = [(a, *solved[mu]) for mu, a in row.items() if mu != lam]
+        L = lcm(*(den for _, _, den in terms))
+        acc = {lam: L}
+        for a, nums, den in terms:
+            f = a * (L // den)
+            for nu, c in nums.items():
+                acc[nu] = acc.get(nu, 0) - f * c
+        den = L * row[lam]
+        nums = {nu: acc[nu] for nu in lams if acc.get(nu)}
+        h = gcd(den, *nums.values())
+        nums = {nu: c // h for nu, c in nums.items()}
+        solved[lam] = (nums, den // h)
+        out[lam] = {nu: Fraction(c, den // h) for nu, c in nums.items()}
+    return out
 
 
 def m_dict_to_p(f: dict) -> dict:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
@@ -132,7 +134,11 @@ def _half_vertex(up, sizes, xi: float):
         rows = slice(bounds[w], bounds[w + 1])
         below = slice(bounds[w - 1], bounds[w])
         paths[rows] += up[rows, below] @ paths[below]
-    coef = np.array([xi ** d / math.factorial(d) for d in range(depth + 1)])
+    try:
+        coef = np.array([xi ** d / math.factorial(d) for d in range(depth + 1)])
+    except OverflowError:
+        raise ValueError(f"xi = gamma (1 - u) = {xi:.3g} overflows a double "
+                         f"at depth {depth}") from None
     return paths * coef[np.maximum(sizes[:, None] - sizes[None, :], 0)]
 
 
@@ -296,6 +302,9 @@ def semigroup_defect(gamma, u, v, depth: int, q, t, reserve: int = 4,
 
 MIN_CYCLE_MASS = 1e-12  # a smaller truncated cycle trace cannot be normalised
 MIN_EXPECTED = 5.0  # chi-square bins expecting fewer draws pool into a tail
+# bytes of cumulative conditional rows one sampler call keeps: at depth 16 and
+# gamma 4, 20000 four-time samples visit 30843 distinct rows (226 MB)
+MEMO_BYTES = 1 << 25
 
 
 def check_domain(gamma: float, beta: float, depth: int) -> None:
@@ -327,15 +336,16 @@ class TrajectorySpec:
         self.count = count
 
 
-def _draw(rng, probs) -> int:
-    """Inverse-CDF draw with strict inequality (deterministic per seed)."""
-    x = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if x < acc:
-            return i
-    return len(probs) - 1
+def _cdf(probs) -> array:
+    """Left-to-right cumulative sums of ``probs``, the table _inverse_cdf reads."""
+    import numpy as np
+
+    return array("d", np.cumsum(probs).tobytes())
+
+
+def _inverse_cdf(cum: array, x: float) -> int:
+    """First index i with x < cum[i], strictly, or the last index if none."""
+    return min(bisect_right(cum, x), len(cum) - 1)
 
 
 def gap_matrices(spec: TrajectorySpec, q: Fraction, t: Fraction) -> list:
@@ -371,9 +381,18 @@ def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction, mats=Non
     when the caller has them.  The first state is drawn from the diagonal of
     the full cycle product, later ones from conditional rows times suffix
     products.
+
+    Stream contract: one MT19937 generator is reseeded to
+    seed * 1000003 + k before sample k, and each state takes one
+    ``random()`` value x by inverse CDF: the first index i with x < c_i,
+    strictly, where c is the left-to-right cumulative sum of the normalised
+    row (the last index when x is not below any c_i).  A conditional row
+    depends only on (step, previous state, first state), so its cumulative
+    sums are built once per call, up to ``MEMO_BYTES`` of them, and looked up
+    by bisection.
     """
     import numpy as np
-    import random as _random
+    from random import Random
 
     if mats is None:
         mats = gap_matrices(spec, q, t)
@@ -389,22 +408,27 @@ def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction, mats=Non
     total = diag.sum()
     if total < MIN_CYCLE_MASS:
         raise ValueError("truncated cycle mass is degenerate; raise depth")
-    p0 = diag / total
+    cum0 = _cdf(diag / total)
+    rows = {}  # (step, prev, i0) -> cumulative conditional row
+    max_rows = MEMO_BYTES // (8 * len(states))
 
+    rng = Random()
     for k in range(spec.count):
-        rng = _random.Random(spec.seed * 1_000_003 + k)
-        i0 = _draw(rng, p0)
+        rng.seed(spec.seed * 1_000_003 + k)
+        i0 = _inverse_cdf(cum0, rng.random())
         out = [(spec.times[0], states[i0])]
         prev = i0
         for step in range(1, len(spec.times)):
-            row = mats[step - 1][prev, :]
-            back = suffix[step][:, i0] if step < len(mats) else None
-            w = row * back if back is not None else row
-            w = np.maximum(w, 0.0)
-            s = w.sum()
-            if s <= 0:
-                raise ValueError("conditional mass vanished; raise depth")
-            prev = _draw(rng, w / s)
+            cum = rows.get((step, prev, i0))
+            if cum is None:
+                w = np.maximum(mats[step - 1][prev, :] * suffix[step][:, i0], 0.0)
+                s = w.sum()
+                if s <= 0:
+                    raise ValueError("conditional mass vanished; raise depth")
+                cum = _cdf(w / s)
+                if len(rows) < max_rows:
+                    rows[step, prev, i0] = cum
+            prev = _inverse_cdf(cum, rng.random())
             out.append((spec.times[step], states[prev]))
         yield out
 
@@ -525,11 +549,13 @@ def marginal_chi_square(gamma: float, beta: float, depth: int, q: Fraction,
     """
     spec = TrajectorySpec(beta, gamma, [0.0], depth, seed, samples)
     mats = gap_matrices(spec, q, t)
-    diag = mats[0].diagonal()
-    states, probs = partitions_up_to(depth), diag / diag.sum()
+    states = partitions_up_to(depth)
     counts = {lam: 0 for lam in states}
     for traj in sample_trajectories(spec, q, t, mats=mats):
         counts[traj[0][1]] += 1
+    # read after sampling, which raises first when this mass is degenerate
+    diag = mats[0].diagonal()
+    probs = diag / diag.sum()
     expected = [p * samples for p in probs]
     observed = [counts[lam] for lam in states]
     main = [(o, e) for o, e in zip(observed, expected) if e >= MIN_EXPECTED]

@@ -1,7 +1,11 @@
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -262,6 +266,14 @@ def test_package_main_runs_cli():
     ["plancherel", "check", "--depth", "4", "--gamma-deg", "0", "--samples", "100"],
     ["plancherel", "check", "--depth", "4", "--u", "x"],
     ["plancherel", "sample", "--count", "-5"],
+    ["plancherel", "sample", "--gamma", "1e100"],
+    ["plancherel", "check", "--gamma", "1e200", "--depth", "3", "--reserve", "1",
+     "--gamma-deg", "2", "--samples", "100"],
+    ["plancherel", "check", "--gamma", "1e10", "--depth", "3", "--reserve", "1",
+     "--gamma-deg", "2", "--samples", "100"],
+    ["vertex", "verify", "--grade", "-1"],
+    ["fock", "trace-check", "--u-deg", "-1"],
+    ["fock", "trace-check", "--trials", "0"],
     ["macdonald", "expand", "--lambda", "2,1", "--basis", "m", "--q", "2",
      "--t", "1/2", "--algebraic-point"],
     ["macdonald", "expand", "--lambda", "2,1", "--basis", "m", "--q", "1/2",
@@ -372,3 +384,97 @@ def test_parser_keeps_series_choices_and_seed_default():
     from permac.cli import build_parser
 
     assert build_parser().parse_args(["verify", "all"]).seed == 20240810
+
+
+# base arguments keep every fuzzed command cheap; the drawn flags come after
+# them, and argparse keeps the last value of a repeated flag
+FUZZ_COMMANDS = {
+    ("plancherel", "sample"): (["--depth", "3", "--count", "5"], {
+        "--times": ["0.5,0.3", "0,nan", "0,inf", "", "0,,1", "0,0.5,0.5",
+                    "0,0.3,0.6", "0,0.999"],
+        "--count": ["0", "-2", "1", "x"],
+        "--depth": ["21", "-1", "0", "4", "x"],
+        "--gamma": ["-1", "0", "nan", "inf", "1e-300", "25", "1e10", "1e100"],
+        "--beta": ["0", "-1", "inf", "1e-300", "1e300", "0.5"],
+        "--seed": ["-3", "0", "x"],
+    }),
+    ("plancherel", "check"): (["--depth", "3", "--reserve", "1", "--gamma-deg", "2",
+                               "--samples", "200"], {
+        "--depth": ["21", "-1", "0", "2", "4"],
+        "--reserve": ["-1", "0", "2", "9"],
+        "--gamma-deg": ["-1", "0", "1", "40"],
+        "--samples": ["0", "1", "50"],
+        "--gamma": ["-1", "nan", "0", "30", "1e10", "1e200"],
+        "--u": ["1/0", "nan", "0", "1", "-1", "x", "7"],
+        "--v": ["1/0", "1/2", "2"],
+        "--beta": ["0", "1e-300", "1e300"],
+    }),
+    ("vertex", "verify"): (["--grade", "2"], {
+        "--grade": ["-1", "0", "1", "x"],
+        "--nu": ["1,2", "x", "1", ""],
+    }),
+    ("fock", "trace-check"): (["--u-deg", "2", "--trials", "1"], {
+        "--u-deg": ["-1", "0", "1"],
+        "--trials": ["-1", "0", "2"],
+    }),
+    ("process", "partition-function"): (["--u-deg", "2"], {
+        "--N": ["-1", "0", "2"],
+        "--u-deg": ["-1", "0", "1"],
+        "--spec-plus": ["zero", "alpha", "plancherel", "bogus", ""],
+        "--spec-minus": ["alpha;zero", "plancherel"],
+    }),
+    ("cylindric", "enumerate"): (["--N", "1", "--max-weight", "2"], {
+        "--N": ["-1", "0", "2"],
+        "--M": ["", "0", "1,1", "x", "3", "-1,1"],
+        "--max-weight": ["-1", "0", "1"],
+    }),
+    ("macdonald", "expand"): (["--lambda", "2,1"], {
+        "--lambda": ["", "1,2", "-1", "x", "3"],
+        "--basis": ["m", "p", "z"],
+        "--kind": ["P", "Q", "R"],
+    }),
+}
+FUZZ_QT = ["1/3", "1/2", "0", "1", "2", "-1", "1/0", "x"]
+
+
+def _fuzz_argv(rng):
+    command = rng.choice(sorted(FUZZ_COMMANDS))
+    base, flags = FUZZ_COMMANDS[command]
+    argv = [*command, *base]
+    for flag in rng.sample(sorted(flags), rng.randint(0, min(3, len(flags)))):
+        argv += [flag, rng.choice(flags[flag])]
+    if rng.random() < 0.3:
+        argv += ["--q", rng.choice(FUZZ_QT), "--t", rng.choice(FUZZ_QT)]
+        if rng.random() < 0.5:
+            argv.append("--algebraic-point")
+    return argv
+
+
+FUZZ_EXAMPLES = [
+    ["plancherel", "sample", "--times", "0.5,0.3"],
+    ["plancherel", "sample", "--times", "0,nan"],
+    ["plancherel", "sample", "--count", "0"],
+    ["plancherel", "sample", "--depth", "21"],
+    ["plancherel", "sample", "--gamma", "-1"],
+    ["plancherel", "check", "--depth", "3", "--reserve", "4"],
+    ["plancherel", "check", "--u", "1/0"],
+]
+
+
+def test_cli_fuzz_exits_0_1_or_2_without_traceback():
+    rng = random.Random(20261018)
+    cases = FUZZ_EXAMPLES + [_fuzz_argv(rng) for _ in range(80)]
+    for argv in cases:
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+            except Exception as exc:
+                raise AssertionError(f"{argv}: {exc!r}") from exc
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+        assert not caught, (argv, [str(w.message) for w in caught])

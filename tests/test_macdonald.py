@@ -66,6 +66,39 @@ def test_m_to_p_inverts_p_to_m():
                 assert entry == (1 if lam == kappa else 0)
 
 
+def _fraction_m_to_p(n: int) -> dict:
+    """Back-substitution over Fractions, the oracle for the integer rows of
+    m_to_p: same order of partitions, same subtractions."""
+    lams = partitions_of(n)
+    p_rows = p_to_m(n)
+    solved: dict = {}
+    for lam in lams:
+        row = p_rows[lam]
+        acc = {lam: Fraction(1)}
+        for mu, a in row.items():
+            if mu == lam:
+                continue
+            for nu, c in solved[mu].items():
+                v = acc.get(nu, 0) - a * c
+                if v:
+                    acc[nu] = v
+                else:
+                    acc.pop(nu, None)
+        diag = row[lam]
+        solved[lam] = {nu: acc[nu] / diag for nu in lams if nu in acc}
+    return solved
+
+
+def test_m_to_p_equals_fraction_back_substitution():
+    for n in range(12):
+        got, expect = m_to_p(n), _fraction_m_to_p(n)
+        assert got == expect, n
+        # same key order and Fraction values, so stored tables stay byte-identical
+        assert [list(row) for row in got.values()] == \
+            [list(row) for row in expect.values()]
+        assert all(type(c) is Fraction for row in got.values() for c in row.values())
+
+
 def test_p_to_m_classical_values():
     # p_1^2 = m_2 + 2 m_11, p_2 = m_2 - ... p_2 is m_2? p_2 = sum x_i^2 = m_2
     assert p_to_m(2)[(2,)] == {(2,): 1}

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from permac.partitions import partitions_up_to, remove_one_box, weight
 from permac.plancherel import (
     MAX_DEPTH,
+    MIN_CYCLE_MASS,
     TrajectorySpec,
+    _cdf,
+    _inverse_cdf,
     chi_square_sf,
     dims,
     dropped_mass,
@@ -219,6 +222,127 @@ def test_sampler_deterministic():
     runs1 = list(sample_trajectories(spec, Q0, T0))
     runs2 = list(sample_trajectories(spec, Q0, T0))
     assert runs1 == runs2
+
+
+def _draw(rng, probs) -> int:
+    """Inverse-CDF draw with strict inequality (deterministic per seed)."""
+    x = rng.random()
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if x < acc:
+            return i
+    return len(probs) - 1
+
+
+def _oracle_sample_trajectories(spec, q, t, mats=None):
+    """The sampler as it drew before the cumulative rows were memoised: a
+    fresh generator per sample and a linear scan over each conditional row."""
+    import random as _random
+
+    if mats is None:
+        mats = gap_matrices(spec, q, t)
+    states = partitions_up_to(spec.depth)
+    # suffix[i] = M_i M_{i+1} ... M_{last}
+    suffix = [None] * len(mats)
+    acc = None
+    for i in range(len(mats) - 1, -1, -1):
+        acc = mats[i] if acc is None else mats[i] @ acc
+        suffix[i] = acc
+    cycle = suffix[0]
+    diag = np.maximum(cycle.diagonal(), 0.0)
+    total = diag.sum()
+    if total < MIN_CYCLE_MASS:
+        raise ValueError("truncated cycle mass is degenerate; raise depth")
+    p0 = diag / total
+
+    for k in range(spec.count):
+        rng = _random.Random(spec.seed * 1_000_003 + k)
+        i0 = _draw(rng, p0)
+        out = [(spec.times[0], states[i0])]
+        prev = i0
+        for step in range(1, len(spec.times)):
+            row = mats[step - 1][prev, :]
+            back = suffix[step][:, i0] if step < len(mats) else None
+            w = row * back if back is not None else row
+            w = np.maximum(w, 0.0)
+            s = w.sum()
+            if s <= 0:
+                raise ValueError("conditional mass vanished; raise depth")
+            prev = _draw(rng, w / s)
+            out.append((spec.times[step], states[prev]))
+        yield out
+
+
+class _Fixed:
+    """A generator stand-in whose random() returns one given value."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def random(self):
+        return self.x
+
+
+def _probability_vectors(rng):
+    # normalised as the sampler does, with zeros at the ends and inside
+    for n in (1, 2, 3, 7, 30, 67, 200):
+        for zeros in (0.0, 0.3, 0.8):
+            w = np.array([0.0 if rng.random() < zeros else rng.expovariate(1.0)
+                          for _ in range(n)])
+            if n > 2:
+                w[0] = w[-1] = 0.0
+            if w.sum() > 0:
+                yield w / w.sum()
+    # cumulative sums that round below 1, so large x falls through
+    for n in (3, 10, 49, 100):
+        yield np.full(n, 1.0 / n)
+    yield np.array([0.1] * 10)
+    yield np.array([1.0, 0.0, 0.0])
+    yield np.array([0.0, 0.0, 1.0])
+
+
+def test_inverse_cdf_matches_linear_scan():
+    rng = random.Random(20261018)
+    fell_through = 0
+    for p in _probability_vectors(rng):
+        cum = _cdf(p)
+        # uniform draws, every cumulative value exactly, its neighbours, and
+        # the ends of [0, 1)
+        xs = [rng.random() for _ in range(50)] + [0.0, math.nextafter(1.0, 0.0)]
+        for c in cum:
+            xs += [c, math.nextafter(c, 0.0), math.nextafter(c, 2.0)]
+        for x in xs:
+            if not 0.0 <= x < 1.0:
+                continue
+            want = _draw(_Fixed(x), p)
+            assert _inverse_cdf(cum, x) == want, (list(p), x)
+            fell_through += x >= cum[-1]
+    assert fell_through > 0
+
+
+@pytest.mark.parametrize("depth", [4, 6])
+@pytest.mark.parametrize("times", [[0.0], [0.0, 0.4], [0.0, 0.2, 0.5, 0.7]],
+                         ids=["1-time", "2-time", "4-time"])
+def test_sampler_stream_equals_linear_scan_oracle(depth, times):
+    q, t = Fraction(1, 2), Fraction(2, 7)
+    spec = TrajectorySpec(1.0, 0.85, times, depth, seed=41 + depth, count=1500)
+    mats = gap_matrices(spec, q, t)
+    got = list(sample_trajectories(spec, q, t, mats=mats))
+    assert got == list(_oracle_sample_trajectories(spec, q, t, mats=mats))
+    assert len({traj[-1][1] for traj in got}) > 5
+
+
+def test_sampler_stream_keeps_rows_past_the_memo_budget(monkeypatch):
+    # rows beyond the budget are rebuilt at each visit, to the same stream
+    from permac import plancherel
+
+    q, t = Fraction(1, 2), Fraction(2, 7)
+    spec = TrajectorySpec(1.0, 1.5, [0.0, 0.2, 0.5, 0.7], 5, seed=8, count=1500)
+    mats = gap_matrices(spec, q, t)
+    monkeypatch.setattr(plancherel, "MEMO_BYTES", 8 * len(mats[0]) * 3)
+    got = list(sample_trajectories(spec, q, t, mats=mats))
+    assert got == list(_oracle_sample_trajectories(spec, q, t, mats=mats))
 
 
 def test_sampler_small_gamma_freezes_trajectories():
