@@ -512,44 +512,83 @@ def macdonald_positivity_check(spec: Specialization) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def skew_eval(kind: str, lam: tuple, mu: tuple, spec, q: Fraction, t: Fraction,
-              unit=Fraction(1)):
-    """P_{lam/mu} or Q_{lam/mu} evaluated at a specialization.
+def _prefix_fold(first, step):
+    """f(()) = first and f(nu) = step(f(nu without its last part), last part),
+    memoised, so partitions that share a prefix share its work."""
+    memo = {(): first}
 
-    Realized as the matrix element of the raising half-vertex between the dual
-    Macdonald vectors: P_{lam/mu}(X) = <Q_mu| Gamma(X)_+ |P_lam>.  ``spec``
-    is a Specialization or a bare callable n -> p_n value; ``unit`` fixes the
-    coefficient arithmetic (e.g. a ring one) for formal specializations.
+    def at(nu):
+        v = memo.get(nu)
+        if v is None:
+            v = memo[nu] = step(at(nu[:-1]), nu[-1])
+        return v
+
+    return at
+
+
+@lru_cache(maxsize=None)
+def _skew_coefficients(kind: str, lam: tuple, mu: tuple, q: Fraction,
+                       t: Fraction) -> tuple:
+    """The pairs (nu, c_nu) with c_nu != 0 in P_{lam/mu} = sum_nu c_nu p_nu.
+
+    c_nu = <bra| a_nu |ket> / z_nu(q,t) over |nu| = |lam| - |mu|, with
+    (bra, ket) = (Q_mu, P_lam) for kind "P" and (P_mu, Q_lam) for "Q".
+    a_nu ket is built one mode at a time from the prefixes of nu.
     """
     from . import fock
 
+    if kind == "P":
+        ket, bra = macdonald_P_p(lam, q, t), macdonald_Q_p(mu, q, t)
+    elif kind == "Q":
+        ket, bra = macdonald_Q_p(lam, q, t), macdonald_P_p(mu, q, t)
+    else:
+        raise ValueError("kind must be 'P' or 'Q'")
+    image = _prefix_fold(ket, lambda v, n: fock.heisenberg_apply(n, v, q, t))
+    out = []
+    for nu in partitions_of(weight(lam) - weight(mu)):
+        c = fock.pair(bra, image(nu), q, t)
+        if c:
+            out.append((nu, c / z_qt(nu, q, t)))
+    return tuple(out)
+
+
+def skew_eval(kind: str, lam: tuple, mu: tuple, spec, q: Fraction, t: Fraction,
+              unit=Fraction(1)):
+    """P_{lam/mu} or Q_{lam/mu} evaluated at a specialization X.
+
+    P_{lam/mu}(X) is the Fock matrix element <Q_mu| Gamma_+(X) |P_lam> of
+    the lowering half-vertex Gamma_+(X) = exp(sum_n (1-t^n)/(1-q^n) p_n(X)
+    a_n / n).  Under the pairing <p_lam|p_mu> = z_lam(q,t) delta, a_n is the
+    adjoint of multiplication by p_n, so Gamma_+(X) is the adjoint of
+    multiplication by the Cauchy kernel sum_kappa P_kappa(X) Q_kappa, and
+    the matrix element is sum_kappa P_kappa(X) <Q_kappa Q_mu, P_lam> =
+    P_{lam/mu}(X) (Macdonald VI (7.6)); Q_{lam/mu} swaps P and Q.
+    Expanding the exponential gives Gamma_+(X) = sum_nu p_nu(X) a_nu /
+    z_nu(q,t), hence
+
+        P_{lam/mu}(X) = sum_{|nu| = |lam| - |mu|} c_nu p_nu(X),
+        c_nu = <Q_mu| a_nu |P_lam> / z_nu(q,t).
+
+    The rational c_nu depend on (kind, lam, mu, q, t) only and are memoised
+    (``_skew_coefficients``).  A call evaluates p_n(X) once per n and sums
+    c_nu times the products p_nu(X), sharing each product's prefix; this is
+    the same for rational, series and Laurent p-values.  ``spec`` is a
+    Specialization or a bare callable n -> p_n value; ``unit`` fixes the
+    coefficient arithmetic (e.g. a ring one) for formal specializations.
+    """
     if not contains(lam, mu):
         return unit * 0
     if lam == mu:
         return unit
+    coeffs = _skew_coefficients(kind, lam, mu, q, t)
     p_value = spec.p_value if isinstance(spec, Specialization) else spec
-    if kind == "P":
-        ket = macdonald_P_p(lam, q, t)
-        bra = macdonald_Q_p(mu, q, t)
-    elif kind == "Q":
-        ket = macdonald_Q_p(lam, q, t)
-        bra = macdonald_P_p(mu, q, t)
-    else:
-        raise ValueError("kind must be 'P' or 'Q'")
-    modes = {}
-    for n in range(1, weight(lam) - weight(mu) + 1):
-        pv = p_value(n)
-        if not pv:
-            continue
-        modes[n] = pv * ((1 - t**n) / (1 - q**n))
-    ket_u = {k: unit * c for k, c in ket.items()}
-    image = fock.half_vertex_apply(modes, ket_u, q, t, sign=1)
+    pv = {n: p_value(n) for n in range(1, weight(lam) - weight(mu) + 1)}
+    p_nu = _prefix_fold(unit, lambda v, n: v * pv[n])
     acc = None
-    for nu, c in bra.items():
-        d = image.get(nu)
-        if d is None:
+    for nu, c in coeffs:
+        if not all(pv[n] for n in nu):
             continue
-        term = d * (c * z_qt(nu, q, t))
+        term = p_nu(nu) * c
         acc = term if acc is None else acc + term
     return acc if acc is not None else unit * 0
 

@@ -390,12 +390,17 @@ def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction, mats=Non
     depends only on (step, previous state, first state), so its cumulative
     sums are built once per call, up to ``MEMO_BYTES`` of them, and looked up
     by bisection.
+
+    A negative entry in any gap matrix, which only algebraic points outside
+    (0, 1)^2 produce, is a ValueError: the weights then define no law.
     """
-    import numpy as np
     from random import Random
 
     if mats is None:
         mats = gap_matrices(spec, q, t)
+    if any((m < 0).any() for m in mats):
+        raise ValueError(f"negative transfer weight at (q, t) = ({q}, {t}): "
+                         "the trajectory law is not a probability measure")
     states = partitions_up_to(spec.depth)
     # suffix[i] = M_i M_{i+1} ... M_{last}
     suffix = [None] * len(mats)
@@ -404,7 +409,7 @@ def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction, mats=Non
         acc = mats[i] if acc is None else mats[i] @ acc
         suffix[i] = acc
     cycle = suffix[0]
-    diag = np.maximum(cycle.diagonal(), 0.0)
+    diag = cycle.diagonal()
     total = diag.sum()
     if total < MIN_CYCLE_MASS:
         raise ValueError("truncated cycle mass is degenerate; raise depth")
@@ -421,7 +426,7 @@ def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction, mats=Non
         for step in range(1, len(spec.times)):
             cum = rows.get((step, prev, i0))
             if cum is None:
-                w = np.maximum(mats[step - 1][prev, :] * suffix[step][:, i0], 0.0)
+                w = mats[step - 1][prev, :] * suffix[step][:, i0]
                 s = w.sum()
                 if s <= 0:
                     raise ValueError("conditional mass vanished; raise depth")

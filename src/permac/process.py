@@ -16,6 +16,7 @@ expanding the ill-defined diagonal kernel entries.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .fock import contraction_pair, eta_xi_exponent, operator_family
 from .laurent import LaurentPoly, cauchy_sym_prefactor, laurent_exp, \
@@ -108,12 +109,14 @@ def weight_W(pspec: ProcessSpec, lam_seq, mu_seq) -> TruncSeries:
 # ---------------------------------------------------------------------------
 
 
-def _partitions_containing(mu: tuple, max_weight: int):
-    return [lam for lam in partitions_up_to(max_weight) if contains(lam, mu)]
+@lru_cache(maxsize=None)
+def _partitions_containing(mu: tuple, max_weight: int) -> tuple:
+    return tuple(lam for lam in partitions_up_to(max_weight) if contains(lam, mu))
 
 
-def _partitions_inside(lam: tuple):
-    return [mu for mu in partitions_up_to(weight(lam)) if contains(lam, mu)]
+@lru_cache(maxsize=None)
+def _partitions_inside(lam: tuple) -> tuple:
+    return tuple(mu for mu in partitions_up_to(weight(lam)) if contains(lam, mu))
 
 
 def configurations(pspec: ProcessSpec, depth: int):

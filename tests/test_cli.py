@@ -267,6 +267,8 @@ def test_package_main_runs_cli():
     ["plancherel", "check", "--depth", "4", "--u", "x"],
     ["plancherel", "sample", "--count", "-5"],
     ["plancherel", "sample", "--gamma", "1e100"],
+    ["plancherel", "sample", "--q", "1/2", "--t", "3", "--algebraic-point",
+     "--depth", "6", "--count", "3"],
     ["plancherel", "check", "--gamma", "1e200", "--depth", "3", "--reserve", "1",
      "--gamma-deg", "2", "--samples", "100"],
     ["plancherel", "check", "--gamma", "1e10", "--depth", "3", "--reserve", "1",

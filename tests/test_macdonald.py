@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from permac import cache, macdonald
+from permac import cache, fock, macdonald
+from permac.cylindric import principal_p_laurent, principal_p_trunc
+from permac.laurent import LaurentPoly
 from permac.macdonald import (
     GramSingularError,
+    Specialization,
     _m_gram,
     alpha_spec,
     g_row_from_powers,
@@ -35,6 +38,7 @@ from permac.macdonald import (
 from permac.partitions import (
     add_one_box,
     conjugate,
+    contains,
     dominance_key,
     dominance_leq,
     horizontal_strip,
@@ -381,6 +385,74 @@ def test_skew_eval_plancherel_path_sums():
                 continue
             expect = ring.monomial(dim_psi(mu, lam) / fact[d], g=d)
             assert got == expect
+
+
+def _half_vertex_skew(kind, lam, mu, spec, q, t, unit):
+    """<bra| Gamma_+(X) |ket> by pushing the ket's coefficients through the
+    lowering half-vertex, the oracle for the p_nu expansion of skew_eval."""
+    if not contains(lam, mu):
+        return unit * 0
+    if lam == mu:
+        return unit
+    p_value = spec.p_value if isinstance(spec, Specialization) else spec
+    if kind == "P":
+        ket, bra = macdonald_P_p(lam, q, t), macdonald_Q_p(mu, q, t)
+    else:
+        ket, bra = macdonald_Q_p(lam, q, t), macdonald_P_p(mu, q, t)
+    modes = {}
+    for n in range(1, weight(lam) - weight(mu) + 1):
+        pv = p_value(n)
+        if pv:
+            modes[n] = pv * ((1 - t**n) / (1 - q**n))
+    ket_u = {k: unit * c for k, c in ket.items()}
+    image = fock.half_vertex_apply(modes, ket_u, q, t, sign=1)
+    acc = None
+    for nu, c in bra.items():
+        d = image.get(nu)
+        if d is None:
+            continue
+        term = d * (c * z_qt(nu, q, t))
+        acc = term if acc is None else acc + term
+    return acc if acc is not None else unit * 0
+
+
+def _skew_oracle_specs():
+    ab = SeriesRing(["a", "b"], 5)
+    g = SeriesRing(["g"], 5)
+    uxy = SeriesRing(["u", "x", "y"], 5)
+    u = SeriesRing(["u"], 2)
+    zvars = ("x", "y")
+
+    def gap(n):  # p_2 = 0
+        return ab.zero() if n == 2 else ab.monomial(Fraction(n, 3), a=n)
+
+    return {
+        "alpha-a-2b": (alpha_spec([("a", 1), ("b", 2)], ab), ab.one()),
+        "plancherel": (plancherel_spec(g.gen("g") * Fraction(3, 2), g), g.one()),
+        "cor_b2-series": (principal_p_trunc(uxy, (), "yr_nxu"), uxy.one()),
+        "thm_b1-laurent": (principal_p_laurent(zvars, u, (2, 1), "yr_nxu", 4),
+                           LaurentPoly.constant(zvars, u.one())),
+        "p2-zero": (gap, ab.one()),
+        "odd-p-zero": (alpha_spec([Fraction(1, 2), Fraction(-1, 2)]), Fraction(1)),
+    }
+
+
+SKEW_ORACLE_SPECS = _skew_oracle_specs()
+
+
+@pytest.mark.parametrize("label", list(SKEW_ORACLE_SPECS))
+def test_skew_eval_equals_half_vertex_oracle(label):
+    spec, unit = SKEW_ORACLE_SPECS[label]
+    q, t = Fraction(56, 97), Fraction(49, 89)
+    for lam in partitions_up_to(5):
+        for mu in partitions_up_to(weight(lam)):
+            if not contains(lam, mu):
+                continue
+            for kind in ("P", "Q"):
+                got = skew_eval(kind, lam, mu, spec, q, t, unit=unit)
+                expect = _half_vertex_skew(kind, lam, mu, spec, q, t, unit)
+                assert type(got) is type(expect), (kind, lam, mu)
+                assert got == expect, (kind, lam, mu)
 
 
 def test_positivity_check():

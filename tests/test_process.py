@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from permac import process
 from permac.macdonald import alpha_spec, plancherel_spec, zero_spec
-from permac.partitions import partitions_up_to, weight
+from permac.partitions import contains, partitions_up_to, weight
 from permac.process import (
     ProcessSpec,
     analytic_regime_check,
@@ -54,8 +56,6 @@ def test_weight_support_is_interlacing():
     # nonzero weight forces the cyclic inclusion chain (single-alpha specs
     # additionally force horizontal strips; inclusion is what the weight
     # structure itself guarantees)
-    from permac.partitions import contains
-
     ps = single_alpha_process(2, Q0, T0, 4)
     for lam1 in partitions_up_to(2):
         for lam2 in partitions_up_to(2):
@@ -117,6 +117,35 @@ def test_u_to_zero_limit_is_nonperiodic():
         assert closed.subs_zero("u") == nonperiodic_partition_function(ps)
         brute = partition_function_bruteforce(ps, 4)
         assert brute.subs_zero("u") == nonperiodic_partition_function(ps).truncate(4)
+
+
+@pytest.mark.parametrize("N, depth", [(2, 4), (3, 3)])
+def test_configurations_pinned(monkeypatch, N, depth):
+    # the memoised containment lists give the walk the same ordered list as
+    # a literal contains filter over partitions_up_to at every step ...
+    ps = single_alpha_process(N, Q0, T0, depth)
+    got = list(process.configurations(ps, depth))
+    monkeypatch.setattr(process, "_partitions_containing", lambda mu, w: [
+        lam for lam in partitions_up_to(w) if contains(lam, mu)])
+    monkeypatch.setattr(process, "_partitions_inside", lambda lam: [
+        mu for mu in partitions_up_to(weight(lam)) if contains(lam, mu)])
+    assert got == list(process.configurations(ps, depth))
+    # ... and that list is every cyclic interlacing chain of graded cost
+    # <= depth (u and each alpha cost one degree per box), each once
+    parts = partitions_up_to(depth)
+    expect = set()
+    for lams in product(parts, repeat=N):
+        for mus in product(parts, repeat=N):
+            if not all(contains(lams[i], mus[i]) and contains(lams[(i + 1) % N], mus[i])
+                       for i in range(N)):
+                continue
+            cost = weight(mus[-1]) + sum(
+                weight(lams[i]) + weight(lams[(i + 1) % N]) - 2 * weight(mus[i])
+                for i in range(N))
+            if cost <= depth:
+                expect.add((lams, mus))
+    assert len(got) == len(expect)
+    assert {(tuple(lams), tuple(mus)) for lams, mus in got} == expect
 
 
 def test_measure_geometric_for_zero_specs():
