@@ -172,10 +172,20 @@ def criterion_moment_formulas(seed=DEFAULT_SEED) -> dict:
     if process.moment_formula(ps4, steps) != \
             process.moment_bruteforce(ps4, steps, 3):
         failures.append(("two-step-E", 2, str(q4), str(t4)))
+    # mixed families: one cross-class pair, one 3-step sequence with r = 2
+    for steps, cutoff in (([("E'", 1), ("G", 1)], 3),
+                          ([("G'", 1), ("E", 2), ("E'", 1)], 3)):
+        q5, t5 = random_qt_pair(rng)
+        ps5 = _single_alpha_process(len(steps), q5, t5, cutoff)
+        if process.moment_formula(ps5, steps) != \
+                process.moment_bruteforce(ps5, steps, cutoff):
+            failures.append(("mixed", steps, str(q5), str(t5)))
     return {"name": "moment-formulas", "passed": not failures,
             "details": {"families": ["E", "E'", "G", "G'"], "r": [1, 2],
                         "single_step_E_r3_cutoff": 5,
-                        "two_step_E_r2_cutoff": 3, "failures": failures}}
+                        "two_step_E_r2_cutoff": 3,
+                        "mixed_steps": ["E',G", "G',E r=2,E'"],
+                        "mixed_cutoff": 3, "failures": failures}}
 
 
 def criterion_bessel_examples(seed=DEFAULT_SEED) -> dict:
@@ -193,7 +203,7 @@ def criterion_bessel_examples(seed=DEFAULT_SEED) -> dict:
         return out
 
     for tag in ("E", "E'"):
-        q, t = random_qt_pair(rng, square_ratio=(tag == "E'"))
+        q, t = random_qt_pair(rng)
         ring = SeriesRing(["u", "g"], 8)
         xi = ring.gen("g") * (ring.one() - ring.gen("u"))
         ps = process.ProcessSpec(
@@ -311,7 +321,7 @@ def criterion_eigen_relations(seed=DEFAULT_SEED) -> dict:
     """Free-field operators reproduce their eigenvalues; fermion bilinear."""
     rng = random.Random(seed + 9)
     failures = []
-    points = [random_qt_pair(rng), random_qt_pair(rng, square_ratio=True)]
+    points = [random_qt_pair(rng), random_qt_pair(rng)]
     for q, t in points:
         for lam in partitions_up_to(3):
             ket = macdonald.macdonald_P_p(lam, q, t)

@@ -199,8 +199,6 @@ def cmd_process_moment(args) -> int:
     from . import process
 
     _require_at_least(args, 1, "r")
-    if args.N > 1 and args.series != "E":
-        raise UsageError("multi-step moments are available only for --series E")
     ps = _build_process(args)
     series_r = [(args.series, args.r)] * args.N
     return _emit_oracle_report(

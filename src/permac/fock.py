@@ -14,9 +14,10 @@ charged extension with its bosonized fermion fields.  One exponential,
 ``half_vertex_apply``, expands either half of a vertex operator, and every
 operator application (the free-field families and the fermion fields
 included) builds a ``VertexSpec`` and goes through ``vertex_apply``.  The
-table of the four families (``operator_family``), the eta/xi contraction
-pairs and the eta/xi exponent coefficients live here once; the moment
-kernels of the process module read them from here.
+table of the four families (``operator_family``) and the eta/xi exponent
+coefficients live here once, and so does the contraction of two eta/xi
+currents of any kinds, built from those coefficients and the commutator;
+the moment kernels of the process module read them from here.
 """
 
 from __future__ import annotations
@@ -57,13 +58,6 @@ def accumulate(out: dict, key, c) -> None:
         out.pop(key, None)
 
 
-def fock_add(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for lam, c in v.items():
-        accumulate(out, lam, c)
-    return out
-
-
 def fock_scale(v: dict, c) -> dict:
     out = {}
     for lam, a in v.items():
@@ -94,14 +88,6 @@ def heisenberg_apply(n: int, v: dict, q: Fraction, t: Fraction) -> dict:
         ls.remove(n)
         accumulate(out, make_partition(ls), c * (comm * m))
     return out
-
-
-def fock_to_json(v: dict) -> dict:
-    """Debug dump: partition (as an int list rendered "a,b,c") -> coefficient."""
-    from .scalars import as_fraction, format_rational
-
-    return {",".join(map(str, lam)): format_rational(as_fraction(c))
-            for lam, c in sorted(v.items())}
 
 
 def pair(bra: dict, ket: dict, q: Fraction, t: Fraction):
@@ -297,15 +283,6 @@ def operator_family(family: str, q: Fraction, t: Fraction):
     raise ValueError(f"unknown operator family {family!r}")
 
 
-def contraction_pair(kind: str, q: Fraction, t: Fraction):
-    """(p1, p2) of the self-contraction of eta or xi currents."""
-    if kind == "eta":
-        return q, Fraction(1) / t
-    if kind == "xi":
-        return Fraction(1) / q, t
-    raise ValueError(f"unknown vertex kind {kind!r}")
-
-
 def eta_xi_exponent(kind: str, q: Fraction, t: Fraction, nmax: int) -> dict:
     """n -> (coefficient of z^n, coefficient of z^{-n}) in the eta/xi exponent.
 
@@ -324,6 +301,23 @@ def eta_xi_exponent(kind: str, q: Fraction, t: Fraction, nmax: int) -> dict:
         return {n: (-(1 - t**-n), (1 - t**n) * (t / q)**n)
                 for n in range(1, nmax + 1)}
     raise ValueError(f"unknown vertex kind {kind!r}")
+
+
+def eta_xi_contraction(up_kind: str, down_kind: str, q: Fraction, t: Fraction,
+                       nmax: int) -> dict:
+    """n -> c_n in the contraction exp(sum_n c_n (z/w)^n) of two currents.
+
+    The lowering half of the ``down_kind`` current at w is moved past the
+    raising half of the ``up_kind`` current at z; the commutator
+    [a_n, a_{-n}] = n (1-q^n)/(1-t^n) leaves
+    c_n = up_n down_n (1-q^n) / ((1-t^n) n), with up_n the z^n coefficient
+    of ``up_kind`` and down_n the w^{-n} coefficient of ``down_kind`` from
+    ``eta_xi_exponent`` (so both in their rescaled variables).
+    """
+    ups = eta_xi_exponent(up_kind, q, t, nmax)
+    downs = eta_xi_exponent(down_kind, q, t, nmax)
+    return {n: ups[n][0] * downs[n][1] * (1 - q**n) / ((1 - t**n) * n)
+            for n in range(1, nmax + 1)}
 
 
 def free_field_apply(family: str, r: int, v: dict, q: Fraction, t: Fraction) -> dict:
@@ -366,31 +360,6 @@ def free_field_apply(family: str, r: int, v: dict, q: Fraction, t: Fraction) -> 
 # ---------------------------------------------------------------------------
 # Charged Fock space
 # ---------------------------------------------------------------------------
-
-
-def charged_scale_charge(v: dict, f) -> dict:
-    """Multiply each (lam, n) component by the scalar f(n)."""
-    out = {}
-    for (lam, n), c in v.items():
-        w = c * f(n)
-        if w:
-            out[(lam, n)] = w
-    return out
-
-
-def charge_shift(v: dict, dn: int) -> dict:
-    """Action of e^{dn * alpha}: shift all charges by dn."""
-    return {(lam, n + dn): c for (lam, n), c in v.items()}
-
-
-def charge_op(v: dict) -> dict:
-    """Charge operator a_0: eigenvalue n on charge-n components."""
-    return {(lam, n): c * n for (lam, n), c in v.items() if c * n}
-
-
-def energy_of(lam: tuple, n: int) -> Fraction:
-    """Energy |lam| + n^2/2 of a charged basis vector."""
-    return Fraction(weight(lam)) + Fraction(n * n, 2)
 
 
 def fermion_apply(starred: bool, zvar: str, v: dict, ring: SeriesRing,

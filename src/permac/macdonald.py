@@ -139,13 +139,6 @@ def p_dict_to_m(f: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def inner_product_p(lam: tuple, mu: tuple, q: Fraction, t: Fraction) -> Fraction:
-    """<p_lam, p_mu> = z_lam(q,t) delta_{lam,mu}."""
-    if lam != mu:
-        return Fraction(0)
-    return z_qt(lam, q, t)
-
-
 def inner_product(f_p: dict, g_p: dict, q: Fraction, t: Fraction):
     """Pairing of two p-basis maps."""
     acc = Fraction(0)
@@ -394,9 +387,9 @@ def pieri_phi(lam, mu, q, t) -> Fraction:
 class Specialization:
     """Algebra map determined by its power-sum values p_n.
 
-    kind is one of "zero", "alpha", "plancherel", "lambda-rho"; the Appendix
-    principal specializations used by the topological vertex live in the
-    cylindric module, which feeds plain p-value callables to skew_eval.
+    kind is one of "zero", "alpha", "plancherel"; the Appendix principal
+    specializations used by the topological vertex live in the cylindric
+    module, which feeds plain p-value callables to skew_eval.
     """
 
     def __init__(self, kind: str, p_value, degree: int, label: str = ""):
@@ -440,9 +433,7 @@ def alpha_spec(values, ring=None, label="alpha") -> Specialization:
             out = out + ring.monomial(Fraction(c) ** n, **{name: n})
         return out
 
-    spec = Specialization("alpha", p_value, 1 if monos else 0, label)
-    spec.alpha_values = numeric + [Fraction(c) for _, c in monos]
-    return spec
+    return Specialization("alpha", p_value, 1 if monos else 0, label)
 
 
 def plancherel_spec(xi, ring=None, label="plancherel") -> Specialization:
@@ -477,34 +468,6 @@ def lambda_rho_p(lam: tuple, r: int, q: Fraction, t: Fraction,
         acc += (q**li * t ** (-i + shift)) ** r
     acc += t ** (-r * (l - shift + 1)) / (1 - t**-r)
     return acc
-
-
-def lambda_rho_spec(lam: tuple, q, t, shift=0, inverted=False) -> Specialization:
-    return Specialization(
-        "lambda-rho",
-        lambda n: lambda_rho_p(lam, n, q, t, shift=shift, inverted=inverted),
-        0,
-        f"lambda-rho({lam},shift={shift},inv={inverted})",
-    )
-
-
-def macdonald_positivity_check(spec: Specialization) -> bool:
-    """Conservative sufficient check for Macdonald positivity.
-
-    Accepts zero, nonnegative finite-alpha and nonnegative Plancherel data;
-    anything else is rejected rather than classified.
-    """
-    if spec.kind == "zero":
-        return True
-    if spec.kind == "alpha":
-        vals = getattr(spec, "alpha_values", ())
-        return all(v >= 0 for v in vals)
-    if spec.kind == "plancherel":
-        xi = spec.p_value(1)
-        if hasattr(xi, "terms"):
-            return all(c >= 0 for c in xi.terms.values())
-        return xi >= 0
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -591,19 +554,6 @@ def skew_eval(kind: str, lam: tuple, mu: tuple, spec, q: Fraction, t: Fraction,
         term = p_nu(nu) * c
         acc = term if acc is None else acc + term
     return acc if acc is not None else unit * 0
-
-
-def skew_single_alpha(kind: str, lam: tuple, mu: tuple, q, t) -> Fraction:
-    """Coefficient of a^{|lam|-|mu|} in the one-variable skew value.
-
-    P_{lam/mu}(a) = psi * a^d and Q_{lam/mu}(a) = phi * a^d on horizontal
-    strips, zero otherwise; used as a fast path and as an independent oracle
-    for the Fock route.
-    """
-    if not horizontal_strip(lam, mu):
-        return Fraction(0)
-    psi, phi = pieri(lam, mu, q, t)
-    return psi if kind == "P" else phi
 
 
 # ---------------------------------------------------------------------------

@@ -131,14 +131,6 @@ def horizontal_strip(lam: tuple, mu: tuple) -> bool:
     return True
 
 
-def horizontal_strip_by_columns(lam: tuple, mu: tuple) -> bool:
-    """Independent strip predicate via conjugate column counts."""
-    if not contains(lam, mu):
-        return False
-    lc, mc = conjugate(lam), conjugate(mu)
-    return all(part(lc, j) - part(mc, j) <= 1 for j in range(1, len(lc) + 1))
-
-
 def add_one_box(lam: tuple):
     """All partitions covering lam in the Young graph."""
     out = []
@@ -148,17 +140,6 @@ def add_one_box(lam: tuple):
             grown = list(lam) + [0] * max(0, i - len(lam))
             grown[i - 1] += 1
             out.append(make_partition(grown))
-    return out
-
-
-def remove_one_box(lam: tuple):
-    """All partitions covered by lam in the Young graph."""
-    out = []
-    for i in range(1, len(lam) + 1):
-        if part(lam, i) - 1 >= part(lam, i + 1):
-            shrunk = list(lam)
-            shrunk[i - 1] -= 1
-            out.append(make_partition(shrunk))
     return out
 
 

@@ -8,17 +8,20 @@ weight of a configuration (lambda^1..lambda^N, mu^1..mu^N) is
     u^{|mu^N|} prod_i Q_{lambda^i/mu^i}(rho^-_i) P_{lambda^{i+1}/mu^i}(rho^+_i)
 
 with lambda^{N+1} = lambda^1 and rho^+_N = rho^+_0.  Closed forms are checked
-against literal sums over configurations throughout; the moment formulas use
-the symmetrized Cauchy-determinant calculus from the laurent module, never
-expanding the ill-defined diagonal kernel entries.
+against literal sums over configurations throughout.  The moment formulas
+take any of the four observable families at each step, any N, on one path:
+their cross-step factors are the eta/xi contractions of ``fock``, and they
+use the symmetrized Cauchy-determinant calculus from the laurent module,
+never expanding the ill-defined diagonal kernel entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 
-from .fock import contraction_pair, eta_xi_exponent, operator_family
+from .fock import eta_xi_contraction, eta_xi_exponent, operator_family
 from .laurent import LaurentPoly, cauchy_sym_prefactor, laurent_exp, \
     product_coefficient, ratio_sym_factor
 from .macdonald import observable, skew_eval
@@ -347,18 +350,19 @@ def _kernel_exp_factor(pspec: ProcessSpec, kind: str, a: int, zvars, iz,
     return laurent_exp(arg, clip)
 
 
-def _delta_pair_factor(pspec: ProcessSpec, p1, p2, zvars, i_num, i_den,
-                       wrapped: bool, clip: int) -> LaurentPoly:
+def _delta_pair_factor(pspec: ProcessSpec, contraction: dict, zvars, i_num,
+                       i_den, wrapped: bool, clip: int) -> LaurentPoly:
     """One ordered-pair factor of the universal measure Delta.
 
-    exp(-sum_n (1-p1^n)(1-p2^n) x^n [u^n]^wrapped / (n (1-u^n))) with
-    x = z_{i_num}/z_{i_den}; ``wrapped`` marks pairs (a >= b) which carry the
+    exp(sum_n c_n x^n [u^n]^wrapped / (1 - u^n)) with x = z_{i_num}/z_{i_den}
+    and c_n = ``contraction[n]``, the eta/xi contraction of the kinds of the
+    two variables' steps; ``wrapped`` marks pairs (a >= b) which carry the
     extra u^n.  For i_num == i_den the factor is a pure series in u.
     """
     ring = pspec.ring
     arg = LaurentPoly(tuple(zvars), ring, {})
     for n in range(1, max(ring.cutoff, clip) + 1):
-        c = -(1 - p1**n) * (1 - p2**n) * Fraction(1, n)
+        c = contraction[n]
         if not c:
             continue
         geom = geometric(ring, pspec.u, n, start=1 if wrapped else 0)
@@ -376,57 +380,48 @@ def _delta_pair_factor(pspec: ProcessSpec, p1, p2, zvars, i_num, i_den,
 def moment_formula(pspec: ProcessSpec, series_r, clip: int = None) -> TruncSeries:
     """Moment through the free-field kernel formulas.
 
-    The N-step form exists for the E family; the other three families are
-    single-step only (their multi-step kernels are not part of the validated
-    surface and raise).  The result is already normalized: the partition
-    function cancels inside the derivation.
+    ``series_r`` lists one (family, r) per step, and any of the four families
+    may sit at any step.  Step a contributes r symmetrized Cauchy factors and
+    r kernel exponentials of its eta or xi current; every ordered pair of
+    variables (j in step b, i in step a) contributes one Delta factor whose
+    coefficients contract the raising half of step b's current with the
+    lowering half of step a's.  The result is already normalized: the
+    partition function cancels inside the derivation.
     """
-    N = pspec.N
-    tags = [tag for tag, _ in series_r]
-    if N > 1 and any(tag != "E" for tag in tags):
-        raise ValueError("multi-step moment formulas are validated only for E")
     ring = pspec.ring
     q, t = pspec.q, pspec.t
     if clip is None:
         clip = ring.cutoff + 2
 
     zvars = []
-    groups = []  # (tag, [variable indices])
+    steps = []  # (vertex kind, Cauchy pole, variable indices) per step
+    prefactor = Fraction(1)
     for a, (tag, r) in enumerate(series_r, start=1):
-        idxs = []
-        for i in range(r):
-            idxs.append(len(zvars))
-            zvars.append(f"z{a}_{i + 1}")
-        groups.append((tag, idxs))
+        kind, pole, c0, scale = operator_family(tag, q, t)
+        prefactor *= (c0 * scale) ** r * cauchy_sym_prefactor(pole, r)
+        steps.append((kind, pole, range(len(zvars), len(zvars) + r)))
+        zvars.extend(f"z{a}_{i + 1}" for i in range(r))
     zvars = tuple(zvars)
 
-    factors = []
-    prefactor = Fraction(1)
-    kinds = []
-    for (tag, idxs), (_, r) in zip(groups, series_r):
-        kind, pole, c0, scale = operator_family(tag, q, t)
-        kinds.append(kind)
-        prefactor *= (c0 * scale) ** r * cauchy_sym_prefactor(pole, r)
-        for ii in range(len(idxs)):
-            for jj in range(ii + 1, len(idxs)):
-                factors.append(ratio_sym_factor(zvars, ring, idxs[ii], idxs[jj],
-                                                pole, clip))
+    factors = [ratio_sym_factor(zvars, ring, i, j, pole, clip)
+               for _, pole, idxs in steps for i, j in combinations(idxs, 2)]
     # kernel exponentials per variable
-    for a, ((_, idxs), kind) in enumerate(zip(groups, kinds), start=1):
-        for iz in idxs:
-            factors.append(_kernel_exp_factor(pspec, kind, a, zvars, iz, clip))
-    # universal measure part over all ordered group pairs
-    p1, p2 = contraction_pair(kinds[0], q, t)
-    for b, (_, idxs_b) in enumerate(groups, start=1):
-        for a, (_, idxs_a) in enumerate(groups, start=1):
+    factors += [_kernel_exp_factor(pspec, kind, a, zvars, iz, clip)
+                for a, (kind, _, idxs) in enumerate(steps, start=1)
+                for iz in idxs]
+    # universal measure part over all ordered step pairs, with one
+    # contraction table per ordered pair of kinds
+    contractions: dict = {}
+    for b, (kind_b, _, idxs_b) in enumerate(steps, start=1):
+        for a, (kind_a, _, idxs_a) in enumerate(steps, start=1):
+            if (kind_b, kind_a) not in contractions:
+                contractions[kind_b, kind_a] = eta_xi_contraction(
+                    kind_b, kind_a, q, t, max(ring.cutoff, clip))
             for j in idxs_b:
                 for i in idxs_a:
-                    if a < b:
-                        factors.append(_delta_pair_factor(
-                            pspec, p1, p2, zvars, j, i, wrapped=False, clip=clip))
-                    else:
-                        factors.append(_delta_pair_factor(
-                            pspec, p1, p2, zvars, j, i, wrapped=True, clip=clip))
+                    factors.append(_delta_pair_factor(
+                        pspec, contractions[kind_b, kind_a], zvars, j, i,
+                        wrapped=a >= b, clip=clip))
     target = (0,) * len(zvars)
     return product_coefficient(factors, target) * prefactor
 
@@ -555,7 +550,6 @@ def _det_series(entries, ring) -> TruncSeries:
     if r == 1:
         return entries[0][0]
     out = ring.zero()
-    from itertools import permutations
     for perm in permutations(range(r)):
         sign = 1
         seen = list(perm)
@@ -603,35 +597,3 @@ def schur_limit_kernels(r: int, v_cutoff: int, rng) -> dict:
           == generic["rhs"].subs_zero("v").constant_term()}
     return {"r": r, "checks": [generic, kernel, u0],
             "match": all(c["match"] for c in [generic, kernel, u0])}
-
-
-# ---------------------------------------------------------------------------
-# Analytic-regime validation (inequalities only; no numeric integration)
-# ---------------------------------------------------------------------------
-
-
-def analytic_regime_check(series: str, alphas_plus, alphas_minus, u: Fraction,
-                          r: int, q: Fraction, t: Fraction) -> dict:
-    """Contour-existence inequalities for the first two observable families.
-
-    Inputs are the leading finite-alpha values (nonincreasing, nonnegative);
-    zero specializations pass vacuously.  No integration is performed.
-    """
-    a_plus = max(alphas_plus) if alphas_plus else Fraction(0)
-    a_minus = max(alphas_minus) if alphas_minus else Fraction(0)
-    if series == "E":
-        conds = {
-            "alpha_plus_max < 1": a_plus < 1,
-            f"alpha_minus_max < t^{r}": a_minus < t**r,
-            f"u < t^{r}": u < t**r,
-        }
-    elif series == "E'":
-        conds = {
-            "alpha_plus_max < q": a_plus < q,
-            "alpha_minus_max < 1": a_minus < 1,
-            "u < q": u < q,
-        }
-    else:
-        raise ValueError("contour conditions are stated only for E and E'")
-    return {"series": series, "r": r, "conditions": conds,
-            "pass": all(conds.values())}

@@ -159,20 +159,10 @@ def random_rational(rng) -> Fraction:
     return Fraction(num, den)
 
 
-def random_qt_pair(rng, square_ratio: bool = False):
-    """Random (q, t) in (0,1)^2 with q != t, suitable as a test point.
-
-    With ``square_ratio`` the pair satisfies t/q = (rational)^2 so that
-    (t/q)^(1/2) is rational.
-    """
+def random_qt_pair(rng):
+    """Random (q, t) in (0,1)^2 with q != t, suitable as a test point."""
     while True:
         q = random_rational(rng)
-        if square_ratio:
-            r = Fraction(rng.randint(1, 3), rng.randint(1, 3))
-            t = q * r * r
-            if not (0 < t < 1):
-                continue
-        else:
-            t = random_rational(rng)
-        if q != t and 0 < q < 1 and 0 < t < 1:
+        t = random_rational(rng)
+        if q != t:
             return q, t

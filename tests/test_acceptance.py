@@ -18,9 +18,3 @@ def test_criterion(criterion, capsys):
     with capsys.disabled():
         print(f"  [{'PASS' if report['passed'] else 'FAIL'}] {report['name']}")
     assert report["passed"], report
-
-
-def test_run_all_aggregates():
-    out = acceptance.run_all(echo=None)
-    assert out["passed"]
-    assert len(out["criteria"]) == 10

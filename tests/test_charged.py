@@ -5,10 +5,6 @@ from fractions import Fraction
 import pytest
 
 from permac.fock import (
-    charge_op,
-    charge_shift,
-    charged_scale_charge,
-    energy_of,
     extended_E_apply,
     fermion_apply,
     fermion_bilinear_apply,
@@ -19,17 +15,6 @@ from permac.partitions import partitions_up_to
 from permac.series import SeriesRing
 
 T0 = Fraction(1, 2)
-
-
-def test_charge_operator_eigenvalues():
-    v = {((2, 1), 3): Fraction(1), ((1,), -2): Fraction(5)}
-    out = charge_op(v)
-    assert out == {((2, 1), 3): Fraction(3), ((1,), -2): Fraction(-10)}
-    assert energy_of((2, 1), 3) == Fraction(3) + Fraction(9, 2)
-    shifted = charge_shift(v, 2)
-    assert ((2, 1), 5) in shifted and ((1,), 0) in shifted
-    scaled = charged_scale_charge(v, lambda n: T0 ** (-n))
-    assert scaled[((2, 1), 3)] == T0 ** -3
 
 
 def test_fermion_field_shifts_charge_down():

@@ -80,6 +80,14 @@ def test_process_moment_zero_specs_matches_product():
     assert TruncSeries.from_json(data["series"]) == closed
 
 
+@pytest.mark.parametrize("series", ["G", "E'"])
+def test_process_moment_multi_step_any_series(series):
+    code, out = run_cli(["process", "moment", "--series", series, "--N", "2",
+                         "--u-deg", "3", "--q", "1/3", "--t", "1/5"])
+    assert code == 0
+    assert json.loads(out)["oracle_match"] is True
+
+
 def test_process_partition_function_cli():
     code, out = run_cli(["process", "partition-function", "--N", "2",
                          "--u-deg", "3", "--q", "1/3", "--t", "1/5"])
@@ -240,7 +248,6 @@ def test_package_main_runs_cli():
 
 @pytest.mark.parametrize("argv", [
     ["process", "moment", "--r", "0"],
-    ["process", "moment", "--series", "G", "--N", "2"],
     ["process", "shift-mixed", "--zeta", "0"],
     ["process", "shift-mixed", "--v-deg", "1"],
     ["process", "partition-function", "--u-deg", "-1"],

@@ -22,12 +22,9 @@ from permac.cylindric import (
     weight_F,
     weight_Phi,
 )
+from oracles import horizontal_strip_by_columns
 from permac.macdonald import lambda_rho_p
-from permac.partitions import (
-    conjugate,
-    horizontal_strip_by_columns,
-    partitions_up_to,
-)
+from permac.partitions import conjugate, partitions_up_to
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing, qpochhammer
 

@@ -1,14 +1,13 @@
+from oracles import horizontal_strip_by_columns, remove_one_box
 from permac.partitions import (
     add_one_box,
     arm_leg,
     conjugate,
     dominance_leq,
     horizontal_strip,
-    horizontal_strip_by_columns,
     make_partition,
     partitions_of,
     partitions_up_to,
-    remove_one_box,
     weight,
     z_aut,
 )

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permac.partitions import partitions_up_to, remove_one_box, weight
+from oracles import remove_one_box
+from permac.partitions import partitions_up_to, weight
 from permac.plancherel import (
     MAX_DEPTH,
     MIN_CYCLE_MASS,

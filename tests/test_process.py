@@ -9,7 +9,6 @@ from permac.macdonald import alpha_spec, plancherel_spec, zero_spec
 from permac.partitions import contains, partitions_up_to, weight
 from permac.process import (
     ProcessSpec,
-    analytic_regime_check,
     cauchy_kernel,
     measure,
     moment_bruteforce,
@@ -244,10 +243,28 @@ def test_multi_step_E_moments_formula_vs_bruteforce(r, N):
     assert moment_formula(ps, steps) == moment_bruteforce(ps, steps, 3), (q, t)
 
 
-def test_multi_step_rejects_unvalidated_families():
-    ps = single_alpha_process(2, Q0, T0, 3)
-    with pytest.raises(ValueError):
-        moment_formula(ps, [("G", 1), ("E", 1)])
+FAMILIES = ["E", "E'", "G", "G'"]
+# t/q is not a rational square at either point
+MIXED_POINTS = [(Fraction(43, 97), Fraction(59, 89)),
+                (Fraction(2, 7), Fraction(5, 11))]
+
+
+@pytest.mark.parametrize("q, t", MIXED_POINTS, ids=str)
+@pytest.mark.parametrize("first, second", list(product(FAMILIES, repeat=2)))
+def test_two_step_mixed_family_moments_formula_vs_bruteforce(first, second, q, t):
+    # the Delta factor of step pair (b, a) takes its raising coefficients
+    # from step b's current and its lowering ones from step a's; the
+    # cross-class pairs fail with the two swapped
+    ps = single_alpha_process(2, q, t, 3)
+    steps = [(first, 1), (second, 1)]
+    assert moment_formula(ps, steps) == moment_bruteforce(ps, steps, 3)
+
+
+def test_three_step_mixed_moment_formula_vs_bruteforce():
+    q, t = MIXED_POINTS[0]
+    ps = single_alpha_process(3, q, t, 4)
+    steps = [("E", 1), ("E'", 1), ("G", 2)]
+    assert moment_formula(ps, steps) == moment_bruteforce(ps, steps, 4)
 
 
 def bessel_series(ring, gname, c, nmax):
@@ -283,7 +300,7 @@ def test_bessel_example_E1():
 
 def test_bessel_example_E1_prime():
     rng = random.Random(78)
-    q, t = random_qt_pair(rng, square_ratio=True)
+    q, t = random_qt_pair(rng)
     ring = SeriesRing(["u", "g"], 8)
     xi = ring.gen("g") * (ring.one() - ring.gen("u"))
     ps = ProcessSpec(ring, q, t, ring.gen("u"),
@@ -299,7 +316,7 @@ def test_bessel_example_E1_prime():
 
 
 def test_bessel_example_E1_prime_nonsquare_ratio():
-    # the rho adjunction handles (t/q)^(1/2) when it is irrational
+    # (t/q)^(1/2) is irrational here; the rescaled xi modes stay rational
     q, t = Fraction(1, 2), Fraction(1, 3)
     ring = SeriesRing(["u", "g"], 6)
     xi = ring.gen("g") * (ring.one() - ring.gen("u"))
@@ -344,15 +361,3 @@ def test_schur_limit_kernels_r2():
     rng = random.Random(808)
     report = schur_limit_kernels(2, 4, rng)
     assert report["match"], report
-
-
-def test_analytic_regime():
-    q, t = Fraction(1, 2), Fraction(1, 3)
-    ok = analytic_regime_check("E'", [q / 2], [Fraction(1, 2)], q / 2, 1, q, t)
-    assert ok["pass"]
-    bad = analytic_regime_check("E", [Fraction(1, 2)], [t], t / 2, 2, q, t)
-    assert not bad["pass"]  # alpha_minus needs < t^2
-    vac = analytic_regime_check("E", [], [], Fraction(1, 10), 1, q, t)
-    assert vac["pass"]
-    with pytest.raises(ValueError):
-        analytic_regime_check("G", [], [], Fraction(1, 10), 1, q, t)
