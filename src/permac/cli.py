@@ -403,7 +403,7 @@ def cmd_verify_all(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_qt(p, required=True):
+def _add_qt(p):
     p.add_argument("--q", default="1/3", help="rational q as num/den")
     p.add_argument("--t", default="1/5", help="rational t as num/den")
     p.add_argument("--algebraic-point", action="store_true",

@@ -291,7 +291,7 @@ def macmahon_rhs(profile: CylindricProfile, ring: SeriesRing, q: Fraction,
 
 
 def macmahon_verify(profile: CylindricProfile, s_cutoff: int, q: Fraction,
-                    t: Fraction, variants=("macdonald", "hl", "strict", "schur")) -> dict:
+                    t: Fraction) -> dict:
     """Coefficientwise comparison of weighted sums with their closed forms.
 
     Variants: "macdonald" (F weights at (q,t)), "hl" (A weights at t, the
@@ -302,38 +302,28 @@ def macmahon_verify(profile: CylindricProfile, s_cutoff: int, q: Fraction,
     cps = enumerate_cp(profile, s_cutoff)
     report = {"profile": {"N": profile.N, "M": sorted(profile.M)},
               "s_cutoff": s_cutoff, "checks": {}}
-    sums = {name: ring.zero() for name in variants}
+    sums = {name: ring.zero() for name in ("macdonald", "hl", "strict", "schur")}
     strict_count_sum = ring.zero()
     for lams in cps:
         w = cp_weight(lams)
         mono = ring.monomial(Fraction(1), s=w)
-        if "macdonald" in variants:
-            sums["macdonald"] = sums["macdonald"] + mono * weight_F(profile, lams, q, t)
-        if "hl" in variants:
-            sums["hl"] = sums["hl"] + mono * weight_A(profile, lams, t)
-        if "strict" in variants:
-            # the A weight at the algebraic point t = -1; see the report
-            # field below for the naive strict-count comparison
-            sums["strict"] = sums["strict"] + mono * weight_A(
-                profile, lams, Fraction(-1))
-            if is_strict(profile, lams):
-                strict_count_sum = strict_count_sum + mono * Fraction(
-                    2 ** local_component_count(profile, lams))
-        if "schur" in variants:
-            sums["schur"] = sums["schur"] + mono
-    closed = {}
-    if "macdonald" in variants:
-        closed["macdonald"] = macmahon_rhs(profile, ring, q, t)
-    if "hl" in variants:
-        closed["hl"] = macmahon_rhs(profile, ring, Fraction(0), t)
-    if "strict" in variants:
-        closed["strict"] = macmahon_rhs(profile, ring, Fraction(0), Fraction(-1))
-    if "schur" in variants:
-        closed["schur"] = macmahon_rhs(profile, ring, t, t)
+        sums["macdonald"] = sums["macdonald"] + mono * weight_F(profile, lams, q, t)
+        sums["hl"] = sums["hl"] + mono * weight_A(profile, lams, t)
+        # the A weight at the algebraic point t = -1; see the report
+        # field below for the naive strict-count comparison
+        sums["strict"] = sums["strict"] + mono * weight_A(
+            profile, lams, Fraction(-1))
+        if is_strict(profile, lams):
+            strict_count_sum = strict_count_sum + mono * Fraction(
+                2 ** local_component_count(profile, lams))
+        sums["schur"] = sums["schur"] + mono
+    closed = {"macdonald": macmahon_rhs(profile, ring, q, t),
+              "hl": macmahon_rhs(profile, ring, Fraction(0), t),
+              "strict": macmahon_rhs(profile, ring, Fraction(0), Fraction(-1)),
+              "schur": macmahon_rhs(profile, ring, t, t)}
     ok_all = True
-    for name in variants:
+    for name, rhs in closed.items():
         lhs = sums[name]
-        rhs = closed[name]
         match = lhs == rhs
         first_bad = None
         if not match:
@@ -345,14 +335,13 @@ def macmahon_verify(profile: CylindricProfile, s_cutoff: int, q: Fraction,
                     break
         ok_all &= match
         report["checks"][name] = {"match": match, "first_mismatch": first_bad}
-    if "strict" in variants:
-        # counting strict configurations by 2^(local components) agrees with
-        # the t = -1 evaluation only when every non-strict configuration has
-        # a local component of even level; odd levels >= 3 survive the sign
-        # and break the naive count (first instance: period 2, one-element
-        # profile, weight 5)
-        report["checks"]["strict"]["count_form_matches"] = \
-            strict_count_sum == closed["strict"]
+    # counting strict configurations by 2^(local components) agrees with
+    # the t = -1 evaluation only when every non-strict configuration has
+    # a local component of even level; odd levels >= 3 survive the sign
+    # and break the naive count (first instance: period 2, one-element
+    # profile, weight 5)
+    report["checks"]["strict"]["count_form_matches"] = \
+        strict_count_sum == closed["strict"]
     report["verified"] = ok_all
     return report
 
@@ -586,7 +575,7 @@ def vertex_e1_trace_check(grade: int, q: Fraction, t: Fraction) -> dict:
     spec_p = Specialization("principal", p_plus, 1, "x^rho")
     spec_m = Specialization("principal", p_minus, 1, "y^rho-1")
     ps = ProcessSpec(ring, q, t, ring.gen("u"), [spec_p], [spec_m])
-    mid = moment_formula(ps, [("E'", 1)], clip=grade + 2) \
+    mid = moment_formula(ps, [("E'", 1)]) \
         * partition_function_closed(ps)
 
     # (C) signature-sum closed form

@@ -31,7 +31,7 @@ from .laurent import (
     ratio_sym_factor,
 )
 from .macdonald import FREE_FIELD_FAMILIES  # noqa: F401 (re-exported: operator_family's names)
-from .partitions import make_partition, multiplicity, weight, z_qt
+from .partitions import make_partition, multiplicity, weight
 from .series import (
     SeriesRing,
     TruncSeries,
@@ -88,18 +88,6 @@ def heisenberg_apply(n: int, v: dict, q: Fraction, t: Fraction) -> dict:
         ls.remove(n)
         accumulate(out, make_partition(ls), c * (comm * m))
     return out
-
-
-def pair(bra: dict, ket: dict, q: Fraction, t: Fraction):
-    """Bilinear pairing with <lambda|mu> = z_lambda(q,t) delta."""
-    acc = None
-    for lam, c in bra.items():
-        d = ket.get(lam)
-        if d is None:
-            continue
-        term = c * d * z_qt(lam, q, t)
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else Fraction(0)
 
 
 # ---------------------------------------------------------------------------

@@ -406,48 +406,28 @@ def zero_spec() -> Specialization:
     return Specialization("zero", lambda n: Fraction(0), 0, "zero")
 
 
-def alpha_spec(values, ring=None, label="alpha") -> Specialization:
-    """Finite alpha specialization: p_n = sum_s alpha_s^n.
+def alpha_spec(values, ring, label="alpha") -> Specialization:
+    """Finite formal alpha specialization: p_n = sum_s alpha_s^n.
 
-    Each entry is a rational, or a pair (symbol_name, rational_coeff) meaning
-    alpha_s = coeff * symbol (a degree-one monomial in the ring).
+    Each entry is a pair (symbol_name, rational_coeff) meaning
+    alpha_s = coeff * symbol, a degree-one monomial in ``ring``.
     """
-    monos = []
-    numeric = []
-    for vdesc in values:
-        if isinstance(vdesc, tuple):
-            monos.append(vdesc)
-        else:
-            numeric.append(Fraction(vdesc))
-    if monos and ring is None:
-        raise ValueError("formal alpha values need a series ring")
-
     def p_value(n):
-        acc = Fraction(0)
-        for a in numeric:
-            acc += a**n
-        if not monos:
-            return acc
-        out = ring.scalar(acc)
-        for name, c in monos:
+        out = ring.zero()
+        for name, c in values:
             out = out + ring.monomial(Fraction(c) ** n, **{name: n})
         return out
 
-    return Specialization("alpha", p_value, 1 if monos else 0, label)
+    return Specialization("alpha", p_value, 1, label)
 
 
-def plancherel_spec(xi, ring=None, label="plancherel") -> Specialization:
-    """p_n = xi * delta_{n,1}; xi is a scalar or a ring element."""
-    if ring is not None and isinstance(xi, (int, Fraction)):
-        xi = ring.scalar(Fraction(xi))
-
+def plancherel_spec(xi, ring, label="plancherel") -> Specialization:
+    """p_n = xi * delta_{n,1}; xi is an element of the series ring ``ring``."""
     def p_value(n):
-        if n == 1:
-            return xi
-        return (xi * 0) if hasattr(xi, "ring") else Fraction(0)
+        return xi if n == 1 else ring.zero()
 
-    graded = hasattr(xi, "ring") and xi.min_degree() > 0
-    return Specialization("plancherel", p_value, 1 if graded else 0, label)
+    return Specialization("plancherel", p_value,
+                          1 if xi.min_degree() > 0 else 0, label)
 
 
 def lambda_rho_p(lam: tuple, r: int, q: Fraction, t: Fraction,
@@ -509,7 +489,7 @@ def _skew_coefficients(kind: str, lam: tuple, mu: tuple, q: Fraction,
     image = _prefix_fold(ket, lambda v, n: fock.heisenberg_apply(n, v, q, t))
     out = []
     for nu in partitions_of(weight(lam) - weight(mu)):
-        c = fock.pair(bra, image(nu), q, t)
+        c = inner_product(bra, image(nu), q, t)
         if c:
             out.append((nu, c / z_qt(nu, q, t)))
     return tuple(out)

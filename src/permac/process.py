@@ -1,8 +1,8 @@
 """Periodic Macdonald processes: weights, partition functions, moments.
 
 A process is specified by a period N, specialization sequences rho_plus
-(indices 0..N-1) and rho_minus (indices 1..N), and a weight parameter u that
-is either a ring monomial (formal, graded) or an exact rational.  The cyclic
+(indices 0..N-1) and rho_minus (indices 1..N), and a weight parameter u, a
+positive-degree monomial of the series ring (formal, graded).  The cyclic
 weight of a configuration (lambda^1..lambda^N, mu^1..mu^N) is
 
     u^{|mu^N|} prod_i Q_{lambda^i/mu^i}(rho^-_i) P_{lambda^{i+1}/mu^i}(rho^+_i)
@@ -38,7 +38,9 @@ class ProcessSpec:
         self.ring = ring
         self.q = Fraction(q)
         self.t = Fraction(t)
-        self.u = u  # TruncSeries monomial or Fraction
+        if not (isinstance(u, TruncSeries) and len(u.terms) == 1):
+            raise TypeError("u must be a series monomial")
+        self.u = u
         self.rho_plus = list(rho_plus)    # rho^+_0 .. rho^+_{N-1}
         self.rho_minus = list(rho_minus)  # rho^-_1 .. rho^-_N
         if len(self.rho_plus) != len(self.rho_minus):
@@ -48,21 +50,14 @@ class ProcessSpec:
 
     # -- u bookkeeping ------------------------------------------------------
 
-    def u_is_formal(self) -> bool:
-        return isinstance(self.u, TruncSeries)
-
     def u_degree(self) -> int:
-        if not self.u_is_formal():
-            return 0
         ((e, _),) = self.u.terms.items()
         return self.ring.degree_of(e)
 
     def u_pow(self, k: int):
         if k == 0:
             return self.ring.one()
-        if self.u_is_formal():
-            return self.u ** k
-        return self.ring.scalar(self.u ** k)
+        return self.u ** k
 
     # -- skew values ---------------------------------------------------------
 
@@ -125,13 +120,12 @@ def _partitions_inside(lam: tuple) -> tuple:
 def configurations(pspec: ProcessSpec, depth: int):
     """All configurations whose weight has graded degree <= depth.
 
-    Requires every non-zero specialization (and u, unless numeric truncation
-    is acceptable to the caller) to carry positive degree, so the budget
-    bounds the enumeration.  Yields (lam_seq, mu_seq) pairs.
+    Requires u and every non-zero specialization to carry positive degree,
+    so the budget bounds the enumeration.  Yields (lam_seq, mu_seq) pairs.
     """
     N = pspec.N
     du = pspec.u_degree()
-    if pspec.u_is_formal() and du == 0:
+    if du == 0:
         raise ValueError("formal u must have positive degree")
     for side in ("+", "-"):
         for i in range(N):
@@ -139,11 +133,8 @@ def configurations(pspec: ProcessSpec, depth: int):
                 raise ValueError(
                     "graded enumeration needs formal or zero specializations")
 
-    mu0_max = depth // du if du else depth
-    for mu0 in partitions_up_to(mu0_max):
+    for mu0 in partitions_up_to(depth // du):
         base_cost = du * weight(mu0)
-        if base_cost > depth:
-            continue
 
         def walk(i, prev_mu, budget, lams, mus):
             # step up prev_mu -> lam^{i+1} through rho^+_{i mod N}
@@ -225,8 +216,6 @@ def partition_function_closed(pspec: ProcessSpec) -> TruncSeries:
     tests.
     """
     ring = pspec.ring
-    if not pspec.u_is_formal():
-        raise ValueError("closed partition function needs a formal u")
     out = euler_inverse(ring, pspec.u)
     for i in range(pspec.N):         # rho^+_i, i = 0..N-1
         for j in range(1, pspec.N + 1):  # rho^-_j, j = 1..N
@@ -256,28 +245,6 @@ def nonperiodic_partition_function(pspec: ProcessSpec) -> TruncSeries:
                                       pspec.rho_plus[i].p_value,
                                       pspec.rho_minus[j - 1].p_value)
     return out
-
-
-def measure(pspec: ProcessSpec, depth: int):
-    """Truncated probability weights per lambda sequence.
-
-    Returns (weights, normalizer): weights maps lam_seq tuples to truncated
-    series sums over mu, and normalizer is the brute-force partition
-    function; the measure is weights / normalizer.  In numeric mode (all
-    data rational) the values are rationals and the truncated mass defect
-    against the closed form can be reported by the caller.
-    """
-    acc: dict = {}
-    for lam_seq, mu_seq in configurations(pspec, depth):
-        w = weight_W(pspec, lam_seq, mu_seq)
-        if not w:
-            continue
-        key = tuple(lam_seq)
-        acc[key] = acc.get(key, pspec.ring.zero()) + w
-    norm = pspec.ring.zero()
-    for w in acc.values():
-        norm = norm + w
-    return acc, norm
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +344,7 @@ def _delta_pair_factor(pspec: ProcessSpec, contraction: dict, zvars, i_num,
     return laurent_exp(arg, clip)
 
 
-def moment_formula(pspec: ProcessSpec, series_r, clip: int = None) -> TruncSeries:
+def moment_formula(pspec: ProcessSpec, series_r) -> TruncSeries:
     """Moment through the free-field kernel formulas.
 
     ``series_r`` lists one (family, r) per step, and any of the four families
@@ -390,8 +357,7 @@ def moment_formula(pspec: ProcessSpec, series_r, clip: int = None) -> TruncSerie
     """
     ring = pspec.ring
     q, t = pspec.q, pspec.t
-    if clip is None:
-        clip = ring.cutoff + 2
+    clip = ring.cutoff + 2
 
     zvars = []
     steps = []  # (vertex kind, Cauchy pole, variable indices) per step
@@ -547,14 +513,10 @@ def theta_cauchy_check(r: int, v_cutoff: int, xs, ys, zeta, label="") -> dict:
 
 def _det_series(entries, ring) -> TruncSeries:
     r = len(entries)
-    if r == 1:
-        return entries[0][0]
     out = ring.zero()
     for perm in permutations(range(r)):
-        sign = 1
-        seen = list(perm)
         # count inversions for the signature
-        inv = sum(1 for i in range(r) for j in range(i + 1, r) if seen[i] > seen[j])
+        inv = sum(1 for i in range(r) for j in range(i + 1, r) if perm[i] > perm[j])
         sign = -1 if inv % 2 else 1
         term = ring.one()
         for i in range(r):

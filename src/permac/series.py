@@ -354,56 +354,26 @@ def geometric(ring: SeriesRing, p, k: int, start: int = 0) -> TruncSeries:
 def qpochhammer(ring: SeriesRing, a, moduli) -> TruncSeries:
     """Truncated expansion of the n-fold symbol (a; p_1, ..., p_n)_infinity.
 
-    ``a`` is a scalar or a monomial in the ring; each modulus is a rational or
-    a positive-degree monomial.  A purely rational ``a`` is accepted only when
-    every modulus is formal (the constant layer then telescopes to 1 - a);
-    otherwise the expansion would not have rational coefficients.
+    ``a`` is zero or a positive-degree monomial in the ring; each modulus is
+    a rational or a positive-degree monomial.  A nonzero argument of degree
+    0 raises ``ValueError``.
     """
     c, e = _monomial_parts(a)
     if not c:
         return ring.one()
-    formal_moduli = []
-    rational_moduli = []
-    for m in moduli:
-        mc, me = _monomial_parts(m)
-        if me is None or ring.degree_of(me) == 0:
-            rational_moduli.append(m)
-        else:
-            formal_moduli.append(m)
     dega = 0 if e is None else ring.degree_of(e)
-
-    if dega > 0:
-        logsum = ring.zero()
-        k = 1
-        while k * dega <= ring.cutoff:
-            term = ring.monomial(c ** k, **{
-                n: k * ei for n, ei in zip(ring.symbols, e) if ei})
-            for m in moduli:
-                term = term * geometric(ring, m, k)
-            logsum = logsum + term * Fraction(-1, k)
-            k += 1
-        return logsum.exp()
-
-    # rational argument: legal only with all-formal moduli, peeling the
-    # constant layer (1 - a) off the product
-    if rational_moduli:
-        raise ValueError(
-            "rational Pochhammer argument with a rational modulus has no "
-            "exact truncated expansion; keep at least one formal grading")
-    if not formal_moduli:
-        raise ValueError("purely numeric infinite product rejected")
-    mindeg = min(ring.degree_of(_monomial_parts(m)[1]) for m in formal_moduli)
+    if dega == 0:
+        raise ValueError("Pochhammer argument needs positive degree")
     logsum = ring.zero()
     k = 1
-    while k * mindeg <= ring.cutoff:
-        bracket = ring.one()
-        for m in formal_moduli:
-            bracket = bracket * geometric(ring, m, k)
-        bracket = bracket - 1  # positive-degree part only
-        logsum = logsum + bracket * (c ** k) * Fraction(-1, k)
+    while k * dega <= ring.cutoff:
+        term = ring.monomial(c ** k, **{
+            n: k * ei for n, ei in zip(ring.symbols, e) if ei})
+        for m in moduli:
+            term = term * geometric(ring, m, k)
+        logsum = logsum + term * Fraction(-1, k)
         k += 1
-    head = ring.scalar(1 - c) if c != 1 else ring.zero()
-    return head * logsum.exp()
+    return logsum.exp()
 
 
 def qpochhammer_finite(ring: SeriesRing, a, modulus, n: int) -> TruncSeries:

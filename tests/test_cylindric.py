@@ -142,7 +142,7 @@ def test_strict_count_counterexample():
     lams = ((1, 1), (1, 1, 1))
     assert not is_strict(p, lams)
     assert weight_A(p, lams, Fraction(-1)) == 2  # one local component, level 3
-    report = macmahon_verify(p, 5, Q0, T0, variants=("strict",))
+    report = macmahon_verify(p, 5, Q0, T0)
     assert report["verified"]  # A(-1) sum matches the closed form
     assert report["checks"]["strict"]["count_form_matches"] is False
 
@@ -158,7 +158,7 @@ def test_macmahon_coefficient_example():
 def test_macmahon_trivial_profile_forces_unit_weights():
     # N=1, M={1}: empty index set on the right, so sum F s^w = 1/(s;s)
     p = CylindricProfile(1, {1})
-    report = macmahon_verify(p, 5, Q0, T0, variants=("macdonald",))
+    report = macmahon_verify(p, 5, Q0, T0)
     assert report["verified"]
     for lams in enumerate_cp(p, 5):
         assert weight_F(p, lams, Q0, T0) == 1

@@ -12,13 +12,13 @@ from permac.fock import (
     gamma_spec,
     heisenberg_apply,
     ope_reorder,
-    pair,
     trace_bruteforce,
     trace_closed,
     vertex_apply,
 )
 from permac.macdonald import (
     eigenvalue,
+    inner_product,
     macdonald_P_p,
     macdonald_Q_p,
     observable,
@@ -106,7 +106,7 @@ def test_completeness_of_PQ_system():
         out = {}
         for n in range(6):
             for lam in partitions_of(n):
-                c = pair(macdonald_Q_p(lam, q, t), v, q, t)
+                c = inner_product(macdonald_Q_p(lam, q, t), v, q, t)
                 if c:
                     for mu, d in macdonald_P_p(lam, q, t).items():
                         accumulate(out, mu, d * c)

@@ -424,6 +424,9 @@ def _skew_oracle_specs():
     def gap(n):  # p_2 = 0
         return ab.zero() if n == 2 else ab.monomial(Fraction(n, 3), a=n)
 
+    def odd_zero(n):  # alpha = (1/2, -1/2): p_n = 2^(1-n) for even n, else 0
+        return Fraction(0) if n % 2 else 2 * Fraction(1, 2) ** n
+
     return {
         "alpha-a-2b": (alpha_spec([("a", 1), ("b", 2)], ab), ab.one()),
         "plancherel": (plancherel_spec(g.gen("g") * Fraction(3, 2), g), g.one()),
@@ -431,7 +434,7 @@ def _skew_oracle_specs():
         "thm_b1-laurent": (principal_p_laurent(zvars, u, (2, 1), "yr_nxu", 4),
                            LaurentPoly.constant(zvars, u.one())),
         "p2-zero": (gap, ab.one()),
-        "odd-p-zero": (alpha_spec([Fraction(1, 2), Fraction(-1, 2)]), Fraction(1)),
+        "odd-p-zero": (odd_zero, Fraction(1)),
     }
 
 

@@ -10,7 +10,7 @@ from permac.partitions import contains, partitions_up_to, weight
 from permac.process import (
     ProcessSpec,
     cauchy_kernel,
-    measure,
+    configurations,
     moment_bruteforce,
     moment_formula,
     nonperiodic_partition_function,
@@ -147,10 +147,21 @@ def test_configurations_pinned(monkeypatch, N, depth):
     assert {(tuple(lams), tuple(mus)) for lams, mus in got} == expect
 
 
+def lambda_weights(ps, depth):
+    """Truncated weights per lambda sequence, summed over mu, and their total."""
+    acc = {}
+    for lam_seq, mu_seq in configurations(ps, depth):
+        w = weight_W(ps, lam_seq, mu_seq)
+        if w:
+            key = tuple(lam_seq)
+            acc[key] = acc.get(key, ps.ring.zero()) + w
+    return acc, sum(acc.values(), ps.ring.zero())
+
+
 def test_measure_geometric_for_zero_specs():
     ring = SeriesRing(["u"], 6)
     ps = ProcessSpec(ring, Q0, T0, ring.gen("u"), [zero_spec()], [zero_spec()])
-    weights, norm = measure(ps, 6)
+    weights, norm = lambda_weights(ps, 6)
     assert norm == euler_inverse(ring, ring.gen("u"))
     for lam_seq, w in weights.items():
         assert w == ring.monomial(Fraction(1), u=weight(lam_seq[0]))
@@ -159,10 +170,8 @@ def test_measure_geometric_for_zero_specs():
 def test_measure_u_to_zero_is_nonperiodic():
     # setting u to zero kills every configuration with a nonempty wrapped
     # inner partition, leaving the open-chain (non-periodic) measure
-    from permac.process import configurations
-
     ps = single_alpha_process(2, Q0, T0, 4)
-    weights, _norm = measure(ps, 4)
+    weights, _norm = lambda_weights(ps, 4)
     open_chain = {}
     for lam_seq, mu_seq in configurations(ps, 4):
         if mu_seq[-1] != ():
@@ -176,17 +185,10 @@ def test_measure_u_to_zero_is_nonperiodic():
         assert w.subs_zero("u") == expect
 
 
-def test_measure_numeric_mass():
-    # numeric u with zero specs: truncated mass approaches (u;u)_inf^{-1}
-    ring = SeriesRing([], 0)
-    u = Fraction(1, 4)
-    ps = ProcessSpec(ring, Q0, T0, u, [zero_spec()], [zero_spec()])
-    weights, norm = measure(ps, 8)
-    total = norm.constant_term()
-    expected = sum(
-        Fraction(len([p for p in partitions_up_to(8) if weight(p) == n])) * u**n
-        for n in range(9))
-    assert total == expected
+def test_process_spec_rejects_rational_u():
+    ring = SeriesRing(["u"], 4)
+    with pytest.raises(TypeError):
+        ProcessSpec(ring, Q0, T0, Fraction(1, 4), [zero_spec()], [zero_spec()])
 
 
 def test_moment_zero_specs_E1():
@@ -223,15 +225,6 @@ def test_higher_E_moments_formula_vs_bruteforce(r, cutoff):
     q, t = random_qt_pair(random.Random(40 + r))
     ps = single_alpha_process(1, q, t, cutoff)
     assert moment_formula(ps, [("E", r)]) == moment_bruteforce(ps, [("E", r)], cutoff)
-
-
-def test_two_step_E_moment_formula_vs_bruteforce():
-    rng = random.Random(321)
-    q, t = random_qt_pair(rng)
-    ps = single_alpha_process(2, q, t, 3)
-    brute = moment_bruteforce(ps, [("E", 1), ("E", 1)], 3)
-    formula = moment_formula(ps, [("E", 1), ("E", 1)])
-    assert formula == brute
 
 
 @pytest.mark.parametrize("r, N", [(3, 2), (2, 3)])
