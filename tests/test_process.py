@@ -227,6 +227,15 @@ def test_higher_E_moments_formula_vs_bruteforce(r, cutoff):
     assert moment_formula(ps, [("E", r)]) == moment_bruteforce(ps, [("E", r)], cutoff)
 
 
+def test_two_step_E_moment_formula_vs_bruteforce():
+    rng = random.Random(321)
+    q, t = random_qt_pair(rng)
+    ps = single_alpha_process(2, q, t, 3)
+    brute = moment_bruteforce(ps, [("E", 1), ("E", 1)], 3)
+    formula = moment_formula(ps, [("E", 1), ("E", 1)])
+    assert formula == brute
+
+
 @pytest.mark.parametrize("r, N", [(3, 2), (2, 3)])
 def test_multi_step_E_moments_formula_vs_bruteforce(r, N):
     # scopes that need the flat constant-term kernel in product_coefficient

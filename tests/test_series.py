@@ -122,6 +122,19 @@ def test_pochhammer_rejects_pure_numeric():
         qpochhammer(ring, Fraction(1, 2), [ring.gen("u")])
 
 
+
+def test_pochhammer_shift_identity():
+    # (a; u)_inf = (1-a) * (au; u)_inf, and (a; u, r)_inf / (au; u, r)_inf
+    # = (a; r)_inf, for a formal argument a = x/2 and a rational modulus r
+    ring = SeriesRing(["x", "u"], 5)
+    u = ring.gen("u")
+    a = ring.monomial(Fraction(1, 2), x=1)
+    r = Fraction(1, 3)
+    assert qpochhammer(ring, a, [u]) == (ring.one() - a) * qpochhammer(ring, a * u, [u])
+    lhs = qpochhammer(ring, a, [u, r])
+    rhs = qpochhammer(ring, a * u, [u, r]) * qpochhammer(ring, a, [r])
+    assert lhs == rhs
+
 def test_euler_identity():
     # (a;q)_inf * sum_k a^k / (q;q)_k = 1 for formal a, rational q
     for q in (Fraction(1, 2), Fraction(2, 5)):
