@@ -23,6 +23,7 @@ the moment kernels of the process module read them from here.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .laurent import (
     LaurentPoly,
@@ -311,20 +312,34 @@ def eta_xi_contraction(up_kind: str, down_kind: str, q: Fraction, t: Fraction,
 def free_field_apply(family: str, r: int, v: dict, q: Fraction, t: Fraction) -> dict:
     """Apply the family operator (E_r, E'_r, G_r or G'_r hat) to a Fock vector.
 
-    The Cauchy determinant det(1/(z_i - c z_j)) is replaced by its symmetrized
-    product form before expansion, so the ill-defined diagonal entries never
-    appear; the constant term in all z variables is then extracted exactly.
+    The operator is linear in kets: the image is sum_lam v[lam] column(lam),
+    each column memoised per (family, r, lam, q, t).  In a column the Cauchy
+    determinant det(1/(z_i - c z_j)) is replaced by its symmetrized product
+    form before expansion, so the ill-defined diagonal entries never appear;
+    the constant term in all z variables is then extracted exactly.  The
+    modes stop at the ket's weight g and the pair factors at ratio power
+    r g + 2, both lossless for a weight-g ket.
     """
-    if not v:
-        return {}
+    out: dict = {}
+    for lam, coeff in v.items():
+        for mu, val in _free_field_column(family, r, lam, q, t).items():
+            accumulate(out, mu, coeff * val)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _free_field_column(family: str, r: int, lam: tuple, q: Fraction,
+                       t: Fraction) -> dict:
+    """The image of the basis ket lam, shared and never mutated; per point
+    the memo holds one column per (family, r) and ket applied."""
     ring = SeriesRing([], 0)
     kind, c, c0, _ = operator_family(family, q, t)
     prefactor = c0**r * cauchy_sym_prefactor(c, r)
     zvars = tuple(f"z{i}" for i in range(1, r + 1))
-    gmax = max(weight(lam) for lam in v)
-    clip = r * gmax + 2
+    g = weight(lam)
+    clip = r * g + 2
 
-    coeffs = eta_xi_exponent(kind, q, t, gmax)
+    coeffs = eta_xi_exponent(kind, q, t, g)
     spec = VertexSpec({}, {})
     for z in zvars:
         spec = spec.merge(z_vertex_spec(zvars, ring, z, coeffs))
@@ -332,16 +347,13 @@ def free_field_apply(family: str, r: int, v: dict, q: Fraction, t: Fraction) -> 
                    for i in range(r) for j in range(i + 1, r)]
 
     out: dict = {}
-    for lam, coeff in v.items():
-        g = weight(lam)
-        start = {lam: LaurentPoly.constant(zvars, ring.one())}
-        for mu, lp in vertex_apply(spec, start, q, t, g).items():
-            if weight(mu) != g:
-                continue  # z balance forces degree preservation
-            val = product_coefficient(sym_factors + [lp], (0,) * r)
-            if not val:
-                continue
-            accumulate(out, mu, coeff * val.constant_term() * prefactor)
+    start = {lam: LaurentPoly.constant(zvars, ring.one())}
+    for mu, lp in vertex_apply(spec, start, q, t, g).items():
+        if weight(mu) != g:
+            continue  # z balance forces degree preservation
+        val = product_coefficient(sym_factors + [lp], (0,) * r)
+        if val:
+            out[mu] = val.constant_term() * prefactor
     return out
 
 

@@ -1,9 +1,12 @@
 """Macdonald symmetric functions with exact coefficients at rational (q, t).
 
-Symmetric functions are sparse maps from partitions to coefficients, in
-either the power-sum basis ("p") or the monomial basis ("m").  The
-p -> m transition is a product of power sums; its inverse comes from
-back-substitution, because p_lambda is triangular in dominance order.  The
+Symmetric functions are sparse maps from partitions to coefficients, in either
+the power-sum basis ("p") or the monomial basis ("m").  The p -> m transition
+is a product of power sums, each row p_lambda the shared row of lambda without
+its last part times p_{last part}; its inverse comes from back-substitution,
+because p_lambda is triangular in dominance order.  P_lambda and Q_lambda in
+the p basis are memoised and shared (no caller may mutate them), per point for
+at most the partitions up to the largest weight in _P_TABLE_CACHE.  The
 one-parameter family P_lambda is produced weight by weight through
 Gram-Schmidt in the m basis, against the pairing's Gram matrix <m_lam, m_mu>,
 which is formed once per table from the p/m transitions as an integer matrix
@@ -12,8 +15,8 @@ of integer numerators over one denominator, and Fractions are built only for
 the output tables.  Each partition is projected onto every earlier partition
 of a linear extension of dominance, so unitriangularity is a checked
 consequence, not a premise.  Pieri coefficients come from the arm/leg
-products, independently of the orthogonalization; the two routes
-cross-check each other in the test suite.
+products, independently of the orthogonalization; the two routes cross-check
+each other in the test suite.
 """
 
 from __future__ import annotations
@@ -63,16 +66,27 @@ def _multiply_m_by_p(mrep: dict, r: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+def _prefix_fold(first, step):
+    """f(()) = first and f(nu) = step(f(nu without its last part), last part),
+    memoised, so partitions that share a prefix share its work."""
+    memo = {(): first}
+
+    def at(nu):
+        v = memo.get(nu)
+        if v is None:
+            v = memo[nu] = step(at(nu[:-1]), nu[-1])
+        return v
+
+    return at
+
+
+_p_row = _prefix_fold({(): 1}, _multiply_m_by_p)
+
+
 @lru_cache(maxsize=None)
 def p_to_m(n: int) -> dict:
     """m-basis expansions of all p_lambda with |lambda| = n (integer coeffs)."""
-    out = {}
-    for lam in partitions_of(n):
-        rep = {(): 1}
-        for r in lam:
-            rep = _multiply_m_by_p(rep, r)
-        out[lam] = rep
-    return out
+    return {lam: _p_row(lam) for lam in partitions_of(n)}
 
 
 @lru_cache(maxsize=None)
@@ -312,11 +326,13 @@ def macdonald_Q(lam: tuple, q: Fraction, t: Fraction) -> dict:
     return macdonald_table(q, t, weight(lam))["Q"][lam]
 
 
+@lru_cache(maxsize=None)
 def macdonald_P_p(lam: tuple, q: Fraction, t: Fraction) -> dict:
     """P_lambda in the p basis (the Fock-space incarnation of the ket)."""
     return m_dict_to_p(macdonald_P(lam, q, t))
 
 
+@lru_cache(maxsize=None)
 def macdonald_Q_p(lam: tuple, q: Fraction, t: Fraction) -> dict:
     return m_dict_to_p(macdonald_Q(lam, q, t))
 
@@ -453,20 +469,6 @@ def lambda_rho_p(lam: tuple, r: int, q: Fraction, t: Fraction,
 # ---------------------------------------------------------------------------
 # Skew functions via the Fock pairing
 # ---------------------------------------------------------------------------
-
-
-def _prefix_fold(first, step):
-    """f(()) = first and f(nu) = step(f(nu without its last part), last part),
-    memoised, so partitions that share a prefix share its work."""
-    memo = {(): first}
-
-    def at(nu):
-        v = memo.get(nu)
-        if v is None:
-            v = memo[nu] = step(at(nu[:-1]), nu[-1])
-        return v
-
-    return at
 
 
 @lru_cache(maxsize=None)

@@ -155,8 +155,9 @@ def z_aut(lam: tuple) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
 def z_qt(lam: tuple, q: Fraction, t: Fraction):
-    """The (q,t)-deformed z factor used by the power-sum pairing."""
+    """The (q,t)-deformed z factor used by the power-sum pairing (memoised)."""
     out = Fraction(z_aut(lam))
     for p in lam:
         out *= (1 - q ** p) / (1 - t ** p)

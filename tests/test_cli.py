@@ -231,11 +231,11 @@ def test_verify_all_aggregates(tmp_path):
 
 
 def test_console_script_entrypoint():
-    proc = subprocess.run(
-        [sys.executable, "-m", "permac.cli", "macdonald", "pieri",
-         "--lambda", "2", "--mu", "1", "--q", "1/3", "--t", "1/5"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
+    # same src-prefixed PYTHONPATH as its neighbours, so it does not depend on
+    # how the test runner put permac on sys.path
+    proc = run_module("permac.cli", "macdonald", "pieri", "--lambda", "2",
+                      "--mu", "1", "--q", "1/3", "--t", "1/5")
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["psi"]
 
 

@@ -1,27 +1,40 @@
 import random
 from fractions import Fraction
 
+from permac import acceptance, fock
 from permac.fock import (
     FREE_FIELD_FAMILIES,
     VertexSpec,
     accumulate,
     eta_xi_contraction,
+    eta_xi_exponent,
+    extended_E_apply,
     fock_scale,
     fermion_pair_ope,
     free_field_apply,
     gamma_spec,
     heisenberg_apply,
+    operator_family,
     ope_reorder,
     trace_bruteforce,
     trace_closed,
     vertex_apply,
+    z_vertex_spec,
+)
+from permac.laurent import (
+    LaurentPoly,
+    cauchy_sym_prefactor,
+    product_coefficient,
+    ratio_sym_factor,
 )
 from permac.macdonald import (
+    alpha_spec,
     eigenvalue,
     inner_product,
     macdonald_P_p,
     macdonald_Q_p,
     observable,
+    skew_eval,
 )
 from permac.partitions import partitions_of, partitions_up_to, weight, z_qt
 from permac.scalars import random_qt_pair
@@ -268,3 +281,108 @@ def test_renormalized_operator_vs_observable():
         for r in (1, 2):
             assert t**r * eigenvalue("E", r, lam, q, t) == observable("E", r, lam, q, t)
             assert t**-r * eigenvalue("E'", r, lam, q, t) == observable("E'", r, lam, q, t)
+
+
+def _free_field_apply_whole_vector(family, r, v, q, t):
+    """The family operator applied to a whole vector at once, with one vertex
+    spec and one clip r * (max weight of v) + 2 shared by all its kets: the
+    oracle for the memoised per-ket columns of free_field_apply."""
+    if not v:
+        return {}
+    ring = SeriesRing([], 0)
+    kind, c, c0, _ = operator_family(family, q, t)
+    prefactor = c0**r * cauchy_sym_prefactor(c, r)
+    zvars = tuple(f"z{i}" for i in range(1, r + 1))
+    gmax = max(weight(lam) for lam in v)
+    clip = r * gmax + 2
+    coeffs = eta_xi_exponent(kind, q, t, gmax)
+    spec = VertexSpec({}, {})
+    for z in zvars:
+        spec = spec.merge(z_vertex_spec(zvars, ring, z, coeffs))
+    sym_factors = [ratio_sym_factor(zvars, ring, i, j, c, clip)
+                   for i in range(r) for j in range(i + 1, r)]
+    out: dict = {}
+    for lam, coeff in v.items():
+        g = weight(lam)
+        start = {lam: LaurentPoly.constant(zvars, ring.one())}
+        for mu, lp in vertex_apply(spec, start, q, t, g).items():
+            if weight(mu) != g:
+                continue
+            val = product_coefficient(sym_factors + [lp], (0,) * r)
+            if not val:
+                continue
+            accumulate(out, mu, coeff * val.constant_term() * prefactor)
+    return out
+
+
+FREE_FIELD_POINTS = [(Fraction(56, 97), Fraction(49, 89)), (Fraction(5, 2), Fraction(7, 3))]
+
+
+def test_free_field_columns_equal_whole_vector_oracle():
+    rng = random.Random(17)
+    for q, t in FREE_FIELD_POINTS:
+        # mixed weights 0-3 in one vector, so the oracle's shared clip is
+        # larger than a column's own for every lighter ket
+        vectors = [random_vector(rng, maxwt=3, nterms=5) for _ in range(2)]
+        vectors.append({lam: Fraction(1, 1 + weight(lam))
+                        for lam in partitions_up_to(3)})
+        for family in FREE_FIELD_FAMILIES:
+            for r in (1, 2, 3):
+                for v in vectors:
+                    got = free_field_apply(family, r, v, q, t)
+                    expect = _free_field_apply_whole_vector(family, r, v, q, t)
+                    assert got == expect, (family, r, v)
+                    assert repr(got) == repr(expect), (family, r, v)
+
+
+def test_extended_E_columns_equal_whole_vector_oracle():
+    t = Fraction(3, 7)
+    for q in (t, Fraction(2, 5)):
+        cvec = {(lam, n): Fraction(n + 3, 1 + weight(lam))
+                for n in (-1, 0, 2) for lam in partitions_up_to(3)}
+        for r in (1, 2):
+            expect: dict = {}
+            for n in (-1, 0, 2):
+                v = {lam: c for (lam, m), c in cvec.items() if m == n}
+                for mu, c in _free_field_apply_whole_vector("E", r, v, q, t).items():
+                    accumulate(expect, (mu, n), c * (t**r) * (t ** (-r * n)))
+            got = extended_E_apply(r, cvec, q, t)
+            assert got == expect and repr(got) == repr(expect), (q, r)
+
+
+def test_shared_memos_survive_the_flows_that_read_them():
+    # the p-basis P/Q dicts and the free-field columns are memoised and
+    # shared; the duality, Pieri, eigen and skew_eval flows must leave them
+    # as they were
+    q, t = Fraction(43, 97), Fraction(59, 89)
+    lams = partitions_up_to(4)
+    columns = [(family, r, lam) for family in FREE_FIELD_FAMILIES
+               for r in (1, 2) for lam in partitions_up_to(3)]
+
+    def shared():
+        return ([f(lam, q, t) for lam in lams for f in (macdonald_P_p, macdonald_Q_p)]
+                + [fock._free_field_column(*key, q, t) for key in columns])
+
+    before = shared()
+    snapshot = repr(before)
+    for lam in lams:
+        for mu in partitions_of(weight(lam)):
+            ip = inner_product(macdonald_P_p(lam, q, t), macdonald_Q_p(mu, q, t), q, t)
+            assert ip == (lam == mu)
+    for mu in partitions_up_to(2):
+        for r in (1, 2):
+            assert acceptance._pieri_rule_holds(mu, r, q, t)
+    for family, r, lam in columns:
+        ket = macdonald_P_p(lam, q, t)
+        got = free_field_apply(family, r, ket, q, t)
+        assert got == fock_scale(ket, eigenvalue(family, r, lam, q, t))
+    ring = SeriesRing(["a"], 4)
+    spec = alpha_spec([("a", 1)], ring)
+    for lam in lams:
+        for mu in partitions_up_to(weight(lam)):
+            for kind in ("P", "Q"):
+                skew_eval(kind, lam, mu, spec, q, t, unit=ring.one())
+    after = shared()
+    assert repr(after) == snapshot
+    # the memos were hit, not rebuilt: the same objects come back
+    assert all(a is b for a, b in zip(before, after))

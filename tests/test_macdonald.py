@@ -99,6 +99,29 @@ def test_m_to_p_equals_fraction_back_substitution():
         assert all(type(c) is Fraction for row in got.values() for c in row.values())
 
 
+def _p_to_m_from_scratch(n: int) -> dict:
+    """Each row p_lambda multiplied out part by part from p_() = 1, the
+    oracle for the prefix-shared rows of p_to_m."""
+    out = {}
+    for lam in partitions_of(n):
+        rep = {(): 1}
+        for r in lam:
+            rep = macdonald._multiply_m_by_p(rep, r)
+        out[lam] = rep
+    return out
+
+
+def test_p_to_m_equals_from_scratch_products():
+    for n in range(13):
+        got, expect = p_to_m(n), _p_to_m_from_scratch(n)
+        assert got == expect, n
+        # same key order and int values, so every later table is unchanged
+        assert list(got) == list(expect)
+        assert [list(row) for row in got.values()] == \
+            [list(row) for row in expect.values()]
+        assert all(type(c) is int for row in got.values() for c in row.values())
+
+
 def test_p_to_m_classical_values():
     # p_1^2 = m_2 + 2 m_11, p_2 = m_2 - ... p_2 is m_2? p_2 = sum x_i^2 = m_2
     assert p_to_m(2)[(2,)] == {(2,): 1}
