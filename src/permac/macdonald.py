@@ -312,7 +312,8 @@ def macdonald_table(q: Fraction, t: Fraction, n: int) -> dict:
                            for k, a in zip(support, nums)}
         table["norm"][lam] = Fraction(nn, den * scale)
     _P_TABLE_CACHE[key] = table
-    cache.store("macdonald", "pq-table", params, _table_to_disk(q, t, n, table))
+    if cache.cache_dir():  # store() writes nothing without one
+        cache.store("macdonald", "pq-table", params, _table_to_disk(q, t, n, table))
     return table
 
 

@@ -4,9 +4,12 @@ The transfer operator at intensity gamma and decay u acts on the Fock space
 as a sandwich of Plancherel half-vertices around u^D, with the scalar
 prefactor exp(gamma^2 (u-1) (1-t)/(1-q)).  Its matrix elements in the P/Q
 bases are weighted path counts in the Young graph (products of one-box Pieri
-coefficients), which keeps both an exact mode (gamma formal, everything
-rational, summed entry by entry) and a float mode for sampling, which
-multiplies the half-vertices as matrices.
+coefficients).  Exact mode (gamma formal, everything rational) groups them by
+weight level: path-sum blocks between levels, built bottom-up once per (q, t)
+and shared by every decay u, give each entry as a polynomial in gamma.  Float
+mode, for sampling, multiplies the half-vertices as matrices.  The top-down
+nu-sums of ``dims`` stay the oracle of both, read by the float spot check and
+by ``transfer_cycle_weight``.
 
 Finite-dimensional laws of the periodic process are cyclic products of
 transfer matrices; the sampler draws the state at time zero from the diagonal
@@ -20,11 +23,12 @@ import math
 from array import array
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from math import gcd, lcm
+from operator import mul
 
 from . import macdonald
 from .macdonald import pieri_phi, pieri_psi
-from .partitions import add_one_box, contains, partitions_up_to, weight
+from .partitions import add_one_box, contains, partitions_of, partitions_up_to, weight
 from .series import SeriesRing, TruncSeries
 
 
@@ -32,27 +36,53 @@ from .series import SeriesRing, TruncSeries
 # Young-graph path weights
 # ---------------------------------------------------------------------------
 
+_PATH_SUMS: dict = {}  # (kind, q, t) -> path-sum memo, see _path_memo
 
-@lru_cache(maxsize=None)
-def _dims_cached(kind: str, mu: tuple, lam: tuple, q: Fraction, t: Fraction):
-    if mu == lam:
-        return Fraction(1)
-    if not contains(lam, mu) or weight(mu) >= weight(lam):
-        return Fraction(0)
-    acc = Fraction(0)
-    for nu in add_one_box(mu):
-        if not contains(lam, nu):
-            continue
-        step = pieri_psi(nu, mu, q, t) if kind == "dim" else pieri_phi(nu, mu, q, t)
-        acc += step * _dims_cached(kind, nu, lam, q, t)
-    return acc
+
+def _path_memo(kind: str, q: Fraction, t: Fraction) -> tuple:
+    """(sums, up, step) for one kind of path sum at (q, t).
+
+    sums maps (mu, lam) to the path sum and up maps mu to its covers with
+    their edge weights step(nu, mu, q, t), so that a probe hashes partitions
+    only.
+    """
+    memo = _PATH_SUMS.get((kind, q, t))
+    if memo is None:
+        memo = _PATH_SUMS[kind, q, t] = (
+            {}, {}, pieri_psi if kind == "dim" else pieri_phi)
+    return memo
+
+
+def _path_sum(memo: tuple, mu: tuple, lam: tuple, q: Fraction,
+              t: Fraction) -> Fraction:
+    sums, up, step = memo
+    val = sums.get((mu, lam))
+    if val is None:
+        if mu == lam:
+            val = Fraction(1)
+        elif not contains(lam, mu) or weight(mu) >= weight(lam):
+            val = Fraction(0)
+        else:
+            covers = up.get(mu)
+            if covers is None:
+                covers = up[mu] = [(nu, step(nu, mu, q, t)) for nu in add_one_box(mu)]
+            val = Fraction(0)
+            for nu, c in covers:
+                if contains(lam, nu):
+                    val += c * _path_sum(memo, nu, lam, q, t)
+        sums[mu, lam] = val
+    return val
 
 
 def dims(kind: str, mu: tuple, lam: tuple, q: Fraction, t: Fraction) -> Fraction:
-    """Path sums in the Young graph: psi products ("dim"), phi ("dim'")."""
+    """Path sums in the Young graph: psi products ("dim"), phi ("dim'").
+
+    Summed top-down over the boxes added to mu, memoised by partition pair
+    in one table per (kind, q, t).
+    """
     if kind not in ("dim", "dim'"):
         raise ValueError("kind must be 'dim' or \"dim'\"")
-    return _dims_cached(kind, mu, lam, q, t)
+    return _path_sum(_path_memo(kind, q, t), mu, lam, q, t)
 
 
 # ---------------------------------------------------------------------------
@@ -66,17 +96,20 @@ def _entry_power_coeffs(lam: tuple, mu: tuple, u: Fraction, q: Fraction,
 
     c_k collects u^{|nu|} dim(nu->lam) dim'(nu->mu) / (dl! dm!) over common
     sub-partitions nu with dl + dm = k; xi = gamma (1 - u) is the Plancherel
-    parameter.
+    parameter.  This nu-sum over top-down path sums is the oracle of the
+    level blocks below.
     """
+    psi, phi = _path_memo("dim", q, t), _path_memo("dim'", q, t)
     out: dict = {}
     wl, wm = weight(lam), weight(mu)
-    for nu in partitions_up_to(min(wl, wm)):
-        if not (contains(lam, nu) and contains(mu, nu)):
+    meet = tuple(map(min, lam, mu))  # nu lies in lam and mu iff it lies in meet
+    for nu in partitions_up_to(weight(meet)):
+        if not contains(meet, nu):
             continue
         dl = wl - weight(nu)
         dm = wm - weight(nu)
-        dim_p = dims("dim", nu, lam, q, t)
-        dim_q = dims("dim'", nu, mu, q, t)
+        dim_p = _path_sum(psi, nu, lam, q, t)
+        dim_q = _path_sum(phi, nu, mu, q, t)
         if not dim_p or not dim_q:
             continue
         coef = dim_p * dim_q / Fraction(math.factorial(dl) * math.factorial(dm))
@@ -87,11 +120,173 @@ def _entry_power_coeffs(lam: tuple, mu: tuple, u: Fraction, q: Fraction,
 
 
 # ---------------------------------------------------------------------------
+# Exact mode through weight levels.  Grouping the nu-sum above by k = |nu|,
+#     T_{lam,mu}(u) = pref(u) sum_k u^k xi^{|lam|+|mu|-2k} G_k[lam,mu]
+#                     / ((|lam|-k)! (|mu|-k)!),   G_k = P_k P'_k^T,
+# where P_k[lam,nu] and P'_k[mu,nu] are the psi and phi path sums from the
+# partitions nu of k.  The blocks are the exact twins of _half_vertex's
+# paths, built bottom-up from the one-box Pieri edges, and depend on neither
+# u nor gamma, so T(u), T(v) and T(uv) share them.  Entries are kept as
+# coefficient lists in powers of gamma up to its last nonzero power in the
+# ring, where they multiply as polynomials.
+# ---------------------------------------------------------------------------
+
+_LEVEL_PATHS: dict = {}  # (q, t) -> _LevelPaths
+
+
+class _LevelPaths:
+    """Exact psi and phi path sums between weight levels at one point (q, t).
+
+    ``block(side, w, k)`` is (den, rows): rows[i][a] / den is the path sum,
+    psi for side 0 and phi for side 1, from partitions_of(k)[a] up to
+    partitions_of(w)[i].  Level w is the one-box edges into it, as integers
+    over their common denominator, applied to level w - 1; the result is
+    divided by the gcd of its denominator and numerators.  Blocks are built
+    on first use and kept: they depend on neither u, gamma nor the depth.
+    """
+
+    def __init__(self, q: Fraction, t: Fraction):
+        self.q, self.t = q, t
+        self._edges = {}
+        self._blocks = {}
+
+    @classmethod
+    def at(cls, q: Fraction, t: Fraction) -> "_LevelPaths":
+        paths = _LEVEL_PATHS.get((q, t))
+        if paths is None:
+            paths = _LEVEL_PATHS[q, t] = cls(q, t)
+        return paths
+
+    def _edges_into(self, w: int) -> list:
+        """Per side, (scale, ins): ins[i] holds (j, c) for each one-box edge
+        from partitions_of(w - 1)[j] to partitions_of(w)[i] of weight
+        c / scale."""
+        hit = self._edges.get(w)
+        if hit is None:
+            index = {lam: i for i, lam in enumerate(partitions_of(w))}
+            edges = [[] for _ in index]
+            for j, nu in enumerate(partitions_of(w - 1)):
+                for lam in add_one_box(nu):
+                    edges[index[lam]].append((j, macdonald.pieri(lam, nu, self.q, self.t)))
+            hit = self._edges[w] = []
+            for side in (0, 1):
+                scale = lcm(*(c[side].denominator for es in edges for _, c in es))
+                hit.append((scale, [[(j, c[side].numerator * (scale // c[side].denominator))
+                                     for j, c in es] for es in edges]))
+        return hit
+
+    def block(self, side: int, w: int, k: int) -> tuple:
+        hit = self._blocks.get((side, w, k))
+        if hit is None:
+            if w == k:
+                n = len(partitions_of(w))
+                hit = (1, [[int(i == a) for a in range(n)] for i in range(n)])
+            else:
+                den, below = self.block(side, w - 1, k)
+                scale, ins = self._edges_into(w)[side]
+                rows = []
+                for es in ins:
+                    acc = [0] * len(below[0])
+                    for j, c in es:
+                        for a, x in enumerate(below[j]):
+                            if x:
+                                acc[a] += c * x
+                    rows.append(acc)
+                h = gcd(den * scale, *(x for row in rows for x in row))
+                if h > 1:
+                    rows = [[x // h for x in row] for row in rows]
+                hit = (den * scale // h, rows)
+            self._blocks[side, w, k] = hit
+        return hit
+
+
+def _level_entries(paths: _LevelPaths, u: Fraction, rows, cols, top: int) -> dict:
+    """Coefficients of gamma^0..gamma^top in T_{lam,mu}(u) / pref(u).
+
+    Returns {lam: {mu: [c_0, ..., c_top]}}.  Terms whose gamma degree
+    |lam| + |mu| - 2k exceeds ``top`` are skipped, and an entry with no term
+    left is left out.
+    """
+    index = {lam: i for w in {weight(lam) for lam in (*rows, *cols)}
+             for i, lam in enumerate(partitions_of(w))}
+    a, b = u.numerator, u.denominator
+    plans = {}  # (|lam|, |mu|) -> [(j, psi rows, phi rows, numerator scale, den)]
+    out = {}
+    for lam in rows:
+        wl, il = weight(lam), index[lam]
+        for mu in cols:
+            wm, im = weight(mu), index[mu]
+            plan = plans.get((wl, wm))
+            if plan is None:
+                plan = plans[wl, wm] = []
+                for k in range(max(0, (wl + wm - top + 1) // 2), min(wl, wm) + 1):
+                    (dl, pl), (dm, pm) = paths.block(0, wl, k), paths.block(1, wm, k)
+                    j = wl + wm - 2 * k
+                    plan.append((j, pl, pm, a**k * (b - a)**j,
+                                 dl * dm * math.factorial(wl - k)
+                                 * math.factorial(wm - k) * b ** (wl + wm - k)))
+            coeffs = None
+            for j, pl, pm, scale, den in plan:
+                num = sum(map(mul, pl[il], pm[im])) * scale
+                if num:
+                    if coeffs is None:
+                        coeffs = [0] * (top + 1)
+                    coeffs[j] = Fraction(num, den)
+            if coeffs is not None:
+                out.setdefault(lam, {})[mu] = coeffs
+    return out
+
+
+def _gamma_powers(gamma: TruncSeries, ring: SeriesRing) -> list:
+    """[1, gamma, gamma^2, ...] up to the last power of gamma the ring keeps."""
+    if ring is None or not isinstance(gamma, TruncSeries) or gamma.constant_term():
+        raise ValueError("exact mode needs a ring and a formal gamma without "
+                         "constant term")
+    pows = [ring.one()]
+    while True:
+        nxt = pows[-1] * gamma
+        if not nxt:
+            return pows
+        pows.append(nxt)
+
+
+def _prefactor(u: Fraction, q: Fraction, t: Fraction, top: int) -> list:
+    """Coefficients of gamma^0..gamma^top in exp(c gamma^2 (u - 1))."""
+    x = (1 - t) / (1 - q) * (u - 1)
+    out = [0] * (top + 1)
+    term = Fraction(1)
+    for n in range(top // 2 + 1):
+        out[2 * n] = term
+        term = term * x / (n + 1)
+    return out
+
+
+def _poly_mul(f: list, g: list, top: int, out: list = None) -> list:
+    """f g in powers of gamma up to gamma^top, added to ``out`` when given."""
+    if out is None:
+        out = [0] * (top + 1)
+    for i, x in enumerate(f):
+        if x:
+            for j in range(top + 1 - i):
+                if g[j]:
+                    out[i + j] += x * g[j]
+    return out
+
+
+def _series(coeffs: list, pows: list, ring: SeriesRing) -> TruncSeries:
+    acc = ring.zero()
+    for c, power in zip(coeffs, pows):
+        if c:
+            acc = acc + power * c
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # Half-vertices (float mode): X = exp(xi U) and Y = exp(xi U'), with U and U'
 # the one-box Pieri up-matrices, give
 #     T(u) = e^{c gamma^2 (u-1)} X u^D Y^T,   xi = gamma (1 - u).
-# The exact entries above, which the spot check below also reads, keep
-# their own nu-sums.
+# Exact mode multiplies the exact path blocks above instead; the spot check
+# below reads the oracle's nu-sums.
 # ---------------------------------------------------------------------------
 
 MAX_DEPTH = 20  # 2714 states; each dense float matrix then takes about 59 MB
@@ -173,34 +368,24 @@ def transfer_matrix(gamma, u, depth: int, q: Fraction, t: Fraction,
                     row_states=None, col_states=None) -> TransferMatrix:
     """Build the truncated transfer matrix.
 
-    Exact mode expects ``gamma`` to be a TruncSeries monomial in ``ring``
-    (the prefactor exponential is expanded in the same truncated ring, which
-    keeps the semigroup identity exact on the safe block).  Float mode
-    multiplies the half-vertex sandwich in doubles with numpy.  Row/column
-    state lists default to all partitions of weight <= depth.
+    Exact mode expects ``gamma`` to be a TruncSeries without constant term
+    in ``ring`` (the prefactor exponential is expanded in the same truncated
+    ring, which keeps the semigroup identity exact on the safe block) and
+    reads the level path blocks.  Float mode multiplies the half-vertex
+    sandwich in doubles with numpy.  Row/column state lists default to all
+    partitions of weight <= depth.
     """
     states = partitions_up_to(depth)
     rows = states if row_states is None else row_states
     cols = states if col_states is None else col_states
     if mode == "exact":
-        if ring is None or not isinstance(gamma, TruncSeries):
-            raise ValueError("exact mode needs a ring and a formal gamma")
-        c = (1 - t) / (1 - q)
+        pows = _gamma_powers(gamma, ring)
+        top = len(pows) - 1
         uf = Fraction(u)
-        pref = (gamma * gamma * (c * (uf - 1))).exp()
-        xi = gamma * (1 - uf)
-        xi_pows = [ring.one()]
-        for _ in range(2 * depth):
-            xi_pows.append(xi_pows[-1] * xi)
-        entries = {}
-        for lam in rows:
-            for mu in cols:
-                acc = ring.zero()
-                for k, coef in _entry_power_coeffs(lam, mu, uf, q, t).items():
-                    acc = acc + xi_pows[k] * coef
-                val = pref * acc
-                if val:
-                    entries[(lam, mu)] = val
+        pref = _prefactor(uf, q, t, top)
+        raw = _level_entries(_LevelPaths.at(q, t), uf, rows, cols, top)
+        entries = {(lam, mu): _series(_poly_mul(pref, c, top), pows, ring)
+                   for lam, row in raw.items() for mu, c in row.items()}
         return TransferMatrix(states, entries, gamma, u, "exact")
     pref, x, decay, y = _sandwich(float(gamma), float(u), depth, q, t)
     if row_states is not None or col_states is not None:
@@ -250,35 +435,44 @@ def semigroup_defect(gamma, u, v, depth: int, q, t, reserve: int = 4,
     The safe block keeps |lam| + |mu| <= depth - reserve, where the truncated
     sum over intermediate states cannot leak within the gamma truncation
     (missing terms carry gamma degree > 2 depth - |lam| - |mu| >= cutoff+1).
+    Exact mode builds T(u) on the block's rows, T(v) on its columns and
+    T(uv) on the block from one set of level path blocks, as polynomials in
+    gamma, and applies the three prefactors once per entry.  It returns the
+    defect of the last failing entry, or 0.
     """
     states = partitions_up_to(depth)
     small = [lam for lam in states if weight(lam) <= depth - reserve]
     if mode == "exact":
-        tu = transfer_matrix(gamma, u, depth, q, t, mode=mode, ring=ring,
-                             row_states=small)
-        tv = transfer_matrix(gamma, v, depth, q, t, mode=mode, ring=ring,
-                             col_states=small)
-        uvf = Fraction(u) * Fraction(v)
-        tuv = transfer_matrix(gamma, uvf, depth, q, t, mode=mode, ring=ring,
-                              row_states=small, col_states=small)
-        zero = ring.zero()
-        worst = zero
-        worst_is_zero = True
+        pows = _gamma_powers(gamma, ring)
+        top = len(pows) - 1
+        paths = _LevelPaths.at(q, t)
+        uf, vf = Fraction(u), Fraction(v)
+        # T_{lam,kap}(u) T_{kap,mu}(v) has gamma degree at least
+        # ||lam| - |kap|| + ||kap| - |mu||, which exceeds top on the safe
+        # block once 2 |kap| > top + depth - reserve
+        mid = [kap for kap in states if weight(kap) <= (top + depth - reserve) // 2]
+        tu = _level_entries(paths, uf, small, mid, top)
+        tv = _level_entries(paths, vf, mid, small, top)
+        tuv = _level_entries(paths, uf * vf, small, small, top)
+        left = _poly_mul(_prefactor(uf, q, t, top), _prefactor(vf, q, t, top), top)
+        right = _prefactor(uf * vf, q, t, top)
+        zero = [0] * (top + 1)
+        worst = None
         for lam in small:
             for mu in small:
                 if weight(lam) + weight(mu) > depth - reserve:
                     continue
-                acc = ring.zero()
-                for kap in states:
-                    a = tu.entries.get((lam, kap))
-                    b = tv.entries.get((kap, mu))
-                    if a is not None and b is not None:
-                        acc = acc + a * b
-                diff = acc - tuv.entries.get((lam, mu), zero)
-                if diff:
-                    worst_is_zero = False
+                acc = [0] * (top + 1)
+                for kap, a in tu.get(lam, {}).items():
+                    b = tv.get(kap, {}).get(mu)
+                    if b is not None:
+                        _poly_mul(a, b, top, acc)
+                diff = [x - y for x, y in zip(
+                    _poly_mul(left, acc, top),
+                    _poly_mul(right, tuv.get(lam, {}).get(mu, zero), top))]
+                if any(diff):
                     worst = diff
-        return Fraction(0) if worst_is_zero else worst
+        return Fraction(0) if worst is None else _series(worst, pows, ring)
     import numpy as np
 
     tu = transfer_matrix(gamma, u, depth, q, t, mode=mode)

@@ -99,3 +99,16 @@ def test_stored_table_bytes_match_golden(cold):
         stored = fh.read()
     with open(os.path.join(GOLDEN, "pq-table-w6-q1_3-t2_7.json"), "rb") as fh:
         assert stored == fh.read()
+
+
+def test_table_without_cache_dir_builds_no_disk_payload(monkeypatch):
+    monkeypatch.setattr(cache, "_cache_dir", None)
+    monkeypatch.delenv("PERMAC_CACHE_DIR", raising=False)
+    monkeypatch.setattr(macdonald, "_P_TABLE_CACHE", {})
+
+    def refuse(*args):
+        raise AssertionError("disk payload formatted with no cache directory")
+
+    monkeypatch.setattr(macdonald, "_table_to_disk", refuse)
+    table = macdonald.macdonald_table(Q, T, 5)
+    assert len(table["P"]) == len(table["Q"]) == len(table["norm"]) == 7

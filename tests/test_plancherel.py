@@ -9,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import remove_one_box
-from permac.partitions import partitions_up_to, weight
+from permac import macdonald, plancherel
+from permac.partitions import partitions_of, partitions_up_to, weight
 from permac.plancherel import (
     MAX_DEPTH,
     MIN_CYCLE_MASS,
     TrajectorySpec,
     _cdf,
+    _entry_power_coeffs,
     _inverse_cdf,
+    _LevelPaths,
     chi_square_sf,
     dims,
     dropped_mass,
@@ -51,9 +54,18 @@ def test_dims_examples():
 
 
 def test_dims_schur_point_counts_tableaux():
-    q = Fraction(1, 2)
-    for lam in partitions_up_to(6):
-        assert dims("dim", (), lam, q, q) == syt_count(lam)
+    # at q = t every Pieri edge weighs 1, so both path sums count tableaux,
+    # top-down in dims and bottom-up in the level blocks
+    for q in (Fraction(1, 2), Fraction(2, 7)):
+        paths = _LevelPaths(q, q)
+        for lam in partitions_up_to(7):
+            assert dims("dim", (), lam, q, q) == syt_count(lam)
+            assert dims("dim'", (), lam, q, q) == syt_count(lam)
+        for w in range(8):
+            for side in (0, 1):
+                den, rows = paths.block(side, w, 0)
+                assert [Fraction(row[0], den) for row in rows] == \
+                    [syt_count(lam) for lam in partitions_of(w)]
 
 
 def test_transfer_vacuum_entry_exact():
@@ -63,6 +75,35 @@ def test_transfer_vacuum_entry_exact():
     tm = transfer_matrix(g, u, 2, Q0, T0, mode="exact", ring=ring)
     pref = (g * g * ((1 - T0) / (1 - Q0) * (u - 1))).exp()
     assert tm.entries[((), ())] == pref
+
+
+@pytest.mark.parametrize("q, t", [(Q0, T0), (Fraction(43, 97), Fraction(59, 89))])
+def test_exact_entries_equal_the_nu_sum_oracle(q, t):
+    # entries from the level blocks against pref * sum_k c_k xi^k with the
+    # c_k of the top-down nu-sums: every entry of weight <= 6 in a ring that
+    # keeps every power, and a subset of rows and columns in one that truncates
+    depth, u = 6, Fraction(3, 7)
+    states = partitions_up_to(depth)
+    coeffs = {(lam, mu): _entry_power_coeffs(lam, mu, u, q, t)
+              for lam in states for mu in states}
+    rows, cols = states[::-1][:12], [mu for mu in states if weight(mu) >= 2]
+    for cutoff, rs, cs in ((2 * depth, None, None), (5, rows, cols)):
+        ring = SeriesRing(["g"], cutoff)
+        g = ring.gen("g")
+        pref = (g * g * ((1 - t) / (1 - q) * (u - 1))).exp()
+        xi_pows = [(g * (1 - u)) ** k for k in range(2 * depth + 1)]
+        want = {}
+        for lam in rs or states:
+            for mu in cs or states:
+                acc = ring.zero()
+                for k, c in coeffs[lam, mu].items():
+                    acc = acc + xi_pows[k] * c
+                if acc:
+                    want[lam, mu] = pref * acc
+        tm = transfer_matrix(g, u, depth, q, t, mode="exact", ring=ring,
+                             row_states=rs, col_states=cs)
+        assert tm.states == states
+        assert tm.entries == want
 
 
 def test_transfer_entries_nonnegative_float():
@@ -168,6 +209,30 @@ def test_semigroup_exact_small():
     defect = semigroup_defect(g, Fraction(1, 2), Fraction(1, 3), 6, Q0, T0,
                               reserve=4, mode="exact", ring=ring)
     assert defect == 0
+
+
+def test_semigroup_exact_detects_a_wrong_pieri_edge(monkeypatch):
+    # the identity rests on the Pieri commutation relation, not on the level
+    # factorisation: one psi edge off by 11/10 must show in the defect
+    ring = SeriesRing(["g"], 6)
+    g = ring.gen("g")
+
+    def defect():
+        monkeypatch.setattr(plancherel, "_LEVEL_PATHS", {})
+        return semigroup_defect(g, Fraction(1, 2), Fraction(1, 3), 8, Q0, T0,
+                                reserve=4, mode="exact", ring=ring)
+
+    assert defect() == 0
+    pieri = macdonald.pieri
+
+    def wrong(lam, mu, q, t):
+        psi, phi = pieri(lam, mu, q, t)
+        if (lam, mu) == ((2, 1), (2,)):
+            psi *= Fraction(11, 10)
+        return psi, phi
+
+    monkeypatch.setattr(macdonald, "pieri", wrong)
+    assert defect() != 0
 
 
 def test_semigroup_float_defect_shrinks():
