@@ -83,26 +83,8 @@ def _pieri_rule_holds(mu, r, q, t) -> bool:
 
 def criterion_trace_formula(seed=DEFAULT_SEED) -> dict:
     """Closed vertex-operator trace equals the brute-force Fock trace."""
-    rng = random.Random(seed + 1)
-    failures = []
-    for trial in range(3):
-        q, t = random_qt_pair(rng)
-        ring = SeriesRing(["u", "a", "b"], 5)
-        gp, gm = {}, {}
-        for n in (1, 2):
-            ca = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            cb = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            if ca:
-                gp[n] = ring.monomial(ca, a=n)
-            if cb:
-                gm[n] = ring.monomial(cb, b=n)
-        spec = fock.VertexSpec(gp, gm)
-        closed = fock.trace_closed(spec, ring, "u", q, t)
-        brute = fock.trace_bruteforce(
-            lambda v: fock.vertex_apply(spec, v, q, t, degree_cap=5),
-            ring, "u", 5, q, t)
-        if closed != brute:
-            failures.append((trial, str(q), str(t)))
+    failures = [(trial, str(q), str(t)) for trial, q, t in
+                fock.trace_check_failures(random.Random(seed + 1), 3, 5)]
     return {"name": "trace-formula", "passed": not failures,
             "details": {"specs": 3, "u_cutoff": 5, "failures": failures}}
 
@@ -260,7 +242,8 @@ def criterion_plancherel_process(seed=DEFAULT_SEED) -> dict:
         ring.gen("g"), Fraction(1, 2), Fraction(1, 3), 8, q, t,
         reserve=4, mode="exact", ring=ring)
     if defect != 0:
-        failures.append(("semigroup", str(defect)))
+        lam, mu, diff = defect
+        failures.append(("semigroup", lam, mu, str(diff)))
     chi = plancherel.marginal_chi_square(0.85, 1.0, 8, Fraction(1, 2),
                                          Fraction(1, 2), samples=100000,
                                          seed=seed)

@@ -21,8 +21,7 @@ from fractions import Fraction
 
 from . import macdonald
 from .partitions import make_partition
-from .scalars import (DEFAULT_SEED, format_rational, parse_rational,
-                      random_qt_pair, random_rational)
+from .scalars import DEFAULT_SEED, format_rational, parse_rational, random_rational
 
 
 class UsageError(Exception):
@@ -285,7 +284,7 @@ def cmd_plancherel_check(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     ok = defect == 0 and chi["p_value"] > 0.01
-    _emit(args, {
+    report = {
         "quantity": "plancherel process checks",
         "params": {"q": args.q, "t": args.t, "gamma": args.gamma,
                    "beta": args.beta, "depth": args.depth,
@@ -293,7 +292,15 @@ def cmd_plancherel_check(args) -> int:
         "semigroup_defect": str(defect),
         "chi_square": chi,
         "verified": ok,
-    })
+    }
+    if defect != 0:
+        lam, mu, diff = defect
+        exp = min(diff.terms)
+        report["semigroup_defect"] = str(diff)
+        report["first_mismatch"] = {"lambda": list(lam), "mu": list(mu),
+                                    "exp": dict(zip(ring.symbols, exp)),
+                                    "defect": str(diff.terms[exp])}
+    _emit(args, report)
     return 0 if ok else 1
 
 
@@ -357,30 +364,12 @@ def cmd_vertex_verify(args) -> int:
 
 def cmd_fock_trace_check(args) -> int:
     from . import fock
-    from .series import SeriesRing
 
     _require_at_least(args, 0, "u_deg")
     _require_at_least(args, 1, "trials")
-    rng = random.Random(args.seed)
-    failures = []
-    for trial in range(args.trials):
-        q, t = random_qt_pair(rng)
-        ring = SeriesRing(["u", "a", "b"], args.u_deg)
-        gp, gm = {}, {}
-        for n in (1, 2):
-            ca = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            cb = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            if ca:
-                gp[n] = ring.monomial(ca, a=n)
-            if cb:
-                gm[n] = ring.monomial(cb, b=n)
-        spec = fock.VertexSpec(gp, gm)
-        closed = fock.trace_closed(spec, ring, "u", q, t)
-        brute = fock.trace_bruteforce(
-            lambda v: fock.vertex_apply(spec, v, q, t, degree_cap=args.u_deg),
-            ring, "u", args.u_deg, q, t)
-        if closed != brute:
-            failures.append({"trial": trial, "q": str(q), "t": str(t)})
+    failures = [{"trial": trial, "q": str(q), "t": str(t)} for trial, q, t in
+                fock.trace_check_failures(random.Random(args.seed), args.trials,
+                                          args.u_deg)]
     _emit(args, {"quantity": "vertex trace closed vs brute force",
                  "params": {"trials": args.trials, "u_deg": args.u_deg,
                             "seed": args.seed},

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import macdonald
 from .laurent import LaurentPoly, laurent_log
-from .macdonald import Specialization, lambda_rho_p, elementary_from_powers, \
-    pieri_phi, pieri_psi, skew_eval
+from .macdonald import Specialization, lambda_rho_p, elementary_from_powers, skew_eval
 from .partitions import (
     conjugate,
     contains,
@@ -153,9 +153,9 @@ def weight_Phi(profile: CylindricProfile, lams, q: Fraction, t: Fraction) -> Fra
         lam_k = lams[k - 1]
         lam_next = lams[k % N]
         if profile.up(k):
-            out *= pieri_psi(lam_next, lam_k, q, t)
+            out *= macdonald.pieri(lam_next, lam_k, q, t)[0]
         else:
-            out *= pieri_phi(lam_k, lam_next, q, t)
+            out *= macdonald.pieri(lam_k, lam_next, q, t)[1]
     return out
 
 

@@ -33,6 +33,7 @@ from .laurent import (
 )
 from .macdonald import FREE_FIELD_FAMILIES  # noqa: F401 (re-exported: operator_family's names)
 from .partitions import make_partition, multiplicity, weight
+from .scalars import random_qt_pair
 from .series import (
     SeriesRing,
     TruncSeries,
@@ -243,6 +244,35 @@ def trace_closed(spec: VertexSpec, ring: SeriesRing, u_name: str, q, t) -> Trunc
         geom = geometric(ring, u, n, start=1)  # u^n / (1 - u^n)
         expo = expo + gm * gp * geom * ((1 - q**n) / (1 - t**n) * Fraction(1, n))
     return euler_inverse(ring, u) * expo.exp()
+
+
+def trace_check_failures(rng, trials: int, u_deg: int) -> list:
+    """(trial, q, t) of every seeded trial where trace_closed and
+    trace_bruteforce differ to u^u_deg.
+
+    Each trial draws (q, t), then for n = 1, 2 the coefficients of a^n in
+    gamma_n and of b^n in gamma_{-n}, from ``rng`` in that order.
+    """
+    failures = []
+    for trial in range(trials):
+        q, t = random_qt_pair(rng)
+        ring = SeriesRing(["u", "a", "b"], u_deg)
+        gp, gm = {}, {}
+        for n in (1, 2):
+            ca = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            cb = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            if ca:
+                gp[n] = ring.monomial(ca, a=n)
+            if cb:
+                gm[n] = ring.monomial(cb, b=n)
+        spec = VertexSpec(gp, gm)
+        closed = trace_closed(spec, ring, "u", q, t)
+        brute = trace_bruteforce(
+            lambda v: vertex_apply(spec, v, q, t, degree_cap=u_deg),
+            ring, "u", u_deg, q, t)
+        if closed != brute:
+            failures.append((trial, q, t))
+    return failures
 
 
 # ---------------------------------------------------------------------------

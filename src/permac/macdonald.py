@@ -388,14 +388,6 @@ def pieri(lam: tuple, mu: tuple, q: Fraction, t: Fraction):
     return psi, phi
 
 
-def pieri_psi(lam, mu, q, t) -> Fraction:
-    return pieri(lam, mu, q, t)[0]
-
-
-def pieri_phi(lam, mu, q, t) -> Fraction:
-    return pieri(lam, mu, q, t)[1]
-
-
 # ---------------------------------------------------------------------------
 # Specializations
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ The transfer operator at intensity gamma and decay u acts on the Fock space
 as a sandwich of Plancherel half-vertices around u^D, with the scalar
 prefactor exp(gamma^2 (u-1) (1-t)/(1-q)).  Its matrix elements in the P/Q
 bases are weighted path counts in the Young graph (products of one-box Pieri
-coefficients).  Exact mode (gamma formal, everything rational) groups them by
-weight level: path-sum blocks between levels, built bottom-up once per (q, t)
-and shared by every decay u, give each entry as a polynomial in gamma.  Float
-mode, for sampling, multiplies the half-vertices as matrices.  The top-down
-nu-sums of ``dims`` stay the oracle of both, read by the float spot check and
-by ``transfer_cycle_weight``.
+coefficients).  ``transfer_matrix`` multiplies the half-vertices as float
+matrices, for sampling.  The exact semigroup check ``semigroup_defect``
+(gamma formal, everything rational) groups the same path counts by weight
+level: path-sum blocks between levels, built bottom-up once per (q, t) and
+shared by every decay u, give each entry as a polynomial in gamma.  The
+top-down nu-sums of ``dims`` stay the oracle of both, read by the float spot
+check and by ``transfer_cycle_weight``.
 
 Finite-dimensional laws of the periodic process are cyclic products of
 transfer matrices; the sampler draws the state at time zero from the diagonal
@@ -27,7 +28,6 @@ from math import gcd, lcm
 from operator import mul
 
 from . import macdonald
-from .macdonald import pieri_phi, pieri_psi
 from .partitions import add_one_box, contains, partitions_of, partitions_up_to, weight
 from .series import SeriesRing, TruncSeries
 
@@ -40,22 +40,21 @@ _PATH_SUMS: dict = {}  # (kind, q, t) -> path-sum memo, see _path_memo
 
 
 def _path_memo(kind: str, q: Fraction, t: Fraction) -> tuple:
-    """(sums, up, step) for one kind of path sum at (q, t).
+    """(sums, up, side) for one kind of path sum at (q, t).
 
     sums maps (mu, lam) to the path sum and up maps mu to its covers with
-    their edge weights step(nu, mu, q, t), so that a probe hashes partitions
-    only.
+    their edge weights macdonald.pieri(nu, mu, q, t)[side]: psi (side 0) for
+    "dim", phi (side 1) for "dim'".  A probe hashes partitions only.
     """
     memo = _PATH_SUMS.get((kind, q, t))
     if memo is None:
-        memo = _PATH_SUMS[kind, q, t] = (
-            {}, {}, pieri_psi if kind == "dim" else pieri_phi)
+        memo = _PATH_SUMS[kind, q, t] = ({}, {}, 0 if kind == "dim" else 1)
     return memo
 
 
 def _path_sum(memo: tuple, mu: tuple, lam: tuple, q: Fraction,
               t: Fraction) -> Fraction:
-    sums, up, step = memo
+    sums, up, side = memo
     val = sums.get((mu, lam))
     if val is None:
         if mu == lam:
@@ -65,7 +64,8 @@ def _path_sum(memo: tuple, mu: tuple, lam: tuple, q: Fraction,
         else:
             covers = up.get(mu)
             if covers is None:
-                covers = up[mu] = [(nu, step(nu, mu, q, t)) for nu in add_one_box(mu)]
+                covers = up[mu] = [(nu, macdonald.pieri(nu, mu, q, t)[side])
+                                   for nu in add_one_box(mu)]
             val = Fraction(0)
             for nu, c in covers:
                 if contains(lam, nu):
@@ -120,7 +120,7 @@ def _entry_power_coeffs(lam: tuple, mu: tuple, u: Fraction, q: Fraction,
 
 
 # ---------------------------------------------------------------------------
-# Exact mode through weight levels.  Grouping the nu-sum above by k = |nu|,
+# Exact entries through weight levels.  Grouping the nu-sum above by k = |nu|,
 #     T_{lam,mu}(u) = pref(u) sum_k u^k xi^{|lam|+|mu|-2k} G_k[lam,mu]
 #                     / ((|lam|-k)! (|mu|-k)!),   G_k = P_k P'_k^T,
 # where P_k[lam,nu] and P'_k[mu,nu] are the psi and phi path sums from the
@@ -240,8 +240,8 @@ def _level_entries(paths: _LevelPaths, u: Fraction, rows, cols, top: int) -> dic
 def _gamma_powers(gamma: TruncSeries, ring: SeriesRing) -> list:
     """[1, gamma, gamma^2, ...] up to the last power of gamma the ring keeps."""
     if ring is None or not isinstance(gamma, TruncSeries) or gamma.constant_term():
-        raise ValueError("exact mode needs a ring and a formal gamma without "
-                         "constant term")
+        raise ValueError("the exact check needs a ring and a formal gamma "
+                         "without constant term")
     pows = [ring.one()]
     while True:
         nxt = pows[-1] * gamma
@@ -282,11 +282,11 @@ def _series(coeffs: list, pows: list, ring: SeriesRing) -> TruncSeries:
 
 
 # ---------------------------------------------------------------------------
-# Half-vertices (float mode): X = exp(xi U) and Y = exp(xi U'), with U and U'
+# Half-vertices in floats: X = exp(xi U) and Y = exp(xi U'), with U and U'
 # the one-box Pieri up-matrices, give
 #     T(u) = e^{c gamma^2 (u-1)} X u^D Y^T,   xi = gamma (1 - u).
-# Exact mode multiplies the exact path blocks above instead; the spot check
-# below reads the oracle's nu-sums.
+# The exact check multiplies the exact path blocks above instead; the spot
+# check below reads the oracle's nu-sums.
 # ---------------------------------------------------------------------------
 
 MAX_DEPTH = 20  # 2714 states; each dense float matrix then takes about 59 MB
@@ -353,46 +353,28 @@ def _sandwich(gamma: float, u: float, depth: int, q: Fraction, t: Fraction):
 
 
 class TransferMatrix:
-    """Matrix of the transfer operator over states of weight <= depth."""
+    """Float matrix of the transfer operator over states of weight <= depth."""
 
-    def __init__(self, states, entries, gamma, u, mode: str):
+    def __init__(self, states, entries, gamma, u):
         self.states = states
-        self.entries = entries  # dict (lam, mu) -> value, or numpy array
+        self.entries = entries  # numpy array indexed like states
         self.gamma = gamma
         self.u = u
-        self.mode = mode
 
 
 def transfer_matrix(gamma, u, depth: int, q: Fraction, t: Fraction,
-                    mode: str = "float", ring: SeriesRing = None,
-                    row_states=None, col_states=None) -> TransferMatrix:
-    """Build the truncated transfer matrix.
+                    mode: str = "float") -> TransferMatrix:
+    """Truncated transfer matrix over all partitions of weight <= depth.
 
-    Exact mode expects ``gamma`` to be a TruncSeries without constant term
-    in ``ring`` (the prefactor exponential is expanded in the same truncated
-    ring, which keeps the semigroup identity exact on the safe block) and
-    reads the level path blocks.  Float mode multiplies the half-vertex
-    sandwich in doubles with numpy.  Row/column state lists default to all
-    partitions of weight <= depth.
+    Multiplies the half-vertex sandwich in doubles with numpy.  ``mode``
+    accepts only "float"; exact entries are built from the level path
+    blocks, see ``semigroup_defect``.
     """
-    states = partitions_up_to(depth)
-    rows = states if row_states is None else row_states
-    cols = states if col_states is None else col_states
-    if mode == "exact":
-        pows = _gamma_powers(gamma, ring)
-        top = len(pows) - 1
-        uf = Fraction(u)
-        pref = _prefactor(uf, q, t, top)
-        raw = _level_entries(_LevelPaths.at(q, t), uf, rows, cols, top)
-        entries = {(lam, mu): _series(_poly_mul(pref, c, top), pows, ring)
-                   for lam, row in raw.items() for mu, c in row.items()}
-        return TransferMatrix(states, entries, gamma, u, "exact")
+    if mode != "float":
+        raise ValueError("transfer_matrix is float only")
     pref, x, decay, y = _sandwich(float(gamma), float(u), depth, q, t)
-    if row_states is not None or col_states is not None:
-        index = {lam: i for i, lam in enumerate(states)}
-        x = x[[index[lam] for lam in rows]]
-        y = y[[index[mu] for mu in cols]]
-    return TransferMatrix(states, pref * ((x * decay) @ y.T), gamma, u, "float")
+    return TransferMatrix(partitions_up_to(depth), pref * ((x * decay) @ y.T),
+                          gamma, u)
 
 
 def spot_check_float_entries(tm: TransferMatrix, q: Fraction, t: Fraction,
@@ -430,64 +412,53 @@ def spot_check_float_entries(tm: TransferMatrix, q: Fraction, t: Fraction,
 
 def semigroup_defect(gamma, u, v, depth: int, q, t, reserve: int = 4,
                      mode: str = "exact", ring: SeriesRing = None):
-    """Max entrywise defect of T(u) T(v) = T(uv) on the safe block.
+    """Exact check of T(u) T(v) = T(uv) on the safe block.
 
     The safe block keeps |lam| + |mu| <= depth - reserve, where the truncated
     sum over intermediate states cannot leak within the gamma truncation
     (missing terms carry gamma degree > 2 depth - |lam| - |mu| >= cutoff+1).
-    Exact mode builds T(u) on the block's rows, T(v) on its columns and
-    T(uv) on the block from one set of level path blocks, as polynomials in
-    gamma, and applies the three prefactors once per entry.  It returns the
-    defect of the last failing entry, or 0.
+    ``gamma`` is a TruncSeries without constant term in ``ring``, which
+    truncates the prefactor exponentials too; ``mode`` accepts only "exact".
+    T(u) is built on the block's rows, T(v) on its columns and T(uv) on the
+    block from one set of level path blocks, as polynomials in gamma, and
+    the three prefactors are applied once per entry.  Returns 0 when the
+    identity holds; otherwise (lam, mu, defect) for the first failing entry
+    in the order of ``partitions_up_to``, defect being T(u) T(v) - T(uv) there
+    as a series in gamma.
     """
+    if mode != "exact":
+        raise ValueError("semigroup_defect is exact only")
+    pows = _gamma_powers(gamma, ring)
+    top = len(pows) - 1
+    paths = _LevelPaths.at(q, t)
+    uf, vf = Fraction(u), Fraction(v)
     states = partitions_up_to(depth)
     small = [lam for lam in states if weight(lam) <= depth - reserve]
-    if mode == "exact":
-        pows = _gamma_powers(gamma, ring)
-        top = len(pows) - 1
-        paths = _LevelPaths.at(q, t)
-        uf, vf = Fraction(u), Fraction(v)
-        # T_{lam,kap}(u) T_{kap,mu}(v) has gamma degree at least
-        # ||lam| - |kap|| + ||kap| - |mu||, which exceeds top on the safe
-        # block once 2 |kap| > top + depth - reserve
-        mid = [kap for kap in states if weight(kap) <= (top + depth - reserve) // 2]
-        tu = _level_entries(paths, uf, small, mid, top)
-        tv = _level_entries(paths, vf, mid, small, top)
-        tuv = _level_entries(paths, uf * vf, small, small, top)
-        left = _poly_mul(_prefactor(uf, q, t, top), _prefactor(vf, q, t, top), top)
-        right = _prefactor(uf * vf, q, t, top)
-        zero = [0] * (top + 1)
-        worst = None
-        for lam in small:
-            for mu in small:
-                if weight(lam) + weight(mu) > depth - reserve:
-                    continue
-                acc = [0] * (top + 1)
-                for kap, a in tu.get(lam, {}).items():
-                    b = tv.get(kap, {}).get(mu)
-                    if b is not None:
-                        _poly_mul(a, b, top, acc)
-                diff = [x - y for x, y in zip(
-                    _poly_mul(left, acc, top),
-                    _poly_mul(right, tuv.get(lam, {}).get(mu, zero), top))]
-                if any(diff):
-                    worst = diff
-        return Fraction(0) if worst is None else _series(worst, pows, ring)
-    import numpy as np
-
-    tu = transfer_matrix(gamma, u, depth, q, t, mode=mode)
-    tv = transfer_matrix(gamma, v, depth, q, t, mode=mode)
-    tuv = transfer_matrix(gamma, float(u) * float(v), depth, q, t, mode=mode)
-    prod = tu.entries @ tv.entries
-    worst = 0.0
-    idx = {lam: i for i, lam in enumerate(states)}
-    for lam in states:
-        for mu in states:
+    # T_{lam,kap}(u) T_{kap,mu}(v) has gamma degree at least
+    # ||lam| - |kap|| + ||kap| - |mu||, which exceeds top on the safe
+    # block once 2 |kap| > top + depth - reserve
+    mid = [kap for kap in states if weight(kap) <= (top + depth - reserve) // 2]
+    tu = _level_entries(paths, uf, small, mid, top)
+    tv = _level_entries(paths, vf, mid, small, top)
+    tuv = _level_entries(paths, uf * vf, small, small, top)
+    left = _poly_mul(_prefactor(uf, q, t, top), _prefactor(vf, q, t, top), top)
+    right = _prefactor(uf * vf, q, t, top)
+    zero = [0] * (top + 1)
+    for lam in small:
+        for mu in small:
             if weight(lam) + weight(mu) > depth - reserve:
                 continue
-            worst = max(worst, abs(prod[idx[lam], idx[mu]]
-                                   - tuv.entries[idx[lam], idx[mu]]))
-    return worst
+            acc = [0] * (top + 1)
+            for kap, a in tu.get(lam, {}).items():
+                b = tv.get(kap, {}).get(mu)
+                if b is not None:
+                    _poly_mul(a, b, top, acc)
+            diff = [x - y for x, y in zip(
+                _poly_mul(left, acc, top),
+                _poly_mul(right, tuv.get(lam, {}).get(mu, zero), top))]
+            if any(diff):
+                return lam, mu, _series(diff, pows, ring)
+    return Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +516,8 @@ def _inverse_cdf(cum: array, x: float) -> int:
 def gap_matrices(spec: TrajectorySpec, q: Fraction, t: Fraction) -> list:
     """Float transfer matrices over the gaps of the time grid, wrapping to beta."""
     times = spec.times + [spec.beta]
-    return [transfer_matrix(spec.gamma, math.exp(-(b - a)), spec.depth, q, t,
-                            mode="float").entries for a, b in zip(times, times[1:])]
+    return [transfer_matrix(spec.gamma, math.exp(-(b - a)), spec.depth, q, t).entries
+            for a, b in zip(times, times[1:])]
 
 
 def dropped_mass(mats, beta: float) -> float:

@@ -104,6 +104,91 @@ def test_cylindric_verify_example():
     assert data["verified"] is True
 
 
+@pytest.mark.parametrize("kind", ["P", "Q"])
+def test_macdonald_expand_in_the_power_sum_basis(kind):
+    from fractions import Fraction
+
+    from permac import macdonald
+    from permac.scalars import parse_rational
+
+    code, out = run_cli(["macdonald", "expand", "--lambda", "2,1", "--basis", "p",
+                         "--kind", kind, "--q", "1/3", "--t", "1/5"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["quantity"] == f"{kind}_lambda in p basis"
+    p_rep = {tuple(int(x) for x in key.split(",")): parse_rational(c)
+             for key, c in data["coefficients"].items()}
+    q, t = Fraction(1, 3), Fraction(1, 5)
+    m_rep = (macdonald.macdonald_P if kind == "P" else macdonald.macdonald_Q)(
+        (2, 1), q, t)
+    assert macdonald.p_dict_to_m(p_rep) == {mu: c for mu, c in m_rep.items() if c}
+
+
+@pytest.mark.parametrize("command", [
+    ["process", "partition-function"],
+    ["process", "moment", "--series", "E", "--r", "1"],
+])
+def test_process_commands_take_plancherel_specs(command):
+    code, out = run_cli([*command, "--N", "1", "--spec-plus", "plancherel",
+                         "--spec-minus", "plancherel", "--u-deg", "3",
+                         "--q", "1/3", "--t", "1/5"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["oracle_match"] is True and data["first_mismatch"] is None
+    assert data["params"]["specs"] == ["plancherel", "plancherel"]
+    from permac.series import TruncSeries
+
+    series = TruncSeries.from_json(data["series"])
+    assert series.ring.symbols == ("u", "g")
+    assert any(exp[1] for exp in series.terms)  # the Plancherel specs enter
+
+
+def test_oracle_report_names_the_first_mismatch(monkeypatch):
+    from fractions import Fraction
+
+    from permac import process
+
+    closed = process.partition_function_closed
+
+    def off_at_u2(ps):
+        return closed(ps) + ps.ring.monomial(Fraction(1), u=2)
+
+    monkeypatch.setattr(process, "partition_function_closed", off_at_u2)
+    code, out = run_cli(["process", "partition-function", "--N", "1",
+                         "--u-deg", "3", "--q", "1/3", "--t", "1/5"])
+    assert code == 1
+    data = json.loads(out)
+    assert data["oracle_match"] is False
+    assert data["max_abs_discrepancy"] == "nonzero"
+    first = data["first_mismatch"]
+    assert first["exp"] == {"u": 2, "a0": 0, "b1": 0}
+    assert Fraction(first["formula"]) - Fraction(first["oracle"]) == 1
+
+
+def test_macmahon_report_names_the_first_mismatch(monkeypatch):
+    from fractions import Fraction
+
+    from permac import cylindric
+
+    rhs = cylindric.macmahon_rhs
+
+    def off_at_s3(profile, ring, q, t):
+        return rhs(profile, ring, q, t) + ring.monomial(Fraction(1), s=3)
+
+    monkeypatch.setattr(cylindric, "macmahon_rhs", off_at_s3)
+    code, out = run_cli(["cylindric", "verify-macmahon", "--N", "2", "--M", "1",
+                         "--s-deg", "4", "--q", "1/3", "--t", "1/5"])
+    assert code == 1
+    data = json.loads(out)
+    assert data["verified"] is False
+    for name in ("macdonald", "hl", "strict", "schur"):
+        check = data["checks"][name]
+        assert check["match"] is False
+        first = check["first_mismatch"]
+        assert first["s_degree"] == 3
+        assert Fraction(first["rhs"]) - Fraction(first["lhs"]) == 1
+
+
 def test_cylindric_enumerate_dump():
     code, out = run_cli(["cylindric", "enumerate", "--N", "2", "--M", "1",
                          "--max-weight", "2", "--q", "1/3", "--t", "1/5"])

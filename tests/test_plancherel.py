@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import remove_one_box
-from permac import macdonald, plancherel
+from permac import cli, macdonald, plancherel
 from permac.partitions import partitions_of, partitions_up_to, weight
 from permac.plancherel import (
     MAX_DEPTH,
@@ -17,8 +18,13 @@ from permac.plancherel import (
     TrajectorySpec,
     _cdf,
     _entry_power_coeffs,
+    _gamma_powers,
     _inverse_cdf,
+    _level_entries,
     _LevelPaths,
+    _poly_mul,
+    _prefactor,
+    _series,
     chi_square_sf,
     dims,
     dropped_mass,
@@ -68,13 +74,25 @@ def test_dims_schur_point_counts_tableaux():
                     [syt_count(lam) for lam in partitions_of(w)]
 
 
+def _exact_entries(u, q, t, ring, rows, cols):
+    """Nonzero entries of T(u) on rows x cols as series in the formal gamma
+    of ``ring``, from the level path blocks that semigroup_defect reads."""
+    pows = _gamma_powers(ring.gen("g"), ring)
+    top = len(pows) - 1
+    pref = _prefactor(u, q, t, top)
+    raw = _level_entries(_LevelPaths.at(q, t), u, rows, cols, top)
+    return {(lam, mu): _series(_poly_mul(pref, c, top), pows, ring)
+            for lam, row in raw.items() for mu, c in row.items()}
+
+
 def test_transfer_vacuum_entry_exact():
     ring = SeriesRing(["g"], 6)
     g = ring.gen("g")
     u = Fraction(1, 2)
-    tm = transfer_matrix(g, u, 2, Q0, T0, mode="exact", ring=ring)
+    states = partitions_up_to(2)
+    entries = _exact_entries(u, Q0, T0, ring, states, states)
     pref = (g * g * ((1 - T0) / (1 - Q0) * (u - 1))).exp()
-    assert tm.entries[((), ())] == pref
+    assert entries[(), ()] == pref
 
 
 @pytest.mark.parametrize("q, t", [(Q0, T0), (Fraction(43, 97), Fraction(59, 89))])
@@ -100,10 +118,7 @@ def test_exact_entries_equal_the_nu_sum_oracle(q, t):
                     acc = acc + xi_pows[k] * c
                 if acc:
                     want[lam, mu] = pref * acc
-        tm = transfer_matrix(g, u, depth, q, t, mode="exact", ring=ring,
-                             row_states=rs, col_states=cs)
-        assert tm.states == states
-        assert tm.entries == want
+        assert _exact_entries(u, q, t, ring, rs or states, cs or states) == want
 
 
 def test_transfer_entries_nonnegative_float():
@@ -173,11 +188,6 @@ def test_sandwich_is_the_exponential_series():
         @ half_vertex(up_dual, xi).T
     got = transfer_matrix(gamma, u, depth, q, t, mode="float").entries
     assert np.allclose(got, want, rtol=1e-13, atol=0)
-    small = partitions_up_to(3)
-    sub = transfer_matrix(gamma, u, depth, q, t, mode="float",
-                          row_states=small[::-1], col_states=small[1:])
-    assert np.allclose(sub.entries, got[:len(small)][::-1, 1:len(small)],
-                       rtol=1e-14, atol=0)
 
 
 def test_pieri_up_matrices_add_one_box_and_are_nilpotent():
@@ -235,10 +245,71 @@ def test_semigroup_exact_detects_a_wrong_pieri_edge(monkeypatch):
     assert defect() != 0
 
 
+def test_plancherel_check_reports_the_first_failing_entry(monkeypatch, capsys):
+    # the same wrong psi edge through the CLI: exit 1, and the report names
+    # the first failing (lambda, mu) of the safe block and the lowest nonzero
+    # coefficient of T(u) T(v) - T(uv) there
+    monkeypatch.setattr(plancherel, "_LEVEL_PATHS", {})
+    pieri = macdonald.pieri
+
+    def wrong(lam, mu, q, t):
+        psi, phi = pieri(lam, mu, q, t)
+        if (lam, mu) == ((2, 1), (2,)):
+            psi *= Fraction(11, 10)
+        return psi, phi
+
+    monkeypatch.setattr(macdonald, "pieri", wrong)
+    argv = ["plancherel", "check", "--depth", "8", "--reserve", "4",
+            "--gamma-deg", "6", "--samples", "2000", "--q", "1/3", "--t", "1/5"]
+    assert cli.main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    ring = SeriesRing(["g"], 6)
+    lam, mu, diff = semigroup_defect(ring.gen("g"), Fraction(1, 2), Fraction(1, 3),
+                                     8, Q0, T0, ring=ring)
+    first = report["first_mismatch"]
+    assert (tuple(first["lambda"]), tuple(first["mu"])) == (lam, mu)
+    assert report["semigroup_defect"] == str(diff)
+    k = min(diff.terms)
+    assert first["exp"] == {"g": k[0]} and first["defect"] == str(diff.terms[k])
+    # no entry earlier in the scan order fails
+    small = partitions_up_to(4)
+    tu = _exact_entries(Fraction(1, 2), Q0, T0, ring, small, partitions_up_to(8))
+    tv = _exact_entries(Fraction(1, 3), Q0, T0, ring, partitions_up_to(8), small)
+    tuv = _exact_entries(Fraction(1, 6), Q0, T0, ring, small, small)
+    failing = []
+    for a in small:
+        for b in small:
+            if weight(a) + weight(b) <= 4:
+                prod = ring.zero()
+                for kap in partitions_up_to(8):
+                    if (a, kap) in tu and (kap, b) in tv:
+                        prod = prod + tu[a, kap] * tv[kap, b]
+                if prod != tuv.get((a, b), ring.zero()):
+                    failing.append((a, b))
+    assert failing[0] == (lam, mu)
+
+
+def _float_semigroup_defect(gamma, u, v, depth, reserve):
+    """max |T(u) T(v) - T(uv)| over the safe block, from float matrices."""
+    tu, tv, tuv = (transfer_matrix(gamma, x, depth, Q0, T0).entries
+                   for x in (u, v, u * v))
+    sizes = np.array([weight(lam) for lam in partitions_up_to(depth)])
+    safe = sizes[:, None] + sizes[None, :] <= depth - reserve
+    return np.abs(tu @ tv - tuv)[safe].max()
+
+
 def test_semigroup_float_defect_shrinks():
-    d1 = semigroup_defect(0.8, 0.5, 0.4, 4, Q0, T0, reserve=2, mode="float")
-    d2 = semigroup_defect(0.8, 0.5, 0.4, 7, Q0, T0, reserve=2, mode="float")
+    d1 = _float_semigroup_defect(0.8, 0.5, 0.4, 4, reserve=2)
+    d2 = _float_semigroup_defect(0.8, 0.5, 0.4, 7, reserve=2)
     assert d2 < d1
+
+
+def test_each_entry_point_runs_one_arithmetic():
+    ring = SeriesRing(["g"], 4)
+    with pytest.raises(ValueError):
+        transfer_matrix(ring.gen("g"), Fraction(1, 2), 4, Q0, T0, mode="exact")
+    with pytest.raises(ValueError):
+        semigroup_defect(0.8, 0.5, 0.4, 4, Q0, T0, reserve=2, mode="float")
 
 
 def test_prop44_marginals_match_transfer_cycle():
