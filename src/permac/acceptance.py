@@ -90,12 +90,7 @@ def criterion_trace_formula(seed=DEFAULT_SEED) -> dict:
 
 
 def _single_alpha_process(N, q, t, cutoff):
-    names = [f"a{i}" for i in range(N)] + [f"b{j}" for j in range(1, N + 1)]
-    ring = SeriesRing(["u"] + names, cutoff)
-    plus = [macdonald.alpha_spec([(f"a{i}", 1)], ring) for i in range(N)]
-    minus = [macdonald.alpha_spec([(f"b{j}", 1)], ring)
-             for j in range(1, N + 1)]
-    return process.ProcessSpec(ring, q, t, ring.gen("u"), plus, minus)
+    return process.process_from_names(["alpha"] * N, ["alpha"] * N, q, t, cutoff)
 
 
 def criterion_partition_function(seed=DEFAULT_SEED) -> dict:
@@ -186,12 +181,8 @@ def criterion_bessel_examples(seed=DEFAULT_SEED) -> dict:
 
     for tag in ("E", "E'"):
         q, t = random_qt_pair(rng)
-        ring = SeriesRing(["u", "g"], 8)
-        xi = ring.gen("g") * (ring.one() - ring.gen("u"))
-        ps = process.ProcessSpec(
-            ring, q, t, ring.gen("u"),
-            [macdonald.plancherel_spec(xi, ring)],
-            [macdonald.plancherel_spec(xi, ring)])
+        ps = process.process_from_names(["plancherel"], ["plancherel"], q, t, 8)
+        ring = ps.ring
         got = process.moment_formula(ps, [(tag, 1)])
         u = ring.gen("u")
         if tag == "E":

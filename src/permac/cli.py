@@ -57,33 +57,6 @@ def _require_at_least(args, low: int, *names) -> None:
             raise UsageError(f"--{name.replace('_', '-')} must be at least {low}")
 
 
-def _spec_from_name(name: str, side: str, index: int, ring):
-    name = name.strip().lower()
-    if name == "zero":
-        return macdonald.zero_spec()
-    if name == "alpha":
-        sym = f"{'a' if side == '+' else 'b'}{index}"
-        return macdonald.alpha_spec([(sym, 1)], ring, label=f"alpha{side}{index}")
-    if name == "plancherel":
-        xi = ring.gen("g") * (ring.one() - ring.gen("u"))
-        return macdonald.plancherel_spec(xi, ring)
-    raise UsageError(f"unknown specialization {name!r} "
-                     "(expected zero | alpha | plancherel)")
-
-
-def _ring_symbols_for(spec_names, N):
-    symbols = ["u"]
-    if any(s == "plancherel" for s in spec_names):
-        symbols.append("g")
-    for i, s in enumerate(spec_names[:N]):
-        if s == "alpha":
-            symbols.append(f"a{i}")
-    for j, s in enumerate(spec_names[N:], start=1):
-        if s == "alpha":
-            symbols.append(f"b{j}")
-    return symbols
-
-
 def _first_mismatch(a, b):
     """First differing coefficient between two TruncSeries, None when equal."""
     exps = sorted(set(a.terms) | set(b.terms))
@@ -96,13 +69,17 @@ def _first_mismatch(a, b):
     return None
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, default=str)
+def _write(args, text: str) -> None:
+    """Write a report to --out when given, else to stdout."""
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+
+
+def _emit(args, payload: dict) -> None:
+    _write(args, json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n")
 
 
 def _emit_oracle_report(args, quantity: str, params: dict, cutoffs: dict,
@@ -164,19 +141,16 @@ def cmd_macdonald_pieri(args) -> int:
 
 def _build_process(args):
     from . import process
-    from .series import SeriesRing
 
     q, t = _parse_q_t(args)
     _require_at_least(args, 1, "N", "u_deg")
     N = args.N
-    plus_names = (args.spec_plus.split(";") * N)[:N]
-    minus_names = (args.spec_minus.split(";") * N)[:N]
-    symbols = _ring_symbols_for(plus_names + minus_names, N)
-    ring = SeriesRing(symbols, args.u_deg)
-    plus = [_spec_from_name(s, "+", i, ring) for i, s in enumerate(plus_names)]
-    minus = [_spec_from_name(s, "-", j, ring)
-             for j, s in enumerate(minus_names, start=1)]
-    return process.ProcessSpec(ring, q, t, ring.gen("u"), plus, minus)
+    try:
+        return process.process_from_names((args.spec_plus.split(";") * N)[:N],
+                                          (args.spec_minus.split(";") * N)[:N],
+                                          q, t, args.u_deg)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _process_params(args) -> dict:
@@ -246,11 +220,7 @@ def cmd_plancherel_sample(args) -> int:
         raise UsageError(str(exc))
     print(f"dropped mass: {plancherel.dropped_mass(mats, spec.beta):.3e} of the "
           f"cycle at depth {spec.depth}", file=sys.stderr)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
     return 0
 
 

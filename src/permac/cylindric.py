@@ -16,6 +16,7 @@ expansion directions.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from . import macdonald
@@ -386,25 +387,17 @@ def principal_p_envelope(nu: tuple, variant: str):
     raise ValueError("unknown principal variant")
 
 
-def principal_p_trunc(ring: SeriesRing, nu: tuple, variant: str):
-    """p-value callable in a truncated (nonnegative) series ring.
+def principal_p_trunc(ring: SeriesRing, variant: str):
+    """p-value callable of an empty-profile (nu = ()) specialization.
 
-    Valid when no finite exponent is negative (always true for nu = ()); the
-    geometric tails expand inside the ring.
+    Variant "xr_ynu" is x^rho, p_n = x^n / (1 - x^n); variant "yr_nxu" is
+    y^{rho-1}, p_n = 1 / (1 - y^n).  Both expand inside the truncated ring.
     """
-    finite, (tvar, texp) = principal_p_envelope(nu, variant)
-    if any(a < 0 or b < 0 for a, b in finite):
-        raise ValueError("negative exponents need the Laurent evaluator")
-
-    tail = ring.gen(tvar)
-
-    def p_value(n):
-        acc = ring.zero()
-        for a, b in finite:
-            acc = acc + ring.monomial(Fraction(1), x=a * n, y=b * n)
-        return acc + geometric(ring, tail, n, start=texp)
-
-    return p_value
+    if variant == "xr_ynu":
+        return lambda n: geometric(ring, ring.gen("x"), n, start=1)
+    if variant == "yr_nxu":
+        return lambda n: geometric(ring, ring.gen("y"), n)
+    raise ValueError("unknown principal variant")
 
 
 def principal_p_numeric(nu: tuple, variant: str, x: Fraction, y: Fraction):
@@ -493,8 +486,8 @@ def cor_b2_check(grade: int, q: Fraction, t: Fraction) -> dict:
     (t x; q, x, y)/(x; q, x, y).
     """
     ring = SeriesRing(["u", "x", "y"], grade)
-    p_first = principal_p_trunc(ring, (), "yr_nxu")
-    p_second = principal_p_trunc(ring, (), "xr_ynu")
+    p_first = principal_p_trunc(ring, "yr_nxu")
+    p_second = principal_p_trunc(ring, "xr_ynu")
     lhs = ring.zero()
     for lam in partitions_up_to(grade):
         term = vertex_skew_sum(lam, lam, p_first, p_second, q, t, ring.one())
@@ -514,25 +507,23 @@ def cor_b2_check(grade: int, q: Fraction, t: Fraction) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def signatures_up_to(max_len: int, max_weight: int):
-    """All nonnegative signatures with length <= max_len, weight <= max_weight.
+def signatures(n: int, max_weight: int) -> list:
+    """All nonnegative signatures with exactly n entries and weight <= max_weight.
 
-    Trailing zeros are significant: a signature is a partition padded by a
-    recorded number of zeros.
+    Trailing zeros are significant: a signature is a partition padded with
+    zeros to n entries.
     """
-    out = []
-    for ell in range(max_len + 1):
-        for kappa in partitions_up_to(max_weight):
-            if length(kappa) <= ell:
-                out.append(tuple(kappa) + (0,) * (ell - length(kappa)))
-    return out
+    return [kappa + (0,) * (n - length(kappa))
+            for kappa in partitions_up_to(max_weight) if length(kappa) <= n]
 
 
-def signature_multiplicities(sig: tuple) -> dict:
-    m: dict = {}
-    for v in sig:
-        m[v] = m.get(v, 0) + 1
-    return m
+def signature_coefficient(ring: SeriesRing, sig: tuple, a, x) -> TruncSeries:
+    """prod over the part values r of sig of (a; x)_m / (x; x)_m, m = m_r(sig)."""
+    coef = ring.one()
+    for m in Counter(sig).values():
+        coef = coef * qpochhammer_finite(ring, a, x, m) \
+            * qpochhammer_finite(ring, x, x, m).inverse()
+    return coef
 
 
 def vertex_e1_trace_check(grade: int, q: Fraction, t: Fraction) -> dict:
@@ -550,8 +541,8 @@ def vertex_e1_trace_check(grade: int, q: Fraction, t: Fraction) -> dict:
     from .process import ProcessSpec, moment_formula, partition_function_closed
 
     ring = SeriesRing(["u", "x", "y"], grade)
-    p_plus = principal_p_trunc(ring, (), "xr_ynu")     # x^rho
-    p_minus = principal_p_trunc(ring, (), "yr_nxu")    # y^{rho-1}
+    p_plus = principal_p_trunc(ring, "xr_ynu")     # x^rho
+    p_minus = principal_p_trunc(ring, "yr_nxu")    # y^{rho-1}
 
     # (A) sum over kappa inside mu of u^{|kappa|} E'_1(mu) P Q skew values
     lhs = ring.zero()
@@ -572,8 +563,8 @@ def vertex_e1_trace_check(grade: int, q: Fraction, t: Fraction) -> dict:
         lhs = lhs + inner * ev
 
     # (B) normalized moment times the partition function
-    spec_p = Specialization("principal", p_plus, 1, "x^rho")
-    spec_m = Specialization("principal", p_minus, 1, "y^rho-1")
+    spec_p = Specialization("principal", p_plus, 1)
+    spec_m = Specialization("principal", p_minus, 1)
     ps = ProcessSpec(ring, q, t, ring.gen("u"), [spec_p], [spec_m])
     mid = moment_formula(ps, [("E'", 1)]) \
         * partition_function_closed(ps)
@@ -589,21 +580,11 @@ def vertex_e1_trace_check(grade: int, q: Fraction, t: Fraction) -> dict:
     sig_sum = ring.zero()
     for n_len in range(grade + 1):
         qn = Fraction(1) / q ** n_len
-        for lam in signatures_up_to(n_len, grade):
-            if len(lam) != n_len or sum(lam) + n_len > grade:
-                continue
-            clam = ring.one()
-            for _r, m in signature_multiplicities(lam).items():
-                clam = clam * qpochhammer_finite(ring, t, u, m) \
-                    * qpochhammer_finite(ring, u, u, m).inverse()
-            for mu in signatures_up_to(n_len, grade):
-                if len(mu) != n_len or sum(mu) > grade:
-                    continue
-                cmu = ring.one()
-                for _r, m in signature_multiplicities(mu).items():
-                    cmu = cmu * qpochhammer_finite(ring, t, u, m) \
-                        * qpochhammer_finite(ring, u, u, m).inverse()
-                sig_sum = sig_sum + clam * cmu * ring.monomial(
+        coef = {mu: signature_coefficient(ring, mu, t, u)
+                for mu in signatures(n_len, grade)}
+        for lam in signatures(n_len, grade - n_len):
+            for mu, cmu in coef.items():
+                sig_sum = sig_sum + coef[lam] * cmu * ring.monomial(
                     qn, x=sum(lam) + n_len, y=sum(mu))
     rhs = pref * sig_sum
     return {"grade": grade,
@@ -785,11 +766,8 @@ def lemma_b4_check(grade: int, a: Fraction) -> dict:
     lhs = qpochhammer(ring, ring.monomial(a, z=1), [x, y]) \
         * qpochhammer(ring, z, [x, y]).inverse()
     rhs = ring.zero()
-    for sig in signatures_up_to(grade, grade):
-        coef = ring.one()
-        for _r, m in signature_multiplicities(sig).items():
-            num = qpochhammer_finite(ring, a, x, m)
-            den = qpochhammer_finite(ring, x, x, m)
-            coef = coef * num * den.inverse()
-        rhs = rhs + coef * ring.monomial(Fraction(1), y=sum(sig), z=len(sig))
+    for n in range(grade + 1):
+        for sig in signatures(n, grade):
+            rhs = rhs + signature_coefficient(ring, sig, a, x) \
+                * ring.monomial(Fraction(1), y=sum(sig), z=n)
     return {"grade": grade, "match": lhs == rhs, "lhs": lhs, "rhs": rhs}

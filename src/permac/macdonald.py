@@ -401,21 +401,20 @@ class Specialization:
     module, which feeds plain p-value callables to skew_eval.
     """
 
-    def __init__(self, kind: str, p_value, degree: int, label: str = ""):
+    def __init__(self, kind: str, p_value, degree: int):
         self.kind = kind
         self.p_value = p_value
         self.degree = degree  # grading degree of p_1 (0 when numeric)
-        self.label = label or kind
 
     def __repr__(self):
-        return f"Specialization({self.label})"
+        return f"Specialization({self.kind})"
 
 
 def zero_spec() -> Specialization:
-    return Specialization("zero", lambda n: Fraction(0), 0, "zero")
+    return Specialization("zero", lambda n: Fraction(0), 0)
 
 
-def alpha_spec(values, ring, label="alpha") -> Specialization:
+def alpha_spec(values, ring) -> Specialization:
     """Finite formal alpha specialization: p_n = sum_s alpha_s^n.
 
     Each entry is a pair (symbol_name, rational_coeff) meaning
@@ -427,16 +426,16 @@ def alpha_spec(values, ring, label="alpha") -> Specialization:
             out = out + ring.monomial(Fraction(c) ** n, **{name: n})
         return out
 
-    return Specialization("alpha", p_value, 1, label)
+    return Specialization("alpha", p_value, 1)
 
 
-def plancherel_spec(xi, ring, label="plancherel") -> Specialization:
+def plancherel_spec(xi, ring) -> Specialization:
     """p_n = xi * delta_{n,1}; xi is an element of the series ring ``ring``."""
     def p_value(n):
         return xi if n == 1 else ring.zero()
 
     return Specialization("plancherel", p_value,
-                          1 if xi.min_degree() > 0 else 0, label)
+                          1 if xi.min_degree() > 0 else 0)
 
 
 def lambda_rho_p(lam: tuple, r: int, q: Fraction, t: Fraction,

@@ -24,7 +24,8 @@ from itertools import combinations, permutations
 from .fock import eta_xi_contraction, eta_xi_exponent, operator_family
 from .laurent import LaurentPoly, cauchy_sym_prefactor, laurent_exp, \
     product_coefficient, ratio_sym_factor
-from .macdonald import observable, skew_eval
+from .macdonald import alpha_spec, observable, plancherel_spec, skew_eval, \
+    zero_spec
 from .partitions import contains, partitions_up_to, weight
 from .series import SeriesRing, TruncSeries, euler_inverse, geometric, \
     qpochhammer, theta3
@@ -79,6 +80,40 @@ class ProcessSpec:
     def spec_is_zero(self, side: str, index: int) -> bool:
         spec = self.rho_plus[index] if side == "+" else self.rho_minus[index]
         return spec.kind == "zero"
+
+
+def process_from_names(plus_names, minus_names, q, t, cutoff: int) -> ProcessSpec:
+    """Process with one named specialization per step, u a formal symbol.
+
+    ``plus_names`` names rho^+_0..rho^+_{N-1} and ``minus_names``
+    rho^-_1..rho^-_N, each "zero", "alpha" or "plancherel" in any case and
+    with surrounding spaces.  alpha at rho^+_i is the formal symbol a<i>, at
+    rho^-_j it is b<j>; plancherel is xi = g(1 - u).  The ring holds u, then
+    g when a Plancherel step occurs, then the alpha symbols in step order,
+    truncated at graded degree ``cutoff``.
+    """
+    plus = [name.strip().lower() for name in plus_names]
+    minus = [name.strip().lower() for name in minus_names]
+    for name in plus + minus:
+        if name not in ("zero", "alpha", "plancherel"):
+            raise ValueError(f"unknown specialization {name!r} "
+                             "(expected zero | alpha | plancherel)")
+    symbols = ["u"] + (["g"] if "plancherel" in plus + minus else []) \
+        + [f"a{i}" for i, name in enumerate(plus) if name == "alpha"] \
+        + [f"b{j}" for j, name in enumerate(minus, start=1) if name == "alpha"]
+    ring = SeriesRing(symbols, cutoff)
+
+    def spec(name, sym):
+        if name == "zero":
+            return zero_spec()
+        if name == "alpha":
+            return alpha_spec([(sym, 1)], ring)
+        return plancherel_spec(ring.gen("g") * (ring.one() - ring.gen("u")), ring)
+
+    return ProcessSpec(ring, q, t, ring.gen("u"),
+                       [spec(name, f"a{i}") for i, name in enumerate(plus)],
+                       [spec(name, f"b{j}")
+                        for j, name in enumerate(minus, start=1)])
 
 
 def weight_W(pspec: ProcessSpec, lam_seq, mu_seq) -> TruncSeries:
@@ -180,12 +215,39 @@ def configurations(pspec: ProcessSpec, depth: int):
             yield lam_seq, mu_partial
 
 
+def _configuration_sums(pspec: ProcessSpec, depth: int, series_r=None):
+    """(sum W f, sum W) over the configurations of graded degree <= depth.
+
+    f is the product over steps of the observables ``series_r`` lists, one
+    (series_tag, r) per step, each exact rational memoised per partition.
+    Without ``series_r`` f = 1 and both sums are the one weight sum.  The
+    sums are not truncated: each oracle truncates in its own order.  Only
+    the brute-force oracles call this.
+    """
+    num = den = pspec.ring.zero()
+    obs_cache: dict = {}
+    for lam_seq, mu_seq in configurations(pspec, depth):
+        w = weight_W(pspec, lam_seq, mu_seq)
+        if not w:
+            continue
+        den = den + w
+        if series_r is None:
+            continue
+        f = Fraction(1)
+        for (tag, r), lam in zip(series_r, lam_seq):
+            key = (tag, r, lam)
+            v = obs_cache.get(key)
+            if v is None:
+                v = observable(tag, r, lam, pspec.q, pspec.t)
+                obs_cache[key] = v
+            f *= v
+        num = num + w * f
+    return (den if series_r is None else num), den
+
+
 def partition_function_bruteforce(pspec: ProcessSpec, depth: int) -> TruncSeries:
     """Literal configuration sum, exact through graded degree <= depth."""
-    out = pspec.ring.zero()
-    for lam_seq, mu_seq in configurations(pspec, depth):
-        out = out + weight_W(pspec, lam_seq, mu_seq)
-    return out.truncate(depth)
+    return _configuration_sums(pspec, depth)[1].truncate(depth)
 
 
 def cauchy_kernel(ring: SeriesRing, q, t, u, p_plus, p_minus,
@@ -261,23 +323,7 @@ def moment_bruteforce(pspec: ProcessSpec, series_r, depth: int) -> TruncSeries:
     """
     if len(series_r) != pspec.N:
         raise ValueError("need one observable per step")
-    num = pspec.ring.zero()
-    den = pspec.ring.zero()
-    obs_cache: dict = {}
-    for lam_seq, mu_seq in configurations(pspec, depth):
-        w = weight_W(pspec, lam_seq, mu_seq)
-        if not w:
-            continue
-        den = den + w
-        f = Fraction(1)
-        for (tag, r), lam in zip(series_r, lam_seq):
-            key = (tag, r, lam)
-            v = obs_cache.get(key)
-            if v is None:
-                v = observable(tag, r, lam, pspec.q, pspec.t)
-                obs_cache[key] = v
-            f *= v
-        num = num + w * f
+    num, den = _configuration_sums(pspec, depth, series_r)
     return (num.truncate(depth) * den.truncate(depth).inverse()).truncate(depth)
 
 
@@ -355,6 +401,8 @@ def moment_formula(pspec: ProcessSpec, series_r) -> TruncSeries:
     lowering half of step a's.  The result is already normalized: the
     partition function cancels inside the derivation.
     """
+    if len(series_r) != pspec.N:
+        raise ValueError("need one observable per step")
     ring = pspec.ring
     q, t = pspec.q, pspec.t
     clip = ring.cutoff + 2
@@ -411,6 +459,8 @@ def shift_mixed_moment_formula(pspec: ProcessSpec, r: int, v_name: str,
 
     Equals the plain N=1 E moment times theta_3(zeta t^-r; u)/theta_3(zeta; u).
     """
+    if pspec.N != 1:
+        raise ValueError("shift-mixed quantities are single-step")
     base = moment_formula(pspec, [("E", r)])
     tnum = theta3(pspec.ring, v_name, zeta * pspec.t ** (-r))
     tden = theta3(pspec.ring, v_name, zeta)
@@ -428,9 +478,6 @@ def shift_mixed_moment_bruteforce(pspec: ProcessSpec, r: int, v_name: str,
         raise ValueError("shift-mixed quantities are single-step")
     ring = pspec.ring
     dv = ring.degrees[ring._index[v_name]]
-    num = ring.zero()
-    den = ring.zero()
-    obs: dict = {}
     charge_num = ring.zero()
     charge_den = ring.zero()
     # the oracle keeps its own charge sum: series.theta_terms feeds theta3 in
@@ -443,17 +490,7 @@ def shift_mixed_moment_bruteforce(pspec: ProcessSpec, r: int, v_name: str,
             charge_den = charge_den + mono
             charge_num = charge_num + mono * (pspec.t ** (-r * m))
         n += 1
-    for lam_seq, mu_seq in configurations(pspec, depth):
-        w = weight_W(pspec, lam_seq, mu_seq)
-        if not w:
-            continue
-        lam = lam_seq[0]
-        v = obs.get(lam)
-        if v is None:
-            v = observable("E", r, lam, pspec.q, pspec.t)
-            obs[lam] = v
-        den = den + w
-        num = num + w * v
+    num, den = _configuration_sums(pspec, depth, [("E", r)])
     num = num * charge_num
     den = den * charge_den
     return (num.truncate(ring.cutoff) * den.truncate(ring.cutoff).inverse())

@@ -22,6 +22,7 @@ Brute-force oracles keep their own hand-written sums.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .scalars import QRho, as_fraction, format_rational, parse_rational
 
@@ -222,6 +223,23 @@ class TruncSeries:
 
     # -- series-level functions ---------------------------------------------------
 
+    def _power_sum(self, coeff, out):
+        """out + sum_{k>=1} coeff(k) * self^k, for a series of positive valuation.
+
+        Stops at the first vanishing power or once k times the valuation
+        passes the ring cutoff, beyond which every power truncates to zero.
+        """
+        vmin = self.min_degree()
+        power = self.ring.one()
+        k = 1
+        while k * vmin <= self.ring.cutoff:
+            power = power * self
+            if not power:
+                break
+            out = out + power * coeff(k)
+            k += 1
+        return out
+
     def inverse(self):
         """Multiplicative inverse; requires an invertible constant term."""
         c0 = self.constant_term()
@@ -229,55 +247,22 @@ class TruncSeries:
             raise ZeroDivisionError("series with zero constant term")
         inv0 = c0.inverse() if isinstance(c0, QRho) else Fraction(1) / Fraction(c0)
         g = self * inv0 - 1
-        out = self.ring.one()
-        power = self.ring.one()
-        gmin = g.min_degree()
-        if gmin <= 0:
+        if g.min_degree() <= 0:
             raise ZeroDivisionError("nonpositive valuation after normalization")
-        k = 1
-        while k * gmin <= self.ring.cutoff:
-            power = power * g
-            if not power:
-                break
-            out = out + (power if k % 2 == 0 else -power)
-            k += 1
-        return out * inv0
+        return g._power_sum(lambda k: -1 if k % 2 else 1, self.ring.one()) * inv0
 
     def exp(self):
         """exp of a series with zero constant term."""
         if self.constant_term():
             raise ValueError("exp needs zero constant term")
-        vmin = self.min_degree()
-        out = self.ring.one()
-        power = self.ring.one()
-        fact = Fraction(1)
-        k = 1
-        while k * vmin <= self.ring.cutoff:
-            power = power * self
-            if not power:
-                break
-            fact *= k
-            out = out + power * (Fraction(1) / fact)
-            k += 1
-        return out
+        return self._power_sum(lambda k: Fraction(1, factorial(k)), self.ring.one())
 
     def log(self):
         """log of a series with constant term 1."""
         if self.constant_term() != 1:
             raise ValueError("log needs constant term 1")
-        g = self - 1
-        vmin = g.min_degree()
-        out = self.ring.zero()
-        power = self.ring.one()
-        k = 1
-        while k * vmin <= self.ring.cutoff:
-            power = power * g
-            if not power:
-                break
-            coef = Fraction(1 if k % 2 == 1 else -1, k)
-            out = out + power * coef
-            k += 1
-        return out
+        return (self - 1)._power_sum(lambda k: Fraction(1 if k % 2 else -1, k),
+                                     self.ring.zero())
 
     def subs_zero(self, *names) -> "TruncSeries":
         """Set the named symbols to zero."""

@@ -143,6 +143,23 @@ def test_process_commands_take_plancherel_specs(command):
     assert any(exp[1] for exp in series.terms)  # the Plancherel specs enter
 
 
+@pytest.mark.parametrize("command,spelling,name", [
+    (["process", "partition-function"], "Plancherel", "plancherel"),
+    (["process", "moment", "--series", "E", "--r", "1"], " Alpha", "alpha"),
+])
+def test_spec_names_ignore_case_and_spaces(command, spelling, name):
+    reports = []
+    for spec in (spelling, name):
+        code, out = run_cli([*command, "--N", "1", "--spec-plus", spec,
+                             "--u-deg", "2"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["params"]["specs"][0] == spec  # echoed as given
+        del report["params"]["specs"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_oracle_report_names_the_first_mismatch(monkeypatch):
     from fractions import Fraction
 
@@ -229,6 +246,21 @@ def test_sampler_three_times_golden_and_dropped_mass_on_stderr():
     assert proc.stderr.count("\n") == 1
     head, mass = proc.stderr.split(" of the cycle")[0].split(": ")
     assert head == "dropped mass" and 0 < float(mass) < 0.05
+
+
+def test_sampler_out_file_is_the_golden_stream(tmp_path):
+    path = tmp_path / "sample.out"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["plancherel", "sample", "--gamma", "0.8", "--beta", "1.0",
+                     "--times", "0.0,0.3", "--depth", "6", "--count", "100",
+                     "--seed", "7", "--q", "1/2", "--t", "1/2",
+                     "--out", str(path)])
+    assert code == 0 and out.getvalue() == ""
+    with open(os.path.join(ROOT, "tests", "golden", "plancherel-sample.out")) as fh:
+        assert path.read_text() == fh.read()
+    assert err.getvalue().startswith("dropped mass: ")
+    assert err.getvalue().count("\n") == 1
 
 
 def test_config_file_merges_under_flags(tmp_path):
@@ -339,6 +371,7 @@ def test_package_main_runs_cli():
     ["process", "partition-function", "--N", "0"],
     ["cylindric", "verify-macmahon", "--N", "2", "--M", "5"],
     ["cylindric", "enumerate", "--N", "1", "--max-weight", "-1"],
+    ["process", "partition-function", "--spec-plus", "bogus"],
     ["plancherel", "sample", "--times", "0.0,2.0", "--beta", "1.0"],
     ["plancherel", "sample", "--depth", "-1"],
     ["plancherel", "check", "--depth", "-1"],

@@ -214,8 +214,8 @@ def test_trivial_vertex_is_one():
     from permac.cylindric import principal_p_trunc, vertex_skew_sum
 
     ring = SeriesRing(["u", "x", "y"], 3)
-    pa = principal_p_trunc(ring, (), "yr_nxu")
-    pb = principal_p_trunc(ring, (), "xr_ynu")
+    pa = principal_p_trunc(ring, "yr_nxu")
+    pb = principal_p_trunc(ring, "xr_ynu")
     assert vertex_skew_sum((), (), pa, pb, Q0, T0, ring.one()) == ring.one()
 
 

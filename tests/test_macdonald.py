@@ -452,7 +452,7 @@ def _skew_oracle_specs():
     return {
         "alpha-a-2b": (alpha_spec([("a", 1), ("b", 2)], ab), ab.one()),
         "plancherel": (plancherel_spec(g.gen("g") * Fraction(3, 2), g), g.one()),
-        "cor_b2-series": (principal_p_trunc(uxy, (), "yr_nxu"), uxy.one()),
+        "cor_b2-series": (principal_p_trunc(uxy, "yr_nxu"), uxy.one()),
         "thm_b1-laurent": (principal_p_laurent(zvars, u, (2, 1), "yr_nxu", 4),
                            LaurentPoly.constant(zvars, u.one())),
         "p2-zero": (gap, ab.one()),

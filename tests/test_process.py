@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from permac import process
-from permac.macdonald import alpha_spec, plancherel_spec, zero_spec
+from permac.macdonald import alpha_spec, zero_spec
 from permac.partitions import contains, partitions_up_to, weight
 from permac.process import (
     ProcessSpec,
@@ -17,6 +17,7 @@ from permac.process import (
     pair_kernel_pochhammer,
     partition_function_bruteforce,
     partition_function_closed,
+    process_from_names,
     schur_limit_kernels,
     shift_mixed_moment_bruteforce,
     shift_mixed_moment_formula,
@@ -31,19 +32,12 @@ Q0, T0 = Fraction(1, 3), Fraction(1, 5)
 
 
 def single_alpha_process(N, q, t, cutoff):
-    names = [f"a{i}" for i in range(N)] + [f"b{j}" for j in range(1, N + 1)]
-    ring = SeriesRing(["u"] + names, cutoff)
-    plus = [alpha_spec([(f"a{i}", 1)], ring, label=f"alpha+{i}") for i in range(N)]
-    minus = [alpha_spec([(f"b{j}", 1)], ring, label=f"alpha-{j}")
-             for j in range(1, N + 1)]
-    return ProcessSpec(ring, q, t, ring.gen("u"), plus, minus)
+    return process_from_names(["alpha"] * N, ["alpha"] * N, q, t, cutoff)
 
 
 def test_weight_examples():
-    ring = SeriesRing(["u", "a0", "b1"], 4)
-    plus = [alpha_spec([("a0", 1)], ring)]
-    minus = [alpha_spec([("b1", 1)], ring)]
-    ps = ProcessSpec(ring, Q0, T0, ring.gen("u"), plus, minus)
+    ps = single_alpha_process(1, Q0, T0, 4)
+    ring = ps.ring
     w = weight_W(ps, [(1,)], [()])
     expect = ring.monomial((1 - T0) / (1 - Q0), a0=1, b1=1)
     assert w == expect
@@ -68,10 +62,8 @@ def test_weight_support_is_interlacing():
 
 
 def test_partition_function_zero_minus_is_euler():
-    ring = SeriesRing(["u", "a0"], 5)
-    plus = [alpha_spec([("a0", 1)], ring)]
-    minus = [zero_spec()]
-    ps = ProcessSpec(ring, Q0, T0, ring.gen("u"), plus, minus)
+    ps = process_from_names(["alpha"], ["zero"], Q0, T0, 5)
+    ring = ps.ring
     brute = partition_function_bruteforce(ps, 5)
     assert brute == euler_inverse(ring, ring.gen("u"))
     assert partition_function_closed(ps) == brute
@@ -86,6 +78,22 @@ def test_partition_function_closed_vs_bruteforce(N, depth):
         brute = partition_function_bruteforce(ps, depth)
         closed = partition_function_closed(ps)
         assert brute == closed, (N, q, t)
+
+
+def test_process_from_names_mixed_specs():
+    ps = process_from_names(["alpha", "plancherel"], ["zero", "alpha"],
+                            Q0, T0, 3)
+    assert ps.ring.symbols == ("u", "g", "a0", "b2")
+    assert partition_function_closed(ps) == partition_function_bruteforce(ps, 3)
+
+
+def test_process_from_names_normalises_and_rejects_names():
+    ps = process_from_names([" Alpha"], ["PLANCHEREL "], Q0, T0, 2)
+    assert ps.ring.symbols == ("u", "g", "a0")
+    assert [s.kind for s in ps.rho_plus + ps.rho_minus] == ["alpha", "plancherel"]
+    with pytest.raises(ValueError, match=r"^unknown specialization 'bogus' "
+                       r"\(expected zero \| alpha \| plancherel\)$"):
+        process_from_names(["zero"], [" Bogus"], Q0, T0, 2)
 
 
 def test_pair_kernel_pochhammer_route_matches_exp_route():
@@ -159,8 +167,8 @@ def lambda_weights(ps, depth):
 
 
 def test_measure_geometric_for_zero_specs():
-    ring = SeriesRing(["u"], 6)
-    ps = ProcessSpec(ring, Q0, T0, ring.gen("u"), [zero_spec()], [zero_spec()])
+    ps = process_from_names(["zero"], ["zero"], Q0, T0, 6)
+    ring = ps.ring
     weights, norm = lambda_weights(ps, 6)
     assert norm == euler_inverse(ring, ring.gen("u"))
     for lam_seq, w in weights.items():
@@ -193,8 +201,8 @@ def test_process_spec_rejects_rational_u():
 
 def test_moment_zero_specs_E1():
     # E[E_1] for the trivial measure: (u;u)_inf * sum_lam E_1(lam) u^{|lam|}
-    ring = SeriesRing(["u"], 5)
-    ps = ProcessSpec(ring, Q0, T0, ring.gen("u"), [zero_spec()], [zero_spec()])
+    ps = process_from_names(["zero"], ["zero"], Q0, T0, 5)
+    ring = ps.ring
     brute = moment_bruteforce(ps, [("E", 1)], 5)
     formula = moment_formula(ps, [("E", 1)])
     # closed product: (1/(1-t^-1)) (u;u)(q t^-1 u;u) / ((qu;u)(t^-1 u;u))
@@ -283,11 +291,8 @@ def bessel_series(ring, gname, c, nmax):
 def test_bessel_example_E1():
     rng = random.Random(77)
     q, t = random_qt_pair(rng)
-    ring = SeriesRing(["u", "g"], 8)
-    xi = ring.gen("g") * (ring.one() - ring.gen("u"))
-    plus = [plancherel_spec(xi, ring)]
-    minus = [plancherel_spec(xi, ring)]
-    ps = ProcessSpec(ring, q, t, ring.gen("u"), plus, minus)
+    ps = process_from_names(["plancherel"], ["plancherel"], q, t, 8)
+    ring = ps.ring
     got = moment_formula(ps, [("E", 1)])
     u = ring.gen("u")
     closed = bessel_series(ring, "g", (1 - t) * (1 / t - 1), 4) \
@@ -303,10 +308,8 @@ def test_bessel_example_E1():
 def test_bessel_example_E1_prime():
     rng = random.Random(78)
     q, t = random_qt_pair(rng)
-    ring = SeriesRing(["u", "g"], 8)
-    xi = ring.gen("g") * (ring.one() - ring.gen("u"))
-    ps = ProcessSpec(ring, q, t, ring.gen("u"),
-                     [plancherel_spec(xi, ring)], [plancherel_spec(xi, ring)])
+    ps = process_from_names(["plancherel"], ["plancherel"], q, t, 8)
+    ring = ps.ring
     got = moment_formula(ps, [("E'", 1)])
     u = ring.gen("u")
     closed = bessel_series(ring, "g", (1 - t) ** 2 / q, 4) \
@@ -320,10 +323,7 @@ def test_bessel_example_E1_prime():
 def test_bessel_example_E1_prime_nonsquare_ratio():
     # (t/q)^(1/2) is irrational here; the rescaled xi modes stay rational
     q, t = Fraction(1, 2), Fraction(1, 3)
-    ring = SeriesRing(["u", "g"], 6)
-    xi = ring.gen("g") * (ring.one() - ring.gen("u"))
-    ps = ProcessSpec(ring, q, t, ring.gen("u"),
-                     [plancherel_spec(xi, ring)], [plancherel_spec(xi, ring)])
+    ps = process_from_names(["plancherel"], ["plancherel"], q, t, 6)
     got = moment_formula(ps, [("E'", 1)])
     brute = moment_bruteforce(ps, [("E'", 1)], 6)
     assert got == brute
@@ -351,6 +351,25 @@ def test_shift_mixed_moment_formula_vs_bruteforce():
     brute = shift_mixed_moment_bruteforce(ps, 1, "v", zeta, 6)
     formula = shift_mixed_moment_formula(ps, 1, "v", zeta)
     assert formula == brute
+
+
+@pytest.mark.parametrize("steps", [[("E", 1)], [("E", 1)] * 3])
+def test_moments_need_one_observable_per_step(steps):
+    ps = single_alpha_process(2, Q0, T0, 2)
+    with pytest.raises(ValueError, match="one observable per step"):
+        moment_formula(ps, steps)
+    with pytest.raises(ValueError, match="one observable per step"):
+        moment_bruteforce(ps, steps, 2)
+
+
+def test_shift_mixed_moments_are_single_step():
+    ring = SeriesRing(["v"], 4)
+    u = ring.monomial(Fraction(1), v=2)
+    ps = ProcessSpec(ring, Q0, T0, u, [zero_spec()] * 2, [zero_spec()] * 2)
+    with pytest.raises(ValueError, match="single-step"):
+        shift_mixed_moment_formula(ps, 1, "v", Fraction(2, 3))
+    with pytest.raises(ValueError, match="single-step"):
+        shift_mixed_moment_bruteforce(ps, 1, "v", Fraction(2, 3), 4)
 
 
 def test_theta_cauchy_r1_trivial():
