@@ -396,9 +396,10 @@ def pieri(lam: tuple, mu: tuple, q: Fraction, t: Fraction):
 class Specialization:
     """Algebra map determined by its power-sum values p_n.
 
-    kind is one of "zero", "alpha", "plancherel"; the Appendix principal
-    specializations used by the topological vertex live in the cylindric
-    module, which feeds plain p-value callables to skew_eval.
+    kind is one of "zero", "alpha", "plancherel", or "principal" for the
+    Appendix specializations of the topological vertex; those live in the
+    cylindric module, which mostly feeds their p-value callables to
+    skew_eval directly.
     """
 
     def __init__(self, kind: str, p_value, degree: int):
