@@ -57,18 +57,6 @@ def _require_at_least(args, low: int, *names) -> None:
             raise UsageError(f"--{name.replace('_', '-')} must be at least {low}")
 
 
-def _first_mismatch(a, b):
-    """First differing coefficient between two TruncSeries, None when equal."""
-    exps = sorted(set(a.terms) | set(b.terms))
-    for e in exps:
-        ca = a.terms.get(e, 0)
-        cb = b.terms.get(e, 0)
-        if ca != cb:
-            return {"exp": dict(zip(a.ring.symbols, e)),
-                    "formula": str(ca), "oracle": str(cb)}
-    return None
-
-
 def _write(args, text: str) -> None:
     """Write a report to --out when given, else to stdout."""
     if getattr(args, "out", None):
@@ -85,7 +73,14 @@ def _emit(args, payload: dict) -> None:
 def _emit_oracle_report(args, quantity: str, params: dict, cutoffs: dict,
                         formula, oracle) -> int:
     """Report a closed-form series against its oracle; 0 if equal, else 1."""
+    from .series import first_mismatch
+
     match = formula == oracle
+    first = first_mismatch(formula, oracle)
+    if first is not None:
+        exp, ca, cb = first
+        first = {"exp": dict(zip(formula.ring.symbols, exp)),
+                 "formula": str(ca), "oracle": str(cb)}
     _emit(args, {
         "quantity": quantity,
         "params": params,
@@ -93,7 +88,7 @@ def _emit_oracle_report(args, quantity: str, params: dict, cutoffs: dict,
         "series": formula.to_json(),
         "oracle_match": match,
         "max_abs_discrepancy": "0" if match else "nonzero",
-        "first_mismatch": _first_mismatch(formula, oracle),
+        "first_mismatch": first,
     })
     return 0 if match else 1
 
@@ -226,7 +221,7 @@ def cmd_plancherel_sample(args) -> int:
 
 def cmd_plancherel_check(args) -> int:
     from . import plancherel
-    from .series import SeriesRing
+    from .series import SeriesRing, first_mismatch
 
     q, t = _parse_q_t(args)
     _require_at_least(args, 1, "samples", "gamma_deg")
@@ -265,11 +260,11 @@ def cmd_plancherel_check(args) -> int:
     }
     if defect != 0:
         lam, mu, diff = defect
-        exp = min(diff.terms)
+        exp, c, _ = first_mismatch(diff, ring.zero())
         report["semigroup_defect"] = str(diff)
         report["first_mismatch"] = {"lambda": list(lam), "mu": list(mu),
                                     "exp": dict(zip(ring.symbols, exp)),
-                                    "defect": str(diff.terms[exp])}
+                                    "defect": str(c)}
     _emit(args, report)
     return 0 if ok else 1
 
@@ -576,6 +571,10 @@ def main(argv=None) -> int:
             cache.configure(args.cache_dir)
         return handler(args)
     except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # an --out or --cache-dir path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

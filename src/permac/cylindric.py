@@ -31,8 +31,8 @@ from .partitions import (
     partitions_up_to,
     weight,
 )
-from .series import SeriesRing, TruncSeries, euler_inverse, geometric, \
-    qpochhammer, qpochhammer_finite
+from .series import SeriesRing, TruncSeries, euler_inverse, first_mismatch, \
+    geometric, qpochhammer, qpochhammer_finite
 
 
 class CylindricProfile:
@@ -326,14 +326,10 @@ def macmahon_verify(profile: CylindricProfile, s_cutoff: int, q: Fraction,
     for name, rhs in closed.items():
         lhs = sums[name]
         match = lhs == rhs
-        first_bad = None
-        if not match:
-            for d in range(s_cutoff + 1):
-                if lhs.coeff(s=d) != rhs.coeff(s=d):
-                    first_bad = {"s_degree": d,
-                                 "lhs": str(lhs.coeff(s=d)),
-                                 "rhs": str(rhs.coeff(s=d))}
-                    break
+        first_bad = first_mismatch(lhs, rhs)
+        if first_bad is not None:
+            (d,), cl, cr = first_bad
+            first_bad = {"s_degree": d, "lhs": str(cl), "rhs": str(cr)}
         ok_all &= match
         report["checks"][name] = {"match": match, "first_mismatch": first_bad}
     # counting strict configurations by 2^(local components) agrees with
@@ -400,21 +396,6 @@ def principal_p_trunc(ring: SeriesRing, variant: str):
     raise ValueError("unknown principal variant")
 
 
-def principal_p_numeric(nu: tuple, variant: str, x: Fraction, y: Fraction):
-    finite, (tvar, texp) = principal_p_envelope(nu, variant)
-    base = {"x": x, "y": y}
-
-    def p_value(n):
-        acc = Fraction(0)
-        for a, b in finite:
-            acc += x ** (a * n) * y ** (b * n)
-        tv = base[tvar]
-        acc += tv ** (texp * n) / (1 - tv**n)
-        return acc
-
-    return p_value
-
-
 def principal_p_laurent(zvars, ring: SeriesRing, nu: tuple, variant: str,
                         window: int):
     """p-value callable producing window-truncated Laurent polynomials."""
@@ -463,17 +444,6 @@ def vertex_skew_sum(lam: tuple, mu: tuple, p_first, p_second, q, t, unit):
     if acc is None:
         return unit * 0
     return acc
-
-
-def vertex_ratio_single_box(nu: tuple, q: Fraction, t: Fraction) -> Fraction:
-    """V(one box, empty, nu) / V(empty, empty, nu) at (x, y) = (q, t).
-
-    The nu prefactors cancel; the ratio is the first power sum of the
-    y^{rho-1} x^{-nu'} specialization, i.e. the inverted-parameter
-    elementary observable evaluated on nu'.
-    """
-    pv = principal_p_numeric(nu, "yr_nxu", q, t)
-    return pv(1)
 
 
 def cor_b2_check(grade: int, q: Fraction, t: Fraction) -> dict:

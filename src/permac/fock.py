@@ -228,13 +228,14 @@ def trace_bruteforce(op, ring: SeriesRing, u_name: str, depth: int, q, t) -> Tru
     return out
 
 
-def trace_closed(spec: VertexSpec, ring: SeriesRing, u_name: str, q, t) -> TruncSeries:
+def trace_closed(spec: VertexSpec, ring: SeriesRing, u, q, t) -> TruncSeries:
     """Closed form of Tr(u^D V(gamma)): Euler factor times an exponential.
 
-    The exponent carries u^n/(1-u^n) gamma_{-n} gamma_n (1-q^n)/((1-t^n) n),
-    with the u geometric factor expanded inside the ring.
+    ``u`` is a generator name or a positive-degree monomial of the ring (such
+    as v^2).  The exponent carries u^n/(1-u^n) gamma_{-n} gamma_n
+    (1-q^n)/((1-t^n) n), with the u geometric factor expanded inside the ring.
     """
-    u = ring.gen(u_name)
+    u = ring.gen(u) if isinstance(u, str) else u
     expo = ring.zero()
     for n in range(1, ring.cutoff + 1):
         gm = spec.minus.get(n)

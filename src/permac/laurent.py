@@ -150,9 +150,6 @@ class LaurentPoly:
     def coeff(self, zexp: tuple) -> TruncSeries:
         return self.terms.get(tuple(zexp), self.ring.zero())
 
-    def constant_term(self) -> TruncSeries:
-        return self.coeff((0,) * len(self.zvars))
-
     def exp_ranges(self):
         """Per-variable (min, max) exponents over the support."""
         if not self.terms:

@@ -8,7 +8,9 @@ weight of a configuration (lambda^1..lambda^N, mu^1..mu^N) is
     u^{|mu^N|} prod_i Q_{lambda^i/mu^i}(rho^-_i) P_{lambda^{i+1}/mu^i}(rho^+_i)
 
 with lambda^{N+1} = lambda^1 and rho^+_N = rho^+_0.  Closed forms are checked
-against literal sums over configurations throughout.  The moment formulas
+against literal sums over configurations throughout.  The closed partition
+function is the free-field trace: the OPE scalars of ``fock`` times its
+``trace_closed`` of the normal-ordered product.  The moment formulas
 take any of the four observable families at each step, any N, on one path:
 their cross-step factors are the eta/xi contractions of ``fock``, and they
 use the symmetrized Cauchy-determinant calculus from the laurent module,
@@ -21,14 +23,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .fock import eta_xi_contraction, eta_xi_exponent, operator_family
+from .fock import VertexSpec, eta_xi_contraction, eta_xi_exponent, \
+    gamma_spec, ope_reorder, operator_family, trace_closed
 from .laurent import LaurentPoly, cauchy_sym_prefactor, laurent_exp, \
     product_coefficient, ratio_sym_factor
 from .macdonald import alpha_spec, observable, plancherel_spec, skew_eval, \
     zero_spec
 from .partitions import contains, partitions_up_to, weight
-from .series import SeriesRing, TruncSeries, euler_inverse, geometric, \
-    qpochhammer, theta3
+from .series import SeriesRing, TruncSeries, geometric, qpochhammer, theta3
 
 
 class ProcessSpec:
@@ -250,42 +252,35 @@ def partition_function_bruteforce(pspec: ProcessSpec, depth: int) -> TruncSeries
     return _configuration_sums(pspec, depth)[1].truncate(depth)
 
 
-def cauchy_kernel(ring: SeriesRing, q, t, u, p_plus, p_minus,
-                  wrapped: bool = False) -> TruncSeries:
-    """exp( sum_n (1-t^n)/(1-q^n) p_n(rho+) p_n(rho-) [u^n]^wrapped / (n (1-u^n)) ).
+def _normal_order(pspec: ProcessSpec):
+    """Normal-order G+(rho^+_0) G-(rho^-_1) ... G+(rho^+_{N-1}) G-(rho^-_N).
 
-    ``wrapped`` marks the wrapped pairs of the periodic partition function,
-    which carry the extra u^n, as in ``_delta_pair_factor``.
+    Each Gamma_+(rho^+_i) moves past every later Gamma_-(rho^-_j), j > i.
+    Returns the product of those ``ope_reorder`` scalars and the modes of the
+    normal-ordered product, every specialization's modes merged.
     """
-    expo = ring.zero()
-    for n in range(1, ring.cutoff + 1):
-        pp = p_plus(n)
-        pm = p_minus(n)
-        if not pp or not pm:
-            continue
-        expo = expo + pp * pm * ((1 - t**n) / (1 - q**n) * Fraction(1, n)) \
-            * geometric(ring, u, n, start=1 if wrapped else 0)
-    return expo.exp()
+    ring, q, t = pspec.ring, pspec.q, pspec.t
+    plus = [gamma_spec(ring, q, t, spec.p_value, "+") for spec in pspec.rho_plus]
+    minus = [gamma_spec(ring, q, t, spec.p_value, "-") for spec in pspec.rho_minus]
+    scalar = ring.one()
+    for i, gp in enumerate(plus):
+        for gm in minus[i:]:  # rho^-_j, j = i+1..N
+            scalar = scalar * ope_reorder(gp, gm, q, t, ring.one())[0]
+    merged = VertexSpec({}, {})
+    for g in plus + minus:
+        merged = merged.merge(g)
+    return scalar, merged
 
 
 def partition_function_closed(pspec: ProcessSpec) -> TruncSeries:
-    """Euler factor times the Cauchy kernels over ordered index pairs.
+    """The OPE scalars times ``trace_closed`` of the normal-ordered product.
 
-    Pairs j > i take the full kernel; wrapped pairs j <= i carry an extra u^n
-    inside the exponent (equivalently the ratio of the u-kernel by the u=0
-    kernel).  The exponential route is always available; two-variable
-    Pochhammer products for alpha pairs agree with it and are covered by
-    tests.
+    The trace gives every ordered pair (rho^+_i, rho^-_j) the factor
+    exp(sum_n (1-t^n)/(1-q^n) p_n(rho^+_i) p_n(rho^-_j) u^n / (n (1-u^n))),
+    and the OPE scalar of a pair j > i adds the missing 1 to u^n/(1-u^n).
     """
-    ring = pspec.ring
-    out = euler_inverse(ring, pspec.u)
-    for i in range(pspec.N):         # rho^+_i, i = 0..N-1
-        for j in range(1, pspec.N + 1):  # rho^-_j, j = 1..N
-            out = out * cauchy_kernel(ring, pspec.q, pspec.t, pspec.u,
-                                      pspec.rho_plus[i].p_value,
-                                      pspec.rho_minus[j - 1].p_value,
-                                      wrapped=j <= i)
-    return out
+    scalar, merged = _normal_order(pspec)
+    return scalar * trace_closed(merged, pspec.ring, pspec.u, pspec.q, pspec.t)
 
 
 def pair_kernel_pochhammer(ring: SeriesRing, q, t, u, alpha_name: str,
@@ -298,15 +293,8 @@ def pair_kernel_pochhammer(ring: SeriesRing, q, t, u, alpha_name: str,
 
 
 def nonperiodic_partition_function(pspec: ProcessSpec) -> TruncSeries:
-    """The u -> 0 limit: kernels over strictly increasing pairs only."""
-    ring = pspec.ring
-    out = ring.one()
-    for i in range(pspec.N):
-        for j in range(i + 1, pspec.N + 1):
-            out = out * cauchy_kernel(ring, pspec.q, pspec.t, Fraction(0),
-                                      pspec.rho_plus[i].p_value,
-                                      pspec.rho_minus[j - 1].p_value)
-    return out
+    """The u -> 0 limit: the OPE scalars alone."""
+    return _normal_order(pspec)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,17 @@ class TruncSeries:
 # ---------------------------------------------------------------------------
 
 
+def first_mismatch(a: TruncSeries, b: TruncSeries):
+    """(exponent, a's coefficient, b's coefficient) at the lowest exponent,
+    in lexicographic order, where two series differ; None when they agree."""
+    for e in sorted(set(a.terms) | set(b.terms)):
+        ca = a.terms.get(e, 0)
+        cb = b.terms.get(e, 0)
+        if ca != cb:
+            return e, ca, cb
+    return None
+
+
 def _monomial_parts(x):
     """Split a one-term series into (coefficient, exponent vector)."""
     if isinstance(x, (int, Fraction, QRho)):

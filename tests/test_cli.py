@@ -335,18 +335,6 @@ def test_bad_rational_exits_2():
     assert code == 2
 
 
-def test_verify_all_aggregates(tmp_path):
-    target = tmp_path / "verify.json"
-    code, _ = run_cli(["--out", str(target), "verify", "all"])
-    assert code == 0
-    data = json.loads(target.read_text())
-    assert data["passed"] is True
-    assert len(data["criteria"]) == 10
-    # wall-clock timing stays on stderr, so the report is deterministic
-    assert all(set(c) == {"name", "passed", "details"}
-               for c in data["criteria"])
-
-
 def test_console_script_entrypoint():
     # same src-prefixed PYTHONPATH as its neighbours, so it does not depend on
     # how the test runner put permac on sys.path
@@ -405,6 +393,12 @@ def test_package_main_runs_cli():
      "--t", "1/2", "--algebraic-point"],
     ["macdonald", "expand", "--lambda", "2,1", "--basis", "m", "--q", "1/2",
      "--t", "1", "--algebraic-point"],
+    # paths that cannot be written: a directory below a file; the table at
+    # (1/7, 2/9) is cold in the fresh process, so the store is attempted
+    ["--out", os.path.join(os.devnull, "x.json"), "fock", "trace-check",
+     "--u-deg", "2"],
+    ["--cache-dir", os.path.join(os.devnull, "sub"), "macdonald", "expand",
+     "--lambda", "2,1", "--q", "1/7", "--t", "2/9"],
 ], ids=" ".join)
 def test_domain_errors_exit_2_without_traceback(argv):
     proc = run_module("permac", *argv)

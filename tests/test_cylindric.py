@@ -15,9 +15,9 @@ from permac.cylindric import (
     local_component_count,
     macmahon_rhs,
     macmahon_verify,
+    principal_p_envelope,
     thm_b1_check,
     vertex_e1_trace_check,
-    vertex_ratio_single_box,
     weight_A,
     weight_F,
     weight_Phi,
@@ -202,10 +202,15 @@ def test_infinite_period_macmahon_looks_like_plane_partitions():
 
 
 def test_vertex_single_box_ratio():
+    # V(one box, empty, nu) / V(empty, empty, nu) at (x, y) = (q, t): the nu
+    # prefactors cancel, leaving the first power sum of the y^{rho-1} x^{-nu'}
+    # specialization, the inverted-parameter elementary observable on nu'
     rng = random.Random(46)
     q, t = random_qt_pair(rng)
     for nu in partitions_up_to(3):
-        got = vertex_ratio_single_box(nu, q, t)
+        finite, (tvar, texp) = principal_p_envelope(nu, "yr_nxu")
+        assert tvar == "y"
+        got = sum(q**a * t**b for a, b in finite) + t**texp / (1 - t)
         expect = lambda_rho_p(conjugate(nu), 1, q, t, shift=1, inverted=True)
         assert got == expect
 
