@@ -23,7 +23,6 @@ the moment kernels of the process module read them from here.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .laurent import (
     LaurentPoly,
@@ -33,6 +32,7 @@ from .laurent import (
 )
 from .macdonald import FREE_FIELD_FAMILIES  # noqa: F401 (re-exported: operator_family's names)
 from .partitions import make_partition, multiplicity, weight
+from .point import per_point
 from .scalars import random_qt_pair
 from .series import (
     SeriesRing,
@@ -187,7 +187,7 @@ def gamma_spec(ring: SeriesRing, q, t, spec_p_values, sign: str) -> VertexSpec:
 
 
 def ope_reorder(a: VertexSpec, b: VertexSpec, q, t, one):
-    """Rewrite V(a) V(b) = scalar * :V(a) V(b):.
+    """The scalar of V(a) V(b) = scalar * :V(a) V(b):, whose modes are a.merge(b).
 
     ``one`` is the multiplicative unit of the coefficient arithmetic (so the
     scalar is built in the right ring).  The scalar is
@@ -207,7 +207,7 @@ def ope_reorder(a: VertexSpec, b: VertexSpec, q, t, one):
         scalar = cross.exp() if hasattr(cross, "exp") else None
         if scalar is None:
             raise ValueError("OPE scalar requires graded coefficients")
-    return scalar, a.merge(b)
+    return scalar
 
 
 def trace_bruteforce(op, ring: SeriesRing, u_name: str, depth: int, q, t) -> TruncSeries:
@@ -358,7 +358,7 @@ def free_field_apply(family: str, r: int, v: dict, q: Fraction, t: Fraction) -> 
     return out
 
 
-@lru_cache(maxsize=None)
+@per_point
 def _free_field_column(family: str, r: int, lam: tuple, q: Fraction,
                        t: Fraction) -> dict:
     """The image of the basis ket lam, shared and never mutated; per point

@@ -4,17 +4,17 @@ Symmetric functions are sparse maps from partitions to coefficients, in either
 the power-sum basis ("p") or the monomial basis ("m").  The p -> m transition
 is a product of power sums, each row p_lambda the shared row of lambda without
 its last part times p_{last part}; its inverse comes from back-substitution,
-because p_lambda is triangular in dominance order.  P_lambda and Q_lambda in
-the p basis are memoised and shared (no caller may mutate them), per point for
-at most the partitions up to the largest weight in _P_TABLE_CACHE.  The
-one-parameter family P_lambda is produced weight by weight through
-Gram-Schmidt in the m basis, against the pairing's Gram matrix <m_lam, m_mu>,
-which is formed once per table from the p/m transitions as an integer matrix
-over one scale.  Gram-Schmidt stays on integers: each finished P_mu is a row
-of integer numerators over one denominator, and Fractions are built only for
-the output tables.  Each partition is projected onto every earlier partition
-of a linear extension of dominance, so unitriangularity is a checked
-consequence, not a premise.  Pieri coefficients come from the arm/leg
+because p_lambda is triangular in dominance order.  The tables, P_lambda and
+Q_lambda in the p basis, the Pieri edges and the skew coefficients are
+memoised per point (q, t) in ``point``'s store and shared, so no caller may
+mutate them.  The one-parameter family P_lambda is produced weight by weight
+through Gram-Schmidt in the m basis, against the pairing's Gram matrix
+<m_lam, m_mu>, which is formed once per table from the p/m transitions as an
+integer matrix over one scale.  Gram-Schmidt stays on integers: each finished
+P_mu is a row of integer numerators over one denominator, and Fractions are
+built only for the output tables.  Each partition is projected onto every
+earlier partition of a linear extension of dominance, so unitriangularity is a
+checked consequence, not a premise.  Pieri coefficients come from the arm/leg
 products, independently of the orthogonalization; the two routes cross-check
 each other in the test suite.
 """
@@ -38,6 +38,7 @@ from .partitions import (
     weight,
     z_qt,
 )
+from .point import memo, per_point
 
 
 class GramSingularError(ArithmeticError):
@@ -163,9 +164,6 @@ def inner_product(f_p: dict, g_p: dict, q: Fraction, t: Fraction):
     return acc
 
 
-_P_TABLE_CACHE: dict = {}
-
-
 def _lam_key(lam: tuple) -> str:
     return ",".join(map(str, lam))
 
@@ -266,15 +264,15 @@ def macdonald_table(q: Fraction, t: Fraction, n: int) -> dict:
     from . import cache
     from .scalars import format_rational
 
-    key = (q, t, n)
-    hit = _P_TABLE_CACHE.get(key)
+    tables = memo(q, t, "macdonald.tables")
+    hit = tables.get(n)
     if hit is not None:
         return hit
     params = {"q": format_rational(q), "t": format_rational(t), "weight": n}
     disk = cache.load("macdonald", "pq-table", params)
     table = None if disk is None else _table_from_disk(disk, params)
     if table is not None:
-        _P_TABLE_CACHE[key] = table
+        tables[n] = table
         return table
     lams, gram, scale = _m_gram(q, t, n)
     done = []  # (support, numerators, den, nn) of each finished P_mu
@@ -311,7 +309,7 @@ def macdonald_table(q: Fraction, t: Fraction, n: int) -> dict:
         table["Q"][lam] = {lams[k]: Fraction(a * scale, nn)
                            for k, a in zip(support, nums)}
         table["norm"][lam] = Fraction(nn, den * scale)
-    _P_TABLE_CACHE[key] = table
+    tables[n] = table
     if cache.cache_dir():  # store() writes nothing without one
         cache.store("macdonald", "pq-table", params, _table_to_disk(q, t, n, table))
     return table
@@ -327,13 +325,13 @@ def macdonald_Q(lam: tuple, q: Fraction, t: Fraction) -> dict:
     return macdonald_table(q, t, weight(lam))["Q"][lam]
 
 
-@lru_cache(maxsize=None)
+@per_point
 def macdonald_P_p(lam: tuple, q: Fraction, t: Fraction) -> dict:
     """P_lambda in the p basis (the Fock-space incarnation of the ket)."""
     return m_dict_to_p(macdonald_P(lam, q, t))
 
 
-@lru_cache(maxsize=None)
+@per_point
 def macdonald_Q_p(lam: tuple, q: Fraction, t: Fraction) -> dict:
     return m_dict_to_p(macdonald_Q(lam, q, t))
 
@@ -354,15 +352,20 @@ def g_row_p(r: int, q: Fraction, t: Fraction) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@per_point
+def _b_ratio(a: int, l: int, q: Fraction, t: Fraction) -> Fraction:
+    """b_lam(s) for a cell s of arm a and leg l."""
+    return (1 - q**a * t ** (l + 1)) / (1 - q ** (a + 1) * t**l)
+
+
 def _b_factor(lam: tuple, cell, q: Fraction, t: Fraction) -> Fraction:
     i, j = cell
     if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
         return Fraction(1)
-    a, l = arm_leg(lam, cell)
-    return (1 - q**a * t ** (l + 1)) / (1 - q ** (a + 1) * t**l)
+    return _b_ratio(*arm_leg(lam, cell), q, t)
 
 
-@lru_cache(maxsize=None)
+@per_point
 def pieri(lam: tuple, mu: tuple, q: Fraction, t: Fraction):
     """(psi, phi) for a horizontal strip lam/mu.
 
@@ -464,7 +467,7 @@ def lambda_rho_p(lam: tuple, r: int, q: Fraction, t: Fraction,
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@per_point
 def _skew_coefficients(kind: str, lam: tuple, mu: tuple, q: Fraction,
                        t: Fraction) -> tuple:
     """The pairs (nu, c_nu) with c_nu != 0 in P_{lam/mu} = sum_nu c_nu p_nu.

@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .point import per_point
+
 
 def make_partition(parts) -> tuple:
     """Normalize an iterable of nonnegative integers into a partition tuple."""
@@ -155,7 +157,7 @@ def z_aut(lam: tuple) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@per_point
 def z_qt(lam: tuple, q: Fraction, t: Fraction):
     """The (q,t)-deformed z factor used by the power-sum pairing (memoised)."""
     out = Fraction(z_aut(lam))

@@ -29,6 +29,7 @@ from operator import mul
 
 from . import macdonald
 from .partitions import add_one_box, contains, partitions_of, partitions_up_to, weight
+from .point import memo, per_point
 from .series import SeriesRing, TruncSeries
 
 
@@ -36,25 +37,21 @@ from .series import SeriesRing, TruncSeries
 # Young-graph path weights
 # ---------------------------------------------------------------------------
 
-_PATH_SUMS: dict = {}  # (kind, q, t) -> path-sum memo, see _path_memo
-
-
 def _path_memo(kind: str, q: Fraction, t: Fraction) -> tuple:
     """(sums, up, side) for one kind of path sum at (q, t).
 
     sums maps (mu, lam) to the path sum and up maps mu to its covers with
     their edge weights macdonald.pieri(nu, mu, q, t)[side]: psi (side 0) for
-    "dim", phi (side 1) for "dim'".  A probe hashes partitions only.
+    "dim", phi (side 1) for "dim'".  Both are memos of the point's store,
+    fetched once per entry point, so a probe hashes partitions only.
     """
-    memo = _PATH_SUMS.get((kind, q, t))
-    if memo is None:
-        memo = _PATH_SUMS[kind, q, t] = ({}, {}, 0 if kind == "dim" else 1)
-    return memo
+    return (memo(q, t, f"plancherel.{kind} sums"),
+            memo(q, t, f"plancherel.{kind} up"), 0 if kind == "dim" else 1)
 
 
-def _path_sum(memo: tuple, mu: tuple, lam: tuple, q: Fraction,
+def _path_sum(path_memo: tuple, mu: tuple, lam: tuple, q: Fraction,
               t: Fraction) -> Fraction:
-    sums, up, side = memo
+    sums, up, side = path_memo
     val = sums.get((mu, lam))
     if val is None:
         if mu == lam:
@@ -69,7 +66,7 @@ def _path_sum(memo: tuple, mu: tuple, lam: tuple, q: Fraction,
             val = Fraction(0)
             for nu, c in covers:
                 if contains(lam, nu):
-                    val += c * _path_sum(memo, nu, lam, q, t)
+                    val += c * _path_sum(path_memo, nu, lam, q, t)
         sums[mu, lam] = val
     return val
 
@@ -131,76 +128,53 @@ def _entry_power_coeffs(lam: tuple, mu: tuple, u: Fraction, q: Fraction,
 # ring, where they multiply as polynomials.
 # ---------------------------------------------------------------------------
 
-_LEVEL_PATHS: dict = {}  # (q, t) -> _LevelPaths
+@per_point
+def _level_edges(w: int, q: Fraction, t: Fraction) -> list:
+    """Per side, (scale, ins): ins[i] holds (j, c) for each one-box edge from
+    partitions_of(w - 1)[j] to partitions_of(w)[i] of weight c / scale."""
+    index = {lam: i for i, lam in enumerate(partitions_of(w))}
+    edges = [[] for _ in index]
+    for j, nu in enumerate(partitions_of(w - 1)):
+        for lam in add_one_box(nu):
+            edges[index[lam]].append((j, macdonald.pieri(lam, nu, q, t)))
+    out = []
+    for side in (0, 1):
+        scale = lcm(*(c[side].denominator for es in edges for _, c in es))
+        out.append((scale, [[(j, c[side].numerator * (scale // c[side].denominator))
+                             for j, c in es] for es in edges]))
+    return out
 
 
-class _LevelPaths:
-    """Exact psi and phi path sums between weight levels at one point (q, t).
+@per_point
+def _level_block(side: int, w: int, k: int, q: Fraction, t: Fraction) -> tuple:
+    """(den, rows): rows[i][a] / den is the path sum, psi for side 0 and phi
+    for side 1, from partitions_of(k)[a] up to partitions_of(w)[i].
 
-    ``block(side, w, k)`` is (den, rows): rows[i][a] / den is the path sum,
-    psi for side 0 and phi for side 1, from partitions_of(k)[a] up to
-    partitions_of(w)[i].  Level w is the one-box edges into it, as integers
-    over their common denominator, applied to level w - 1; the result is
-    divided by the gcd of its denominator and numerators.  Blocks are built
-    on first use and kept: they depend on neither u, gamma nor the depth.
+    Level w is the one-box edges into it, as integers over their common
+    denominator, applied to level w - 1; the result is divided by the gcd of
+    its denominator and numerators.  Blocks depend on neither u, gamma nor
+    the depth.
     """
-
-    def __init__(self, q: Fraction, t: Fraction):
-        self.q, self.t = q, t
-        self._edges = {}
-        self._blocks = {}
-
-    @classmethod
-    def at(cls, q: Fraction, t: Fraction) -> "_LevelPaths":
-        paths = _LEVEL_PATHS.get((q, t))
-        if paths is None:
-            paths = _LEVEL_PATHS[q, t] = cls(q, t)
-        return paths
-
-    def _edges_into(self, w: int) -> list:
-        """Per side, (scale, ins): ins[i] holds (j, c) for each one-box edge
-        from partitions_of(w - 1)[j] to partitions_of(w)[i] of weight
-        c / scale."""
-        hit = self._edges.get(w)
-        if hit is None:
-            index = {lam: i for i, lam in enumerate(partitions_of(w))}
-            edges = [[] for _ in index]
-            for j, nu in enumerate(partitions_of(w - 1)):
-                for lam in add_one_box(nu):
-                    edges[index[lam]].append((j, macdonald.pieri(lam, nu, self.q, self.t)))
-            hit = self._edges[w] = []
-            for side in (0, 1):
-                scale = lcm(*(c[side].denominator for es in edges for _, c in es))
-                hit.append((scale, [[(j, c[side].numerator * (scale // c[side].denominator))
-                                     for j, c in es] for es in edges]))
-        return hit
-
-    def block(self, side: int, w: int, k: int) -> tuple:
-        hit = self._blocks.get((side, w, k))
-        if hit is None:
-            if w == k:
-                n = len(partitions_of(w))
-                hit = (1, [[int(i == a) for a in range(n)] for i in range(n)])
-            else:
-                den, below = self.block(side, w - 1, k)
-                scale, ins = self._edges_into(w)[side]
-                rows = []
-                for es in ins:
-                    acc = [0] * len(below[0])
-                    for j, c in es:
-                        for a, x in enumerate(below[j]):
-                            if x:
-                                acc[a] += c * x
-                    rows.append(acc)
-                h = gcd(den * scale, *(x for row in rows for x in row))
-                if h > 1:
-                    rows = [[x // h for x in row] for row in rows]
-                hit = (den * scale // h, rows)
-            self._blocks[side, w, k] = hit
-        return hit
+    if w == k:
+        n = len(partitions_of(w))
+        return 1, [[int(i == a) for a in range(n)] for i in range(n)]
+    den, below = _level_block(side, w - 1, k, q, t)
+    scale, ins = _level_edges(w, q, t)[side]
+    rows = []
+    for es in ins:
+        acc = [0] * len(below[0])
+        for j, c in es:
+            for a, x in enumerate(below[j]):
+                if x:
+                    acc[a] += c * x
+        rows.append(acc)
+    h = gcd(den * scale, *(x for row in rows for x in row))
+    if h > 1:
+        rows = [[x // h for x in row] for row in rows]
+    return den * scale // h, rows
 
 
-def _level_entries(paths: _LevelPaths, u: Fraction, rows, cols, top: int) -> dict:
+def _level_entries(u: Fraction, rows, cols, top: int, q: Fraction, t: Fraction) -> dict:
     """Coefficients of gamma^0..gamma^top in T_{lam,mu}(u) / pref(u).
 
     Returns {lam: {mu: [c_0, ..., c_top]}}.  Terms whose gamma degree
@@ -220,7 +194,7 @@ def _level_entries(paths: _LevelPaths, u: Fraction, rows, cols, top: int) -> dic
             if plan is None:
                 plan = plans[wl, wm] = []
                 for k in range(max(0, (wl + wm - top + 1) // 2), min(wl, wm) + 1):
-                    (dl, pl), (dm, pm) = paths.block(0, wl, k), paths.block(1, wm, k)
+                    (dl, pl), (dm, pm) = _level_block(0, wl, k, q, t), _level_block(1, wm, k, q, t)
                     j = wl + wm - 2 * k
                     plan.append((j, pl, pm, a**k * (b - a)**j,
                                  dl * dm * math.factorial(wl - k)
@@ -430,7 +404,6 @@ def semigroup_defect(gamma, u, v, depth: int, q, t, reserve: int = 4,
         raise ValueError("semigroup_defect is exact only")
     pows = _gamma_powers(gamma, ring)
     top = len(pows) - 1
-    paths = _LevelPaths.at(q, t)
     uf, vf = Fraction(u), Fraction(v)
     states = partitions_up_to(depth)
     small = [lam for lam in states if weight(lam) <= depth - reserve]
@@ -438,9 +411,9 @@ def semigroup_defect(gamma, u, v, depth: int, q, t, reserve: int = 4,
     # ||lam| - |kap|| + ||kap| - |mu||, which exceeds top on the safe
     # block once 2 |kap| > top + depth - reserve
     mid = [kap for kap in states if weight(kap) <= (top + depth - reserve) // 2]
-    tu = _level_entries(paths, uf, small, mid, top)
-    tv = _level_entries(paths, vf, mid, small, top)
-    tuv = _level_entries(paths, uf * vf, small, small, top)
+    tu = _level_entries(uf, small, mid, top, q, t)
+    tv = _level_entries(vf, mid, small, top, q, t)
+    tuv = _level_entries(uf * vf, small, small, top, q, t)
     left = _poly_mul(_prefactor(uf, q, t, top), _prefactor(vf, q, t, top), top)
     right = _prefactor(uf * vf, q, t, top)
     zero = [0] * (top + 1)

@@ -1,0 +1,52 @@
+"""The one owner of the memos kept per point (q, t).
+
+Everything the engine memoises at one point lives here: z_lambda(q,t), the
+Gram-Schmidt P/Q tables and their p-basis rows, Pieri edges and arm/leg
+ratios, skew coefficients, free-field columns, and the Plancherel path sums
+and level blocks.
+The store keeps the last MAX_POINTS points used; when a new point comes in,
+the least recently used one is dropped whole.
+
+Memo values are shared and never mutated.  A value, or a memo dict, that a
+caller holds stays valid after its point is evicted: a write into an evicted
+dict is simply lost, so eviction in the middle of a computation is safe.
+"""
+
+from collections import OrderedDict
+from functools import wraps
+
+MAX_POINTS = 8
+
+_store: OrderedDict = OrderedDict()  # (q, t) -> {memo name: dict}
+_MISS = object()
+
+
+def memo(q, t, name: str) -> dict:
+    """The memo ``name`` of (q, t), made on first use; the point is now the newest."""
+    memos = _store.get((q, t))
+    if memos is None:
+        memos = _store[q, t] = {}
+        if len(_store) > MAX_POINTS:
+            _store.popitem(last=False)
+    else:
+        _store.move_to_end((q, t))
+    table = memos.get(name)
+    if table is None:
+        table = memos[name] = {}
+    return table
+
+
+def per_point(fn):
+    """Memoise fn(*args, q, t) in the memo of (q, t) named after fn."""
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def cached(*args):
+        table = memo(args[-2], args[-1], name)
+        key = args[:-2]
+        val = table.get(key, _MISS)
+        if val is _MISS:
+            val = table[key] = fn(*args)
+        return val
+
+    return cached

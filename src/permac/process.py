@@ -265,7 +265,7 @@ def _normal_order(pspec: ProcessSpec):
     scalar = ring.one()
     for i, gp in enumerate(plus):
         for gm in minus[i:]:  # rho^-_j, j = i+1..N
-            scalar = scalar * ope_reorder(gp, gm, q, t, ring.one())[0]
+            scalar = scalar * ope_reorder(gp, gm, q, t, ring.one())
     merged = VertexSpec({}, {})
     for g in plus + minus:
         merged = merged.merge(g)

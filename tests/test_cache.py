@@ -12,10 +12,9 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 @pytest.fixture
-def cold(tmp_path, monkeypatch):
-    """A fresh disk cache and an empty in-memory table cache."""
+def cold(tmp_path, monkeypatch, fresh_memos):
+    """A fresh disk cache and empty in-memory memos."""
     monkeypatch.setattr(cache, "_cache_dir", str(tmp_path))
-    monkeypatch.setattr(macdonald, "_P_TABLE_CACHE", {})
     return tmp_path
 
 
@@ -24,9 +23,9 @@ def table_path(q, t, n):
         "q": format_rational(q), "t": format_rational(t), "weight": n})
 
 
-def reload(q, t, n):
-    """Read the table through the disk cache with the memory cache cleared."""
-    macdonald._P_TABLE_CACHE.clear()
+def reload(fresh_memos, q, t, n):
+    """Read the table through the disk cache with the in-memory memos emptied."""
+    fresh_memos()
     return macdonald.macdonald_table(q, t, n)
 
 
@@ -53,21 +52,21 @@ def set_coefficient(text):
 ], ids=["no-P", "no-Q", "no-norm", "P-not-a-map", "not-an-object",
         "missing-row", "foreign-weight-key", "non-partition-key",
         "zero-denominator", "not-a-number", "decimal"])
-def test_malformed_payload_is_rebuilt(cold, damage):
+def test_malformed_payload_is_rebuilt(cold, fresh_memos, damage):
     expect = macdonald.macdonald_table(Q, T, 3)
     path = table_path(Q, T, 3)
     with open(path) as fh:
         data = json.load(fh)
     with open(path, "w") as fh:
         json.dump(damage(data), fh)
-    assert reload(Q, T, 3) == expect
+    assert reload(fresh_memos, Q, T, 3) == expect
     with open(path) as fh:
         assert json.load(fh) == data
 
 
 @pytest.mark.parametrize("other", [(Fraction(2, 9), T, 3), (Q, Fraction(3, 7), 3),
                                    (Q, T, 2)], ids=["q", "t", "weight"])
-def test_payload_of_another_table_is_rebuilt(cold, other):
+def test_payload_of_another_table_is_rebuilt(cold, fresh_memos, other):
     expect = macdonald.macdonald_table(Q, T, 3)
     macdonald.macdonald_table(*other)
     path = table_path(Q, T, 3)
@@ -75,19 +74,19 @@ def test_payload_of_another_table_is_rebuilt(cold, other):
         foreign = fh.read()
     with open(path, "w") as fh:
         fh.write(foreign)
-    assert reload(Q, T, 3) == expect
+    assert reload(fresh_memos, Q, T, 3) == expect
     with open(path) as fh:
         data = json.load(fh)
     assert (data["q"], data["t"], data["weight"]) == (
         format_rational(Q), format_rational(T), 3)
 
 
-def test_store_writes_through_a_private_temp_file(cold):
+def test_store_writes_through_a_private_temp_file(cold, fresh_memos):
     name = os.path.basename(table_path(Q, T, 2))
     # a stale or foreign "<path>.tmp" must not block or clobber the store
     (cold / (name + ".tmp")).mkdir()
     table = macdonald.macdonald_table(Q, T, 2)
-    assert reload(Q, T, 2) == table
+    assert reload(fresh_memos, Q, T, 2) == table
     assert sorted(p.name for p in cold.iterdir()) == [name, name + ".tmp"]
 
 
@@ -101,10 +100,9 @@ def test_stored_table_bytes_match_golden(cold):
         assert stored == fh.read()
 
 
-def test_table_without_cache_dir_builds_no_disk_payload(monkeypatch):
+def test_table_without_cache_dir_builds_no_disk_payload(monkeypatch, fresh_memos):
     monkeypatch.setattr(cache, "_cache_dir", None)
     monkeypatch.delenv("PERMAC_CACHE_DIR", raising=False)
-    monkeypatch.setattr(macdonald, "_P_TABLE_CACHE", {})
 
     def refuse(*args):
         raise AssertionError("disk payload formatted with no cache directory")

@@ -240,10 +240,9 @@ def _fraction_gram_schmidt(q: Fraction, t: Fraction, n: int) -> dict:
     (Fraction(31, 97), Fraction(42, 89)),
     (Fraction(5, 2), Fraction(7, 3)),
 ], ids=["1/3,2/7", "56/97,49/89", "31/97,42/89", "5/2,7/3"])
-def test_table_equals_fraction_gram_schmidt(tmp_path, monkeypatch, q, t):
+def test_table_equals_fraction_gram_schmidt(tmp_path, monkeypatch, fresh_memos, q, t):
     # cold memory and disk caches, so every table is built by the kernel
     monkeypatch.setattr(cache, "_cache_dir", str(tmp_path))
-    monkeypatch.setattr(macdonald, "_P_TABLE_CACHE", {})
     for n in range(10):
         table = macdonald_table(q, t, n)
         expect = _fraction_gram_schmidt(q, t, n)
@@ -266,8 +265,7 @@ def test_integer_gram_equals_inner_product():
 
 @pytest.mark.parametrize("q, t", [(2, Fraction(1, 2)), (Fraction(1, 2), 1)],
                          ids=["vanishing-norm", "t-equals-one"])
-def test_degenerate_point_raises_gram_singular(monkeypatch, q, t):
-    monkeypatch.setattr(macdonald, "_P_TABLE_CACHE", {})
+def test_degenerate_point_raises_gram_singular(fresh_memos, q, t):
     with pytest.raises(GramSingularError):
         macdonald_table(q, t, 3)
 

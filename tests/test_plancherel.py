@@ -20,8 +20,8 @@ from permac.plancherel import (
     _entry_power_coeffs,
     _gamma_powers,
     _inverse_cdf,
+    _level_block,
     _level_entries,
-    _LevelPaths,
     _poly_mul,
     _prefactor,
     _series,
@@ -63,13 +63,12 @@ def test_dims_schur_point_counts_tableaux():
     # at q = t every Pieri edge weighs 1, so both path sums count tableaux,
     # top-down in dims and bottom-up in the level blocks
     for q in (Fraction(1, 2), Fraction(2, 7)):
-        paths = _LevelPaths(q, q)
         for lam in partitions_up_to(7):
             assert dims("dim", (), lam, q, q) == syt_count(lam)
             assert dims("dim'", (), lam, q, q) == syt_count(lam)
         for w in range(8):
             for side in (0, 1):
-                den, rows = paths.block(side, w, 0)
+                den, rows = _level_block(side, w, 0, q, q)
                 assert [Fraction(row[0], den) for row in rows] == \
                     [syt_count(lam) for lam in partitions_of(w)]
 
@@ -80,7 +79,7 @@ def _exact_entries(u, q, t, ring, rows, cols):
     pows = _gamma_powers(ring.gen("g"), ring)
     top = len(pows) - 1
     pref = _prefactor(u, q, t, top)
-    raw = _level_entries(_LevelPaths.at(q, t), u, rows, cols, top)
+    raw = _level_entries(u, rows, cols, top, q, t)
     return {(lam, mu): _series(_poly_mul(pref, c, top), pows, ring)
             for lam, row in raw.items() for mu, c in row.items()}
 
@@ -221,14 +220,14 @@ def test_semigroup_exact_small():
     assert defect == 0
 
 
-def test_semigroup_exact_detects_a_wrong_pieri_edge(monkeypatch):
+def test_semigroup_exact_detects_a_wrong_pieri_edge(monkeypatch, fresh_memos):
     # the identity rests on the Pieri commutation relation, not on the level
     # factorisation: one psi edge off by 11/10 must show in the defect
     ring = SeriesRing(["g"], 6)
     g = ring.gen("g")
 
     def defect():
-        monkeypatch.setattr(plancherel, "_LEVEL_PATHS", {})
+        fresh_memos()
         return semigroup_defect(g, Fraction(1, 2), Fraction(1, 3), 8, Q0, T0,
                                 reserve=4, mode="exact", ring=ring)
 
@@ -245,11 +244,10 @@ def test_semigroup_exact_detects_a_wrong_pieri_edge(monkeypatch):
     assert defect() != 0
 
 
-def test_plancherel_check_reports_the_first_failing_entry(monkeypatch, capsys):
+def test_plancherel_check_reports_the_first_failing_entry(monkeypatch, capsys, fresh_memos):
     # the same wrong psi edge through the CLI: exit 1, and the report names
     # the first failing (lambda, mu) of the safe block and the lowest nonzero
     # coefficient of T(u) T(v) - T(uv) there
-    monkeypatch.setattr(plancherel, "_LEVEL_PATHS", {})
     pieri = macdonald.pieri
 
     def wrong(lam, mu, q, t):

@@ -42,11 +42,13 @@ ITEM_3 = "shift-mixed processes beyond one step (ROADMAP item 3)"
 ITEM_4 = "shift-mixed Schur-limit correlations (ROADMAP item 4)"
 ACCESSOR = "an accessor that tests read"
 DEBUGGING = "a repr, for debugging and failure messages"
+IMPORT = "a decorator, run only at import, before the recorders are installed"
 
 UNREACHED = {
     "cli._leaf_options": CONFIG,
     "cli._explicit_dests": CONFIG,
     "macdonald._table_from_disk": WARM_CACHE,
+    "point.per_point": IMPORT,
     "plancherel.spot_check_float_entries": BENCHMARK,
     "plancherel.truncated_trace_float": BENCHMARK,
     "macdonald.p_dict_to_m": BENCHMARK,
