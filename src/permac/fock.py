@@ -32,7 +32,7 @@ from .laurent import (
 )
 from .macdonald import FREE_FIELD_FAMILIES  # noqa: F401 (re-exported: operator_family's names)
 from .partitions import make_partition, multiplicity, weight
-from .point import per_point
+from .point import per_point, qt_ratio
 from .scalars import random_qt_pair
 from .series import (
     SeriesRing,
@@ -81,7 +81,7 @@ def heisenberg_apply(n: int, v: dict, q: Fraction, t: Fraction) -> dict:
         return out
     # positive mode: remove one part equal to n per occurrence, with the
     # commutator weight n (1-q^n)/(1-t^n)
-    comm = n * (1 - q**n) / (1 - t**n)
+    comm = n * qt_ratio(n, q, t)
     for lam, c in v.items():
         m = multiplicity(lam, n)
         if m == 0:

@@ -13,10 +13,13 @@ Dechter 1999): a z-variable is pinned to its target exponent once no factor
 still to come uses it, so taking factors that close variables early keeps the
 intermediate supports small.
 
-``product_coefficient``, ``laurent_exp`` and ``laurent_log`` share one flat,
-fraction-free kernel.  Each factor is flattened once into a list of
-(series degree, key, integer numerator), sorted by degree so the cutoff test
-is a ``break``:
+Every product runs on one flat, fraction-free kernel, the series kernel of
+``series`` with z-exponents added: ``LaurentPoly.mul`` without pruning
+(a product with a one-term factor is a scale and a shift instead, as for
+series), ``product_coefficient``, ``laurent_exp`` and ``laurent_log`` with
+it.  Each factor is flattened once (``_flatten``) into a list of (series
+degree, key, integer numerator), sorted by degree so the cutoff test is a
+``break``:
 
 - The key packs the whole exponent vector into one int by a linear map
   (``_Packing``), so adding keys adds exponents.  Its lowest digit is the
@@ -33,18 +36,16 @@ is a ``break``:
   an int or a Fraction is a TypeError.
 - The pruning test on the packed z-part is memoised per step.
 
-``LaurentPoly.mul`` stays the plain term-by-term product, which the tests use
-as the kernel's oracle.
+The plain term-by-term product, the kernel's oracle, lives in the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
-from operator import itemgetter
 
-from .scalars import QRho
-from .series import SeriesRing, TruncSeries
+from . import series
+from .series import SeriesRing, TruncSeries, _mul_terms
 
 
 class ClipExhausted(Exception):
@@ -72,7 +73,7 @@ class LaurentPoly:
         exp = [0] * len(zvars)
         for name, k in zexp.items():
             exp[zvars.index(name)] += k
-        if isinstance(coeff, (int, Fraction, QRho)):
+        if isinstance(coeff, (int, Fraction)):
             coeff = ring.scalar(coeff)
         elif not isinstance(coeff, TruncSeries):
             raise TypeError(f"inexact Laurent coefficient {coeff!r}")
@@ -112,7 +113,7 @@ class LaurentPoly:
         return self + (-other)
 
     def scale(self, c) -> "LaurentPoly":
-        if isinstance(c, (int, Fraction, QRho)) and not c:
+        if isinstance(c, (int, Fraction)) and not c:
             return LaurentPoly(self.zvars, self.ring, {})
         out = {}
         for e, coef in self.terms.items():
@@ -124,28 +125,33 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
             return self.mul(other)
-        if isinstance(other, (int, Fraction, QRho, TruncSeries)):
+        if isinstance(other, (int, Fraction, TruncSeries)):
             return self.scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def mul(self, other: "LaurentPoly") -> "LaurentPoly":
-        """The plain product, term by term (the oracle of the flat kernel)."""
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+        """The product: a scale and a shift when one factor has one term,
+        else the flat kernel with no pruning."""
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            ((e2, c2),) = b.items()
+            out = {}
+            for e1, c1 in a.items():
                 c = c1 * c2
-                if not c:
-                    continue
-                v = out.get(e)
-                v = c if v is None else v + c
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(self.zvars, self.ring, out)
+                if c:
+                    out[tuple(x + y for x, y in zip(e1, e2))] = c
+            return LaurentPoly(self.zvars, self.ring, out)
+        (lo1, hi1), (lo2, hi2) = self.exp_ranges(), other.exp_ranges()
+        pk = _Packing(self.ring, [max(abs(l1 + l2), abs(h1 + h2))
+                                  for l1, l2, h1, h2 in zip(lo1, lo2, hi1, hi2)])
+        den1, terms1 = _flatten(self, pk)
+        den2, terms2 = _flatten(other, pk)
+        acc = _mul_terms({k: c for _, k, c in terms1}, terms2, pk)
+        return _unflatten(acc, den1 * den2, pk, self.zvars)
 
     def coeff(self, zexp: tuple) -> TruncSeries:
         return self.terms.get(tuple(zexp), self.ring.zero())
@@ -201,23 +207,20 @@ def _elimination_order(factors) -> list:
     return order
 
 
-class _Packing:
+class _Packing(series._Packing):
     """The linear map from a term's exponents to one int key.
 
     The term z^e x^s of series degree d gets the key
 
         d + C (s_1 + C s_2 + ...) + S (e_1 + B_1 (e_2 + B_2 (...)))
 
-    with C = cutoff + 1, S = C^(n + 1) for n series symbols and
+    with the series part of ``series._Packing`` below S and
     B_i = 2 zbound_i + 1.
     """
 
     def __init__(self, ring: SeriesRing, zbound):
-        self.ring = ring
-        self.cutoff = ring.cutoff
-        self.C = C = ring.cutoff + 1
-        self.sweights = [C ** (j + 1) for j in range(len(ring.symbols))]
-        self.S = w = C ** (len(ring.symbols) + 1)
+        super().__init__(ring)
+        w = self.S
         self.zbases = [2 * b + 1 for b in zbound]
         self.zweights = []
         for b in self.zbases:
@@ -234,16 +237,6 @@ class _Packing:
             x = (z + h) % b - h
             yield x
             z = (z - x) // b
-
-    def series_exp(self, skey: int) -> tuple:
-        """The series exponents of a key's low part ``key % S``."""
-        C = self.C
-        skey //= C
-        e = []
-        for _ in self.sweights:
-            e.append(skey % C)
-            skey //= C
-        return tuple(e)
 
 
 class _Box(dict):
@@ -267,45 +260,8 @@ class _Box(dict):
 
 
 def _flatten(lp: LaurentPoly, pk: _Packing):
-    """(common denominator, [(degree, key, numerator)] sorted by degree).
-
-    Raises TypeError on a coefficient that is not an int or a Fraction.
-    """
-    cutoff, degrees = pk.cutoff, pk.ring.degrees
-    raw = []
-    for e, ts in lp.terms.items():
-        zk = pk.zkey(e)
-        for se, c in ts.terms.items():
-            d = sum(x * w for x, w in zip(se, degrees))
-            if d > cutoff:
-                continue
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"coefficient {c!r} is not rational")
-            raw.append((d, zk + d + sum(x * w for x, w in zip(se, pk.sweights)), c))
-    den = lcm(*(c.denominator for _, _, c in raw))
-    terms = [(d, key, c.numerator * (den // c.denominator)) for d, key, c in raw]
-    terms.sort(key=itemgetter(0))
-    return den, terms
-
-
-def _mul_terms(acc: dict, terms: list, pk: _Packing, keep: _Box) -> dict:
-    """acc times one flattened factor, as packed key -> integer numerator.
-
-    The break stops at the cutoff (``terms`` is sorted by degree); products
-    whose z-part fails ``keep`` are dropped.
-    """
-    C, S, cutoff = pk.C, pk.S, pk.cutoff
-    out = {}
-    get = out.get
-    for k1, c1 in acc.items():
-        room = cutoff - k1 % C
-        for d2, k2, c2 in terms:
-            if d2 > room:
-                break
-            k = k1 + k2
-            if keep[k // S]:
-                out[k] = get(k, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
+    """(common denominator, [(degree, key, numerator)] sorted by degree)."""
+    return series._flatten(((pk.zkey(e), ts) for e, ts in lp.terms.items()), pk)
 
 
 def _unflatten(acc: dict, den: int, pk: _Packing, zvars) -> LaurentPoly:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .point import per_point
+from .point import per_point, qt_ratio
 
 
 def make_partition(parts) -> tuple:
@@ -162,5 +162,5 @@ def z_qt(lam: tuple, q: Fraction, t: Fraction):
     """The (q,t)-deformed z factor used by the power-sum pairing (memoised)."""
     out = Fraction(z_aut(lam))
     for p in lam:
-        out *= (1 - q ** p) / (1 - t ** p)
+        out *= qt_ratio(p, q, t)
     return out

@@ -1,9 +1,9 @@
 """The one owner of the memos kept per point (q, t).
 
-Everything the engine memoises at one point lives here: z_lambda(q,t), the
-Gram-Schmidt P/Q tables and their p-basis rows, Pieri edges and arm/leg
-ratios, skew coefficients, free-field columns, and the Plancherel path sums
-and level blocks.
+Everything the engine memoises at one point lives here: the mode ratios
+(1 - q^n)/(1 - t^n), z_lambda(q,t), the Gram-Schmidt P/Q tables and their
+p-basis rows, Pieri edges and arm/leg ratios, skew coefficients, free-field
+columns, and the Plancherel path sums and level blocks.
 The store keeps the last MAX_POINTS points used; when a new point comes in,
 the least recently used one is dropped whole.
 
@@ -50,3 +50,10 @@ def per_point(fn):
         return val
 
     return cached
+
+
+@per_point
+def qt_ratio(n: int, q, t):
+    """(1 - q^n)/(1 - t^n): the factor of a part n in z_lambda(q,t), and of
+    the commutator [a_n, a_{-n}] = n (1 - q^n)/(1 - t^n)."""
+    return (1 - q**n) / (1 - t**n)

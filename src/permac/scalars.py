@@ -4,9 +4,8 @@ Every coefficient the package computes is a ``fractions.Fraction``: the
 free-field currents are taken in variables where all their modes are
 rational (``fock.eta_xi_exponent``), so no square root of t/q is needed.
 ``QRho`` adjoins a formal square root ``rho`` of a fixed rational ``s``, so
-elements are ``a + b*rho`` reduced modulo ``rho**2 = s``.  It remains an
-exact scalar type of ``TruncSeries`` and ``LaurentPoly`` arithmetic, but the
-constant-term kernel of ``laurent`` rejects it.
+elements are ``a + b*rho`` reduced modulo ``rho**2 = s``.  No computed value
+is one: ``TruncSeries`` and ``LaurentPoly`` take rational coefficients only.
 """
 
 from __future__ import annotations
@@ -134,15 +133,6 @@ class QRho:
             base = base * base
             n >>= 1
         return out
-
-
-def as_fraction(x) -> Fraction:
-    """Project onto Q, raising if a genuine rho component is present."""
-    if isinstance(x, QRho):
-        if x.b != 0:
-            raise ValueError("value has an irrational rho component")
-        return x.a
-    return Fraction(x)
 
 
 # The seed of the acceptance suite and of every seeded CLI command.

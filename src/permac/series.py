@@ -1,9 +1,19 @@
 """Truncated multivariate power series with exact coefficients.
 
 A ``SeriesRing`` fixes an ordered list of graded symbols and a total-degree
-cutoff.  ``TruncSeries`` stores a sparse map from exponent vectors to scalar
-coefficients (Fraction or QRho); every operation truncates consistently at the
+cutoff.  ``TruncSeries`` stores a sparse map from exponent vectors to rational
+coefficients (int or Fraction); every operation truncates consistently at the
 ring cutoff, so addition and multiplication are exact on the stored range.
+
+Products run on the flat, fraction-free kernel that ``laurent`` extends with
+z-exponents.  A term becomes (degree, key, integer numerator): the key packs
+the exponents into one int by a linear map (``_Packing``), so adding keys
+multiplies monomials, and each factor's coefficients become integer
+numerators over its ``lcm`` denominator.  ``_mul_terms`` then multiplies with
+integer arithmetic only, and the one division per coefficient happens when
+the result is unpacked.  A product with a one-term factor is a scale and a
+shift instead.  A coefficient that is not an int or a Fraction in a product
+of two multi-term factors is a TypeError.
 
 The ring also hosts the q-Pochhammer machinery: infinite symbols
 ``(a; p_1, ..., p_n)_inf`` are expanded through their logarithm
@@ -22,9 +32,10 @@ Brute-force oracles keep their own hand-written sums.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import itemgetter
 
-from .scalars import QRho, as_fraction, format_rational, parse_rational
+from .scalars import format_rational, parse_rational
 
 
 class SeriesRing:
@@ -110,7 +121,7 @@ class TruncSeries:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QRho)):
+        if isinstance(other, (int, Fraction)):
             other = self.ring.scalar(other)
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -138,7 +149,7 @@ class TruncSeries:
             if not self.ring.compatible(other.ring):
                 raise ValueError("series from incompatible rings")
             return other
-        if isinstance(other, (int, Fraction, QRho)):
+        if isinstance(other, (int, Fraction)):
             return self.ring.scalar(other)
         return None
 
@@ -173,7 +184,7 @@ class TruncSeries:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QRho)):
+        if isinstance(other, (int, Fraction)):
             if not other:
                 return self.ring.zero()
             return TruncSeries(self.ring, {e: c * other for e, c in self.terms.items()})
@@ -181,21 +192,27 @@ class TruncSeries:
         if o is None:
             return NotImplemented
         ring = self.ring
-        cutoff = ring.cutoff
-        degs = {e: ring.degree_of(e) for e in self.terms}
-        out = {}
-        for e2, c2 in o.terms.items():
-            d2 = ring.degree_of(e2)
-            for e1, c1 in self.terms.items():
-                if degs[e1] + d2 > cutoff:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return TruncSeries(ring, out)
+        a, b = self.terms, o.terms
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return ring.zero()
+        if len(b) == 1:
+            ((e2, c2),) = b.items()
+            room = ring.cutoff - ring.degree_of(e2)
+            out = {}
+            for e1, c1 in a.items():
+                if ring.degree_of(e1) <= room:
+                    c = c1 * c2
+                    if c:
+                        out[tuple(x + y for x, y in zip(e1, e2))] = c
+            return TruncSeries(ring, out)
+        pk = _Packing(ring)
+        den1, terms1 = _flatten(((0, self),), pk)
+        den2, terms2 = _flatten(((0, o),), pk)
+        acc = _mul_terms({k: c for _, k, c in terms1}, terms2, pk)
+        den = den1 * den2
+        return TruncSeries(ring, {pk.series_exp(k): Fraction(c, den) for k, c in acc.items()})
 
     __rmul__ = __mul__
 
@@ -214,8 +231,6 @@ class TruncSeries:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, QRho):
-            return self * other.inverse()
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -245,7 +260,7 @@ class TruncSeries:
         c0 = self.constant_term()
         if not c0:
             raise ZeroDivisionError("series with zero constant term")
-        inv0 = c0.inverse() if isinstance(c0, QRho) else Fraction(1) / Fraction(c0)
+        inv0 = Fraction(1) / Fraction(c0)
         g = self * inv0 - 1
         if g.min_degree() <= 0:
             raise ZeroDivisionError("nonpositive valuation after normalization")
@@ -283,7 +298,7 @@ class TruncSeries:
     def to_json(self) -> dict:
         terms = []
         for e in sorted(self.terms):
-            terms.append({"exp": list(e), "coef": format_rational(as_fraction(self.terms[e]))})
+            terms.append({"exp": list(e), "coef": format_rational(self.terms[e])})
         return {
             "symbols": [{"name": n, "degree": d}
                         for n, d in zip(self.ring.symbols, self.ring.degrees)],
@@ -297,6 +312,93 @@ class TruncSeries:
                           data["cutoff"])
         terms = {tuple(t["exp"]): parse_rational(t["coef"]) for t in data["terms"]}
         return TruncSeries(ring, {e: c for e, c in terms.items() if c})
+
+
+# ---------------------------------------------------------------------------
+# The flat, fraction-free product kernel
+# ---------------------------------------------------------------------------
+
+
+class _Packing:
+    """The linear map from a series term's exponents to one int key.
+
+    The term x^s of series degree d gets the key
+
+        d + C (s_1 + C s_2 + ...)
+
+    with C = cutoff + 1.  A product kept under the cutoff has the degree and
+    every exponent at most the cutoff, so no digit carries and the key lies
+    in [0, S) with S = C^(n + 1) for n symbols; ``laurent`` puts z-exponents
+    above S.
+    """
+
+    def __init__(self, ring: SeriesRing):
+        self.ring = ring
+        self.cutoff = ring.cutoff
+        self.C = C = ring.cutoff + 1
+        self.sweights = [C ** (j + 1) for j in range(len(ring.symbols))]
+        self.S = C ** (len(ring.symbols) + 1)
+
+    def series_exp(self, skey: int) -> tuple:
+        """The series exponents of a key's low part ``key % S``."""
+        C = self.C
+        skey //= C
+        e = []
+        for _ in self.sweights:
+            e.append(skey % C)
+            skey //= C
+        return tuple(e)
+
+
+def _flatten(parts, pk: _Packing):
+    """(common denominator, [(degree, key, numerator)] sorted by degree).
+
+    ``parts`` are pairs (key offset, series); the terms above the cutoff are
+    dropped.  Raises TypeError on a coefficient that is not an int or a
+    Fraction.
+    """
+    cutoff, degrees, sweights = pk.cutoff, pk.ring.degrees, pk.sweights
+    raw = []
+    for offset, ts in parts:
+        for se, c in ts.terms.items():
+            d = sum(x * w for x, w in zip(se, degrees))
+            if d > cutoff:
+                continue
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {c!r} is not rational")
+            raw.append((d, offset + d + sum(x * w for x, w in zip(se, sweights)), c))
+    den = lcm(*(c.denominator for _, _, c in raw))
+    terms = [(d, key, c.numerator * (den // c.denominator)) for d, key, c in raw]
+    terms.sort(key=itemgetter(0))
+    return den, terms
+
+
+def _mul_terms(acc: dict, terms: list, pk: _Packing, keep=None) -> dict:
+    """acc times one flattened factor, as packed key -> integer numerator.
+
+    The break stops at the cutoff (``terms`` is sorted by degree).  With a
+    ``keep`` map from the packed z-part ``key // S`` to a bool, the products
+    it rejects are dropped.
+    """
+    C, S, cutoff = pk.C, pk.S, pk.cutoff
+    out = {}
+    get = out.get
+    for k1, c1 in acc.items():
+        room = cutoff - k1 % C
+        if keep is None:
+            for d2, k2, c2 in terms:
+                if d2 > room:
+                    break
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        else:
+            for d2, k2, c2 in terms:
+                if d2 > room:
+                    break
+                k = k1 + k2
+                if keep[k // S]:
+                    out[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +419,7 @@ def first_mismatch(a: TruncSeries, b: TruncSeries):
 
 def _monomial_parts(x):
     """Split a one-term series into (coefficient, exponent vector)."""
-    if isinstance(x, (int, Fraction, QRho)):
+    if isinstance(x, (int, Fraction)):
         return x, None
     if isinstance(x, TruncSeries):
         if not x.terms:
@@ -332,7 +434,7 @@ def _monomial_parts(x):
 def geometric(ring: SeriesRing, p, k: int, start: int = 0) -> TruncSeries:
     """sum_{j>=start} p^(j k) = p^(start k) / (1 - p^k) as a series in ``ring``.
 
-    A rational or QRho ``p`` gives the exact scalar; a positive-degree
+    A rational ``p`` gives the exact scalar; a positive-degree
     monomial gives the geometric series truncated at the ring cutoff.
     """
     c, e = _monomial_parts(p)
@@ -389,7 +491,7 @@ def qpochhammer_finite(ring: SeriesRing, a, modulus, n: int) -> TruncSeries:
 def theta_terms(ring: SeriesRing, v: str, zeta) -> dict:
     """Charge terms m -> zeta^m v^(m^2) of a theta sum, inside the cutoff.
 
-    ``zeta`` is a rational or QRho; the map runs m = 0, 1, -1, 2, -2, ...
+    ``zeta`` is a rational; the map runs m = 0, 1, -1, 2, -2, ...
     """
     if isinstance(zeta, int):
         zeta = Fraction(zeta)
@@ -406,7 +508,7 @@ def theta_terms(ring: SeriesRing, v: str, zeta) -> dict:
 def theta3(ring: SeriesRing, v: str, zeta) -> TruncSeries:
     """Jacobi theta sum over integer charge with u = v^2.
 
-    Returns sum_n v^(n^2) * zeta^n for a rational (or QRho) ``zeta``; the
+    Returns sum_n v^(n^2) * zeta^n for a rational ``zeta``; the
     half-integer powers u^(n^2/2) are realized through the substitution
     u = v^2.
     """

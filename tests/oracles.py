@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+from permac.laurent import LaurentPoly
 from permac.macdonald import pieri
 from permac.partitions import conjugate, contains, horizontal_strip, make_partition, part
+from permac.series import TruncSeries
 
 
 def horizontal_strip_by_columns(lam: tuple, mu: tuple) -> bool:
@@ -35,3 +37,43 @@ def skew_single_alpha(kind: str, lam: tuple, mu: tuple, q, t) -> Fraction:
         return Fraction(0)
     psi, phi = pieri(lam, mu, q, t)
     return psi if kind == "P" else phi
+
+
+def plain_series_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """a * b term by term with Fraction arithmetic, cut at the ring cutoff:
+    the oracle of the flat product kernel."""
+    ring = a.ring
+    cutoff = ring.cutoff
+    degs = {e: ring.degree_of(e) for e in a.terms}
+    out = {}
+    for e2, c2 in b.terms.items():
+        d2 = ring.degree_of(e2)
+        for e1, c1 in a.terms.items():
+            if degs[e1] + d2 > cutoff:
+                continue
+            e = tuple(x + y for x, y in zip(e1, e2))
+            v = out.get(e, 0) + c1 * c2
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+    return TruncSeries(ring, out)
+
+
+def plain_laurent_product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a * b term by term, each coefficient product by ``plain_series_product``:
+    the oracle of the flat product kernel."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            c = plain_series_product(c1, c2)
+            if not c:
+                continue
+            v = out.get(e)
+            v = c if v is None else v + c
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+    return LaurentPoly(a.zvars, a.ring, out)

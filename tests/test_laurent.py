@@ -18,6 +18,8 @@ from permac.laurent import (
 from permac.scalars import QRho
 from permac.series import SeriesRing, TruncSeries
 
+from oracles import plain_laurent_product
+
 Q0, T0 = Fraction(1, 3), Fraction(1, 5)
 
 
@@ -91,7 +93,7 @@ def test_product_coefficient_prunes_correctly():
     z = ("z1", "z2")
     f1 = ratio_sym_factor(z, ring, 0, 1, Fraction(1, 2), 6)
     f2 = symmetric_test_function(z, ring)
-    direct = (f1 * f2).coeff((0, 0))
+    direct = plain_laurent_product(f1, f2).coeff((0, 0))
     pruned = product_coefficient([f1, f2], (0, 0))
     assert direct == pruned
 
@@ -139,7 +141,7 @@ def factor_lists(draw):
 @settings(max_examples=60, deadline=None)
 @given(factors=factor_lists(), data=st.data())
 def test_product_coefficient_equals_unpruned_product(factors, data):
-    plain = functools.reduce(LaurentPoly.mul, factors)
+    plain = functools.reduce(plain_laurent_product, factors)
     zn = len(factors[0].zvars)
     target = data.draw(st.one_of(st.sampled_from(sorted(plain.terms) or [(0,) * zn]),
                                  st.tuples(*[st.integers(-3, 3)] * zn)))
@@ -171,8 +173,8 @@ def graded_factor_lists(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(factors=graded_factor_lists(), data=st.data())
-def test_product_coefficient_graded_qrho_equals_unpruned_product(factors, data):
-    plain = functools.reduce(LaurentPoly.mul, factors)
+def test_product_coefficient_graded_equals_unpruned_product(factors, data):
+    plain = functools.reduce(plain_laurent_product, factors)
     zn = len(factors[0].zvars)
     target = data.draw(st.one_of(st.sampled_from(sorted(plain.terms) or [(0,) * zn]),
                                  st.tuples(*[st.integers(-4, 4)] * zn)))
@@ -187,9 +189,40 @@ def windowed_power_sum(arg, clip, weights, unit):
     out = one if unit else LaurentPoly(arg.zvars, arg.ring, {})
     power = one
     for w in weights:
-        power = power.mul(arg).window(clip)
+        power = plain_laurent_product(power, arg).window(clip)
         out = out + power.scale(w)
     return out
+
+
+@st.composite
+def laurent_pairs(draw):
+    """Two Laurent polynomials over 2-3 z-variables with exponents in
+    [-3, 3] and coefficients in two symbols of degrees 1 and 2; either may
+    be empty or have one term, and the second is often the first with some
+    signs flipped, so sums cancel to zero."""
+    ring = SeriesRing([("u", 1), ("v", 2)], draw(st.integers(0, 4)))
+    zvars = tuple(f"z{i}" for i in range(draw(st.integers(2, 3))))
+    scalars = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3)) \
+        .filter(bool)
+    sexps = st.tuples(st.integers(0, 3), st.integers(0, 2))
+    coeffs = st.dictionaries(sexps, scalars, min_size=1, max_size=3) \
+        .map(lambda terms: TruncSeries(ring, terms))
+    zexps = st.tuples(*[st.integers(-3, 3)] * len(zvars))
+    a, b = [LaurentPoly(zvars, ring, {e: c for e, c in draw(
+        st.dictionaries(zexps, coeffs, max_size=5)).items() if c}) for _ in range(2)]
+    if draw(st.booleans()):
+        b = LaurentPoly(zvars, ring, {e: c * draw(st.sampled_from([1, -1]))
+                                      for e, c in a.terms.items()})
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=laurent_pairs())
+def test_laurent_product_equals_plain_product(pair):
+    a, b = pair
+    prod = a * b
+    assert prod == plain_laurent_product(a, b)
+    assert all(prod.terms.values())
 
 
 @st.composite
@@ -245,6 +278,26 @@ def test_kernel_rejects_a_qrho_coefficient(c):
         laurent_exp(lp, 2)
     with pytest.raises(TypeError):
         laurent_log(one + lp, 2)
+
+
+@pytest.mark.parametrize("c", [0.5, QRho(1, 1, Fraction(2, 3))])
+def test_multi_term_product_rejects_an_inexact_coefficient(c):
+    """A float or QRho cannot be a scalar factor of a series, nor a
+    coefficient in a product of two multi-term series or Laurent
+    polynomials: the kernel takes rationals only."""
+    ring = SeriesRing(["u"], 3)
+    bad = TruncSeries(ring, {(0,): Fraction(1), (1,): c})
+    good = ring.one() + ring.gen("u")
+    with pytest.raises(TypeError):
+        good * c
+    with pytest.raises(TypeError):
+        bad * good
+    with pytest.raises(TypeError):
+        good * bad
+    z = ("z1", "z2")
+    lp = LaurentPoly(z, ring, {(1, 0): bad, (0, 0): good})
+    with pytest.raises(TypeError):
+        lp * LaurentPoly(z, ring, {(0, 1): good, (0, 0): good})
 
 
 def test_elimination_order_takes_z_free_factors_first():
