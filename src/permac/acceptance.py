@@ -213,8 +213,8 @@ def criterion_shift_mixed(seed=DEFAULT_SEED) -> dict:
     u = ring.monomial(Fraction(1), v=2)
     ps = process.ProcessSpec(ring, q, t, u,
                              [macdonald.zero_spec()], [macdonald.zero_spec()])
-    if process.shift_mixed_moment_formula(ps, 1, "v", zeta) != \
-            process.shift_mixed_moment_bruteforce(ps, 1, "v", zeta, 6):
+    if process.shift_mixed_moment_formula(ps, 1, zeta) != \
+            process.shift_mixed_moment_bruteforce(ps, 1, zeta, 6):
         failures.append(("charged-moment",))
     report = process.schur_limit_kernels(2, 8, rng)
     if not report["match"]:

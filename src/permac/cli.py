@@ -195,8 +195,8 @@ def cmd_process_shift_mixed(args) -> int:
     return _emit_oracle_report(
         args, f"shift-mixed moment, r={args.r}",
         {"q": args.q, "t": args.t, "zeta": args.zeta}, {"v": args.v_deg},
-        process.shift_mixed_moment_formula(ps, args.r, "v", zeta),
-        process.shift_mixed_moment_bruteforce(ps, args.r, "v", zeta, args.v_deg))
+        process.shift_mixed_moment_formula(ps, args.r, zeta),
+        process.shift_mixed_moment_bruteforce(ps, args.r, zeta, args.v_deg))
 
 
 def cmd_plancherel_sample(args) -> int:

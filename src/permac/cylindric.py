@@ -569,15 +569,15 @@ def vertex_e1_trace_check(grade: int, q: Fraction, t: Fraction) -> dict:
 
 
 def laurent_log_pochhammer(zvars, ring: SeriesRing, coeff, zexp: dict,
-                           rational_moduli, u_moduli, z_moduli,
-                           window: int) -> LaurentPoly:
-    """Windowed log of (coeff * z^zexp; moduli)_infinity.
+                           q: Fraction, z_moduli, window: int) -> LaurentPoly:
+    """Windowed log of (coeff * z^zexp; q, u, z_moduli)_infinity.
 
-    Moduli are rationals, ring monomials (graded), or z-variable names whose
-    geometric expansions run over nonnegative powers.  The power sum over k
-    is cut off by window escape: a positive argument exponent only grows, and
-    a negative one only returns upward when that variable also appears as a
-    modulus (rejected here: callers never need it).
+    The moduli are the rational q, the ring's graded symbol u and the
+    z-variable names ``z_moduli``, whose geometric expansions run over
+    nonnegative powers.  The power sum over k is cut off by window escape: a
+    positive argument exponent only grows, and a negative one only returns
+    upward when that variable also appears as a modulus (rejected here:
+    callers never need it).
     """
     exps = [zexp.get(v, 0) for v in zvars]
     bounds = []
@@ -589,11 +589,11 @@ def laurent_log_pochhammer(zvars, ring: SeriesRing, coeff, zexp: dict,
     if not bounds:
         raise ValueError("cannot truncate: argument has no window escape")
     kmax = min(bounds)
+    u = ring.gen("u")
     out = LaurentPoly(tuple(zvars), ring, {})
     for k in range(1, kmax + 1):
-        scalar = ring.scalar(coeff**k * Fraction(-1, k))
-        for p in rational_moduli + u_moduli:
-            scalar = scalar * geometric(ring, p, k)
+        scalar = ring.scalar(coeff**k * Fraction(-1, k)) \
+            * geometric(ring, q, k) * geometric(ring, u, k)
         if not scalar:
             continue
         base = {tuple(e * k for e in exps): scalar}
@@ -615,10 +615,12 @@ def laurent_log_pochhammer(zvars, ring: SeriesRing, coeff, zexp: dict,
 def thm_b1_factor_list(nu: tuple):
     """Pochhammer factors of the boundary-organized closed form.
 
-    Each item is (t_power_on_argument? via sign, x_exp, y_exp, moduli, sign):
-    sign +1 for numerator (argument carries t), -1 for denominator.  The
-    empty-profile corner factor is included; the nu prefactor is omitted
-    because it cancels against the left side's.
+    Each item (ex, ey, z_moduli) stands for the ratio
+    (t x^ex y^ey; q, u, z_moduli)_inf / (x^ex y^ey; q, u, z_moduli)_inf,
+    where ``z_moduli`` names the z-variables among the moduli: none inside
+    the profile, y on the right boundary, x on the bottom one, both at the
+    corner.  The empty-profile corner factor is included; the nu prefactor
+    is omitted because it cancels against the left side's.
     """
     nuc = conjugate(nu)
     ell = length(nu)
@@ -626,13 +628,13 @@ def thm_b1_factor_list(nu: tuple):
     factors = []
     for i in range(1, ell + 1):
         for j in range(1, nu1 + 1):
-            factors.append((i - part(nuc, j), j - part(nu, i) - 1, ("q", "u"), ))
+            factors.append((i - part(nuc, j), j - part(nu, i) - 1, ()))
     bdry = []
     for i in range(1, ell + 1):  # right boundary
-        bdry.append((i, nu1 - part(nu, i), ("q", "u", "y")))
+        bdry.append((i, nu1 - part(nu, i), ("y",)))
     for j in range(1, nu1 + 1):  # bottom boundary
-        bdry.append((ell + 1 - part(nuc, j), j - 1, ("q", "u", "x")))
-    corner = [(ell + 1, nu1, ("q", "u", "x", "y"))]
+        bdry.append((ell + 1 - part(nuc, j), j - 1, ("x",)))
+    corner = [(ell + 1, nu1, ("x", "y"))]
     return factors + bdry + corner
 
 
@@ -665,15 +667,11 @@ def kernel_log_factored(zvars, ring: SeriesRing, nu: tuple, q: Fraction,
                         t: Fraction, window: int) -> LaurentPoly:
     """log of the boundary-organized Pochhammer product for the same kernel."""
     out = LaurentPoly(tuple(zvars), ring, {})
-    u_mono = ring.gen("u")
-    for (ex, ey, moduli) in thm_b1_factor_list(nu):
-        rats = [q] if "q" in moduli else []
-        umods = [u_mono] if "u" in moduli else []
-        zmods = [v for v in ("x", "y") if v in moduli]
+    for (ex, ey, zmods) in thm_b1_factor_list(nu):
         num = laurent_log_pochhammer(zvars, ring, t, {"x": ex, "y": ey},
-                                     rats, umods, zmods, window)
+                                     q, zmods, window)
         den = laurent_log_pochhammer(zvars, ring, Fraction(1), {"x": ex, "y": ey},
-                                     rats, umods, zmods, window)
+                                     q, zmods, window)
         out = out + num - den
     return out.window(2 * window)
 

@@ -51,37 +51,20 @@ class ProcessSpec:
         self.N = len(self.rho_plus)
         self._skew_cache: dict = {}
 
-    # -- u bookkeeping ------------------------------------------------------
+    def skew(self, kind: str, lam: tuple, mu: tuple, index: int):
+        """Cached P_{lam/mu}(rho^+_index) or Q_{lam/mu}(rho^-_{index+1}).
 
-    def u_degree(self) -> int:
-        ((e, _),) = self.u.terms.items()
-        return self.ring.degree_of(e)
-
-    def u_pow(self, k: int):
-        if k == 0:
-            return self.ring.one()
-        return self.u ** k
-
-    # -- skew values ---------------------------------------------------------
-
-    def skew(self, kind: str, lam: tuple, mu: tuple, side: str, index: int):
-        """Cached skew value; side '+'/'-' picks the specialization list."""
-        spec = self.rho_plus[index] if side == "+" else self.rho_minus[index]
-        key = (kind, lam, mu, side, index)
+        ``kind`` picks the list: "P" reads ``rho_plus[index]``, "Q" reads
+        ``rho_minus[index]``.
+        """
+        key = (kind, lam, mu, index)
         hit = self._skew_cache.get(key)
         if hit is None:
+            spec = (self.rho_plus if kind == "P" else self.rho_minus)[index]
             hit = skew_eval(kind, lam, mu, spec, self.q, self.t,
                             unit=self.ring.one())
             self._skew_cache[key] = hit
         return hit
-
-    def spec_degree(self, side: str, index: int) -> int:
-        spec = self.rho_plus[index] if side == "+" else self.rho_minus[index]
-        return spec.degree
-
-    def spec_is_zero(self, side: str, index: int) -> bool:
-        spec = self.rho_plus[index] if side == "+" else self.rho_minus[index]
-        return spec.kind == "zero"
 
 
 def process_from_names(plus_names, minus_names, q, t, cutoff: int) -> ProcessSpec:
@@ -127,13 +110,13 @@ def weight_W(pspec: ProcessSpec, lam_seq, mu_seq) -> TruncSeries:
         lam_next = lam_seq[(i + 1) % N]
         if not (contains(lam_seq[i], mu_seq[i]) and contains(lam_next, mu_seq[i])):
             return pspec.ring.zero()
-    out = pspec.u_pow(weight(mu_seq[N - 1]))
+    out = pspec.u ** weight(mu_seq[N - 1])
     for i in range(1, N + 1):
         lam_i = lam_seq[i - 1]
         mu_i = mu_seq[i - 1]
         lam_next = lam_seq[i % N]
-        out = out * pspec.skew("Q", lam_i, mu_i, "-", i - 1)
-        out = out * pspec.skew("P", lam_next, mu_i, "+", i % N)
+        out = out * pspec.skew("Q", lam_i, mu_i, i - 1)
+        out = out * pspec.skew("P", lam_next, mu_i, i % N)
         if not out:
             return pspec.ring.zero()
     return out
@@ -161,60 +144,49 @@ def configurations(pspec: ProcessSpec, depth: int):
     so the budget bounds the enumeration.  Yields (lam_seq, mu_seq) pairs.
     """
     N = pspec.N
-    du = pspec.u_degree()
+    ((u_exp, _),) = pspec.u.terms.items()
+    du = pspec.ring.degree_of(u_exp)
     if du == 0:
         raise ValueError("formal u must have positive degree")
-    for side in ("+", "-"):
-        for i in range(N):
-            if not pspec.spec_is_zero(side, i) and pspec.spec_degree(side, i) == 0:
-                raise ValueError(
-                    "graded enumeration needs formal or zero specializations")
+    # graded degree per step, None for a zero specialization
+    up, down = ([None if spec.kind == "zero" else spec.degree for spec in specs]
+                for specs in (pspec.rho_plus, pspec.rho_minus))
+    if 0 in up + down:
+        raise ValueError("graded enumeration needs formal or zero specializations")
 
     for mu0 in partitions_up_to(depth // du):
-        base_cost = du * weight(mu0)
 
         def walk(i, prev_mu, budget, lams, mus):
-            # step up prev_mu -> lam^{i+1} through rho^+_{i mod N}
-            idx = i % N
-            if pspec.spec_is_zero("+", idx):
+            # step up prev_mu -> lam^{i+1} through rho^+_i, whose degree
+            # bounds the weight gain by the budget, then down lam -> mu^{i+1}
+            # through rho^-_{i+1}; the last step closes on mu^N = mu0
+            d_up, d_dn = up[i], down[i]
+            if d_up is None:
                 ups = [prev_mu]
             else:
-                d = pspec.spec_degree("+", idx)
-                ups = _partitions_containing(prev_mu, weight(prev_mu) + budget // d)
+                ups = _partitions_containing(prev_mu, weight(prev_mu) + budget // d_up)
+            last = i + 1 == N
             for lam in ups:
-                cost_up = pspec.spec_degree("+", idx) * (weight(lam) - weight(prev_mu))
-                b1 = budget - cost_up
-                if b1 < 0:
-                    continue
-                if i + 1 == N:
-                    # closing condition: lam^N must contain mu0, pay rho^-_N
-                    if pspec.spec_is_zero("-", N - 1):
-                        if lam != mu0:
-                            continue
-                        cost_dn = 0
-                    else:
-                        if not contains(lam, mu0):
-                            continue
-                        cost_dn = pspec.spec_degree("-", N - 1) * (weight(lam) - weight(mu0))
-                    if cost_dn <= b1:
-                        yield lams + [lam], mus + [mu0]
-                    continue
-                # step down lam -> mu^{i+1} through rho^-_{i+1}
-                if pspec.spec_is_zero("-", i):
-                    downs = [lam]
+                b1 = budget if d_up is None \
+                    else budget - d_up * (weight(lam) - weight(prev_mu))
+                if not last:
+                    downs = [lam] if d_dn is None else _partitions_inside(lam)
+                elif lam == mu0 or (d_dn is not None and contains(lam, mu0)):
+                    downs = [mu0]
                 else:
-                    downs = _partitions_inside(lam)
+                    continue
                 for mu in downs:
-                    cost_dn = pspec.spec_degree("-", i) * (weight(lam) - weight(mu))
-                    b2 = b1 - cost_dn
+                    b2 = b1 if d_dn is None else b1 - d_dn * (weight(lam) - weight(mu))
                     if b2 < 0:
                         continue
-                    yield from walk(i + 1, mu, b2, lams + [lam], mus + [mu])
+                    if last:
+                        yield lams + [lam], mus + [mu]
+                    else:
+                        yield from walk(i + 1, mu, b2, lams + [lam], mus + [mu])
 
         # the chain starts at mu^N = mu0 and steps up through rho^+_0;
-        # mus collected along the way are mu^1..mu^{N-1}, then mu^N = mu0
-        for lam_seq, mu_partial in walk(0, mu0, depth - base_cost, [], []):
-            yield lam_seq, mu_partial
+        # mus collected along the way are mu^1..mu^N
+        yield from walk(0, mu0, depth - du * weight(mu0), [], [])
 
 
 def _configuration_sums(pspec: ProcessSpec, depth: int, series_r=None):
@@ -330,7 +302,7 @@ def _kernel_exp_factor(pspec: ProcessSpec, kind: str, a: int, zvars, iz,
     for n, (up, down) in eta_xi_exponent(kind, pspec.q, pspec.t,
                                          ring.cutoff).items():
         geom = geometric(ring, pspec.u, n) * Fraction(1, n)  # 1/(n(1-u^n))
-        un = pspec.u_pow(n)
+        un = pspec.u ** n
         cplus = ring.zero()
         for b in range(N):
             pv = pspec.rho_plus[b].p_value(n)
@@ -433,16 +405,19 @@ def moment_formula(pspec: ProcessSpec, series_r) -> TruncSeries:
 # ---------------------------------------------------------------------------
 
 
-def shift_mixed_partition_function(pspec: ProcessSpec, v_name: str, zeta):
-    """theta_3(zeta; u) times the N=1 partition function, u = v^2."""
+def shift_mixed_partition_function(pspec: ProcessSpec, zeta):
+    """theta_3(zeta; u) times the N=1 partition function, u = v^2.
+
+    The ring's symbol ``v`` carries the charge, as in every shift-mixed
+    quantity here.
+    """
     if pspec.N != 1:
         raise ValueError("shift-mixed quantities are single-step")
-    th = theta3(pspec.ring, v_name, zeta)
+    th = theta3(pspec.ring, "v", zeta)
     return th * partition_function_closed(pspec)
 
 
-def shift_mixed_moment_formula(pspec: ProcessSpec, r: int, v_name: str,
-                               zeta) -> TruncSeries:
+def shift_mixed_moment_formula(pspec: ProcessSpec, r: int, zeta) -> TruncSeries:
     """Charged moment of the shifted E observable.
 
     Equals the plain N=1 E moment times theta_3(zeta t^-r; u)/theta_3(zeta; u).
@@ -450,13 +425,13 @@ def shift_mixed_moment_formula(pspec: ProcessSpec, r: int, v_name: str,
     if pspec.N != 1:
         raise ValueError("shift-mixed quantities are single-step")
     base = moment_formula(pspec, [("E", r)])
-    tnum = theta3(pspec.ring, v_name, zeta * pspec.t ** (-r))
-    tden = theta3(pspec.ring, v_name, zeta)
+    tnum = theta3(pspec.ring, "v", zeta * pspec.t ** (-r))
+    tden = theta3(pspec.ring, "v", zeta)
     return base * tnum * tden.inverse()
 
 
-def shift_mixed_moment_bruteforce(pspec: ProcessSpec, r: int, v_name: str,
-                                  zeta, depth: int) -> TruncSeries:
+def shift_mixed_moment_bruteforce(pspec: ProcessSpec, r: int, zeta,
+                                  depth: int) -> TruncSeries:
     """Configuration sum over (lambda, mu, charge) with energy grading.
 
     The charge n contributes u^(n^2/2) zeta^n t^(-r n) through u = v^2 and
@@ -465,7 +440,7 @@ def shift_mixed_moment_bruteforce(pspec: ProcessSpec, r: int, v_name: str,
     if pspec.N != 1:
         raise ValueError("shift-mixed quantities are single-step")
     ring = pspec.ring
-    dv = ring.degrees[ring._index[v_name]]
+    dv = ring.degrees[ring._index["v"]]
     charge_num = ring.zero()
     charge_den = ring.zero()
     # the oracle keeps its own charge sum: series.theta_terms feeds theta3 in
@@ -474,7 +449,7 @@ def shift_mixed_moment_bruteforce(pspec: ProcessSpec, r: int, v_name: str,
     while n * n * dv <= ring.cutoff:
         for s in ((1,) if n == 0 else (1, -1)):
             m = s * n
-            mono = ring.monomial(zeta**m, **{v_name: n * n})
+            mono = ring.monomial(zeta**m, v=n * n)
             charge_den = charge_den + mono
             charge_num = charge_num + mono * (pspec.t ** (-r * m))
         n += 1
@@ -489,11 +464,11 @@ def shift_mixed_moment_bruteforce(pspec: ProcessSpec, r: int, v_name: str,
 # ---------------------------------------------------------------------------
 
 
-def _theta_cauchy_entry(ring, v_name, u_mono, x, y, zeta) -> TruncSeries:
+def _theta_cauchy_entry(ring, u_mono, x, y, zeta) -> TruncSeries:
     """1/(x-y) theta_3(zeta y/x; u)/theta_3(zeta; u)
     (u;u)^2/((u x/y; u)(u y/x; u)) at rational x, y."""
     c = Fraction(1) / (x - y)
-    th = theta3(ring, v_name, zeta * y / x) * theta3(ring, v_name, zeta).inverse()
+    th = theta3(ring, "v", zeta * y / x) * theta3(ring, "v", zeta).inverse()
     uu = qpochhammer(ring, u_mono, [u_mono])
     mixed = qpochhammer(ring, u_mono * (x / y), [u_mono]) \
         * qpochhammer(ring, u_mono * (y / x), [u_mono])
@@ -530,7 +505,7 @@ def theta_cauchy_check(r: int, v_cutoff: int, xs, ys, zeta, label="") -> dict:
             lhs = lhs * qpochhammer(ring, u * (ys[i] / ys[j]), [u])
             lhs = lhs * qpochhammer(ring, u * (xs[i] / ys[j]), [u]).inverse()
             lhs = lhs * qpochhammer(ring, u * (ys[i] / xs[j]), [u]).inverse()
-    entries = [[_theta_cauchy_entry(ring, "v", u, xs[i], ys[j], zeta)
+    entries = [[_theta_cauchy_entry(ring, u, xs[i], ys[j], zeta)
                 for j in range(r)] for i in range(r)]
     rhs = _det_series(entries, ring)
     return {"label": label, "match": lhs == rhs, "lhs": lhs, "rhs": rhs}

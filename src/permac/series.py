@@ -12,8 +12,9 @@ multiplies monomials, and each factor's coefficients become integer
 numerators over its ``lcm`` denominator.  ``_mul_terms`` then multiplies with
 integer arithmetic only, and the one division per coefficient happens when
 the result is unpacked.  A product with a one-term factor is a scale and a
-shift instead.  A coefficient that is not an int or a Fraction in a product
-of two multi-term factors is a TypeError.
+shift instead.  A coefficient that is not an int or a Fraction is a
+TypeError where a scalar or monomial is built and in a product of two
+multi-term factors.
 
 The ring also hosts the q-Pochhammer machinery: infinite symbols
 ``(a; p_1, ..., p_n)_inf`` are expanded through their logarithm
@@ -36,6 +37,11 @@ from math import factorial, lcm
 from operator import itemgetter
 
 from .scalars import format_rational, parse_rational
+
+
+def _check_rational(c):
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient {c!r} is not rational")
 
 
 class SeriesRing:
@@ -79,11 +85,13 @@ class SeriesRing:
         return self.scalar(Fraction(1))
 
     def scalar(self, c) -> "TruncSeries":
+        _check_rational(c)
         if not c:
             return self.zero()
         return TruncSeries(self, {(0,) * len(self.symbols): c})
 
     def monomial(self, c, **powers) -> "TruncSeries":
+        _check_rational(c)
         exp = [0] * len(self.symbols)
         for name, k in powers.items():
             exp[self._index[name]] += int(k)

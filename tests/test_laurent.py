@@ -267,11 +267,15 @@ def test_monomial_rejects_an_inexact_coefficient():
 @pytest.mark.parametrize("c", [QRho(1, 1, Fraction(2, 3)), QRho(2, 0, Fraction(2, 3))])
 def test_kernel_rejects_a_qrho_coefficient(c):
     """The constant-term kernel takes rational coefficients only, so a QRho
-    (even one with no rho part) cannot reach a moment or a Fock image."""
+    (even one with no rho part) cannot reach a moment or a Fock image.
+    The ring's constructors already refuse it; a series built around them
+    meets the kernel's own check."""
     ring = SeriesRing(["u"], 2)
+    with pytest.raises(TypeError):
+        ring.monomial(c, u=1)
     z = ("z1", "z2")
     one = LaurentPoly.constant(z, ring.one())
-    lp = LaurentPoly.monomial(z, ring, ring.monomial(c, u=1), {"z1": 1, "z2": -1})
+    lp = LaurentPoly.monomial(z, ring, TruncSeries(ring, {(1,): c}), {"z1": 1, "z2": -1})
     with pytest.raises(TypeError):
         product_coefficient([one, lp], (1, -1))
     with pytest.raises(TypeError):

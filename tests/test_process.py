@@ -44,6 +44,17 @@ def test_weight_examples():
     assert not weight_W(ps, [(1,)], [(2,)])
 
 
+def test_skew_kind_picks_the_specialization():
+    # distinct alpha symbols per step: the one-box skew value is the symbol
+    # of the specialization it read, P at rho^+_i and Q at rho^-_{i+1}
+    ps = single_alpha_process(3, Q0, T0, 2)
+    ring = ps.ring
+    for i in range(3):
+        assert ps.skew("P", (1,), (), i) == ring.gen(f"a{i}")
+        assert ps.skew("Q", (1,), (), i) == ring.monomial(
+            (1 - T0) / (1 - Q0), **{f"b{i + 1}": 1})
+
+
 def test_weight_support_is_interlacing():
     # nonzero weight forces the cyclic inclusion chain (single-alpha specs
     # additionally force horizontal strips; inclusion is what the weight
@@ -124,11 +135,19 @@ def test_u_to_zero_limit_is_nonperiodic():
         assert brute.subs_zero("u") == nonperiodic_partition_function(ps).truncate(4)
 
 
-@pytest.mark.parametrize("N, depth", [(2, 4), (3, 3)])
-def test_configurations_pinned(monkeypatch, N, depth):
+@pytest.mark.parametrize("plus, minus, depth", [
+    (["alpha"] * 2, ["alpha"] * 2, 4),
+    (["alpha"] * 3, ["alpha"] * 3, 3),
+    (["zero"], ["zero"], 4),
+    (["plancherel", "alpha"], ["alpha", "zero"], 4),          # zero rho^-_N
+    (["zero", "alpha"], ["plancherel", "alpha"], 4),          # zero rho^+_0
+    (["zero", "plancherel", "alpha"], ["alpha", "zero", "zero"], 3),
+])
+def test_configurations_pinned(monkeypatch, plus, minus, depth):
     # the memoised containment lists give the walk the same ordered list as
     # a literal contains filter over partitions_up_to at every step ...
-    ps = single_alpha_process(N, Q0, T0, depth)
+    ps = process_from_names(plus, minus, Q0, T0, depth)
+    N = ps.N
     got = list(process.configurations(ps, depth))
     monkeypatch.setattr(process, "_partitions_containing", lambda mu, w: [
         lam for lam in partitions_up_to(w) if contains(lam, mu)])
@@ -136,17 +155,20 @@ def test_configurations_pinned(monkeypatch, N, depth):
         mu for mu in partitions_up_to(weight(lam)) if contains(lam, mu)])
     assert got == list(process.configurations(ps, depth))
     # ... and that list is every cyclic interlacing chain of graded cost
-    # <= depth (u and each alpha cost one degree per box), each once
+    # <= depth, each once: u and each alpha or Plancherel step cost one
+    # degree per box, and a zero step adds no box.  lams[k] steps up from
+    # mus[k - 1] through rho^+_k and down to mus[k] through rho^-_{k+1}.
     parts = partitions_up_to(depth)
     expect = set()
     for lams in product(parts, repeat=N):
         for mus in product(parts, repeat=N):
-            if not all(contains(lams[i], mus[i]) and contains(lams[(i + 1) % N], mus[i])
-                       for i in range(N)):
+            steps = [(lams[k], mus[k - 1], plus[k]) for k in range(N)] \
+                + [(lams[k], mus[k], minus[k]) for k in range(N)]
+            if not all(contains(lam, mu) and (name != "zero" or lam == mu)
+                       for lam, mu, name in steps):
                 continue
-            cost = weight(mus[-1]) + sum(
-                weight(lams[i]) + weight(lams[(i + 1) % N]) - 2 * weight(mus[i])
-                for i in range(N))
+            cost = weight(mus[-1]) + sum(weight(lam) - weight(mu)
+                                         for lam, mu, _ in steps)
             if cost <= depth:
                 expect.add((lams, mus))
     assert len(got) == len(expect)
@@ -325,7 +347,7 @@ def test_shift_mixed_partition_function_ratio():
     minus = [alpha_spec([("b1", 1)], ring)]
     ps = ProcessSpec(ring, Q0, T0, u, plus, minus)
     zeta = Fraction(2, 3)
-    mixed = shift_mixed_partition_function(ps, "v", zeta)
+    mixed = shift_mixed_partition_function(ps, zeta)
     plain = partition_function_closed(ps)
     assert mixed == theta3(ring, "v", zeta) * plain
 
@@ -337,8 +359,8 @@ def test_shift_mixed_moment_formula_vs_bruteforce():
     ring = SeriesRing(["v"], 6)
     u = ring.monomial(Fraction(1), v=2)
     ps = ProcessSpec(ring, q, t, u, [zero_spec()], [zero_spec()])
-    brute = shift_mixed_moment_bruteforce(ps, 1, "v", zeta, 6)
-    formula = shift_mixed_moment_formula(ps, 1, "v", zeta)
+    brute = shift_mixed_moment_bruteforce(ps, 1, zeta, 6)
+    formula = shift_mixed_moment_formula(ps, 1, zeta)
     assert formula == brute
 
 
@@ -356,9 +378,9 @@ def test_shift_mixed_moments_are_single_step():
     u = ring.monomial(Fraction(1), v=2)
     ps = ProcessSpec(ring, Q0, T0, u, [zero_spec()] * 2, [zero_spec()] * 2)
     with pytest.raises(ValueError, match="single-step"):
-        shift_mixed_moment_formula(ps, 1, "v", Fraction(2, 3))
+        shift_mixed_moment_formula(ps, 1, Fraction(2, 3))
     with pytest.raises(ValueError, match="single-step"):
-        shift_mixed_moment_bruteforce(ps, 1, "v", Fraction(2, 3), 4)
+        shift_mixed_moment_bruteforce(ps, 1, Fraction(2, 3), 4)
 
 
 def test_theta_cauchy_r1_trivial():

@@ -14,6 +14,9 @@ so does a listed function that starts to run.
 Run this file as a script (``PYTHONPATH=src python tests/test_reach.py``) to
 print the traffic's exit codes, the ``verify all`` report and the unreached
 names as JSON; the test passes the README examples as one JSON argument.
+The report's text must equal ``tests/golden/verify-all.json`` byte for
+byte; ``PYTHONPATH=src python -m permac --out tests/golden/verify-all.json
+verify all`` rewrites that file.
 """
 
 import functools
@@ -30,6 +33,7 @@ from contextlib import redirect_stdout
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
+GOLDEN_VERIFY = os.path.join(ROOT, "tests", "golden", "verify-all.json")
 
 CONFIG = "run only under --config"
 WARM_CACHE = "reads a table from a warm disk cache"
@@ -165,7 +169,7 @@ def unreached_names(names: set, reached: set) -> list:
 
 
 def traffic(tmp: str, examples: list):
-    """Exit codes of the CLI runs and the ``verify all`` report."""
+    """Exit codes of the CLI runs and the text of the ``verify all`` report."""
     from permac import cache, cli
 
     report = os.path.join(tmp, "verify.json")
@@ -179,7 +183,7 @@ def traffic(tmp: str, examples: list):
             codes.append(cli.main(argv))
             cache.configure(None)
     with open(report) as fh:
-        return codes, json.load(fh)
+        return codes, fh.read()
 
 
 def test_traffic_reaches_every_function_but_the_listed_ones():
@@ -193,7 +197,9 @@ def test_traffic_reaches_every_function_but_the_listed_ones():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["codes"] == [0] * (len(EXAMPLES) + 2)
-    data = out["verify"]
+    with open(GOLDEN_VERIFY) as fh:
+        assert out["verify"] == fh.read()
+    data = json.loads(out["verify"])
     assert data["passed"] is True
     assert len(data["criteria"]) == 10
     # wall-clock timing stays on stderr, so the report is deterministic

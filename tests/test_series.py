@@ -236,6 +236,18 @@ def test_geometric_rejects_unit_power(p, k):
         geometric(GEOM_RING, p, k)
 
 
+@pytest.mark.parametrize("build", [
+    lambda ring: ring.scalar(0.25),
+    lambda ring: ring.monomial(0.5, u=1),
+    lambda ring: theta3(ring, "u", 0.5),
+], ids=["scalar", "monomial", "theta3"])
+def test_float_coefficient_is_rejected_where_it_enters(build):
+    # a one-term factor takes the scale-and-shift product, which checks no
+    # type, so a float must be stopped before it can reach one
+    with pytest.raises(TypeError, match="not rational"):
+        build(SeriesRing(["u"], 3))
+
+
 @settings(max_examples=40, deadline=None)
 @given(zeta=nonzero_rationals, cutoff=st.integers(0, 12),
        dv=st.integers(1, 2))
