@@ -31,7 +31,7 @@ from .laurent import (
     ratio_sym_factor,
 )
 from .macdonald import FREE_FIELD_FAMILIES  # noqa: F401 (re-exported: operator_family's names)
-from .partitions import make_partition, multiplicity, weight
+from .partitions import multiplicity, weight
 from .point import per_point, qt_ratio
 from .scalars import random_qt_pair
 from .series import (
@@ -77,7 +77,7 @@ def heisenberg_apply(n: int, v: dict, q: Fraction, t: Fraction) -> dict:
     if n < 0:
         k = -n
         for lam, c in v.items():
-            accumulate(out, make_partition(sorted(lam + (k,), reverse=True)), c)
+            accumulate(out, tuple(sorted(lam + (k,), reverse=True)), c)
         return out
     # positive mode: remove one part equal to n per occurrence, with the
     # commutator weight n (1-q^n)/(1-t^n)
@@ -88,7 +88,7 @@ def heisenberg_apply(n: int, v: dict, q: Fraction, t: Fraction) -> dict:
             continue
         ls = list(lam)
         ls.remove(n)
-        accumulate(out, make_partition(ls), c * (comm * m))
+        accumulate(out, tuple(ls), c * (comm * m))
     return out
 
 

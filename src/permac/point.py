@@ -7,29 +7,40 @@ columns, and the Plancherel path sums and level blocks.
 The store keeps the last MAX_POINTS points used; when a new point comes in,
 the least recently used one is dropped whole.
 
+Points are rational: a q or t that is not an int or a Fraction is a
+TypeError, so an inexact value never lands in an exact memo.  The store is
+keyed by the integer tuple (q.numerator, q.denominator, t.numerator,
+t.denominator), which has the equality of (q, t) since a Fraction is kept in
+lowest terms, and hashes without the modular inverse of a Fraction hash.
+
 Memo values are shared and never mutated.  A value, or a memo dict, that a
 caller holds stays valid after its point is evicted: a write into an evicted
 dict is simply lost, so eviction in the middle of a computation is safe.
 """
 
 from collections import OrderedDict
+from fractions import Fraction
 from functools import wraps
 
 MAX_POINTS = 8
 
-_store: OrderedDict = OrderedDict()  # (q, t) -> {memo name: dict}
+# (q.numerator, q.denominator, t.numerator, t.denominator) -> {memo name: dict}
+_store: OrderedDict = OrderedDict()
 _MISS = object()
 
 
 def memo(q, t, name: str) -> dict:
     """The memo ``name`` of (q, t), made on first use; the point is now the newest."""
-    memos = _store.get((q, t))
+    if not (isinstance(q, (int, Fraction)) and isinstance(t, (int, Fraction))):
+        raise TypeError(f"point ({q!r}, {t!r}) is not rational")
+    key = (q.numerator, q.denominator, t.numerator, t.denominator)
+    memos = _store.get(key)
     if memos is None:
-        memos = _store[q, t] = {}
+        memos = _store[key] = {}
         if len(_store) > MAX_POINTS:
             _store.popitem(last=False)
     else:
-        _store.move_to_end((q, t))
+        _store.move_to_end(key)
     table = memos.get(name)
     if table is None:
         table = memos[name] = {}

@@ -12,9 +12,13 @@ multiplies monomials, and each factor's coefficients become integer
 numerators over its ``lcm`` denominator.  ``_mul_terms`` then multiplies with
 integer arithmetic only, and the one division per coefficient happens when
 the result is unpacked.  A product with a one-term factor is a scale and a
-shift instead.  A coefficient that is not an int or a Fraction is a
-TypeError where a scalar or monomial is built and in a product of two
-multi-term factors.
+shift instead, the common case of the closed forms and their oracles: one
+pass over the other factor that tests each term's degree against the room
+the one term leaves, adds the one term's exponents, and multiplies
+coefficients only when the one term's coefficient is not 1; zero products
+are dropped.  A coefficient that is not an int or a Fraction is a TypeError
+where a scalar or monomial is built and in a product of two multi-term
+factors.
 
 The ring also hosts the q-Pochhammer machinery: infinite symbols
 ``(a; p_1, ..., p_n)_inf`` are expanded through their logarithm
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
-from operator import itemgetter
+from operator import add, itemgetter, mul
 
 from .scalars import format_rational, parse_rational
 
@@ -74,7 +78,7 @@ class SeriesRing:
                 and self.cutoff == other.cutoff)
 
     def degree_of(self, exp: tuple) -> int:
-        return sum(e * d for e, d in zip(exp, self.degrees))
+        return sum(map(mul, exp, self.degrees))
 
     # -- constructors --------------------------------------------------------
 
@@ -154,7 +158,7 @@ class TruncSeries:
 
     def _coerce(self, other):
         if isinstance(other, TruncSeries):
-            if not self.ring.compatible(other.ring):
+            if other.ring is not self.ring and not self.ring.compatible(other.ring):
                 raise ValueError("series from incompatible rings")
             return other
         if isinstance(other, (int, Fraction)):
@@ -207,13 +211,15 @@ class TruncSeries:
             return ring.zero()
         if len(b) == 1:
             ((e2, c2),) = b.items()
-            room = ring.cutoff - ring.degree_of(e2)
+            degrees = ring.degrees
+            room = ring.cutoff - sum(map(mul, e2, degrees))
+            unit = c2 == 1
             out = {}
             for e1, c1 in a.items():
-                if ring.degree_of(e1) <= room:
-                    c = c1 * c2
+                if sum(map(mul, e1, degrees)) <= room:
+                    c = c1 if unit else c1 * c2
                     if c:
-                        out[tuple(x + y for x, y in zip(e1, e2))] = c
+                        out[tuple(map(add, e1, e2))] = c
             return TruncSeries(ring, out)
         pk = _Packing(ring)
         den1, terms1 = _flatten(((0, self),), pk)
@@ -232,8 +238,9 @@ class TruncSeries:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __truediv__(self, other):
@@ -369,12 +376,12 @@ def _flatten(parts, pk: _Packing):
     raw = []
     for offset, ts in parts:
         for se, c in ts.terms.items():
-            d = sum(x * w for x, w in zip(se, degrees))
+            d = sum(map(mul, se, degrees))
             if d > cutoff:
                 continue
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"coefficient {c!r} is not rational")
-            raw.append((d, offset + d + sum(x * w for x, w in zip(se, sweights)), c))
+            raw.append((d, offset + d + sum(map(mul, se, sweights)), c))
     den = lcm(*(c.denominator for _, _, c in raw))
     terms = [(d, key, c.numerator * (den // c.denominator)) for d, key, c in raw]
     terms.sort(key=itemgetter(0))

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from permac import acceptance, fock
 from permac.fock import (
     FREE_FIELD_FAMILIES,
@@ -36,7 +39,7 @@ from permac.macdonald import (
     observable,
     skew_eval,
 )
-from permac.partitions import partitions_of, partitions_up_to, weight, z_qt
+from permac.partitions import make_partition, partitions_of, partitions_up_to, weight, z_qt
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing, euler_inverse, qpochhammer
 
@@ -57,6 +60,19 @@ def test_heisenberg_basics():
     got = heisenberg_apply(2, {(2,): Fraction(1)}, Q0, T0)
     assert got == {(): 2 * (1 - Q0**2) / (1 - T0**2)}
     assert heisenberg_apply(1, {(2,): Fraction(1)}, Q0, T0) == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(lam=st.sampled_from(partitions_up_to(6)),
+       n=st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]))
+def test_heisenberg_apply_keys_are_partitions(lam, n):
+    """a_n builds its output partitions itself: each key is already a
+    normalised partition, of weight |lambda| - n."""
+    out = heisenberg_apply(n, {lam: Fraction(1)}, Q0, T0)
+    assert bool(out) == (n < 0 or n in lam)
+    for k in out:
+        assert make_partition(k) == k
+        assert weight(k) == weight(lam) - n
 
 
 def test_heisenberg_commutator():

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from permac.macdonald import macdonald_P_p
 from permac.partitions import z_qt
 from permac.point import MAX_POINTS, memo
@@ -43,3 +45,17 @@ def test_values_held_across_eviction_stay_valid(fresh_memos):
     # a write into a dict of an evicted point is lost, not an error
     table["x"] = 1
     assert memo(q, t, "a") == {}
+
+
+def test_a_float_point_is_refused_and_leaves_the_exact_memo_clean(fresh_memos):
+    lam, q, t = (2, 1), Fraction(1, 2), Fraction(1, 4)
+    with pytest.raises(TypeError):
+        z_qt(lam, 0.5, 0.25)
+    z = z_qt(lam, q, t)
+    assert type(z) is Fraction
+    assert z == 2 * (1 - q**2) / (1 - t**2) * (1 - q) / (1 - t)
+    assert all(type(c) is Fraction for c in macdonald_P_p(lam, q, t).values())
+
+
+def test_an_int_point_shares_the_memo_of_the_equal_fraction(fresh_memos):
+    assert memo(1, 0, "a") is memo(Fraction(1), Fraction(0), "a")

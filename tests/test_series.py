@@ -262,28 +262,52 @@ def test_theta_terms_symmetric_under_inverting_zeta(zeta, cutoff, dv):
 
 # -- the flat product kernel against the term-by-term product ----------------
 
+RATIONAL_COEFFS = st.one_of(st.integers(-3, 3),
+                            st.fractions(-3, 3, max_denominator=5)).filter(bool)
+SERIES_EXPS = st.tuples(st.integers(0, 7), st.integers(0, 3))
+
+
+def _product_ring(draw):
+    return SeriesRing([("u", 1), ("v", 2)], draw(st.integers(0, 7)))
+
+
+def _any_series(draw, ring, min_size=0, max_size=8):
+    return TruncSeries(ring, draw(st.dictionaries(SERIES_EXPS, RATIONAL_COEFFS,
+                                                  min_size=min_size, max_size=max_size)))
+
+
+def _one_term(draw, ring, kind):
+    """A one-term series: any term, coefficient exactly 1 or Fraction(1), or
+    a term at exactly the cutoff degree."""
+    if kind == "unit":
+        return TruncSeries(ring, {draw(SERIES_EXPS): draw(st.sampled_from([1, Fraction(1)]))})
+    if kind == "at cutoff":
+        j = draw(st.integers(0, ring.cutoff // 2))
+        return TruncSeries(ring, {(ring.cutoff - 2 * j, j): draw(RATIONAL_COEFFS)})
+    return _any_series(draw, ring, min_size=1, max_size=1)
+
+
 @st.composite
 def series_pairs(draw):
-    """Two series over symbols of degrees 1 and 2, cutoff 0-5, with int or
+    """Two series over symbols of degrees 1 and 2, cutoff 0-7, with int or
     Fraction coefficients.  Either may be empty; the second is often one
-    term, or the first with some signs flipped, so sums cancel to zero."""
-    ring = SeriesRing([("u", 1), ("v", 2)], draw(st.integers(0, 5)))
-    scalars = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3)) \
-        .filter(bool)
-    exps = st.tuples(st.integers(0, 5), st.integers(0, 2))
-    a = TruncSeries(ring, draw(st.dictionaries(exps, scalars, max_size=6)))
-    kind = draw(st.sampled_from(["flipped", "one term", "any"]))
+    term (any, with coefficient exactly 1 or Fraction(1), or at exactly the
+    cutoff degree), or the first with some signs flipped, so sums cancel to
+    zero."""
+    ring = _product_ring(draw)
+    a = _any_series(draw, ring)
+    kind = draw(st.sampled_from(["flipped", "one term", "unit", "at cutoff", "any"]))
     if kind == "flipped":
         b = TruncSeries(ring, {e: c * draw(st.sampled_from([1, -1]))
                                for e, c in a.terms.items()})
-    elif kind == "one term":
-        b = TruncSeries(ring, draw(st.dictionaries(exps, scalars, min_size=1, max_size=1)))
+    elif kind == "any":
+        b = _any_series(draw, ring)
     else:
-        b = TruncSeries(ring, draw(st.dictionaries(exps, scalars, max_size=6)))
+        b = _one_term(draw, ring, kind)
     return draw(st.permutations([a, b]))
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(pair=series_pairs())
 def test_series_product_equals_plain_product(pair):
     a, b = pair
@@ -291,3 +315,25 @@ def test_series_product_equals_plain_product(pair):
     assert prod == plain_series_product(a, b)
     assert all(prod.terms.values())
     assert all(prod.ring.degree_of(e) <= prod.ring.cutoff for e in prod.terms)
+
+
+@st.composite
+def power_bases(draw, kind):
+    """A zero, one-term or multi-term base, drawn like ``series_pairs``."""
+    ring = _product_ring(draw)
+    if kind == "zero":
+        return ring.zero()
+    if kind == "multi-term":
+        return _any_series(draw, ring, min_size=2, max_size=4)
+    return _one_term(draw, ring, draw(st.sampled_from(["one term", "unit", "at cutoff"])))
+
+
+@pytest.mark.parametrize("kind", ["zero", "one term", "multi-term"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(0, 7))
+def test_power_equals_repeated_plain_products(kind, data, n):
+    base = data.draw(power_bases(kind))
+    expect = base.ring.one()
+    for _ in range(n):
+        expect = plain_series_product(expect, base)
+    assert base ** n == expect
