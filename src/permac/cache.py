@@ -41,12 +41,12 @@ def _path_for(module: str, operation: str, params: dict):
 
 def load(module: str, operation: str, params: dict):
     path = _path_for(module, operation, params)
-    if not path or not os.path.exists(path):
+    if not path:
         return None
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # missing or unreadable; not JSON or UTF-8
         return None
     if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
         return None

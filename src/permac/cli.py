@@ -528,7 +528,7 @@ def _merge_config(ap, args, argv) -> None:
     try:
         with open(path) as fh:
             conf = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise UsageError(f"bad config file: {exc}")
     if not isinstance(conf, dict):
         raise UsageError("bad config file: expected a JSON object")

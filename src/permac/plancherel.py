@@ -589,7 +589,9 @@ def transfer_cycle_weight(lams, gamma: Fraction, u_list, q: Fraction,
 
     Gap decay factors u_i = e^{-(b_{i+1}-b_i)} are passed directly as exact
     rationals; the dropped exponential prefactors do not depend on the states,
-    so this is proportional to the finite-dimensional law at fixed times.
+    so this is proportional to the finite-dimensional law at fixed times, and
+    to the marginal weight of ``process.time_grid_process`` at the same
+    decays.
     """
     n = len(lams)
     total = Fraction(1)
@@ -598,58 +600,6 @@ def transfer_cycle_weight(lams, gamma: Fraction, u_list, q: Fraction,
                                      Fraction(u_list[i]), q, t)
         xi = gamma * (1 - Fraction(u_list[i]))
         total *= sum((c * xi**k for k, c in coeffs.items()), Fraction(0))
-    return total
-
-
-def plancherel_skew_value(kind: str, lam: tuple, mu: tuple, xi: Fraction,
-                          q: Fraction, t: Fraction) -> Fraction:
-    """Exact one-step skew value xi^d / d! times the Young-graph path sum."""
-    if not contains(lam, mu):
-        return Fraction(0)
-    d = weight(lam) - weight(mu)
-    paths = dims("dim" if kind == "P" else "dim'", mu, lam, q, t)
-    return xi**d / Fraction(math.factorial(d)) * paths
-
-
-def marginal_process_weight(lams, gamma: Fraction, u_list, q: Fraction,
-                            t: Fraction) -> Fraction:
-    """Unnormalized periodic-process weight of a tuple of time marginals.
-
-    Builds the cyclic weight with the Plancherel specializations attached to
-    the time grid: writing v_i = u_0 ... u_{i-1} (so e^{b_i} = 1/v_i),
-
-        rho^+_0 : gamma (1 - u_n),   rho^+_i : gamma (1 - u_{i-1}) / v_i,
-        rho^-_i : gamma v_{i-1} (1 - u_{i-1}),   u = u_0 ... u_n.
-
-    Each inner-partition sum is finite, so the value is exact.
-    """
-    n1 = len(lams)
-    u_list = [Fraction(x) for x in u_list]
-    if len(u_list) != n1:
-        raise ValueError("need one decay factor per time gap")
-    v = [Fraction(1)]
-    for x in u_list:
-        v.append(v[-1] * x)
-    u_total = v[-1]
-    xis_plus = [gamma * (1 - u_list[-1])]  # rho^+_0
-    for i in range(1, n1):
-        xis_plus.append(gamma * (1 - u_list[i - 1]) / v[i])
-    xis_minus = [gamma * v[i - 1] * (1 - u_list[i - 1]) for i in range(1, n1 + 1)]
-    total = Fraction(1)
-    for i in range(1, n1 + 1):
-        lam_i = lams[i - 1]
-        lam_next = lams[i % n1]
-        ubase = u_total if i == n1 else Fraction(1)
-        acc = Fraction(0)
-        for mu in partitions_up_to(min(weight(lam_i), weight(lam_next))):
-            qv = plancherel_skew_value("Q", lam_i, mu, xis_minus[i - 1], q, t)
-            if not qv:
-                continue
-            pv = plancherel_skew_value("P", lam_next, mu, xis_plus[i % n1], q, t)
-            if not pv:
-                continue
-            acc += ubase ** weight(mu) * qv * pv
-        total *= acc
     return total
 
 

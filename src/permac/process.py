@@ -2,8 +2,9 @@
 
 A process is specified by a period N, specialization sequences rho_plus
 (indices 0..N-1) and rho_minus (indices 1..N), and a weight parameter u, a
-positive-degree monomial of the series ring (formal, graded).  The cyclic
-weight of a configuration (lambda^1..lambda^N, mu^1..mu^N) is
+positive-degree monomial of the series ring (formal, graded) or a rational
+scalar of a symbol-free ring (the time grid, ``time_grid_process``).  The
+cyclic weight of a configuration (lambda^1..lambda^N, mu^1..mu^N) is
 
     u^{|mu^N|} prod_i Q_{lambda^i/mu^i}(rho^-_i) P_{lambda^{i+1}/mu^i}(rho^+_i)
 
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
+from operator import mul
 
 from .fock import VertexSpec, eta_xi_contraction, eta_xi_exponent, \
     gamma_spec, ope_reorder, operator_family, trace_closed
@@ -34,7 +36,8 @@ from .series import SeriesRing, TruncSeries, geometric, qpochhammer, theta3
 
 
 class ProcessSpec:
-    """Parameters of an N-step periodic process over a series ring."""
+    """N-step periodic process over a series ring; u is a positive-degree
+    monomial (formal, graded) or a rational scalar of a symbol-free ring."""
 
     def __init__(self, ring: SeriesRing, q: Fraction, t: Fraction,
                  u, rho_plus, rho_minus):
@@ -99,6 +102,27 @@ def process_from_names(plus_names, minus_names, q, t, cutoff: int) -> ProcessSpe
                        [spec(name, f"a{i}") for i, name in enumerate(plus)],
                        [spec(name, f"b{j}")
                         for j, name in enumerate(minus, start=1)])
+
+
+def time_grid_process(gamma, u_list, q, t) -> ProcessSpec:
+    """The periodic Plancherel process at N times b_0 < ... < b_{N-1}.
+
+    ``u_list`` holds the exact gap decays u_i = e^{-(b_{i+1} - b_i)}, indices
+    mod N.  With v_i = u_0 ... u_{i-1} (so e^{b_i} = 1/v_i, v_0 = 1), the
+    Plancherel specializations are rational scalars of a symbol-free ring,
+
+        rho^+_i = gamma (1 - u_{i-1}) / v_i,   rho^-_i = gamma v_{i-1} (1 - u_{i-1}),
+
+    and u = v_N.  Sum ``weight_W`` over given lambda tuples; ``configurations``
+    refuses the spec.
+    """
+    ring = SeriesRing([], 0)
+    v = list(accumulate(u_list, mul, initial=1))
+    plus = [gamma * (1 - u_list[i - 1]) / v[i] for i in range(len(u_list))]
+    minus = [gamma * vi * (1 - ui) for vi, ui in zip(v, u_list)]
+    return ProcessSpec(ring, q, t, ring.scalar(v[-1]),
+                       *([plancherel_spec(ring.scalar(xi), ring) for xi in xis]
+                         for xis in (plus, minus)))
 
 
 def weight_W(pspec: ProcessSpec, lam_seq, mu_seq) -> TruncSeries:

@@ -1,10 +1,13 @@
 """Independent predicates and values that several tests check the library against."""
 
 from fractions import Fraction
+from itertools import product
 
 from permac.laurent import LaurentPoly
 from permac.macdonald import pieri
-from permac.partitions import conjugate, contains, horizontal_strip, make_partition, part
+from permac.partitions import (conjugate, contains, horizontal_strip, make_partition,
+                               part, partitions_up_to, weight)
+from permac.process import weight_W
 from permac.series import TruncSeries
 
 
@@ -37,6 +40,23 @@ def skew_single_alpha(kind: str, lam: tuple, mu: tuple, q, t) -> Fraction:
         return Fraction(0)
     psi, phi = pieri(lam, mu, q, t)
     return psi if kind == "P" else phi
+
+
+def marginal_weight(pspec, lams) -> TruncSeries:
+    """Sum of ``weight_W`` over the mu tuples of the lambda tuple ``lams``.
+
+    mu^i runs over the partitions inside the meet of lambda^i and lambda^{i+1}
+    (cyclically), the only ones whose weight can be nonzero.  For a time-grid
+    process this is the unnormalized law of the states at its times.
+    """
+    n = len(lams)
+    meets = [tuple(map(min, lams[i], lams[(i + 1) % n])) for i in range(n)]
+    choices = [[mu for mu in partitions_up_to(weight(meet)) if contains(meet, mu)]
+               for meet in meets]
+    total = pspec.ring.zero()
+    for mus in product(*choices):
+        total = total + weight_W(pspec, lams, mus)
+    return total
 
 
 def plain_series_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:

@@ -49,16 +49,18 @@ def set_coefficient(text):
     with_P(lambda P: {**P, "4": {"4": "1"}}),
     with_P(lambda P: {("1,2" if k == "2,1" else k): v for k, v in P.items()}),
     set_coefficient("1/0"), set_coefficient("x"), set_coefficient("1.5"),
+    lambda data: b'\xff\xfe{"bad',
 ], ids=["no-P", "no-Q", "no-norm", "P-not-a-map", "not-an-object",
         "missing-row", "foreign-weight-key", "non-partition-key",
-        "zero-denominator", "not-a-number", "decimal"])
+        "zero-denominator", "not-a-number", "decimal", "not-utf-8"])
 def test_malformed_payload_is_rebuilt(cold, fresh_memos, damage):
     expect = macdonald.macdonald_table(Q, T, 3)
     path = table_path(Q, T, 3)
     with open(path) as fh:
         data = json.load(fh)
-    with open(path, "w") as fh:
-        json.dump(damage(data), fh)
+    damaged = damage(data)
+    with open(path, "wb") as fh:
+        fh.write(damaged if isinstance(damaged, bytes) else json.dumps(damaged).encode())
     assert reload(fresh_memos, Q, T, 3) == expect
     with open(path) as fh:
         assert json.load(fh) == data

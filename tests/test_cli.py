@@ -290,14 +290,16 @@ def test_config_file_merges_under_flags(tmp_path):
     ({"lambda": "1", "kind": "Q"}, ["macdonald", "expand", "--lambda", "2"], 0,
      lambda d: d["params"]["lambda"] == [2] and d["quantity"].startswith("Q")),
     (["N", 2], ["process", "partition-function"], 2, None),
+    (b'\xff\xfe{"bad', ["process", "partition-function"], 2, None),
 ], ids=["bad-type", "converted-type", "equals-flag-wins", "abbreviated-flag-wins",
-        "abbreviated-equals-flag-wins", "flag-spelled-key", "not-an-object"])
+        "abbreviated-equals-flag-wins", "flag-spelled-key", "not-an-object",
+        "not-utf-8"])
 def test_config_values_keep_the_flag_contract(tmp_path, conf, argv, code, expect):
     import io
     from contextlib import redirect_stderr
 
     path = tmp_path / "conf.json"
-    path.write_text(json.dumps(conf))
+    path.write_bytes(conf if isinstance(conf, bytes) else json.dumps(conf).encode())
     err = io.StringIO()
     with redirect_stderr(err):
         got, out = run_cli(["--config", str(path), *argv])

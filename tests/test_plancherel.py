@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import remove_one_box
+from oracles import marginal_weight, remove_one_box
 from permac import cli, macdonald, plancherel
 from permac.partitions import partitions_of, partitions_up_to, weight
 from permac.plancherel import (
@@ -30,7 +30,6 @@ from permac.plancherel import (
     dropped_mass,
     gap_matrices,
     marginal_chi_square,
-    marginal_process_weight,
     pieri_up_matrices,
     sample_trajectories,
     semigroup_defect,
@@ -39,6 +38,7 @@ from permac.plancherel import (
     transfer_matrix,
     truncated_trace_float,
 )
+from permac.process import time_grid_process
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing
 
@@ -310,31 +310,33 @@ def test_each_entry_point_runs_one_arithmetic():
         semigroup_defect(0.8, 0.5, 0.4, 4, Q0, T0, reserve=2, mode="float")
 
 
-def test_prop44_marginals_match_transfer_cycle():
-    # cross-ratio equality of the process weight and the transfer-cycle
-    # weight over small state tuples, one and two time points
-    rng = random.Random(30)
-    q, t = random_qt_pair(rng)
+@pytest.mark.parametrize("q, t", [random_qt_pair(random.Random(30)),
+                                  (Fraction(1, 3), Fraction(2, 7))],
+                         ids=["random-point", "1/3,2/7"])
+def test_prop44_marginals_match_transfer_cycle(q, t):
+    # cross-ratio equality of the time-grid process's marginal weight (skew
+    # functions through the Fock pairing) and the transfer-cycle weight
+    # (Young-graph path sums) over small state tuples, at one to three times
     gamma = Fraction(2, 3)
-    for u_list in ([Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]):
-        n = len(u_list)
-        tuples = []
-        for lams in _tuples_up_to(n, 3):
-            wp = marginal_process_weight(lams, gamma, u_list, q, t)
-            wt = transfer_cycle_weight(lams, gamma, u_list, q, t)
-            tuples.append((wp, wt))
-        base = next((pair for pair in tuples if pair[0] and pair[1]), None)
+    decays = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)]
+    for n in (1, 2, 3):
+        u_list = decays[:n]
+        ps = time_grid_process(gamma, u_list, q, t)
+        pairs = [(marginal_weight(ps, lams).constant_term(),
+                  transfer_cycle_weight(lams, gamma, u_list, q, t))
+                 for lams in _tuples_up_to(n, 3)]
+        base = next((pair for pair in pairs if pair[0] and pair[1]), None)
         assert base is not None
-        for wp, wt in tuples:
+        for wp, wt in pairs:
             assert wp * base[1] == wt * base[0]
 
 
 def _tuples_up_to(n, maxwt):
-    pool = partitions_up_to(maxwt)
-    if n == 1:
-        return [(lam,) for lam in pool]
-    return [(a, b) for a in pool for b in pool
-            if weight(a) + weight(b) <= maxwt]
+    """Tuples of n partitions of total weight <= maxwt."""
+    if n == 0:
+        return [()]
+    return [(lam,) + rest for lam in partitions_up_to(maxwt)
+            for rest in _tuples_up_to(n - 1, maxwt - weight(lam))]
 
 
 def test_u_to_zero_marginal_is_open_plancherel():

@@ -22,6 +22,7 @@ from permac.process import (
     shift_mixed_moment_formula,
     shift_mixed_partition_function,
     theta_cauchy_check,
+    time_grid_process,
     weight_W,
 )
 from permac.scalars import random_qt_pair
@@ -217,6 +218,24 @@ def test_process_spec_rejects_rational_u():
     ring = SeriesRing(["u"], 4)
     with pytest.raises(TypeError):
         ProcessSpec(ring, Q0, T0, Fraction(1, 4), [zero_spec()], [zero_spec()])
+
+
+def _time_grid(u_list):
+    return time_grid_process(Fraction(3, 2), u_list, Q0, T0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: list(configurations(_time_grid([Fraction(1, 2)]), 3)),
+     ValueError, "positive degree"),
+    (lambda: weight_W(_time_grid([Fraction(1, 2), Fraction(1, 3)]), [(1,)], [()]),
+     ValueError, "length N"),
+    (lambda: _time_grid([Fraction(1, 2), 0.25]), TypeError, "not rational"),
+], ids=["never-enumerated", "one-lambda-per-time", "float-decay"])
+def test_time_grid_contract(call, error, match):
+    # a time-grid spec is rational: it is summed over given lambda tuples of
+    # its length, never enumerated, and takes exact decays only
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_moment_zero_specs_E1():

@@ -63,9 +63,8 @@ UNREACHED = {
     "plancherel._entry_power_coeffs": LEVEL_ORACLE,
     "plancherel._series": MISMATCH,
     "scalars.QRho": QRHO,
-    "plancherel.marginal_process_weight": ITEM_2,
     "plancherel.transfer_cycle_weight": ITEM_2,
-    "plancherel.plancherel_skew_value": ITEM_2,
+    "process.time_grid_process": ITEM_2,
     "process.shift_mixed_partition_function": ITEM_3,
     "fock.fermion_apply": ITEM_4,
     "fock.two_point_fermion_trace": ITEM_4,
