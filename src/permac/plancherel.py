@@ -31,6 +31,7 @@ from . import macdonald
 from .partitions import add_one_box, contains, partitions_of, partitions_up_to, weight
 from .point import memo, per_point
 from .series import SeriesRing, TruncSeries
+from .stream import random_rows
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +444,10 @@ MIN_EXPECTED = 5.0  # chi-square bins expecting fewer draws pool into a tail
 # bytes of cumulative conditional rows one sampler call keeps: at depth 16 and
 # gamma 4, 20000 four-time samples visit 30843 distinct rows (226 MB)
 MEMO_BYTES = 1 << 25
+# random() values one numpy pass of the stream draws, for STREAM_BLOCK //
+# len(times) samples: a pass makes about 10000 vector operations whatever its
+# length, and holds about 64 bytes per value (2 MB)
+STREAM_BLOCK = 1 << 15
 
 
 def check_domain(gamma: float, beta: float, depth: int) -> None:
@@ -460,6 +465,8 @@ class TrajectorySpec:
     def __init__(self, beta: float, gamma: float, times, depth: int,
                  seed: int, count: int):
         check_domain(gamma, beta, depth)
+        if not isinstance(seed, int):
+            raise TypeError(f"seed {seed!r} is not an int")
         times = list(times)
         if not times or times[0] != 0.0:
             raise ValueError("times must start at 0")
@@ -524,15 +531,18 @@ def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction, mats=Non
     seed * 1000003 + k before sample k, and each state takes one
     ``random()`` value x by inverse CDF: the first index i with x < c_i,
     strictly, where c is the left-to-right cumulative sum of the normalised
-    row (the last index when x is not below any c_i).  A conditional row
-    depends only on (step, previous state, first state), so its cumulative
-    sums are built once per call, up to ``MEMO_BYTES`` of them, and looked up
-    by bisection.
+    row (the last index when x is not below any c_i).  The stream is drawn
+    in numpy for ``STREAM_BLOCK`` // len(times) samples at a time, and the
+    first states of such a block in one search of the diagonal's sums.  A
+    conditional row depends only on (step, previous state, first state), so
+    its cumulative sums are built once per call, up to ``MEMO_BYTES`` of
+    them, and looked up by bisection.  The (time, state) pairs of a
+    trajectory are shared by every trajectory of the call.
 
     A negative entry in any gap matrix, which only algebraic points outside
     (0, 1)^2 produce, is a ValueError: the weights then define no law.
     """
-    from random import Random
+    import numpy as np
 
     if mats is None:
         mats = gap_matrices(spec, q, t)
@@ -551,29 +561,33 @@ def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction, mats=Non
     total = diag.sum()
     if total < MIN_CYCLE_MASS:
         raise ValueError("truncated cycle mass is degenerate; raise depth")
-    cum0 = _cdf(diag / total)
+    cum0 = np.cumsum(diag / total)  # the sums _cdf makes
+    pairs = [[(b, lam) for lam in states] for b in spec.times]
     rows = {}  # (step, prev, i0) -> cumulative conditional row
     max_rows = MEMO_BYTES // (8 * len(states))
 
-    rng = Random()
-    for k in range(spec.count):
-        rng.seed(spec.seed * 1_000_003 + k)
-        i0 = _inverse_cdf(cum0, rng.random())
-        out = [(spec.times[0], states[i0])]
-        prev = i0
-        for step in range(1, len(spec.times)):
-            cum = rows.get((step, prev, i0))
-            if cum is None:
-                w = mats[step - 1][prev, :] * suffix[step][:, i0]
-                s = w.sum()
-                if s <= 0:
-                    raise ValueError("conditional mass vanished; raise depth")
-                cum = _cdf(w / s)
-                if len(rows) < max_rows:
-                    rows[step, prev, i0] = cum
-            prev = _inverse_cdf(cum, rng.random())
-            out.append((spec.times[step], states[prev]))
-        yield out
+    block = max(1, STREAM_BLOCK // len(spec.times))  # samples per block
+    for start in range(0, spec.count, block):
+        xs = random_rows(spec.seed * 1_000_003 + start,
+                         min(block, spec.count - start), len(spec.times))
+        firsts = np.minimum(np.searchsorted(cum0, xs[:, 0], side="right"), len(states) - 1)
+        later = xs[:, 1:].T.tolist()  # later[step - 1][sample]
+        for k, i0 in enumerate(firsts.tolist()):
+            out = [pairs[0][i0]]
+            prev = i0
+            for step, col in enumerate(later, 1):
+                cum = rows.get((step, prev, i0))
+                if cum is None:
+                    w = mats[step - 1][prev, :] * suffix[step][:, i0]
+                    s = w.sum()
+                    if s <= 0:
+                        raise ValueError("conditional mass vanished; raise depth")
+                    cum = _cdf(w / s)
+                    if len(rows) < max_rows:
+                        rows[step, prev, i0] = cum
+                prev = _inverse_cdf(cum, col[k])
+                out.append(pairs[step][prev])
+            yield out
 
 
 def truncated_trace_float(gamma: float, u: float, depth: int,
@@ -591,14 +605,17 @@ def transfer_cycle_weight(lams, gamma: Fraction, u_list, q: Fraction,
     rationals; the dropped exponential prefactors do not depend on the states,
     so this is proportional to the finite-dimensional law at fixed times, and
     to the marginal weight of ``process.time_grid_process`` at the same
-    decays.
+    decays.  A gamma or decay that is not an int or a Fraction is a
+    TypeError, as it is for ``time_grid_process``.
     """
+    for x in (gamma, *u_list):
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"{x!r} is not rational")
     n = len(lams)
     total = Fraction(1)
     for i in range(n):
-        coeffs = _entry_power_coeffs(lams[i], lams[(i + 1) % n],
-                                     Fraction(u_list[i]), q, t)
-        xi = gamma * (1 - Fraction(u_list[i]))
+        coeffs = _entry_power_coeffs(lams[i], lams[(i + 1) % n], u_list[i], q, t)
+        xi = gamma * (1 - u_list[i])
         total *= sum((c * xi**k for k, c in coeffs.items()), Fraction(0))
     return total
 

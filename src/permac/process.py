@@ -37,10 +37,13 @@ from .series import SeriesRing, TruncSeries, geometric, qpochhammer, theta3
 
 class ProcessSpec:
     """N-step periodic process over a series ring; u is a positive-degree
-    monomial (formal, graded) or a rational scalar of a symbol-free ring."""
+    monomial (formal, graded) or a rational scalar of a symbol-free ring.
+    The point (q, t) is rational: a float is a TypeError."""
 
     def __init__(self, ring: SeriesRing, q: Fraction, t: Fraction,
                  u, rho_plus, rho_minus):
+        if not (isinstance(q, (int, Fraction)) and isinstance(t, (int, Fraction))):
+            raise TypeError(f"point ({q!r}, {t!r}) is not rational")
         self.ring = ring
         self.q = Fraction(q)
         self.t = Fraction(t)
@@ -139,8 +142,11 @@ def weight_W(pspec: ProcessSpec, lam_seq, mu_seq) -> TruncSeries:
         lam_i = lam_seq[i - 1]
         mu_i = mu_seq[i - 1]
         lam_next = lam_seq[i % N]
-        out = out * pspec.skew("Q", lam_i, mu_i, i - 1)
-        out = out * pspec.skew("P", lam_next, mu_i, i % N)
+        # a skew function over an empty strip is the unit
+        if lam_i != mu_i:
+            out = out * pspec.skew("Q", lam_i, mu_i, i - 1)
+        if lam_next != mu_i:
+            out = out * pspec.skew("P", lam_next, mu_i, i % N)
         if not out:
             return pspec.ring.zero()
     return out

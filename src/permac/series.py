@@ -233,15 +233,19 @@ class TruncSeries:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.ring.one()
+        if n == 0:
+            return self.ring.one()
+        # square and multiply from the lowest set bit, not from the unit;
+        # products truncate, so a lone factor self (n = 1) is truncated here
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
             if n:
                 base = base * base
-        return out
+        return self.truncate(self.ring.cutoff) if out is self else out
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -1,0 +1,159 @@
+"""The v1 sampler stream: random.Random(key).random() for blocks of keys.
+
+Sample k of a seeded Plancherel sampler draws from random.Random(seed *
+1000003 + k): an MT19937 generator (Matsumoto and Nishimura 1998) that
+init_by_array seeds with the 32-bit words of |key|, low word first.  Seeding
+runs two loops over the 624 state words, each word a function of the one
+before, so ``random_rows`` runs them once for a block of consecutive keys, as
+numpy uint32 vectors with one element per key.  The first twist then
+computes only the words the draws read, and random() is
+((a >> 5) 2^26 + (b >> 6)) / 2^53 for two tempered words a, b: the values
+are those of random.Random, bit for bit.  numpy is imported on first use,
+as in ``plancherel``, which imports this module.
+"""
+
+from functools import cache
+
+_N, _M = 624, 397  # MT19937 state words and twist offset
+_MASK = 0xFFFFFFFF
+
+
+@cache
+def _genrand_table() -> tuple:
+    """init_genrand(19650218), the state every init_by_array starts from."""
+    mt = [19650218]
+    for i in range(1, _N):
+        mt.append((1812433253 * (mt[-1] ^ (mt[-1] >> 30)) + i) & _MASK)
+    return tuple(mt)
+
+
+def _seeded_state(low, high: int, keep) -> dict:
+    """{i: word i} after init_by_array, for each i in ``keep``, of the
+    generators seeded with the keys high 2^32 + low (low a uint32 vector).
+
+    With f(x, c) = (x ^ (x >> 30)) c mod 2^32, g the init_genrand table and
+    w the key's L words, the first loop writes to word n + 1, then word 1 again
+    at n = 623,
+        x_n = (g[n + 1] ^ f(x_{n-1}, 1664525)) + w[n % L] + n % L,
+    from x_{-1} = g[0], reading x_0 for g[624].  The second loop writes y_m to
+    word m + 2, and y_622 to word 1 again,
+        y_m = (x_{m+1} ^ f(y_{m-1}, 1566083941)) - (m + 2 or 1),
+    from y_{-1} = x_623; word 0 becomes 2^31.  As y starts from the last x,
+    the first loop runs twice, alone and then beside the second, so that no
+    more than a few vectors of x and y are held at once.
+    """
+    import numpy as np
+
+    g = _genrand_table()
+    adds = [low]  # w[j] + j
+    while high:
+        adds.append(((high & _MASK) + len(adds)) & _MASK)
+        high >>= 32
+    if len(adds) > _N:
+        raise ValueError(f"stream keys must be below 2**{32 * _N}")
+    size = len(adds)
+    x0 = np.add(low, (g[1] ^ (g[0] ^ g[0] >> 30) * 1664525) & _MASK)
+
+    def first(x, n, out):  # x_n from x = x_{n-1}
+        np.right_shift(x, 30, out)
+        out ^= x
+        out *= 1664525
+        out ^= g[n + 1] if n < _N - 1 else x0
+        out += adds[n % size]
+
+    x, nxt = x0.copy(), np.empty_like(x0)
+    for n in range(1, _N):
+        first(x, n, nxt)
+        x, nxt = nxt, x
+    # before step m the rows of cur hold x_{m+1} and y_{m-1}; f acts on both
+    # rows at once, and the x row of the last step goes unused
+    mults = np.array([[1664525], [1566083941]], np.uint32)
+    cur, new = [(b, b[0], b[1]) for b in np.empty((2, 2, len(low)), np.uint32)]
+    first(x0, 1, cur[1])
+    cur[2][:] = x
+    out = {0: np.full(len(low), 1 << 31, np.uint32)}
+    for m in range(_N - 1):
+        (xy, x, _), (f, fx, fy) = cur, new
+        np.right_shift(xy, 30, f)
+        f ^= xy
+        f *= mults
+        fx ^= g[m + 3] if m < _N - 3 else x0
+        fx += adds[(m + 2) % size]
+        i = (m + 1) % (_N - 1) + 1  # m + 2, then 1
+        fy ^= x
+        fy -= i
+        if i in keep:
+            out[i] = fy.copy()
+        cur, new = new, cur
+    return out
+
+
+def _mag(upper, lower):
+    """The twist's term from the top bit of one word and the low 31 of the
+    next: y >> 1, xor the twist matrix's last row when y is odd."""
+    y = (upper & 0x80000000) | (lower & 0x7FFFFFFF)
+    return (y >> 1) ^ ((y & 1) * 0x9908B0DF)
+
+
+def _twist(s):
+    """The next MT19937 state from the state rows s, shape (624, keys)."""
+    import numpy as np
+
+    mag = _mag(s[:-1], s[1:])
+    new = np.empty_like(s)
+    # word i reads word i + 397 of the new state once that exists
+    new[:_N - _M] = s[_M:] ^ mag[:_N - _M]
+    for lo in range(_N - _M, _N - 1, _N - _M):
+        hi = min(lo + _N - _M, _N - 1)
+        new[lo:hi] = new[lo - (_N - _M):hi - (_N - _M)] ^ mag[lo:hi]
+    new[-1] = new[_M - 1] ^ _mag(s[-1], new[0])
+    return new
+
+
+def _mt_random(low, high: int, draws: int):
+    """(keys, draws) array: the first ``draws`` values of random() for the
+    generators seeded with the keys high 2^32 + low."""
+    import numpy as np
+
+    words = 2 * draws
+    if words <= _N - _M:
+        # twisted word i < 227 reads words i, i + 1 and i + 397 only
+        s = _seeded_state(low, high, {*range(1, words + 1), *range(_M, _M + words)})
+        y = np.stack([s[i] for i in range(words + 1)])
+        w = np.stack([s[i] for i in range(_M, _M + words)])
+        w ^= _mag(y[:-1], y[1:])
+    else:
+        s = _seeded_state(low, high, range(_N))
+        states = [_twist(np.stack([s[i] for i in range(_N)]))]
+        while len(states) * _N < words:
+            states.append(_twist(states[-1]))
+        w = np.concatenate(states)[:words]
+    w ^= w >> 11
+    w ^= (w << 7) & 0x9D2C5680
+    w ^= (w << 15) & 0xEFC60000
+    w ^= w >> 18
+    a, b = (w[0::2] >> 5).astype(float), (w[1::2] >> 6).astype(float)
+    return ((a * 67108864.0 + b) * (1.0 / 9007199254740992.0)).T
+
+
+def random_rows(start: int, count: int, draws: int):
+    """(count, draws) array whose row i holds the first ``draws`` values of
+    random.Random(start + i).random().
+
+    Python seeds with |key|, and within a run of keys the words above the
+    lowest are shared, so the block is split where the sign or that high
+    part changes.
+    """
+    import numpy as np
+
+    if start < 0 < start + count:
+        return np.concatenate([random_rows(start, -start, draws),
+                               random_rows(0, start + count, draws)])
+    if start < 0:
+        return random_rows(-(start + count - 1), count, draws)[::-1]
+    low = start & _MASK
+    if low + count > 1 << 32:
+        head = (1 << 32) - low
+        return np.concatenate([random_rows(start, head, draws),
+                               random_rows(start + head, count - head, draws)])
+    return _mt_random(np.arange(low, low + count, dtype=np.uint32), start >> 32, draws)

@@ -331,6 +331,18 @@ def test_prop44_marginals_match_transfer_cycle(q, t):
             assert wp * base[1] == wt * base[0]
 
 
+@pytest.mark.parametrize("gamma, u_list", [(Fraction(2, 3), [0.1]),
+                                            (0.5, [Fraction(1, 2)]),
+                                            (Fraction(2, 3), [Fraction(1, 2), 0.25])],
+                         ids=["float-decay", "float-gamma", "second-decay"])
+def test_transfer_cycle_weight_refuses_what_time_grid_refuses(gamma, u_list):
+    lams = [(1,)] * len(u_list)
+    with pytest.raises(TypeError, match="not rational"):
+        transfer_cycle_weight(lams, gamma, u_list, Q0, T0)
+    with pytest.raises(TypeError, match="not rational"):
+        time_grid_process(gamma, u_list, Q0, T0)
+
+
 def _tuples_up_to(n, maxwt):
     """Tuples of n partitions of total weight <= maxwt."""
     if n == 0:
@@ -480,6 +492,26 @@ def test_sampler_stream_keeps_rows_past_the_memo_budget(monkeypatch):
     monkeypatch.setattr(plancherel, "MEMO_BYTES", 8 * len(mats[0]) * 3)
     got = list(sample_trajectories(spec, q, t, mats=mats))
     assert got == list(_oracle_sample_trajectories(spec, q, t, mats=mats))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("times", [[0.0], [0.0, 0.2, 0.5]], ids=["1-time", "3-time"])
+@pytest.mark.parametrize("seed", [-3, 12])
+def test_sampler_stream_equals_oracle_across_blocks(monkeypatch, times, seed):
+    # 7 draws per block: blocks of 7 one-time or 2 three-time samples, the
+    # last one short
+    monkeypatch.setattr(plancherel, "STREAM_BLOCK", 7)
+    q, t = Fraction(1, 2), Fraction(2, 7)
+    spec = TrajectorySpec(1.0, 0.85, times, 5, seed=seed, count=41)
+    mats = gap_matrices(spec, q, t)
+    got = list(sample_trajectories(spec, q, t, mats=mats))
+    assert got == list(_oracle_sample_trajectories(spec, q, t, mats=mats))
+
+
+def test_trajectory_spec_needs_an_int_seed():
+    # the stream seeds with the key's 32-bit words, which a float lacks
+    with pytest.raises(TypeError, match="not an int"):
+        TrajectorySpec(1.0, 0.8, [0.0], 4, seed=7.0, count=1)
 
 
 def test_sampler_small_gamma_freezes_trajectories():

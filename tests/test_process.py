@@ -220,6 +220,19 @@ def test_process_spec_rejects_rational_u():
         ProcessSpec(ring, Q0, T0, Fraction(1, 4), [zero_spec()], [zero_spec()])
 
 
+@pytest.mark.parametrize("make", [
+    lambda q, t: process_from_names(["alpha"], ["alpha"], q, t, 2),
+    lambda q, t: time_grid_process(Fraction(3, 2), [Fraction(1, 2)], q, t),
+], ids=["from-names", "time-grid"])
+def test_process_spec_refuses_a_float_point(make):
+    # Fraction(0.1) is a 55-bit binary rational, not 1/10
+    with pytest.raises(TypeError, match="not rational"):
+        make(0.1, T0)
+    with pytest.raises(TypeError, match="not rational"):
+        make(Q0, 0.2)
+    assert make(0, Q0).q == 0 and make(Q0, T0).t == T0
+
+
 def _time_grid(u_list):
     return time_grid_process(Fraction(3, 2), u_list, Q0, T0)
 

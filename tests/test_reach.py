@@ -40,6 +40,7 @@ WARM_CACHE = "reads a table from a warm disk cache"
 BENCHMARK = "perfbench's workloads and spans call it"
 LEVEL_ORACLE = "the oracle of the exact Plancherel level blocks, in tests"
 MISMATCH = "runs only when a Plancherel check fails"
+LONG_GRID = "seeds the stream for a grid of more than 113 times, in tests"
 QRHO = "the Q[rho] scalars, which no computed value uses (ROADMAP items 5, 10)"
 ITEM_2 = "multi-time Plancherel moments (ROADMAP item 2)"
 ITEM_3 = "shift-mixed processes beyond one step (ROADMAP item 3)"
@@ -62,6 +63,7 @@ UNREACHED = {
     "plancherel._path_sum": LEVEL_ORACLE,
     "plancherel._entry_power_coeffs": LEVEL_ORACLE,
     "plancherel._series": MISMATCH,
+    "stream._twist": LONG_GRID,
     "scalars.QRho": QRHO,
     "plancherel.transfer_cycle_weight": ITEM_2,
     "process.time_grid_process": ITEM_2,
