@@ -15,9 +15,11 @@ charged extension with its bosonized fermion fields.  One exponential,
 operator application (the free-field families and the fermion fields
 included) builds a ``VertexSpec`` and goes through ``vertex_apply``.  The
 table of the four families (``operator_family``) and the eta/xi exponent
-coefficients live here once, and so does the contraction of two eta/xi
-currents of any kinds, built from those coefficients and the commutator;
-the moment kernels of the process module read them from here.
+coefficients live here once.  So does ``contraction``, the one pairing of
+two sets of vertex modes: the OPE scalar, the closed trace and every kernel
+and Delta factor of the process module's moments are exponentials of it.
+It forms the ratio (1-q^n)/(1-t^n) itself, so the closed forms share no
+code with the Heisenberg modes of the brute-force traces.
 """
 
 from __future__ import annotations
@@ -170,15 +172,11 @@ def vertex_apply(spec: VertexSpec, v: dict, q, t, degree_cap: int) -> dict:
 def gamma_spec(ring: SeriesRing, q, t, spec_p_values, sign: str) -> VertexSpec:
     """Gamma(X)_+ or Gamma(X)_- for a specialization's power-sum values.
 
-    Modes are (1-t^n)/(1-q^n) p_n(X); ``spec_p_values(n)`` supplies p_n.
+    Modes are (1-t^n)/(1-q^n) p_n(X); ``spec_p_values(n)`` supplies p_n.  A
+    zero p_n gives no mode, so a zero specialization has no pole at q^n = 1.
     """
-    nmax = ring.cutoff if ring.cutoff > 0 else 0
-    modes = {}
-    for n in range(1, nmax + 1):
-        pv = spec_p_values(n)
-        if not pv:
-            continue
-        modes[n] = pv * ((1 - t**n) / (1 - q**n))
+    modes = {n: pv * ((1 - t**n) / (1 - q**n))
+             for n in range(1, ring.cutoff + 1) if (pv := spec_p_values(n))}
     if sign == "+":
         return VertexSpec(modes, {})
     if sign == "-":
@@ -186,28 +184,34 @@ def gamma_spec(ring: SeriesRing, q, t, spec_p_values, sign: str) -> VertexSpec:
     raise ValueError("sign must be '+' or '-'")
 
 
+def contraction(lower: dict, upper: dict, q, t) -> dict:
+    """n -> lower[n] upper[n] (1-q^n) / ((1-t^n) n) over the modes both carry.
+
+    The exponent left when the modes ``lower`` (on a_n) move past the modes
+    ``upper`` (on a_{-n}): the commutator [a_n, a_{-n}] = n (1-q^n)/(1-t^n)
+    against the 1/n of either half.  The ratio is formed here, not read
+    from ``point.qt_ratio``, which the Heisenberg modes and z_lambda(q,t)
+    of the oracles read.
+    """
+    return {n: lo * upper[n] * ((1 - q**n) / ((1 - t**n) * n))
+            for n, lo in lower.items() if n in upper}
+
+
 def ope_reorder(a: VertexSpec, b: VertexSpec, q, t, one):
     """The scalar of V(a) V(b) = scalar * :V(a) V(b):, whose modes are a.merge(b).
 
     ``one`` is the multiplicative unit of the coefficient arithmetic (so the
-    scalar is built in the right ring).  The scalar is
-    exp(sum_n (1-q^n)/(1-t^n) a_n b_{-n} / n) evaluated by the coefficient
-    ring's own exp.
+    scalar is built in the right ring).  The scalar is the exponential of
+    the summed ``contraction(a.plus, b.minus)``, evaluated by the
+    coefficient ring's own exp.
     """
-    cross = None
-    for n, ga in a.plus.items():
-        gb = b.minus.get(n)
-        if gb is None:
-            continue
-        term = ga * gb * ((1 - q**n) / (1 - t**n) * Fraction(1, n))
-        cross = term if cross is None else cross + term
-    if cross is None:
-        scalar = one
-    else:
-        scalar = cross.exp() if hasattr(cross, "exp") else None
-        if scalar is None:
-            raise ValueError("OPE scalar requires graded coefficients")
-    return scalar
+    terms = list(contraction(a.plus, b.minus, q, t).values())
+    if not terms:
+        return one
+    cross = sum(terms[1:], terms[0])
+    if not hasattr(cross, "exp"):
+        raise ValueError("OPE scalar requires graded coefficients")
+    return cross.exp()
 
 
 def trace_bruteforce(op, ring: SeriesRing, u_name: str, depth: int, q, t) -> TruncSeries:
@@ -232,18 +236,14 @@ def trace_closed(spec: VertexSpec, ring: SeriesRing, u, q, t) -> TruncSeries:
     """Closed form of Tr(u^D V(gamma)): Euler factor times an exponential.
 
     ``u`` is a generator name or a positive-degree monomial of the ring (such
-    as v^2).  The exponent carries u^n/(1-u^n) gamma_{-n} gamma_n
-    (1-q^n)/((1-t^n) n), with the u geometric factor expanded inside the ring.
+    as v^2).  The exponent is the sum over n of
+    ``contraction(spec.plus, spec.minus)[n]`` times u^n/(1-u^n), the u
+    geometric factor expanded inside the ring.
     """
     u = ring.gen(u) if isinstance(u, str) else u
     expo = ring.zero()
-    for n in range(1, ring.cutoff + 1):
-        gm = spec.minus.get(n)
-        gp = spec.plus.get(n)
-        if not gm or not gp:
-            continue
-        geom = geometric(ring, u, n, start=1)  # u^n / (1 - u^n)
-        expo = expo + gm * gp * geom * ((1 - q**n) / (1 - t**n) * Fraction(1, n))
+    for n, c in contraction(spec.plus, spec.minus, q, t).items():
+        expo = expo + c * geometric(ring, u, n, start=1)
     return euler_inverse(ring, u) * expo.exp()
 
 
@@ -323,23 +323,6 @@ def eta_xi_exponent(kind: str, q: Fraction, t: Fraction, nmax: int) -> dict:
     raise ValueError(f"unknown vertex kind {kind!r}")
 
 
-def eta_xi_contraction(up_kind: str, down_kind: str, q: Fraction, t: Fraction,
-                       nmax: int) -> dict:
-    """n -> c_n in the contraction exp(sum_n c_n (z/w)^n) of two currents.
-
-    The lowering half of the ``down_kind`` current at w is moved past the
-    raising half of the ``up_kind`` current at z; the commutator
-    [a_n, a_{-n}] = n (1-q^n)/(1-t^n) leaves
-    c_n = up_n down_n (1-q^n) / ((1-t^n) n), with up_n the z^n coefficient
-    of ``up_kind`` and down_n the w^{-n} coefficient of ``down_kind`` from
-    ``eta_xi_exponent`` (so both in their rescaled variables).
-    """
-    ups = eta_xi_exponent(up_kind, q, t, nmax)
-    downs = eta_xi_exponent(down_kind, q, t, nmax)
-    return {n: ups[n][0] * downs[n][1] * (1 - q**n) / ((1 - t**n) * n)
-            for n in range(1, nmax + 1)}
-
-
 def free_field_apply(family: str, r: int, v: dict, q: Fraction, t: Fraction) -> dict:
     """Apply the family operator (E_r, E'_r, G_r or G'_r hat) to a Fock vector.
 
@@ -349,8 +332,11 @@ def free_field_apply(family: str, r: int, v: dict, q: Fraction, t: Fraction) -> 
     form before expansion, so the ill-defined diagonal entries never appear;
     the constant term in all z variables is then extracted exactly.  The
     modes stop at the ket's weight g and the pair factors at ratio power
-    r g + 2, both lossless for a weight-g ket.
+    r g + 2, both lossless for a weight-g ket.  At r = 0 the operator is
+    the identity; a negative r is a ValueError.
     """
+    if r < 0:
+        raise ValueError(f"r must be nonnegative, got {r}")
     out: dict = {}
     for lam, coeff in v.items():
         for mu, val in _free_field_column(family, r, lam, q, t).items():

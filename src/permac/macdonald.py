@@ -539,7 +539,10 @@ def skew_eval(kind: str, lam: tuple, mu: tuple, spec, q: Fraction, t: Fraction,
 # ---------------------------------------------------------------------------
 
 def elementary_from_powers(r: int, p_of) -> Fraction:
-    """e_r via Newton's identities from power-sum values p_of(k)."""
+    """e_r via Newton's identities from power-sum values p_of(k); a
+    negative r is a ValueError."""
+    if r < 0:
+        raise ValueError(f"r must be nonnegative, got {r}")
     e = [Fraction(1)]
     for k in range(1, r + 1):
         acc = Fraction(0)
@@ -553,7 +556,9 @@ def elementary_from_powers(r: int, p_of) -> Fraction:
 
 def g_row_from_powers(r: int, p_of, q: Fraction, t: Fraction):
     """g_r evaluated from power-sum values: sum over |kappa| = r of
-    prod p_{kappa_i} / z_kappa(q,t)."""
+    prod p_{kappa_i} / z_kappa(q,t); a negative r is a ValueError."""
+    if r < 0:
+        raise ValueError(f"r must be nonnegative, got {r}")
     if r == 0:
         return Fraction(1)
     acc = Fraction(0)

@@ -13,20 +13,23 @@ against literal sums over configurations throughout.  The closed partition
 function is the free-field trace: the OPE scalars of ``fock`` times its
 ``trace_closed`` of the normal-ordered product.  The moment formulas
 take any of the four observable families at each step, any N, on one path:
-their cross-step factors are the eta/xi contractions of ``fock``, and they
-use the symmetrized Cauchy-determinant calculus from the laurent module,
-never expanding the ill-defined diagonal kernel entries.
+each kernel and Delta factor is the exponential of ``fock.contraction`` of
+vertex modes (the eta/xi currents of the variables and the Gamma_+/- of
+the specializations) with a u geometric weight, and they use the
+symmetrized Cauchy-determinant calculus from the laurent module, never
+expanding the ill-defined diagonal kernel entries.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations
+from itertools import combinations, permutations
 from operator import mul
 
-from .fock import VertexSpec, eta_xi_contraction, eta_xi_exponent, \
-    gamma_spec, ope_reorder, operator_family, trace_closed
+from .fock import VertexSpec, accumulate, contraction, eta_xi_exponent, \
+    gamma_spec, ope_reorder, operator_family, trace_closed, z_vertex_spec
 from .laurent import LaurentPoly, cauchy_sym_prefactor, laurent_exp, \
     product_coefficient, ratio_sym_factor
 from .macdonald import alpha_spec, observable, plancherel_spec, skew_eval, \
@@ -120,7 +123,7 @@ def time_grid_process(gamma, u_list, q, t) -> ProcessSpec:
     refuses the spec.
     """
     ring = SeriesRing([], 0)
-    v = list(accumulate(u_list, mul, initial=1))
+    v = list(itertools.accumulate(u_list, mul, initial=1))
     plus = [gamma * (1 - u_list[i - 1]) / v[i] for i in range(len(u_list))]
     minus = [gamma * vi * (1 - ui) for vi, ui in zip(v, u_list)]
     return ProcessSpec(ring, q, t, ring.scalar(v[-1]),
@@ -254,6 +257,13 @@ def partition_function_bruteforce(pspec: ProcessSpec, depth: int) -> TruncSeries
     return _configuration_sums(pspec, depth)[1].truncate(depth)
 
 
+def _gammas(pspec: ProcessSpec):
+    """The modes of Gamma_+(rho^+_i), i = 0..N-1, and Gamma_-(rho^-_j), j = 1..N."""
+    ring, q, t = pspec.ring, pspec.q, pspec.t
+    return ([gamma_spec(ring, q, t, spec.p_value, "+") for spec in pspec.rho_plus],
+            [gamma_spec(ring, q, t, spec.p_value, "-") for spec in pspec.rho_minus])
+
+
 def _normal_order(pspec: ProcessSpec):
     """Normal-order G+(rho^+_0) G-(rho^-_1) ... G+(rho^+_{N-1}) G-(rho^-_N).
 
@@ -262,8 +272,7 @@ def _normal_order(pspec: ProcessSpec):
     normal-ordered product, every specialization's modes merged.
     """
     ring, q, t = pspec.ring, pspec.q, pspec.t
-    plus = [gamma_spec(ring, q, t, spec.p_value, "+") for spec in pspec.rho_plus]
-    minus = [gamma_spec(ring, q, t, spec.p_value, "-") for spec in pspec.rho_minus]
+    plus, minus = _gammas(pspec)
     scalar = ring.one()
     for i, gp in enumerate(plus):
         for gm in minus[i:]:  # rho^-_j, j = i+1..N
@@ -317,67 +326,18 @@ def moment_bruteforce(pspec: ProcessSpec, series_r, depth: int) -> TruncSeries:
     return (num.truncate(depth) * den.truncate(depth).inverse()).truncate(depth)
 
 
-def _kernel_exp_factor(pspec: ProcessSpec, kind: str, a: int, zvars, iz,
-                       clip: int) -> LaurentPoly:
-    """Per-variable exponential factor of the moment kernel for step a.
-
-    z^n carries the eta/xi exponent coefficient of z^n times p_n(rho^+_b)
-    with the step-dependent u weights; z^{-n} carries the coefficient of
-    z^{-n} times p_n(rho^-_b).
-    """
-    ring = pspec.ring
-    N = pspec.N
-    zvar = zvars[iz]
-    arg = LaurentPoly(zvars, ring, {})
-    for n, (up, down) in eta_xi_exponent(kind, pspec.q, pspec.t,
-                                         ring.cutoff).items():
-        geom = geometric(ring, pspec.u, n) * Fraction(1, n)  # 1/(n(1-u^n))
-        un = pspec.u ** n
-        cplus = ring.zero()
-        for b in range(N):
-            pv = pspec.rho_plus[b].p_value(n)
-            if not pv:
-                continue
-            w = un if b >= a else ring.one()
-            cplus = cplus + pv * w
-        cminus = ring.zero()
-        for b in range(1, N + 1):
-            pv = pspec.rho_minus[b - 1].p_value(n)
-            if not pv:
-                continue
-            w = un if b < a else ring.one()
-            cminus = cminus + pv * w
-        arg = arg \
-            + LaurentPoly.monomial(zvars, ring, cplus * geom * up, {zvar: n}) \
-            + LaurentPoly.monomial(zvars, ring, cminus * geom * down, {zvar: -n})
-    return laurent_exp(arg, clip)
-
-
-def _delta_pair_factor(pspec: ProcessSpec, contraction: dict, zvars, i_num,
-                       i_den, wrapped: bool, clip: int) -> LaurentPoly:
-    """One ordered-pair factor of the universal measure Delta.
-
-    exp(sum_n c_n x^n [u^n]^wrapped / (1 - u^n)) with x = z_{i_num}/z_{i_den}
-    and c_n = ``contraction[n]``, the eta/xi contraction of the kinds of the
-    two variables' steps; ``wrapped`` marks pairs (a >= b) which carry the
-    extra u^n.  For i_num == i_den the factor is a pure series in u.
-    """
-    ring = pspec.ring
-    arg = LaurentPoly(tuple(zvars), ring, {})
-    for n in range(1, max(ring.cutoff, clip) + 1):
-        c = contraction[n]
-        if not c:
-            continue
-        geom = geometric(ring, pspec.u, n, start=1 if wrapped else 0)
-        if not geom:
-            continue
-        e = [0] * len(zvars)
-        e[i_num] += n
-        e[i_den] -= n
-        if max(abs(x) for x in e) > clip and i_num != i_den:
-            break
-        arg = arg + LaurentPoly(tuple(zvars), ring, {tuple(e): geom * c})
-    return laurent_exp(arg, clip)
+def _exp_contractions(pspec: ProcessSpec, zvars, clip: int, pairs) -> LaurentPoly:
+    """exp of the sum over (lower, upper, wrapped) in ``pairs`` of
+    ``contraction(lower, upper)[n]`` times u^n/(1-u^n) if wrapped, else
+    1/(1-u^n), cut at |z-exponent| <= clip."""
+    ring, u = pspec.ring, pspec.u
+    arg: dict = {}
+    for lower, upper, wrapped in pairs:
+        for n, c in contraction(lower, upper, pspec.q, pspec.t).items():
+            geom = geometric(ring, u, n, start=int(wrapped))
+            for e, coeff in c.terms.items():
+                accumulate(arg, e, coeff * geom)
+    return laurent_exp(LaurentPoly(zvars, ring, arg), clip)
 
 
 def moment_formula(pspec: ProcessSpec, series_r) -> TruncSeries:
@@ -385,11 +345,18 @@ def moment_formula(pspec: ProcessSpec, series_r) -> TruncSeries:
 
     ``series_r`` lists one (family, r) per step, and any of the four families
     may sit at any step.  Step a contributes r symmetrized Cauchy factors and
-    r kernel exponentials of its eta or xi current; every ordered pair of
-    variables (j in step b, i in step a) contributes one Delta factor whose
-    coefficients contract the raising half of step b's current with the
-    lowering half of step a's.  The result is already normalized: the
-    partition function cancels inside the derivation.
+    one eta or xi current per variable.  Each current meets every
+    Gamma_+(rho^+_b) and Gamma_-(rho^-_b) in one kernel exponential, and
+    every ordered pair of variables (j in step b, i in step a, i = j
+    included) contributes one Delta factor, which contracts the lowering
+    half of i's current with the raising half of j's.  Both are
+    exponentials of ``fock.contraction``.  A pair is wrapped when its
+    lowering modes already stand right of its raising ones in the trace
+    (or in the same step): it meets only around the trace and carries
+    u^n/(1-u^n); any other pair also meets directly and carries 1/(1-u^n).
+    The result is already normalized: the partition function cancels inside
+    the derivation.  A step with r = 0 observes the unit; a negative r is a
+    ValueError.
     """
     if len(series_r) != pspec.N:
         raise ValueError("need one observable per step")
@@ -401,31 +368,41 @@ def moment_formula(pspec: ProcessSpec, series_r) -> TruncSeries:
     steps = []  # (vertex kind, Cauchy pole, variable indices) per step
     prefactor = Fraction(1)
     for a, (tag, r) in enumerate(series_r, start=1):
+        if r < 0:
+            raise ValueError(f"r must be nonnegative, got {r}")
         kind, pole, c0, scale = operator_family(tag, q, t)
         prefactor *= (c0 * scale) ** r * cauchy_sym_prefactor(pole, r)
         steps.append((kind, pole, range(len(zvars), len(zvars) + r)))
         zvars.extend(f"z{a}_{i + 1}" for i in range(r))
     zvars = tuple(zvars)
+    if not zvars:
+        return ring.one()
+    currents = [z_vertex_spec(zvars, ring, zvars[i], eta_xi_exponent(kind, q, t, clip))
+                for kind, _, idxs in steps for i in idxs]
+    # the Gamma modes as z-free Laurent polynomials, so that every contraction
+    # below multiplies Laurent polynomials
+    gammas_plus, gammas_minus = _gammas(pspec)
+    plus = [{n: LaurentPoly.constant(zvars, c) for n, c in g.plus.items()}
+            for g in gammas_plus]
+    minus = [{n: LaurentPoly.constant(zvars, c) for n, c in g.minus.items()}
+             for g in gammas_minus]
 
     factors = [ratio_sym_factor(zvars, ring, i, j, pole, clip)
                for _, pole, idxs in steps for i, j in combinations(idxs, 2)]
-    # kernel exponentials per variable
-    factors += [_kernel_exp_factor(pspec, kind, a, zvars, iz, clip)
-                for a, (kind, _, idxs) in enumerate(steps, start=1)
-                for iz in idxs]
-    # universal measure part over all ordered step pairs, with one
-    # contraction table per ordered pair of kinds
-    contractions: dict = {}
-    for b, (kind_b, _, idxs_b) in enumerate(steps, start=1):
-        for a, (kind_a, _, idxs_a) in enumerate(steps, start=1):
-            if (kind_b, kind_a) not in contractions:
-                contractions[kind_b, kind_a] = eta_xi_contraction(
-                    kind_b, kind_a, q, t, max(ring.cutoff, clip))
-            for j in idxs_b:
-                for i in idxs_a:
-                    factors.append(_delta_pair_factor(
-                        pspec, contractions[kind_b, kind_a], zvars, j, i,
-                        wrapped=a >= b, clip=clip))
+    # each current against Gamma_+(rho^+_b), b = 0..N-1, and Gamma_-(rho^-_b),
+    # b = 1..N
+    factors += [_exp_contractions(pspec, zvars, clip,
+                                  [(up, currents[i].minus, b >= a)
+                                   for b, up in enumerate(plus)]
+                                  + [(currents[i].plus, down, b < a)
+                                     for b, down in enumerate(minus, start=1)])
+                for a, (_, _, idxs) in enumerate(steps, start=1) for i in idxs]
+    # Delta: variable j of step b against variable i of step a
+    factors += [_exp_contractions(pspec, zvars, clip,
+                                  [(currents[i].plus, currents[j].minus, a >= b)])
+                for b, (_, _, idxs_b) in enumerate(steps, start=1)
+                for a, (_, _, idxs_a) in enumerate(steps, start=1)
+                for j in idxs_b for i in idxs_a]
     target = (0,) * len(zvars)
     return product_coefficient(factors, target) * prefactor
 

@@ -1,15 +1,16 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permac import acceptance, fock
+from permac import acceptance, fock, partitions, point
 from permac.fock import (
     FREE_FIELD_FAMILIES,
     VertexSpec,
     accumulate,
-    eta_xi_contraction,
+    contraction,
     eta_xi_exponent,
     extended_E_apply,
     fock_scale,
@@ -40,6 +41,11 @@ from permac.macdonald import (
     skew_eval,
 )
 from permac.partitions import make_partition, partitions_of, partitions_up_to, weight, z_qt
+from permac.process import (
+    partition_function_bruteforce,
+    partition_function_closed,
+    process_from_names,
+)
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing, euler_inverse, qpochhammer
 
@@ -257,11 +263,90 @@ def test_free_field_vacuum_example():
     assert out == {(): Fraction(1) / (T0 - 1)}
 
 
+def current(kind, zvars, ring, zvar, nmax):
+    return z_vertex_spec(zvars, ring, zvar, eta_xi_exponent(kind, Q0, T0, nmax))
+
+
+def test_free_field_operators_at_r_zero_and_below():
+    ket = macdonald_P_p((2, 1), Q0, T0)
+    for family in FREE_FIELD_FAMILIES:
+        assert free_field_apply(family, 0, ket, Q0, T0) == ket
+        with pytest.raises(ValueError, match="nonnegative"):
+            free_field_apply(family, -1, ket, Q0, T0)
+
+
 def test_same_kind_contraction_is_the_closed_pair():
-    # eta with eta: -(1-q^n)(1-t^-n)/n; xi with xi: -(1-q^-n)(1-t^n)/n
-    for kind, (p1, p2) in (("eta", (Q0, 1 / T0)), ("xi", (1 / Q0, T0))):
-        got = eta_xi_contraction(kind, kind, Q0, T0, 5)
-        assert got == {n: -(1 - p1**n) * (1 - p2**n) / n for n in range(1, 6)}
+    # the lowering half of the current at w moved past the raising half of
+    # the current at z leaves c_n (z/w)^n with, for eta with eta,
+    # -(1-q^n)(1-t^-n)/n; xi with xi: -(1-q^-n)(1-t^n)/n; and for eta at z
+    # with xi at w, (1-t^-n)(1-t^n)(t/q)^n (1-q^n)/((1-t^n) n)
+    # = (1-t^n)(1-q^-n)/n
+    ring = SeriesRing([], 0)
+    zvars = ("z", "w")
+    for up, down, (p1, p2) in (("eta", "eta", (Q0, 1 / T0)),
+                               ("xi", "xi", (1 / Q0, T0)),
+                               ("eta", "xi", (T0, 1 / Q0))):
+        sign = 1 if up != down else -1
+        got = contraction(current(down, zvars, ring, "w", 5).plus,
+                          current(up, zvars, ring, "z", 5).minus, Q0, T0)
+        assert got == {n: LaurentPoly.monomial(
+            zvars, ring, sign * (1 - p1**n) * (1 - p2**n) / n, {"z": n, "w": -n})
+            for n in range(1, 6)}, (up, down)
+
+
+def test_contraction_of_a_current_with_the_gammas():
+    # Gamma_+(rho) against the raising half of an eta current at z leaves
+    # p_n(rho) (1-t^-n) z^n / n; the lowering half against Gamma_-(rho)
+    # leaves p_n(rho) down_n z^-n / n with down_n = -(1-t^n).  Here p_n = a^n.
+    ring = SeriesRing(["a"], 4)
+    zvars = ("z",)
+    p_n = alpha_spec([("a", 1)], ring).p_value
+    eta = current("eta", zvars, ring, "z", 6)
+    gp = gamma_spec(ring, Q0, T0, p_n, "+")
+    gm = gamma_spec(ring, Q0, T0, p_n, "-")
+    assert contraction(gp.plus, eta.minus, Q0, T0) == {n: LaurentPoly.monomial(
+        zvars, ring, ring.monomial((1 - T0**-n) / n, a=n), {"z": n})
+        for n in range(1, 5)}
+    assert contraction(eta.plus, gm.minus, Q0, T0) == {n: LaurentPoly.monomial(
+        zvars, ring, ring.monomial(-(1 - T0**n) / n, a=n), {"z": -n})
+        for n in range(1, 5)}
+    # modes that only one side carries do not pair
+    assert contraction(gp.plus, gm.plus, Q0, T0) == {}
+
+
+def test_closed_trace_and_z_read_no_ratio_of_their_oracles(monkeypatch, fresh_memos):
+    # doubling the memoised (1-q^n)/(1-t^n) doubles the commutator of the
+    # Heisenberg modes (and z_lambda(q,t)) that the oracles read; the closed
+    # forms form their own ratio in ``contraction`` and must not move with it
+    ring = SeriesRing(["u", "a", "b"], 4)
+    spec = VertexSpec({1: ring.monomial(Fraction(2), a=1)},
+                      {1: ring.monomial(Fraction(-1), b=1)})
+
+    def trace_pair():
+        return (trace_closed(spec, ring, "u", Q0, T0),
+                trace_bruteforce(lambda v: vertex_apply(spec, v, Q0, T0, 4),
+                                 ring, "u", 4, Q0, T0))
+
+    def z_pair():
+        # a new process each time: a process memoises its skew values
+        ps = process_from_names(["alpha"], ["alpha"], Q0, T0, 4)
+        return partition_function_closed(ps), partition_function_bruteforce(ps, 4)
+
+    closed, brute = trace_pair()
+    assert closed == brute
+    z_closed, z_brute = z_pair()
+    assert z_closed == z_brute
+
+    def doubled(n, q, t):
+        return 2 * point.qt_ratio(n, q, t)
+
+    monkeypatch.setattr(fock, "qt_ratio", doubled)
+    closed2, brute2 = trace_pair()
+    assert closed2 == closed and brute2 != brute
+    monkeypatch.setattr(partitions, "qt_ratio", doubled)
+    fresh_memos()
+    z_closed2, z_brute2 = z_pair()
+    assert z_closed2 == z_closed and z_brute2 != z_brute
 
 
 def test_eigen_relations_all_families():

@@ -11,6 +11,8 @@ from permac.macdonald import (
     Specialization,
     _m_gram,
     alpha_spec,
+    eigenvalue,
+    elementary_from_powers,
     g_row_from_powers,
     g_row_p,
     inner_product,
@@ -339,6 +341,21 @@ def test_lambda_rho_values():
     # one-box partition
     expect = Q0 + (1 / T0) / (1 - 1 / T0)
     assert observable("E", 1, (1,), Q0, T0) == expect
+
+
+@pytest.mark.parametrize("family", ["E", "E'", "G", "G'"])
+def test_observables_at_r_zero_and_below(family):
+    # r = 0 is the unit; E and E' used to read e[-1] at r = -1 (giving 1)
+    # and fail with IndexError at r = -2, while G and G' gave 0
+    assert observable(family, 0, (2, 1), Q0, T0) == 1
+    assert eigenvalue(family, 0, (2, 1), Q0, T0) == 1
+    for r in (-1, -2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            observable(family, r, (2, 1), Q0, T0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            eigenvalue(family, r, (2, 1), Q0, T0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        elementary_from_powers(-1, lambda k: Q0)
 
 
 def test_hall_littlewood_limit_of_E1():

@@ -313,6 +313,25 @@ def test_two_step_mixed_family_moments_formula_vs_bruteforce(first, second, q, t
     assert moment_formula(ps, steps) == moment_bruteforce(ps, steps, 3)
 
 
+def test_moments_at_r_zero_are_the_unit():
+    # E_0 = G_0 = 1: a step with r = 0 observes nothing
+    ps = single_alpha_process(1, Q0, T0, 3)
+    assert moment_formula(ps, [("E", 0)]) == ps.ring.one()
+    assert moment_bruteforce(ps, [("E", 0)], 3) == ps.ring.one()
+    ps = single_alpha_process(2, Q0, T0, 3)
+    steps = [("G", 0), ("E'", 1)]
+    assert moment_formula(ps, steps) == moment_bruteforce(ps, steps, 3)
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_a_negative_r_is_refused(tag):
+    ps = single_alpha_process(1, Q0, T0, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        moment_formula(ps, [(tag, -1)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        moment_bruteforce(ps, [(tag, -1)], 2)
+
+
 def test_three_step_mixed_moment_formula_vs_bruteforce():
     q, t = MIXED_POINTS[0]
     ps = single_alpha_process(3, q, t, 4)
