@@ -11,7 +11,9 @@ against Pochhammer products are verified coefficientwise in s.
 
 The second half covers traces of refined topological vertices, including a
 windowed-Laurent logarithm comparison for profiles whose closed form mixes
-expansion directions.
+expansion directions.  The vertex kernel's log sums ``fock.contraction`` of
+Gamma modes, and the E'_1-weighted trace sums the one-step
+``process.weight_W``; both modules load inside those checks only.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 from . import macdonald
 from .laurent import LaurentPoly, laurent_log
-from .macdonald import Specialization, lambda_rho_p, elementary_from_powers, skew_eval
+from .macdonald import Specialization, observable, skew_eval
 from .partitions import (
     conjugate,
     contains,
@@ -38,6 +40,8 @@ from .series import SeriesRing, TruncSeries, euler_inverse, first_mismatch, \
 class CylindricProfile:
     def __init__(self, N: int, M):
         self.N = int(N)
+        if self.N < 1:
+            raise ValueError(f"period N = {self.N} must be at least 1")
         self.M = frozenset(int(k) for k in M)
         if not self.M <= set(range(1, self.N + 1)):
             raise ValueError("profile must be a subset of 1..N")
@@ -185,43 +189,20 @@ def components(profile: CylindricProfile, lams) -> list:
     a column twice, or wind within a single-column cylinder).
     """
     N = profile.N
-    support = set()
-    level = {}
-    value = {}
-    for k in range(1, N + 1):
-        lam = lams[k - 1]
-        for j in range(1, length(lam) + 1):
-            support.add((k, j))
-            level[(k, j)] = box_level(lam, j)
-            value[(k, j)] = lam[j - 1]
-    # directed slot edges follow the crossings k -> k+-1; a slot links only
-    # when the target carries the same entry and the same level (equivalent
-    # to the run conditions in the Hall-Littlewood collapse of the box
-    # weights)
-    down = {pos: [] for pos in support}
-    up = {pos: [] for pos in support}
-    for (k, j) in support:
-        k_next = k % N + 1
-        dtgt = (k_next, j + (1 if profile.up(k) else 0))
-        if dtgt in support and level[dtgt] == level[(k, j)] \
-                and value[dtgt] == value[(k, j)]:
-            down[(k, j)].append(dtgt)
-        k_prev = (k - 2) % N + 1
-        utgt = (k_prev, j + (0 if profile.up(k_prev) else 1))
-        if utgt in support and level[utgt] == level[(k, j)] \
-                and value[utgt] == value[(k, j)]:
-            up[(k, j)].append(utgt)
-    incidence = {pos: [] for pos in support}
-    for p in support:
-        for q in down[p]:
-            incidence[p].append((q, 1))
-            incidence[q].append((p, -1))
-        for q in up[p]:
-            incidence[p].append((q, -1))
-            incidence[q].append((p, 1))
+    # an edge joins cells of equal (entry, level) tags, the run conditions of
+    # the Hall-Littlewood collapse; the potential rises by 1 per crossing
+    tag = {(k, j): (lams[k - 1][j - 1], box_level(lams[k - 1], j))
+           for k in range(1, N + 1) for j in range(1, length(lams[k - 1]) + 1)}
+    incidence = {pos: [] for pos in tag}
+    for (k, j), here in tag.items():
+        for dj in ((1, 0) if profile.up(k) else (0, -1)):
+            nb = (k % N + 1, j + dj)
+            if tag.get(nb) == here:
+                incidence[(k, j)].append((nb, 1))
+                incidence[nb].append(((k, j), -1))
     seen = set()
     comps = []
-    for pos in sorted(support):
+    for pos in sorted(tag):
         if pos in seen:
             continue
         comp = {pos}
@@ -242,7 +223,7 @@ def components(profile: CylindricProfile, lams) -> list:
         seen |= comp
         comps.append({
             "cells": sorted(comp),
-            "level": level[pos],
+            "level": tag[pos][1],
             "size": len(comp),
             "global": winding,
         })
@@ -400,29 +381,19 @@ def principal_p_laurent(zvars, ring: SeriesRing, nu: tuple, variant: str,
                         window: int):
     """p-value callable producing window-truncated Laurent polynomials."""
     finite, (tvar, texp) = principal_p_envelope(nu, variant)
-    ix = zvars.index("x")
-    iy = zvars.index("y")
-    itail = zvars.index(tvar)
+    tail = (1, 0) if tvar == "x" else (0, 1)
+    ix, iy = zvars.index("x"), zvars.index("y")
 
     def p_value(n):
+        # the finite part, then the tail tvar^{n texp} + tvar^{n (texp + 1)} + ...
+        xy = Counter((a * n, b * n) for a, b in finite)
+        xy.update((tail[0] * e, tail[1] * e) for e in range(texp * n, window + 1, n))
         terms = {}
-        for a, b in finite:
+        for (a, b), c in xy.items():
             e = [0] * len(zvars)
-            e[ix] += a * n
-            e[iy] += b * n
-            key = tuple(e)
-            terms[key] = terms.get(key, ring.zero()) + ring.one()
-        j = 1
-        while True:  # tail: sum_{j>=1} tvar^{n(texp + j - 1)}... see below
-            expnt = texp * n + (j - 1) * n
-            if expnt > window:
-                break
-            e = [0] * len(zvars)
-            e[itail] = expnt
-            key = tuple(e)
-            terms[key] = terms.get(key, ring.zero()) + ring.one()
-            j += 1
-        return LaurentPoly(tuple(zvars), ring, {k: v for k, v in terms.items() if v})
+            e[ix], e[iy] = a, b
+            terms[tuple(e)] = ring.scalar(Fraction(c))
+        return LaurentPoly(tuple(zvars), ring, terms)
 
     return p_value
 
@@ -500,7 +471,8 @@ def vertex_e1_trace_check(grade: int, q: Fraction, t: Fraction) -> dict:
     """Trace of the diagonal vertex weighted by the inverted elementary
     observable, three ways.
 
-    (A) literal double sum over inner/outer partitions;
+    (A) literal double sum: E'_1(mu) times the one-step process weights
+        weight_W(mu; kappa) = u^{|kappa|} Q_{mu/kappa}(y^{rho-1}) P_{mu/kappa}(x^rho);
     (B) free-field route: the closed single-step moment formula for the
         inverted elementary series times the closed trace normalizer;
     (C) signature-sum closed form obtained by expanding the kernel constant
@@ -508,36 +480,23 @@ def vertex_e1_trace_check(grade: int, q: Fraction, t: Fraction) -> dict:
         sum_N q^{-N} sum over pairs of length-N signatures of
         prod_r (t;u)_m (t;u)_m / ((u;u)_m (u;u)_m) x^{|lam|+N} y^{|mu|}.
     """
-    from .process import ProcessSpec, moment_formula, partition_function_closed
+    from .process import ProcessSpec, moment_formula, partition_function_closed, \
+        weight_W
 
     ring = SeriesRing(["u", "x", "y"], grade)
-    p_plus = principal_p_trunc(ring, "xr_ynu")     # x^rho
-    p_minus = principal_p_trunc(ring, "yr_nxu")    # y^{rho-1}
+    x_rho = Specialization("principal", principal_p_trunc(ring, "xr_ynu"), 1)
+    y_rho = Specialization("principal", principal_p_trunc(ring, "yr_nxu"), 1)
+    ps = ProcessSpec(ring, q, t, ring.gen("u"), [x_rho], [y_rho])
 
-    # (A) sum over kappa inside mu of u^{|kappa|} E'_1(mu) P Q skew values
+    # (A) the literal double sum
     lhs = ring.zero()
     for mu in partitions_up_to(grade):
-        ev = elementary_from_powers(
-            1, lambda k: lambda_rho_p(mu, k, q, t, shift=1, inverted=True))
-        inner = ring.zero()
-        for kappa in partitions_up_to(weight(mu)):
-            if not contains(mu, kappa):
-                continue
-            pv = skew_eval("P", mu, kappa, p_plus, q, t, unit=ring.one())
-            if not pv:
-                continue
-            qv = skew_eval("Q", mu, kappa, p_minus, q, t, unit=ring.one())
-            if not qv:
-                continue
-            inner = inner + ring.monomial(Fraction(1), u=weight(kappa)) * pv * qv
-        lhs = lhs + inner * ev
+        inner = sum((weight_W(ps, (mu,), (kappa,))
+                     for kappa in partitions_up_to(weight(mu))), ring.zero())
+        lhs = lhs + inner * observable("E'", 1, mu, q, t)
 
     # (B) normalized moment times the partition function
-    spec_p = Specialization("principal", p_plus, 1)
-    spec_m = Specialization("principal", p_minus, 1)
-    ps = ProcessSpec(ring, q, t, ring.gen("u"), [spec_p], [spec_m])
-    mid = moment_formula(ps, [("E'", 1)]) \
-        * partition_function_closed(ps)
+    mid = moment_formula(ps, [("E'", 1)]) * partition_function_closed(ps)
 
     # (C) signature-sum closed form
     u, x, y = ring.gen("u"), ring.gen("x"), ring.gen("y")
@@ -643,23 +602,27 @@ def kernel_log_direct(zvars, ring: SeriesRing, nu: tuple, q: Fraction,
                       wrapped: bool) -> LaurentPoly:
     """log of the two-specialization Cauchy kernel, computed termwise.
 
-    sum_n (1-t^n) w_n / (n (1-q^n)) p_n(x^rho y^-nu) p_n(x^-nu' y^rho-1)
-    with w_n = u^n/(1-u^n) when wrapped (the trace kernel; the half-vertices
-    are already normally ordered inside the trace) and 1/(1-u^n) otherwise
-    (the plain Cauchy kernel that the boundary factorization organizes).
+    sum_n contraction(Gamma(x^rho y^-nu), Gamma(x^-nu' y^rho-1))[n] w_n, the
+    Gamma modes being p_n (1-t^n)/(1-q^n), with w_n = u^n/(1-u^n) when
+    wrapped (the trace kernel; the half-vertices are already normally
+    ordered inside the trace) and 1/(1-u^n) otherwise (the plain Cauchy
+    kernel that the boundary factorization organizes).
     """
-    p1 = principal_p_laurent(zvars, ring, nu, "xr_ynu", build)
-    p2 = principal_p_laurent(zvars, ring, nu, "yr_nxu", build)
-    out = LaurentPoly(tuple(zvars), ring, {})
-    nmax = 2 * window + ring.cutoff + 2
+    from .fock import contraction
+
     u = ring.gen("u")
-    for n in range(1, nmax + 1):
-        geom = geometric(ring, u, n, start=1 if wrapped else 0)
-        if not geom:
-            continue
-        c = geom * ((1 - t**n) / (1 - q**n) * Fraction(1, n))
-        term = (p1(n) * p2(n)).scale(c)
-        out = out + term.window(2 * window)
+    weights = {n: w for n in range(1, 2 * window + ring.cutoff + 3)
+               if (w := geometric(ring, u, n, start=int(wrapped)))}
+
+    def gamma_modes(variant):
+        p_value = principal_p_laurent(zvars, ring, nu, variant, build)
+        return {n: m for n in weights
+                if (m := p_value(n) * ((1 - t**n) / (1 - q**n)))}
+
+    out = LaurentPoly(tuple(zvars), ring, {})
+    for n, c in contraction(gamma_modes("xr_ynu"), gamma_modes("yr_nxu"),
+                            q, t).items():
+        out = out + c.scale(weights[n]).window(2 * window)
     return out.window(2 * window)
 
 
@@ -691,7 +654,9 @@ def thm_b1_check(nu: tuple, u_cutoff: int, window: int, q: Fraction,
     """
     zvars = ("x", "y")
     ring = SeriesRing(["u"], u_cutoff)
-    build = window + u_cutoff * max(part(nu, 1), length(nu), 1) + 2
+    # the plain kernel's 1/(1-u^n) does not cut n off at u_cutoff, so its
+    # p-values reach as far past the window as the wider of the two needs
+    build = window + max(u_cutoff, window) * max(part(nu, 1), length(nu), 1) + 2
     p_first = principal_p_laurent(zvars, ring, nu, "yr_nxu", build)
     p_second = principal_p_laurent(zvars, ring, nu, "xr_ynu", build)
     one = LaurentPoly.constant(zvars, ring.one())

@@ -39,7 +39,7 @@ from .series import SeriesRing, TruncSeries, geometric, qpochhammer, theta3
 
 
 class ProcessSpec:
-    """N-step periodic process over a series ring; u is a positive-degree
+    """N-step periodic process (N >= 1) over a series ring; u is a positive-degree
     monomial (formal, graded) or a rational scalar of a symbol-free ring.
     The point (q, t) is rational: a float is a TypeError."""
 
@@ -58,6 +58,8 @@ class ProcessSpec:
         if len(self.rho_plus) != len(self.rho_minus):
             raise ValueError("rho_plus and rho_minus must have equal length")
         self.N = len(self.rho_plus)
+        if not self.N:
+            raise ValueError("a process needs at least one step")
         self._skew_cache: dict = {}
 
     def skew(self, kind: str, lam: tuple, mu: tuple, index: int):

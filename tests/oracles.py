@@ -3,10 +3,11 @@
 from fractions import Fraction
 from itertools import product
 
+from permac.cylindric import box_level
 from permac.laurent import LaurentPoly
 from permac.macdonald import pieri
-from permac.partitions import (conjugate, contains, horizontal_strip, make_partition,
-                               part, partitions_up_to, weight)
+from permac.partitions import (conjugate, contains, horizontal_strip, length,
+                               make_partition, part, partitions_up_to, weight)
 from permac.process import weight_W
 from permac.series import TruncSeries
 
@@ -97,3 +98,72 @@ def plain_laurent_product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             else:
                 out.pop(e, None)
     return LaurentPoly(a.zvars, a.ring, out)
+
+
+def components_two_lists(profile, lams) -> list:
+    """``cylindric.components`` built from a downward and a mirrored upward
+    slot list, merged into one incidence map: the oracle of the one-rule
+    edge loop."""
+    N = profile.N
+    support = set()
+    level = {}
+    value = {}
+    for k in range(1, N + 1):
+        lam = lams[k - 1]
+        for j in range(1, length(lam) + 1):
+            support.add((k, j))
+            level[(k, j)] = box_level(lam, j)
+            value[(k, j)] = lam[j - 1]
+    # directed slot edges follow the crossings k -> k+-1; a slot links only
+    # when the target carries the same entry and the same level (equivalent
+    # to the run conditions in the Hall-Littlewood collapse of the box
+    # weights)
+    down = {pos: [] for pos in support}
+    up = {pos: [] for pos in support}
+    for (k, j) in support:
+        k_next = k % N + 1
+        dtgt = (k_next, j + (1 if profile.up(k) else 0))
+        if dtgt in support and level[dtgt] == level[(k, j)] \
+                and value[dtgt] == value[(k, j)]:
+            down[(k, j)].append(dtgt)
+        k_prev = (k - 2) % N + 1
+        utgt = (k_prev, j + (0 if profile.up(k_prev) else 1))
+        if utgt in support and level[utgt] == level[(k, j)] \
+                and value[utgt] == value[(k, j)]:
+            up[(k, j)].append(utgt)
+    incidence = {pos: [] for pos in support}
+    for p in support:
+        for q in down[p]:
+            incidence[p].append((q, 1))
+            incidence[q].append((p, -1))
+        for q in up[p]:
+            incidence[p].append((q, -1))
+            incidence[q].append((p, 1))
+    seen = set()
+    comps = []
+    for pos in sorted(support):
+        if pos in seen:
+            continue
+        comp = {pos}
+        potential = {pos: 0}
+        winding = False
+        stack = [pos]
+        while stack:
+            p = stack.pop()
+            for nb, dphi in incidence[p]:
+                target_phi = potential[p] + dphi
+                if nb in potential:
+                    if potential[nb] != target_phi:
+                        winding = True
+                    continue
+                potential[nb] = target_phi
+                comp.add(nb)
+                stack.append(nb)
+        seen |= comp
+        comps.append({
+            "cells": sorted(comp),
+            "level": level[pos],
+            "size": len(comp),
+            "global": winding,
+        })
+    return comps

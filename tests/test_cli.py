@@ -500,6 +500,28 @@ def test_cheap_commands_load_only_their_modules(tmp_path):
     assert stored.stat().st_mtime_ns == written  # read from the cache, not rebuilt
 
 
+def test_cylindric_counting_commands_load_no_free_field_code(tmp_path):
+    # the vertex checks import fock and process inside their functions, so
+    # enumeration and the MacMahon identities never load them
+    out = str(tmp_path / "report.json")
+    script = (
+        "import json, sys\n"
+        "from permac import cli\n"
+        f"codes = [cli.main(['--out', {out!r}, 'cylindric', 'enumerate', '--N', '2',\n"
+        "                    '--M', '1', '--max-weight', '4']),\n"
+        f"         cli.main(['--out', {out!r}, 'cylindric', 'verify-macmahon',\n"
+        "                    '--N', '3', '--M', '1,3', '--s-deg', '4'])]\n"
+        "loaded = [m for m in ('cylindric', 'fock', 'process')\n"
+        "          if 'permac.' + m in sys.modules]\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "loaded": ["cylindric"]}
+
+
 def test_parser_keeps_series_choices_and_seed_default():
     proc = run_module("permac", "process", "moment", "--help")
     assert proc.returncode == 0, proc.stderr

@@ -22,7 +22,7 @@ from permac.cylindric import (
     weight_F,
     weight_Phi,
 )
-from oracles import horizontal_strip_by_columns
+from oracles import components_two_lists, horizontal_strip_by_columns
 from permac.macdonald import lambda_rho_p
 from permac.partitions import conjugate, partitions_up_to
 from permac.scalars import random_qt_pair
@@ -117,6 +117,22 @@ def test_components_structure():
                     if c["size"] == N and len(cols) == N and not c["global"]:
                         # a full-period path that fails to close stays local
                         pass
+
+
+def test_components_equal_the_two_list_oracle():
+    # one edge rule per support cell against the downward list plus its
+    # mirrored upward list, on every configuration of weight <= 6, N <= 4
+    for N in (1, 2, 3, 4):
+        for prof in all_profiles(N):
+            for lams in enumerate_cp(prof, 6):
+                assert components(prof, lams) == components_two_lists(prof, lams)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_profile_needs_a_positive_period(N):
+    # enumerate_cp divided by zero at N = 0 and recursed without end below
+    with pytest.raises(ValueError, match="at least 1"):
+        CylindricProfile(N, ())
 
 
 def test_A_at_minus_one_pointwise():
@@ -257,3 +273,14 @@ def test_thm_b1_empty_profile_reduces_to_cor_b2():
     q, t = random_qt_pair(rng)
     out = thm_b1_check((), 3, 3, q, t)
     assert out["match"]
+
+
+@pytest.mark.parametrize("nu, u_cutoff, window", [
+    ((2,), 1, 3), ((3,), 1, 2), ((1, 1), 2, 4), ((2, 1), 2, 4),
+], ids=["2-u1-w3", "3-u1-w2", "11-u2-w4", "21-u2-w4"])
+def test_thm_b1_window_beyond_u_cutoff(nu, u_cutoff, window):
+    # the plain kernel's weight 1/(1-u^n) does not cut n off at u_cutoff, so
+    # its p-values must reach past a window wider than u_cutoff
+    out = thm_b1_check(nu, u_cutoff, window, Q0, T0)
+    assert out["trace_match"], out
+    assert out["factorization_match"], out

@@ -233,6 +233,17 @@ def test_process_spec_refuses_a_float_point(make):
     assert make(0, Q0).q == 0 and make(Q0, T0).t == T0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: process_from_names([], [], Q0, T0, 3),
+    lambda: time_grid_process(Fraction(3, 2), [], Q0, T0),
+], ids=["from-names", "time-grid"])
+def test_process_needs_a_step(make):
+    # with no step the closed Z read 1/(u;u)_inf while the oracles raised
+    # IndexError
+    with pytest.raises(ValueError, match="at least one step"):
+        make()
+
+
 def _time_grid(u_list):
     return time_grid_process(Fraction(3, 2), u_list, Q0, T0)
 
