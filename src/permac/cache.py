@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 _cache_dir = None
 
 
@@ -58,14 +58,15 @@ def store(module: str, operation: str, params: dict, payload: dict):
     if not path:
         return
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    payload = dict(payload)
-    payload["version"] = CACHE_VERSION
+    # json.dumps runs the C encoder; json.dump writes the same text through
+    # the pure-Python one
+    text = json.dumps({**payload, "version": CACHE_VERSION}, sort_keys=True)
     # a private temp file per writer, so concurrent stores never interleave
     fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
                                suffix=".tmp", dir=os.path.dirname(path))
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -230,20 +230,21 @@ def components(profile: CylindricProfile, lams) -> list:
     return comps
 
 
-def weight_A(profile: CylindricProfile, lams, t: Fraction) -> Fraction:
+def local_levels(profile: CylindricProfile, lams) -> list:
+    """The levels of the local (non-winding) components, in component order."""
+    return [c["level"] for c in components(profile, lams) if not c["global"]]
+
+
+def hl_weight(levels, t: Fraction) -> Fraction:
+    """prod (1 - t^level) over the local component levels: the weight A."""
     out = Fraction(1)
-    for comp in components(profile, lams):
-        if not comp["global"]:
-            out *= 1 - t ** comp["level"]
+    for level in levels:
+        out *= 1 - t ** level
     return out
 
 
-def is_strict(profile: CylindricProfile, lams) -> bool:
-    return all(c["global"] or c["level"] == 1 for c in components(profile, lams))
-
-
-def local_component_count(profile: CylindricProfile, lams) -> int:
-    return sum(1 for c in components(profile, lams) if not c["global"])
+def weight_A(profile: CylindricProfile, lams, t: Fraction) -> Fraction:
+    return hl_weight(local_levels(profile, lams), t)
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +291,15 @@ def macmahon_verify(profile: CylindricProfile, s_cutoff: int, q: Fraction,
         w = cp_weight(lams)
         mono = ring.monomial(Fraction(1), s=w)
         sums["macdonald"] = sums["macdonald"] + mono * weight_F(profile, lams, q, t)
-        sums["hl"] = sums["hl"] + mono * weight_A(profile, lams, t)
+        # one component graph per configuration gives the A weights at t
+        # and at -1, strictness and the local component count
+        levels = local_levels(profile, lams)
+        sums["hl"] = sums["hl"] + mono * hl_weight(levels, t)
         # the A weight at the algebraic point t = -1; see the report
         # field below for the naive strict-count comparison
-        sums["strict"] = sums["strict"] + mono * weight_A(
-            profile, lams, Fraction(-1))
-        if is_strict(profile, lams):
-            strict_count_sum = strict_count_sum + mono * Fraction(
-                2 ** local_component_count(profile, lams))
+        sums["strict"] = sums["strict"] + mono * hl_weight(levels, Fraction(-1))
+        if all(level == 1 for level in levels):  # strict
+            strict_count_sum = strict_count_sum + mono * Fraction(2 ** len(levels))
         sums["schur"] = sums["schur"] + mono
     closed = {"macdonald": macmahon_rhs(profile, ring, q, t),
               "hl": macmahon_rhs(profile, ring, Fraction(0), t),

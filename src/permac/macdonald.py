@@ -4,15 +4,17 @@ Symmetric functions are sparse maps from partitions to coefficients, in either
 the power-sum basis ("p") or the monomial basis ("m").  The p -> m transition
 is a product of power sums, each row p_lambda the shared row of lambda without
 its last part times p_{last part}; its inverse comes from back-substitution,
-because p_lambda is triangular in dominance order.  The tables, P_lambda and
-Q_lambda in the p basis, the Pieri edges and the skew coefficients are
-memoised per point (q, t) in ``point``'s store and shared, so no caller may
-mutate them.  The one-parameter family P_lambda is produced weight by weight
-through Gram-Schmidt in the m basis, against the pairing's Gram matrix
-<m_lam, m_mu>, which is formed once per table from the p/m transitions as an
-integer matrix over one scale.  Gram-Schmidt stays on integers: each finished
-P_mu is a row of integer numerators over one denominator, and Fractions are
-built only for the output tables.  Each partition is projected onto every
+because p_lambda is triangular in dominance order, and is kept as integer rows
+over one denominator each.  The tables (P_lambda and its norm), Q_lambda, the
+p-basis rows, the Pieri edges and the skew coefficients are memoised per point
+(q, t) in ``point``'s store and shared, so no caller may mutate them.  The
+one-parameter family P_lambda is produced weight by weight through
+Gram-Schmidt in the m basis, against the pairing's Gram matrix <m_lam, m_mu>,
+which is formed once per table from the integer p/m transitions as an integer
+matrix over one scale.  Gram-Schmidt stays on integers: each finished P_mu is
+a row of integer numerators over one denominator, and Fractions are built only
+for the output tables; Q_lambda = P_lambda / norm is derived per row when it
+is asked for.  Each partition is projected onto every
 earlier partition of a linear extension of dominance, so unitriangularity is a
 checked consequence, not a premise.  Pieri coefficients come from the arm/leg
 products, independently of the orthogonalization; the two routes cross-check
@@ -32,8 +34,6 @@ from .partitions import (
     dominance_key,
     horizontal_strip,
     length,
-    make_partition,
-    multiplicity,
     partitions_of,
     weight,
     z_qt,
@@ -61,9 +61,9 @@ def _multiply_m_by_p(mrep: dict, r: int) -> dict:
             if v:
                 parts.remove(v)
             parts.append(v + r)
-            kappa = make_partition(sorted(parts, reverse=True))
-            mult = multiplicity(kappa, v + r)
-            out[kappa] = out.get(kappa, 0) + c * mult
+            parts.sort(reverse=True)
+            kappa = tuple(parts)
+            out[kappa] = out.get(kappa, 0) + c * parts.count(v + r)
     return {k: v for k, v in out.items() if v}
 
 
@@ -91,21 +91,21 @@ def p_to_m(n: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def m_to_p(n: int) -> dict:
-    """p-basis expansions of all m_lambda with |lambda| = n (rational coeffs).
+def _m_to_p_rows(n: int) -> dict:
+    """The p-basis rows of all m_lambda with |lambda| = n, each as integer
+    numerators over one denominator: {lam: ({nu: int}, den)}, with
+    gcd(den, numerators) = 1.
 
     p_lam = sum_{mu >= lam} a_{lam mu} m_mu is triangular in dominance, and
     partitions_of lists a linear extension of it from (n) down, so each
     m_lam = (p_lam - sum_{mu > lam} a_{lam mu} m_mu) / a_{lam lam} only needs
-    rows already solved.  Each solved row is kept as integer numerators over
-    one denominator: the subtraction runs over the lcm L of the denominators
-    it meets, the new row is divided once by gcd(L a_{lam lam}, row), and
-    Fractions are built only for the output.
+    rows already solved.  The subtraction runs over the lcm L of the
+    denominators it meets, and the new row is divided once by
+    gcd(L a_{lam lam}, row).
     """
     lams = partitions_of(n)
     p_rows = p_to_m(n)
-    solved: dict = {}  # mu -> (numerators {nu: int}, denominator)
-    out: dict = {}
+    solved: dict = {}
     for lam in lams:
         row = p_rows[lam]
         terms = [(a, *solved[mu]) for mu, a in row.items() if mu != lam]
@@ -118,23 +118,39 @@ def m_to_p(n: int) -> dict:
         den = L * row[lam]
         nums = {nu: acc[nu] for nu in lams if acc.get(nu)}
         h = gcd(den, *nums.values())
-        nums = {nu: c // h for nu, c in nums.items()}
-        solved[lam] = (nums, den // h)
-        out[lam] = {nu: Fraction(c, den // h) for nu, c in nums.items()}
-    return out
+        solved[lam] = ({nu: c // h for nu, c in nums.items()}, den // h)
+    return solved
+
+
+@lru_cache(maxsize=None)
+def m_to_p(n: int) -> dict:
+    """p-basis expansions of all m_lambda with |lambda| = n (rational coeffs):
+    the integer rows of ``_m_to_p_rows`` as Fractions."""
+    return {lam: {nu: Fraction(c, den) for nu, c in nums.items()}
+            for lam, (nums, den) in _m_to_p_rows(n).items()}
 
 
 def m_dict_to_p(f: dict) -> dict:
-    """Convert an m-basis map (possibly mixed weights) to the p basis."""
-    out: dict = {}
+    """Convert an m-basis map (possibly mixed weights) to the p basis.
+
+    The coefficients are ints or Fractions.  Each term c m_mu is c's
+    numerator times the integer row of m_mu over c's denominator times the
+    row's; the terms are summed over the lcm of those denominators, and one
+    Fraction is built per nonzero entry of the result.
+    """
+    terms = []
+    L = 1
     for mu, c in f.items():
-        for lam, a in m_to_p(weight(mu))[mu].items():
-            v = out.get(lam, 0) + c * a
-            if v:
-                out[lam] = v
-            else:
-                out.pop(lam, None)
-    return out
+        nums, den = _m_to_p_rows(weight(mu))[mu]
+        d = c.denominator * den
+        terms.append((c.numerator, d, nums))
+        L = lcm(L, d)
+    acc: dict = {}
+    for a, d, nums in terms:
+        k = a * (L // d)
+        for lam, c in nums.items():
+            acc[lam] = acc.get(lam, 0) + k * c
+    return {lam: Fraction(v, L) for lam, v in acc.items() if v}
 
 
 def p_dict_to_m(f: dict) -> dict:
@@ -171,13 +187,10 @@ def _lam_key(lam: tuple) -> str:
 def _table_to_disk(q, t, n, table) -> dict:
     from .scalars import format_rational
 
-    def pack(side):
-        return {_lam_key(lam): {_lam_key(mu): format_rational(c)
-                                for mu, c in mrep.items()}
-                for lam, mrep in table[side].items()}
-
     return {"q": format_rational(q), "t": format_rational(t), "weight": n,
-            "P": pack("P"), "Q": pack("Q"),
+            "P": {_lam_key(lam): {_lam_key(mu): format_rational(c)
+                                  for mu, c in mrep.items()}
+                  for lam, mrep in table["P"].items()},
             "norm": {_lam_key(lam): format_rational(v)
                      for lam, v in table["norm"].items()}}
 
@@ -185,9 +198,9 @@ def _table_to_disk(q, t, n, table) -> dict:
 def _table_from_disk(data, params) -> dict | None:
     """Unpack a stored table; None when it is malformed or for another point.
 
-    P, Q and norm must each key their entries by exactly the partitions of the
-    weight, and every coefficient must be keyed by one of them and written as
-    an integer or "num/den".
+    P and norm must each key their entries by exactly the partitions of the
+    weight, every coefficient must be keyed by one of them and written as an
+    integer or "num/den", and no norm may be zero.
     """
     if any(data.get(k) != v for k, v in params.items()):
         return None
@@ -197,38 +210,36 @@ def _table_from_disk(data, params) -> dict | None:
         num, slash, den = text.partition("/")
         return Fraction(int(num), int(den) if slash else 1)
 
-    def unpack(side):
-        return {lams[lk]: {lams[mk]: rational(c) for mk, c in mrep.items()}
-                for lk, mrep in data[side].items()}
-
     try:
-        if any(data[side].keys() != lams.keys() for side in ("P", "Q", "norm")):
+        if any(data[side].keys() != lams.keys() for side in ("P", "norm")):
             return None
-        return {"P": unpack("P"), "Q": unpack("Q"),
-                "norm": {lams[lk]: rational(v) for lk, v in data["norm"].items()}}
+        P = {lams[lk]: {lams[mk]: rational(c) for mk, c in mrep.items()}
+             for lk, mrep in data["P"].items()}
+        norm = {lams[lk]: rational(v) for lk, v in data["norm"].items()}
     except (KeyError, AttributeError, TypeError, ValueError, ZeroDivisionError):
         return None
+    return {"P": P, "norm": norm} if all(norm.values()) else None
 
 
 def _m_gram(q: Fraction, t: Fraction, n: int):
     """The m-basis Gram matrix at weight n as integers over one scale.
 
     Returns (lams, G, scale): lams is partitions_of(n) sorted by
-    dominance_key, and <m_lams[a], m_lams[b]> = G[a][b] / scale.  The m_to_p
-    rows are taken over their common denominator D and the z_qt values over
-    theirs, E, so scale = D^2 E.
+    dominance_key, and <m_lams[a], m_lams[b]> = G[a][b] / scale.  The integer
+    m_to_p rows are taken over their common denominator D and the z_qt values
+    over theirs, E, so scale = D^2 E.
     """
     if any(t**p == 1 for p in range(1, n + 1)):
         raise GramSingularError(f"the pairing divides by 1 - t^p = 0 at t={t}, weight {n}")
     lams = sorted(partitions_of(n), key=dominance_key)
     index = {lam: i for i, lam in enumerate(lams)}
-    rows = m_to_p(n)
+    rows = _m_to_p_rows(n)
     z = [z_qt(nu, q, t) for nu in lams]
-    D = lcm(*(c.denominator for row in rows.values() for c in row.values()))
+    D = lcm(*(den for _, den in rows.values()))
     E = lcm(*(v.denominator for v in z))
     Z = [v.numerator * (E // v.denominator) for v in z]
-    A = [[(index[nu], c.numerator * (D // c.denominator))
-          for nu, c in rows[lam].items()] for lam in lams]
+    A = [[(index[nu], c * (D // den)) for nu, c in nums.items()]
+         for nums, den in map(rows.get, lams)]
     AZ = [[0] * len(lams) for _ in lams]
     for azrow, row in zip(AZ, A):
         for k, a in row:
@@ -242,9 +253,10 @@ def _m_gram(q: Fraction, t: Fraction, n: int):
 
 
 def macdonald_table(q: Fraction, t: Fraction, n: int) -> dict:
-    """P and Q expansions for weight n at the point (q, t).
+    """P expansions and norms for weight n at the point (q, t).
 
-    Returns {"P": {lam: m-dict}, "Q": {lam: m-dict}, "norm": {lam: Fraction}}.
+    Returns {"P": {lam: m-dict}, "norm": {lam: <P_lam, P_lam>}}; Q_lam is
+    P_lam / norm_lam and is derived per row by ``macdonald_Q``.
     Gram-Schmidt runs over a linear extension of dominance order from the
     least dominant partition up, and projects each m_lam onto every earlier
     P_mu, whether or not lam dominates mu.  It runs on integers: the pairing
@@ -255,11 +267,12 @@ def macdonald_table(q: Fraction, t: Fraction, n: int) -> dict:
     multiple of P_mu's numerators to subtract is C_mu / (nn_mu den_mu), and
     the new row is one integer combination over the lcm L of those
     denominators, divided once by gcd(L, row).  Fractions are built only for
-    the output: P = num / den, Q = P / norm and norm = nn / (den scale).
+    the output: P = num / den and norm = nn / (den scale).
     Unitriangularity of the result is a theorem and is asserted by the test
     suite rather than forced here.  Tables are memoized per (q, t, weight)
-    and optionally persisted through the disk cache; a stored table that is
-    malformed or belongs to another point counts as a miss and is rebuilt.
+    and optionally persisted through the disk cache, which stores P and the
+    norms; a stored table that is malformed or belongs to another point
+    counts as a miss and is rebuilt.
     """
     from . import cache
     from .scalars import format_rational
@@ -276,7 +289,7 @@ def macdonald_table(q: Fraction, t: Fraction, n: int) -> dict:
         return table
     lams, gram, scale = _m_gram(q, t, n)
     done = []  # (support, numerators, den, nn) of each finished P_mu
-    table = {"P": {}, "Q": {}, "norm": {}}
+    table = {"P": {}, "norm": {}}
     for i, lam in enumerate(lams):
         g = gram[i]
         terms = []
@@ -306,8 +319,6 @@ def macdonald_table(q: Fraction, t: Fraction, n: int) -> dict:
             raise GramSingularError(f"vanishing norm at (q,t)=({q},{t}), weight {n}")
         done.append((support, nums, den, nn))
         table["P"][lam] = {lams[k]: Fraction(a, den) for k, a in zip(support, nums)}
-        table["Q"][lam] = {lams[k]: Fraction(a * scale, nn)
-                           for k, a in zip(support, nums)}
         table["norm"][lam] = Fraction(nn, den * scale)
     tables[n] = table
     if cache.cache_dir():  # store() writes nothing without one
@@ -320,9 +331,13 @@ def macdonald_P(lam: tuple, q: Fraction, t: Fraction) -> dict:
     return macdonald_table(q, t, weight(lam))["P"][lam]
 
 
+@per_point
 def macdonald_Q(lam: tuple, q: Fraction, t: Fraction) -> dict:
-    """Q_lambda in the m basis."""
-    return macdonald_table(q, t, weight(lam))["Q"][lam]
+    """Q_lambda = P_lambda / <P_lambda, P_lambda> in the m basis (Macdonald
+    VI (4.11)), built from the table's P row and norm on first use."""
+    table = macdonald_table(q, t, weight(lam))
+    norm = table["norm"][lam]
+    return {mu: c / norm for mu, c in table["P"][lam].items()}
 
 
 @per_point

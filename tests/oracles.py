@@ -2,12 +2,14 @@
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from permac.cylindric import box_level
 from permac.laurent import LaurentPoly
-from permac.macdonald import pieri
-from permac.partitions import (conjugate, contains, horizontal_strip, length,
-                               make_partition, part, partitions_up_to, weight)
+from permac.macdonald import m_to_p, pieri
+from permac.partitions import (conjugate, contains, dominance_key, horizontal_strip,
+                               length, make_partition, part, partitions_of,
+                               partitions_up_to, weight, z_qt)
 from permac.process import weight_W
 from permac.series import TruncSeries
 
@@ -167,3 +169,41 @@ def components_two_lists(profile, lams) -> list:
             "global": winding,
         })
     return comps
+
+
+def fraction_m_dict_to_p(f: dict) -> dict:
+    """m basis to p basis one Fraction product at a time over the rows of
+    m_to_p: the reference for the integer-row kernel of m_dict_to_p."""
+    out: dict = {}
+    for mu, c in f.items():
+        for lam, a in m_to_p(weight(mu))[mu].items():
+            v = out.get(lam, 0) + c * a
+            if v:
+                out[lam] = v
+            else:
+                out.pop(lam, None)
+    return out
+
+
+def fraction_m_gram(q, t, n: int):
+    """(lams, G, scale) of macdonald._m_gram read off the Fraction rows of
+    m_to_p: D is the lcm of their entries' denominators, E that of the
+    z_qt values, and scale = D^2 E."""
+    lams = sorted(partitions_of(n), key=dominance_key)
+    index = {lam: i for i, lam in enumerate(lams)}
+    rows = m_to_p(n)
+    z = [z_qt(nu, q, t) for nu in lams]
+    D = lcm(*(c.denominator for row in rows.values() for c in row.values()))
+    E = lcm(*(v.denominator for v in z))
+    Z = [v.numerator * (E // v.denominator) for v in z]
+    A = [[(index[nu], c.numerator * (D // c.denominator))
+          for nu, c in rows[lam].items()] for lam in lams]
+    AZ = [[0] * len(lams) for _ in lams]
+    for azrow, row in zip(AZ, A):
+        for k, a in row:
+            azrow[k] = a * Z[k]
+    G = [[0] * len(lams) for _ in lams]
+    for i, row in enumerate(A):
+        for j in range(i, len(lams)):
+            G[i][j] = G[j][i] = sum(a * AZ[j][k] for k, a in row)
+    return lams, G, D * D * E

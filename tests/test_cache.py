@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from permac import cache, macdonald
-from permac.scalars import format_rational
+from permac.scalars import format_rational, parse_rational
 
 Q, T = Fraction(5, 17), Fraction(4, 19)
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -41,18 +41,28 @@ def set_coefficient(text):
     return with_P(lambda P: {**P, "2,1": {**P["2,1"], "2,1": text}})
 
 
+def as_version_1(data):
+    """The same table in the version-1 format, which also stored Q = P / norm."""
+    norm = {k: parse_rational(v) for k, v in data["norm"].items()}
+    Q = {k: {m: format_rational(parse_rational(c) / norm[k]) for m, c in row.items()}
+         for k, row in data["P"].items()}
+    return {**data, "Q": Q, "version": 1}
+
+
 @pytest.mark.parametrize("damage", [
-    without("P"), without("Q"), without("norm"),
+    without("P"), without("norm"),
+    as_version_1,
     lambda data: {**data, "P": ["not", "a", "map"]},
     lambda data: [data],
     with_P(lambda P: {k: v for k, v in P.items() if k != "2,1"}),
     with_P(lambda P: {**P, "4": {"4": "1"}}),
     with_P(lambda P: {("1,2" if k == "2,1" else k): v for k, v in P.items()}),
     set_coefficient("1/0"), set_coefficient("x"), set_coefficient("1.5"),
+    lambda data: {**data, "norm": {**data["norm"], "2,1": "0"}},
     lambda data: b'\xff\xfe{"bad',
-], ids=["no-P", "no-Q", "no-norm", "P-not-a-map", "not-an-object",
+], ids=["no-P", "no-norm", "version-1-with-Q", "P-not-a-map", "not-an-object",
         "missing-row", "foreign-weight-key", "non-partition-key",
-        "zero-denominator", "not-a-number", "decimal", "not-utf-8"])
+        "zero-denominator", "not-a-number", "decimal", "zero-norm", "not-utf-8"])
 def test_malformed_payload_is_rebuilt(cold, fresh_memos, damage):
     expect = macdonald.macdonald_table(Q, T, 3)
     path = table_path(Q, T, 3)
@@ -62,6 +72,9 @@ def test_malformed_payload_is_rebuilt(cold, fresh_memos, damage):
     with open(path, "wb") as fh:
         fh.write(damaged if isinstance(damaged, bytes) else json.dumps(damaged).encode())
     assert reload(fresh_memos, Q, T, 3) == expect
+    # Q is derived from the P row and norm read back
+    assert macdonald.macdonald_Q((2, 1), Q, T) == {
+        mu: c / expect["norm"][(2, 1)] for mu, c in expect["P"][(2, 1)].items()}
     with open(path) as fh:
         assert json.load(fh) == data
 
@@ -93,7 +106,8 @@ def test_store_writes_through_a_private_temp_file(cold, fresh_memos):
 
 
 def test_stored_table_bytes_match_golden(cold):
-    # the disk format: weight 6 at (1/3, 2/7) as cache.store writes it
+    # the disk format: weight 6 at (1/3, 2/7) as cache.store writes it,
+    # P and norm only, version 2
     q, t = Fraction(1, 3), Fraction(2, 7)
     macdonald.macdonald_table(q, t, 6)
     with open(table_path(q, t, 6), "rb") as fh:
@@ -111,4 +125,4 @@ def test_table_without_cache_dir_builds_no_disk_payload(monkeypatch, fresh_memos
 
     monkeypatch.setattr(macdonald, "_table_to_disk", refuse)
     table = macdonald.macdonald_table(Q, T, 5)
-    assert len(table["P"]) == len(table["Q"]) == len(table["norm"]) == 7
+    assert len(table["P"]) == len(table["norm"]) == 7

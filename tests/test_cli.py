@@ -325,7 +325,8 @@ def test_out_flag_and_cache_dir(tmp_path):
     cached = list(cache_dir.glob("macdonald.pq-table.*.json"))
     assert cached, "expected a persisted coefficient table"
     payload = json.loads(cached[0].read_text())
-    assert payload["version"] == 1 and payload["weight"] == 3
+    assert payload["version"] == 2 and payload["weight"] == 3
+    assert "Q" not in payload
     # reset the global cache dir for other tests
     from permac import cache as cache_mod
     cache_mod.configure(None)

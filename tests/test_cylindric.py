@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from permac import cylindric
 from permac.cylindric import (
     CylindricProfile,
     components,
     cor_b2_check,
     cp_weight,
     enumerate_cp,
-    is_strict,
     lemma_b4_check,
-    local_component_count,
+    local_levels,
     macmahon_rhs,
     macmahon_verify,
     principal_p_envelope,
@@ -149,18 +149,30 @@ def test_A_at_minus_one_pointwise():
                     assert val == 0
                 else:
                     assert val == 2 ** len(comps)
-                if is_strict(p, lams):
-                    assert val == 2 ** local_component_count(p, lams)
 
 
 def test_strict_count_counterexample():
     p = CylindricProfile(2, {1})
     lams = ((1, 1), (1, 1, 1))
-    assert not is_strict(p, lams)
-    assert weight_A(p, lams, Fraction(-1)) == 2  # one local component, level 3
+    assert local_levels(p, lams) == [3]  # not strict: one local component, level 3
+    assert weight_A(p, lams, Fraction(-1)) == 2
     report = macmahon_verify(p, 5, Q0, T0)
     assert report["verified"]  # A(-1) sum matches the closed form
     assert report["checks"]["strict"]["count_form_matches"] is False
+
+
+def test_macmahon_verify_builds_each_component_graph_once(monkeypatch):
+    p = CylindricProfile(2, {1})
+    built = []
+
+    def counted(profile, lams):
+        built.append(lams)
+        return components(profile, lams)
+
+    monkeypatch.setattr(cylindric, "components", counted)
+    report = macmahon_verify(p, 5, Q0, T0)
+    assert report["verified"]
+    assert sorted(built) == sorted(enumerate_cp(p, 5))
 
 
 def test_macmahon_coefficient_example():

@@ -43,7 +43,7 @@ from permac.partitions import (
     weight,
     z_qt,
 )
-from oracles import skew_single_alpha
+from oracles import fraction_m_dict_to_p, fraction_m_gram, skew_single_alpha
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing
 
@@ -172,7 +172,7 @@ def test_unitriangularity_and_orthogonality():
             for lam in lams:
                 for mu in lams:
                     ip = inner_product(m_dict_to_p(table["P"][lam]),
-                                       m_dict_to_p(table["Q"][mu]), q, t)
+                                       m_dict_to_p(macdonald_Q(mu, q, t)), q, t)
                     assert ip == (1 if lam == mu else 0)
 
 
@@ -248,9 +248,48 @@ def test_table_equals_fraction_gram_schmidt(tmp_path, monkeypatch, fresh_memos, 
     for n in range(10):
         table = macdonald_table(q, t, n)
         expect = _fraction_gram_schmidt(q, t, n)
-        assert table == expect, n
-        assert all(type(c) is Fraction for side in ("P", "Q")
-                   for row in table[side].values() for c in row.values())
+        assert table == {"P": expect["P"], "norm": expect["norm"]}, n
+        got_Q = {lam: macdonald_Q(lam, q, t) for lam in partitions_of(n)}
+        assert got_Q == expect["Q"], n
+        assert all(type(c) is Fraction for side in (table["P"], got_Q)
+                   for row in side.values() for c in row.values())
+
+
+def test_m_dict_to_p_equals_fraction_reference():
+    cases = [
+        # mixed weights, int and Fraction coefficients
+        {(2, 1): Fraction(3, 4), (3,): 2, (1,): Fraction(-5, 7), (): 1,
+         (2, 2, 1): Fraction(11, 6)},
+        {(4,): -3, (1, 1, 1, 1): Fraction(1, 24), (3, 1): 0},
+        # 2 m_11 + m_2 = p_11: the p_2 terms cancel exactly
+        {(2,): 1, (1, 1): 2},
+        {(2,): Fraction(1, 3), (1, 1): Fraction(2, 3), (3,): 1},
+    ]
+    # p -> m -> p: every key but lam cancels
+    cases += [p_dict_to_m({lam: Fraction(7, 5)}) for lam in partitions_of(6)]
+    rng = random.Random(31)
+    for _ in range(20):
+        lams = rng.sample(partitions_up_to(7), 6)
+        cases.append({lam: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                      for lam in lams})
+    for f in cases:
+        got = m_dict_to_p(f)
+        assert got == fraction_m_dict_to_p(f), f
+        assert all(c and type(c) is Fraction for c in got.values())
+    assert m_dict_to_p({(2,): 1, (1, 1): 2}) == {(1, 1): 1}
+    assert m_dict_to_p({}) == {}
+
+
+@pytest.mark.parametrize("q, t", [(Fraction(1, 3), Fraction(2, 7)),
+                                  (Fraction(43, 97), Fraction(59, 89))])
+def test_integer_rows_equal_fraction_references(fresh_memos, q, t):
+    for n in range(10):
+        assert _m_gram(q, t, n) == fraction_m_gram(q, t, n), n
+        for lam in partitions_of(n):
+            for row in (macdonald_P(lam, q, t), macdonald_Q(lam, q, t)):
+                # same entries in the same order
+                assert list(m_dict_to_p(row).items()) == \
+                    list(fraction_m_dict_to_p(row).items())
 
 
 def test_integer_gram_equals_inner_product():

@@ -47,6 +47,8 @@ ITEM_3 = "shift-mixed processes beyond one step (ROADMAP item 3)"
 ITEM_4 = "shift-mixed Schur-limit correlations (ROADMAP item 4)"
 ACCESSOR = "an accessor that tests read"
 DEBUGGING = "a repr, for debugging and failure messages"
+FRACTION_ROWS = "the Fraction m -> p rows, read by tests and wrapped by perfbench's spans"
+ONE_WEIGHT = "weight A of one configuration, in tests; macmahon_verify shares the levels"
 IMPORT = "a decorator, run only at import, before the recorders are installed"
 
 UNREACHED = {
@@ -57,6 +59,8 @@ UNREACHED = {
     "plancherel.spot_check_float_entries": BENCHMARK,
     "plancherel.truncated_trace_float": BENCHMARK,
     "macdonald.p_dict_to_m": BENCHMARK,
+    "macdonald.m_to_p": FRACTION_ROWS,
+    "cylindric.weight_A": ONE_WEIGHT,
     "series.TruncSeries.log": BENCHMARK,
     "plancherel.dims": LEVEL_ORACLE,
     "plancherel._path_memo": LEVEL_ORACLE,

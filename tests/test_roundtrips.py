@@ -32,4 +32,5 @@ def test_table_from_disk_inverts_table_to_disk(q, t):
         table = macdonald_table(q, t, n)
         params = {"q": format_rational(q), "t": format_rational(t), "weight": n}
         stored = json.loads(json.dumps(_table_to_disk(q, t, n, table)))
+        assert stored.keys() == {"q", "t", "weight", "P", "norm"}
         assert _table_from_disk(stored, params) == table
