@@ -8,9 +8,9 @@ coefficients).  ``transfer_matrix`` multiplies the half-vertices as float
 matrices, for sampling.  The exact semigroup check ``semigroup_defect``
 (gamma formal, everything rational) groups the same path counts by weight
 level: path-sum blocks between levels, built bottom-up once per (q, t) and
-shared by every decay u, give each entry as a polynomial in gamma.  The
-top-down nu-sums of ``dims`` stay the oracle of both, read by the float spot
-check and by ``transfer_cycle_weight``.
+shared by every decay u, give each entry as a polynomial in gamma.  Integer
+rows of path sums, built top-down from each target partition, are the
+oracle of the float sandwich (the spot check) and of the level blocks.
 
 Finite-dimensional laws of the periodic process are cyclic products of
 transfer matrices; the sampler draws the state at time zero from the diagonal
@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
-from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 
 from . import macdonald
-from .partitions import add_one_box, contains, partitions_of, partitions_up_to, weight
-from .point import memo, per_point
+from .partitions import add_one_box, partitions_of, partitions_up_to, weight
+from .point import per_point
 from .series import SeriesRing, TruncSeries
 from .stream import random_rows
 
@@ -38,54 +37,52 @@ from .stream import random_rows
 # Young-graph path weights
 # ---------------------------------------------------------------------------
 
-def _path_memo(kind: str, q: Fraction, t: Fraction) -> tuple:
-    """(sums, up, side) for one kind of path sum at (q, t).
+@per_point
+def _down_edges(w: int, q: Fraction, t: Fraction) -> list:
+    """Per side, (scale, down): down[nu] holds (mu, c) for each mu that is nu
+    of weight w less one box, with Pieri edge weight c / scale.  Kept apart
+    from the level blocks it checks."""
+    edges = {nu: [(mu, macdonald.pieri(nu, mu, q, t)) for i, p in enumerate(nu)
+                  if i + 1 == len(nu) or p > nu[i + 1]
+                  for mu in [nu[:i] + (p - 1,) + nu[i + 1:] if p > 1 else nu[:i]]]
+             for nu in partitions_of(w)}
+    out = []
+    for side in (0, 1):
+        scale = lcm(*(c[side].denominator for es in edges.values() for _, c in es))
+        out.append((scale, {nu: [(mu, c[side].numerator * (scale // c[side].denominator))
+                                 for mu, c in es] for nu, es in edges.items()}))
+    return out
 
-    sums maps (mu, lam) to the path sum and up maps mu to its covers with
-    their edge weights macdonald.pieri(nu, mu, q, t)[side]: psi (side 0) for
-    "dim", phi (side 1) for "dim'".  Both are memos of the point's store,
-    fetched once per entry point, so a probe hashes partitions only.
-    """
-    return (memo(q, t, f"plancherel.{kind} sums"),
-            memo(q, t, f"plancherel.{kind} up"), 0 if kind == "dim" else 1)
 
-
-def _path_sum(path_memo: tuple, mu: tuple, lam: tuple, q: Fraction,
-              t: Fraction) -> Fraction:
-    sums, up, side = path_memo
-    val = sums.get((mu, lam))
-    if val is None:
-        if mu == lam:
-            val = Fraction(1)
-        elif not contains(lam, mu) or weight(mu) >= weight(lam):
-            val = Fraction(0)
-        else:
-            covers = up.get(mu)
-            if covers is None:
-                covers = up[mu] = [(nu, macdonald.pieri(nu, mu, q, t)[side])
-                                   for nu in add_one_box(mu)]
-            val = Fraction(0)
-            for nu, c in covers:
-                if contains(lam, nu):
-                    val += c * _path_sum(path_memo, nu, lam, q, t)
-        sums[mu, lam] = val
-    return val
+@per_point
+def _top_rows(side: int, lam: tuple, q: Fraction, t: Fraction) -> list:
+    """[(den, nums)] for k = 0..|lam|: nums[a] / den is the path sum, psi
+    for side 0 and phi for side 1, from partitions_of(k)[a] up to lam,
+    summed down from lam."""
+    den, level, out = 1, {lam: 1}, []
+    for k in range(weight(lam), -1, -1):
+        out.append((den, [level.get(nu, 0) for nu in partitions_of(k)]))
+        if k:
+            scale, down = _down_edges(k, q, t)[side]
+            below = {}
+            for nu, x in level.items():
+                for mu, c in down[nu]:
+                    below[mu] = below.get(mu, 0) + c * x
+            h = gcd(den * scale, *below.values())
+            den, level = den * scale // h, {mu: x // h for mu, x in below.items()}
+    return out[::-1]
 
 
 def dims(kind: str, mu: tuple, lam: tuple, q: Fraction, t: Fraction) -> Fraction:
-    """Path sums in the Young graph: psi products ("dim"), phi ("dim'").
-
-    Summed top-down over the boxes added to mu, memoised by partition pair
-    in one table per (kind, q, t).
-    """
+    """Path sums in the Young graph: psi products ("dim"), phi ("dim'"),
+    read from the top-down rows of lam."""
     if kind not in ("dim", "dim'"):
         raise ValueError("kind must be 'dim' or \"dim'\"")
-    return _path_sum(_path_memo(kind, q, t), mu, lam, q, t)
-
-
-# ---------------------------------------------------------------------------
-# Transfer matrices
-# ---------------------------------------------------------------------------
+    w = weight(mu)
+    if w > weight(lam):
+        return Fraction(0)
+    den, nums = _top_rows(int(kind == "dim'"), lam, q, t)[w]
+    return Fraction(nums[partitions_of(w).index(mu)], den)
 
 
 def _entry_power_coeffs(lam: tuple, mu: tuple, u: Fraction, q: Fraction,
@@ -94,26 +91,17 @@ def _entry_power_coeffs(lam: tuple, mu: tuple, u: Fraction, q: Fraction,
 
     c_k collects u^{|nu|} dim(nu->lam) dim'(nu->mu) / (dl! dm!) over common
     sub-partitions nu with dl + dm = k; xi = gamma (1 - u) is the Plancherel
-    parameter.  This nu-sum over top-down path sums is the oracle of the
-    level blocks below.
+    parameter.  One integer dot product per |nu|.
     """
-    psi, phi = _path_memo("dim", q, t), _path_memo("dim'", q, t)
-    out: dict = {}
     wl, wm = weight(lam), weight(mu)
-    meet = tuple(map(min, lam, mu))  # nu lies in lam and mu iff it lies in meet
-    for nu in partitions_up_to(weight(meet)):
-        if not contains(meet, nu):
-            continue
-        dl = wl - weight(nu)
-        dm = wm - weight(nu)
-        dim_p = _path_sum(psi, nu, lam, q, t)
-        dim_q = _path_sum(phi, nu, mu, q, t)
-        if not dim_p or not dim_q:
-            continue
-        coef = dim_p * dim_q / Fraction(math.factorial(dl) * math.factorial(dm))
-        coef *= u ** weight(nu)
-        k = dl + dm
-        out[k] = out.get(k, Fraction(0)) + coef
+    out = {}
+    for n, ((dl, pl), (dm, pm)) in enumerate(zip(_top_rows(0, lam, q, t),
+                                                  _top_rows(1, mu, q, t))):
+        dot = sum(map(mul, pl, pm))
+        if dot:
+            out[wl + wm - 2 * n] = Fraction(
+                dot * u.numerator**n, dl * dm * math.factorial(wl - n)
+                * math.factorial(wm - n) * u.denominator**n)
     return out
 
 
@@ -260,8 +248,7 @@ def _series(coeffs: list, pows: list, ring: SeriesRing) -> TruncSeries:
 # Half-vertices in floats: X = exp(xi U) and Y = exp(xi U'), with U and U'
 # the one-box Pieri up-matrices, give
 #     T(u) = e^{c gamma^2 (u-1)} X u^D Y^T,   xi = gamma (1 - u).
-# The exact check multiplies the exact path blocks above instead; the spot
-# check below reads the oracle's nu-sums.
+# The exact check multiplies the exact path blocks above instead.
 # ---------------------------------------------------------------------------
 
 MAX_DEPTH = 20  # 2714 states; each dense float matrix then takes about 59 MB
@@ -341,15 +328,21 @@ def transfer_matrix(gamma, u, depth: int, q: Fraction, t: Fraction,
                     mode: str = "float") -> TransferMatrix:
     """Truncated transfer matrix over all partitions of weight <= depth.
 
-    Multiplies the half-vertex sandwich in doubles with numpy.  ``mode``
-    accepts only "float"; exact entries are built from the level path
-    blocks, see ``semigroup_defect``.
+    Multiplies the half-vertex sandwich in doubles with numpy; an entry that
+    overflows is a ValueError.  ``mode`` accepts only "float"; exact entries
+    are built from the level path blocks, see ``semigroup_defect``.
     """
+    import numpy as np
+
     if mode != "float":
         raise ValueError("transfer_matrix is float only")
     pref, x, decay, y = _sandwich(float(gamma), float(u), depth, q, t)
-    return TransferMatrix(partitions_up_to(depth), pref * ((x * decay) @ y.T),
-                          gamma, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = pref * ((x * decay) @ y.T)
+    if not np.isfinite(entries).all():
+        raise ValueError(f"gamma = {float(gamma):g} overflows a double in the "
+                         f"transfer matrix at depth {depth}")
+    return TransferMatrix(partitions_up_to(depth), entries, gamma, u)
 
 
 def spot_check_float_entries(tm: TransferMatrix, q: Fraction, t: Fraction,
@@ -358,9 +351,8 @@ def spot_check_float_entries(tm: TransferMatrix, q: Fraction, t: Fraction,
 
     Checks ``frac`` n^2 entries drawn with ``rng``, or every entry once
     ``frac`` >= 1.  The exact side is sum_k c_k xi^k with the c_k of
-    ``_entry_power_coeffs``, nu-sums over Young-graph path sums, not the
-    half-vertex sandwich.  Returns the number of checked entries; raises on
-    disagreement beyond tol.
+    ``_entry_power_coeffs``, not the half-vertex sandwich.  Returns the
+    number of checked entries; raises on disagreement beyond tol.
     """
     states = tm.states
     n = len(states)
@@ -372,13 +364,17 @@ def spot_check_float_entries(tm: TransferMatrix, q: Fraction, t: Fraction,
     gf = Fraction(tm.gamma).limit_denominator(10**6)
     uf = Fraction(tm.u).limit_denominator(10**6)
     xi = gf * (1 - uf)
+    xis = [(xi.numerator**k, xi.denominator**k)
+           for k in range(2 * weight(states[-1]) + 1)]
     c = float((1 - t) / (1 - q))
     pref = math.exp(c * float(gf) * float(gf) * (float(uf) - 1.0))
     for i, j in pairs:
         lam, mu = states[i], states[j]
-        coeffs = _entry_power_coeffs(lam, mu, uf, q, t)
-        acc = sum((c * xi**k for k, c in coeffs.items()), Fraction(0))
-        expect = pref * float(acc)
+        num, den = 0, 1  # sum_k c_k xi^k, exact
+        for k, ck in _entry_power_coeffs(lam, mu, uf, q, t).items():
+            a, b = ck.numerator * xis[k][0], ck.denominator * xis[k][1]
+            num, den = num * b + a * den, den * b
+        expect = pref * float(Fraction(num, den))
         got = tm.entries[i, j]
         if abs(got - expect) > tol * max(1.0, abs(expect)):
             raise AssertionError(f"float entry check failed at {lam},{mu}")
@@ -481,16 +477,9 @@ class TrajectorySpec:
         self.count = count
 
 
-def _cdf(probs) -> array:
-    """Left-to-right cumulative sums of ``probs``, the table _inverse_cdf reads."""
-    import numpy as np
-
-    return array("d", np.cumsum(probs).tobytes())
-
-
-def _inverse_cdf(cum: array, x: float) -> int:
-    """First index i with x < cum[i], strictly, or the last index if none."""
-    return min(bisect_right(cum, x), len(cum) - 1)
+def _inverse_cdf(cum, xs):
+    """For each x, the first i with x < cum[i], strictly, else the last i."""
+    return cum.searchsorted(xs, side="right").clip(max=len(cum) - 1)
 
 
 def gap_matrices(spec: TrajectorySpec, q: Fraction, t: Fraction) -> list:
@@ -517,77 +506,72 @@ def dropped_mass(mats, beta: float) -> float:
     return 1.0 - float(cycle.trace()) * euler
 
 
+def _draw_blocks(spec: TrajectorySpec, q: Fraction, t: Fraction, mats):
+    """Yield the (samples x times) state indices of each stream block."""
+    import numpy as np
+
+    if any((m < 0).any() for m in mats):
+        raise ValueError(f"negative transfer weight at (q, t) = ({q}, {t}): "
+                         "the trajectory law is not a probability measure")
+    n = len(mats[0])
+    # suffix[i] = M_i M_{i+1} ... M_{last}
+    suffix = list(accumulate(mats[::-1], lambda acc, m: m @ acc))[::-1]
+    diag = suffix[0].diagonal()
+    total = diag.sum()
+    if total < MIN_CYCLE_MASS:
+        raise ValueError("truncated cycle mass is degenerate; raise depth")
+    cum0 = np.cumsum(diag / total)
+    rows = {}  # (step, prev * n + i0) -> cumulative conditional row
+    block = max(1, STREAM_BLOCK // len(spec.times))  # samples per block
+    for start in range(0, spec.count, block):
+        xs = random_rows(spec.seed * 1_000_003 + start,
+                         min(block, spec.count - start), len(spec.times))
+        idx = np.empty(xs.shape, int)
+        idx[:, 0] = _inverse_cdf(cum0, xs[:, 0])
+        for step in range(1, len(spec.times)):
+            keys, group, sizes = np.unique(idx[:, step - 1] * n + idx[:, 0],
+                                           return_inverse=True, return_counts=True)
+            members = np.split(np.argsort(group), np.cumsum(sizes)[:-1])
+            for key, at in zip(keys.tolist(), members):
+                cum = rows.get((step, key))
+                if cum is None:
+                    prev, i0 = divmod(key, n)
+                    w = mats[step - 1][prev, :] * suffix[step][:, i0]
+                    s = w.sum()
+                    if s <= 0:
+                        raise ValueError("conditional mass vanished; raise depth")
+                    cum = np.cumsum(w / s)
+                    if len(rows) < MEMO_BYTES // (8 * n):
+                        rows[step, key] = cum
+                idx[at, step] = _inverse_cdf(cum, xs[at, step])
+        yield idx
+
+
 def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction, mats=None):
     """Yield sampled trajectories [(time, partition), ...] for spec.count runs.
 
-    The cyclic law is proportional to prod_i M_i[lam^i, lam^{i+1}] with
-    lam^{n+1} = lam^0 and M_i the transfer matrix over the gap to the next
-    time (wrapping to beta); ``mats`` passes in ``gap_matrices(spec, q, t)``
-    when the caller has them.  The first state is drawn from the diagonal of
-    the full cycle product, later ones from conditional rows times suffix
-    products.
+    The law is proportional to prod_i M_i[lam^i, lam^{i+1}], lam^{n+1} =
+    lam^0, with M_i = ``gap_matrices(spec, q, t)``[i] (or ``mats``[i]).
 
     Stream contract: one MT19937 generator is reseeded to
     seed * 1000003 + k before sample k, and each state takes one
     ``random()`` value x by inverse CDF: the first index i with x < c_i,
     strictly, where c is the left-to-right cumulative sum of the normalised
     row (the last index when x is not below any c_i).  The stream is drawn
-    in numpy for ``STREAM_BLOCK`` // len(times) samples at a time, and the
-    first states of such a block in one search of the diagonal's sums.  A
-    conditional row depends only on (step, previous state, first state), so
-    its cumulative sums are built once per call, up to ``MEMO_BYTES`` of
-    them, and looked up by bisection.  The (time, state) pairs of a
-    trajectory are shared by every trajectory of the call.
+    in numpy, ``STREAM_BLOCK`` // len(times) samples at a time.  A row
+    depends only on (step, previous state, first state): its sums are built
+    once per call, up to ``MEMO_BYTES`` of them, and searched once per block
+    step for all its draws.
 
-    A negative entry in any gap matrix, which only algebraic points outside
-    (0, 1)^2 produce, is a ValueError: the weights then define no law.
+    A negative gap-matrix entry (only algebraic points outside (0, 1)^2 give
+    one) is a ValueError: the weights then define no law.
     """
-    import numpy as np
-
     if mats is None:
         mats = gap_matrices(spec, q, t)
-    if any((m < 0).any() for m in mats):
-        raise ValueError(f"negative transfer weight at (q, t) = ({q}, {t}): "
-                         "the trajectory law is not a probability measure")
-    states = partitions_up_to(spec.depth)
-    # suffix[i] = M_i M_{i+1} ... M_{last}
-    suffix = [None] * len(mats)
-    acc = None
-    for i in range(len(mats) - 1, -1, -1):
-        acc = mats[i] if acc is None else mats[i] @ acc
-        suffix[i] = acc
-    cycle = suffix[0]
-    diag = cycle.diagonal()
-    total = diag.sum()
-    if total < MIN_CYCLE_MASS:
-        raise ValueError("truncated cycle mass is degenerate; raise depth")
-    cum0 = np.cumsum(diag / total)  # the sums _cdf makes
-    pairs = [[(b, lam) for lam in states] for b in spec.times]
-    rows = {}  # (step, prev, i0) -> cumulative conditional row
-    max_rows = MEMO_BYTES // (8 * len(states))
-
-    block = max(1, STREAM_BLOCK // len(spec.times))  # samples per block
-    for start in range(0, spec.count, block):
-        xs = random_rows(spec.seed * 1_000_003 + start,
-                         min(block, spec.count - start), len(spec.times))
-        firsts = np.minimum(np.searchsorted(cum0, xs[:, 0], side="right"), len(states) - 1)
-        later = xs[:, 1:].T.tolist()  # later[step - 1][sample]
-        for k, i0 in enumerate(firsts.tolist()):
-            out = [pairs[0][i0]]
-            prev = i0
-            for step, col in enumerate(later, 1):
-                cum = rows.get((step, prev, i0))
-                if cum is None:
-                    w = mats[step - 1][prev, :] * suffix[step][:, i0]
-                    s = w.sum()
-                    if s <= 0:
-                        raise ValueError("conditional mass vanished; raise depth")
-                    cum = _cdf(w / s)
-                    if len(rows) < max_rows:
-                        rows[step, prev, i0] = cum
-                prev = _inverse_cdf(cum, col[k])
-                out.append(pairs[step][prev])
-            yield out
+    pairs = [[(b, lam) for lam in partitions_up_to(spec.depth)] for b in spec.times]
+    for idx in _draw_blocks(spec, q, t, mats):
+        cols = [list(map(p.__getitem__, col)) for p, col in zip(pairs, idx.T.tolist())]
+        yield from map(list, zip(*cols))
 
 
 def truncated_trace_float(gamma: float, u: float, depth: int,
@@ -657,17 +641,18 @@ def marginal_chi_square(gamma: float, beta: float, depth: int, q: Fraction,
     bin before the chi-square statistic is formed; fewer than two bins is a
     ValueError.
     """
+    import numpy as np
+
     spec = TrajectorySpec(beta, gamma, [0.0], depth, seed, samples)
     mats = gap_matrices(spec, q, t)
     states = partitions_up_to(depth)
-    counts = {lam: 0 for lam in states}
-    for traj in sample_trajectories(spec, q, t, mats=mats):
-        counts[traj[0][1]] += 1
+    observed = sum((np.bincount(idx[:, 0], minlength=len(states))
+                    for idx in _draw_blocks(spec, q, t, mats)),
+                   np.zeros(len(states), int)).tolist()
     # read after sampling, which raises first when this mass is degenerate
     diag = mats[0].diagonal()
     probs = diag / diag.sum()
     expected = [p * samples for p in probs]
-    observed = [counts[lam] for lam in states]
     main = [(o, e) for o, e in zip(observed, expected) if e >= MIN_EXPECTED]
     tail_o = sum(o for o, e in zip(observed, expected) if e < MIN_EXPECTED)
     tail_e = sum(e for o, e in zip(observed, expected) if e < MIN_EXPECTED)

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from oracles import marginal_weight, remove_one_box
 from permac import cli, macdonald, plancherel
-from permac.partitions import partitions_of, partitions_up_to, weight
+from permac.partitions import add_one_box, contains, partitions_of, partitions_up_to, weight
 from permac.plancherel import (
     MAX_DEPTH,
     MIN_CYCLE_MASS,
     TrajectorySpec,
-    _cdf,
     _entry_power_coeffs,
     _gamma_powers,
     _inverse_cdf,
@@ -38,6 +37,7 @@ from permac.plancherel import (
     transfer_matrix,
     truncated_trace_float,
 )
+from permac.point import memo
 from permac.process import time_grid_process
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing
@@ -71,6 +71,91 @@ def test_dims_schur_point_counts_tableaux():
                 den, rows = _level_block(side, w, 0, q, q)
                 assert [Fraction(row[0], den) for row in rows] == \
                     [syt_count(lam) for lam in partitions_of(w)]
+
+
+# The pairwise Fraction recursion that dims and _entry_power_coeffs ran
+# before the top-down integer rows, kept verbatim as their oracle.
+
+def _path_memo(kind: str, q: Fraction, t: Fraction) -> tuple:
+    """(sums, up, side) for one kind of path sum at (q, t).
+
+    sums maps (mu, lam) to the path sum and up maps mu to its covers with
+    their edge weights macdonald.pieri(nu, mu, q, t)[side]: psi (side 0) for
+    "dim", phi (side 1) for "dim'".  Both are memos of the point's store,
+    fetched once per entry point, so a probe hashes partitions only.
+    """
+    return (memo(q, t, f"plancherel.{kind} sums"),
+            memo(q, t, f"plancherel.{kind} up"), 0 if kind == "dim" else 1)
+
+
+def _path_sum(path_memo: tuple, mu: tuple, lam: tuple, q: Fraction,
+              t: Fraction) -> Fraction:
+    sums, up, side = path_memo
+    val = sums.get((mu, lam))
+    if val is None:
+        if mu == lam:
+            val = Fraction(1)
+        elif not contains(lam, mu) or weight(mu) >= weight(lam):
+            val = Fraction(0)
+        else:
+            covers = up.get(mu)
+            if covers is None:
+                covers = up[mu] = [(nu, macdonald.pieri(nu, mu, q, t)[side])
+                                   for nu in add_one_box(mu)]
+            val = Fraction(0)
+            for nu, c in covers:
+                if contains(lam, nu):
+                    val += c * _path_sum(path_memo, nu, lam, q, t)
+        sums[mu, lam] = val
+    return val
+
+
+def _oracle_entry_power_coeffs(lam: tuple, mu: tuple, u: Fraction, q: Fraction,
+                                t: Fraction) -> dict:
+    """_entry_power_coeffs as a nu-sum of products of pairwise path sums."""
+    psi, phi = _path_memo("dim", q, t), _path_memo("dim'", q, t)
+    out: dict = {}
+    wl, wm = weight(lam), weight(mu)
+    meet = tuple(map(min, lam, mu))  # nu lies in lam and mu iff it lies in meet
+    for nu in partitions_up_to(weight(meet)):
+        if not contains(meet, nu):
+            continue
+        dl = wl - weight(nu)
+        dm = wm - weight(nu)
+        dim_p = _path_sum(psi, nu, lam, q, t)
+        dim_q = _path_sum(phi, nu, mu, q, t)
+        if not dim_p or not dim_q:
+            continue
+        coef = dim_p * dim_q / Fraction(math.factorial(dl) * math.factorial(dm))
+        coef *= u ** weight(nu)
+        k = dl + dm
+        out[k] = out.get(k, Fraction(0)) + coef
+    return out
+
+
+ORACLE_POINTS = [(Q0, T0), (Fraction(43, 97), Fraction(59, 89)),
+                 (Fraction(2, 7), Fraction(2, 7))]
+
+
+@pytest.mark.parametrize("q, t", ORACLE_POINTS, ids=["1/3,1/5", "43/97,59/89", "q=t"])
+def test_dims_equal_the_pairwise_recursion(q, t):
+    states = partitions_up_to(7)
+    for kind in ("dim", "dim'"):
+        path_memo = _path_memo(kind, q, t)
+        for lam in states:
+            for mu in states:
+                assert dims(kind, mu, lam, q, t) == _path_sum(path_memo, mu, lam, q, t), \
+                    (kind, mu, lam)
+
+
+@pytest.mark.parametrize("q, t", ORACLE_POINTS, ids=["1/3,1/5", "43/97,59/89", "q=t"])
+def test_entry_power_coeffs_equal_the_pairwise_recursion(q, t):
+    states = partitions_up_to(7)
+    for u in (Fraction(3, 7), Fraction(0)):
+        for lam in states:
+            for mu in states:
+                assert _entry_power_coeffs(lam, mu, u, q, t) == \
+                    _oracle_entry_power_coeffs(lam, mu, u, q, t), (lam, mu, u)
 
 
 def _exact_entries(u, q, t, ring, rows, cols):
@@ -210,6 +295,28 @@ def test_float_depth_is_bounded():
         TrajectorySpec(1.0, 0.8, [0.0], MAX_DEPTH + 1, seed=1, count=1)
     with pytest.raises(ValueError):
         truncated_trace_float(0.8, 0.5, MAX_DEPTH + 1, Q0, T0)
+
+
+OVERFLOW = ["--gamma", "1.6e14", "--beta", "1.0", "--depth", "12", "--q", "1/2",
+            "--t", "1/3"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_transfer_matrix_refuses_non_finite_entries():
+    # xi^12 / 12! stays finite, but X diag(u^|nu|) Y^T overflows and the
+    # prefactor underflows to 0, so entries would be 0 * inf = nan
+    with pytest.raises(ValueError, match=r"gamma = 1\.6e\+14 .* at depth 12"):
+        transfer_matrix(1.6e14, math.exp(-1.0), 12, Fraction(1, 2), Fraction(1, 3))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("times", ["0.0", "0.0,0.5"], ids=["1-time", "2-time"])
+def test_sample_with_overflowing_transfer_matrix_exits_2(capsys, times):
+    argv = ["plancherel", "sample", "--times", times, "--count", "2", *OVERFLOW]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: gamma = 1.6e+14 ") and err.count("\n") == 1
 
 
 def test_semigroup_exact_small():
@@ -452,21 +559,21 @@ def _probability_vectors(rng):
 
 
 def test_inverse_cdf_matches_linear_scan():
+    # the sampler's rule: the row's cumulative sums searched for a whole
+    # group of draws at once
     rng = random.Random(20261018)
     fell_through = 0
     for p in _probability_vectors(rng):
-        cum = _cdf(p)
+        cum = np.cumsum(p)
         # uniform draws, every cumulative value exactly, its neighbours, and
         # the ends of [0, 1)
         xs = [rng.random() for _ in range(50)] + [0.0, math.nextafter(1.0, 0.0)]
-        for c in cum:
+        for c in cum.tolist():
             xs += [c, math.nextafter(c, 0.0), math.nextafter(c, 2.0)]
-        for x in xs:
-            if not 0.0 <= x < 1.0:
-                continue
-            want = _draw(_Fixed(x), p)
-            assert _inverse_cdf(cum, x) == want, (list(p), x)
-            fell_through += x >= cum[-1]
+        xs = [x for x in xs if 0.0 <= x < 1.0]
+        want = [_draw(_Fixed(x), p) for x in xs]
+        assert _inverse_cdf(cum, np.array(xs)).tolist() == want, list(p)
+        fell_through += sum(x >= cum[-1] for x in xs)
     assert fell_through > 0
 
 
@@ -506,6 +613,47 @@ def test_sampler_stream_equals_oracle_across_blocks(monkeypatch, times, seed):
     mats = gap_matrices(spec, q, t)
     got = list(sample_trajectories(spec, q, t, mats=mats))
     assert got == list(_oracle_sample_trajectories(spec, q, t, mats=mats))
+
+
+def test_sampler_stream_equals_oracle_with_many_rows_per_block(monkeypatch):
+    # blocks of 400 three-time samples at depth 8 (the last one 300): each
+    # step of a block searches dozens of distinct conditional rows, each for
+    # a group of draws
+    monkeypatch.setattr(plancherel, "STREAM_BLOCK", 3 * 400)
+    q, t = Fraction(43, 97), Fraction(59, 89)
+    spec = TrajectorySpec(1.0, 0.85, [0.0, 0.3, 0.6], 8, seed=2026, count=1500)
+    mats = gap_matrices(spec, q, t)
+    got = list(sample_trajectories(spec, q, t, mats=mats))
+    assert got == list(_oracle_sample_trajectories(spec, q, t, mats=mats))
+    for start in range(0, spec.count, 400):
+        block = got[start:start + 400]
+        assert len({traj[0][1] for traj in block}) > 20
+        assert len({(traj[1][1], traj[0][1]) for traj in block}) > 40
+
+
+def test_marginal_chi_square_report_is_pinned():
+    # the report of the per-sample sampler this one replaced, float for float
+    report = marginal_chi_square(0.9, 1.0, 6, Fraction(1, 2), Fraction(2, 7),
+                                 samples=20000, seed=2026)
+    assert report == {
+        "statistic": 28.622628425982217, "dof": 29, "p_value": 0.48484191980549707,
+        "bins": 30, "samples": 20000, "marginals": [
+            {"partition": [], "expected": 0.2579899113563563,
+             "observed_frequency": 0.2583},
+            {"partition": [1], "expected": 0.21419520013164417,
+             "observed_frequency": 0.21165},
+            {"partition": [2], "expected": 0.1070043270462862,
+             "observed_frequency": 0.10865},
+            {"partition": [1, 1], "expected": 0.07816865131801215,
+             "observed_frequency": 0.0771},
+            {"partition": [2, 1], "expected": 0.06604808047083505,
+             "observed_frequency": 0.0652},
+            {"partition": [3], "expected": 0.044303762800542414,
+             "observed_frequency": 0.04255},
+            {"partition": [3, 1], "expected": 0.03287688377085608,
+             "observed_frequency": 0.03315},
+            {"partition": [1, 1, 1], "expected": 0.027441479426946212,
+             "observed_frequency": 0.03005}]}
 
 
 def test_trajectory_spec_needs_an_int_seed():

@@ -63,8 +63,8 @@ UNREACHED = {
     "cylindric.weight_A": ONE_WEIGHT,
     "series.TruncSeries.log": BENCHMARK,
     "plancherel.dims": LEVEL_ORACLE,
-    "plancherel._path_memo": LEVEL_ORACLE,
-    "plancherel._path_sum": LEVEL_ORACLE,
+    "plancherel._down_edges": LEVEL_ORACLE,
+    "plancherel._top_rows": LEVEL_ORACLE,
     "plancherel._entry_power_coeffs": LEVEL_ORACLE,
     "plancherel._series": MISMATCH,
     "stream._twist": LONG_GRID,
