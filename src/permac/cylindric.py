@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import macdonald
 from .laurent import LaurentPoly, laurent_log
-from .macdonald import Specialization, observable, skew_eval
+from .macdonald import Specialization, combine, observable, skew_eval
 from .partitions import (
     conjugate,
     contains,
@@ -401,8 +401,12 @@ def principal_p_laurent(zvars, ring: SeriesRing, nu: tuple, variant: str,
 
 
 def vertex_skew_sum(lam: tuple, mu: tuple, p_first, p_second, q, t, unit):
-    """sum_eta P_{lam/eta}(first) Q_{mu/eta}(second)."""
-    acc = None
+    """sum_eta P_{lam/eta}(first) Q_{mu/eta}(second), summed in one pass.
+
+    ``p_first`` and ``p_second`` are Specializations, whose memoised
+    products p_nu serve every eta and every call, or bare p-value callables.
+    """
+    terms = []
     for eta in partitions_up_to(min(weight(lam), weight(mu))):
         if not (contains(lam, eta) and contains(mu, eta)):
             continue
@@ -412,11 +416,8 @@ def vertex_skew_sum(lam: tuple, mu: tuple, p_first, p_second, q, t, unit):
         qv = skew_eval("Q", mu, eta, p_second, q, t, unit=unit)
         if not qv:
             continue
-        term = pv * qv
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return unit * 0
-    return acc
+        terms.append((1, pv * qv))
+    return combine(unit, terms)
 
 
 def cor_b2_check(grade: int, q: Fraction, t: Fraction) -> dict:
@@ -429,8 +430,8 @@ def cor_b2_check(grade: int, q: Fraction, t: Fraction) -> dict:
     (t x; q, x, y)/(x; q, x, y).
     """
     ring = SeriesRing(["u", "x", "y"], grade)
-    p_first = principal_p_trunc(ring, "yr_nxu")
-    p_second = principal_p_trunc(ring, "xr_ynu")
+    p_first = Specialization("principal", principal_p_trunc(ring, "yr_nxu"), 1)
+    p_second = Specialization("principal", principal_p_trunc(ring, "xr_ynu"), 1)
     lhs = ring.zero()
     for lam in partitions_up_to(grade):
         term = vertex_skew_sum(lam, lam, p_first, p_second, q, t, ring.one())
@@ -659,16 +660,16 @@ def thm_b1_check(nu: tuple, u_cutoff: int, window: int, q: Fraction,
     # the plain kernel's 1/(1-u^n) does not cut n off at u_cutoff, so its
     # p-values reach as far past the window as the wider of the two needs
     build = window + max(u_cutoff, window) * max(part(nu, 1), length(nu), 1) + 2
-    p_first = principal_p_laurent(zvars, ring, nu, "yr_nxu", build)
-    p_second = principal_p_laurent(zvars, ring, nu, "xr_ynu", build)
+    p_first, p_second = (
+        Specialization("principal", principal_p_laurent(zvars, ring, nu, variant, build), 1)
+        for variant in ("yr_nxu", "xr_ynu"))
     one = LaurentPoly.constant(zvars, ring.one())
     lhs = LaurentPoly(zvars, ring, {})
     for lam in partitions_up_to(u_cutoff):
         term = vertex_skew_sum(lam, lam, p_first, p_second, q, t, one)
         if not term:
             continue
-        lhs = lhs + term.map_coeffs(
-            lambda c: c * ring.monomial(Fraction(1), u=weight(lam)))
+        lhs = lhs + term.scale(ring.monomial(Fraction(1), u=weight(lam)))
     lhs = lhs.window(build)
     log_lhs = laurent_log(lhs, build).window(window)
 

@@ -509,7 +509,7 @@ def two_point_fermion_trace(v_cutoff: int, window: int, zeta: Fraction,
             term = diag * wgt
             num = term if num is None else num + term
     den_inv = den.inverse()
-    brute = num.map_coeffs(lambda c: c * den_inv).window(window)
+    brute = num.scale(den_inv).window(window)
 
     u = ring.monomial(Fraction(1), v=2)
     theta_den = theta3(ring, "v", zeta).inverse()
@@ -520,7 +520,7 @@ def two_point_fermion_trace(v_cutoff: int, window: int, zeta: Fraction,
     th = theta3_ratio_laurent(ring, zvars, "v", zeta, window)
     pochs = _ratio_pochhammer_pair(ring, zvars, u, window)
     closed = geom * th * pochs
-    closed = closed.map_coeffs(lambda c: c * theta_den * euler2).window(window)
+    closed = closed.scale(theta_den * euler2).window(window)
     return {"brute": brute, "closed": closed, "match": brute == closed}
 
 

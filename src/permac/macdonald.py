@@ -67,21 +67,16 @@ def _multiply_m_by_p(mrep: dict, r: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _prefix_fold(first, step):
-    """f(()) = first and f(nu) = step(f(nu without its last part), last part),
-    memoised, so partitions that share a prefix share its work."""
-    memo = {(): first}
-
-    def at(nu):
-        v = memo.get(nu)
-        if v is None:
-            v = memo[nu] = step(at(nu[:-1]), nu[-1])
-        return v
-
-    return at
+_p_rows: dict = {(): {(): 1}}
 
 
-_p_row = _prefix_fold({(): 1}, _multiply_m_by_p)
+def _p_row(lam: tuple) -> dict:
+    """The m-basis row of p_lam: the row of lam without its last part times
+    p_{last part}, memoised, so partitions that share a prefix share its work."""
+    row = _p_rows.get(lam)
+    if row is None:
+        row = _p_rows[lam] = _multiply_m_by_p(_p_row(lam[:-1]), lam[-1])
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -415,18 +410,37 @@ class Specialization:
     """Algebra map determined by its power-sum values p_n.
 
     kind is one of "zero", "alpha", "plancherel", or "principal" for the
-    Appendix specializations of the topological vertex; those live in the
-    cylindric module, which mostly feeds their p-value callables to
-    skew_eval directly.
+    Appendix specializations of the topological vertex, whose p-value
+    callables live in the cylindric module.  The instance memoises the
+    products p_nu(X) = p_{nu_1}(X) ... p_{nu_l}(X) that ``skew_eval`` sums,
+    p_(n)(X) = p_n(X) among them, each product built from the product of nu
+    without its last part; the memo lives and dies with the instance, so
+    two specializations never share a product.
     """
 
     def __init__(self, kind: str, p_value, degree: int):
         self.kind = kind
         self.p_value = p_value
         self.degree = degree  # grading degree of p_1 (0 when numeric)
+        self._products: dict = {}
 
     def __repr__(self):
         return f"Specialization({self.kind})"
+
+    def power_product(self, nu: tuple):
+        """p_nu(X) for a nonempty partition nu, memoised; a product with a
+        vanishing factor is that factor, and is not multiplied further."""
+        v = self._products.get(nu)
+        if v is None:
+            if len(nu) == 1:
+                v = self.p_value(nu[0])
+            else:
+                v = self.power_product(nu[-1:])
+                if v:
+                    head = self.power_product(nu[:-1])
+                    v = head * v if head else head
+            self._products[nu] = v
+        return v
 
 
 def zero_spec() -> Specialization:
@@ -489,20 +503,27 @@ def _skew_coefficients(kind: str, lam: tuple, mu: tuple, q: Fraction,
 
     c_nu = <bra| a_nu |ket> / z_nu(q,t) over |nu| = |lam| - |mu|, with
     (bra, ket) = (Q_mu, P_lam) for kind "P" and (P_mu, Q_lam) for "Q".
-    a_nu ket is built one mode at a time from the prefixes of nu.
-    """
-    from . import fock
+    a_nu is the adjoint of multiplication by p_nu, and p_nu p_kappa is
+    p_{kappa u nu}, the partition of the parts of both, so
 
+        c_nu = sum_kappa bra_kappa ket_{kappa u nu} z_{kappa u nu}(q,t) / z_nu(q,t),
+
+    one lookup of each merged partition in the ket, weighted once by z.
+    """
     if kind == "P":
         ket, bra = macdonald_P_p(lam, q, t), macdonald_Q_p(mu, q, t)
     elif kind == "Q":
         ket, bra = macdonald_Q_p(lam, q, t), macdonald_P_p(mu, q, t)
     else:
         raise ValueError("kind must be 'P' or 'Q'")
-    image = _prefix_fold(ket, lambda v, n: fock.heisenberg_apply(n, v, q, t))
+    weighted = {kappa: c * z_qt(kappa, q, t) for kappa, c in ket.items()}
     out = []
     for nu in partitions_of(weight(lam) - weight(mu)):
-        c = inner_product(bra, image(nu), q, t)
+        c = 0
+        for kappa, b in bra.items():
+            a = weighted.get(tuple(sorted(kappa + nu, reverse=True)))
+            if a:
+                c += b * a
         if c:
             out.append((nu, c / z_qt(nu, q, t)))
     return tuple(out)
@@ -526,27 +547,34 @@ def skew_eval(kind: str, lam: tuple, mu: tuple, spec, q: Fraction, t: Fraction,
         c_nu = <Q_mu| a_nu |P_lam> / z_nu(q,t).
 
     The rational c_nu depend on (kind, lam, mu, q, t) only and are memoised
-    (``_skew_coefficients``).  A call evaluates p_n(X) once per n and sums
-    c_nu times the products p_nu(X), sharing each product's prefix; this is
-    the same for rational, series and Laurent p-values.  ``spec`` is a
-    Specialization or a bare callable n -> p_n value; ``unit`` fixes the
-    coefficient arithmetic (e.g. a ring one) for formal specializations.
+    (``_skew_coefficients``); the products p_nu(X) are memoised by the
+    Specialization (``power_product``), and one pass sums c_nu p_nu(X)
+    (``combine``).  ``spec`` is a Specialization or a bare callable
+    n -> p_n value, whose products last for this call only; ``unit`` fixes
+    the type of the result: a rational, a ring one for series p-values, or
+    a Laurent one for Laurent p-values.
     """
     if not contains(lam, mu):
         return unit * 0
     if lam == mu:
         return unit
-    coeffs = _skew_coefficients(kind, lam, mu, q, t)
-    p_value = spec.p_value if isinstance(spec, Specialization) else spec
-    pv = {n: p_value(n) for n in range(1, weight(lam) - weight(mu) + 1)}
-    p_nu = _prefix_fold(unit, lambda v, n: v * pv[n])
-    acc = None
-    for nu, c in coeffs:
-        if not all(pv[n] for n in nu):
-            continue
-        term = p_nu(nu) * c
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else unit * 0
+    if not isinstance(spec, Specialization):
+        spec = Specialization("callable", spec, 0)
+    return combine(unit, [(c, p) for nu, c in _skew_coefficients(kind, lam, mu, q, t)
+                          if (p := spec.power_product(nu))])
+
+
+def combine(unit, pairs):
+    """sum c v over the pairs (c, v), c rational, in one pass and in the
+    arithmetic of ``unit``: ``series.linear_combination`` for a series unit,
+    its Laurent twin for a Laurent unit, else a rational sum."""
+    from . import laurent, series
+
+    if isinstance(unit, series.TruncSeries):
+        return series.linear_combination(unit.ring, pairs)
+    if isinstance(unit, laurent.LaurentPoly):
+        return laurent.linear_combination(unit.zvars, unit.ring, pairs)
+    return sum((c * v for c, v in pairs), unit * 0)
 
 
 # ---------------------------------------------------------------------------

@@ -339,10 +339,15 @@ def transfer_matrix(gamma, u, depth: int, q: Fraction, t: Fraction,
     pref, x, decay, y = _sandwich(float(gamma), float(u), depth, q, t)
     with np.errstate(over="ignore", invalid="ignore"):
         entries = pref * ((x * decay) @ y.T)
-    if not np.isfinite(entries).all():
+    _refuse_overflow(np.isfinite(entries).all(), gamma, depth)
+    return TransferMatrix(partitions_up_to(depth), entries, gamma, u)
+
+
+def _refuse_overflow(finite: bool, gamma, depth: int) -> None:
+    """The one-line ValueError of a transfer matrix or trace that is not finite."""
+    if not finite:
         raise ValueError(f"gamma = {float(gamma):g} overflows a double in the "
                          f"transfer matrix at depth {depth}")
-    return TransferMatrix(partitions_up_to(depth), entries, gamma, u)
 
 
 def spot_check_float_entries(tm: TransferMatrix, q: Fraction, t: Fraction,
@@ -576,9 +581,15 @@ def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction, mats=Non
 
 def truncated_trace_float(gamma: float, u: float, depth: int,
                           q: Fraction, t: Fraction) -> float:
-    """Trace of the transfer matrix over states of weight <= depth."""
+    """Trace of the transfer matrix over states of weight <= depth; a trace
+    that overflows a double is a ValueError, as in ``transfer_matrix``."""
+    import numpy as np
+
     pref, x, decay, y = _sandwich(gamma, u, depth, q, t)
-    return pref * float((x * y).sum(axis=0) @ decay)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = pref * float((x * y).sum(axis=0) @ decay)
+    _refuse_overflow(math.isfinite(trace), gamma, depth)
+    return trace
 
 
 def transfer_cycle_weight(lams, gamma: Fraction, u_list, q: Fraction,

@@ -35,7 +35,8 @@ from .laurent import LaurentPoly, cauchy_sym_prefactor, laurent_exp, \
 from .macdonald import alpha_spec, observable, plancherel_spec, skew_eval, \
     zero_spec
 from .partitions import contains, partitions_up_to, weight
-from .series import SeriesRing, TruncSeries, geometric, qpochhammer, theta3
+from .series import SeriesRing, TruncSeries, add_scaled, geometric, qpochhammer, \
+    theta3
 
 
 class ProcessSpec:
@@ -142,19 +143,21 @@ def weight_W(pspec: ProcessSpec, lam_seq, mu_seq) -> TruncSeries:
         lam_next = lam_seq[(i + 1) % N]
         if not (contains(lam_seq[i], mu_seq[i]) and contains(lam_next, mu_seq[i])):
             return pspec.ring.zero()
-    out = pspec.u ** weight(mu_seq[N - 1])
+    # the factors that are not the unit: u^|mu^N| unless mu^N is empty, and
+    # the skew functions over nonempty strips
+    k = weight(mu_seq[N - 1])
+    out = pspec.u ** k if k else None
     for i in range(1, N + 1):
         lam_i = lam_seq[i - 1]
         mu_i = mu_seq[i - 1]
         lam_next = lam_seq[i % N]
-        # a skew function over an empty strip is the unit
-        if lam_i != mu_i:
-            out = out * pspec.skew("Q", lam_i, mu_i, i - 1)
-        if lam_next != mu_i:
-            out = out * pspec.skew("P", lam_next, mu_i, i % N)
-        if not out:
-            return pspec.ring.zero()
-    return out
+        for kind, lam, index in (("Q", lam_i, i - 1), ("P", lam_next, i % N)):
+            if lam != mu_i:
+                f = pspec.skew(kind, lam, mu_i, index)
+                out = f if out is None else out * f
+                if not out:
+                    return pspec.ring.zero()
+    return pspec.ring.one() if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -189,39 +192,48 @@ def configurations(pspec: ProcessSpec, depth: int):
     if 0 in up + down:
         raise ValueError("graded enumeration needs formal or zero specializations")
 
+    # one chain, filled in place: lams[i] = lambda^{i+1}, mus[i] = mu^{i+1};
+    # a configuration is yielded as fresh copies of the two lists
+    lams = [None] * N
+    mus = [None] * N
+
+    def walk(i, prev_mu, w_prev, budget):
+        # step up prev_mu -> lam^{i+1} through rho^+_i, whose degree bounds
+        # the weight gain by the budget, then down lam -> mu^{i+1} through
+        # rho^-_{i+1}; the last step closes on mu^N = mu0.  w_prev = |prev_mu|
+        # is carried down the walk, as is each lam's and mu's weight below.
+        d_up, d_dn = up[i], down[i]
+        if d_up is None:
+            ups = (prev_mu,)
+        else:
+            ups = _partitions_containing(prev_mu, w_prev + budget // d_up)
+        last = i + 1 == N
+        for lam in ups:
+            w_lam = sum(lam)
+            b1 = budget if d_up is None else budget - d_up * (w_lam - w_prev)
+            lams[i] = lam
+            if last:
+                # close on mu0; b1 >= 0, so lam == mu0 always fits
+                if lam == mu0 or (d_dn is not None and b1 >= d_dn * (w_lam - w_mu0)
+                                  and contains(lam, mu0)):
+                    mus[i] = mu0
+                    yield lams[:], mus[:]
+                continue
+            if d_dn is None:
+                mus[i] = lam
+                yield from walk(i + 1, lam, w_lam, b1)
+                continue
+            for mu in _partitions_inside(lam):
+                w_mu = sum(mu)
+                b2 = b1 - d_dn * (w_lam - w_mu)
+                if b2 >= 0:
+                    mus[i] = mu
+                    yield from walk(i + 1, mu, w_mu, b2)
+
+    # the chain starts at mu^N = mu0 and steps up through rho^+_0
     for mu0 in partitions_up_to(depth // du):
-
-        def walk(i, prev_mu, budget, lams, mus):
-            # step up prev_mu -> lam^{i+1} through rho^+_i, whose degree
-            # bounds the weight gain by the budget, then down lam -> mu^{i+1}
-            # through rho^-_{i+1}; the last step closes on mu^N = mu0
-            d_up, d_dn = up[i], down[i]
-            if d_up is None:
-                ups = [prev_mu]
-            else:
-                ups = _partitions_containing(prev_mu, weight(prev_mu) + budget // d_up)
-            last = i + 1 == N
-            for lam in ups:
-                b1 = budget if d_up is None \
-                    else budget - d_up * (weight(lam) - weight(prev_mu))
-                if not last:
-                    downs = [lam] if d_dn is None else _partitions_inside(lam)
-                elif lam == mu0 or (d_dn is not None and contains(lam, mu0)):
-                    downs = [mu0]
-                else:
-                    continue
-                for mu in downs:
-                    b2 = b1 if d_dn is None else b1 - d_dn * (weight(lam) - weight(mu))
-                    if b2 < 0:
-                        continue
-                    if last:
-                        yield lams + [lam], mus + [mu]
-                    else:
-                        yield from walk(i + 1, mu, b2, lams + [lam], mus + [mu])
-
-        # the chain starts at mu^N = mu0 and steps up through rho^+_0;
-        # mus collected along the way are mu^1..mu^N
-        yield from walk(0, mu0, depth - du * weight(mu0), [], [])
+        w_mu0 = sum(mu0)
+        yield from walk(0, mu0, w_mu0, depth - du * w_mu0)
 
 
 def _configuration_sums(pspec: ProcessSpec, depth: int, series_r=None):
@@ -229,17 +241,19 @@ def _configuration_sums(pspec: ProcessSpec, depth: int, series_r=None):
 
     f is the product over steps of the observables ``series_r`` lists, one
     (series_tag, r) per step, each exact rational memoised per partition.
-    Without ``series_r`` f = 1 and both sums are the one weight sum.  The
-    sums are not truncated: each oracle truncates in its own order.  Only
-    the brute-force oracles call this.
+    Without ``series_r`` f = 1 and both sums are the one weight sum.  Both
+    sums are collected in one pass, term by term into one map each
+    (``series.add_scaled``).  The sums are not truncated: each oracle
+    truncates in its own order.  Only the brute-force oracles call this.
     """
-    num = den = pspec.ring.zero()
+    num: dict = {}
+    den: dict = {}
     obs_cache: dict = {}
     for lam_seq, mu_seq in configurations(pspec, depth):
         w = weight_W(pspec, lam_seq, mu_seq)
         if not w:
             continue
-        den = den + w
+        add_scaled(den, 1, w)
         if series_r is None:
             continue
         f = Fraction(1)
@@ -250,7 +264,10 @@ def _configuration_sums(pspec: ProcessSpec, depth: int, series_r=None):
                 v = observable(tag, r, lam, pspec.q, pspec.t)
                 obs_cache[key] = v
             f *= v
-        num = num + w * f
+        add_scaled(num, f, w)
+    ring = pspec.ring
+    num, den = (TruncSeries(ring, {e: c for e, c in sums.items() if c})
+                for sums in (num, den))
     return (den if series_r is None else num), den
 
 

@@ -43,6 +43,15 @@ from operator import add, itemgetter, mul
 from .scalars import format_rational, parse_rational
 
 
+def is_one(x) -> bool:
+    """Whether x is the unit series, whose one term is the constant 1.
+    Callers test it to skip a product by the unit."""
+    if not isinstance(x, TruncSeries) or len(x.terms) != 1:
+        return False
+    ((e, c),) = x.terms.items()
+    return c == 1 and not any(e)
+
+
 def _check_rational(c):
     if not isinstance(c, (int, Fraction)):
         raise TypeError(f"coefficient {c!r} is not rational")
@@ -264,10 +273,11 @@ class TruncSeries:
         passes the ring cutoff, beyond which every power truncates to zero.
         """
         vmin = self.min_degree()
-        power = self.ring.one()
+        power = None
         k = 1
         while k * vmin <= self.ring.cutoff:
-            power = power * self
+            # the first power is self, truncated as a product would be
+            power = self.truncate(self.ring.cutoff) if power is None else power * self
             if not power:
                 break
             out = out + power * coeff(k)
@@ -331,6 +341,35 @@ class TruncSeries:
                           data["cutoff"])
         terms = {tuple(t["exp"]): parse_rational(t["coef"]) for t in data["terms"]}
         return TruncSeries(ring, {e: c for e, c in terms.items() if c})
+
+
+def add_scaled(out: dict, c, s) -> None:
+    """out += c s on a map from exponents to coefficients, in place, for a
+    rational c and a series s; zero sums stay in ``out``."""
+    get = out.get
+    if c == 1:
+        for e, v in s.terms.items():
+            out[e] = get(e, 0) + v
+        return
+    for e, v in s.terms.items():
+        out[e] = get(e, 0) + c * v
+
+
+def linear_combination(ring: SeriesRing, pairs) -> TruncSeries:
+    """sum c s over the pairs (c, s), c rational and s a series of ``ring``,
+    in one pass with no intermediate series, truncated at the ring cutoff
+    as a product would be."""
+    out: dict = {}
+    for c, s in pairs:
+        add_scaled(out, c, s)
+    return _nonzero_below_cutoff(ring, out)
+
+
+def _nonzero_below_cutoff(ring: SeriesRing, terms: dict) -> TruncSeries:
+    """The series of the nonzero terms of graded degree <= the cutoff."""
+    cutoff, degrees = ring.cutoff, ring.degrees
+    return TruncSeries(ring, {e: v for e, v in terms.items()
+                              if v and sum(map(mul, e, degrees)) <= cutoff})
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +526,9 @@ def qpochhammer(ring: SeriesRing, a, moduli) -> TruncSeries:
         term = ring.monomial(c ** k, **{
             n: k * ei for n, ei in zip(ring.symbols, e) if ei})
         for m in moduli:
-            term = term * geometric(ring, m, k)
+            g = geometric(ring, m, k)
+            if not is_one(g):
+                term = term * g
         logsum = logsum + term * Fraction(-1, k)
         k += 1
     return logsum.exp()

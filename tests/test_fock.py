@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permac import acceptance, fock, partitions, point
+from permac import acceptance, fock, macdonald, partitions, point
 from permac.fock import (
     FREE_FIELD_FAMILIES,
     VertexSpec,
@@ -40,7 +40,8 @@ from permac.macdonald import (
     observable,
     skew_eval,
 )
-from permac.partitions import make_partition, partitions_of, partitions_up_to, weight, z_qt
+from permac.partitions import (contains, make_partition, partitions_of, partitions_up_to,
+                               weight, z_qt)
 from permac.process import (
     partition_function_bruteforce,
     partition_function_closed,
@@ -452,18 +453,33 @@ def test_extended_E_columns_equal_whole_vector_oracle():
 
 
 def test_shared_memos_survive_the_flows_that_read_them():
-    # the p-basis P/Q dicts and the free-field columns are memoised and
-    # shared; the duality, Pieri, eigen and skew_eval flows must leave them
-    # as they were
+    # the p-basis P/Q dicts, the free-field columns, the skew coefficients
+    # (per point) and the products p_nu(X) (per Specialization) are memoised
+    # and shared; the duality, Pieri, eigen and skew_eval flows must leave
+    # them as they were
     q, t = Fraction(43, 97), Fraction(59, 89)
     lams = partitions_up_to(4)
     columns = [(family, r, lam) for family in FREE_FIELD_FAMILIES
                for r in (1, 2) for lam in partitions_up_to(3)]
+    ring = SeriesRing(["a"], 4)
+    spec = alpha_spec([("a", 1), ("a", 2)], ring)
+    nus = [nu for nu in lams if nu]
+
+    def skew_flow():
+        for lam in lams:
+            for mu in partitions_up_to(weight(lam)):
+                for kind in ("P", "Q"):
+                    skew_eval(kind, lam, mu, spec, q, t, unit=ring.one())
 
     def shared():
         return ([f(lam, q, t) for lam in lams for f in (macdonald_P_p, macdonald_Q_p)]
-                + [fock._free_field_column(*key, q, t) for key in columns])
+                + [fock._free_field_column(*key, q, t) for key in columns]
+                + [macdonald._skew_coefficients(kind, lam, mu, q, t)
+                   for kind in ("P", "Q") for lam in lams
+                   for mu in partitions_up_to(weight(lam)) if contains(lam, mu)]
+                + [spec.power_product(nu) for nu in nus])
 
+    skew_flow()
     before = shared()
     snapshot = repr(before)
     for lam in lams:
@@ -477,13 +493,17 @@ def test_shared_memos_survive_the_flows_that_read_them():
         ket = macdonald_P_p(lam, q, t)
         got = free_field_apply(family, r, ket, q, t)
         assert got == fock_scale(ket, eigenvalue(family, r, lam, q, t))
-    ring = SeriesRing(["a"], 4)
-    spec = alpha_spec([("a", 1)], ring)
-    for lam in lams:
-        for mu in partitions_up_to(weight(lam)):
-            for kind in ("P", "Q"):
-                skew_eval(kind, lam, mu, spec, q, t, unit=ring.one())
+    skew_flow()
     after = shared()
     assert repr(after) == snapshot
     # the memos were hit, not rebuilt: the same objects come back
     assert all(a is b for a, b in zip(before, after))
+    # a second specialization with the same p-values has products of its own
+    twin = alpha_spec([("a", 1), ("a", 2)], ring)
+    for lam in lams:
+        for kind in ("P", "Q"):
+            skew_eval(kind, lam, (), twin, q, t, unit=ring.one())
+    assert twin._products and twin._products is not spec._products
+    assert all(twin.power_product(nu) == spec.power_product(nu)
+               and twin.power_product(nu) is not spec.power_product(nu)
+               for nu in nus)

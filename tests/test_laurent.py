@@ -305,10 +305,32 @@ def test_multi_term_product_rejects_an_inexact_coefficient(c):
 
 
 def test_elimination_order_takes_z_free_factors_first():
+    # z-free first; then more z-variables before fewer, fewer terms before
+    # more, and the lower index on a tie
     ring = SeriesRing(["u"], 2)
     z = ("z1", "z2")
     pair = ratio_sym_factor(z, ring, 0, 1, Fraction(1, 2), 3)
+    long_pair = ratio_sym_factor(z, ring, 0, 1, Fraction(1, 2), 5)
     z1 = LaurentPoly.monomial(z, ring, 2, {"z1": 1}) \
         + LaurentPoly.constant(z, ring.one())
     scalar = LaurentPoly.constant(z, ring.gen("u") + 1)
-    assert _elimination_order([pair, z1, scalar, pair]) == [2, 1, 0, 3]
+    assert _elimination_order([pair, z1, scalar, pair]) == [2, 0, 3, 1]
+    assert _elimination_order([z1, long_pair, pair, scalar]) == [3, 2, 1, 0]
+
+
+def test_products_by_the_unit_still_truncate():
+    # a product by the unit series, or by a unit coefficient, is skipped,
+    # but its result stays truncated as the plain product's is
+    ring = SeriesRing(["u"], 1)
+    z = ("z1", "z2")
+    wide = TruncSeries(ring, {(0,): Fraction(1), (3,): Fraction(2)})
+    a = LaurentPoly(z, ring, {(1, 0): wide, (0, 1): ring.one()})
+    one = LaurentPoly.constant(z, ring.one())
+    shift = LaurentPoly.monomial(z, ring, 1, {"z1": -1})
+    wide_shift = LaurentPoly(z, ring, {(0, -1): wide})
+    for b in (one, shift, wide_shift, a):
+        assert a * b == plain_laurent_product(a, b)
+        assert b * a == plain_laurent_product(b, a)
+    assert a.scale(ring.one()) == plain_laurent_product(a, one)
+    assert a.scale(wide) == plain_laurent_product(a, LaurentPoly.constant(z, wide))
+    assert a.scale(1) == a

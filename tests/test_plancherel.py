@@ -310,6 +310,14 @@ def test_transfer_matrix_refuses_non_finite_entries():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_truncated_trace_refuses_a_non_finite_trace():
+    # the same sandwich as the matrix above, summed along its diagonal: the
+    # trace was 0 * inf = nan after a numpy RuntimeWarning
+    with pytest.raises(ValueError, match=r"^gamma = 1\.6e\+14 .* at depth 12$"):
+        truncated_trace_float(1.6e14, math.exp(-1.0), 12, Fraction(1, 2), Fraction(1, 3))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("times", ["0.0", "0.0,0.5"], ids=["1-time", "2-time"])
 def test_sample_with_overflowing_transfer_matrix_exits_2(capsys, times):
     argv = ["plancherel", "sample", "--times", times, "--count", "2", *OVERFLOW]
