@@ -243,10 +243,6 @@ def hl_weight(levels, t: Fraction) -> Fraction:
     return out
 
 
-def weight_A(profile: CylindricProfile, lams, t: Fraction) -> Fraction:
-    return hl_weight(local_levels(profile, lams), t)
-
-
 # ---------------------------------------------------------------------------
 # Generalized MacMahon verification
 # ---------------------------------------------------------------------------
@@ -367,16 +363,16 @@ def principal_p_envelope(nu: tuple, variant: str):
 
 
 def principal_p_trunc(ring: SeriesRing, variant: str):
-    """p-value callable of an empty-profile (nu = ()) specialization.
+    """p-value callable of an empty-profile (nu = ()) specialization: only
+    the geometric tail of ``principal_p_envelope``, expanded inside the
+    truncated ring.
 
     Variant "xr_ynu" is x^rho, p_n = x^n / (1 - x^n); variant "yr_nxu" is
-    y^{rho-1}, p_n = 1 / (1 - y^n).  Both expand inside the truncated ring.
+    y^{rho-1}, p_n = 1 / (1 - y^n).
     """
-    if variant == "xr_ynu":
-        return lambda n: geometric(ring, ring.gen("x"), n, start=1)
-    if variant == "yr_nxu":
-        return lambda n: geometric(ring, ring.gen("y"), n)
-    raise ValueError("unknown principal variant")
+    _, (tvar, texp) = principal_p_envelope((), variant)
+    tail = ring.gen(tvar)
+    return lambda n: geometric(ring, tail, n, start=texp)
 
 
 def principal_p_laurent(zvars, ring: SeriesRing, nu: tuple, variant: str,

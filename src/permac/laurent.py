@@ -4,37 +4,21 @@ These carry the free-field constant-term calculus: moment formulas build a
 list of factors (Cauchy-kernel symmetrizations, exponential kernel pieces,
 universal measure factors) whose product is scanned for one target z-monomial.
 
+Products, ``laurent_exp`` and ``laurent_log`` run on the flat kernel of
+``series``, whose packing puts the z-exponents above the series digits as
+balanced digits of base 2 bound + 1.  The bound is taken from the factors'
+exponent ranges, the pruning boxes and the target (or the clip window), so
+every z-exponent a product reaches lies strictly inside its digit.
+
 Products are exact.  To keep them finite, every individual factor is built
 truncated (a per-factor clip bound on z-exponents), and the sequential product
 driver prunes exponent vectors that provably cannot reach the target given the
-exponent ranges of the factors still to come.  The driver picks its own
+exponent ranges of the factors still to come; the pruning test on the packed
+z-part is memoised per step (``_Box``).  The driver picks its own
 multiplication order (``_elimination_order``): z-free factors first, then
 factors in more z-variables before factors in fewer, so the narrow factors
 come last, when the pruning boxes of the factors still to come are tight
 and keep the intermediate supports small.
-
-Every product runs on one flat, fraction-free kernel, the series kernel of
-``series`` with z-exponents added: ``LaurentPoly.mul`` without pruning
-(a product with a one-term factor is a scale and a shift instead, as for
-series), ``product_coefficient``, ``laurent_exp`` and ``laurent_log`` with
-it.  Each factor is flattened once (``_flatten``) into a list of (series
-degree, key, integer numerator), sorted by degree so the cutoff test is a
-``break``:
-
-- The key packs the whole exponent vector into one int by a linear map
-  (``_Packing``), so adding keys adds exponents.  Its lowest digit is the
-  series degree, then one digit per series symbol, all in base cutoff + 1,
-  and above them the z-exponents as balanced digits of base 2 bound + 1.
-  The map is injective on the exponents that occur: a product kept under the
-  cutoff has every series digit (and the degree) at most the cutoff, so no
-  digit carries, and the z bound is taken from the factors' exponent ranges,
-  the pruning boxes and the target, so every z-exponent a product reaches
-  lies strictly inside its balanced digit.
-- Each factor's coefficients become integer numerators over its ``lcm``
-  denominator; the denominators multiply along the product, and the one
-  division happens when the result is unpacked.  A coefficient that is not
-  an int or a Fraction is a TypeError.
-- The pruning test on the packed z-part is memoised per step.
 
 The plain term-by-term product, the kernel's oracle, lives in the tests.
 """
@@ -42,10 +26,10 @@ The plain term-by-term product, the kernel's oracle, lives in the tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from . import series
-from .series import SeriesRing, TruncSeries, _mul_terms
+from .series import SeriesRing, TruncSeries, _Packing, _mul_terms
 
 
 class ClipExhausted(Exception):
@@ -173,10 +157,7 @@ class LaurentPoly:
         (lo1, hi1), (lo2, hi2) = self.exp_ranges(), other.exp_ranges()
         pk = _Packing(self.ring, [max(abs(l1 + l2), abs(h1 + h2))
                                   for l1, l2, h1, h2 in zip(lo1, lo2, hi1, hi2)])
-        den1, terms1 = _flatten(self, pk)
-        den2, terms2 = _flatten(other, pk)
-        acc = _mul_terms({k: c for _, k, c in terms1}, terms2, pk)
-        return _unflatten(acc, den1 * den2, pk, self.zvars)
+        return LaurentPoly(self.zvars, self.ring, series._product(self.terms, other.terms, pk))
 
     def coeff(self, zexp: tuple) -> TruncSeries:
         return self.terms.get(tuple(zexp), self.ring.zero())
@@ -236,38 +217,6 @@ def _elimination_order(factors) -> list:
     return sorted(range(len(factors)), key=key)
 
 
-class _Packing(series._Packing):
-    """The linear map from a term's exponents to one int key.
-
-    The term z^e x^s of series degree d gets the key
-
-        d + C (s_1 + C s_2 + ...) + S (e_1 + B_1 (e_2 + B_2 (...)))
-
-    with the series part of ``series._Packing`` below S and
-    B_i = 2 zbound_i + 1.
-    """
-
-    def __init__(self, ring: SeriesRing, zbound):
-        super().__init__(ring)
-        w = self.S
-        self.zbases = [2 * b + 1 for b in zbound]
-        self.zweights = []
-        for b in self.zbases:
-            self.zweights.append(w)
-            w *= b
-
-    def zkey(self, e) -> int:
-        return sum(x * w for x, w in zip(e, self.zweights))
-
-    def zdigits(self, z: int):
-        """The exponents of a z-part ``key // S``, one balanced digit each."""
-        for b in self.zbases:
-            h = b // 2
-            x = (z + h) % b - h
-            yield x
-            z = (z - x) // b
-
-
 class _Box(dict):
     """Memoised test, per packed z-part, that the z-exponents lie in a box."""
 
@@ -286,21 +235,6 @@ class _Box(dict):
             z = (z - x) // b
         self[key] = ok
         return ok
-
-
-def _flatten(lp: LaurentPoly, pk: _Packing):
-    """(common denominator, [(degree, key, numerator)] sorted by degree)."""
-    return series._flatten(((pk.zkey(e), ts) for e, ts in lp.terms.items()), pk)
-
-
-def _unflatten(acc: dict, den: int, pk: _Packing, zvars) -> LaurentPoly:
-    """The LaurentPoly of packed numerators ``acc`` over ``den``."""
-    terms = {}
-    for k, c in acc.items():
-        z, low = divmod(k, pk.S)
-        terms.setdefault(tuple(pk.zdigits(z)), {})[pk.series_exp(low)] = Fraction(c, den)
-    ring = pk.ring
-    return LaurentPoly(zvars, ring, {e: TruncSeries(ring, ts) for e, ts in terms.items()})
 
 
 def product_coefficient(factors, target: tuple) -> TruncSeries:
@@ -339,46 +273,30 @@ def product_coefficient(factors, target: tuple) -> TruncSeries:
     acc = {0: 1}
     den = 1
     for f, (lo, hi) in zip(factors, boxes):
-        fden, terms = _flatten(f, pk)
+        fden, terms = series._flatten(f.terms, pk)
         acc = _mul_terms(acc, terms, pk, _Box(pk, lo, hi))
         den *= fden
         if not acc:
             return ring.zero()
-    return _unflatten(acc, den, pk, factors[0].zvars).coeff(target)
+    return LaurentPoly(factors[0].zvars, ring, series._unflatten(acc, den, pk)).coeff(target)
 
 
-def _power_sum(arg: LaurentPoly, clip: int, weight, unit: bool, name: str) -> LaurentPoly:
-    """[1 +] sum_{k>=1} weight(k) arg^k, each power cut to |exponent| <= clip.
+def _windowed_sum(arg: LaurentPoly, clip: int, weight, unit: bool, name: str) -> LaurentPoly:
+    """[1 +] sum_{k>=1} weight(k) arg^k, each power cut to |exponent| <= clip,
+    by ``series.power_sum``.
 
     Raises ClipExhausted if the powers fail to die out.
     """
     zn = len(arg.zvars)
     lo, hi = arg.exp_ranges()
     pk = _Packing(arg.ring, [clip + max(abs(a), abs(b)) for a, b in zip(lo, hi)])
-    den, terms = _flatten(arg, pk)
     window = _Box(pk, (-clip,) * zn, (clip,) * zn)
     # crude but safe bound: degrees or window positions advance every step
     kmax = (arg.ring.cutoff + 1) * (2 * clip + 1) * max(1, zn)
-    powers = []
-    power = {0: 1}
-    while True:
-        power = _mul_terms(power, terms, pk, window)
-        if not power:
-            break
-        powers.append(power)
-        if len(powers) >= kmax:
-            raise ClipExhausted(f"{name} failed to terminate; enlarge the z clip window")
-    # one denominator for the whole sum: lcm of the weights times den^K
-    K = len(powers)
-    weights = [Fraction(weight(k)) for k in range(1, K + 1)]
-    wden = lcm(*(w.denominator for w in weights))
-    total = wden * den**K
-    out = {0: total} if unit else {}
-    for k, (w, power) in enumerate(zip(weights, powers), start=1):
-        scale = w.numerator * (wden // w.denominator) * den ** (K - k)
-        for key, c in power.items():
-            out[key] = out.get(key, 0) + scale * c
-    return _unflatten({k: c for k, c in out.items() if c}, total, pk, arg.zvars)
+    terms = series.power_sum(arg.terms, pk, weight, unit, window, kmax)
+    if terms is None:
+        raise ClipExhausted(f"{name} failed to terminate; enlarge the z clip window")
+    return LaurentPoly(arg.zvars, arg.ring, terms)
 
 
 def laurent_exp(arg: LaurentPoly, clip: int) -> LaurentPoly:
@@ -391,8 +309,8 @@ def laurent_exp(arg: LaurentPoly, clip: int) -> LaurentPoly:
     zero = (0,) * len(arg.zvars)
     if zero in arg.terms and arg.terms[zero].constant_term():
         raise ValueError("exp of Laurent polynomial needs zero constant term")
-    return _power_sum(arg, clip, lambda k: Fraction(1, factorial(k)), True,
-                      "laurent_exp")
+    return _windowed_sum(arg, clip, lambda k: Fraction(1, factorial(k)), True,
+                         "laurent_exp")
 
 
 def laurent_log(lp: LaurentPoly, clip: int) -> LaurentPoly:
@@ -407,8 +325,8 @@ def laurent_log(lp: LaurentPoly, clip: int) -> LaurentPoly:
     if const is None or const.constant_term() != 1:
         raise ValueError("laurent_log needs constant term 1")
     f = lp - LaurentPoly.constant(lp.zvars, lp.ring.one())
-    return _power_sum(f, clip, lambda k: Fraction(1 if k % 2 == 1 else -1, k), False,
-                      "laurent_log")
+    return _windowed_sum(f, clip, lambda k: Fraction(1 if k % 2 == 1 else -1, k), False,
+                         "laurent_log")
 
 
 def ratio_sym_factor(zvars, ring, i: int, j: int, c, clip: int) -> LaurentPoly:

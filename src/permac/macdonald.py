@@ -598,18 +598,15 @@ def elementary_from_powers(r: int, p_of) -> Fraction:
 
 
 def g_row_from_powers(r: int, p_of, q: Fraction, t: Fraction):
-    """g_r evaluated from power-sum values: sum over |kappa| = r of
-    prod p_{kappa_i} / z_kappa(q,t); a negative r is a ValueError."""
+    """g_r evaluated from power-sum values: ``g_row_p`` with each p_kappa
+    replaced by prod p_{kappa_i}; a negative r is a ValueError."""
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
-    if r == 0:
-        return Fraction(1)
     acc = Fraction(0)
-    for kappa in partitions_of(r):
-        term = Fraction(1) / z_qt(kappa, q, t)
+    for kappa, c in g_row_p(r, q, t).items():
         for kp in kappa:
-            term *= p_of(kp)
-        acc += term
+            c *= p_of(kp)
+        acc += c
     return acc
 
 

@@ -1,24 +1,30 @@
 """Truncated multivariate power series with exact coefficients.
 
-A ``SeriesRing`` fixes an ordered list of graded symbols and a total-degree
-cutoff.  ``TruncSeries`` stores a sparse map from exponent vectors to rational
-coefficients (int or Fraction); every operation truncates consistently at the
-ring cutoff, so addition and multiplication are exact on the stored range.
+A ``SeriesRing`` fixes an ordered list of graded symbols and a nonnegative
+total-degree cutoff.  ``TruncSeries`` stores a sparse map from exponent
+vectors to rational coefficients (int or Fraction); every operation
+truncates consistently at the ring cutoff, so addition and multiplication
+are exact on the stored range.
 
-Products run on the flat, fraction-free kernel that ``laurent`` extends with
-z-exponents.  A term becomes (degree, key, integer numerator): the key packs
-the exponents into one int by a linear map (``_Packing``), so adding keys
+Products and power sums run on one flat, fraction-free kernel, shared with
+the Laurent polynomials of ``laurent``.  Its input is a map from z-exponents
+to series, and a series is the map ``{(): series}`` with no z-exponents.  A
+term becomes (degree, key, integer numerator) (``_flatten``): the key packs
+every exponent into one int by a linear map (``_Packing``), so adding keys
 multiplies monomials, and each factor's coefficients become integer
-numerators over its ``lcm`` denominator.  ``_mul_terms`` then multiplies with
+numerators over its ``lcm`` denominator.  ``_mul_terms`` multiplies with
 integer arithmetic only, and the one division per coefficient happens when
-the result is unpacked.  A product with a one-term factor is a scale and a
-shift instead, the common case of the closed forms and their oracles: one
-pass over the other factor that tests each term's degree against the room
-the one term leaves, adds the one term's exponents, and multiplies
-coefficients only when the one term's coefficient is not 1; zero products
-are dropped.  A coefficient that is not an int or a Fraction is a TypeError
-where a scalar or monomial is built and in a product of two multi-term
-factors.
+the result is unpacked (``_unflatten``).  ``power_sum`` is the one loop for
+[1 +] sum_k w(k) f^k behind ``inverse``, ``exp`` and ``log`` of series and
+of Laurent polynomials: integer powers until one vanishes, then one
+division.  A product with a one-term factor is a scale and a shift instead,
+the common case of the closed forms and their oracles: one pass over the
+other factor that tests each term's degree against the room the one term
+leaves, adds the one term's exponents, and multiplies coefficients only
+when the one term's coefficient is not 1; zero products are dropped.  A
+coefficient that is not an int or a Fraction is a TypeError where a scalar
+or monomial is built, in a product of two multi-term factors and in a power
+sum.
 
 The ring also hosts the q-Pochhammer machinery: infinite symbols
 ``(a; p_1, ..., p_n)_inf`` are expanded through their logarithm
@@ -76,6 +82,8 @@ class SeriesRing:
         self.symbols = tuple(names)
         self.degrees = tuple(degrees)
         self.cutoff = int(cutoff)
+        if self.cutoff < 0:
+            raise ValueError(f"cutoff must be nonnegative, got {self.cutoff}")
         self._index = {n: i for i, n in enumerate(names)}
 
     def __repr__(self):
@@ -230,12 +238,7 @@ class TruncSeries:
                     if c:
                         out[tuple(map(add, e1, e2))] = c
             return TruncSeries(ring, out)
-        pk = _Packing(ring)
-        den1, terms1 = _flatten(((0, self),), pk)
-        den2, terms2 = _flatten(((0, o),), pk)
-        acc = _mul_terms({k: c for _, k, c in terms1}, terms2, pk)
-        den = den1 * den2
-        return TruncSeries(ring, {pk.series_exp(k): Fraction(c, den) for k, c in acc.items()})
+        return _product({(): self}, {(): o}, _Packing(ring)).get((), ring.zero())
 
     __rmul__ = __mul__
 
@@ -266,24 +269,6 @@ class TruncSeries:
 
     # -- series-level functions ---------------------------------------------------
 
-    def _power_sum(self, coeff, out):
-        """out + sum_{k>=1} coeff(k) * self^k, for a series of positive valuation.
-
-        Stops at the first vanishing power or once k times the valuation
-        passes the ring cutoff, beyond which every power truncates to zero.
-        """
-        vmin = self.min_degree()
-        power = None
-        k = 1
-        while k * vmin <= self.ring.cutoff:
-            # the first power is self, truncated as a product would be
-            power = self.truncate(self.ring.cutoff) if power is None else power * self
-            if not power:
-                break
-            out = out + power * coeff(k)
-            k += 1
-        return out
-
     def inverse(self):
         """Multiplicative inverse; requires an invertible constant term."""
         c0 = self.constant_term()
@@ -291,22 +276,23 @@ class TruncSeries:
             raise ZeroDivisionError("series with zero constant term")
         inv0 = Fraction(1) / Fraction(c0)
         g = self * inv0 - 1
-        if g.min_degree() <= 0:
-            raise ZeroDivisionError("nonpositive valuation after normalization")
-        return g._power_sum(lambda k: -1 if k % 2 else 1, self.ring.one()) * inv0
+        return power_sum({(): g}, _Packing(self.ring), lambda k: -1 if k % 2 else 1,
+                         True)[()] * inv0
 
     def exp(self):
         """exp of a series with zero constant term."""
         if self.constant_term():
             raise ValueError("exp needs zero constant term")
-        return self._power_sum(lambda k: Fraction(1, factorial(k)), self.ring.one())
+        return power_sum({(): self}, _Packing(self.ring),
+                         lambda k: Fraction(1, factorial(k)), True)[()]
 
     def log(self):
         """log of a series with constant term 1."""
         if self.constant_term() != 1:
             raise ValueError("log needs constant term 1")
-        return (self - 1)._power_sum(lambda k: Fraction(1 if k % 2 else -1, k),
-                                     self.ring.zero())
+        ring = self.ring
+        return power_sum({(): self - 1}, _Packing(ring),
+                         lambda k: Fraction(1 if k % 2 else -1, k), False).get((), ring.zero())
 
     def subs_zero(self, *names) -> "TruncSeries":
         """Set the named symbols to zero."""
@@ -378,24 +364,43 @@ def _nonzero_below_cutoff(ring: SeriesRing, terms: dict) -> TruncSeries:
 
 
 class _Packing:
-    """The linear map from a series term's exponents to one int key.
+    """The linear map from a term's exponents to one int key.
 
-    The term x^s of series degree d gets the key
+    The term z^e x^s of series degree d gets the key
 
-        d + C (s_1 + C s_2 + ...)
+        d + C (s_1 + C s_2 + ...) + S (e_1 + B_1 (e_2 + B_2 (...)))
 
-    with C = cutoff + 1.  A product kept under the cutoff has the degree and
-    every exponent at most the cutoff, so no digit carries and the key lies
-    in [0, S) with S = C^(n + 1) for n symbols; ``laurent`` puts z-exponents
-    above S.
+    with C = cutoff + 1, S = C^(n + 1) for n series symbols and
+    B_i = 2 zbound_i + 1; a series has no z-bounds and so no z-part.  A
+    product kept under the cutoff has the degree and every series exponent
+    at most the cutoff, so no digit carries, and a z-exponent of absolute
+    value at most its bound lies strictly inside its balanced digit.
     """
 
-    def __init__(self, ring: SeriesRing):
+    def __init__(self, ring: SeriesRing, zbound=()):
         self.ring = ring
         self.cutoff = ring.cutoff
         self.C = C = ring.cutoff + 1
         self.sweights = [C ** (j + 1) for j in range(len(ring.symbols))]
-        self.S = C ** (len(ring.symbols) + 1)
+        self.S = w = C ** (len(ring.symbols) + 1)
+        self.zbases = [2 * b + 1 for b in zbound]
+        self.zweights = []
+        for b in self.zbases:
+            self.zweights.append(w)
+            w *= b
+
+    def zkey(self, e) -> int:
+        return sum(x * w for x, w in zip(e, self.zweights))
+
+    def zdigits(self, z: int) -> tuple:
+        """The z-exponents of a z-part ``key // S``, one balanced digit each."""
+        e = []
+        for b in self.zbases:
+            h = b // 2
+            x = (z + h) % b - h
+            e.append(x)
+            z = (z - x) // b
+        return tuple(e)
 
     def series_exp(self, skey: int) -> tuple:
         """The series exponents of a key's low part ``key % S``."""
@@ -408,16 +413,17 @@ class _Packing:
         return tuple(e)
 
 
-def _flatten(parts, pk: _Packing):
-    """(common denominator, [(degree, key, numerator)] sorted by degree).
+def _flatten(zterms: dict, pk: _Packing):
+    """(common denominator, [(degree, key, numerator)] sorted by degree) of
+    a map from z-exponents to series.
 
-    ``parts`` are pairs (key offset, series); the terms above the cutoff are
-    dropped.  Raises TypeError on a coefficient that is not an int or a
-    Fraction.
+    The terms above the cutoff are dropped.  Raises TypeError on a
+    coefficient that is not an int or a Fraction.
     """
     cutoff, degrees, sweights = pk.cutoff, pk.ring.degrees, pk.sweights
     raw = []
-    for offset, ts in parts:
+    for ze, ts in zterms.items():
+        offset = pk.zkey(ze)
         for se, c in ts.terms.items():
             d = sum(map(mul, se, degrees))
             if d > cutoff:
@@ -429,6 +435,18 @@ def _flatten(parts, pk: _Packing):
     terms = [(d, key, c.numerator * (den // c.denominator)) for d, key, c in raw]
     terms.sort(key=itemgetter(0))
     return den, terms
+
+
+def _unflatten(acc: dict, den: int, pk: _Packing) -> dict:
+    """The map from z-exponents to series of the packed numerators ``acc``
+    over ``den``."""
+    S = pk.S
+    parts = {}
+    for k, c in acc.items():
+        z, low = divmod(k, S)
+        parts.setdefault(z, {})[pk.series_exp(low)] = Fraction(c, den)
+    ring = pk.ring
+    return {pk.zdigits(z): TruncSeries(ring, ts) for z, ts in parts.items()}
 
 
 def _mul_terms(acc: dict, terms: list, pk: _Packing, keep=None) -> dict:
@@ -457,6 +475,47 @@ def _mul_terms(acc: dict, terms: list, pk: _Packing, keep=None) -> dict:
                 if keep[k // S]:
                     out[k] = get(k, 0) + c1 * c2
     return {k: c for k, c in out.items() if c}
+
+
+def _product(a: dict, b: dict, pk: _Packing) -> dict:
+    """The product of two maps from z-exponents to series, unpruned."""
+    den1, terms1 = _flatten(a, pk)
+    den2, terms2 = _flatten(b, pk)
+    acc = _mul_terms({k: c for _, k, c in terms1}, terms2, pk)
+    return _unflatten(acc, den1 * den2, pk)
+
+
+def power_sum(zterms: dict, pk: _Packing, weight, unit: bool, keep=None, limit=None):
+    """[1 +] sum_{k>=1} weight(k) f^k, for f the map ``zterms`` from
+    z-exponents to series, as such a map; None once ``limit`` powers are
+    nonzero.
+
+    The powers run on integer numerators, each cut at the ring cutoff and,
+    with a ``keep`` map as in ``_mul_terms``, to the z-parts it accepts,
+    until one vanishes; every term of f must so advance the degree or leave
+    the kept z-parts.  The sum divides once: its denominator is the lcm of
+    the weights times the K-th power of f's denominator.
+    """
+    den, terms = _flatten(zterms, pk)
+    powers = []
+    power = {0: 1}
+    while True:
+        power = _mul_terms(power, terms, pk, keep)
+        if not power:
+            break
+        powers.append(power)
+        if len(powers) == limit:
+            return None
+    K = len(powers)
+    weights = [Fraction(weight(k)) for k in range(1, K + 1)]
+    wden = lcm(*(w.denominator for w in weights))
+    total = wden * den**K
+    out = {0: total} if unit else {}
+    for k, (w, power) in enumerate(zip(weights, powers), start=1):
+        scale = w.numerator * (wden // w.denominator) * den ** (K - k)
+        for key, c in power.items():
+            out[key] = out.get(key, 0) + scale * c
+    return _unflatten({k: c for k, c in out.items() if c}, total, pk)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,27 @@ def plain_series_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     return TruncSeries(ring, out)
 
 
+def fraction_power_sum(f: TruncSeries, coeff, out) -> TruncSeries:
+    """out + sum_{k>=1} coeff(k) * f^k, for a series of positive valuation,
+    by repeated series products in Fraction arithmetic: the oracle of the
+    one integer power-sum loop.
+
+    Stops at the first vanishing power or once k times the valuation
+    passes the ring cutoff, beyond which every power truncates to zero.
+    """
+    vmin = f.min_degree()
+    power = None
+    k = 1
+    while k * vmin <= f.ring.cutoff:
+        # the first power is f, truncated as a product would be
+        power = f.truncate(f.ring.cutoff) if power is None else power * f
+        if not power:
+            break
+        out = out + power * coeff(k)
+        k += 1
+    return out
+
+
 def plain_laurent_product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """a * b term by term, each coefficient product by ``plain_series_product``:
     the oracle of the flat product kernel."""

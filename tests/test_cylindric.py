@@ -11,6 +11,7 @@ from permac.cylindric import (
     cor_b2_check,
     cp_weight,
     enumerate_cp,
+    hl_weight,
     lemma_b4_check,
     local_levels,
     macmahon_rhs,
@@ -18,7 +19,6 @@ from permac.cylindric import (
     principal_p_envelope,
     thm_b1_check,
     vertex_e1_trace_check,
-    weight_A,
     weight_F,
     weight_Phi,
 )
@@ -92,7 +92,7 @@ def test_F_at_q_zero_equals_A():
     for N in (1, 2, 3):
         for p in all_profiles(N):
             for lams in enumerate_cp(p, 5):
-                assert weight_F(p, lams, Fraction(0), t) == weight_A(p, lams, t)
+                assert weight_F(p, lams, Fraction(0), t) == hl_weight(local_levels(p, lams), t)
 
 
 def test_components_structure():
@@ -101,7 +101,7 @@ def test_components_structure():
     assert len(comps) == 1
     assert comps[0]["level"] == 1 and comps[0]["size"] == 1
     assert not comps[0]["global"]
-    assert weight_A(p, ((), (1,)), T0) == 1 - T0
+    assert hl_weight(local_levels(p, ((), (1,))), T0) == 1 - T0
     # component sizes partition the support; a winding (global) component
     # visits every column, so its size is at least N
     for N in (1, 2, 3):
@@ -143,7 +143,7 @@ def test_A_at_minus_one_pointwise():
     for N in (2, 3):
         for p in all_profiles(N):
             for lams in enumerate_cp(p, 5):
-                val = weight_A(p, lams, Fraction(-1))
+                val = hl_weight(local_levels(p, lams), Fraction(-1))
                 comps = [c for c in components(p, lams) if not c["global"]]
                 if any(c["level"] % 2 == 0 for c in comps):
                     assert val == 0
@@ -155,7 +155,7 @@ def test_strict_count_counterexample():
     p = CylindricProfile(2, {1})
     lams = ((1, 1), (1, 1, 1))
     assert local_levels(p, lams) == [3]  # not strict: one local component, level 3
-    assert weight_A(p, lams, Fraction(-1)) == 2
+    assert hl_weight(local_levels(p, lams), Fraction(-1)) == 2
     report = macmahon_verify(p, 5, Q0, T0)
     assert report["verified"]  # A(-1) sum matches the closed form
     assert report["checks"]["strict"]["count_form_matches"] is False

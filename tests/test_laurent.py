@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permac.laurent import (
+    ClipExhausted,
     LaurentPoly,
     cauchy_sym_prefactor,
     laurent_exp,
@@ -256,6 +257,22 @@ def test_laurent_exp_log_equal_plain_windowed_power_sums(arg, clip):
     lg = laurent_log(one + arg, clip)
     assert lg == windowed_power_sum(
         arg, clip, [Fraction((-1) ** (k + 1), k) for k in range(1, nmax + 1)], False)
+
+
+def test_exp_log_raise_clip_exhausted_when_the_powers_do_not_die():
+    """x/y + y/x has series degree 0 and a constant term in every even
+    power, so its powers never leave the window."""
+    ring = SeriesRing(["u"], 2)
+    z = ("x", "y")
+    arg = LaurentPoly.monomial(z, ring, 1, {"x": 1, "y": -1}) \
+        + LaurentPoly.monomial(z, ring, 1, {"x": -1, "y": 1})
+    with pytest.raises(ClipExhausted,
+                       match="^laurent_exp failed to terminate; enlarge the z clip window$"):
+        laurent_exp(arg, 1)
+    one = LaurentPoly.constant(z, ring.one())
+    with pytest.raises(ClipExhausted,
+                       match="^laurent_log failed to terminate; enlarge the z clip window$"):
+        laurent_log(one + arg, 1)
 
 
 def test_monomial_rejects_an_inexact_coefficient():

@@ -48,7 +48,6 @@ ITEM_4 = "shift-mixed Schur-limit correlations (ROADMAP item 4)"
 ACCESSOR = "an accessor that tests read"
 DEBUGGING = "a repr, for debugging and failure messages"
 FRACTION_ROWS = "the Fraction m -> p rows, read by tests and wrapped by perfbench's spans"
-ONE_WEIGHT = "weight A of one configuration, in tests; macmahon_verify shares the levels"
 IMPORT = "a decorator, run only at import, before the recorders are installed"
 
 UNREACHED = {
@@ -60,7 +59,6 @@ UNREACHED = {
     "plancherel.truncated_trace_float": BENCHMARK,
     "macdonald.p_dict_to_m": BENCHMARK,
     "macdonald.m_to_p": FRACTION_ROWS,
-    "cylindric.weight_A": ONE_WEIGHT,
     "series.TruncSeries.log": BENCHMARK,
     "plancherel.dims": LEVEL_ORACLE,
     "plancherel._down_edges": LEVEL_ORACLE,

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +19,7 @@ from permac.series import (
     theta_terms,
 )
 
-from oracles import plain_series_product
+from oracles import fraction_power_sum, plain_series_product
 
 
 def random_series(ring, rng, nterms=6):
@@ -240,7 +241,8 @@ def test_geometric_rejects_unit_power(p, k):
     lambda ring: ring.scalar(0.25),
     lambda ring: ring.monomial(0.5, u=1),
     lambda ring: theta3(ring, "u", 0.5),
-], ids=["scalar", "monomial", "theta3"])
+    lambda ring: TruncSeries(ring, {(1,): 0.5}).exp(),
+], ids=["scalar", "monomial", "theta3", "exp of one term"])
 def test_float_coefficient_is_rejected_where_it_enters(build):
     # a one-term factor takes the scale-and-shift product, which checks no
     # type, so a float must be stopped before it can reach one
@@ -337,3 +339,52 @@ def test_power_equals_repeated_plain_products(kind, data, n):
     for _ in range(n):
         expect = plain_series_product(expect, base)
     assert base ** n == expect
+
+
+# -- the one power-sum loop against the Fraction loop -------------------------
+
+# prime denominators keep the common denominators of the integer loop large
+KERNEL_COEFFS = st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                          st.sampled_from([1, 2, 3, 89, 97, 89 * 97]))
+
+
+@st.composite
+def positive_valuation_series(draw):
+    """A series with no constant term over symbols of degrees 1 and 2,
+    cutoff 0-8; it may be zero, and may hold terms above the cutoff."""
+    ring = SeriesRing([("u", 1), ("v", 2)], draw(st.integers(0, 8)))
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 3)),
+                                 KERNEL_COEFFS, max_size=5))
+    terms.pop((0, 0), None)
+    return TruncSeries(ring, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=positive_valuation_series(), c0=KERNEL_COEFFS)
+def test_inverse_exp_log_equal_the_fraction_loop(f, c0):
+    ring = f.ring
+    assert f.exp() == fraction_power_sum(f, lambda k: Fraction(1, factorial(k)), ring.one())
+    g = ring.one() + f
+    assert g.log() == fraction_power_sum(f, lambda k: Fraction(1 if k % 2 else -1, k),
+                                         ring.zero())
+    h = f + c0
+    inv0 = 1 / c0
+    assert h.inverse() == fraction_power_sum(h * inv0 - 1, lambda k: -1 if k % 2 else 1,
+                                             ring.one()) * inv0
+
+
+def test_zero_series_exp_log_inverse():
+    for cutoff in range(9):
+        ring = SeriesRing([("u", 1), ("v", 2)], cutoff)
+        assert ring.zero().exp() == ring.one()
+        assert ring.one().log() == ring.zero()
+        assert ring.scalar(Fraction(3, 97)).inverse() == ring.scalar(Fraction(97, 3))
+
+
+def test_ring_refuses_a_negative_cutoff():
+    # at cutoff -1 the unit held a term above the cutoff, so one() * one()
+    # was zero while one() was not
+    with pytest.raises(ValueError, match="nonnegative"):
+        SeriesRing(["u"], -1)
+    ring = SeriesRing(["u"], 0)
+    assert ring.one() * ring.one() == ring.one()
