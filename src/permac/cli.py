@@ -544,6 +544,8 @@ def _merge_config(ap, args, argv) -> None:
             if not isinstance(val, bool):
                 raise UsageError(f"config key {key!r} needs true or false")
         else:
+            if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+                raise UsageError(f"config key {key!r} needs a string or a number")
             try:
                 val = (action.type or str)(str(val))
             except (TypeError, ValueError) as exc:

@@ -20,6 +20,11 @@ factors in more z-variables before factors in fewer, so the narrow factors
 come last, when the pruning boxes of the factors still to come are tight
 and keep the intermediate supports small.
 
+Coefficient arithmetic, sums included, is the series layer's: scales and
+one-term products just multiply ``TruncSeries`` coefficients (the unit rule
+is ``TruncSeries.__mul__``'s), and ``linear_combination`` calls
+``series.linear_combination`` once per z-exponent.
+
 The plain term-by-term product, the kernel's oracle, lives in the tests.
 """
 
@@ -57,10 +62,8 @@ class LaurentPoly:
         exp = [0] * len(zvars)
         for name, k in zexp.items():
             exp[zvars.index(name)] += k
-        if isinstance(coeff, (int, Fraction)):
+        if not isinstance(coeff, TruncSeries):
             coeff = ring.scalar(coeff)
-        elif not isinstance(coeff, TruncSeries):
-            raise TypeError(f"inexact Laurent coefficient {coeff!r}")
         if not coeff:
             return LaurentPoly(tuple(zvars), ring, {})
         return LaurentPoly(tuple(zvars), ring, {tuple(exp): coeff})
@@ -102,24 +105,9 @@ class LaurentPoly:
                 return LaurentPoly(self.zvars, self.ring, {})
             if c == 1:
                 return self
-        elif series.is_one(c):
-            return self._truncated()
-        # a unit coefficient takes the factor, truncated, with no product
-        cut = self.ring.cutoff
-        c_unit = (c if isinstance(c, TruncSeries) else self.ring.scalar(c)).truncate(cut)
         out = {}
         for e, coef in self.terms.items():
-            v = c_unit if series.is_one(coef) else coef * c
-            if v:
-                out[e] = v
-        return LaurentPoly(self.zvars, self.ring, out)
-
-    def _truncated(self) -> "LaurentPoly":
-        """self times the unit: every coefficient truncated at the cutoff."""
-        cut = self.ring.cutoff
-        out = {}
-        for e, coef in self.terms.items():
-            v = coef.truncate(cut)
+            v = coef * c
             if v:
                 out[e] = v
         return LaurentPoly(self.zvars, self.ring, out)
@@ -141,16 +129,9 @@ class LaurentPoly:
             a, b = b, a
         if len(b) == 1:
             ((e2, c2),) = b.items()
-            unit2 = series.is_one(c2)
-            if unit2 and not any(e2):
-                return (other if b is self.terms else self)._truncated()
-            # a product by a unit coefficient is the other one, truncated
-            cut = self.ring.cutoff
-            c2_cut = c2.truncate(cut)
             out = {}
             for e1, c1 in a.items():
-                c = c1.truncate(cut) if unit2 else c2_cut if series.is_one(c1) \
-                    else c1 * c2
+                c = c1 * c2
                 if c:
                     out[tuple(x + y for x, y in zip(e1, e2))] = c
             return LaurentPoly(self.zvars, self.ring, out)
@@ -178,19 +159,16 @@ class LaurentPoly:
 
 
 def linear_combination(zvars, ring: SeriesRing, pairs) -> LaurentPoly:
-    """sum c p over the pairs (c, p), c rational and p a Laurent polynomial,
-    in one pass with no intermediate polynomial, each coefficient truncated
-    at the ring cutoff; the twin of ``series.linear_combination``."""
-    out: dict = {}
+    """sum c p over the pairs (c, p), c rational and p a Laurent polynomial:
+    ``series.linear_combination`` once per z-exponent, so each coefficient
+    is truncated at the ring cutoff."""
+    groups: dict = {}
     for c, lp in pairs:
         for e, ts in lp.terms.items():
-            acc = out.get(e)
-            if acc is None:
-                acc = out[e] = {}
-            series.add_scaled(acc, c, ts)
+            groups.setdefault(e, []).append((c, ts))
     terms = {}
-    for e, acc in out.items():
-        ts = series._nonzero_below_cutoff(ring, acc)
+    for e, group in groups.items():
+        ts = series.linear_combination(ring, group)
         if ts:
             terms[e] = ts
     return LaurentPoly(zvars, ring, terms)

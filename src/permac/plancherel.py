@@ -26,7 +26,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 
-from . import macdonald
+from . import macdonald, series
 from .partitions import add_one_box, partitions_of, partitions_up_to, weight
 from .point import per_point
 from .series import SeriesRing, TruncSeries
@@ -236,14 +236,6 @@ def _poly_mul(f: list, g: list, top: int, out: list = None) -> list:
     return out
 
 
-def _series(coeffs: list, pows: list, ring: SeriesRing) -> TruncSeries:
-    acc = ring.zero()
-    for c, power in zip(coeffs, pows):
-        if c:
-            acc = acc + power * c
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Half-vertices in floats: X = exp(xi U) and Y = exp(xi U'), with U and U'
 # the one-box Pieri up-matrices, give
@@ -432,7 +424,7 @@ def semigroup_defect(gamma, u, v, depth: int, q, t, reserve: int = 4,
                 _poly_mul(left, acc, top),
                 _poly_mul(right, tuv.get(lam, {}).get(mu, zero), top))]
             if any(diff):
-                return lam, mu, _series(diff, pows, ring)
+                return lam, mu, series.linear_combination(ring, zip(diff, pows))
     return Fraction(0)
 
 

@@ -22,6 +22,10 @@ the common case of the closed forms and their oracles: one pass over the
 other factor that tests each term's degree against the room the one term
 leaves, adds the one term's exponents, and multiplies coefficients only
 when the one term's coefficient is not 1; zero products are dropped.  A
+product by the unit series (zero exponents, coefficient 1) is the other
+factor's nonzero terms at or below the cutoff, a filtered copy:
+``TruncSeries.__mul__`` is the one home of this unit rule, and callers,
+``laurent`` and ``qpochhammer`` among them, just multiply.  A
 coefficient that is not an int or a Fraction is a TypeError where a scalar
 or monomial is built, in a product of two multi-term factors and in a power
 sum.
@@ -47,15 +51,6 @@ from math import factorial, lcm
 from operator import add, itemgetter, mul
 
 from .scalars import format_rational, parse_rational
-
-
-def is_one(x) -> bool:
-    """Whether x is the unit series, whose one term is the constant 1.
-    Callers test it to skip a product by the unit."""
-    if not isinstance(x, TruncSeries) or len(x.terms) != 1:
-        return False
-    ((e, c),) = x.terms.items()
-    return c == 1 and not any(e)
 
 
 def _check_rational(c):
@@ -229,8 +224,13 @@ class TruncSeries:
         if len(b) == 1:
             ((e2, c2),) = b.items()
             degrees = ring.degrees
-            room = ring.cutoff - sum(map(mul, e2, degrees))
             unit = c2 == 1
+            if unit and not any(e2):
+                # the unit series: the other factor's terms, truncated
+                cutoff = ring.cutoff
+                return TruncSeries(ring, {e1: c1 for e1, c1 in a.items()
+                                          if c1 and sum(map(mul, e1, degrees)) <= cutoff})
+            room = ring.cutoff - sum(map(mul, e2, degrees))
             out = {}
             for e1, c1 in a.items():
                 if sum(map(mul, e1, degrees)) <= room:
@@ -348,13 +348,8 @@ def linear_combination(ring: SeriesRing, pairs) -> TruncSeries:
     out: dict = {}
     for c, s in pairs:
         add_scaled(out, c, s)
-    return _nonzero_below_cutoff(ring, out)
-
-
-def _nonzero_below_cutoff(ring: SeriesRing, terms: dict) -> TruncSeries:
-    """The series of the nonzero terms of graded degree <= the cutoff."""
     cutoff, degrees = ring.cutoff, ring.degrees
-    return TruncSeries(ring, {e: v for e, v in terms.items()
+    return TruncSeries(ring, {e: v for e, v in out.items()
                               if v and sum(map(mul, e, degrees)) <= cutoff})
 
 
@@ -585,9 +580,7 @@ def qpochhammer(ring: SeriesRing, a, moduli) -> TruncSeries:
         term = ring.monomial(c ** k, **{
             n: k * ei for n, ei in zip(ring.symbols, e) if ei})
         for m in moduli:
-            g = geometric(ring, m, k)
-            if not is_one(g):
-                term = term * g
+            term = term * geometric(ring, m, k)
         logsum = logsum + term * Fraction(-1, k)
         k += 1
     return logsum.exp()

@@ -311,6 +311,27 @@ def test_config_values_keep_the_flag_contract(tmp_path, conf, argv, code, expect
         assert expect(json.loads(out))
 
 
+@pytest.mark.parametrize("conf", [
+    {"out": None}, {"out": True}, {"out": False}, {"cache-dir": None},
+    {"out": ["report.json"]}, {"cache_dir": {"path": "x"}}, {"basis": None},
+    {"kind": True},
+], ids=["out-null", "out-true", "out-false", "cache-dir-null", "out-list",
+        "cache-dir-object", "basis-null", "kind-true"])
+def test_config_value_flag_takes_only_a_string_or_number(tmp_path, monkeypatch, conf):
+    # JSON null, true, false, lists and objects were turned into text: an
+    # "out": null report went to a file named None
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "conf.json").write_text(json.dumps(conf))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["--config", "conf.json", "macdonald", "expand",
+                             "--lambda", "1", "--q", "1/3", "--t", "1/5"])
+    assert code == 2 and out == ""
+    assert err.getvalue().startswith("error: config key ")
+    assert err.getvalue().count("\n") == 1
+    assert os.listdir(tmp_path) == ["conf.json"]
+
+
 def test_out_flag_and_cache_dir(tmp_path):
     target = tmp_path / "report.json"
     cache_dir = tmp_path / "cache"

@@ -12,6 +12,7 @@ from permac.laurent import (
     cauchy_sym_prefactor,
     laurent_exp,
     laurent_log,
+    linear_combination,
     _elimination_order,
     product_coefficient,
     ratio_sym_factor,
@@ -224,6 +225,24 @@ def test_laurent_product_equals_plain_product(pair):
     prod = a * b
     assert prod == plain_laurent_product(a, b)
     assert all(prod.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=laurent_pairs(), cs=st.lists(st.one_of(st.just(0), st.integers(-2, 2),
+                                                   st.fractions(-2, 2, max_denominator=3)),
+                                         min_size=2, max_size=2),
+       cancel=st.booleans())
+def test_linear_combination_equals_the_sum_of_plain_products(pair, cs, cancel):
+    # c = 0, coefficients above the cutoff, and with ``cancel`` a pair that
+    # takes the first one back, so the sum may cancel to zero
+    z, ring = pair[0].zvars, pair[0].ring
+    pairs = list(zip(cs, pair)) + ([(-cs[0], pair[0])] if cancel else [])
+    expect = LaurentPoly(z, ring, {})
+    for c, p in pairs:
+        expect = expect + plain_laurent_product(LaurentPoly.constant(z, ring.scalar(c)), p)
+    got = linear_combination(z, ring, pairs)
+    assert got == expect
+    assert all(got.terms.values())
 
 
 @st.composite

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import marginal_weight, remove_one_box
-from permac import cli, macdonald, plancherel
+from permac import cli, macdonald, plancherel, series
 from permac.partitions import add_one_box, contains, partitions_of, partitions_up_to, weight
 from permac.plancherel import (
     MAX_DEPTH,
@@ -23,7 +23,6 @@ from permac.plancherel import (
     _level_entries,
     _poly_mul,
     _prefactor,
-    _series,
     chi_square_sf,
     dims,
     dropped_mass,
@@ -165,7 +164,7 @@ def _exact_entries(u, q, t, ring, rows, cols):
     top = len(pows) - 1
     pref = _prefactor(u, q, t, top)
     raw = _level_entries(u, rows, cols, top, q, t)
-    return {(lam, mu): _series(_poly_mul(pref, c, top), pows, ring)
+    return {(lam, mu): series.linear_combination(ring, zip(_poly_mul(pref, c, top), pows))
             for lam, row in raw.items() for mu, c in row.items()}
 
 

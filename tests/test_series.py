@@ -13,6 +13,7 @@ from permac.series import (
     TruncSeries,
     euler_inverse,
     geometric,
+    linear_combination,
     qpochhammer,
     qpochhammer_finite,
     theta3,
@@ -279,10 +280,12 @@ def _any_series(draw, ring, min_size=0, max_size=8):
 
 
 def _one_term(draw, ring, kind):
-    """A one-term series: any term, coefficient exactly 1 or Fraction(1), or
-    a term at exactly the cutoff degree."""
-    if kind == "unit":
-        return TruncSeries(ring, {draw(SERIES_EXPS): draw(st.sampled_from([1, Fraction(1)]))})
+    """A one-term series: any term, coefficient exactly 1 or Fraction(1) at
+    any exponent or at exponent zero (the unit series), or a term at exactly
+    the cutoff degree."""
+    if kind in ("unit", "the unit"):
+        exp = (0, 0) if kind == "the unit" else draw(SERIES_EXPS)
+        return TruncSeries(ring, {exp: draw(st.sampled_from([1, Fraction(1)]))})
     if kind == "at cutoff":
         j = draw(st.integers(0, ring.cutoff // 2))
         return TruncSeries(ring, {(ring.cutoff - 2 * j, j): draw(RATIONAL_COEFFS)})
@@ -293,12 +296,13 @@ def _one_term(draw, ring, kind):
 def series_pairs(draw):
     """Two series over symbols of degrees 1 and 2, cutoff 0-7, with int or
     Fraction coefficients.  Either may be empty; the second is often one
-    term (any, with coefficient exactly 1 or Fraction(1), or at exactly the
-    cutoff degree), or the first with some signs flipped, so sums cancel to
-    zero."""
+    term (any, with coefficient exactly 1 or Fraction(1), the unit series,
+    or at exactly the cutoff degree), or the first with some signs flipped,
+    so sums cancel to zero."""
     ring = _product_ring(draw)
     a = _any_series(draw, ring)
-    kind = draw(st.sampled_from(["flipped", "one term", "unit", "at cutoff", "any"]))
+    kind = draw(st.sampled_from(["flipped", "one term", "unit", "the unit", "at cutoff",
+                                 "any"]))
     if kind == "flipped":
         b = TruncSeries(ring, {e: c * draw(st.sampled_from([1, -1]))
                                for e, c in a.terms.items()})
@@ -319,6 +323,23 @@ def test_series_product_equals_plain_product(pair):
     assert all(prod.ring.degree_of(e) <= prod.ring.cutoff for e in prod.terms)
 
 
+@settings(max_examples=150, deadline=None)
+@given(pair=series_pairs(), cs=st.lists(st.one_of(st.just(0), RATIONAL_COEFFS),
+                                        min_size=2, max_size=2),
+       cancel=st.booleans())
+def test_linear_combination_equals_the_sum_of_plain_products(pair, cs, cancel):
+    # c = 0, terms above the cutoff, and with ``cancel`` a pair that takes
+    # the first one back, so the sum may cancel to zero
+    ring = pair[0].ring
+    pairs = list(zip(cs, pair)) + ([(-cs[0], pair[0])] if cancel else [])
+    expect = ring.zero()
+    for c, s in pairs:
+        expect = expect + plain_series_product(ring.scalar(c), s)
+    got = linear_combination(ring, pairs)
+    assert got == expect
+    assert all(got.terms.values())
+
+
 @st.composite
 def power_bases(draw, kind):
     """A zero, one-term or multi-term base, drawn like ``series_pairs``."""
@@ -327,7 +348,8 @@ def power_bases(draw, kind):
         return ring.zero()
     if kind == "multi-term":
         return _any_series(draw, ring, min_size=2, max_size=4)
-    return _one_term(draw, ring, draw(st.sampled_from(["one term", "unit", "at cutoff"])))
+    return _one_term(draw, ring, draw(st.sampled_from(["one term", "unit", "the unit",
+                                                       "at cutoff"])))
 
 
 @pytest.mark.parametrize("kind", ["zero", "one term", "multi-term"])
