@@ -100,7 +100,8 @@ class LaurentPoly:
         return self + (-other)
 
     def scale(self, c) -> "LaurentPoly":
-        if isinstance(c, (int, Fraction)):
+        if not isinstance(c, TruncSeries):
+            series._check_rational(c)
             if not c:
                 return LaurentPoly(self.zvars, self.ring, {})
             if c == 1:

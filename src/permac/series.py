@@ -22,10 +22,11 @@ the common case of the closed forms and their oracles: one pass over the
 other factor that tests each term's degree against the room the one term
 leaves, adds the one term's exponents, and multiplies coefficients only
 when the one term's coefficient is not 1; zero products are dropped.  A
-product by the unit series (zero exponents, coefficient 1) is the other
-factor's nonzero terms at or below the cutoff, a filtered copy:
-``TruncSeries.__mul__`` is the one home of this unit rule, and callers,
-``laurent`` and ``qpochhammer`` among them, just multiply.  A
+product by the unit series (zero exponents, coefficient 1) is this shift
+with ``c2 == 1`` at zero exponent: the other factor's nonzero terms at or
+below the cutoff, with no multiply.  ``TruncSeries.__mul__`` is the one
+home of this unit rule, and callers, ``laurent`` and ``qpochhammer`` among
+them, just multiply.  A
 coefficient that is not an int or a Fraction is a TypeError where a scalar
 or monomial is built, in a product of two multi-term factors and in a power
 sum.
@@ -225,11 +226,6 @@ class TruncSeries:
             ((e2, c2),) = b.items()
             degrees = ring.degrees
             unit = c2 == 1
-            if unit and not any(e2):
-                # the unit series: the other factor's terms, truncated
-                cutoff = ring.cutoff
-                return TruncSeries(ring, {e1: c1 for e1, c1 in a.items()
-                                          if c1 and sum(map(mul, e1, degrees)) <= cutoff})
             room = ring.cutoff - sum(map(mul, e2, degrees))
             out = {}
             for e1, c1 in a.items():

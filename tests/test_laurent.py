@@ -338,6 +338,10 @@ def test_multi_term_product_rejects_an_inexact_coefficient(c):
     lp = LaurentPoly(z, ring, {(1, 0): bad, (0, 0): good})
     with pytest.raises(TypeError):
         lp * LaurentPoly(z, ring, {(0, 1): good, (0, 0): good})
+    # a scale checks its factor whatever the size of the polynomial
+    for poly in (LaurentPoly(z, ring, {}), LaurentPoly.constant(z, good)):
+        with pytest.raises(TypeError):
+            poly.scale(c)
 
 
 def test_elimination_order_takes_z_free_factors_first():
