@@ -19,8 +19,10 @@ _cache_dir = None
 
 
 def configure(path):
+    """Use ``path`` as the cache directory; return the one it replaces."""
     global _cache_dir
-    _cache_dir = path
+    previous, _cache_dir = _cache_dir, path
+    return previous
 
 
 def cache_dir():

@@ -479,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _leaf_options(ap, args) -> dict:
-    """Config key -> argparse action of the chosen subcommand.
+def _leaf_options(ap, args) -> tuple:
+    """The chosen subcommand's parser, and config key -> its argparse action.
 
     Each option is reachable by its flag spelling (``u-deg``, ``lambda``) and
     by its dest (``u_deg``, ``lam``).
@@ -497,34 +497,19 @@ def _leaf_options(ap, args) -> dict:
         options[action.dest] = action
         for opt in action.option_strings:
             options[opt.lstrip("-")] = action
-    return options
+    return parser, options
 
 
-def _explicit_dests(argv) -> set:
-    """Dests that argv sets, as argparse reads it (abbreviated flags too).
-
-    Re-parses argv with a fresh parser whose every option defaults to
-    SUPPRESS, so only the options argv names land in the namespace.
-    """
-    quiet = build_parser()
-    parsers = [quiet]
-    while parsers:
-        for action in parsers.pop()._actions:
-            action.default = argparse.SUPPRESS
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-    return set(vars(quiet.parse_args(argv)))
-
-
-def _merge_config(ap, args, argv) -> None:
-    """Overlay JSON config values onto the namespace; explicit flags win.
+def _merge_config(ap, args, argv) -> argparse.Namespace:
+    """argv parsed again with the JSON config values as flag defaults.
 
     Values go through the flag's argparse type and choices, as they would on
-    the command line.
+    the command line; every flag argv names wins.  Top-level dests default on
+    the top parser, as a leaf's would beat a flag before the subcommand.
     """
     path = getattr(args, "config", None)
     if not path:
-        return
+        return args
     try:
         with open(path) as fh:
             conf = json.load(fh)
@@ -532,14 +517,12 @@ def _merge_config(ap, args, argv) -> None:
         raise UsageError(f"bad config file: {exc}")
     if not isinstance(conf, dict):
         raise UsageError("bad config file: expected a JSON object")
-    options = _leaf_options(ap, args)
-    explicit = _explicit_dests(argv)
+    leaf, options = _leaf_options(ap, args)
+    top = {action.dest for action in ap._actions}
     for key, val in conf.items():
         action = options.get(key)
         if action is None:
             raise UsageError(f"unknown config key {key!r} for this subcommand")
-        if action.dest in explicit:
-            continue  # explicit flag wins
         if action.nargs == 0:  # store_true
             if not isinstance(val, bool):
                 raise UsageError(f"config key {key!r} needs true or false")
@@ -553,7 +536,8 @@ def _merge_config(ap, args, argv) -> None:
             if action.choices is not None and val not in action.choices:
                 raise UsageError(f"config key {key!r} must be one of "
                                  f"{', '.join(action.choices)}")
-        setattr(args, action.dest, val)
+        (ap if action.dest in top else leaf).set_defaults(**{action.dest: val})
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -566,12 +550,16 @@ def main(argv=None) -> int:
         if handler is None:
             ap.print_help(sys.stderr)
             return 2
-        _merge_config(ap, args, argv)
-        if args.cache_dir:
-            from . import cache
+        args = _merge_config(ap, args, argv)
+        if not args.cache_dir:
+            return handler(args)
+        from . import cache
 
-            cache.configure(args.cache_dir)
-        return handler(args)
+        previous = cache.configure(args.cache_dir)
+        try:
+            return handler(args)
+        finally:
+            cache.configure(previous)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,6 @@ from .laurent import LaurentPoly, laurent_log
 from .macdonald import Specialization, combine, observable, skew_eval
 from .partitions import (
     conjugate,
-    contains,
     horizontal_strip,
     length,
     part,
@@ -404,8 +403,6 @@ def vertex_skew_sum(lam: tuple, mu: tuple, p_first, p_second, q, t, unit):
     """
     terms = []
     for eta in partitions_up_to(min(weight(lam), weight(mu))):
-        if not (contains(lam, eta) and contains(mu, eta)):
-            continue
         pv = skew_eval("P", lam, eta, p_first, q, t, unit=unit)
         if not pv:
             continue

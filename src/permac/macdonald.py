@@ -531,7 +531,9 @@ def _skew_coefficients(kind: str, lam: tuple, mu: tuple, q: Fraction,
 
 def skew_eval(kind: str, lam: tuple, mu: tuple, spec, q: Fraction, t: Fraction,
               unit=Fraction(1)):
-    """P_{lam/mu} or Q_{lam/mu} evaluated at a specialization X.
+    """P_{lam/mu} or Q_{lam/mu} at a specialization X; zero unless mu is in lam.
+
+    That test lives here alone: ``weight_W`` and ``vertex_skew_sum`` rely on it.
 
     P_{lam/mu}(X) is the Fock matrix element <Q_mu| Gamma_+(X) |P_lam> of
     the lowering half-vertex Gamma_+(X) = exp(sum_n (1-t^n)/(1-q^n) p_n(X)

@@ -139,12 +139,8 @@ def weight_W(pspec: ProcessSpec, lam_seq, mu_seq) -> TruncSeries:
     N = pspec.N
     if len(lam_seq) != N or len(mu_seq) != N:
         raise ValueError("sequences must have length N")
-    for i in range(N):
-        lam_next = lam_seq[(i + 1) % N]
-        if not (contains(lam_seq[i], mu_seq[i]) and contains(lam_next, mu_seq[i])):
-            return pspec.ring.zero()
     # the factors that are not the unit: u^|mu^N| unless mu^N is empty, and
-    # the skew functions over nonempty strips
+    # the skew functions over nonempty strips (zero off interlacing chains)
     k = weight(mu_seq[N - 1])
     out = pspec.u ** k if k else None
     for i in range(1, N + 1):

@@ -275,6 +275,22 @@ def test_config_file_merges_under_flags(tmp_path):
                          "verify-macmahon", "--N", "1", "--M", "1",
                          "--s-deg", "3"])
     assert json.loads(out)["s_cutoff"] == 3
+    # top-level keys: a flag beats the config before or after the subcommand,
+    # and without one the config value is used
+    conf_out, flag_out = tmp_path / "conf-out.json", tmp_path / "flag-out.json"
+    conf.write_text(json.dumps({"out": str(conf_out), "seed": 5}))
+    fock = ["fock", "trace-check", "--u-deg", "1", "--trials", "1"]
+    code, out = run_cli(["--config", str(conf), "--out", str(flag_out), *fock,
+                         "--seed", "9"])
+    assert code == 0 and out == "" and not conf_out.exists()
+    assert json.loads(flag_out.read_text())["params"]["seed"] == 9
+    code, out = run_cli(["--config", str(conf), "--seed", "8", *fock,
+                         "--out", str(flag_out)])
+    assert code == 0 and out == "" and not conf_out.exists()
+    assert json.loads(flag_out.read_text())["params"]["seed"] == 8
+    code, out = run_cli(["--config", str(conf), *fock])
+    assert code == 0 and out == ""
+    assert json.loads(conf_out.read_text())["params"]["seed"] == 5
 
 
 @pytest.mark.parametrize("conf, argv, code, expect", [
@@ -348,9 +364,19 @@ def test_out_flag_and_cache_dir(tmp_path):
     payload = json.loads(cached[0].read_text())
     assert payload["version"] == 2 and payload["weight"] == 3
     assert "Q" not in payload
-    # reset the global cache dir for other tests
-    from permac import cache as cache_mod
-    cache_mod.configure(None)
+
+
+def test_cache_dir_holds_for_one_call(tmp_path):
+    # (q, t) points no other test uses, so both tables are cold and each call
+    # would write one if a cache dir were set
+    cache_dir = tmp_path / "cache"
+    code, _ = run_cli(["--cache-dir", str(cache_dir), "macdonald", "expand",
+                       "--lambda", "2,1", "--q", "3/11", "--t", "4/13"])
+    assert code == 0
+    code, _ = run_cli(["macdonald", "expand", "--lambda", "3,1",
+                       "--q", "5/11", "--t", "6/13"])
+    assert code == 0
+    assert len(list(cache_dir.iterdir())) == 1
 
 
 def test_bad_rational_exits_2():

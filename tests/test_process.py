@@ -56,20 +56,25 @@ def test_skew_kind_picks_the_specialization():
             (1 - T0) / (1 - Q0), **{f"b{i + 1}": 1})
 
 
-def test_weight_support_is_interlacing():
+@pytest.mark.parametrize("plus, minus", [
+    (["alpha", "alpha"], ["alpha", "alpha"]),
+    (["zero", "plancherel"], ["plancherel", "zero"]),
+    (["plancherel", "alpha"], ["zero", "plancherel"]),
+], ids=["all-alpha", "zero-plancherel", "mixed"])
+def test_weight_support_is_interlacing(plus, minus):
     # nonzero weight forces the cyclic inclusion chain (single-alpha specs
     # additionally force horizontal strips; inclusion is what the weight
-    # structure itself guarantees)
-    ps = single_alpha_process(2, Q0, T0, 4)
-    for lam1 in partitions_up_to(2):
-        for lam2 in partitions_up_to(2):
-            for mu1 in partitions_up_to(2):
-                for mu2 in partitions_up_to(2):
-                    w = weight_W(ps, [lam1, lam2], [mu1, mu2])
-                    chain = (contains(lam1, mu2) and contains(lam1, mu1)
-                             and contains(lam2, mu1) and contains(lam2, mu2))
-                    if not chain:
-                        assert not w
+    # structure itself guarantees, through skew_eval's zero)
+    ps = process_from_names(plus, minus, Q0, T0, 4)
+    nonzero = 0
+    for lam1, lam2, mu1, mu2 in product(partitions_up_to(2), repeat=4):
+        w = weight_W(ps, [lam1, lam2], [mu1, mu2])
+        chain = (contains(lam1, mu2) and contains(lam1, mu1)
+                 and contains(lam2, mu1) and contains(lam2, mu2))
+        if not chain:
+            assert not w
+        nonzero += bool(w)
+    assert nonzero > 1
 
 
 def test_partition_function_zero_minus_is_euler():

@@ -51,7 +51,6 @@ IMPORT = "a decorator, run only at import, before the recorders are installed"
 
 UNREACHED = {
     "cli._leaf_options": CONFIG,
-    "cli._explicit_dests": CONFIG,
     "macdonald._table_from_disk": WARM_CACHE,
     "point.per_point": IMPORT,
     "plancherel.spot_check_float_entries": BENCHMARK,
@@ -171,7 +170,7 @@ def unreached_names(names: set, reached: set) -> list:
 
 def traffic(tmp: str, examples: list):
     """Exit codes of the CLI runs and the text of the ``verify all`` report."""
-    from permac import cache, cli
+    from permac import cli
 
     report = os.path.join(tmp, "verify.json")
     runs = [["--out", report, "verify", "all"]]
@@ -182,7 +181,6 @@ def traffic(tmp: str, examples: list):
     with redirect_stdout(io.StringIO()):
         for argv in runs:
             codes.append(cli.main(argv))
-            cache.configure(None)
     with open(report) as fh:
         return codes, fh.read()
 

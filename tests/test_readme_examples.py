@@ -15,7 +15,6 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from permac import cache
 from permac.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,11 +41,8 @@ def golden_path(argv):
 
 def run(argv, cache_dir):
     buf = io.StringIO()
-    try:
-        with redirect_stdout(buf):
-            code = main(["--cache-dir", str(cache_dir), *argv])
-    finally:
-        cache.configure(None)
+    with redirect_stdout(buf):
+        code = main(["--cache-dir", str(cache_dir), *argv])
     return code, buf.getvalue()
 
 
