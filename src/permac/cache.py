@@ -9,7 +9,6 @@ own memoization.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -35,6 +34,7 @@ def _path_for(module: str, operation: str, params: dict):
     base = cache_dir()
     if not base:
         return None
+    import hashlib  # loads OpenSSL, so only once a cache directory is set
     canon = json.dumps({"module": module, "op": operation, "params": params},
                        sort_keys=True)
     digest = hashlib.sha256(canon.encode()).hexdigest()[:24]

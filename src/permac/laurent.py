@@ -22,8 +22,8 @@ and keep the intermediate supports small.
 
 Coefficient arithmetic, sums included, is the series layer's: scales and
 one-term products just multiply ``TruncSeries`` coefficients (the unit rule
-is ``TruncSeries.__mul__``'s), and ``linear_combination`` calls
-``series.linear_combination`` once per z-exponent.
+is ``TruncSeries.__mul__``'s), and ``linear_combination`` is one
+``series.zterm_sum``.
 
 The plain term-by-term product, the kernel's oracle, lives in the tests.
 """
@@ -74,7 +74,8 @@ class LaurentPoly:
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.zvars == other.zvars and self.terms == other.terms
+        return (self.zvars == other.zvars and self.ring.compatible(other.ring)
+                and self.terms == other.terms)
 
     def __repr__(self):
         names = ",".join(self.zvars)
@@ -160,19 +161,9 @@ class LaurentPoly:
 
 
 def linear_combination(zvars, ring: SeriesRing, pairs) -> LaurentPoly:
-    """sum c p over the pairs (c, p), c rational and p a Laurent polynomial:
-    ``series.linear_combination`` once per z-exponent, so each coefficient
-    is truncated at the ring cutoff."""
-    groups: dict = {}
-    for c, lp in pairs:
-        for e, ts in lp.terms.items():
-            groups.setdefault(e, []).append((c, ts))
-    terms = {}
-    for e, group in groups.items():
-        ts = series.linear_combination(ring, group)
-        if ts:
-            terms[e] = ts
-    return LaurentPoly(zvars, ring, terms)
+    """sum c p over the pairs (c, p), c an int or a Fraction and p a Laurent
+    polynomial: the ``series.zterm_sum`` of their term maps."""
+    return LaurentPoly(zvars, ring, series.zterm_sum(ring, ((c, p.terms) for c, p in pairs)))
 
 
 def _elimination_order(factors) -> list:

@@ -568,8 +568,8 @@ def skew_eval(kind: str, lam: tuple, mu: tuple, spec, q: Fraction, t: Fraction,
 
 def combine(unit, pairs):
     """sum c v over the pairs (c, v), c rational, in one pass and in the
-    arithmetic of ``unit``: ``series.linear_combination`` for a series unit,
-    its Laurent twin for a Laurent unit, else a rational sum."""
+    arithmetic of ``unit``: ``series.zterm_sum`` for a series or a Laurent
+    unit, through each layer's ``linear_combination``, else a rational sum."""
     from . import laurent, series
 
     if isinstance(unit, series.TruncSeries):

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations
+from math import isqrt
 from operator import mul
 
 from .fock import VertexSpec, accumulate, contraction, eta_xi_exponent, \
@@ -35,8 +36,8 @@ from .laurent import LaurentPoly, cauchy_sym_prefactor, laurent_exp, \
 from .macdonald import alpha_spec, observable, plancherel_spec, skew_eval, \
     zero_spec
 from .partitions import contains, partitions_up_to, weight
-from .series import SeriesRing, TruncSeries, add_scaled, geometric, qpochhammer, \
-    theta3
+from .series import SeriesRing, TruncSeries, geometric, linear_combination, \
+    qpochhammer, theta3, zterm_sum
 
 
 class ProcessSpec:
@@ -238,33 +239,34 @@ def _configuration_sums(pspec: ProcessSpec, depth: int, series_r=None):
     f is the product over steps of the observables ``series_r`` lists, one
     (series_tag, r) per step, each exact rational memoised per partition.
     Without ``series_r`` f = 1 and both sums are the one weight sum.  Both
-    sums are collected in one pass, term by term into one map each
-    (``series.add_scaled``).  The sums are not truncated: each oracle
-    truncates in its own order.  Only the brute-force oracles call this.
+    sums are one streamed ``zterm_sum`` over an auxiliary exponent:
+    each configuration adds W at exponent 0 and f W at exponent 1.  Each
+    oracle truncates the sums in its own order.  Only the brute-force
+    oracles call this.
     """
-    num: dict = {}
-    den: dict = {}
     obs_cache: dict = {}
-    for lam_seq, mu_seq in configurations(pspec, depth):
-        w = weight_W(pspec, lam_seq, mu_seq)
-        if not w:
-            continue
-        add_scaled(den, 1, w)
-        if series_r is None:
-            continue
-        f = Fraction(1)
-        for (tag, r), lam in zip(series_r, lam_seq):
-            key = (tag, r, lam)
-            v = obs_cache.get(key)
-            if v is None:
-                v = observable(tag, r, lam, pspec.q, pspec.t)
-                obs_cache[key] = v
-            f *= v
-        add_scaled(num, f, w)
-    ring = pspec.ring
-    num, den = (TruncSeries(ring, {e: c for e, c in sums.items() if c})
-                for sums in (num, den))
-    return (den if series_r is None else num), den
+
+    def pairs():
+        for lam_seq, mu_seq in configurations(pspec, depth):
+            w = weight_W(pspec, lam_seq, mu_seq)
+            if not w:
+                continue
+            yield 1, {(0,): w}
+            if series_r is None:
+                continue
+            f = Fraction(1)
+            for (tag, r), lam in zip(series_r, lam_seq):
+                key = (tag, r, lam)
+                v = obs_cache.get(key)
+                if v is None:
+                    v = observable(tag, r, lam, pspec.q, pspec.t)
+                    obs_cache[key] = v
+                f *= v
+            yield f, {(1,): w}
+
+    sums = zterm_sum(pspec.ring, pairs())
+    den = sums.get((0,), pspec.ring.zero())
+    return (den if series_r is None else sums.get((1,), pspec.ring.zero())), den
 
 
 def partition_function_bruteforce(pspec: ProcessSpec, depth: int) -> TruncSeries:
@@ -462,23 +464,15 @@ def shift_mixed_moment_bruteforce(pspec: ProcessSpec, r: int, zeta,
     if pspec.N != 1:
         raise ValueError("shift-mixed quantities are single-step")
     ring = pspec.ring
-    dv = ring.degrees[ring._index["v"]]
-    charge_num = ring.zero()
-    charge_den = ring.zero()
-    # the oracle keeps its own charge sum: series.theta_terms feeds theta3 in
-    # the closed form, and the identity checked here is that theta ratio
-    n = 0
-    while n * n * dv <= ring.cutoff:
-        for s in ((1,) if n == 0 else (1, -1)):
-            m = s * n
-            mono = ring.monomial(zeta**m, v=n * n)
-            charge_den = charge_den + mono
-            charge_num = charge_num + mono * (pspec.t ** (-r * m))
-        n += 1
+    # the oracle keeps its own charge terms: series.theta_terms feeds theta3
+    # in the closed form, and the identity checked here is that theta ratio
+    nmax = isqrt(ring.cutoff // ring.degrees[ring._index["v"]])
+    terms = [(pspec.t ** (-r * m), ring.monomial(zeta**m, v=m * m))
+             for m in range(-nmax, nmax + 1)]
+    charge_den = linear_combination(ring, ((1, mono) for _, mono in terms))
+    charge_num = linear_combination(ring, terms)
     num, den = _configuration_sums(pspec, depth, [("E", r)])
-    num = num * charge_num
-    den = den * charge_den
-    return (num.truncate(ring.cutoff) * den.truncate(ring.cutoff).inverse())
+    return num * charge_num * (den * charge_den).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -534,17 +528,12 @@ def theta_cauchy_check(r: int, v_cutoff: int, xs, ys, zeta, label="") -> dict:
 
 
 def _det_series(entries, ring) -> TruncSeries:
+    """The Leibniz sum over permutations, each sign from its inversions."""
     r = len(entries)
-    out = ring.zero()
-    for perm in permutations(range(r)):
-        # count inversions for the signature
-        inv = sum(1 for i in range(r) for j in range(i + 1, r) if perm[i] > perm[j])
-        sign = -1 if inv % 2 else 1
-        term = ring.one()
-        for i in range(r):
-            term = term * entries[i][perm[i]]
-        out = out + term * Fraction(sign)
-    return out
+    return linear_combination(ring, (
+        ((-1) ** sum(perm[i] > perm[j] for i in range(r) for j in range(i + 1, r)),
+         reduce(mul, (row[p] for row, p in zip(entries, perm)), ring.one()))
+        for perm in permutations(range(r))))
 
 
 def schur_limit_kernels(r: int, v_cutoff: int, rng) -> dict:

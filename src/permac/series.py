@@ -14,7 +14,9 @@ every exponent into one int by a linear map (``_Packing``), so adding keys
 multiplies monomials, and each factor's coefficients become integer
 numerators over its ``lcm`` denominator.  ``_mul_terms`` multiplies with
 integer arithmetic only, and the one division per coefficient happens when
-the result is unpacked (``_unflatten``).  ``power_sum`` is the one loop for
+the result is unpacked (``_unflatten``).  ``zterm_sum``, the one sum
+c_1 f_1 + ... + c_k f_k of series and Laurent polynomials, adds integer
+numerators too, keyed by the exponents.  ``power_sum`` is the one loop for
 [1 +] sum_k w(k) f^k behind ``inverse``, ``exp`` and ``log`` of series and
 of Laurent polynomials: integer powers until one vanishes, then one
 division.  A product with a one-term factor is a scale and a shift instead,
@@ -26,10 +28,9 @@ product by the unit series (zero exponents, coefficient 1) is this shift
 with ``c2 == 1`` at zero exponent: the other factor's nonzero terms at or
 below the cutoff, with no multiply.  ``TruncSeries.__mul__`` is the one
 home of this unit rule, and callers, ``laurent`` and ``qpochhammer`` among
-them, just multiply.  A
-coefficient that is not an int or a Fraction is a TypeError where a scalar
-or monomial is built, in a product of two multi-term factors and in a power
-sum.
+them, just multiply.  A coefficient or scalar that is not an int or a
+Fraction is a TypeError where a scalar or monomial is built, in a product
+of two multi-term factors, in a sum and in a power sum.
 
 The ring also hosts the q-Pochhammer machinery: infinite symbols
 ``(a; p_1, ..., p_n)_inf`` are expanded through their logarithm
@@ -42,7 +43,8 @@ expanded geometrically.
 This module is the one place for the series idioms the closed forms share:
 ``geometric`` for p^(start k)/(1 - p^k), ``theta_terms`` for the charge
 terms zeta^m v^(m^2) of a theta sum, and ``euler_inverse`` for 1/(u; u)_inf.
-Brute-force oracles keep their own hand-written sums.
+Brute-force oracles choose their own terms, but sum them with the shared
+``zterm_sum``, as they add with ``+``.
 """
 
 from __future__ import annotations
@@ -325,28 +327,41 @@ class TruncSeries:
         return TruncSeries(ring, {e: c for e, c in terms.items() if c})
 
 
-def add_scaled(out: dict, c, s) -> None:
-    """out += c s on a map from exponents to coefficients, in place, for a
-    rational c and a series s; zero sums stay in ``out``."""
-    get = out.get
-    if c == 1:
-        for e, v in s.terms.items():
-            out[e] = get(e, 0) + v
-        return
-    for e, v in s.terms.items():
-        out[e] = get(e, 0) + c * v
-
-
 def linear_combination(ring: SeriesRing, pairs) -> TruncSeries:
-    """sum c s over the pairs (c, s), c rational and s a series of ``ring``,
-    in one pass with no intermediate series, truncated at the ring cutoff
-    as a product would be."""
-    out: dict = {}
-    for c, s in pairs:
-        add_scaled(out, c, s)
+    """sum c s over the pairs (c, s) of rationals and series of ``ring``."""
+    return zterm_sum(ring, ((c, {(): s}) for c, s in pairs)).get((), ring.zero())
+
+
+def zterm_sum(ring: SeriesRing, pairs) -> dict:
+    """sum c f over the pairs (c, f), c an int or a Fraction and f a map from
+    z-exponents to series of ``ring``, as such a map cut at the ring cutoff.
+    Each c times a coefficient is an integer numerator, added in a bucket
+    per denominator, so the pairs stream; the buckets merge over one lcm.
+    The keys stay exponent tuples, as a sum adds no key to another."""
     cutoff, degrees = ring.cutoff, ring.degrees
-    return TruncSeries(ring, {e: v for e, v in out.items()
-                              if v and sum(map(mul, e, degrees)) <= cutoff})
+    buckets: dict = {}
+    for c, f in pairs:
+        _check_rational(c)
+        if not c:
+            continue
+        cn, cd = c.numerator, c.denominator
+        for ze, ts in f.items():
+            for se, v in ts.terms.items():
+                if sum(map(mul, se, degrees)) > cutoff:
+                    continue
+                _check_rational(v)
+                acc = buckets.setdefault(cd * v.denominator, {})
+                key = ze, se
+                acc[key] = acc.get(key, 0) + cn * v.numerator
+    total = lcm(*buckets)
+    out: dict = {}
+    for den, acc in buckets.items():
+        scale = total // den
+        for (ze, se), v in acc.items():
+            ts = out.setdefault(ze, {})
+            ts[se] = ts.get(se, 0) + scale * v
+    return {ze: s for ze, ts in out.items() if (s := TruncSeries(
+        ring, {se: Fraction(v, total) for se, v in ts.items() if v}))}
 
 
 # ---------------------------------------------------------------------------

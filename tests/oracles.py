@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import mul
 
 from permac.cylindric import box_level
 from permac.laurent import LaurentPoly
@@ -11,7 +12,7 @@ from permac.partitions import (conjugate, contains, dominance_key, horizontal_st
                                length, make_partition, part, partitions_of,
                                partitions_up_to, weight, z_qt)
 from permac.process import weight_W
-from permac.series import TruncSeries
+from permac.series import SeriesRing, TruncSeries
 
 
 def horizontal_strip_by_columns(lam: tuple, mu: tuple) -> bool:
@@ -102,6 +103,46 @@ def fraction_power_sum(f: TruncSeries, coeff, out) -> TruncSeries:
         out = out + power * coeff(k)
         k += 1
     return out
+
+
+def add_scaled(out: dict, c, s) -> None:
+    """out += c s on a map from exponents to coefficients, in place, for a
+    rational c and a series s; zero sums stay in ``out``."""
+    get = out.get
+    if c == 1:
+        for e, v in s.terms.items():
+            out[e] = get(e, 0) + v
+        return
+    for e, v in s.terms.items():
+        out[e] = get(e, 0) + c * v
+
+
+def fraction_linear_combination(ring: SeriesRing, pairs) -> TruncSeries:
+    """sum c s over the pairs (c, s), c rational and s a series of ``ring``,
+    in one pass with no intermediate series, truncated at the ring cutoff
+    as a product would be: the Fraction oracle of the flat-kernel sum."""
+    out: dict = {}
+    for c, s in pairs:
+        add_scaled(out, c, s)
+    cutoff, degrees = ring.cutoff, ring.degrees
+    return TruncSeries(ring, {e: v for e, v in out.items()
+                              if v and sum(map(mul, e, degrees)) <= cutoff})
+
+
+def fraction_laurent_linear_combination(zvars, ring: SeriesRing, pairs) -> LaurentPoly:
+    """sum c p over the pairs (c, p), c rational and p a Laurent polynomial:
+    ``fraction_linear_combination`` once per z-exponent, so each coefficient
+    is truncated at the ring cutoff."""
+    groups: dict = {}
+    for c, lp in pairs:
+        for e, ts in lp.terms.items():
+            groups.setdefault(e, []).append((c, ts))
+    terms = {}
+    for e, group in groups.items():
+        ts = fraction_linear_combination(ring, group)
+        if ts:
+            terms[e] = ts
+    return LaurentPoly(zvars, ring, terms)
 
 
 def plain_laurent_product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

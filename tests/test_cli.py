@@ -548,6 +548,27 @@ def test_cheap_commands_load_only_their_modules(tmp_path):
     assert stored.stat().st_mtime_ns == written  # read from the cache, not rebuilt
 
 
+def test_commands_without_a_cache_directory_load_no_hashlib(tmp_path):
+    # hashlib loads OpenSSL, and only a cache directory needs its digests;
+    # a hashlib that site already loaded is not the program's
+    out = str(tmp_path / "report.json")
+    script = (
+        "import json, sys\n"
+        "before = 'hashlib' in sys.modules\n"
+        "from permac import cli\n"
+        f"codes = [cli.main(['--out', {out!r}, 'process', 'partition-function',\n"
+        "                    '--N', '2', '--u-deg', '4']),\n"
+        f"         cli.main(['--out', {out!r}, 'vertex', 'verify'])]\n"
+        "loaded = 'hashlib' in sys.modules and not before\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n")
+    env = {k: v for k, v in os.environ.items() if k != "PERMAC_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "loaded": False}
+
+
 def test_cylindric_counting_commands_load_no_free_field_code(tmp_path):
     # the vertex checks import fock and process inside their functions, so
     # enumeration and the MacMahon identities never load them

@@ -20,7 +20,7 @@ from permac.laurent import (
 from permac.scalars import QRho
 from permac.series import SeriesRing, TruncSeries
 
-from oracles import plain_laurent_product
+from oracles import fraction_laurent_linear_combination, plain_laurent_product
 
 Q0, T0 = Fraction(1, 3), Fraction(1, 5)
 
@@ -243,6 +243,85 @@ def test_linear_combination_equals_the_sum_of_plain_products(pair, cs, cancel):
     got = linear_combination(z, ring, pairs)
     assert got == expect
     assert all(got.terms.values())
+
+
+@st.composite
+def laurent_sums(draw):
+    """(c, p) pairs over 1-3 z-variables with exponents in [-3, 3]: int,
+    Fraction or zero scalars, coefficients with terms above the cutoff,
+    possibly no pair, and often a last pair that takes the first one back."""
+    ring = SeriesRing([("u", 1), ("v", 2)], draw(st.integers(0, 4)))
+    zvars = tuple(f"z{i}" for i in range(draw(st.integers(1, 3))))
+    scalars = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+    sexps = st.tuples(st.integers(0, 5), st.integers(0, 3))
+    coeffs = st.dictionaries(sexps, scalars.filter(bool), min_size=1, max_size=3) \
+        .map(lambda terms: TruncSeries(ring, terms))
+    zexps = st.tuples(*[st.integers(-3, 3)] * len(zvars))
+    polys = st.dictionaries(zexps, coeffs, max_size=4) \
+        .map(lambda terms: LaurentPoly(zvars, ring, terms))
+    pairs = [(draw(scalars), draw(polys)) for _ in range(draw(st.integers(0, 3)))]
+    if pairs and draw(st.booleans()):
+        pairs.append((-pairs[0][0], pairs[0][1]))
+    return zvars, ring, pairs
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=laurent_sums())
+def test_linear_combination_equals_the_fraction_sum(case):
+    zvars, ring, pairs = case
+    got = linear_combination(zvars, ring, iter(pairs))
+    expect = fraction_laurent_linear_combination(zvars, ring, pairs)
+    assert {e: c.terms for e, c in got.terms.items()} \
+        == {e: c.terms for e, c in expect.terms.items()}
+    assert all(c.terms and all(c.terms.values()) for c in got.terms.values())
+
+
+def test_linear_combination_refuses_a_float_scalar():
+    ring = SeriesRing(["u"], 2)
+    z = ("z",)
+    p = LaurentPoly.monomial(z, ring, 1, {"z": -1})
+    with pytest.raises(TypeError, match="not rational"):
+        linear_combination(z, ring, [(0.25, p)])
+
+
+def _laurent_key(p):
+    return (p.zvars, p.ring.symbols, p.ring.degrees, p.ring.cutoff,
+            {e: c.terms for e, c in p.terms.items()})
+
+
+def _laurent_pair(kind):
+    """A Laurent polynomial and another that equals it, or differs in one
+    coefficient, one term, its z-variables or its ring."""
+    ring, other_ring = SeriesRing(["u"], 2), SeriesRing(["u"], 3)
+    z = ("z1", "z2")
+    terms = {(0, 0): ring.one(), (1, -1): ring.gen("u") * Fraction(1, 2)}
+    a = LaurentPoly(z, ring, terms)
+    if kind == "equal, another ring object":
+        return a, LaurentPoly(z, SeriesRing(["u"], 2), dict(terms))
+    if kind == "different coefficient":
+        return a, LaurentPoly(z, ring, {**terms, (1, -1): ring.scalar(3)})
+    if kind == "extra term":
+        return a, LaurentPoly(z, ring, {**terms, (0, 2): ring.one()})
+    if kind == "missing term":
+        return a, LaurentPoly(z, ring, {(0, 0): ring.one()})
+    if kind == "different z-variables":
+        return a, LaurentPoly(("z1", "z3"), ring, dict(terms))
+    if kind == "different ring":
+        return a, LaurentPoly(z, other_ring, {e: TruncSeries(other_ring, c.terms)
+                                              for e, c in terms.items()})
+    return LaurentPoly(z, ring, {}), LaurentPoly(z, other_ring, {})
+
+
+@pytest.mark.parametrize("kind", [
+    "equal, another ring object", "different coefficient", "extra term", "missing term",
+    "different z-variables", "different ring", "zero, different ring"])
+def test_laurent_equality_is_term_dict_equality(kind):
+    # two zero polynomials over different rings compared equal, while two
+    # zero series over different rings do not
+    a, b = _laurent_pair(kind)
+    expect = _laurent_key(a) == _laurent_key(b)
+    assert (a == b) is expect and (b == a) is expect
+    assert (a != b) is not expect
 
 
 @st.composite

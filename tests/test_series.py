@@ -20,7 +20,7 @@ from permac.series import (
     theta_terms,
 )
 
-from oracles import fraction_power_sum, plain_series_product
+from oracles import fraction_linear_combination, fraction_power_sum, plain_series_product
 
 
 def random_series(ring, rng, nterms=6):
@@ -338,6 +338,57 @@ def test_linear_combination_equals_the_sum_of_plain_products(pair, cs, cancel):
     got = linear_combination(ring, pairs)
     assert got == expect
     assert all(got.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(0, 4), cancel=st.booleans())
+def test_linear_combination_equals_the_fraction_sum(data, n, cancel):
+    # int and Fraction scalars, c = 0, an empty input (n = 0), terms above
+    # the cutoff, and with ``cancel`` a pair that takes the first one back
+    ring = _product_ring(data.draw)
+    scalars = st.one_of(st.just(0), RATIONAL_COEFFS)
+    pairs = [(data.draw(scalars), _any_series(data.draw, ring)) for _ in range(n)]
+    if cancel and pairs:
+        pairs.append((-pairs[0][0], pairs[0][1]))
+    got = linear_combination(ring, iter(pairs))
+    assert got.terms == fraction_linear_combination(ring, pairs).terms
+    assert all(got.terms.values())
+
+
+def test_linear_combination_refuses_a_float_scalar():
+    # the sum once scaled by a float and returned float coefficients,
+    # where a product by the same float is a TypeError
+    ring = SeriesRing(["x"], 3)
+    x = ring.gen("x")
+    with pytest.raises(TypeError):
+        x * 0.5
+    with pytest.raises(TypeError, match="not rational"):
+        linear_combination(ring, [(0.5, x + 1)])
+    with pytest.raises(TypeError, match="not rational"):
+        linear_combination(ring, [(1, x), (0.0, x)])
+
+
+def _series_key(s):
+    return s.ring.symbols, s.ring.degrees, s.ring.cutoff, s.terms
+
+
+@pytest.mark.parametrize("other", [
+    lambda ring: TruncSeries(SeriesRing(["x"], 3), {(0,): 1, (1,): Fraction(1, 2)}),
+    lambda ring: TruncSeries(ring, {(0,): 1, (1,): Fraction(1, 3)}),
+    lambda ring: TruncSeries(ring, {(0,): 1, (1,): Fraction(1, 2), (2,): 5}),
+    lambda ring: TruncSeries(ring, {(0,): 1}),
+    lambda ring: TruncSeries(SeriesRing(["x"], 4), {(0,): 1, (1,): Fraction(1, 2)}),
+    lambda ring: TruncSeries(SeriesRing(["y"], 3), {(0,): 1, (1,): Fraction(1, 2)}),
+    lambda ring: TruncSeries(SeriesRing([("x", 2)], 3), {(0,): 1, (1,): Fraction(1, 2)}),
+], ids=["equal, another ring object", "different coefficient", "extra term",
+        "missing term", "different cutoff", "different symbol", "different degree"])
+def test_series_equality_is_term_dict_equality(other):
+    ring = SeriesRing(["x"], 3)
+    a = TruncSeries(ring, {(0,): 1, (1,): Fraction(1, 2)})
+    b = other(ring)
+    expect = _series_key(a) == _series_key(b)
+    assert (a == b) is expect and (b == a) is expect
+    assert (a != b) is not expect
 
 
 @st.composite
