@@ -29,6 +29,7 @@ from .partitions import (
     horizontal_strip,
     length,
     part,
+    partitions_inside,
     partitions_up_to,
     weight,
 )
@@ -402,7 +403,8 @@ def vertex_skew_sum(lam: tuple, mu: tuple, p_first, p_second, q, t, unit):
     products p_nu serve every eta and every call, or bare p-value callables.
     """
     terms = []
-    for eta in partitions_up_to(min(weight(lam), weight(mu))):
+    # a nonzero term needs eta inside both, so inside their meet
+    for eta in partitions_inside(tuple(map(min, lam, mu))):
         pv = skew_eval("P", lam, eta, p_first, q, t, unit=unit)
         if not pv:
             continue

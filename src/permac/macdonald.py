@@ -179,27 +179,26 @@ def _lam_key(lam: tuple) -> str:
     return ",".join(map(str, lam))
 
 
-def _table_to_disk(q, t, n, table) -> dict:
+def _table_to_disk(table) -> dict:
+    """The stored form of a table; ``cache.store`` adds its (q, t, weight)."""
     from .scalars import format_rational
 
-    return {"q": format_rational(q), "t": format_rational(t), "weight": n,
-            "P": {_lam_key(lam): {_lam_key(mu): format_rational(c)
+    return {"P": {_lam_key(lam): {_lam_key(mu): format_rational(c)
                                   for mu, c in mrep.items()}
                   for lam, mrep in table["P"].items()},
             "norm": {_lam_key(lam): format_rational(v)
                      for lam, v in table["norm"].items()}}
 
 
-def _table_from_disk(data, params) -> dict | None:
-    """Unpack a stored table; None when it is malformed or for another point.
+def _table_from_disk(data, n) -> dict | None:
+    """Unpack a stored weight-n table; None when it is malformed.
 
     P and norm must each key their entries by exactly the partitions of the
     weight, every coefficient must be keyed by one of them and written as an
-    integer or "num/den", and no norm may be zero.
+    integer or "num/den", and no norm may be zero.  ``cache.load`` has
+    already checked that the payload records this (q, t, weight).
     """
-    if any(data.get(k) != v for k, v in params.items()):
-        return None
-    lams = {_lam_key(lam): lam for lam in partitions_of(params["weight"])}
+    lams = {_lam_key(lam): lam for lam in partitions_of(n)}
 
     def rational(text):
         num, slash, den = text.partition("/")
@@ -278,7 +277,7 @@ def macdonald_table(q: Fraction, t: Fraction, n: int) -> dict:
         return hit
     params = {"q": format_rational(q), "t": format_rational(t), "weight": n}
     disk = cache.load("macdonald", "pq-table", params)
-    table = None if disk is None else _table_from_disk(disk, params)
+    table = None if disk is None else _table_from_disk(disk, n)
     if table is not None:
         tables[n] = table
         return table
@@ -317,7 +316,7 @@ def macdonald_table(q: Fraction, t: Fraction, n: int) -> dict:
         table["norm"][lam] = Fraction(nn, den * scale)
     tables[n] = table
     if cache.cache_dir():  # store() writes nothing without one
-        cache.store("macdonald", "pq-table", params, _table_to_disk(q, t, n, table))
+        cache.store("macdonald", "pq-table", params, _table_to_disk(table))
     return table
 
 

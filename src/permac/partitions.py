@@ -97,6 +97,12 @@ def partitions_up_to(n: int) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
+def partitions_inside(lam: tuple) -> tuple:
+    """All partitions whose diagram lies inside lam's, in partitions_up_to order."""
+    return tuple(mu for mu in partitions_up_to(weight(lam)) if contains(lam, mu))
+
+
 def dominance_leq(mu: tuple, lam: tuple) -> bool:
     """True iff mu <= lam in dominance order (false across unequal weights)."""
     if weight(mu) != weight(lam):

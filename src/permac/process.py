@@ -35,7 +35,7 @@ from .laurent import LaurentPoly, cauchy_sym_prefactor, laurent_exp, \
     product_coefficient, ratio_sym_factor
 from .macdonald import alpha_spec, observable, plancherel_spec, skew_eval, \
     zero_spec
-from .partitions import contains, partitions_up_to, weight
+from .partitions import contains, partitions_inside, partitions_up_to, weight
 from .series import SeriesRing, TruncSeries, geometric, linear_combination, \
     qpochhammer, theta3, zterm_sum
 
@@ -167,11 +167,6 @@ def _partitions_containing(mu: tuple, max_weight: int) -> tuple:
     return tuple(lam for lam in partitions_up_to(max_weight) if contains(lam, mu))
 
 
-@lru_cache(maxsize=None)
-def _partitions_inside(lam: tuple) -> tuple:
-    return tuple(mu for mu in partitions_up_to(weight(lam)) if contains(lam, mu))
-
-
 def configurations(pspec: ProcessSpec, depth: int):
     """All configurations whose weight has graded degree <= depth.
 
@@ -220,7 +215,7 @@ def configurations(pspec: ProcessSpec, depth: int):
                 mus[i] = lam
                 yield from walk(i + 1, lam, w_lam, b1)
                 continue
-            for mu in _partitions_inside(lam):
+            for mu in partitions_inside(lam):
                 w_mu = sum(mu)
                 b2 = b1 - d_dn * (w_lam - w_mu)
                 if b2 >= 0:
@@ -463,6 +458,8 @@ def shift_mixed_moment_bruteforce(pspec: ProcessSpec, r: int, zeta,
     """
     if pspec.N != 1:
         raise ValueError("shift-mixed quantities are single-step")
+    if isinstance(zeta, int):
+        zeta = Fraction(zeta)  # an int to a negative power is a float
     ring = pspec.ring
     # the oracle keeps its own charge terms: series.theta_terms feeds theta3
     # in the closed form, and the identity checked here is that theta ratio

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 from fractions import Fraction
@@ -9,6 +10,7 @@ from permac.scalars import format_rational, parse_rational
 
 Q, T = Fraction(5, 17), Fraction(4, 19)
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "permac")
 
 
 @pytest.fixture
@@ -114,6 +116,58 @@ def test_stored_table_bytes_match_golden(cold):
         stored = fh.read()
     with open(os.path.join(GOLDEN, "pq-table-w6-q1_3-t2_7.json"), "rb") as fh:
         assert stored == fh.read()
+
+
+def test_golden_table_file_name_is_pinned(cold):
+    # the name is the key's checksum; changing how keys are derived orphans
+    # every stored file, so it must be a deliberate change
+    name = os.path.basename(table_path(Fraction(1, 3), Fraction(2, 7), 6))
+    assert name == "macdonald.pq-table.9a881ab9c0621955.json"
+
+
+def test_load_returns_what_store_wrote_with_its_params(cold):
+    params = {"n": 3, "label": "a"}
+    cache.store("demo", "op", params, {"rows": [1, 2]})
+    assert cache.load("demo", "op", params) == {
+        "rows": [1, 2], "n": 3, "label": "a", "version": cache.CACHE_VERSION}
+
+
+@pytest.mark.parametrize("stored", [{"n": 4, "label": "a"}, {"n": 3, "label": "b"},
+                                    {"n": "3", "label": "a"}, {"label": "a"}],
+                         ids=["int", "text", "type", "missing"])
+def test_load_misses_a_payload_for_other_params(cold, stored):
+    # a collision, a renamed or a copied file sits under the requested name
+    # with another key's params; the checksum alone must not serve it
+    params = {"n": 3, "label": "a"}
+    cache.store("demo", "op", params, {"rows": [1, 2]})
+    path = cache._path_for("demo", "op", params)
+    with open(path) as fh:
+        data = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump({**{k: v for k, v in data.items() if k not in params}, **stored}, fh)
+    assert cache.load("demo", "op", params) is None
+
+
+def test_package_imports_no_openssl():
+    # hashlib and ssl map OpenSSL into every process that imports them, even
+    # inside a function; the cache's checksums come from zlib
+    banned = {"hashlib", "_hashlib", "ssl"}
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [(name, node.lineno, m) for m in modules
+                      if m.split(".")[0] in banned]
+    assert found == []
 
 
 def test_table_without_cache_dir_builds_no_disk_payload(monkeypatch, fresh_memos):

@@ -569,6 +569,37 @@ def test_commands_without_a_cache_directory_load_no_hashlib(tmp_path):
     assert json.loads(proc.stdout) == {"codes": [0, 0], "loaded": False}
 
 
+def test_cache_directory_commands_load_no_openssl(tmp_path):
+    # the cache names its files by zlib checksums, so neither a cold expand,
+    # which stores its table, nor a warm one, which reads it, loads OpenSSL;
+    # a hashlib that site already loaded is not the program's
+    cache_dir = tmp_path / "cache"
+    argv = ["--out", str(tmp_path / "report.json"), "macdonald", "expand",
+            "--lambda", "3,1", "--q", "1/3", "--t", "1/5", "--cache-dir", str(cache_dir)]
+    script = (
+        "import json, sys\n"
+        "before = sorted({'hashlib', '_hashlib'} & set(sys.modules))\n"
+        "from permac import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "loaded = sorted({'hashlib', '_hashlib'} & set(sys.modules))\n"
+        "print(json.dumps({'before': before, 'code': code, 'loaded': loaded}))\n")
+    env = {k: v for k, v in os.environ.items() if k != "PERMAC_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    written = None
+    for run in ("cold", "warm"):
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        if got["before"]:
+            pytest.skip(f"site loaded {got['before']} before permac")
+        assert {"code": got["code"], "loaded": got["loaded"]} == {"code": 0, "loaded": []}, run
+        (stored,) = cache_dir.iterdir()
+        if written is not None:
+            assert stored.stat().st_mtime_ns == written  # read, not rebuilt
+        written = stored.stat().st_mtime_ns
+
+
 def test_cylindric_counting_commands_load_no_free_field_code(tmp_path):
     # the vertex checks import fock and process inside their functions, so
     # enumeration and the MacMahon identities never load them

@@ -24,7 +24,7 @@ from permac.cylindric import (
 )
 from oracles import components_two_lists, horizontal_strip_by_columns
 from permac.macdonald import lambda_rho_p
-from permac.partitions import conjugate, partitions_up_to
+from permac.partitions import conjugate, partitions_up_to, weight
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing, qpochhammer
 
@@ -250,6 +250,58 @@ def test_trivial_vertex_is_one():
     pa = principal_p_trunc(ring, "yr_nxu")
     pb = principal_p_trunc(ring, "xr_ynu")
     assert vertex_skew_sum((), (), pa, pb, Q0, T0, ring.one()) == ring.one()
+
+
+def _vertex_skew_sum_over_every_eta(lam, mu, p_first, p_second, q, t, unit):
+    """vertex_skew_sum with eta over every partition up to min(|lam|, |mu|),
+    kept as the oracle of the sum over the meet of lam and mu."""
+    terms = []
+    for eta in partitions_up_to(min(weight(lam), weight(mu))):
+        pv = cylindric.skew_eval("P", lam, eta, p_first, q, t, unit=unit)
+        if not pv:
+            continue
+        qv = cylindric.skew_eval("Q", mu, eta, p_second, q, t, unit=unit)
+        if not qv:
+            continue
+        terms.append((1, pv * qv))
+    return cylindric.combine(unit, terms)
+
+
+def test_vertex_skew_sum_equals_the_sum_over_every_eta():
+    from permac.cylindric import principal_p_trunc, vertex_skew_sum
+
+    ring = SeriesRing(["u", "x", "y"], 4)
+    pa = principal_p_trunc(ring, "yr_nxu")
+    pb = principal_p_trunc(ring, "xr_ynu")
+    for lam, mu in itertools.product(partitions_up_to(3), repeat=2):
+        assert vertex_skew_sum(lam, mu, pa, pb, Q0, T0, ring.one()) == \
+            _vertex_skew_sum_over_every_eta(lam, mu, pa, pb, Q0, T0, ring.one()), (lam, mu)
+
+
+@pytest.mark.parametrize("check", [
+    lambda q, t: cor_b2_check(5, q, t),
+    lambda q, t: thm_b1_check((1,), 3, 3, q, t),
+    lambda q, t: thm_b1_check((2, 1), 2, 2, q, t),
+], ids=["cor_b2", "thm_b1-1", "thm_b1-21"])
+def test_vertex_checks_skip_only_zero_skew_terms(monkeypatch, fresh_memos, check):
+    # eta runs inside lam and mu only: the reports stay as they were with
+    # fewer skew_eval calls
+    q, t = Fraction(1, 3), Fraction(2, 7)
+    calls = []
+    skew_eval = cylindric.skew_eval
+
+    def counted(*args, **kwargs):
+        calls.append(args[:3])
+        return skew_eval(*args, **kwargs)
+
+    monkeypatch.setattr(cylindric, "skew_eval", counted)
+    report = check(q, t)
+    inside = len(calls)
+    calls.clear()
+    fresh_memos()
+    monkeypatch.setattr(cylindric, "vertex_skew_sum", _vertex_skew_sum_over_every_eta)
+    assert check(q, t) == report
+    assert inside < len(calls)
 
 
 def test_cor_b2():

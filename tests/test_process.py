@@ -6,7 +6,7 @@ import pytest
 
 from permac import laurent, process
 from permac.macdonald import alpha_spec, zero_spec
-from permac.partitions import contains, partitions_up_to, weight
+from permac.partitions import contains, partitions_inside, partitions_up_to, weight
 from permac.process import (
     ProcessSpec,
     configurations,
@@ -157,7 +157,7 @@ def test_configurations_pinned(monkeypatch, plus, minus, depth):
     got = list(process.configurations(ps, depth))
     monkeypatch.setattr(process, "_partitions_containing", lambda mu, w: [
         lam for lam in partitions_up_to(w) if contains(lam, mu)])
-    monkeypatch.setattr(process, "_partitions_inside", lambda lam: [
+    monkeypatch.setattr(process, "partitions_inside", lambda lam: [
         mu for mu in partitions_up_to(weight(lam)) if contains(lam, mu)])
     assert got == list(process.configurations(ps, depth))
     # ... and that list is every cyclic interlacing chain of graded cost
@@ -211,7 +211,7 @@ def _oracle_configurations(pspec, depth):
                 b1 = budget if d_up is None \
                     else budget - d_up * (weight(lam) - weight(prev_mu))
                 if not last:
-                    downs = [lam] if d_dn is None else process._partitions_inside(lam)
+                    downs = [lam] if d_dn is None else partitions_inside(lam)
                 elif lam == mu0 or (d_dn is not None and contains(lam, mu0)):
                     downs = [mu0]
                 else:
@@ -512,6 +512,18 @@ def test_shift_mixed_moment_formula_vs_bruteforce():
     brute = shift_mixed_moment_bruteforce(ps, 1, zeta, 6)
     formula = shift_mixed_moment_formula(ps, 1, zeta)
     assert formula == brute
+
+
+@pytest.mark.parametrize("zeta", [2, -3])
+def test_shift_mixed_moment_takes_an_int_zeta(zeta):
+    # an int zeta to a negative charge power must stay rational in the oracle,
+    # as it does in the closed form's theta terms
+    ring = SeriesRing(["v"], 6)
+    u = ring.monomial(Fraction(1), v=2)
+    ps = ProcessSpec(ring, Fraction(1, 3), Fraction(1, 5), u, [zero_spec()], [zero_spec()])
+    formula = shift_mixed_moment_formula(ps, 1, zeta)
+    assert shift_mixed_moment_bruteforce(ps, 1, zeta, 6) == formula
+    assert formula == shift_mixed_moment_formula(ps, 1, Fraction(zeta))
 
 
 @pytest.mark.parametrize("steps", [[("E", 1)], [("E", 1)] * 3])
