@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
@@ -247,28 +248,33 @@ MAX_DEPTH = 20  # 2714 states; each dense float matrix then takes about 59 MB
 
 
 def pieri_up_matrices(depth: int, q: Fraction, t: Fraction):
-    """One-box Pieri up-matrices (U, U') over ``partitions_up_to(depth)``.
+    """One-box Pieri up-matrices (U, U') over ``partitions_up_to(depth)``, as
+    their blocks between consecutive weight levels.
 
     U[lam, nu] = psi_{lam/nu} and U'[lam, nu] = phi_{lam/nu} when lam is nu
     plus one box, and 0 otherwise.  Both raise the weight by exactly one, so
-    they are nilpotent on the truncated space: U^(depth+1) = 0.
+    they are nilpotent on the truncated space and their other entries vanish:
+    block w - 1 of each list, for w = 1..depth, is the (partitions_of(w),
+    partitions_of(w - 1)) block.
     """
     import numpy as np
 
-    states = partitions_up_to(depth)
-    index = {lam: i for i, lam in enumerate(states)}
-    up = np.zeros((2, len(states), len(states)))
-    for j, nu in enumerate(states):
-        if weight(nu) == depth:
-            continue
-        for lam in add_one_box(nu):
-            psi, phi = macdonald.pieri(lam, nu, q, t)
-            up[:, index[lam], j] = float(psi), float(phi)
-    return up[0], up[1]
+    up, up_dual = [], []
+    for w in range(1, depth + 1):
+        index = {lam: i for i, lam in enumerate(partitions_of(w))}
+        block = np.zeros((2, len(index), len(partitions_of(w - 1))))
+        for j, nu in enumerate(partitions_of(w - 1)):
+            for lam in add_one_box(nu):
+                psi, phi = macdonald.pieri(lam, nu, q, t)
+                block[:, index[lam], j] = float(psi), float(phi)
+        up.append(block[0])
+        up_dual.append(block[1])
+    return up, up_dual
 
 
 def _half_vertex(up, sizes, xi: float):
-    """exp(xi U) for a U that raises the weight ``sizes`` by one.
+    """exp(xi U) for the level blocks ``up`` of a U that raises the weight
+    ``sizes`` by one.
 
     U^k only joins states k boxes apart, so exp(xi U) is the path-sum matrix
     sum_k U^k times xi^d / d!, d = |lam| - |nu|.  The path sums are built
@@ -276,19 +282,19 @@ def _half_vertex(up, sizes, xi: float):
     """
     import numpy as np
 
-    depth = int(sizes[-1])
+    depth = len(up)
     bounds = np.searchsorted(sizes, np.arange(depth + 2))
     paths = np.eye(len(sizes))
     for w in range(1, depth + 1):
-        rows = slice(bounds[w], bounds[w + 1])
-        below = slice(bounds[w - 1], bounds[w])
-        paths[rows] += up[rows, below] @ paths[below]
+        paths[bounds[w]:bounds[w + 1]] += up[w - 1] @ paths[bounds[w - 1]:bounds[w]]
     try:
         coef = np.array([xi ** d / math.factorial(d) for d in range(depth + 1)])
     except OverflowError:
         raise ValueError(f"xi = gamma (1 - u) = {xi:.3g} overflows a double "
                          f"at depth {depth}") from None
-    return paths * coef[np.maximum(sizes[:, None] - sizes[None, :], 0)]
+    for w in range(1, depth + 1):  # the rows of weight w, from levels 0..w
+        paths[bounds[w]:bounds[w + 1], :bounds[w + 1]] *= coef[w - sizes[:bounds[w + 1]]]
+    return paths
 
 
 def _sandwich(gamma: float, u: float, depth: int, q: Fraction, t: Fraction):
@@ -330,7 +336,9 @@ def transfer_matrix(gamma, u, depth: int, q: Fraction, t: Fraction,
         raise ValueError("transfer_matrix is float only")
     pref, x, decay, y = _sandwich(float(gamma), float(u), depth, q, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = pref * ((x * decay) @ y.T)
+        x *= decay
+        entries = x @ y.T
+        entries *= pref
     _refuse_overflow(np.isfinite(entries).all(), gamma, depth)
     return TransferMatrix(partitions_up_to(depth), entries, gamma, u)
 
@@ -490,17 +498,19 @@ def dropped_mass(mats, beta: float) -> float:
     """Cycle mass the truncation drops: 1 - tr(M_0 ... M_last) (u;u)_inf.
 
     The gaps compose by the semigroup property, and the untruncated cycle has
-    trace 1/(u;u)_inf with u = e^{-beta}.
+    trace 1/(u;u)_inf with u = e^{-beta}.  The trace contracts M_0 with
+    M_1 ... M_last, without forming the cycle itself.
     """
-    cycle = mats[0]
-    for m in mats[1:]:
-        cycle = cycle @ m
+    import numpy as np
+
+    first, *rest = mats
+    trace = np.einsum("ij,ji->", first, reduce(np.matmul, rest)) if rest else first.trace()
     u = math.exp(-beta)
     euler, k = 1.0, 1
     while euler > 0.0 and u ** k > 1e-17:
         euler *= 1.0 - u ** k
         k += 1
-    return 1.0 - float(cycle.trace()) * euler
+    return 1.0 - float(trace) * euler
 
 
 def _draw_blocks(spec: TrajectorySpec, q: Fraction, t: Fraction, mats):
@@ -526,10 +536,11 @@ def _draw_blocks(spec: TrajectorySpec, q: Fraction, t: Fraction, mats):
         idx = np.empty(xs.shape, int)
         idx[:, 0] = _inverse_cdf(cum0, xs[:, 0])
         for step in range(1, len(spec.times)):
-            keys, group, sizes = np.unique(idx[:, step - 1] * n + idx[:, 0],
-                                           return_inverse=True, return_counts=True)
-            members = np.split(np.argsort(group), np.cumsum(sizes)[:-1])
-            for key, at in zip(keys.tolist(), members):
+            # one stable sort groups the samples; a group starts where the key changes
+            keys = idx[:, step - 1] * n + idx[:, 0]
+            order = np.argsort(keys, kind="stable")
+            starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+            for key, at in zip(keys[order[starts]].tolist(), np.split(order, starts[1:])):
                 cum = rows.get((step, key))
                 if cum is None:
                     prev, i0 = divmod(key, n)
@@ -579,7 +590,8 @@ def truncated_trace_float(gamma: float, u: float, depth: int,
 
     pref, x, decay, y = _sandwich(gamma, u, depth, q, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = pref * float((x * y).sum(axis=0) @ decay)
+        x *= y
+        trace = pref * float(x.sum(axis=0) @ decay)
     _refuse_overflow(math.isfinite(trace), gamma, depth)
     return trace
 

@@ -5,10 +5,11 @@ Sample k of a seeded Plancherel sampler draws from random.Random(seed *
 init_by_array seeds with the 32-bit words of |key|, low word first.  Seeding
 runs two loops over the 624 state words, each word a function of the one
 before, so ``random_rows`` runs them once for a block of consecutive keys, as
-numpy uint32 vectors with one element per key.  The first twist then
-computes only the words the draws read, and random() is
-((a >> 5) 2^26 + (b >> 6)) / 2^53 for two tempered words a, b: the values
-are those of random.Random, bit for bit.  numpy is imported on first use,
+numpy uint32 vectors with one element per key.  Only the words the draws
+read are kept, as the rows of one array that the first twist and the
+tempering rewrite in place, and random() is ((a >> 5) 2^26 + (b >> 6)) / 2^53
+for two tempered words a, b: the values are those of random.Random, bit for
+bit.  numpy is imported on first use,
 as in ``plancherel``, which imports this module.
 """
 
@@ -27,9 +28,10 @@ def _genrand_table() -> tuple:
     return tuple(mt)
 
 
-def _seeded_state(low, high: int, keep) -> dict:
-    """{i: word i} after init_by_array, for each i in ``keep``, of the
-    generators seeded with the keys high 2^32 + low (low a uint32 vector).
+def _seeded_state(low, high: int, keep):
+    """(len(keep), keys) uint32 array whose row r holds word keep[r] after
+    init_by_array, for the generators seeded with the keys high 2^32 + low
+    (low a uint32 vector).
 
     With f(x, c) = (x ^ (x >> 30)) c mod 2^32, g the init_genrand table and
     w the key's L words, the first loop writes to word n + 1, then word 1 again
@@ -71,7 +73,11 @@ def _seeded_state(low, high: int, keep) -> dict:
     cur, new = [(b, b[0], b[1]) for b in np.empty((2, 2, len(low)), np.uint32)]
     first(x0, 1, cur[1])
     cur[2][:] = x
-    out = {0: np.full(len(low), 1 << 31, np.uint32)}
+    del x, nxt
+    rows = {i: r for r, i in enumerate(keep)}
+    out = np.empty((len(rows), len(low)), np.uint32)
+    if 0 in rows:
+        out[rows[0]] = 1 << 31
     for m in range(_N - 1):
         (xy, x, _), (f, fx, fy) = cur, new
         np.right_shift(xy, 30, f)
@@ -82,32 +88,34 @@ def _seeded_state(low, high: int, keep) -> dict:
         i = (m + 1) % (_N - 1) + 1  # m + 2, then 1
         fy ^= x
         fy -= i
-        if i in keep:
-            out[i] = fy.copy()
+        if i in rows:
+            out[rows[i]] = fy
         cur, new = new, cur
     return out
 
 
-def _mag(upper, lower):
-    """The twist's term from the top bit of one word and the low 31 of the
-    next: y >> 1, xor the twist matrix's last row when y is odd."""
-    y = (upper & 0x80000000) | (lower & 0x7FFFFFFF)
-    return (y >> 1) ^ ((y & 1) * 0x9908B0DF)
-
-
-def _twist(s):
-    """The next MT19937 state from the state rows s, shape (624, keys)."""
+def _twist_word(s, i: int, lower: int, far: int, tmp) -> None:
+    """The MT19937 twist of one word, in place on the rows of s:
+    s[i] = s[far] ^ (y >> 1) ^ (0x9908B0DF if y is odd), where y is the top
+    bit of s[i] and the low 31 bits of s[lower].  ``tmp`` is a spare row."""
     import numpy as np
 
-    mag = _mag(s[:-1], s[1:])
-    new = np.empty_like(s)
-    # word i reads word i + 397 of the new state once that exists
-    new[:_N - _M] = s[_M:] ^ mag[:_N - _M]
-    for lo in range(_N - _M, _N - 1, _N - _M):
-        hi = min(lo + _N - _M, _N - 1)
-        new[lo:hi] = new[lo - (_N - _M):hi - (_N - _M)] ^ mag[lo:hi]
-    new[-1] = new[_M - 1] ^ _mag(s[-1], new[0])
-    return new
+    np.bitwise_xor(s[i], s[lower], tmp)
+    tmp &= 0x80000000
+    tmp ^= s[lower]  # y
+    np.right_shift(tmp, 1, s[i])
+    s[i] ^= s[far]
+    tmp &= 1
+    tmp *= 0x9908B0DF
+    s[i] ^= tmp
+
+
+def _twist(s, tmp) -> None:
+    """The next MT19937 state, in place on the state rows s, shape (624,
+    keys): word i reads words i + 1 and i + 397 mod 624, the new ones once
+    they exist."""
+    for i in range(_N):
+        _twist_word(s, i, (i + 1) % _N, (i + _M) % _N, tmp)
 
 
 def _mt_random(low, high: int, draws: int):
@@ -116,24 +124,31 @@ def _mt_random(low, high: int, draws: int):
     import numpy as np
 
     words = 2 * draws
+    tmp = np.empty(len(low), np.uint32)
     if words <= _N - _M:
-        # twisted word i < 227 reads words i, i + 1 and i + 397 only
-        s = _seeded_state(low, high, {*range(1, words + 1), *range(_M, _M + words)})
-        y = np.stack([s[i] for i in range(words + 1)])
-        w = np.stack([s[i] for i in range(_M, _M + words)])
-        w ^= _mag(y[:-1], y[1:])
+        # twisted word i < 227 reads words i, i + 1 and i + 397 only; rows
+        # words + 1 on are free once twisted, and hold the tempering's shifts
+        s = _seeded_state(low, high, [*range(words + 1), *range(_M, _M + words)])
+        for i in range(words):
+            _twist_word(s, i, i + 1, words + 1 + i, tmp)
+        w, spare = s[:words], s[words + 1:]
     else:
         s = _seeded_state(low, high, range(_N))
-        states = [_twist(np.stack([s[i] for i in range(_N)]))]
-        while len(states) * _N < words:
-            states.append(_twist(states[-1]))
-        w = np.concatenate(states)[:words]
-    w ^= w >> 11
-    w ^= (w << 7) & 0x9D2C5680
-    w ^= (w << 15) & 0xEFC60000
-    w ^= w >> 18
-    a, b = (w[0::2] >> 5).astype(float), (w[1::2] >> 6).astype(float)
-    return ((a * 67108864.0 + b) * (1.0 / 9007199254740992.0)).T
+        w = np.empty((words, len(low)), np.uint32)
+        for at in range(0, words, _N):
+            _twist(s, tmp)
+            w[at:at + _N] = s[:words - at]
+        del s
+        spare = np.empty_like(w)
+    w ^= np.right_shift(w, 11, spare)
+    w ^= np.bitwise_and(np.left_shift(w, 7, spare), 0x9D2C5680, spare)
+    w ^= np.bitwise_and(np.left_shift(w, 15, spare), 0xEFC60000, spare)
+    w ^= np.right_shift(w, 18, spare)
+    a, b = w[0::2], w[1::2]
+    out = np.multiply(np.right_shift(a, 5, a), 67108864.0)
+    out += np.right_shift(b, 6, b)
+    out *= 1.0 / 9007199254740992.0
+    return out.T
 
 
 def random_rows(start: int, count: int, draws: int):

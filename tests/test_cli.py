@@ -263,6 +263,20 @@ def test_sampler_out_file_is_the_golden_stream(tmp_path):
     assert err.getvalue().count("\n") == 1
 
 
+def test_sampler_four_times_at_depth_12_is_the_golden_stream():
+    # states up to weight 12, where the level blocks of the sandwich are
+    # largest among the goldens; the stderr value is pinned too
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["plancherel", "sample", "--gamma", "1.6", "--beta", "1.0",
+                     "--times", "0.0,0.2,0.5,0.8", "--depth", "12", "--count", "250",
+                     "--seed", "3", "--q", "1/3", "--t", "1/5"])
+    assert code == 0
+    with open(os.path.join(ROOT, "tests", "golden", "plancherel-sample-depth12.out")) as fh:
+        assert out.getvalue() == fh.read()
+    assert err.getvalue() == "dropped mass: 2.467e-02 of the cycle at depth 12\n"
+
+
 def test_config_file_merges_under_flags(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"q": "1/3", "t": "1/5", "s_deg": 4}))

@@ -1,8 +1,10 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -252,10 +254,21 @@ def test_sandwich_equals_exact_nu_sum_at_every_entry(depth, data):
     assert spot_check_float_entries(tm, q, t, None, frac=1, tol=1e-12) == n * n
 
 
+def _dense(blocks, depth):
+    """The level blocks of a one-box up-matrix, placed in one dense matrix
+    over partitions_up_to(depth)."""
+    bounds = list(accumulate((len(partitions_of(w)) for w in range(depth + 1)), initial=0))
+    out = np.zeros((bounds[-1], bounds[-1]))
+    assert len(blocks) == depth
+    for w, block in enumerate(blocks, start=1):
+        out[bounds[w]:bounds[w + 1], bounds[w - 1]:bounds[w]] = block
+    return out
+
+
 def test_sandwich_is_the_exponential_series():
     # X = sum_k (xi U)^k / k! summed literally, against transfer_matrix
     q, t, gamma, u, depth = Fraction(2, 7), Fraction(5, 9), 0.9, 0.45, 7
-    up, up_dual = pieri_up_matrices(depth, q, t)
+    up, up_dual = (_dense(m, depth) for m in pieri_up_matrices(depth, q, t))
 
     def half_vertex(m, xi):
         out = term = np.eye(len(m))
@@ -276,7 +289,7 @@ def test_sandwich_is_the_exponential_series():
 def test_pieri_up_matrices_add_one_box_and_are_nilpotent():
     depth = 6
     states = partitions_up_to(depth)
-    up, up_dual = pieri_up_matrices(depth, Q0, T0)
+    up, up_dual = (_dense(m, depth) for m in pieri_up_matrices(depth, Q0, T0))
     for m in (up, up_dual):
         for i, j in zip(*np.nonzero(m)):
             lam, nu = states[i], states[j]
@@ -287,6 +300,22 @@ def test_pieri_up_matrices_add_one_box_and_are_nilpotent():
     assert np.count_nonzero(up) == np.count_nonzero(up_dual) == edges
     # psi and phi of one box onto the empty partition (see test_dims_examples)
     assert up[1, 0] == 1 and up_dual[1, 0] == float((1 - T0) / (1 - Q0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_transfer_matrix_peak_is_at_most_four_dense_matrices():
+    # X, Y and the entries, plus the level blocks and one row of scalings
+    depth = 12
+    n = len(partitions_up_to(depth))
+    transfer_matrix(0.8, 0.45, depth, Q0, T0)  # the Pieri edges are memoised
+    tracemalloc.start()
+    try:
+        tm = transfer_matrix(0.8, 0.45, depth, Q0, T0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tm.entries.shape == (n, n)
+    assert peak <= 4 * 8 * n * n
 
 
 def test_float_depth_is_bounded():

@@ -5,6 +5,7 @@ overflow warning.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -45,3 +46,19 @@ def test_random_rows_refuse_keys_of_more_than_624_words():
     # init_by_array reads at most 624 key words
     with pytest.raises(ValueError, match="stream keys"):
         random_rows(1 << 32 * 624, 1, 1)
+
+
+@pytest.mark.parametrize("keys, draws, most", [(10_922, 3, 128), (32_768, 1, 56)],
+                         ids=["three-time-block", "one-time-block"])
+def test_random_rows_peak_bytes_per_key(keys, draws, most):
+    # the stream blocks of a three-time and a one-time sampler call: the
+    # traced peak, result included, stays within ``most`` bytes per key
+    random_rows(41 * 1_000_003, 8, draws)
+    tracemalloc.start()
+    try:
+        xs = random_rows(41 * 1_000_003, keys, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert xs.shape == (keys, draws)
+    assert peak <= most * keys
