@@ -218,13 +218,15 @@ def trace_bruteforce(op, ring: SeriesRing, u_name: str, depth: int, q, t) -> Tru
     """Graded trace sum_{|lam| <= depth} u^{|lam|} <lam| op |lam> / z_lam.
 
     ``op`` maps Fock vectors to Fock vectors; the lambda-diagonal coefficient
-    is read off directly in the power-sum basis.
+    is read off directly in the power-sum basis.  Each basis vector starts at
+    the rational 1, so the first mode weights scale it without a series
+    product.
     """
     from .partitions import partitions_up_to
 
     out = ring.zero()
     for lam in partitions_up_to(depth):
-        image = op({lam: ring.one()})
+        image = op({lam: 1})
         diag = image.get(lam)
         if not diag:
             continue

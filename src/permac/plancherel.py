@@ -4,13 +4,14 @@ The transfer operator at intensity gamma and decay u acts on the Fock space
 as a sandwich of Plancherel half-vertices around u^D, with the scalar
 prefactor exp(gamma^2 (u-1) (1-t)/(1-q)).  Its matrix elements in the P/Q
 bases are weighted path counts in the Young graph (products of one-box Pieri
-coefficients).  ``transfer_matrix`` multiplies the half-vertices as float
-matrices, for sampling.  The exact semigroup check ``semigroup_defect``
-(gamma formal, everything rational) groups the same path counts by weight
-level: path-sum blocks between levels, built bottom-up once per (q, t) and
-shared by every decay u, give each entry as a polynomial in gamma.  Integer
-rows of path sums, built top-down from each target partition, are the
-oracle of the float sandwich (the spot check) and of the level blocks.
+coefficients), and two engines compute them, which check each other.
+``transfer_matrix`` builds the half-vertices bottom-up, one added box at a
+time, as float matrices for sampling.  The exact entries read integer rows
+of path sums built top-down from each target partition, one removed box at a
+time: the spot check of the float entries reads them, and so does the
+semigroup check ``semigroup_defect`` (gamma formal, everything rational),
+which sums them per weight level into each entry's polynomial in gamma.  The
+rows depend on no decay u, so T(u), T(v) and T(uv) share them.
 
 Finite-dimensional laws of the periodic process are cyclic products of
 transfer matrices; the sampler draws the state at time zero from the diagonal
@@ -41,8 +42,7 @@ from .stream import random_rows
 @per_point
 def _down_edges(w: int, q: Fraction, t: Fraction) -> list:
     """Per side, (scale, down): down[nu] holds (mu, c) for each mu that is nu
-    of weight w less one box, with Pieri edge weight c / scale.  Kept apart
-    from the level blocks it checks."""
+    of weight w less one box, with Pieri edge weight c / scale."""
     edges = {nu: [(mu, macdonald.pieri(nu, mu, q, t)) for i, p in enumerate(nu)
                   if i + 1 == len(nu) or p > nu[i + 1]
                   for mu in [nu[:i] + (p - 1,) + nu[i + 1:] if p > 1 else nu[:i]]]
@@ -106,96 +106,39 @@ def _entry_power_coeffs(lam: tuple, mu: tuple, u: Fraction, q: Fraction,
     return out
 
 
-# ---------------------------------------------------------------------------
-# Exact entries through weight levels.  Grouping the nu-sum above by k = |nu|,
-#     T_{lam,mu}(u) = pref(u) sum_k u^k xi^{|lam|+|mu|-2k} G_k[lam,mu]
-#                     / ((|lam|-k)! (|mu|-k)!),   G_k = P_k P'_k^T,
-# where P_k[lam,nu] and P'_k[mu,nu] are the psi and phi path sums from the
-# partitions nu of k.  The blocks are the exact twins of _half_vertex's
-# paths, built bottom-up from the one-box Pieri edges, and depend on neither
-# u nor gamma, so T(u), T(v) and T(uv) share them.  Entries are kept as
-# coefficient lists in powers of gamma up to its last nonzero power in the
-# ring, where they multiply as polynomials.
-# ---------------------------------------------------------------------------
-
-@per_point
-def _level_edges(w: int, q: Fraction, t: Fraction) -> list:
-    """Per side, (scale, ins): ins[i] holds (j, c) for each one-box edge from
-    partitions_of(w - 1)[j] to partitions_of(w)[i] of weight c / scale."""
-    index = {lam: i for i, lam in enumerate(partitions_of(w))}
-    edges = [[] for _ in index]
-    for j, nu in enumerate(partitions_of(w - 1)):
-        for lam in add_one_box(nu):
-            edges[index[lam]].append((j, macdonald.pieri(lam, nu, q, t)))
-    out = []
-    for side in (0, 1):
-        scale = lcm(*(c[side].denominator for es in edges for _, c in es))
-        out.append((scale, [[(j, c[side].numerator * (scale // c[side].denominator))
-                             for j, c in es] for es in edges]))
-    return out
-
-
-@per_point
-def _level_block(side: int, w: int, k: int, q: Fraction, t: Fraction) -> tuple:
-    """(den, rows): rows[i][a] / den is the path sum, psi for side 0 and phi
-    for side 1, from partitions_of(k)[a] up to partitions_of(w)[i].
-
-    Level w is the one-box edges into it, as integers over their common
-    denominator, applied to level w - 1; the result is divided by the gcd of
-    its denominator and numerators.  Blocks depend on neither u, gamma nor
-    the depth.
-    """
-    if w == k:
-        n = len(partitions_of(w))
-        return 1, [[int(i == a) for a in range(n)] for i in range(n)]
-    den, below = _level_block(side, w - 1, k, q, t)
-    scale, ins = _level_edges(w, q, t)[side]
-    rows = []
-    for es in ins:
-        acc = [0] * len(below[0])
-        for j, c in es:
-            for a, x in enumerate(below[j]):
-                if x:
-                    acc[a] += c * x
-        rows.append(acc)
-    h = gcd(den * scale, *(x for row in rows for x in row))
-    if h > 1:
-        rows = [[x // h for x in row] for row in rows]
-    return den * scale // h, rows
-
-
 def _level_entries(u: Fraction, rows, cols, top: int, q: Fraction, t: Fraction) -> dict:
     """Coefficients of gamma^0..gamma^top in T_{lam,mu}(u) / pref(u).
 
-    Returns {lam: {mu: [c_0, ..., c_top]}}.  Terms whose gamma degree
-    |lam| + |mu| - 2k exceeds ``top`` are skipped, and an entry with no term
-    left is left out.
+    Grouping the nu-sum of ``_entry_power_coeffs`` by k = |nu|,
+        T_{lam,mu}(u) = pref(u) sum_k u^k xi^{|lam|+|mu|-2k} G_k[lam,mu]
+                        / ((|lam|-k)! (|mu|-k)!),
+    where G_k[lam,mu] is the dot product of the top-down rows k of lam (psi)
+    and mu (phi).  The rows depend on neither u nor gamma, so T(u), T(v) and
+    T(uv) share them.  Returns {lam: {mu: [c_0, ..., c_top]}}.  Terms whose
+    gamma degree |lam| + |mu| - 2k exceeds ``top`` are skipped, and an entry
+    with no term left is left out.
     """
-    index = {lam: i for w in {weight(lam) for lam in (*rows, *cols)}
-             for i, lam in enumerate(partitions_of(w))}
     a, b = u.numerator, u.denominator
-    plans = {}  # (|lam|, |mu|) -> [(j, psi rows, phi rows, numerator scale, den)]
+    plans = {}  # (|lam|, |mu|) -> [(k, j, numerator scale, den)]
     out = {}
+    phis = [(mu, weight(mu), _top_rows(1, mu, q, t)) for mu in cols]
     for lam in rows:
-        wl, il = weight(lam), index[lam]
-        for mu in cols:
-            wm, im = weight(mu), index[mu]
+        wl, psi = weight(lam), _top_rows(0, lam, q, t)
+        for mu, wm, phi in phis:
             plan = plans.get((wl, wm))
             if plan is None:
-                plan = plans[wl, wm] = []
-                for k in range(max(0, (wl + wm - top + 1) // 2), min(wl, wm) + 1):
-                    (dl, pl), (dm, pm) = _level_block(0, wl, k, q, t), _level_block(1, wm, k, q, t)
-                    j = wl + wm - 2 * k
-                    plan.append((j, pl, pm, a**k * (b - a)**j,
-                                 dl * dm * math.factorial(wl - k)
-                                 * math.factorial(wm - k) * b ** (wl + wm - k)))
+                plan = plans[wl, wm] = [
+                    (k, wl + wm - 2 * k, a**k * (b - a)**(wl + wm - 2 * k),
+                     math.factorial(wl - k) * math.factorial(wm - k) * b ** (wl + wm - k))
+                    for k in range(max(0, (wl + wm - top + 1) // 2), min(wl, wm) + 1)]
             coeffs = None
-            for j, pl, pm, scale, den in plan:
-                num = sum(map(mul, pl[il], pm[im])) * scale
+            for k, j, scale, den in plan:
+                (dl, pl), (dm, pm) = psi[k], phi[k]
+                num = sum(map(mul, pl, pm)) * scale
                 if num:
                     if coeffs is None:
                         coeffs = [0] * (top + 1)
-                    coeffs[j] = Fraction(num, den)
+                    coeffs[j] = Fraction(num, dl * dm * den)
             if coeffs is not None:
                 out.setdefault(lam, {})[mu] = coeffs
     return out
@@ -241,20 +184,20 @@ def _poly_mul(f: list, g: list, top: int, out: list = None) -> list:
 # Half-vertices in floats: X = exp(xi U) and Y = exp(xi U'), with U and U'
 # the one-box Pieri up-matrices, give
 #     T(u) = e^{c gamma^2 (u-1)} X u^D Y^T,   xi = gamma (1 - u).
-# The exact check multiplies the exact path blocks above instead.
 # ---------------------------------------------------------------------------
 
 MAX_DEPTH = 20  # 2714 states; each dense float matrix then takes about 59 MB
 
 
-def pieri_up_matrices(depth: int, q: Fraction, t: Fraction):
+@per_point
+def pieri_up_matrices(depth: int, q: Fraction, t: Fraction) -> tuple:
     """One-box Pieri up-matrices (U, U') over ``partitions_up_to(depth)``, as
-    their blocks between consecutive weight levels.
+    tuples of their read-only blocks between consecutive weight levels.
 
     U[lam, nu] = psi_{lam/nu} and U'[lam, nu] = phi_{lam/nu} when lam is nu
     plus one box, and 0 otherwise.  Both raise the weight by exactly one, so
     they are nilpotent on the truncated space and their other entries vanish:
-    block w - 1 of each list, for w = 1..depth, is the (partitions_of(w),
+    block w - 1 of each tuple, for w = 1..depth, is the (partitions_of(w),
     partitions_of(w - 1)) block.
     """
     import numpy as np
@@ -267,9 +210,10 @@ def pieri_up_matrices(depth: int, q: Fraction, t: Fraction):
             for lam in add_one_box(nu):
                 psi, phi = macdonald.pieri(lam, nu, q, t)
                 block[:, index[lam], j] = float(psi), float(phi)
+        block.setflags(write=False)  # a memo value: shared, never mutated
         up.append(block[0])
         up_dual.append(block[1])
-    return up, up_dual
+    return tuple(up), tuple(up_dual)
 
 
 def _half_vertex(up, sizes, xi: float):
@@ -328,7 +272,7 @@ def transfer_matrix(gamma, u, depth: int, q: Fraction, t: Fraction,
 
     Multiplies the half-vertex sandwich in doubles with numpy; an entry that
     overflows is a ValueError.  ``mode`` accepts only "float"; exact entries
-    are built from the level path blocks, see ``semigroup_defect``.
+    are read from the top-down path rows, see ``semigroup_defect``.
     """
     import numpy as np
 
@@ -396,7 +340,7 @@ def semigroup_defect(gamma, u, v, depth: int, q, t, reserve: int = 4,
     ``gamma`` is a TruncSeries without constant term in ``ring``, which
     truncates the prefactor exponentials too; ``mode`` accepts only "exact".
     T(u) is built on the block's rows, T(v) on its columns and T(uv) on the
-    block from one set of level path blocks, as polynomials in gamma, and
+    block from one set of top-down path rows, as polynomials in gamma, and
     the three prefactors are applied once per entry.  Returns 0 when the
     identity holds; otherwise (lam, mu, defect) for the first failing entry
     in the order of ``partitions_up_to``, defect being T(u) T(v) - T(uv) there

@@ -21,7 +21,6 @@ from permac.plancherel import (
     _entry_power_coeffs,
     _gamma_powers,
     _inverse_cdf,
-    _level_block,
     _level_entries,
     _poly_mul,
     _prefactor,
@@ -61,17 +60,11 @@ def test_dims_examples():
 
 
 def test_dims_schur_point_counts_tableaux():
-    # at q = t every Pieri edge weighs 1, so both path sums count tableaux,
-    # top-down in dims and bottom-up in the level blocks
+    # at q = t every Pieri edge weighs 1, so both path sums count tableaux
     for q in (Fraction(1, 2), Fraction(2, 7)):
         for lam in partitions_up_to(7):
             assert dims("dim", (), lam, q, q) == syt_count(lam)
             assert dims("dim'", (), lam, q, q) == syt_count(lam)
-        for w in range(8):
-            for side in (0, 1):
-                den, rows = _level_block(side, w, 0, q, q)
-                assert [Fraction(row[0], den) for row in rows] == \
-                    [syt_count(lam) for lam in partitions_of(w)]
 
 
 # The pairwise Fraction recursion that dims and _entry_power_coeffs ran
@@ -161,7 +154,7 @@ def test_entry_power_coeffs_equal_the_pairwise_recursion(q, t):
 
 def _exact_entries(u, q, t, ring, rows, cols):
     """Nonzero entries of T(u) on rows x cols as series in the formal gamma
-    of ``ring``, from the level path blocks that semigroup_defect reads."""
+    of ``ring``, from the level entries that semigroup_defect reads."""
     pows = _gamma_powers(ring.gen("g"), ring)
     top = len(pows) - 1
     pref = _prefactor(u, q, t, top)
@@ -182,12 +175,13 @@ def test_transfer_vacuum_entry_exact():
 
 @pytest.mark.parametrize("q, t", [(Q0, T0), (Fraction(43, 97), Fraction(59, 89))])
 def test_exact_entries_equal_the_nu_sum_oracle(q, t):
-    # entries from the level blocks against pref * sum_k c_k xi^k with the
-    # c_k of the top-down nu-sums: every entry of weight <= 6 in a ring that
+    # the level entries against pref * sum_k c_k xi^k with the c_k of the
+    # pairwise-recursion nu-sums (the top-down rows feed both _level_entries
+    # and _entry_power_coeffs): every entry of weight <= 6 in a ring that
     # keeps every power, and a subset of rows and columns in one that truncates
     depth, u = 6, Fraction(3, 7)
     states = partitions_up_to(depth)
-    coeffs = {(lam, mu): _entry_power_coeffs(lam, mu, u, q, t)
+    coeffs = {(lam, mu): _oracle_entry_power_coeffs(lam, mu, u, q, t)
               for lam in states for mu in states}
     rows, cols = states[::-1][:12], [mu for mu in states if weight(mu) >= 2]
     for cutoff, rs, cs in ((2 * depth, None, None), (5, rows, cols)):
@@ -286,6 +280,22 @@ def test_sandwich_is_the_exponential_series():
     assert np.allclose(got, want, rtol=1e-13, atol=0)
 
 
+def test_pieri_up_matrices_are_memoised_read_only(monkeypatch, fresh_memos):
+    # a second call at the same point and depth builds nothing from the
+    # Pieri edges, and the shared blocks refuse writes
+    first = pieri_up_matrices(5, Q0, T0)
+    calls = []
+    pieri = macdonald.pieri
+    monkeypatch.setattr(macdonald, "pieri", lambda *a: calls.append(a) or pieri(*a))
+    assert pieri_up_matrices(5, Q0, T0) is first
+    transfer_matrix(0.8, 0.45, 5, Q0, T0)
+    assert calls == []
+    for blocks in first:
+        for block in blocks:
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 1.0
+
+
 def test_pieri_up_matrices_add_one_box_and_are_nilpotent():
     depth = 6
     states = partitions_up_to(depth)
@@ -307,7 +317,7 @@ def test_transfer_matrix_peak_is_at_most_four_dense_matrices():
     # X, Y and the entries, plus the level blocks and one row of scalings
     depth = 12
     n = len(partitions_up_to(depth))
-    transfer_matrix(0.8, 0.45, depth, Q0, T0)  # the Pieri edges are memoised
+    transfer_matrix(0.8, 0.45, depth, Q0, T0)  # the up-matrices are memoised
     tracemalloc.start()
     try:
         tm = transfer_matrix(0.8, 0.45, depth, Q0, T0)
@@ -361,6 +371,18 @@ def test_semigroup_exact_small():
     defect = semigroup_defect(g, Fraction(1, 2), Fraction(1, 3), 6, Q0, T0,
                               reserve=4, mode="exact", ring=ring)
     assert defect == 0
+
+
+def test_semigroup_exact_holds_at_every_cli_scope():
+    # every depth <= 6, reserve in [0, depth] and gamma degree the CLI
+    # accepts (below depth + reserve + 2), at its default u, v, q and t
+    for depth in range(7):
+        for reserve in range(depth + 1):
+            for deg in range(1, depth + reserve + 2):
+                ring = SeriesRing(["g"], deg)
+                assert semigroup_defect(ring.gen("g"), Fraction(1, 2), Fraction(1, 3),
+                                        depth, Q0, T0, reserve=reserve, ring=ring) == 0, \
+                    (depth, reserve, deg)
 
 
 def test_semigroup_exact_detects_a_wrong_pieri_edge(monkeypatch, fresh_memos):

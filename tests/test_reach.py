@@ -38,7 +38,8 @@ GOLDEN_VERIFY = os.path.join(ROOT, "tests", "golden", "verify-all.json")
 CONFIG = "run only under --config"
 WARM_CACHE = "reads a table from a warm disk cache"
 BENCHMARK = "perfbench's workloads and spans call it"
-LEVEL_ORACLE = "the oracle of the exact Plancherel level blocks, in tests"
+PATH_ROWS = "the tests' reader of the top-down Plancherel path rows"
+ENTRY_COEFFS = "the exact entries of the float spot check and transfer_cycle_weight, both listed here"
 LONG_GRID = "seeds the stream for a grid of more than 113 times, in tests"
 QRHO = "the Q[rho] scalars, which no computed value uses (ROADMAP items 5, 10)"
 ITEM_2 = "multi-time Plancherel moments (ROADMAP item 2)"
@@ -58,10 +59,8 @@ UNREACHED = {
     "macdonald.p_dict_to_m": BENCHMARK,
     "macdonald.m_to_p": FRACTION_ROWS,
     "series.TruncSeries.log": BENCHMARK,
-    "plancherel.dims": LEVEL_ORACLE,
-    "plancherel._down_edges": LEVEL_ORACLE,
-    "plancherel._top_rows": LEVEL_ORACLE,
-    "plancherel._entry_power_coeffs": LEVEL_ORACLE,
+    "plancherel.dims": PATH_ROWS,
+    "plancherel._entry_power_coeffs": ENTRY_COEFFS,
     "stream._twist": LONG_GRID,
     "scalars.QRho": QRHO,
     "plancherel.transfer_cycle_weight": ITEM_2,
