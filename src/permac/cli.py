@@ -357,6 +357,9 @@ def cmd_verify_all(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+NEEDED = "required, as a flag or a --config key"
+
+
 def _add_qt(p):
     p.add_argument("--q", default="1/3", help="rational q as num/den")
     p.add_argument("--t", default="1/5", help="rational t as num/den")
@@ -389,16 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     mac = sub.add_parser("macdonald").add_subparsers(dest="subcommand")
     me = leaf(mac, "expand")
-    me.add_argument("--lambda", dest="lam", required=True)
+    me.add_argument("--lambda", dest="lam", help=NEEDED)
     me.add_argument("--basis", choices=["m", "p"], default="m")
     me.add_argument("--kind", choices=["P", "Q"], default="P")
     _add_qt(me)
-    me.set_defaults(handler=cmd_macdonald_expand)
+    me.set_defaults(handler=cmd_macdonald_expand, needs=("lam",))
     mp = leaf(mac, "pieri")
-    mp.add_argument("--lambda", dest="lam", required=True)
-    mp.add_argument("--mu", required=True)
+    mp.add_argument("--lambda", dest="lam", help=NEEDED)
+    mp.add_argument("--mu", help=NEEDED)
     _add_qt(mp)
-    mp.set_defaults(handler=cmd_macdonald_pieri)
+    mp.set_defaults(handler=cmd_macdonald_pieri, needs=("lam", "mu"))
 
     proc = sub.add_parser("process").add_subparsers(dest="subcommand")
     pf = leaf(proc, "partition-function")
@@ -447,17 +450,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     cyl = sub.add_parser("cylindric").add_subparsers(dest="subcommand")
     ce = leaf(cyl, "enumerate")
-    ce.add_argument("--N", type=int, required=True)
+    ce.add_argument("--N", type=int, help=NEEDED)
     ce.add_argument("--M", default="")
     ce.add_argument("--max-weight", type=int, default=4)
     _add_qt(ce)
-    ce.set_defaults(handler=cmd_cylindric_enumerate)
+    ce.set_defaults(handler=cmd_cylindric_enumerate, needs=("N",))
     cv = leaf(cyl, "verify-macmahon")
-    cv.add_argument("--N", type=int, required=True)
+    cv.add_argument("--N", type=int, help=NEEDED)
     cv.add_argument("--M", default="")
     cv.add_argument("--s-deg", type=int, default=5)
     _add_qt(cv)
-    cv.set_defaults(handler=cmd_cylindric_verify)
+    cv.set_defaults(handler=cmd_cylindric_verify, needs=("N",))
 
     vx = sub.add_parser("vertex").add_subparsers(dest="subcommand")
     vv = leaf(vx, "verify")
@@ -540,6 +543,19 @@ def _merge_config(ap, args, argv) -> argparse.Namespace:
     return ap.parse_args(argv)
 
 
+def _check_needs(ap, args) -> None:
+    """The flags a leaf needs (its ``needs`` default), from argv or --config.
+
+    argparse's ``required`` would check them before the config is read, and
+    the README has a config value stand in for its flag.
+    """
+    missing = [dest for dest in getattr(args, "needs", ()) if getattr(args, dest) is None]
+    if missing:
+        _, options = _leaf_options(ap, args)
+        raise UsageError("the following arguments are required: " + ", ".join(
+            options[dest].option_strings[0] for dest in missing))
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
@@ -551,6 +567,7 @@ def main(argv=None) -> int:
             ap.print_help(sys.stderr)
             return 2
         args = _merge_config(ap, args, argv)
+        _check_needs(ap, args)
         if not args.cache_dir:
             return handler(args)
         from . import cache

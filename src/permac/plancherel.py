@@ -389,9 +389,9 @@ MIN_EXPECTED = 5.0  # chi-square bins expecting fewer draws pool into a tail
 # bytes of cumulative conditional rows one sampler call keeps: at depth 16 and
 # gamma 4, 20000 four-time samples visit 30843 distinct rows (226 MB)
 MEMO_BYTES = 1 << 25
-# random() values one numpy pass of the stream draws, for STREAM_BLOCK //
-# len(times) samples: a pass makes about 10000 vector operations whatever its
-# length, and holds about 64 bytes per value (2 MB)
+# stream values one block draws, for STREAM_BLOCK // len(times) samples: the
+# bound on a block's memory, as the stream holds 16 bytes per value (512 KB)
+# and the block's state indices and sort keys a few times that
 STREAM_BLOCK = 1 << 15
 
 
@@ -465,9 +465,11 @@ def _draw_blocks(spec: TrajectorySpec, q: Fraction, t: Fraction, mats):
         raise ValueError(f"negative transfer weight at (q, t) = ({q}, {t}): "
                          "the trajectory law is not a probability measure")
     n = len(mats[0])
-    # suffix[i] = M_i M_{i+1} ... M_{last}
-    suffix = list(accumulate(mats[::-1], lambda acc, m: m @ acc))[::-1]
-    diag = suffix[0].diagonal()
+    # suffix[i] = M_i M_{i+1} ... M_{last} for i >= 1; the cycle M_0 suffix[1]
+    # is never formed, only its diagonal
+    suffix = [None, *reversed(list(accumulate(mats[:0:-1], lambda acc, m: m @ acc)))]
+    diag = np.einsum("ij,ji->i", mats[0], suffix[1]) if len(mats) > 1 \
+        else mats[0].diagonal()
     total = diag.sum()
     if total < MIN_CYCLE_MASS:
         raise ValueError("truncated cycle mass is degenerate; raise depth")
@@ -475,8 +477,8 @@ def _draw_blocks(spec: TrajectorySpec, q: Fraction, t: Fraction, mats):
     rows = {}  # (step, prev * n + i0) -> cumulative conditional row
     block = max(1, STREAM_BLOCK // len(spec.times))  # samples per block
     for start in range(0, spec.count, block):
-        xs = random_rows(spec.seed * 1_000_003 + start,
-                         min(block, spec.count - start), len(spec.times))
+        xs = random_rows(spec.seed, start, min(block, spec.count - start),
+                         len(spec.times))
         idx = np.empty(xs.shape, int)
         idx[:, 0] = _inverse_cdf(cum0, xs[:, 0])
         for step in range(1, len(spec.times)):
@@ -505,15 +507,17 @@ def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction, mats=Non
     The law is proportional to prod_i M_i[lam^i, lam^{i+1}], lam^{n+1} =
     lam^0, with M_i = ``gap_matrices(spec, q, t)``[i] (or ``mats``[i]).
 
-    Stream contract: one MT19937 generator is reseeded to
-    seed * 1000003 + k before sample k, and each state takes one
-    ``random()`` value x by inverse CDF: the first index i with x < c_i,
-    strictly, where c is the left-to-right cumulative sum of the normalised
-    row (the last index when x is not below any c_i).  The stream is drawn
-    in numpy, ``STREAM_BLOCK`` // len(times) samples at a time.  A row
-    depends only on (step, previous state, first state): its sums are built
-    once per call, up to ``MEMO_BYTES`` of them, and searched once per block
-    step for all its draws.
+    Stream contract: the state at time j of sample k reads the stream value
+    x = ``stream.random_rows``(spec.seed, k, 1, len(times))[0, j] by inverse
+    CDF: the first index i with x < c_i, strictly, where c is the
+    left-to-right cumulative sum of the normalised row (the last index when
+    x is not below any c_i).  The row at time zero is the diagonal of the
+    cycle M_0 ... M_last, and at time j > 0 the conditional law given the
+    states at times j - 1 and 0.  The stream is drawn ``STREAM_BLOCK`` //
+    len(times) samples at a time, and no sample's states depend on that
+    split.  A row depends only on (step, previous state, first state): its
+    sums are built once per call, up to ``MEMO_BYTES`` of them, and searched
+    once per block step for all its draws.
 
     A negative gap-matrix entry (only algebraic points outside (0, 1)^2 give
     one) is a ValueError: the weights then define no law.
@@ -594,7 +598,13 @@ def chi_square_sf(x: float, dof: int) -> float:
 
 def marginal_chi_square(gamma: float, beta: float, depth: int, q: Fraction,
                         t: Fraction, samples: int, seed: int) -> dict:
-    """Goodness-of-fit of sampled single-time states against the exact law.
+    """Goodness-of-fit of sampled single-time states against the float law.
+
+    The law is the normalised diagonal of the float transfer matrix
+    T(e^-beta) that the sampler draws from, truncated at ``depth``, so the
+    test checks the sampler and its stream, not the truncation or the float
+    entries (``semigroup_defect`` and ``spot_check_float_entries`` check
+    those against exact rationals).
 
     Bins with expected count below ``MIN_EXPECTED`` are pooled into a tail
     bin before the chi-square statistic is formed; fewer than two bins is a

@@ -269,3 +269,30 @@ def fraction_m_gram(q, t, n: int):
         for j in range(i, len(lams)):
             G[i][j] = G[j][i] = sum(a * AZ[j][k] for k, a in row)
     return lams, G, D * D * E
+
+
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(state: int, n: int, skip: int = 0) -> list:
+    """Outputs skip .. skip + n - 1 of the SplitMix64 generator of ``state``
+    (Steele, Lea and Flood 2014), in Python ints: output i mixes
+    state + (i + 1) gamma."""
+    out = []
+    state = (state + skip * SPLITMIX_GAMMA) & _MASK64
+    for _ in range(n):
+        state = (state + SPLITMIX_GAMMA) & _MASK64
+        z = state
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+        out.append(z ^ z >> 31)
+    return out
+
+
+def stream_sample(seed: int, k: int, draws: int) -> list:
+    """Sample k's values of the seeded stream at ``draws`` values per sample:
+    outputs k draws on of the SplitMix64 generator of the key, the first
+    output of seed mod 2^64, each word read as (word >> 11) 2^-53."""
+    (key,) = splitmix64(seed % (1 << 64), 1)
+    return [(w >> 11) * 2.0 ** -53 for w in splitmix64(key, draws, k * draws)]

@@ -341,6 +341,31 @@ def test_config_values_keep_the_flag_contract(tmp_path, conf, argv, code, expect
         assert expect(json.loads(out))
 
 
+@pytest.mark.parametrize("conf, argv", [
+    ({"lambda": "2,1"}, ["macdonald", "expand"]),
+    ({"lambda": "2,1", "mu": "1"}, ["macdonald", "pieri"]),
+    ({"N": 2}, ["cylindric", "enumerate", "--M", "1", "--max-weight", "3"]),
+    ({"N": "1"}, ["cylindric", "verify-macmahon", "--M", "1", "--s-deg", "3"]),
+], ids=["expand", "pieri", "cylindric-enumerate", "cylindric-verify-macmahon"])
+def test_config_gives_the_required_flags(tmp_path, conf, argv):
+    # argparse checked the required flags before the config was read, so a
+    # config value for one exited 2: "the following arguments are required"
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    flags = [word for key, val in conf.items() for word in (f"--{key}", str(val))]
+    code, out = run_cli(["--config", str(path), *argv])
+    assert code == 0
+    assert out == run_cli([*argv, *flags])[1]
+    # without the flag or the config value, one error line and exit 2
+    for missing in conf:
+        path.write_text(json.dumps({k: v for k, v in conf.items() if k != missing}))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["--config", str(path), *argv])
+        assert code == 2 and out == ""
+        assert err.getvalue() == f"error: the following arguments are required: --{missing}\n"
+
+
 @pytest.mark.parametrize("conf", [
     {"out": None}, {"out": True}, {"out": False}, {"cache-dir": None},
     {"out": ["report.json"]}, {"cache_dir": {"path": "x"}}, {"basis": None},
@@ -581,6 +606,24 @@ def test_commands_without_a_cache_directory_load_no_hashlib(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"codes": [0, 0], "loaded": False}
+
+
+def test_plancherel_sample_loads_no_numpy_random(tmp_path):
+    # numpy.random adds about 6 MB and 11-14 ms at import, and the stream needs
+    # only numpy's core ufuncs
+    argv = ["--out", str(tmp_path / "sample.out"), "plancherel", "sample",
+            "--times", "0.0,0.3", "--count", "50"]
+    script = (
+        "import json, sys\n"
+        "from permac import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(json.dumps({'code': code, 'loaded': 'numpy.random' in sys.modules}))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": 0, "loaded": False}
 
 
 def test_cache_directory_commands_load_no_openssl(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import marginal_weight, remove_one_box
+from oracles import marginal_weight, remove_one_box, stream_sample
 from permac import cli, macdonald, plancherel, series
 from permac.partitions import add_one_box, contains, partitions_of, partitions_up_to, weight
 from permac.plancherel import (
@@ -550,36 +550,33 @@ def _draw(rng, probs) -> int:
 
 
 def _oracle_sample_trajectories(spec, q, t, mats=None):
-    """The sampler as it drew before the cumulative rows were memoised: a
-    fresh generator per sample and a linear scan over each conditional row."""
-    import random as _random
-
+    """The sampler as it drew before the cumulative rows were memoised: the
+    stream's values sample by sample from the pure-Python SplitMix64 of
+    ``oracles``, and a linear scan over each conditional row."""
     if mats is None:
         mats = gap_matrices(spec, q, t)
     states = partitions_up_to(spec.depth)
     # suffix[i] = M_i M_{i+1} ... M_{last}
     suffix = [None] * len(mats)
     acc = None
-    for i in range(len(mats) - 1, -1, -1):
+    for i in range(len(mats) - 1, 0, -1):
         acc = mats[i] if acc is None else mats[i] @ acc
         suffix[i] = acc
-    cycle = suffix[0]
-    diag = np.maximum(cycle.diagonal(), 0.0)
+    # the diagonal of the cycle M_0 suffix[1], summed as the sampler sums it
+    diag = mats[0].diagonal() if acc is None else np.einsum("ij,ji->i", mats[0], acc)
+    diag = np.maximum(diag, 0.0)
     total = diag.sum()
     if total < MIN_CYCLE_MASS:
         raise ValueError("truncated cycle mass is degenerate; raise depth")
     p0 = diag / total
 
     for k in range(spec.count):
-        rng = _random.Random(spec.seed * 1_000_003 + k)
+        rng = _Values(stream_sample(spec.seed, k, len(spec.times)))
         i0 = _draw(rng, p0)
         out = [(spec.times[0], states[i0])]
         prev = i0
         for step in range(1, len(spec.times)):
-            row = mats[step - 1][prev, :]
-            back = suffix[step][:, i0] if step < len(mats) else None
-            w = row * back if back is not None else row
-            w = np.maximum(w, 0.0)
+            w = np.maximum(mats[step - 1][prev, :] * suffix[step][:, i0], 0.0)
             s = w.sum()
             if s <= 0:
                 raise ValueError("conditional mass vanished; raise depth")
@@ -588,14 +585,11 @@ def _oracle_sample_trajectories(spec, q, t, mats=None):
         yield out
 
 
-class _Fixed:
-    """A generator stand-in whose random() returns one given value."""
+class _Values:
+    """A generator stand-in whose random() returns given values in turn."""
 
-    def __init__(self, x):
-        self.x = x
-
-    def random(self):
-        return self.x
+    def __init__(self, xs):
+        self.random = iter(xs).__next__
 
 
 def _probability_vectors(rng):
@@ -629,7 +623,7 @@ def test_inverse_cdf_matches_linear_scan():
         for c in cum.tolist():
             xs += [c, math.nextafter(c, 0.0), math.nextafter(c, 2.0)]
         xs = [x for x in xs if 0.0 <= x < 1.0]
-        want = [_draw(_Fixed(x), p) for x in xs]
+        want = [_draw(_Values([x]), p) for x in xs]
         assert _inverse_cdf(cum, np.array(xs)).tolist() == want, list(p)
         fell_through += sum(x >= cum[-1] for x in xs)
     assert fell_through > 0
@@ -690,32 +684,32 @@ def test_sampler_stream_equals_oracle_with_many_rows_per_block(monkeypatch):
 
 
 def test_marginal_chi_square_report_is_pinned():
-    # the report of the per-sample sampler this one replaced, float for float
+    # the report of the v2 stream, float for float
     report = marginal_chi_square(0.9, 1.0, 6, Fraction(1, 2), Fraction(2, 7),
                                  samples=20000, seed=2026)
     assert report == {
-        "statistic": 28.622628425982217, "dof": 29, "p_value": 0.48484191980549707,
+        "statistic": 37.299994328710085, "dof": 29, "p_value": 0.13870539075651925,
         "bins": 30, "samples": 20000, "marginals": [
             {"partition": [], "expected": 0.2579899113563563,
-             "observed_frequency": 0.2583},
+             "observed_frequency": 0.26025},
             {"partition": [1], "expected": 0.21419520013164417,
-             "observed_frequency": 0.21165},
+             "observed_frequency": 0.21645},
             {"partition": [2], "expected": 0.1070043270462862,
-             "observed_frequency": 0.10865},
+             "observed_frequency": 0.1051},
             {"partition": [1, 1], "expected": 0.07816865131801215,
-             "observed_frequency": 0.0771},
+             "observed_frequency": 0.0769},
             {"partition": [2, 1], "expected": 0.06604808047083505,
-             "observed_frequency": 0.0652},
+             "observed_frequency": 0.06525},
             {"partition": [3], "expected": 0.044303762800542414,
-             "observed_frequency": 0.04255},
+             "observed_frequency": 0.04525},
             {"partition": [3, 1], "expected": 0.03287688377085608,
-             "observed_frequency": 0.03315},
+             "observed_frequency": 0.0333},
             {"partition": [1, 1, 1], "expected": 0.027441479426946212,
-             "observed_frequency": 0.03005}]}
+             "observed_frequency": 0.02615}]}
 
 
 def test_trajectory_spec_needs_an_int_seed():
-    # the stream seeds with the key's 32-bit words, which a float lacks
+    # the stream keys on the seed mod 2^64, which a float does not have
     with pytest.raises(TypeError, match="not an int"):
         TrajectorySpec(1.0, 0.8, [0.0], 4, seed=7.0, count=1)
 

@@ -35,12 +35,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 GOLDEN_VERIFY = os.path.join(ROOT, "tests", "golden", "verify-all.json")
 
-CONFIG = "run only under --config"
+CONFIG = "run only under --config, or for a missing required flag"
 WARM_CACHE = "reads a table from a warm disk cache"
 BENCHMARK = "perfbench's workloads and spans call it"
 PATH_ROWS = "the tests' reader of the top-down Plancherel path rows"
 ENTRY_COEFFS = "the exact entries of the float spot check and transfer_cycle_weight, both listed here"
-LONG_GRID = "seeds the stream for a grid of more than 113 times, in tests"
 QRHO = "the Q[rho] scalars, which no computed value uses (ROADMAP items 5, 10)"
 ITEM_2 = "multi-time Plancherel moments (ROADMAP item 2)"
 ITEM_3 = "shift-mixed processes beyond one step (ROADMAP item 3)"
@@ -61,7 +60,6 @@ UNREACHED = {
     "series.TruncSeries.log": BENCHMARK,
     "plancherel.dims": PATH_ROWS,
     "plancherel._entry_power_coeffs": ENTRY_COEFFS,
-    "stream._twist": LONG_GRID,
     "scalars.QRho": QRHO,
     "plancherel.transfer_cycle_weight": ITEM_2,
     "process.time_grid_process": ITEM_2,
