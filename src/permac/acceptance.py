@@ -8,6 +8,7 @@ from a seeded generator for reproducibility.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -225,7 +226,8 @@ def criterion_shift_mixed(seed=DEFAULT_SEED) -> dict:
 
 
 def criterion_plancherel_process(seed=DEFAULT_SEED) -> dict:
-    """Exact semigroup identity on the safe block and the sampler law."""
+    """Exact semigroup identity on the safe block, every float entry of the
+    matrix the sampler draws from against its exact value, and the sampler law."""
     failures = []
     q, t = Fraction(1, 3), Fraction(1, 5)
     ring = SeriesRing(["g"], 6)
@@ -235,13 +237,19 @@ def criterion_plancherel_process(seed=DEFAULT_SEED) -> dict:
     if defect != 0:
         lam, mu, diff = defect
         failures.append(("semigroup", lam, mu, str(diff)))
-    chi = plancherel.marginal_chi_square(0.85, 1.0, 8, Fraction(1, 2),
-                                         Fraction(1, 2), samples=100000,
-                                         seed=seed)
+    half = Fraction(1, 2)
+    tm = plancherel.transfer_matrix(0.85, math.exp(-1.0), 8, half, half)
+    try:
+        entries = plancherel.spot_check_float_entries(tm, half, half, None, frac=1)
+    except plancherel.FloatEntryMismatch as exc:
+        *entry, entries = exc.args
+        failures.append(("float-entry", *entry))
+    chi = plancherel.marginal_chi_square(0.85, 1.0, 8, half, half,
+                                         samples=100000, seed=seed)
     if not chi["p_value"] > 0.01:
         failures.append(("chi-square", chi))
     return {"name": "plancherel-process", "passed": not failures,
-            "details": {"depth": 8, "reserve": 4,
+            "details": {"depth": 8, "reserve": 4, "spot_check_entries": entries,
                         "chi_square_p": chi["p_value"], "failures": failures}}
 
 

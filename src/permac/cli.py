@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -208,15 +209,18 @@ def cmd_plancherel_sample(args) -> int:
         times = [float(x) for x in args.times.split(",")]
         spec = plancherel.TrajectorySpec(args.beta, args.gamma, times,
                                          args.depth, args.seed, args.count)
-        mats = plancherel.gap_matrices(spec, q, t)
+        cycle = plancherel.Cycle(spec, q, t)
         text = plancherel.trajectories_to_jsonl(
-            plancherel.sample_trajectories(spec, q, t, mats=mats))
+            plancherel.sample_trajectories(spec, q, t, cycle=cycle))
     except ValueError as exc:
         raise UsageError(str(exc))
-    print(f"dropped mass: {plancherel.dropped_mass(mats, spec.beta):.3e} of the "
+    print(f"dropped mass: {plancherel.dropped_mass(cycle):.3e} of the "
           f"cycle at depth {spec.depth}", file=sys.stderr)
     _write(args, text)
     return 0
+
+
+SPOT_CHECK_ENTRIES = 4489  # the entries of a depth-8 transfer matrix
 
 
 def cmd_plancherel_check(args) -> int:
@@ -246,15 +250,28 @@ def cmd_plancherel_check(args) -> int:
         chi = plancherel.marginal_chi_square(args.gamma, args.beta, args.depth,
                                              q, t, samples=args.samples,
                                              seed=args.seed)
+        tm = plancherel.transfer_matrix(args.gamma, math.exp(-args.beta),
+                                        args.depth, q, t)
     except ValueError as exc:
         raise UsageError(str(exc))
-    ok = defect == 0 and chi["p_value"] > 0.01
+    # every entry of the sampled matrix up to depth 8 (4,489 of them), and
+    # as many entries, drawn at random, beyond it
+    spot = {"fraction": min(1.0, SPOT_CHECK_ENTRIES / len(tm.states) ** 2)}
+    try:
+        spot["entries"] = plancherel.spot_check_float_entries(
+            tm, q, t, random.Random(args.seed), frac=spot["fraction"])
+    except plancherel.FloatEntryMismatch as exc:
+        lam, mu, got, expect, spot["entries"] = exc.args
+        spot["first_mismatch"] = {"lambda": list(lam), "mu": list(mu),
+                                  "float": got, "exact": expect}
+    ok = defect == 0 and "first_mismatch" not in spot and chi["p_value"] > 0.01
     report = {
         "quantity": "plancherel process checks",
         "params": {"q": args.q, "t": args.t, "gamma": args.gamma,
                    "beta": args.beta, "depth": args.depth,
                    "reserve": args.reserve, "seed": args.seed},
         "semigroup_defect": str(defect),
+        "spot_check": spot,
         "chi_square": chi,
         "verified": ok,
     }

@@ -6,16 +6,16 @@ prefactor exp(gamma^2 (u-1) (1-t)/(1-q)).  Its matrix elements in the P/Q
 bases are weighted path counts in the Young graph (products of one-box Pieri
 coefficients), and two engines compute them, which check each other.
 ``transfer_matrix`` builds the half-vertices bottom-up, one added box at a
-time, as float matrices for sampling.  The exact entries read integer rows
-of path sums built top-down from each target partition, one removed box at a
-time: the spot check of the float entries reads them, and so does the
-semigroup check ``semigroup_defect`` (gamma formal, everything rational),
-which sums them per weight level into each entry's polynomial in gamma.  The
-rows depend on no decay u, so T(u), T(v) and T(uv) share them.
+time, as float matrices for sampling.  The one exact engine,
+``_level_entries``, sums integer rows of path sums, built top-down from each
+target partition one removed box at a time, into each entry's polynomial in
+gamma: the float spot check, ``transfer_cycle_weight`` and the semigroup
+check ``semigroup_defect`` read it.  The rows depend on no decay u, so T(u),
+T(v) and T(uv) share them.
 
 Finite-dimensional laws of the periodic process are cyclic products of
-transfer matrices; the sampler draws the state at time zero from the diagonal
-of the full cycle and then walks conditionals, deterministically per seed.
+transfer matrices, one ``Cycle`` per time grid; the sampler draws the state
+at time zero from its diagonal, then walks the conditionals of a seeded stream.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
@@ -86,30 +85,12 @@ def dims(kind: str, mu: tuple, lam: tuple, q: Fraction, t: Fraction) -> Fraction
     return Fraction(nums[partitions_of(w).index(mu)], den)
 
 
-def _entry_power_coeffs(lam: tuple, mu: tuple, u: Fraction, q: Fraction,
-                        t: Fraction) -> dict:
-    """Rational coefficients c_k with T_{lam,mu} = pref * sum_k c_k xi^k.
-
-    c_k collects u^{|nu|} dim(nu->lam) dim'(nu->mu) / (dl! dm!) over common
-    sub-partitions nu with dl + dm = k; xi = gamma (1 - u) is the Plancherel
-    parameter.  One integer dot product per |nu|.
-    """
-    wl, wm = weight(lam), weight(mu)
-    out = {}
-    for n, ((dl, pl), (dm, pm)) in enumerate(zip(_top_rows(0, lam, q, t),
-                                                  _top_rows(1, mu, q, t))):
-        dot = sum(map(mul, pl, pm))
-        if dot:
-            out[wl + wm - 2 * n] = Fraction(
-                dot * u.numerator**n, dl * dm * math.factorial(wl - n)
-                * math.factorial(wm - n) * u.denominator**n)
-    return out
-
-
 def _level_entries(u: Fraction, rows, cols, top: int, q: Fraction, t: Fraction) -> dict:
     """Coefficients of gamma^0..gamma^top in T_{lam,mu}(u) / pref(u).
 
-    Grouping the nu-sum of ``_entry_power_coeffs`` by k = |nu|,
+    The entry sums u^{|nu|} xi^{dl+dm} dim(nu->lam) dim'(nu->mu) / (dl! dm!)
+    over common sub-partitions nu, dl = |lam| - |nu|, dm = |mu| - |nu| and
+    xi = gamma (1 - u).  Grouped by k = |nu|,
         T_{lam,mu}(u) = pref(u) sum_k u^k xi^{|lam|+|mu|-2k} G_k[lam,mu]
                         / ((|lam|-k)! (|mu|-k)!),
     where G_k[lam,mu] is the dot product of the top-down rows k of lam (psi)
@@ -142,6 +123,17 @@ def _level_entries(u: Fraction, rows, cols, top: int, q: Fraction, t: Fraction) 
             if coeffs is not None:
                 out.setdefault(lam, {})[mu] = coeffs
     return out
+
+
+def _at_gamma(coeffs, gamma: Fraction) -> tuple:
+    """sum_j coeffs[j] gamma^j exactly, as (num, den) over one unreduced
+    denominator."""
+    num, den, p, r = 0, 1, gamma.numerator, gamma.denominator
+    for j, c in enumerate(coeffs):
+        if c:
+            a, b = c.numerator * p**j, c.denominator * r**j
+            num, den = num * b + a * den, den * b
+    return num, den
 
 
 def _gamma_powers(gamma: TruncSeries, ring: SeriesRing) -> list:
@@ -294,14 +286,20 @@ def _refuse_overflow(finite: bool, gamma, depth: int) -> None:
                          f"transfer matrix at depth {depth}")
 
 
+class FloatEntryMismatch(AssertionError):
+    """The first float entry of a spot check, in draw order, off its exact
+    value; ``args`` = (lam, mu, float value, exact value, entries drawn)."""
+
+
 def spot_check_float_entries(tm: TransferMatrix, q: Fraction, t: Fraction,
                              rng, frac: float = 0.01, tol: float = 1e-9) -> int:
     """Compare a sample of float entries against exact rationals.
 
     Checks ``frac`` n^2 entries drawn with ``rng``, or every entry once
-    ``frac`` >= 1.  The exact side is sum_k c_k xi^k with the c_k of
-    ``_entry_power_coeffs``, not the half-vertex sandwich.  Returns the
-    number of checked entries; raises on disagreement beyond tol.
+    ``frac`` >= 1.  The exact side is the gamma polynomial of
+    ``_level_entries``, one call per drawn row, not the half-vertex sandwich.
+    Returns the number of checked entries; an entry off by more than tol is
+    a FloatEntryMismatch.
     """
     states = tm.states
     n = len(states)
@@ -312,21 +310,23 @@ def spot_check_float_entries(tm: TransferMatrix, q: Fraction, t: Fraction,
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
     gf = Fraction(tm.gamma).limit_denominator(10**6)
     uf = Fraction(tm.u).limit_denominator(10**6)
-    xi = gf * (1 - uf)
-    xis = [(xi.numerator**k, xi.denominator**k)
-           for k in range(2 * weight(states[-1]) + 1)]
     c = float((1 - t) / (1 - q))
     pref = math.exp(c * float(gf) * float(gf) * (float(uf) - 1.0))
+    cols = {}  # row -> its drawn columns, once each
     for i, j in pairs:
-        lam, mu = states[i], states[j]
-        num, den = 0, 1  # sum_k c_k xi^k, exact
-        for k, ck in _entry_power_coeffs(lam, mu, uf, q, t).items():
-            a, b = ck.numerator * xis[k][0], ck.denominator * xis[k][1]
-            num, den = num * b + a * den, den * b
-        expect = pref * float(Fraction(num, den))
-        got = tm.entries[i, j]
+        cols.setdefault(i, {})[j] = None
+    exact = {}
+    for i, js in cols.items():
+        lam, mus = states[i], [states[j] for j in js]
+        row = _level_entries(uf, [lam], mus, weight(lam) + max(map(weight, mus)),
+                             q, t).get(lam, {})
+        for j, mu in zip(js, mus):
+            num, den = _at_gamma(row.get(mu, ()), gf)
+            exact[i, j] = pref * (num / den)  # rounded once, as float(num/den)
+    for i, j in pairs:
+        expect, got = exact[i, j], tm.entries[i, j]
         if abs(got - expect) > tol * max(1.0, abs(expect)):
-            raise AssertionError(f"float entry check failed at {lam},{mu}")
+            raise FloatEntryMismatch(states[i], states[j], float(got), expect, len(pairs))
     return len(pairs)
 
 
@@ -431,49 +431,54 @@ def _inverse_cdf(cum, xs):
     return cum.searchsorted(xs, side="right").clip(max=len(cum) - 1)
 
 
-def gap_matrices(spec: TrajectorySpec, q: Fraction, t: Fraction) -> list:
-    """Float transfer matrices over the gaps of the time grid, wrapping to beta."""
-    times = spec.times + [spec.beta]
-    return [transfer_matrix(spec.gamma, math.exp(-(b - a)), spec.depth, q, t).entries
-            for a, b in zip(times, times[1:])]
-
-
-def dropped_mass(mats, beta: float) -> float:
-    """Cycle mass the truncation drops: 1 - tr(M_0 ... M_last) (u;u)_inf.
-
-    The gaps compose by the semigroup property, and the untruncated cycle has
-    trace 1/(u;u)_inf with u = e^{-beta}.  The trace contracts M_0 with
-    M_1 ... M_last, without forming the cycle itself.
+class Cycle:
+    """The gap matrices M_0 ... M_last of a spec's time grid, wrapping to
+    beta, and what the sampler reads of their cycle, never formed itself:
+    ``suffix[i]`` = M_i ... M_last for i >= 1, each product formed once, and
+    ``diag``, the cycle's diagonal (M_0 contracted with suffix[1]), the law
+    at time zero of total ``mass``.  A negative entry (only algebraic points
+    outside (0, 1)^2 give one) or a mass below ``MIN_CYCLE_MASS`` is a
+    ValueError: the weights then define no law.
     """
-    import numpy as np
 
-    first, *rest = mats
-    trace = np.einsum("ij,ji->", first, reduce(np.matmul, rest)) if rest else first.trace()
-    u = math.exp(-beta)
+    def __init__(self, spec: TrajectorySpec, q: Fraction, t: Fraction):
+        import numpy as np
+
+        times = spec.times + [spec.beta]
+        mats = [transfer_matrix(spec.gamma, math.exp(-(b - a)), spec.depth, q, t).entries
+                for a, b in zip(times, times[1:])]
+        if any((m < 0).any() for m in mats):
+            raise ValueError(f"negative transfer weight at (q, t) = ({q}, {t}): "
+                             "the trajectory law is not a probability measure")
+        self.beta = spec.beta
+        self.mats = mats
+        self.suffix = [None, *reversed(list(accumulate(mats[:0:-1], lambda acc, m: m @ acc)))]
+        self.diag = np.einsum("ij,ji->i", mats[0], self.suffix[1]) if len(mats) > 1 \
+            else mats[0].diagonal()
+        self.mass = self.diag.sum()
+        if self.mass < MIN_CYCLE_MASS:
+            raise ValueError("truncated cycle mass is degenerate; raise depth")
+
+
+def dropped_mass(cycle: Cycle) -> float:
+    """Cycle mass the truncation drops: 1 - tr(M_0 ... M_last) (u;u)_inf, the
+    untruncated cycle having trace 1/(u;u)_inf with u = e^{-beta} (the gaps
+    compose by the semigroup property)."""
+    u = math.exp(-cycle.beta)
     euler, k = 1.0, 1
     while euler > 0.0 and u ** k > 1e-17:
         euler *= 1.0 - u ** k
         k += 1
-    return 1.0 - float(trace) * euler
+    return 1.0 - float(cycle.mass) * euler
 
 
-def _draw_blocks(spec: TrajectorySpec, q: Fraction, t: Fraction, mats):
+def _draw_blocks(spec: TrajectorySpec, cycle: Cycle):
     """Yield the (samples x times) state indices of each stream block."""
     import numpy as np
 
-    if any((m < 0).any() for m in mats):
-        raise ValueError(f"negative transfer weight at (q, t) = ({q}, {t}): "
-                         "the trajectory law is not a probability measure")
+    mats, suffix = cycle.mats, cycle.suffix
     n = len(mats[0])
-    # suffix[i] = M_i M_{i+1} ... M_{last} for i >= 1; the cycle M_0 suffix[1]
-    # is never formed, only its diagonal
-    suffix = [None, *reversed(list(accumulate(mats[:0:-1], lambda acc, m: m @ acc)))]
-    diag = np.einsum("ij,ji->i", mats[0], suffix[1]) if len(mats) > 1 \
-        else mats[0].diagonal()
-    total = diag.sum()
-    if total < MIN_CYCLE_MASS:
-        raise ValueError("truncated cycle mass is degenerate; raise depth")
-    cum0 = np.cumsum(diag / total)
+    cum0 = np.cumsum(cycle.diag / cycle.mass)
     rows = {}  # (step, prev * n + i0) -> cumulative conditional row
     block = max(1, STREAM_BLOCK // len(spec.times))  # samples per block
     for start in range(0, spec.count, block):
@@ -501,11 +506,12 @@ def _draw_blocks(spec: TrajectorySpec, q: Fraction, t: Fraction, mats):
         yield idx
 
 
-def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction, mats=None):
+def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction,
+                        cycle: Cycle = None):
     """Yield sampled trajectories [(time, partition), ...] for spec.count runs.
 
     The law is proportional to prod_i M_i[lam^i, lam^{i+1}], lam^{n+1} =
-    lam^0, with M_i = ``gap_matrices(spec, q, t)``[i] (or ``mats``[i]).
+    lam^0, with M_i the gap matrices of ``cycle`` (by default the spec's).
 
     Stream contract: the state at time j of sample k reads the stream value
     x = ``stream.random_rows``(spec.seed, k, 1, len(times))[0, j] by inverse
@@ -518,14 +524,11 @@ def sample_trajectories(spec: TrajectorySpec, q: Fraction, t: Fraction, mats=Non
     split.  A row depends only on (step, previous state, first state): its
     sums are built once per call, up to ``MEMO_BYTES`` of them, and searched
     once per block step for all its draws.
-
-    A negative gap-matrix entry (only algebraic points outside (0, 1)^2 give
-    one) is a ValueError: the weights then define no law.
     """
-    if mats is None:
-        mats = gap_matrices(spec, q, t)
+    if cycle is None:
+        cycle = Cycle(spec, q, t)
     pairs = [[(b, lam) for lam in partitions_up_to(spec.depth)] for b in spec.times]
-    for idx in _draw_blocks(spec, q, t, mats):
+    for idx in _draw_blocks(spec, cycle):
         cols = [list(map(p.__getitem__, col)) for p, col in zip(pairs, idx.T.tolist())]
         yield from map(list, zip(*cols))
 
@@ -558,12 +561,10 @@ def transfer_cycle_weight(lams, gamma: Fraction, u_list, q: Fraction,
     for x in (gamma, *u_list):
         if not isinstance(x, (int, Fraction)):
             raise TypeError(f"{x!r} is not rational")
-    n = len(lams)
     total = Fraction(1)
-    for i in range(n):
-        coeffs = _entry_power_coeffs(lams[i], lams[(i + 1) % n], u_list[i], q, t)
-        xi = gamma * (1 - u_list[i])
-        total *= sum((c * xi**k for k, c in coeffs.items()), Fraction(0))
+    for lam, mu, u in zip(lams, [*lams[1:], *lams[:1]], u_list):
+        row = _level_entries(u, [lam], [mu], weight(lam) + weight(mu), q, t)
+        total *= Fraction(*_at_gamma(row.get(lam, {}).get(mu, ()), Fraction(gamma)))
     return total
 
 
@@ -613,14 +614,12 @@ def marginal_chi_square(gamma: float, beta: float, depth: int, q: Fraction,
     import numpy as np
 
     spec = TrajectorySpec(beta, gamma, [0.0], depth, seed, samples)
-    mats = gap_matrices(spec, q, t)
+    cycle = Cycle(spec, q, t)
     states = partitions_up_to(depth)
     observed = sum((np.bincount(idx[:, 0], minlength=len(states))
-                    for idx in _draw_blocks(spec, q, t, mats)),
+                    for idx in _draw_blocks(spec, cycle)),
                    np.zeros(len(states), int)).tolist()
-    # read after sampling, which raises first when this mass is degenerate
-    diag = mats[0].diagonal()
-    probs = diag / diag.sum()
+    probs = cycle.diag / cycle.mass
     expected = [p * samples for p in probs]
     main = [(o, e) for o, e in zip(observed, expected) if e >= MIN_EXPECTED]
     tail_o = sum(o for o, e in zip(observed, expected) if e < MIN_EXPECTED)

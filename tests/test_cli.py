@@ -538,6 +538,10 @@ def _at(q, t, *commands):
          VERIFY_MACMAHON),
     *_at("1/2", "1", [*MOMENT, "E"], [*MOMENT, "G'"], SHIFT_MIXED),
     *_at("2", "1/2", PIERI_2_1),
+    # no finite value: E and G at t = 0, E' and G' at q = 0 (E' and G' at
+    # t = 0 are left open, ROADMAP item 12)
+    *_at("1/3", "0", [*MOMENT, "E"], [*MOMENT, "G"]),
+    *_at("0", "1/3", [*MOMENT, "E'"], [*MOMENT, "G'"]),
 ], ids=" ".join)
 def test_degenerate_point_exits_2_without_traceback(argv):
     # each formula the command evaluates has a pole at the point

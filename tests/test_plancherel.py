@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -12,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import marginal_weight, remove_one_box, stream_sample
-from permac import cli, macdonald, plancherel, series
+from permac import acceptance, cli, macdonald, plancherel, series
 from permac.partitions import add_one_box, contains, partitions_of, partitions_up_to, weight
 from permac.plancherel import (
     MAX_DEPTH,
     MIN_CYCLE_MASS,
+    Cycle,
     TrajectorySpec,
-    _entry_power_coeffs,
     _gamma_powers,
     _inverse_cdf,
     _level_entries,
@@ -27,7 +28,6 @@ from permac.plancherel import (
     chi_square_sf,
     dims,
     dropped_mass,
-    gap_matrices,
     marginal_chi_square,
     pieri_up_matrices,
     sample_trajectories,
@@ -43,6 +43,8 @@ from permac.scalars import random_qt_pair
 from permac.series import SeriesRing
 
 Q0, T0 = Fraction(1, 3), Fraction(1, 5)
+GOLDEN_3TIME = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                            "plancherel-sample-3time.out")
 
 
 @lru_cache(maxsize=None)
@@ -67,7 +69,7 @@ def test_dims_schur_point_counts_tableaux():
             assert dims("dim'", (), lam, q, q) == syt_count(lam)
 
 
-# The pairwise Fraction recursion that dims and _entry_power_coeffs ran
+# The pairwise Fraction recursion that dims and the exact entries ran
 # before the top-down integer rows, kept verbatim as their oracle.
 
 def _path_memo(kind: str, q: Fraction, t: Fraction) -> tuple:
@@ -106,7 +108,8 @@ def _path_sum(path_memo: tuple, mu: tuple, lam: tuple, q: Fraction,
 
 def _oracle_entry_power_coeffs(lam: tuple, mu: tuple, u: Fraction, q: Fraction,
                                 t: Fraction) -> dict:
-    """_entry_power_coeffs as a nu-sum of products of pairwise path sums."""
+    """Rational c_k with T_{lam,mu}(u) = pref(u) sum_k c_k xi^k, xi = gamma (1 - u),
+    as a nu-sum of products of pairwise path sums."""
     psi, phi = _path_memo("dim", q, t), _path_memo("dim'", q, t)
     out: dict = {}
     wl, wm = weight(lam), weight(mu)
@@ -142,16 +145,6 @@ def test_dims_equal_the_pairwise_recursion(q, t):
                     (kind, mu, lam)
 
 
-@pytest.mark.parametrize("q, t", ORACLE_POINTS, ids=["1/3,1/5", "43/97,59/89", "q=t"])
-def test_entry_power_coeffs_equal_the_pairwise_recursion(q, t):
-    states = partitions_up_to(7)
-    for u in (Fraction(3, 7), Fraction(0)):
-        for lam in states:
-            for mu in states:
-                assert _entry_power_coeffs(lam, mu, u, q, t) == \
-                    _oracle_entry_power_coeffs(lam, mu, u, q, t), (lam, mu, u)
-
-
 def _exact_entries(u, q, t, ring, rows, cols):
     """Nonzero entries of T(u) on rows x cols as series in the formal gamma
     of ``ring``, from the level entries that semigroup_defect reads."""
@@ -173,16 +166,30 @@ def test_transfer_vacuum_entry_exact():
     assert entries[(), ()] == pref
 
 
-@pytest.mark.parametrize("q, t", [(Q0, T0), (Fraction(43, 97), Fraction(59, 89))])
-def test_exact_entries_equal_the_nu_sum_oracle(q, t):
-    # the level entries against pref * sum_k c_k xi^k with the c_k of the
-    # pairwise-recursion nu-sums (the top-down rows feed both _level_entries
-    # and _entry_power_coeffs): every entry of weight <= 6 in a ring that
-    # keeps every power, and a subset of rows and columns in one that truncates
-    depth, u = 6, Fraction(3, 7)
-    states = partitions_up_to(depth)
+@pytest.mark.parametrize("u", [Fraction(3, 7), Fraction(0)], ids=["u=3/7", "u=0"])
+@pytest.mark.parametrize("q, t", ORACLE_POINTS, ids=["1/3,1/5", "43/97,59/89", "q=t"])
+def test_exact_entries_equal_the_nu_sum_oracle(q, t, u):
+    # the level entries against the pairwise-recursion nu-sums: their xi^k
+    # coefficient c_k gives the gamma^k coefficient c_k (1 - u)^k, for every
+    # entry of weight <= 7
+    states = partitions_up_to(7)
     coeffs = {(lam, mu): _oracle_entry_power_coeffs(lam, mu, u, q, t)
               for lam in states for mu in states}
+    top = 14
+    raw = _level_entries(u, states, states, top, q, t)
+    for lam in states:
+        for mu in states:
+            want = [0] * (top + 1)
+            for k, c in coeffs[lam, mu].items():
+                want[k] = c * (1 - u) ** k
+            assert raw.get(lam, {}).get(mu, [0] * (top + 1)) == want, (lam, mu)
+    if not u:
+        return  # the series form and its prefactor are checked at u = 3/7
+    # and as series with the prefactor: every entry of weight <= 6 in a ring
+    # that keeps every power, and a subset of rows and columns in one that
+    # truncates
+    depth = 6
+    states = partitions_up_to(depth)
     rows, cols = states[::-1][:12], [mu for mu in states if weight(mu) >= 2]
     for cutoff, rs, cs in ((2 * depth, None, None), (5, rows, cols)):
         ring = SeriesRing(["g"], cutoff)
@@ -239,8 +246,8 @@ def _unit_rational(draw):
 @settings(max_examples=12, deadline=None)
 @given(depth=st.integers(0, 6), data=st.data())
 def test_sandwich_equals_exact_nu_sum_at_every_entry(depth, data):
-    # the half-vertex product against the hand-written sum over common
-    # sub-partitions nu of exact Young-graph path sums, entry by entry
+    # the half-vertex product against the exact level entries, summed over
+    # common sub-partitions nu from the top-down path rows, entry by entry
     q, t, u = (_unit_rational(data.draw) for _ in range(3))
     gamma = Fraction(data.draw(st.integers(0, 300)), 100)
     tm = transfer_matrix(float(gamma), float(u), depth, q, t, mode="float")
@@ -452,6 +459,35 @@ def test_plancherel_check_reports_the_first_failing_entry(monkeypatch, capsys, f
     assert failing[0] == (lam, mu)
 
 
+def test_a_wrong_float_entry_fails_verify_all_and_check(monkeypatch, capsys):
+    # one entry of both float half-vertices, X and Y at ((2), (1)), off by
+    # 11/10: the exact semigroup check never reads the float sandwich, so
+    # the spot check of every entry of the sampled depth-8 matrix must see
+    # it, as a mismatch with the first failing entry in draw order
+    half_vertex = plancherel._half_vertex
+
+    def wrong(up, sizes, xi):
+        paths = half_vertex(up, sizes, xi)
+        paths[np.searchsorted(sizes, 2), np.searchsorted(sizes, 1)] *= 1.1
+        return paths
+
+    monkeypatch.setattr(plancherel, "_half_vertex", wrong)
+    # the other criteria run no float Plancherel code
+    monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.criterion_plancherel_process])
+    assert cli.main(["verify", "all"]) == 1
+    (criterion,) = json.loads(capsys.readouterr().out)["criteria"]
+    assert criterion["details"]["spot_check_entries"] == 67 * 67
+    (failure,) = criterion["details"]["failures"]
+    assert failure[:3] == ["float-entry", [1], [2]]
+    assert cli.main(["plancherel", "check", "--samples", "2000"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["semigroup_defect"] == "0" and not report["verified"]
+    first = report["spot_check"].pop("first_mismatch")
+    assert report["spot_check"] == {"entries": 67 * 67, "fraction": 1.0}
+    assert (first["lambda"], first["mu"]) == ([1], [2])
+    assert first["float"] != pytest.approx(first["exact"], rel=1e-3)
+
+
 def _float_semigroup_defect(gamma, u, v, depth, reserve):
     """max |T(u) T(v) - T(uv)| over the safe block, from float matrices."""
     tu, tv, tuv = (transfer_matrix(gamma, x, depth, Q0, T0).entries
@@ -549,12 +585,10 @@ def _draw(rng, probs) -> int:
     return len(probs) - 1
 
 
-def _oracle_sample_trajectories(spec, q, t, mats=None):
+def _oracle_sample_trajectories(spec, q, t, mats):
     """The sampler as it drew before the cumulative rows were memoised: the
     stream's values sample by sample from the pure-Python SplitMix64 of
     ``oracles``, and a linear scan over each conditional row."""
-    if mats is None:
-        mats = gap_matrices(spec, q, t)
     states = partitions_up_to(spec.depth)
     # suffix[i] = M_i M_{i+1} ... M_{last}
     suffix = [None] * len(mats)
@@ -635,9 +669,9 @@ def test_inverse_cdf_matches_linear_scan():
 def test_sampler_stream_equals_linear_scan_oracle(depth, times):
     q, t = Fraction(1, 2), Fraction(2, 7)
     spec = TrajectorySpec(1.0, 0.85, times, depth, seed=41 + depth, count=1500)
-    mats = gap_matrices(spec, q, t)
-    got = list(sample_trajectories(spec, q, t, mats=mats))
-    assert got == list(_oracle_sample_trajectories(spec, q, t, mats=mats))
+    cycle = Cycle(spec, q, t)
+    got = list(sample_trajectories(spec, q, t, cycle=cycle))
+    assert got == list(_oracle_sample_trajectories(spec, q, t, mats=cycle.mats))
     assert len({traj[-1][1] for traj in got}) > 5
 
 
@@ -647,10 +681,10 @@ def test_sampler_stream_keeps_rows_past_the_memo_budget(monkeypatch):
 
     q, t = Fraction(1, 2), Fraction(2, 7)
     spec = TrajectorySpec(1.0, 1.5, [0.0, 0.2, 0.5, 0.7], 5, seed=8, count=1500)
-    mats = gap_matrices(spec, q, t)
-    monkeypatch.setattr(plancherel, "MEMO_BYTES", 8 * len(mats[0]) * 3)
-    got = list(sample_trajectories(spec, q, t, mats=mats))
-    assert got == list(_oracle_sample_trajectories(spec, q, t, mats=mats))
+    cycle = Cycle(spec, q, t)
+    monkeypatch.setattr(plancherel, "MEMO_BYTES", 8 * len(cycle.mats[0]) * 3)
+    got = list(sample_trajectories(spec, q, t, cycle=cycle))
+    assert got == list(_oracle_sample_trajectories(spec, q, t, mats=cycle.mats))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -662,9 +696,9 @@ def test_sampler_stream_equals_oracle_across_blocks(monkeypatch, times, seed):
     monkeypatch.setattr(plancherel, "STREAM_BLOCK", 7)
     q, t = Fraction(1, 2), Fraction(2, 7)
     spec = TrajectorySpec(1.0, 0.85, times, 5, seed=seed, count=41)
-    mats = gap_matrices(spec, q, t)
-    got = list(sample_trajectories(spec, q, t, mats=mats))
-    assert got == list(_oracle_sample_trajectories(spec, q, t, mats=mats))
+    cycle = Cycle(spec, q, t)
+    got = list(sample_trajectories(spec, q, t, cycle=cycle))
+    assert got == list(_oracle_sample_trajectories(spec, q, t, mats=cycle.mats))
 
 
 def test_sampler_stream_equals_oracle_with_many_rows_per_block(monkeypatch):
@@ -674,9 +708,9 @@ def test_sampler_stream_equals_oracle_with_many_rows_per_block(monkeypatch):
     monkeypatch.setattr(plancherel, "STREAM_BLOCK", 3 * 400)
     q, t = Fraction(43, 97), Fraction(59, 89)
     spec = TrajectorySpec(1.0, 0.85, [0.0, 0.3, 0.6], 8, seed=2026, count=1500)
-    mats = gap_matrices(spec, q, t)
-    got = list(sample_trajectories(spec, q, t, mats=mats))
-    assert got == list(_oracle_sample_trajectories(spec, q, t, mats=mats))
+    cycle = Cycle(spec, q, t)
+    got = list(sample_trajectories(spec, q, t, cycle=cycle))
+    assert got == list(_oracle_sample_trajectories(spec, q, t, mats=cycle.mats))
     for start in range(0, spec.count, 400):
         block = got[start:start + 400]
         assert len({traj[0][1] for traj in block}) > 20
@@ -744,7 +778,7 @@ def test_dropped_mass_is_the_missing_euler_mass():
     losses = []
     for depth in (4, 6, 8):
         spec = TrajectorySpec(beta, gamma, [0.0], depth, seed=1, count=1)
-        loss = dropped_mass(gap_matrices(spec, Q0, T0), beta)
+        loss = dropped_mass(Cycle(spec, Q0, T0))
         trace = truncated_trace_float(gamma, u, depth, Q0, T0)
         assert loss == pytest.approx(1 - trace * euler, rel=1e-12)
         losses.append(loss)
@@ -752,7 +786,36 @@ def test_dropped_mass_is_the_missing_euler_mass():
     # truncating each gap of a cycle also cuts the intermediate sums, and
     # every entry is nonnegative, so a 3-time cycle drops at least as much
     spec = TrajectorySpec(beta, gamma, [0.0, 0.3, 0.6], 8, seed=1, count=1)
-    assert losses[2] <= dropped_mass(gap_matrices(spec, Q0, T0), beta) < losses[0]
+    assert losses[2] <= dropped_mass(Cycle(spec, Q0, T0)) < losses[0]
+
+
+def test_plancherel_sample_forms_the_suffix_product_once(monkeypatch, capsys):
+    # the draws and the dropped mass read one cycle: with three times,
+    # M_1 M_2 is the only matrix product, and the stream is the golden one
+    products = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(method)
+            plain = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    transfer_matrix = plancherel.transfer_matrix
+
+    def counted(*args):
+        tm = transfer_matrix(*args)
+        tm.entries = tm.entries.view(Counted)
+        return tm
+
+    monkeypatch.setattr(plancherel, "transfer_matrix", counted)
+    assert cli.main(["plancherel", "sample", "--times", "0.0,0.3,0.6", "--depth", "8",
+                     "--count", "200", "--seed", "5", "--q", "1/3", "--t", "1/5"]) == 0
+    assert products == ["__call__"]
+    out, err = capsys.readouterr()
+    with open(GOLDEN_3TIME) as fh:
+        assert out == fh.read()
+    assert err.startswith("dropped mass: ") and err.count("\n") == 1
 
 
 def test_chi_square_sf_matches_scipy():

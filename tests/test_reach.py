@@ -39,7 +39,6 @@ CONFIG = "run only under --config, or for a missing required flag"
 WARM_CACHE = "reads a table from a warm disk cache"
 BENCHMARK = "perfbench's workloads and spans call it"
 PATH_ROWS = "the tests' reader of the top-down Plancherel path rows"
-ENTRY_COEFFS = "the exact entries of the float spot check and transfer_cycle_weight, both listed here"
 QRHO = "the Q[rho] scalars, which no computed value uses (ROADMAP items 5, 10)"
 ITEM_2 = "multi-time Plancherel moments (ROADMAP item 2)"
 ITEM_3 = "shift-mixed processes beyond one step (ROADMAP item 3)"
@@ -53,13 +52,11 @@ UNREACHED = {
     "cli._leaf_options": CONFIG,
     "macdonald._table_from_disk": WARM_CACHE,
     "point.per_point": IMPORT,
-    "plancherel.spot_check_float_entries": BENCHMARK,
     "plancherel.truncated_trace_float": BENCHMARK,
     "macdonald.p_dict_to_m": BENCHMARK,
     "macdonald.m_to_p": FRACTION_ROWS,
     "series.TruncSeries.log": BENCHMARK,
     "plancherel.dims": PATH_ROWS,
-    "plancherel._entry_power_coeffs": ENTRY_COEFFS,
     "scalars.QRho": QRHO,
     "plancherel.transfer_cycle_weight": ITEM_2,
     "process.time_grid_process": ITEM_2,
