@@ -141,10 +141,15 @@ def _build_process(args):
     q, t = _parse_q_t(args)
     _require_at_least(args, 1, "N", "u_deg")
     N = args.N
+    names = []
+    for flag, spec in (("spec-plus", args.spec_plus), ("spec-minus", args.spec_minus)):
+        steps = spec.split(";")
+        if len(steps) not in (1, N):  # one name for every step, or one per step
+            raise UsageError(f"--{flag} gives {len(steps)} names for --N {N}; "
+                             f"give one name or {N}")
+        names.append(steps * (N // len(steps)))
     try:
-        return process.process_from_names((args.spec_plus.split(";") * N)[:N],
-                                          (args.spec_minus.split(";") * N)[:N],
-                                          q, t, args.u_deg)
+        return process.process_from_names(*names, q, t, args.u_deg)
     except ValueError as exc:
         raise UsageError(str(exc))
 

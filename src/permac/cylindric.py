@@ -7,7 +7,9 @@ N.  Three weight systems live here: the box-product F built from ratios of
 the hook function f(w) = (t w; q)_inf / (q w; q)_inf (evaluated exactly by
 telescoping pairs), the Pieri product Phi around the cycle, and the
 Hall-Littlewood component weight A.  The generating-function identities
-against Pochhammer products are verified coefficientwise in s.
+against Pochhammer products are verified coefficientwise in s; each closed
+side, here and in the vertex traces below, states its symbols once as the
+num/den lists of one ``series.qpochhammer``.
 
 The second half covers traces of refined topological vertices, including a
 windowed-Laurent logarithm comparison for profiles whose closed form mixes
@@ -33,8 +35,8 @@ from .partitions import (
     partitions_up_to,
     weight,
 )
-from .series import SeriesRing, TruncSeries, euler_inverse, first_mismatch, \
-    geometric, qpochhammer, qpochhammer_finite
+from .series import SeriesRing, TruncSeries, first_mismatch, geometric, \
+    qpochhammer, qpochhammer_finite, qpochhammer_log
 
 
 class CylindricProfile:
@@ -257,16 +259,11 @@ def macmahon_rhs(profile: CylindricProfile, ring: SeriesRing, q: Fraction,
     """(s^N; s^N)^{-1} prod_{k in M, l not in M} (t s^[l-k]; q, s^N) ratio."""
     N = profile.N
     sN = ring.monomial(Fraction(1), s=N)
-    out = euler_inverse(ring, sN)
-    for k in sorted(profile.M):
-        for l in range(1, N + 1):
-            if l in profile.M:
-                continue
-            d = _bracket(l, k, N)
-            num = qpochhammer(ring, ring.monomial(t, s=d), [q, sN])
-            den = qpochhammer(ring, ring.monomial(Fraction(1), s=d), [q, sN])
-            out = out * num * den.inverse()
-    return out
+    ds = [_bracket(l, k, N) for k in sorted(profile.M) for l in range(1, N + 1)
+          if l not in profile.M]
+    return qpochhammer(
+        ring, [(ring.monomial(t, s=d), [q, sN]) for d in ds],
+        [(sN, [sN]), *((ring.monomial(Fraction(1), s=d), [q, sN]) for d in ds)])
 
 
 def macmahon_verify(profile: CylindricProfile, s_cutoff: int, q: Fraction,
@@ -433,11 +430,8 @@ def cor_b2_check(grade: int, q: Fraction, t: Fraction) -> dict:
         lhs = lhs + ring.monomial(Fraction(1), u=weight(lam)) * term
     u, x, y = ring.gen("u"), ring.gen("x"), ring.gen("y")
     tx = ring.monomial(t, x=1)
-    rhs = euler_inverse(ring, u) \
-        * qpochhammer(ring, tx, [q, u, x, y]) \
-        * qpochhammer(ring, x, [q, u, x, y]).inverse() \
-        * qpochhammer(ring, x, [q, x, y]) \
-        * qpochhammer(ring, tx, [q, x, y]).inverse()
+    rhs = qpochhammer(ring, [(tx, [q, u, x, y]), (x, [q, x, y])],
+                      [(u, [u]), (x, [q, u, x, y]), (tx, [q, x, y])])
     return {"grade": grade, "match": lhs == rhs, "lhs": lhs, "rhs": rhs}
 
 
@@ -498,12 +492,10 @@ def vertex_e1_trace_check(grade: int, q: Fraction, t: Fraction) -> dict:
 
     # (C) signature-sum closed form
     u, x, y = ring.gen("u"), ring.gen("x"), ring.gen("y")
-    pref = qpochhammer(ring, u * (t / q), [u]) \
-        * qpochhammer(ring, u * t, [u]).inverse() \
-        * qpochhammer(ring, u * (1 / q), [u]).inverse() \
+    pref = qpochhammer(
+        ring, [(u * (t / q), [u]), (ring.monomial(t, x=1), [q, u, x, y])],
+        [(u * t, [u]), (u * (1 / q), [u]), (x, [q, u, x, y])]) \
         * (Fraction(1) / (1 - t))
-    pref = pref * qpochhammer(ring, ring.monomial(t, x=1), [q, u, x, y]) \
-        * qpochhammer(ring, x, [q, u, x, y]).inverse()
     sig_sum = ring.zero()
     for n_len in range(grade + 1):
         qn = Fraction(1) / q ** n_len
@@ -669,9 +661,7 @@ def thm_b1_check(nu: tuple, u_cutoff: int, window: int, q: Fraction,
     log_lhs = laurent_log(lhs, build).window(window)
 
     u = ring.gen("u")
-    euler_log = ring.zero()  # -log (u; u)_inf = sum_n u^n / (n (1 - u^n))
-    for n in range(1, ring.cutoff + 1):
-        euler_log = euler_log + geometric(ring, u, n, start=1) * Fraction(1, n)
+    euler_log = qpochhammer_log(ring, [], [(u, [u])])  # -log (u; u)_inf
     kwrapped = kernel_log_direct(zvars, ring, nu, q, t, window, build,
                                  wrapped=True)
     log_rhs = (kwrapped + LaurentPoly.constant(zvars, euler_log)).window(window)
@@ -694,8 +684,7 @@ def lemma_b4_check(grade: int, a: Fraction) -> dict:
     """
     ring = SeriesRing(["z", "x", "y"], grade)
     z, x, y = ring.gen("z"), ring.gen("x"), ring.gen("y")
-    lhs = qpochhammer(ring, ring.monomial(a, z=1), [x, y]) \
-        * qpochhammer(ring, z, [x, y]).inverse()
+    lhs = qpochhammer(ring, [(ring.monomial(a, z=1), [x, y])], [(z, [x, y])])
     rhs = ring.zero()
     for n in range(grade + 1):
         for sig in signatures(n, grade):

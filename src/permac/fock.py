@@ -39,9 +39,9 @@ from .scalars import random_qt_pair
 from .series import (
     SeriesRing,
     TruncSeries,
-    euler_inverse,
     geometric,
     qpochhammer,
+    qpochhammer_log,
     theta3,
     theta_terms,
 )
@@ -235,18 +235,18 @@ def trace_bruteforce(op, ring: SeriesRing, u_name: str, depth: int, q, t) -> Tru
 
 
 def trace_closed(spec: VertexSpec, ring: SeriesRing, u, q, t) -> TruncSeries:
-    """Closed form of Tr(u^D V(gamma)): Euler factor times an exponential.
+    """Closed form of Tr(u^D V(gamma)): Euler factor and exponential as one exp.
 
     ``u`` is a generator name or a positive-degree monomial of the ring (such
-    as v^2).  The exponent is the sum over n of
+    as v^2).  The exponent is -log (u; u)_inf plus the sum over n of
     ``contraction(spec.plus, spec.minus)[n]`` times u^n/(1-u^n), the u
     geometric factor expanded inside the ring.
     """
     u = ring.gen(u) if isinstance(u, str) else u
-    expo = ring.zero()
+    expo = qpochhammer_log(ring, [], [(u, [u])])
     for n, c in contraction(spec.plus, spec.minus, q, t).items():
         expo = expo + c * geometric(ring, u, n, start=1)
-    return euler_inverse(ring, u) * expo.exp()
+    return expo.exp()
 
 
 def trace_check_failures(rng, trials: int, u_deg: int) -> list:
@@ -515,7 +515,7 @@ def two_point_fermion_trace(v_cutoff: int, window: int, zeta: Fraction,
 
     u = ring.monomial(Fraction(1), v=2)
     theta_den = theta3(ring, "v", zeta).inverse()
-    euler2 = qpochhammer(ring, u, [u]) ** 2
+    euler2 = qpochhammer(ring, [(u, [u])] * 2, [])
     # assemble (x-y)^{-1} * theta(zeta y/x) * (u x/y; u)^{-1} (u y/x; u)^{-1}
     geom = LaurentPoly(zvars, ring, {
         (-1 - k, k): ring.one() for k in range(2 * window + 2)})

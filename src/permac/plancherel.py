@@ -126,14 +126,17 @@ def _level_entries(u: Fraction, rows, cols, top: int, q: Fraction, t: Fraction) 
 
 
 def _at_gamma(coeffs, gamma: Fraction) -> tuple:
-    """sum_j coeffs[j] gamma^j exactly, as (num, den) over one unreduced
-    denominator."""
-    num, den, p, r = 0, 1, gamma.numerator, gamma.denominator
-    for j, c in enumerate(coeffs):
-        if c:
-            a, b = c.numerator * p**j, c.denominator * r**j
-            num, den = num * b + a * den, den * b
-    return num, den
+    """sum_j coeffs[j] gamma^j exactly, as (num, den) over one common
+    denominator: the lcm of the coefficient denominators times r^top, for
+    gamma = p/r, in one Horner pass from the top coefficient down."""
+    if not coeffs:
+        return 0, 1
+    p, r = gamma.numerator, gamma.denominator
+    num, scale = 0, lcm(*(c.denominator for c in coeffs))
+    for c in reversed(coeffs):  # scale = lcm r^(top - j) at coefficient j
+        num = num * p + c.numerator * (scale // c.denominator)
+        scale *= r
+    return num, scale // r
 
 
 def _gamma_powers(gamma: TruncSeries, ring: SeriesRing) -> list:
@@ -556,8 +559,11 @@ def transfer_cycle_weight(lams, gamma: Fraction, u_list, q: Fraction,
     so this is proportional to the finite-dimensional law at fixed times, and
     to the marginal weight of ``process.time_grid_process`` at the same
     decays.  A gamma or decay that is not an int or a Fraction is a
-    TypeError, as it is for ``time_grid_process``.
+    TypeError, as it is for ``time_grid_process``, and a decay list whose
+    length is not that of ``lams`` (one gap after each state) is a ValueError.
     """
+    if len(u_list) != len(lams):
+        raise ValueError(f"{len(lams)} states need as many decays, got {len(u_list)}")
     for x in (gamma, *u_list):
         if not isinstance(x, (int, Fraction)):
             raise TypeError(f"{x!r} is not rational")

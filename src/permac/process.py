@@ -306,15 +306,6 @@ def partition_function_closed(pspec: ProcessSpec) -> TruncSeries:
     return scalar * trace_closed(merged, pspec.ring, pspec.u, pspec.q, pspec.t)
 
 
-def pair_kernel_pochhammer(ring: SeriesRing, q, t, u, alpha_name: str,
-                           beta_name: str) -> TruncSeries:
-    """(t a b; q, u)_inf / (a b; q, u)_inf for two formal alpha monomials."""
-    ab = ring.monomial(Fraction(1), **{alpha_name: 1, beta_name: 1})
-    num = qpochhammer(ring, ab * t, [q, u])
-    den = qpochhammer(ring, ab, [q, u])
-    return num * den.inverse()
-
-
 def nonperiodic_partition_function(pspec: ProcessSpec) -> TruncSeries:
     """The u -> 0 limit: the OPE scalars alone."""
     return _normal_order(pspec)[0]
@@ -482,10 +473,9 @@ def _theta_cauchy_entry(ring, u_mono, x, y, zeta) -> TruncSeries:
     (u;u)^2/((u x/y; u)(u y/x; u)) at rational x, y."""
     c = Fraction(1) / (x - y)
     th = theta3(ring, "v", zeta * y / x) * theta3(ring, "v", zeta).inverse()
-    uu = qpochhammer(ring, u_mono, [u_mono])
-    mixed = qpochhammer(ring, u_mono * (x / y), [u_mono]) \
-        * qpochhammer(ring, u_mono * (y / x), [u_mono])
-    return th * uu * uu * mixed.inverse() * c
+    pochs = qpochhammer(ring, [(u_mono, [u_mono])] * 2,
+                        [(u_mono * (x / y), [u_mono]), (u_mono * (y / x), [u_mono])])
+    return th * pochs * c
 
 
 def theta_cauchy_check(r: int, v_cutoff: int, xs, ys, zeta, label="") -> dict:
@@ -512,12 +502,10 @@ def theta_cauchy_check(r: int, v_cutoff: int, xs, ys, zeta, label="") -> dict:
             den *= (xs[i] - ys[j])
     lhs = ring.scalar(num / den)
     lhs = lhs * theta3(ring, "v", zeta * ratio) * theta3(ring, "v", zeta).inverse()
-    for i in range(r):
-        for j in range(r):
-            lhs = lhs * qpochhammer(ring, u * (xs[i] / xs[j]), [u])
-            lhs = lhs * qpochhammer(ring, u * (ys[i] / ys[j]), [u])
-            lhs = lhs * qpochhammer(ring, u * (xs[i] / ys[j]), [u]).inverse()
-            lhs = lhs * qpochhammer(ring, u * (ys[i] / xs[j]), [u]).inverse()
+    pairs = [(i, j) for i in range(r) for j in range(r)]
+    lhs = lhs * qpochhammer(
+        ring, [(u * (zs[i] / zs[j]), [u]) for zs in (xs, ys) for i, j in pairs],
+        [(u * (a[i] / b[j]), [u]) for a, b in ((xs, ys), (ys, xs)) for i, j in pairs])
     entries = [[_theta_cauchy_entry(ring, u, xs[i], ys[j], zeta)
                 for j in range(r)] for i in range(r)]
     rhs = _det_series(entries, ring)

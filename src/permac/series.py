@@ -38,11 +38,16 @@ The ring also hosts the q-Pochhammer machinery: infinite symbols
     log (a; p_1..p_n)_inf = - sum_{k>=1} a^k / (k * prod_i (1 - p_i^k)),
 
 with rational moduli contributing exact factors 1/(1-p^k) and formal moduli
-expanded geometrically.
+expanded geometrically.  A closed form states its product once, as lists
+``num`` and ``den`` of (a, moduli) pairs: ``qpochhammer_log(ring, num, den)``
+is the signed sum of their logarithms and ``qpochhammer(ring, num, den)``
+its one exponential, so 1/(u; u)_inf is ``qpochhammer(ring, [], [(u, [u])])``
+and no symbol is inverted.
 
 This module is the one place for the series idioms the closed forms share:
 ``geometric`` for p^(start k)/(1 - p^k), ``theta_terms`` for the charge
-terms zeta^m v^(m^2) of a theta sum, and ``euler_inverse`` for 1/(u; u)_inf.
+terms zeta^m v^(m^2) of a theta sum, and the num/den ``qpochhammer`` for any
+product and ratio of Pochhammer symbols.
 Brute-force oracles choose their own terms, but sum them with the shared
 ``zterm_sum``, as they add with ``+``.
 """
@@ -572,29 +577,37 @@ def geometric(ring: SeriesRing, p, k: int, start: int = 0) -> TruncSeries:
                               for j in range(start, ring.cutoff // step + 1)})
 
 
-def qpochhammer(ring: SeriesRing, a, moduli) -> TruncSeries:
-    """Truncated expansion of the n-fold symbol (a; p_1, ..., p_n)_infinity.
+def qpochhammer_log(ring: SeriesRing, num, den) -> TruncSeries:
+    """log of prod_num (a; p_1..p_n)_inf / prod_den (a; p_1..p_n)_inf.
 
-    ``a`` is zero or a positive-degree monomial in the ring; each modulus is
-    a rational or a positive-degree monomial.  A nonzero argument of degree
-    0 raises ``ValueError``.
+    ``num`` and ``den`` list (a, moduli) pairs, and each symbol adds -/+
+    sum_{k>=1} a^k / (k prod_i (1 - p_i^k)) to one ``linear_combination``.
+    ``a`` is zero (the factor 1) or a positive-degree monomial, and a nonzero
+    ``a`` of degree 0 is a ``ValueError``; each modulus is a rational or a
+    positive-degree monomial, and a modulus power 1 a ``ZeroDivisionError``.
     """
-    c, e = _monomial_parts(a)
-    if not c:
-        return ring.one()
-    dega = 0 if e is None else ring.degree_of(e)
-    if dega == 0:
-        raise ValueError("Pochhammer argument needs positive degree")
-    logsum = ring.zero()
-    k = 1
-    while k * dega <= ring.cutoff:
-        term = ring.monomial(c ** k, **{
-            n: k * ei for n, ei in zip(ring.symbols, e) if ei})
-        for m in moduli:
-            term = term * geometric(ring, m, k)
-        logsum = logsum + term * Fraction(-1, k)
-        k += 1
-    return logsum.exp()
+    def terms():
+        for sign, symbols in ((-1, num), (1, den)):
+            for a, moduli in symbols:
+                c, e = _monomial_parts(a)
+                if not c:
+                    continue
+                dega = 0 if e is None else ring.degree_of(e)
+                if dega == 0:
+                    raise ValueError("Pochhammer argument needs positive degree")
+                for k in range(1, ring.cutoff // dega + 1):
+                    term = TruncSeries(ring, {tuple(k * ei for ei in e): c ** k})
+                    for m in moduli:
+                        term = term * geometric(ring, m, k)
+                    yield Fraction(sign, k), term
+
+    return linear_combination(ring, terms())
+
+
+def qpochhammer(ring: SeriesRing, num, den) -> TruncSeries:
+    """prod_num (a; p_1..p_n)_inf / prod_den (a; p_1..p_n)_inf, truncated:
+    one exp of ``qpochhammer_log``, so no symbol is inverted."""
+    return qpochhammer_log(ring, num, den).exp()
 
 
 def qpochhammer_finite(ring: SeriesRing, a, modulus, n: int) -> TruncSeries:
@@ -637,7 +650,3 @@ def theta3(ring: SeriesRing, v: str, zeta) -> TruncSeries:
     """
     return sum(theta_terms(ring, v, zeta).values(), ring.zero())
 
-
-def euler_inverse(ring: SeriesRing, u) -> TruncSeries:
-    """1/(u; u)_infinity, the partition-count generating series."""
-    return qpochhammer(ring, u, [u]).inverse()

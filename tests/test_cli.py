@@ -72,10 +72,8 @@ def test_process_moment_zero_specs_matches_product():
     q, t = Fraction(1, 3), Fraction(1, 5)
     ring = SeriesRing(["u"], 5)
     u = ring.gen("u")
-    closed = qpochhammer(ring, u, [u]) \
-        * qpochhammer(ring, u * (q / t), [u]) \
-        * qpochhammer(ring, u * q, [u]).inverse() \
-        * qpochhammer(ring, u * (1 / t), [u]).inverse() \
+    closed = qpochhammer(ring, [(u, [u]), (u * (q / t), [u])],
+                         [(u * q, [u]), (u * (1 / t), [u])]) \
         * (Fraction(1) / (1 - 1 / t))
     assert TruncSeries.from_json(data["series"]) == closed
 
@@ -449,6 +447,9 @@ def test_package_main_runs_cli():
     ["cylindric", "verify-macmahon", "--N", "2", "--M", "5"],
     ["cylindric", "enumerate", "--N", "1", "--max-weight", "-1"],
     ["process", "partition-function", "--spec-plus", "bogus"],
+    # a spec list gives one name for every step or exactly N names
+    ["process", "partition-function", "--N", "2", "--spec-plus", "alpha;zero;plancherel"],
+    ["process", "partition-function", "--N", "3", "--spec-plus", "alpha;zero"],
     ["plancherel", "sample", "--times", "0.0,2.0", "--beta", "1.0"],
     ["plancherel", "sample", "--depth", "-1"],
     ["plancherel", "check", "--depth", "-1"],

@@ -215,11 +215,9 @@ def test_infinite_period_macmahon_looks_like_plane_partitions():
     q, t = random_qt_pair(rng)
     deg = 3
     ring = SeriesRing(["s"], deg)
-    target = ring.one()
-    for n in range(1, deg + 1):
-        num = qpochhammer(ring, ring.monomial(t, s=n), [q])
-        den = qpochhammer(ring, ring.monomial(Fraction(1), s=n), [q])
-        target = target * (num * den.inverse()) ** n
+    ns = [n for n in range(1, deg + 1) for _ in range(n)]  # n repeated n times
+    target = qpochhammer(ring, [(ring.monomial(t, s=n), [q]) for n in ns],
+                         [(ring.monomial(Fraction(1), s=n), [q]) for n in ns])
     N = 2 * deg + 2  # period beyond the inspected degrees
     M = tuple(range(1, N // 2 + 1))
     profile = CylindricProfile(N, M)

@@ -20,6 +20,7 @@ from permac.plancherel import (
     MIN_CYCLE_MASS,
     Cycle,
     TrajectorySpec,
+    _at_gamma,
     _gamma_powers,
     _inverse_cdf,
     _level_entries,
@@ -542,6 +543,25 @@ def test_transfer_cycle_weight_refuses_what_time_grid_refuses(gamma, u_list):
         transfer_cycle_weight(lams, gamma, u_list, Q0, T0)
     with pytest.raises(TypeError, match="not rational"):
         time_grid_process(gamma, u_list, Q0, T0)
+
+
+@pytest.mark.parametrize("lams, u_list", [([(1,), (2,)], [Fraction(1, 3)]),
+                                          ([(1,)], [Fraction(1, 3), Fraction(1, 2)])],
+                         ids=["two-states-one-decay", "one-state-two-decays"])
+def test_transfer_cycle_weight_needs_one_decay_per_state(lams, u_list):
+    # one gap follows each state of the cycle, so a decay list of another
+    # length describes no cycle and has no weight
+    with pytest.raises(ValueError, match="decays"):
+        transfer_cycle_weight(lams, Fraction(1, 2), u_list, Fraction(1, 3), Fraction(1, 5))
+
+
+def test_at_gamma_is_the_exact_polynomial_value():
+    coeffs = [Fraction(3, 4), 0, Fraction(-5, 6), Fraction(7, 9), 0]
+    gamma = Fraction(-2, 3)
+    num, den = _at_gamma(coeffs, gamma)
+    assert Fraction(num, den) == sum(c * gamma ** j for j, c in enumerate(coeffs))
+    assert den == 36 * 3 ** 4  # the lcm of the denominators times r^top
+    assert Fraction(*_at_gamma((), gamma)) == 0
 
 
 def _tuples_up_to(n, maxwt):

@@ -13,7 +13,6 @@ from permac.process import (
     moment_bruteforce,
     moment_formula,
     nonperiodic_partition_function,
-    pair_kernel_pochhammer,
     partition_function_bruteforce,
     partition_function_closed,
     process_from_names,
@@ -26,7 +25,7 @@ from permac.process import (
     weight_W,
 )
 from permac.scalars import random_qt_pair
-from permac.series import SeriesRing, euler_inverse, qpochhammer, theta3
+from permac.series import SeriesRing, qpochhammer, qpochhammer_finite, theta3
 
 Q0, T0 = Fraction(1, 3), Fraction(1, 5)
 
@@ -81,7 +80,7 @@ def test_partition_function_zero_minus_is_euler():
     ps = process_from_names(["alpha"], ["zero"], Q0, T0, 5)
     ring = ps.ring
     brute = partition_function_bruteforce(ps, 5)
-    assert brute == euler_inverse(ring, ring.gen("u"))
+    assert brute == qpochhammer(ring, [], [(ring.gen("u"), [ring.gen("u")])])
     assert partition_function_closed(ps) == brute
 
 
@@ -117,17 +116,18 @@ def test_pair_kernel_pochhammer_route_matches_exp_route():
     # kernel, which the two-variable Pochhammer ratio gives in closed form
     ps = single_alpha_process(1, Q0, T0, 6)
     u = ps.ring.gen("u")
-    poch_route = pair_kernel_pochhammer(ps.ring, Q0, T0, u, "a0", "b1")
-    assert partition_function_closed(ps) == euler_inverse(ps.ring, u) * poch_route
+    ab = ps.ring.monomial(Fraction(1), a0=1, b1=1)
+    poch_route = qpochhammer(ps.ring, [(ab * T0, [Q0, u])], [(u, [u]), (ab, [Q0, u])])
+    assert partition_function_closed(ps) == poch_route
 
 
 def test_schur_point_kernel_is_u_pochhammer():
     # at q = t the pair kernel telescopes to 1/(ab; u)_inf
     q = Fraction(2, 7)
     ring = SeriesRing(["u", "a", "b"], 6)
-    kern = pair_kernel_pochhammer(ring, q, q, ring.gen("u"), "a", "b")
-    ab = ring.monomial(Fraction(1), a=1, b=1)
-    assert kern == qpochhammer(ring, ab, [ring.gen("u")]).inverse()
+    u, ab = ring.gen("u"), ring.monomial(Fraction(1), a=1, b=1)
+    kern = qpochhammer(ring, [(ab * q, [q, u])], [(ab, [q, u])])
+    assert kern == qpochhammer_finite(ring, ab, u, ring.cutoff + 1).inverse()
 
 
 def test_u_to_zero_limit_is_nonperiodic():
@@ -262,7 +262,7 @@ def test_measure_geometric_for_zero_specs():
     ps = process_from_names(["zero"], ["zero"], Q0, T0, 6)
     ring = ps.ring
     weights, norm = lambda_weights(ps, 6)
-    assert norm == euler_inverse(ring, ring.gen("u"))
+    assert norm == qpochhammer(ring, [], [(ring.gen("u"), [ring.gen("u")])])
     for lam_seq, w in weights.items():
         assert w == ring.monomial(Fraction(1), u=weight(lam_seq[0]))
 
@@ -341,10 +341,8 @@ def test_moment_zero_specs_E1():
     formula = moment_formula(ps, [("E", 1)])
     # closed product: (1/(1-t^-1)) (u;u)(q t^-1 u;u) / ((qu;u)(t^-1 u;u))
     u = ring.gen("u")
-    closed = qpochhammer(ring, u, [u]) \
-        * qpochhammer(ring, u * (Q0 / T0), [u]) \
-        * qpochhammer(ring, u * Q0, [u]).inverse() \
-        * qpochhammer(ring, u * (1 / T0), [u]).inverse() \
+    closed = qpochhammer(ring, [(u, [u]), (u * (Q0 / T0), [u])],
+                         [(u * Q0, [u]), (u * (1 / T0), [u])]) \
         * (Fraction(1) / (1 - 1 / T0))
     assert formula == closed
     assert brute == closed
@@ -458,9 +456,8 @@ def test_bessel_example_E1():
     u = ring.gen("u")
     closed = bessel_series(ring, "g", (1 - t) * (1 / t - 1), 4) \
         * (Fraction(1) / (1 - 1 / t)) \
-        * qpochhammer(ring, u, [u]) * qpochhammer(ring, u * (q / t), [u]) \
-        * qpochhammer(ring, u * q, [u]).inverse() \
-        * qpochhammer(ring, u * (1 / t), [u]).inverse()
+        * qpochhammer(ring, [(u, [u]), (u * (q / t), [u])],
+                      [(u * q, [u]), (u * (1 / t), [u])])
     assert got == closed
     brute = moment_bruteforce(ps, [("E", 1)], 8)
     assert brute == closed
@@ -475,9 +472,8 @@ def test_bessel_example_E1_prime():
     u = ring.gen("u")
     closed = bessel_series(ring, "g", (1 - t) ** 2 / q, 4) \
         * (Fraction(1) / (1 - t)) \
-        * qpochhammer(ring, u, [u]) * qpochhammer(ring, u * (t / q), [u]) \
-        * qpochhammer(ring, u * t, [u]).inverse() \
-        * qpochhammer(ring, u * (1 / q), [u]).inverse()
+        * qpochhammer(ring, [(u, [u]), (u * (t / q), [u])],
+                      [(u * t, [u]), (u * (1 / q), [u])])
     assert got == closed
 
 

@@ -11,11 +11,11 @@ from permac.scalars import QRho
 from permac.series import (
     SeriesRing,
     TruncSeries,
-    euler_inverse,
     geometric,
     linear_combination,
     qpochhammer,
     qpochhammer_finite,
+    qpochhammer_log,
     theta3,
     theta_terms,
 )
@@ -80,7 +80,7 @@ def test_truncation_consistency():
 def test_pochhammer_single_formal_rational_modulus():
     # (x; q)_inf at q = 1/2: coefficient of x is -1/(1-q) = -2
     ring = SeriesRing(["x"], 2)
-    f = qpochhammer(ring, ring.gen("x"), [Fraction(1, 2)])
+    f = qpochhammer(ring, [(ring.gen("x"), [Fraction(1, 2)])], [])
     assert f.coeff() == 1
     assert f.coeff(x=1) == Fraction(-2)
 
@@ -89,7 +89,7 @@ def test_pochhammer_direct_product_oracle():
     # expand prod_{i=0}^{M} (1 - x q^i) literally and compare
     ring = SeriesRing(["x"], 3)
     q = Fraction(1, 3)
-    f = qpochhammer(ring, ring.gen("x"), [q])
+    f = qpochhammer(ring, [(ring.gen("x"), [q])], [])
     oracle = ring.one()
     for i in range(40):  # powers beyond the cutoff in x die immediately
         oracle = oracle * (ring.one() - ring.monomial(q**i, x=1))
@@ -107,23 +107,23 @@ def test_pochhammer_direct_product_oracle():
 
 def test_euler_function_pentagonal():
     ring = SeriesRing(["u"], 4)
-    f = qpochhammer(ring, ring.gen("u"), [ring.gen("u")])
+    f = qpochhammer(ring, [(ring.gen("u"), [ring.gen("u")])], [])
     assert [f.coeff(u=k) for k in range(5)] == [1, -1, -1, 0, 0]
 
 
 def test_pochhammer_zero_argument():
     ring = SeriesRing(["u"], 4)
-    assert qpochhammer(ring, ring.scalar(Fraction(0)), [ring.gen("u")]) == ring.one()
+    assert qpochhammer(ring, [(ring.scalar(Fraction(0)), [ring.gen("u")])], []) == ring.one()
 
 
 def test_pochhammer_rejects_pure_numeric():
     ring = SeriesRing(["u"], 4)
     with pytest.raises(ValueError):
-        qpochhammer(ring, Fraction(1, 2), [Fraction(1, 3)])
+        qpochhammer(ring, [(Fraction(1, 2), [Fraction(1, 3)])], [])
     with pytest.raises(ValueError):
-        qpochhammer(ring, Fraction(1, 2), [Fraction(1, 3), ring.gen("u")])
+        qpochhammer(ring, [(Fraction(1, 2), [Fraction(1, 3), ring.gen("u")])], [])
     with pytest.raises(ValueError):
-        qpochhammer(ring, Fraction(1, 2), [ring.gen("u")])
+        qpochhammer(ring, [(Fraction(1, 2), [ring.gen("u")])], [])
 
 
 
@@ -134,17 +134,75 @@ def test_pochhammer_shift_identity():
     u = ring.gen("u")
     a = ring.monomial(Fraction(1, 2), x=1)
     r = Fraction(1, 3)
-    assert qpochhammer(ring, a, [u]) == (ring.one() - a) * qpochhammer(ring, a * u, [u])
-    lhs = qpochhammer(ring, a, [u, r])
-    rhs = qpochhammer(ring, a * u, [u, r]) * qpochhammer(ring, a, [r])
+    assert qpochhammer(ring, [(a, [u])], []) \
+        == (ring.one() - a) * qpochhammer(ring, [(a * u, [u])], [])
+    lhs = qpochhammer(ring, [(a, [u, r])], [])
+    rhs = qpochhammer(ring, [(a * u, [u, r])], []) * qpochhammer(ring, [(a, [r])], [])
     assert lhs == rhs
+
+
+def _pochhammer_product(ring, a, moduli):
+    """(a; p_1..p_n)_inf as a literal product over the formal moduli's
+    exponents inside the cutoff, each factor (b; q)_inf of the one rational
+    modulus q (if any) by Euler's sum sum_k (-1)^k q^(k(k-1)/2) b^k / (q; q)_k."""
+    rational = [m for m in moduli if isinstance(m, Fraction)]
+    formal = [m for m in moduli if not isinstance(m, Fraction)]
+    assert len(rational) <= 1
+    bs, out = [a], ring.one()
+    for p in formal:  # every b = a p_1^i_1 ... with a nonzero truncation
+        grown = []
+        for b in bs:
+            while b:
+                grown.append(b)
+                b = b * p
+        bs = grown
+    for b in bs:
+        if not rational:
+            out = out * (ring.one() - b)
+            continue
+        q, factor, qq = rational[0], ring.zero(), Fraction(1)
+        for k in range(ring.cutoff + 1):
+            qq *= 1 - q ** k if k else 1
+            factor = factor + b ** k * (Fraction(-1) ** k * q ** (k * (k - 1) // 2) / qq)
+        out = out * factor
+    return out
+
+
+def test_pochhammer_ratio_is_the_product_of_its_symbols():
+    ring = SeriesRing(["x", "u", "y"], 5)
+    x, u, y = ring.gen("x"), ring.gen("u"), ring.gen("y")
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    symbols = [(x * half, [third]), (x, [u]), (x * y, [u, y]), (x * 3, [Fraction(2, 5), u]),
+               (u * x, [u, x, y]), (ring.zero(), [u]), (Fraction(0), [third])]
+    cases = [([], []), (symbols[:2], []), ([], symbols[2:4]), (symbols[:4], symbols[4:]),
+             ([symbols[1]] * 3, [symbols[3], symbols[1]]), (symbols[2:5], symbols[2:5])]
+    for num, den in cases:
+        expect = ring.one()
+        for a, moduli in num:
+            expect = expect * _pochhammer_product(ring, a, moduli)
+        for a, moduli in den:
+            expect = expect * _pochhammer_product(ring, a, moduli).inverse()
+        assert qpochhammer(ring, num, den) == expect
+        assert qpochhammer_log(ring, num, den).exp() == expect
+    assert qpochhammer(ring, [], []) == ring.one()
+    assert qpochhammer(ring, symbols[2:5], symbols[2:5]) == ring.one()
+    for bad in ([(half, [u])], [(ring.scalar(half), [third])]):
+        with pytest.raises(ValueError):
+            qpochhammer(ring, bad, [])
+        with pytest.raises(ValueError):
+            qpochhammer(ring, [], symbols[:1] + bad)
+    for unit in (Fraction(1), Fraction(-1)):  # (-1)^2 = 1 at k = 2
+        with pytest.raises(ZeroDivisionError):
+            qpochhammer(ring, [(x, [unit])], [])
+        with pytest.raises(ZeroDivisionError):
+            qpochhammer(ring, [], [(x, [u, unit])])
 
 def test_euler_identity():
     # (a;q)_inf * sum_k a^k / (q;q)_k = 1 for formal a, rational q
     for q in (Fraction(1, 2), Fraction(2, 5)):
         for cutoff in (3, 6):
             ring = SeriesRing(["a"], cutoff)
-            lhs = qpochhammer(ring, ring.gen("a"), [q])
+            lhs = qpochhammer(ring, [(ring.gen("a"), [q])], [])
             s = ring.zero()
             for k in range(cutoff + 1):
                 den = Fraction(1)
@@ -156,7 +214,7 @@ def test_euler_identity():
 
 def test_partition_counting_generating_function():
     ring = SeriesRing(["u"], 12)
-    f = euler_inverse(ring, ring.gen("u"))
+    f = qpochhammer(ring, [], [(ring.gen("u"), [ring.gen("u")])])
     for n in range(13):
         assert f.coeff(u=n) == len(partitions_of(n))
 
