@@ -97,8 +97,10 @@ def _single_alpha_process(N, q, t, cutoff):
 def criterion_partition_function(seed=DEFAULT_SEED) -> dict:
     """Closed cyclic Cauchy identity against the configuration sum.
 
-    Includes both limits: u -> 0 reduces to the open-chain product, and the
-    q = t point telescopes the pair kernel to a plain Pochhammer inverse.
+    Includes both limits: u -> 0 reduces the configuration sum (not the
+    closed Z, which holds that product as a factor) to the open-chain
+    product, and the q = t point telescopes the pair kernel to a plain
+    Pochhammer inverse.
     """
     rng = random.Random(seed + 2)
     failures = []
@@ -110,7 +112,7 @@ def criterion_partition_function(seed=DEFAULT_SEED) -> dict:
             closed = process.partition_function_closed(ps)
             if brute != closed:
                 failures.append(("closed", N, str(q), str(t)))
-            if closed.subs_zero("u") != \
+            if brute.subs_zero("u") != \
                     process.nonperiodic_partition_function(ps):
                 failures.append(("u->0", N, str(q), str(t)))
     q = Fraction(2, 7)

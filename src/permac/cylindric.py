@@ -13,15 +13,18 @@ num/den lists of one ``series.qpochhammer``.
 
 The second half covers traces of refined topological vertices, including a
 windowed-Laurent logarithm comparison for profiles whose closed form mixes
-expansion directions.  The vertex kernel's log sums ``fock.contraction`` of
-Gamma modes, and the E'_1-weighted trace sums the one-step
-``process.weight_W``; both modules load inside those checks only.
+expansion directions.  The direct vertex kernel's log is one
+``fock.wick_exponent`` of Gamma modes, and the E'_1-weighted trace sums the
+one-step ``process.weight_W``; both modules load inside those checks only.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
+from operator import mul
 
 from . import macdonald
 from .laurent import LaurentPoly, laurent_log
@@ -36,7 +39,7 @@ from .partitions import (
     weight,
 )
 from .series import SeriesRing, TruncSeries, first_mismatch, geometric, \
-    qpochhammer, qpochhammer_finite, qpochhammer_log
+    qpochhammer, qpochhammer_log
 
 
 class CylindricProfile:
@@ -450,13 +453,17 @@ def signatures(n: int, max_weight: int) -> list:
             for kappa in partitions_up_to(max_weight) if length(kappa) <= n]
 
 
-def signature_coefficient(ring: SeriesRing, sig: tuple, a, x) -> TruncSeries:
-    """prod over the part values r of sig of (a; x)_m / (x; x)_m, m = m_r(sig)."""
-    coef = ring.one()
-    for m in Counter(sig).values():
-        coef = coef * qpochhammer_finite(ring, a, x, m) \
-            * qpochhammer_finite(ring, x, x, m).inverse()
-    return coef
+def signature_factors(ring: SeriesRing, a, x, grade: int) -> list:
+    """[(a; x)_m / (x; x)_m for m = 0..grade], x a positive-degree monomial:
+    entry m is entry m - 1 times (1 - a x^(m-1)) / (1 - x^m)."""
+    return list(accumulate(((ring.one() - x ** (m - 1) * a) * geometric(ring, x, m)
+                            for m in range(1, grade + 1)), mul, initial=ring.one()))
+
+
+def signature_coefficient(factors: list, sig: tuple) -> TruncSeries:
+    """prod over the part values r of sig of factors[m], m = m_r(sig), the
+    ``signature_factors`` list of (a; x)_m / (x; x)_m."""
+    return reduce(mul, (factors[m] for m in Counter(sig).values()), factors[0])
 
 
 def vertex_e1_trace_check(grade: int, q: Fraction, t: Fraction) -> dict:
@@ -496,10 +503,11 @@ def vertex_e1_trace_check(grade: int, q: Fraction, t: Fraction) -> dict:
         ring, [(u * (t / q), [u]), (ring.monomial(t, x=1), [q, u, x, y])],
         [(u * t, [u]), (u * (1 / q), [u]), (x, [q, u, x, y])]) \
         * (Fraction(1) / (1 - t))
+    factors = signature_factors(ring, t, u, grade)
     sig_sum = ring.zero()
     for n_len in range(grade + 1):
         qn = Fraction(1) / q ** n_len
-        coef = {mu: signature_coefficient(ring, mu, t, u)
+        coef = {mu: signature_coefficient(factors, mu)
                 for mu in signatures(n_len, grade)}
         for lam in signatures(n_len, grade - n_len):
             for mu, cmu in coef.items():
@@ -592,28 +600,22 @@ def kernel_log_direct(zvars, ring: SeriesRing, nu: tuple, q: Fraction,
                       wrapped: bool) -> LaurentPoly:
     """log of the two-specialization Cauchy kernel, computed termwise.
 
-    sum_n contraction(Gamma(x^rho y^-nu), Gamma(x^-nu' y^rho-1))[n] w_n, the
-    Gamma modes being p_n (1-t^n)/(1-q^n), with w_n = u^n/(1-u^n) when
-    wrapped (the trace kernel; the half-vertices are already normally
-    ordered inside the trace) and 1/(1-u^n) otherwise (the plain Cauchy
-    kernel that the boundary factorization organizes).
+    The ``fock.wick_exponent`` of one pair, Gamma(x^rho y^-nu) against
+    Gamma(x^-nu' y^rho-1), the Gamma modes being p_n (1-t^n)/(1-q^n):
+    wrapped, it is the trace kernel (the half-vertices are already normally
+    ordered inside the trace); unwrapped, the plain Cauchy kernel that the
+    boundary factorization organizes.
     """
-    from .fock import contraction
-
-    u = ring.gen("u")
-    weights = {n: w for n in range(1, 2 * window + ring.cutoff + 3)
-               if (w := geometric(ring, u, n, start=int(wrapped)))}
+    from .fock import wick_exponent
 
     def gamma_modes(variant):
         p_value = principal_p_laurent(zvars, ring, nu, variant, build)
-        return {n: m for n in weights
+        return {n: m for n in range(1, 2 * window + ring.cutoff + 3)
                 if (m := p_value(n) * ((1 - t**n) / (1 - q**n)))}
 
-    out = LaurentPoly(tuple(zvars), ring, {})
-    for n, c in contraction(gamma_modes("xr_ynu"), gamma_modes("yr_nxu"),
-                            q, t).items():
-        out = out + c.scale(weights[n]).window(2 * window)
-    return out.window(2 * window)
+    return wick_exponent([(gamma_modes("xr_ynu"), gamma_modes("yr_nxu"), wrapped)],
+                         ring.gen("u"), q, t,
+                         LaurentPoly(tuple(zvars), ring, {})).window(2 * window)
 
 
 def kernel_log_factored(zvars, ring: SeriesRing, nu: tuple, q: Fraction,
@@ -685,9 +687,10 @@ def lemma_b4_check(grade: int, a: Fraction) -> dict:
     ring = SeriesRing(["z", "x", "y"], grade)
     z, x, y = ring.gen("z"), ring.gen("x"), ring.gen("y")
     lhs = qpochhammer(ring, [(ring.monomial(a, z=1), [x, y])], [(z, [x, y])])
+    factors = signature_factors(ring, a, x, grade)
     rhs = ring.zero()
     for n in range(grade + 1):
         for sig in signatures(n, grade):
-            rhs = rhs + signature_coefficient(ring, sig, a, x) \
+            rhs = rhs + signature_coefficient(factors, sig) \
                 * ring.monomial(Fraction(1), y=sum(sig), z=n)
     return {"grade": grade, "match": lhs == rhs, "lhs": lhs, "rhs": rhs}

@@ -16,10 +16,10 @@ operator application (the free-field families and the fermion fields
 included) builds a ``VertexSpec`` and goes through ``vertex_apply``.  The
 table of the four families (``operator_family``) and the eta/xi exponent
 coefficients live here once.  So does ``contraction``, the one pairing of
-two sets of vertex modes: the OPE scalar, the closed trace and every kernel
-and Delta factor of the process module's moments are exponentials of it.
-It forms the ratio (1-q^n)/(1-t^n) itself, so the closed forms share no
-code with the Heisenberg modes of the brute-force traces.
+two sets of vertex modes, and ``wick_exponent``, the one wrap rule of the
+traces, of which the closed trace and every moment kernel are exponentials.
+``contraction`` forms the ratio (1-q^n)/(1-t^n) itself, so the closed forms
+share no code with the Heisenberg modes of the brute-force traces.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from fractions import Fraction
 from .laurent import (
     LaurentPoly,
     cauchy_sym_prefactor,
+    laurent_exp,
     product_coefficient,
     ratio_sym_factor,
 )
@@ -197,6 +198,21 @@ def contraction(lower: dict, upper: dict, q, t) -> dict:
             for n, lo in lower.items() if n in upper}
 
 
+def wick_exponent(pairs, u, q, t, zero):
+    """sum over (lower, upper, wrapped) in ``pairs`` of
+    ``contraction(lower, upper)[n]`` times u^n/(1-u^n) if wrapped, else 1/(1-u^n).
+
+    The one wrap rule of the traces Tr(u^D ...): a wrapped pair (lowering
+    modes right of raising ones) meets only around the trace, any other
+    also directly.  ``zero`` is the coefficient zero (series or Laurent).
+    """
+    total = zero
+    for lower, upper, wrapped in pairs:
+        for n, c in contraction(lower, upper, q, t).items():
+            total = total + c * geometric(u.ring, u, n, start=int(wrapped))
+    return total
+
+
 def ope_reorder(a: VertexSpec, b: VertexSpec, q, t, one):
     """The scalar of V(a) V(b) = scalar * :V(a) V(b):, whose modes are a.merge(b).
 
@@ -238,15 +254,14 @@ def trace_closed(spec: VertexSpec, ring: SeriesRing, u, q, t) -> TruncSeries:
     """Closed form of Tr(u^D V(gamma)): Euler factor and exponential as one exp.
 
     ``u`` is a generator name or a positive-degree monomial of the ring (such
-    as v^2).  The exponent is -log (u; u)_inf plus the sum over n of
-    ``contraction(spec.plus, spec.minus)[n]`` times u^n/(1-u^n), the u
-    geometric factor expanded inside the ring.
+    as v^2).  The exponent is -log (u; u)_inf plus the ``wick_exponent`` of
+    one wrapped pair, the lowering modes ``spec.plus`` against the raising
+    ``spec.minus``: they meet only around the trace.
     """
     u = ring.gen(u) if isinstance(u, str) else u
-    expo = qpochhammer_log(ring, [], [(u, [u])])
-    for n, c in contraction(spec.plus, spec.minus, q, t).items():
-        expo = expo + c * geometric(ring, u, n, start=1)
-    return expo.exp()
+    return (qpochhammer_log(ring, [], [(u, [u])])
+            + wick_exponent([(spec.plus, spec.minus, True)], u, q, t,
+                            ring.zero())).exp()
 
 
 def trace_check_failures(rng, trials: int, u_deg: int) -> list:
@@ -520,7 +535,14 @@ def two_point_fermion_trace(v_cutoff: int, window: int, zeta: Fraction,
     geom = LaurentPoly(zvars, ring, {
         (-1 - k, k): ring.one() for k in range(2 * window + 2)})
     th = theta3_ratio_laurent(ring, zvars, "v", zeta, window)
-    pochs = _ratio_pochhammer_pair(ring, zvars, u, window)
+    # 1/((u x/y; u)(u y/x; u)): the wrapped pairs of the modes x^n, y^-n and
+    # y^n, x^-n at q = t
+    xs, ys = (z_vertex_spec(zvars, ring, z, {n: (Fraction(1), Fraction(1))
+                                             for n in range(1, v_cutoff + 1)})
+              for z in zvars)
+    pochs = laurent_exp(wick_exponent([(xs.minus, ys.plus, True), (ys.minus, xs.plus, True)],
+                                      u, t, t, LaurentPoly(zvars, ring, {})),
+                        2 * window + 2)
     closed = geom * th * pochs
     closed = closed.scale(theta_den * euler2).window(window)
     return {"brute": brute, "closed": closed, "match": brute == closed}
@@ -531,16 +553,3 @@ def theta3_ratio_laurent(ring, zvars, v: str, zeta, window: int) -> LaurentPoly:
     return LaurentPoly(zvars, ring, {
         (-m, m): mono for m, mono in theta_terms(ring, v, zeta).items()
         if abs(m) <= 2 * window + 1})
-
-
-def _ratio_pochhammer_pair(ring, zvars, u, window: int) -> LaurentPoly:
-    """1 / ((u x/y; u)_inf (u y/x; u)_inf) expanded on the ratio window."""
-    from .laurent import laurent_exp
-
-    arg = LaurentPoly(zvars, ring, {})
-    for n in range(1, ring.cutoff + 1):
-        c = geometric(ring, u, n, start=1) * Fraction(1, n)  # u^n/(n(1-u^n))
-        if not c:
-            continue
-        arg = arg + LaurentPoly(zvars, ring, {(n, -n): c, (-n, n): c})
-    return laurent_exp(arg, 2 * window + 2)

@@ -13,11 +13,11 @@ against literal sums over configurations throughout.  The closed partition
 function is the free-field trace: the OPE scalars of ``fock`` times its
 ``trace_closed`` of the normal-ordered product.  The moment formulas
 take any of the four observable families at each step, any N, on one path:
-each kernel and Delta factor is the exponential of ``fock.contraction`` of
-vertex modes (the eta/xi currents of the variables and the Gamma_+/- of
-the specializations) with a u geometric weight, and they use the
-symmetrized Cauchy-determinant calculus from the laurent module, never
-expanding the ill-defined diagonal kernel entries.
+each kernel and Delta factor is the exponential of ``fock.wick_exponent``,
+the one wrap rule, of vertex modes (the eta/xi currents of the variables
+and the Gamma_+/- of the specializations), and they use the symmetrized
+Cauchy-determinant calculus from the laurent module, never expanding the
+ill-defined diagonal kernel entries.
 """
 
 from __future__ import annotations
@@ -29,15 +29,15 @@ from itertools import combinations, permutations
 from math import isqrt
 from operator import mul
 
-from .fock import VertexSpec, accumulate, contraction, eta_xi_exponent, \
-    gamma_spec, ope_reorder, operator_family, trace_closed, z_vertex_spec
+from .fock import VertexSpec, eta_xi_exponent, gamma_spec, ope_reorder, \
+    operator_family, trace_closed, wick_exponent, z_vertex_spec
 from .laurent import LaurentPoly, cauchy_sym_prefactor, laurent_exp, \
     product_coefficient, ratio_sym_factor
 from .macdonald import alpha_spec, observable, plancherel_spec, skew_eval, \
     zero_spec
 from .partitions import contains, partitions_inside, partitions_up_to, weight
-from .series import SeriesRing, TruncSeries, geometric, linear_combination, \
-    qpochhammer, theta3, zterm_sum
+from .series import SeriesRing, TruncSeries, linear_combination, qpochhammer, \
+    theta3, zterm_sum
 
 
 class ProcessSpec:
@@ -283,16 +283,13 @@ def _normal_order(pspec: ProcessSpec):
     Returns the product of those ``ope_reorder`` scalars and the modes of the
     normal-ordered product, every specialization's modes merged.
     """
-    ring, q, t = pspec.ring, pspec.q, pspec.t
+    one = pspec.ring.one()
     plus, minus = _gammas(pspec)
-    scalar = ring.one()
-    for i, gp in enumerate(plus):
-        for gm in minus[i:]:  # rho^-_j, j = i+1..N
-            scalar = scalar * ope_reorder(gp, gm, q, t, ring.one())
-    merged = VertexSpec({}, {})
-    for g in plus + minus:
-        merged = merged.merge(g)
-    return scalar, merged
+    scalar = reduce(mul, (ope_reorder(gp, gm, pspec.q, pspec.t, one)
+                          for i, gp in enumerate(plus)
+                          for gm in minus[i:]),  # rho^-_j, j = i+1..N
+                    one)
+    return scalar, reduce(VertexSpec.merge, plus + minus)
 
 
 def partition_function_closed(pspec: ProcessSpec) -> TruncSeries:
@@ -300,7 +297,8 @@ def partition_function_closed(pspec: ProcessSpec) -> TruncSeries:
 
     The trace gives every ordered pair (rho^+_i, rho^-_j) the factor
     exp(sum_n (1-t^n)/(1-q^n) p_n(rho^+_i) p_n(rho^-_j) u^n / (n (1-u^n))),
-    and the OPE scalar of a pair j > i adds the missing 1 to u^n/(1-u^n).
+    the wrapped weight of ``fock.wick_exponent``, and the OPE scalar of a
+    pair j > i, which also meets directly, adds the missing 1 to u^n/(1-u^n).
     """
     scalar, merged = _normal_order(pspec)
     return scalar * trace_closed(merged, pspec.ring, pspec.u, pspec.q, pspec.t)
@@ -329,20 +327,6 @@ def moment_bruteforce(pspec: ProcessSpec, series_r, depth: int) -> TruncSeries:
     return (num.truncate(depth) * den.truncate(depth).inverse()).truncate(depth)
 
 
-def _exp_contractions(pspec: ProcessSpec, zvars, clip: int, pairs) -> LaurentPoly:
-    """exp of the sum over (lower, upper, wrapped) in ``pairs`` of
-    ``contraction(lower, upper)[n]`` times u^n/(1-u^n) if wrapped, else
-    1/(1-u^n), cut at |z-exponent| <= clip."""
-    ring, u = pspec.ring, pspec.u
-    arg: dict = {}
-    for lower, upper, wrapped in pairs:
-        for n, c in contraction(lower, upper, pspec.q, pspec.t).items():
-            geom = geometric(ring, u, n, start=int(wrapped))
-            for e, coeff in c.terms.items():
-                accumulate(arg, e, coeff * geom)
-    return laurent_exp(LaurentPoly(zvars, ring, arg), clip)
-
-
 def moment_formula(pspec: ProcessSpec, series_r) -> TruncSeries:
     """Moment through the free-field kernel formulas.
 
@@ -353,13 +337,11 @@ def moment_formula(pspec: ProcessSpec, series_r) -> TruncSeries:
     every ordered pair of variables (j in step b, i in step a, i = j
     included) contributes one Delta factor, which contracts the lowering
     half of i's current with the raising half of j's.  Both are
-    exponentials of ``fock.contraction``.  A pair is wrapped when its
-    lowering modes already stand right of its raising ones in the trace
-    (or in the same step): it meets only around the trace and carries
-    u^n/(1-u^n); any other pair also meets directly and carries 1/(1-u^n).
-    The result is already normalized: the partition function cancels inside
-    the derivation.  A step with r = 0 observes the unit; a negative r is a
-    ValueError.
+    exponentials of ``fock.wick_exponent``; a pair is wrapped when its
+    lowering modes already stand right of its raising ones in the trace (or
+    in the same step).  The result is already normalized: the partition
+    function cancels inside the derivation.  A step with r = 0 observes the
+    unit; a negative r is a ValueError.
     """
     if len(series_r) != pspec.N:
         raise ValueError("need one observable per step")
@@ -389,20 +371,21 @@ def moment_formula(pspec: ProcessSpec, series_r) -> TruncSeries:
             for g in gammas_plus]
     minus = [{n: LaurentPoly.constant(zvars, c) for n, c in g.minus.items()}
              for g in gammas_minus]
+    zero = LaurentPoly(zvars, ring, {})
 
     factors = [ratio_sym_factor(zvars, ring, i, j, pole, clip)
                for _, pole, idxs in steps for i, j in combinations(idxs, 2)]
     # each current against Gamma_+(rho^+_b), b = 0..N-1, and Gamma_-(rho^-_b),
     # b = 1..N
-    factors += [_exp_contractions(pspec, zvars, clip,
-                                  [(up, currents[i].minus, b >= a)
-                                   for b, up in enumerate(plus)]
-                                  + [(currents[i].plus, down, b < a)
-                                     for b, down in enumerate(minus, start=1)])
+    factors += [laurent_exp(wick_exponent([(up, currents[i].minus, b >= a)
+                                           for b, up in enumerate(plus)]
+                                          + [(currents[i].plus, down, b < a)
+                                             for b, down in enumerate(minus, start=1)],
+                                          pspec.u, q, t, zero), clip)
                 for a, (_, _, idxs) in enumerate(steps, start=1) for i in idxs]
     # Delta: variable j of step b against variable i of step a
-    factors += [_exp_contractions(pspec, zvars, clip,
-                                  [(currents[i].plus, currents[j].minus, a >= b)])
+    factors += [laurent_exp(wick_exponent([(currents[i].plus, currents[j].minus, a >= b)],
+                                          pspec.u, q, t, zero), clip)
                 for b, (_, _, idxs_b) in enumerate(steps, start=1)
                 for a, (_, _, idxs_a) in enumerate(steps, start=1)
                 for j in idxs_b for i in idxs_a]

@@ -36,9 +36,13 @@ def test_fermion_fields_require_schur_point():
         fermion_apply(False, "x", start, ring, zvars, Fraction(1, 3), T0, 2)
 
 
-def test_two_point_trace_matches_closed_form():
-    out = two_point_fermion_trace(v_cutoff=6, window=3, zeta=Fraction(2, 5),
-                                  t=T0)
+@pytest.mark.parametrize("zeta, t, window", [
+    (Fraction(2, 5), T0, 3),
+    (Fraction(2, 5), T0, 2),
+    (Fraction(-3, 2), Fraction(2, 3), 2),
+])
+def test_two_point_trace_matches_closed_form(zeta, t, window):
+    out = two_point_fermion_trace(v_cutoff=6, window=window, zeta=zeta, t=t)
     assert out["match"], (out["brute"].terms, out["closed"].terms)
 
 

@@ -314,6 +314,26 @@ def test_lemma_b4():
     assert out["match"]
 
 
+def test_signature_factors_are_formed_once_per_multiplicity(monkeypatch):
+    # (a; x)_m / (x; x)_m depends on m alone: at most one finite product
+    # for each side of each m <= grade, not two per multiplicity of every
+    # signature (588 products at grade 6)
+    from permac import series
+
+    calls = []
+    finite = series.qpochhammer_finite
+
+    def counted(*args):
+        calls.append(args)
+        return finite(*args)
+
+    for mod in (series, cylindric):
+        monkeypatch.setattr(mod, "qpochhammer_finite", counted, raising=False)
+    out = lemma_b4_check(6, Fraction(2, 3))
+    assert out["match"]
+    assert len(calls) <= 2 * (6 + 1)
+
+
 def test_vertex_e1_trace_three_routes():
     rng = random.Random(48)
     q, t = random_qt_pair(rng)

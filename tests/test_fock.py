@@ -188,6 +188,35 @@ def test_trace_closed_single_mode_coefficient():
     assert tr.coeff(u=1, a=1, b=1) == 6 * (1 - Q0) / (1 - T0)
 
 
+@pytest.mark.parametrize("laurent", [False, True])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("wrapped", [True, False])
+def test_wick_exponent_weighs_wrapped_and_direct_pairs(laurent, n, wrapped):
+    # the pair 2 a_n against 3 a_{-n} contracts to c = 6 (1-q^n)/((1-t^n) n);
+    # wrapped it weighs c u^n/(1-u^n), direct c/(1-u^n), summed literally here
+    ring = SeriesRing(["u"], 5)
+    c = 6 * (1 - Q0**n) / ((1 - T0**n) * n)
+    expect = ring.zero()
+    for j in range(int(wrapped), 5 // n + 1):
+        expect = expect + ring.monomial(c, u=j * n)
+    if laurent:
+        zvars = ("z",)
+        zero = LaurentPoly(zvars, ring, {})
+        lower = {n: LaurentPoly.monomial(zvars, ring, Fraction(2), {"z": n})}
+        upper = {m: LaurentPoly.monomial(zvars, ring, Fraction(3), {})
+                 for m in (n, n + 1)}
+        expect = LaurentPoly(zvars, ring, {(n,): expect})
+    else:
+        zero = ring.zero()
+        lower = {n: ring.scalar(Fraction(2))}
+        upper = {m: ring.scalar(Fraction(3)) for m in (n, n + 1)}
+    u = ring.gen("u")
+    assert fock.wick_exponent([(lower, upper, wrapped)], u, Q0, T0, zero) == expect
+    # no common mode: nothing contracts
+    assert fock.wick_exponent([(lower, {n + 1: upper[n + 1]}, wrapped)],
+                              u, Q0, T0, zero) == zero
+
+
 def test_ope_scalar_cases():
     ring = SeriesRing(["x", "y"], 4)
     a = VertexSpec({1: ring.gen("x")}, {})

@@ -64,7 +64,6 @@ UNREACHED = {
     "fock.fermion_apply": ITEM_4,
     "fock.two_point_fermion_trace": ITEM_4,
     "fock.theta3_ratio_laurent": ITEM_4,
-    "fock._ratio_pochhammer_pair": ITEM_4,
     "series.TruncSeries.coeff": ACCESSOR,
     "series.TruncSeries.from_json": ACCESSOR,
     "series.TruncSeries.__rsub__": ACCESSOR,
