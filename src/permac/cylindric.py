@@ -13,9 +13,12 @@ num/den lists of one ``series.qpochhammer``.
 
 The second half covers traces of refined topological vertices, including a
 windowed-Laurent logarithm comparison for profiles whose closed form mixes
-expansion directions.  The direct vertex kernel's log is one
-``fock.wick_exponent`` of Gamma modes, and the E'_1-weighted trace sums the
-one-step ``process.weight_W``; both modules load inside those checks only.
+expansion directions.  Their principal specializations are
+``macdonald.Specialization`` instances, series-valued for the empty profile
+and Laurent-valued otherwise.  The direct vertex kernel's log is one
+``fock.wick_exponent`` of the Gamma modes that ``fock.gamma_spec`` builds
+from them, and the E'_1-weighted trace sums the one-step
+``process.weight_W``; both modules load inside those checks only.
 """
 
 from __future__ import annotations
@@ -362,22 +365,23 @@ def principal_p_envelope(nu: tuple, variant: str):
     raise ValueError("unknown principal variant")
 
 
-def principal_p_trunc(ring: SeriesRing, variant: str):
-    """p-value callable of an empty-profile (nu = ()) specialization: only
-    the geometric tail of ``principal_p_envelope``, expanded inside the
-    truncated ring.
+def principal_p_trunc(ring: SeriesRing, variant: str) -> Specialization:
+    """The empty-profile (nu = ()) specialization: only the geometric tail
+    of ``principal_p_envelope``, expanded inside the truncated ring.
 
     Variant "xr_ynu" is x^rho, p_n = x^n / (1 - x^n); variant "yr_nxu" is
     y^{rho-1}, p_n = 1 / (1 - y^n).
     """
     _, (tvar, texp) = principal_p_envelope((), variant)
     tail = ring.gen(tvar)
-    return lambda n: geometric(ring, tail, n, start=texp)
+    return Specialization("principal",
+                          lambda n: geometric(ring, tail, n, start=texp), 1)
 
 
 def principal_p_laurent(zvars, ring: SeriesRing, nu: tuple, variant: str,
-                        window: int):
-    """p-value callable producing window-truncated Laurent polynomials."""
+                        window: int) -> Specialization:
+    """The specialization of profile nu, its p-values window-truncated
+    Laurent polynomials."""
     finite, (tvar, texp) = principal_p_envelope(nu, variant)
     tail = (1, 0) if tvar == "x" else (0, 1)
     ix, iy = zvars.index("x"), zvars.index("y")
@@ -393,14 +397,14 @@ def principal_p_laurent(zvars, ring: SeriesRing, nu: tuple, variant: str,
             terms[tuple(e)] = ring.scalar(Fraction(c))
         return LaurentPoly(tuple(zvars), ring, terms)
 
-    return p_value
+    return Specialization("principal", p_value, 1)
 
 
 def vertex_skew_sum(lam: tuple, mu: tuple, p_first, p_second, q, t, unit):
     """sum_eta P_{lam/eta}(first) Q_{mu/eta}(second), summed in one pass.
 
     ``p_first`` and ``p_second`` are Specializations, whose memoised
-    products p_nu serve every eta and every call, or bare p-value callables.
+    products p_nu serve every eta and every call.
     """
     terms = []
     # a nonzero term needs eta inside both, so inside their meet
@@ -425,8 +429,8 @@ def cor_b2_check(grade: int, q: Fraction, t: Fraction) -> dict:
     (t x; q, x, y)/(x; q, x, y).
     """
     ring = SeriesRing(["u", "x", "y"], grade)
-    p_first = Specialization("principal", principal_p_trunc(ring, "yr_nxu"), 1)
-    p_second = Specialization("principal", principal_p_trunc(ring, "xr_ynu"), 1)
+    p_first = principal_p_trunc(ring, "yr_nxu")
+    p_second = principal_p_trunc(ring, "xr_ynu")
     lhs = ring.zero()
     for lam in partitions_up_to(grade):
         term = vertex_skew_sum(lam, lam, p_first, p_second, q, t, ring.one())
@@ -483,8 +487,8 @@ def vertex_e1_trace_check(grade: int, q: Fraction, t: Fraction) -> dict:
         weight_W
 
     ring = SeriesRing(["u", "x", "y"], grade)
-    x_rho = Specialization("principal", principal_p_trunc(ring, "xr_ynu"), 1)
-    y_rho = Specialization("principal", principal_p_trunc(ring, "yr_nxu"), 1)
+    x_rho = principal_p_trunc(ring, "xr_ynu")
+    y_rho = principal_p_trunc(ring, "yr_nxu")
     ps = ProcessSpec(ring, q, t, ring.gen("u"), [x_rho], [y_rho])
 
     # (A) the literal double sum
@@ -600,20 +604,20 @@ def kernel_log_direct(zvars, ring: SeriesRing, nu: tuple, q: Fraction,
                       wrapped: bool) -> LaurentPoly:
     """log of the two-specialization Cauchy kernel, computed termwise.
 
-    The ``fock.wick_exponent`` of one pair, Gamma(x^rho y^-nu) against
-    Gamma(x^-nu' y^rho-1), the Gamma modes being p_n (1-t^n)/(1-q^n):
-    wrapped, it is the trace kernel (the half-vertices are already normally
-    ordered inside the trace); unwrapped, the plain Cauchy kernel that the
-    boundary factorization organizes.
+    The ``fock.wick_exponent`` of one pair, Gamma_+(x^rho y^-nu) against
+    Gamma_-(x^-nu' y^rho-1), both from ``fock.gamma_spec``: wrapped, it is
+    the trace kernel (the half-vertices are already normally ordered inside
+    the trace), whose weight u^n/(1-u^n) vanishes past the u cutoff;
+    unwrapped, the plain Cauchy kernel that the boundary factorization
+    organizes, whose 1/(1-u^n) needs the modes to 2 window + cutoff + 2.
     """
-    from .fock import wick_exponent
+    from .fock import gamma_spec, wick_exponent
 
-    def gamma_modes(variant):
-        p_value = principal_p_laurent(zvars, ring, nu, variant, build)
-        return {n: m for n in range(1, 2 * window + ring.cutoff + 3)
-                if (m := p_value(n) * ((1 - t**n) / (1 - q**n)))}
-
-    return wick_exponent([(gamma_modes("xr_ynu"), gamma_modes("yr_nxu"), wrapped)],
+    nmax = ring.cutoff if wrapped else 2 * window + ring.cutoff + 2
+    lower, upper = (gamma_spec(principal_p_laurent(zvars, ring, nu, variant, build),
+                               q, t, nmax, sign)
+                    for variant, sign in (("xr_ynu", "+"), ("yr_nxu", "-")))
+    return wick_exponent([(lower.plus, upper.minus, wrapped)],
                          ring.gen("u"), q, t,
                          LaurentPoly(tuple(zvars), ring, {})).window(2 * window)
 
@@ -649,9 +653,8 @@ def thm_b1_check(nu: tuple, u_cutoff: int, window: int, q: Fraction,
     # the plain kernel's 1/(1-u^n) does not cut n off at u_cutoff, so its
     # p-values reach as far past the window as the wider of the two needs
     build = window + max(u_cutoff, window) * max(part(nu, 1), length(nu), 1) + 2
-    p_first, p_second = (
-        Specialization("principal", principal_p_laurent(zvars, ring, nu, variant, build), 1)
-        for variant in ("yr_nxu", "xr_ynu"))
+    p_first, p_second = (principal_p_laurent(zvars, ring, nu, variant, build)
+                         for variant in ("yr_nxu", "xr_ynu"))
     one = LaurentPoly.constant(zvars, ring.one())
     lhs = LaurentPoly(zvars, ring, {})
     for lam in partitions_up_to(u_cutoff):

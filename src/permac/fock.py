@@ -170,14 +170,15 @@ def vertex_apply(spec: VertexSpec, v: dict, q, t, degree_cap: int) -> dict:
                              degree_cap=degree_cap)
 
 
-def gamma_spec(ring: SeriesRing, q, t, spec_p_values, sign: str) -> VertexSpec:
-    """Gamma(X)_+ or Gamma(X)_- for a specialization's power-sum values.
+def gamma_spec(spec, q, t, nmax: int, sign: str) -> VertexSpec:
+    """Gamma(X)_+ or Gamma(X)_- of a ``macdonald.Specialization`` X, to mode nmax.
 
-    Modes are (1-t^n)/(1-q^n) p_n(X); ``spec_p_values(n)`` supplies p_n.  A
-    zero p_n gives no mode, so a zero specialization has no pole at q^n = 1.
+    Modes are (1-t^n)/(1-q^n) p_n(X), p_n read through the specialization's
+    memo.  A zero p_n gives no mode, so a zero specialization has no pole at
+    q^n = 1.
     """
     modes = {n: pv * ((1 - t**n) / (1 - q**n))
-             for n in range(1, ring.cutoff + 1) if (pv := spec_p_values(n))}
+             for n in range(1, nmax + 1) if (pv := spec.power_product((n,)))}
     if sign == "+":
         return VertexSpec(modes, {})
     if sign == "-":
@@ -536,9 +537,10 @@ def two_point_fermion_trace(v_cutoff: int, window: int, zeta: Fraction,
         (-1 - k, k): ring.one() for k in range(2 * window + 2)})
     th = theta3_ratio_laurent(ring, zvars, "v", zeta, window)
     # 1/((u x/y; u)(u y/x; u)): the wrapped pairs of the modes x^n, y^-n and
-    # y^n, x^-n at q = t
+    # y^n, x^-n at q = t, whose weight u^n/(1-u^n) = v^2n/(1-v^2n) vanishes
+    # past n = v_cutoff // 2
     xs, ys = (z_vertex_spec(zvars, ring, z, {n: (Fraction(1), Fraction(1))
-                                             for n in range(1, v_cutoff + 1)})
+                                             for n in range(1, v_cutoff // 2 + 1)})
               for z in zvars)
     pochs = laurent_exp(wick_exponent([(xs.minus, ys.plus, True), (ys.minus, xs.plus, True)],
                                       u, t, t, LaurentPoly(zvars, ring, {})),

@@ -6,19 +6,22 @@ is a product of power sums, each row p_lambda the shared row of lambda without
 its last part times p_{last part}; its inverse comes from back-substitution,
 because p_lambda is triangular in dominance order, and is kept as integer rows
 over one denominator each.  The tables (P_lambda and its norm), Q_lambda, the
-p-basis rows, the Pieri edges and the skew coefficients are memoised per point
-(q, t) in ``point``'s store and shared, so no caller may mutate them.  The
-one-parameter family P_lambda is produced weight by weight through
-Gram-Schmidt in the m basis, against the pairing's Gram matrix <m_lam, m_mu>,
-which is formed once per table from the integer p/m transitions as an integer
-matrix over one scale.  Gram-Schmidt stays on integers: each finished P_mu is
+p-basis rows, the Pieri edges, the skew coefficients and the observables are
+memoised per point (q, t) in ``point``'s store and shared, so no caller may
+mutate them.  The one-parameter family P_lambda is produced weight by weight
+through Gram-Schmidt in the m basis, against the pairing's Gram matrix
+<m_lam, m_mu>, which is formed once per table from the integer p/m
+transitions as an integer matrix over one scale.  Gram-Schmidt stays on integers: each finished P_mu is
 a row of integer numerators over one denominator, and Fractions are built only
 for the output tables; Q_lambda = P_lambda / norm is derived per row when it
 is asked for.  Each partition is projected onto every
 earlier partition of a linear extension of dominance, so unitriangularity is a
 checked consequence, not a premise.  Pieri coefficients come from the arm/leg
 products, independently of the orthogonalization; the two routes cross-check
-each other in the test suite.
+each other in the test suite.  Of the four operator families, only E and G
+are written out (e_r and g_r of the partition's principal power sums): E'
+and G' are E and G at (1/q, 1/t), and each observable is its eigenvalue
+times s^r, s one of t, 1/t, 1, 1.
 """
 
 from __future__ import annotations
@@ -409,12 +412,13 @@ class Specialization:
     """Algebra map determined by its power-sum values p_n.
 
     kind is one of "zero", "alpha", "plancherel", or "principal" for the
-    Appendix specializations of the topological vertex, whose p-value
-    callables live in the cylindric module.  The instance memoises the
-    products p_nu(X) = p_{nu_1}(X) ... p_{nu_l}(X) that ``skew_eval`` sums,
-    p_(n)(X) = p_n(X) among them, each product built from the product of nu
-    without its last part; the memo lives and dies with the instance, so
-    two specializations never share a product.
+    Appendix specializations of the topological vertex, which the cylindric
+    module builds.  Every p-value reaches the engine through one of these:
+    ``skew_eval`` and ``fock.gamma_spec`` take nothing else.  The instance
+    memoises the products p_nu(X) = p_{nu_1}(X) ... p_{nu_l}(X) that
+    ``skew_eval`` sums, p_(n)(X) = p_n(X) among them, each product built
+    from the product of nu without its last part; the memo lives and dies
+    with the instance, so two specializations never share a product.
     """
 
     def __init__(self, kind: str, p_value, degree: int):
@@ -470,23 +474,18 @@ def plancherel_spec(xi, ring) -> Specialization:
                           1 if xi.min_degree() > 0 else 0)
 
 
-def lambda_rho_p(lam: tuple, r: int, q: Fraction, t: Fraction,
-                 shift: int = 0, inverted: bool = False) -> Fraction:
-    """Power sums of the principal specialization attached to a partition.
+def lambda_rho_p(lam: tuple, r: int, q: Fraction, t: Fraction) -> Fraction:
+    """Power sums of the principal specialization attached to a partition:
 
-    Standard variant: p_r = sum_i (q^{lam_i} t^{-i+shift})^r
-                            + t^{-r (l - shift + 1)} / (1 - t^{-r}),
-    the geometric tail summed in closed form.  The inverted variant replaces
-    (q, t) by their reciprocals.
+        p_r = sum_i (q^{lam_i} t^{-i})^r + t^{-r (l + 1)} / (1 - t^{-r}),
+
+    the geometric tail summed in closed form.
     """
-    if inverted:
-        q = Fraction(1) / q
-        t = Fraction(1) / t
     l = length(lam)
     acc = Fraction(0)
     for i, li in enumerate(lam, start=1):
-        acc += (q**li * t ** (-i + shift)) ** r
-    acc += t ** (-r * (l - shift + 1)) / (1 - t**-r)
+        acc += (q**li * t**-i) ** r
+    acc += t ** (-r * (l + 1)) / (1 - t**-r)
     return acc
 
 
@@ -528,8 +527,8 @@ def _skew_coefficients(kind: str, lam: tuple, mu: tuple, q: Fraction,
     return tuple(out)
 
 
-def skew_eval(kind: str, lam: tuple, mu: tuple, spec, q: Fraction, t: Fraction,
-              unit=Fraction(1)):
+def skew_eval(kind: str, lam: tuple, mu: tuple, spec: Specialization,
+              q: Fraction, t: Fraction, unit):
     """P_{lam/mu} or Q_{lam/mu} at a specialization X; zero unless mu is in lam.
 
     That test lives here alone: ``weight_W`` and ``vertex_skew_sum`` rely on it.
@@ -550,17 +549,13 @@ def skew_eval(kind: str, lam: tuple, mu: tuple, spec, q: Fraction, t: Fraction,
     The rational c_nu depend on (kind, lam, mu, q, t) only and are memoised
     (``_skew_coefficients``); the products p_nu(X) are memoised by the
     Specialization (``power_product``), and one pass sums c_nu p_nu(X)
-    (``combine``).  ``spec`` is a Specialization or a bare callable
-    n -> p_n value, whose products last for this call only; ``unit`` fixes
-    the type of the result: a rational, a ring one for series p-values, or
-    a Laurent one for Laurent p-values.
+    (``combine``).  ``unit`` fixes the type of the result: a rational, a
+    ring one for series p-values, or a Laurent one for Laurent p-values.
     """
     if not contains(lam, mu):
         return unit * 0
     if lam == mu:
         return unit
-    if not isinstance(spec, Specialization):
-        spec = Specialization("callable", spec, 0)
     return combine(unit, [(c, p) for nu, c in _skew_coefficients(kind, lam, mu, q, t)
                           if (p := spec.power_product(nu))])
 
@@ -615,41 +610,35 @@ def g_row_from_powers(r: int, p_of, q: Fraction, t: Fraction):
 # fock.operator_family name them.
 FREE_FIELD_FAMILIES = ("E", "E'", "G", "G'")
 
+# observable = s^r eigenvalue with s = t^k, k the family's entry here; kept
+# apart from the scale column of fock.operator_family, which the moment
+# formulas that the observables check read
+_OBSERVABLE_T_POWER = {"E": 1, "E'": -1, "G": 0, "G'": 0}
 
+
+@per_point
 def observable(series: str, r: int, lam: tuple, q: Fraction, t: Fraction) -> Fraction:
-    """Exact value of the four observable families on a partition.
-
-    E and E' are elementary symmetric functions of the principal
-    specializations at unit shift; G and G' are the one-row duals g_r at the
-    zero-shift specializations (G' with reciprocal parameters, equivalently a
-    q-shifted argument).
-    """
-    if series == "E":
-        return elementary_from_powers(r, lambda k: lambda_rho_p(lam, k, q, t, shift=1))
-    if series == "E'":
-        return elementary_from_powers(
-            r, lambda k: lambda_rho_p(lam, k, q, t, shift=1, inverted=True))
-    if series == "G":
-        return g_row_from_powers(
-            r, lambda k: lambda_rho_p(lam, k, q, t, shift=0), q, t)
-    if series == "G'":
-        return g_row_from_powers(
-            r, lambda k: q**k * lambda_rho_p(lam, k, q, t, shift=1, inverted=True),
-            q, t)
-    raise ValueError(f"unknown observable series {series!r}")
+    """Exact value of the four observable families on a partition: the
+    family's ``eigenvalue`` times s^r, with s = t, 1/t, 1, 1 for E, E', G,
+    G'.  Memoised per point: the brute-force moments ask for each partition
+    once per configuration."""
+    return eigenvalue(series, r, lam, q, t) * t ** (_OBSERVABLE_T_POWER[series] * r)
 
 
 def eigenvalue(family: str, r: int, lam: tuple, q: Fraction, t: Fraction) -> Fraction:
-    """Eigenvalue of the free-field operator family on the P_lambda ket."""
+    """Eigenvalue of the free-field operator family on the P_lambda ket.
+
+    E_r is e_r and G_r is g_r of the power sums ``lambda_rho_p``; E'_r and
+    G'_r are E_r and G_r at (1/q, 1/t), because P_lambda(q, t) =
+    P_lambda(1/q, 1/t) (Macdonald VI (4.14)).  That step divides by q and
+    t, so at r >= 1 E' and G' have no value at q = 0 or t = 0.
+    """
+    if family in ("E'", "G'"):
+        if r > 0:  # the unit (r = 0) and a negative r never read the point
+            q, t = Fraction(1) / q, Fraction(1) / t
+        return eigenvalue(family[0], r, lam, q, t)
     if family == "E":
         return elementary_from_powers(r, lambda k: lambda_rho_p(lam, k, q, t))
-    if family == "E'":
-        return elementary_from_powers(
-            r, lambda k: lambda_rho_p(lam, k, q, t, inverted=True))
     if family == "G":
         return g_row_from_powers(r, lambda k: lambda_rho_p(lam, k, q, t), q, t)
-    if family == "G'":
-        return g_row_from_powers(
-            r, lambda k: lambda_rho_p(lam, k, q, t, inverted=True),
-            Fraction(1) / q, Fraction(1) / t)
     raise ValueError(f"unknown operator family {family!r}")

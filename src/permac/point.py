@@ -3,9 +3,10 @@
 Everything the engine memoises at one point lives here: the mode ratios
 (1 - q^n)/(1 - t^n), z_lambda(q,t), the Gram-Schmidt P tables with their
 norms, the Q rows derived from them, the p-basis rows of both, Pieri edges
-and arm/leg ratios, skew coefficients, free-field columns, and the
-Plancherel path rows and float Pieri up-matrices.  (The products p_nu(X) of a
-specialization do not depend on the point; the Specialization keeps them.)
+and arm/leg ratios, skew coefficients, observables, free-field columns, and
+the Plancherel path rows and float Pieri up-matrices.  (The products p_nu(X)
+of a specialization do not depend on the point; the Specialization keeps
+them.)
 The store keeps the last MAX_POINTS points used; when a new point comes in,
 the least recently used one is dropped whole.
 
@@ -50,7 +51,12 @@ def memo(q, t, name: str) -> dict:
 
 
 def per_point(fn):
-    """Memoise fn(*args, q, t) in the memo of (q, t) named after fn."""
+    """Memoise fn(*args, q, t) in the memo of (q, t) named after fn.
+
+    fn is called with q and t as Fractions: an int point shares the memo of
+    the equal Fraction, and int arithmetic such as t**-1 would put a float
+    in it.
+    """
     name = f"{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)
@@ -59,7 +65,7 @@ def per_point(fn):
         key = args[:-2]
         val = table.get(key, _MISS)
         if val is _MISS:
-            val = table[key] = fn(*args)
+            val = table[key] = fn(*key, Fraction(args[-2]), Fraction(args[-1]))
         return val
 
     return cached

@@ -232,15 +232,13 @@ def _configuration_sums(pspec: ProcessSpec, depth: int, series_r=None):
     """(sum W f, sum W) over the configurations of graded degree <= depth.
 
     f is the product over steps of the observables ``series_r`` lists, one
-    (series_tag, r) per step, each exact rational memoised per partition.
-    Without ``series_r`` f = 1 and both sums are the one weight sum.  Both
-    sums are one streamed ``zterm_sum`` over an auxiliary exponent:
-    each configuration adds W at exponent 0 and f W at exponent 1.  Each
-    oracle truncates the sums in its own order.  Only the brute-force
-    oracles call this.
+    (series_tag, r) per step, each an exact rational that ``observable``
+    memoises per point.  Without ``series_r`` f = 1 and both sums are the
+    one weight sum.  Both sums are one streamed ``zterm_sum`` over an
+    auxiliary exponent: each configuration adds W at exponent 0 and f W at
+    exponent 1.  Each oracle truncates the sums in its own order.  Only the
+    brute-force oracles call this.
     """
-    obs_cache: dict = {}
-
     def pairs():
         for lam_seq, mu_seq in configurations(pspec, depth):
             w = weight_W(pspec, lam_seq, mu_seq)
@@ -251,12 +249,7 @@ def _configuration_sums(pspec: ProcessSpec, depth: int, series_r=None):
                 continue
             f = Fraction(1)
             for (tag, r), lam in zip(series_r, lam_seq):
-                key = (tag, r, lam)
-                v = obs_cache.get(key)
-                if v is None:
-                    v = observable(tag, r, lam, pspec.q, pspec.t)
-                    obs_cache[key] = v
-                f *= v
+                f *= observable(tag, r, lam, pspec.q, pspec.t)
             yield f, {(1,): w}
 
     sums = zterm_sum(pspec.ring, pairs())
@@ -272,8 +265,8 @@ def partition_function_bruteforce(pspec: ProcessSpec, depth: int) -> TruncSeries
 def _gammas(pspec: ProcessSpec):
     """The modes of Gamma_+(rho^+_i), i = 0..N-1, and Gamma_-(rho^-_j), j = 1..N."""
     ring, q, t = pspec.ring, pspec.q, pspec.t
-    return ([gamma_spec(ring, q, t, spec.p_value, "+") for spec in pspec.rho_plus],
-            [gamma_spec(ring, q, t, spec.p_value, "-") for spec in pspec.rho_minus])
+    return ([gamma_spec(spec, q, t, ring.cutoff, "+") for spec in pspec.rho_plus],
+            [gamma_spec(spec, q, t, ring.cutoff, "-") for spec in pspec.rho_minus])
 
 
 def _normal_order(pspec: ProcessSpec):

@@ -23,7 +23,7 @@ from permac.cylindric import (
     weight_Phi,
 )
 from oracles import components_two_lists, horizontal_strip_by_columns
-from permac.macdonald import lambda_rho_p
+from permac.macdonald import observable
 from permac.partitions import conjugate, partitions_up_to, weight
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing, qpochhammer
@@ -237,7 +237,7 @@ def test_vertex_single_box_ratio():
         finite, (tvar, texp) = principal_p_envelope(nu, "yr_nxu")
         assert tvar == "y"
         got = sum(q**a * t**b for a, b in finite) + t**texp / (1 - t)
-        expect = lambda_rho_p(conjugate(nu), 1, q, t, shift=1, inverted=True)
+        expect = observable("E'", 1, conjugate(nu), q, t)
         assert got == expect
 
 

@@ -118,7 +118,7 @@ def test_gamma_plus_matrix_elements_are_skew_values():
     q, t = random_qt_pair(rng)
     ring = SeriesRing(["a"], 4)
     spec = alpha_spec([("a", 1)], ring)
-    gp = gamma_spec(ring, q, t, spec.p_value, "+")
+    gp = gamma_spec(spec, q, t, ring.cutoff, "+")
     for lam in partitions_up_to(4):
         ket = {k: ring.one() * c for k, c in macdonald_P_p(lam, q, t).items()}
         image = vertex_apply(gp, ket, q, t, degree_cap=weight(lam))
@@ -234,8 +234,8 @@ def test_ope_gamma_pm_gives_cauchy_kernel():
     rng = random.Random(25)
     q, t = random_qt_pair(rng)
     ring = SeriesRing(["x", "y"], 5)
-    gp = gamma_spec(ring, q, t, lambda n: ring.monomial(Fraction(1), x=n), "+")
-    gm = gamma_spec(ring, q, t, lambda n: ring.monomial(Fraction(1), y=n), "-")
+    gp = gamma_spec(alpha_spec([("x", 1)], ring), q, t, ring.cutoff, "+")
+    gm = gamma_spec(alpha_spec([("y", 1)], ring), q, t, ring.cutoff, "-")
     scalar = ope_reorder(gp, gm, q, t, ring.one())
     xy = ring.monomial(Fraction(1), x=1, y=1)
     expect = qpochhammer(ring, [(ring.monomial(t, x=1, y=1), [q])], [(xy, [q])])
@@ -329,10 +329,10 @@ def test_contraction_of_a_current_with_the_gammas():
     # leaves p_n(rho) down_n z^-n / n with down_n = -(1-t^n).  Here p_n = a^n.
     ring = SeriesRing(["a"], 4)
     zvars = ("z",)
-    p_n = alpha_spec([("a", 1)], ring).p_value
+    spec = alpha_spec([("a", 1)], ring)
     eta = current("eta", zvars, ring, "z", 6)
-    gp = gamma_spec(ring, Q0, T0, p_n, "+")
-    gm = gamma_spec(ring, Q0, T0, p_n, "-")
+    gp = gamma_spec(spec, Q0, T0, ring.cutoff, "+")
+    gm = gamma_spec(spec, Q0, T0, ring.cutoff, "-")
     assert contraction(gp.plus, eta.minus, Q0, T0) == {n: LaurentPoly.monomial(
         zvars, ring, ring.monomial((1 - T0**-n) / n, a=n), {"z": n})
         for n in range(1, 5)}

@@ -374,8 +374,9 @@ def test_pieri_rules_against_tables():
 
 
 def test_lambda_rho_values():
-    # empty partition, unit shift: p_1 = 1/(1 - 1/t) = t/(t-1)
-    assert lambda_rho_p((), 1, Q0, T0, shift=1) == T0 / (T0 - 1)
+    # empty partition, unit shift (t times the power sum): p_1 = 1/(1 - 1/t)
+    # = t/(t-1)
+    assert T0 * lambda_rho_p((), 1, Q0, T0) == T0 / (T0 - 1)
     assert observable("E", 1, (), Q0, T0) == T0 / (T0 - 1)
     # one-box partition
     expect = Q0 + (1 / T0) / (1 - 1 / T0)
@@ -468,14 +469,13 @@ def _half_vertex_skew(kind, lam, mu, spec, q, t, unit):
         return unit * 0
     if lam == mu:
         return unit
-    p_value = spec.p_value if isinstance(spec, Specialization) else spec
     if kind == "P":
         ket, bra = macdonald_P_p(lam, q, t), macdonald_Q_p(mu, q, t)
     else:
         ket, bra = macdonald_Q_p(lam, q, t), macdonald_P_p(mu, q, t)
     modes = {}
     for n in range(1, weight(lam) - weight(mu) + 1):
-        pv = p_value(n)
+        pv = spec.p_value(n)
         if pv:
             modes[n] = pv * ((1 - t**n) / (1 - q**n))
     ket_u = {k: unit * c for k, c in ket.items()}
@@ -509,8 +509,8 @@ def _skew_oracle_specs():
         "cor_b2-series": (principal_p_trunc(uxy, "yr_nxu"), uxy.one()),
         "thm_b1-laurent": (principal_p_laurent(zvars, u, (2, 1), "yr_nxu", 4),
                            LaurentPoly.constant(zvars, u.one())),
-        "p2-zero": (gap, ab.one()),
-        "odd-p-zero": (odd_zero, Fraction(1)),
+        "p2-zero": (Specialization("alpha", gap, 1), ab.one()),
+        "odd-p-zero": (Specialization("alpha", odd_zero, 0), Fraction(1)),
     }
 
 
@@ -533,14 +533,22 @@ def test_skew_eval_equals_half_vertex_oracle(label):
 
 
 def test_gprime_two_routes_agree():
+    # G'_r as g_r at (q, t) of q^k times the power sums at (1/q, 1/t) with a
+    # unit shift, sum_i (q^{-lam_i} t^{i-1})^k + t^{k l} / (1 - t^k), written
+    # out here, against g_r at (1/q, 1/t) of the unshifted power sums and
+    # against the observable, which reads the eigenvalue
     rng = random.Random(16)
     q, t = random_qt_pair(rng)
+
+    def shifted_inverted(lam, k):
+        return (sum((q**-li * t ** (i - 1)) ** k for i, li in enumerate(lam, start=1))
+                + t ** (k * len(lam)) / (1 - t**k))
+
     for lam in partitions_up_to(3):
         for r in (1, 2):
             a = g_row_from_powers(
-                r, lambda k: lambda_rho_p(lam, k, q, t, inverted=True),
-                1 / q, 1 / t)
+                r, lambda k: lambda_rho_p(lam, k, 1 / q, 1 / t), 1 / q, 1 / t)
             b = g_row_from_powers(
-                r, lambda k: q**k * lambda_rho_p(lam, k, q, t, shift=1, inverted=True),
-                q, t)
+                r, lambda k: q**k * shifted_inverted(lam, k), q, t)
             assert a == b
+            assert observable("G'", r, lam, q, t) == b

@@ -59,3 +59,14 @@ def test_a_float_point_is_refused_and_leaves_the_exact_memo_clean(fresh_memos):
 
 def test_an_int_point_shares_the_memo_of_the_equal_fraction(fresh_memos):
     assert memo(1, 0, "a") is memo(Fraction(1), Fraction(0), "a")
+
+
+def test_an_int_point_puts_only_exact_values_in_the_memo(fresh_memos):
+    # an int q or t reaches the memoised function as a Fraction, so the
+    # values that the equal Fraction point then reads are exact
+    from permac.macdonald import observable
+    from permac.point import qt_ratio
+
+    assert type(qt_ratio(1, 2, 3)) is Fraction
+    assert type(observable("E", 1, (1,), Fraction(1, 3), 2)) is Fraction
+    assert observable("E", 1, (1,), Fraction(1, 3), Fraction(2)) == Fraction(4, 3)
