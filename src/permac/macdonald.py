@@ -31,8 +31,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .partitions import (
-    arm_leg,
-    cells,
+    conjugate,
     contains,
     dominance_key,
     horizontal_strip,
@@ -365,42 +364,58 @@ def g_row_p(r: int, q: Fraction, t: Fraction) -> dict:
 
 
 @per_point
-def _b_ratio(a: int, l: int, q: Fraction, t: Fraction) -> Fraction:
-    """b_lam(s) for a cell s of arm a and leg l."""
-    return (1 - q**a * t ** (l + 1)) / (1 - q ** (a + 1) * t**l)
-
-
-def _b_factor(lam: tuple, cell, q: Fraction, t: Fraction) -> Fraction:
-    i, j = cell
-    if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
-        return Fraction(1)
-    return _b_ratio(*arm_leg(lam, cell), q, t)
-
-
-@per_point
 def pieri(lam: tuple, mu: tuple, q: Fraction, t: Fraction):
-    """(psi, phi) for a horizontal strip lam/mu.
+    """(psi, phi) for a horizontal strip lam/mu (Macdonald VI (6.24)).
 
-    psi multiplies Q-expansions of Q_mu g_r, phi multiplies P-expansions of
-    P_mu g_r; both are products of arm/leg b ratios over row/column cells of
-    the strip.  Memoized: the Young-graph path sums and the Pieri up-matrices
-    ask for each edge many times.
+    psi multiplies Q-expansions of Q_mu g_r, phi P-expansions of P_mu g_r.
+    With b_nu(s) = (1 - q^a t^(l+1)) / (1 - q^(a+1) t^l) for the arm a and
+    leg l of a cell s in nu (1 off nu), psi is the product of b_mu(s) /
+    b_lam(s) over the cells of the strip's rows outside its columns, all in
+    mu, and phi that of b_lam(s) / b_mu(s) over its columns.  For q = A/B
+    and t = C/D, b = F(a, l+1) B / (F(a+1, l) D) with the integers F(x, y) =
+    B^x D^y - A^x C^y, memoised per point: psi's B/D cancel, and phi keeps
+    (B/D)^|lam/mu|.  A pole of any b read is a ZeroDivisionError, even where
+    another factor would cancel it.  Memoized: the Young-graph path sums and
+    the Pieri up-matrices ask for each edge many times.
     """
     if not horizontal_strip(lam, mu):
         raise ValueError(f"{lam}/{mu} is not a horizontal strip")
-    strip = [(i, j) for (i, j) in cells(lam)
-             if not (i <= len(mu) and j <= mu[i - 1])]
-    rows = {i for (i, _) in strip}
-    cols = {j for (_, j) in strip}
-    psi = Fraction(1)
-    phi = Fraction(1)
-    for s in cells(lam):
-        i, j = s
-        if i in rows and j not in cols:
-            psi *= _b_factor(mu, s, q, t) / _b_factor(lam, s, q, t)
-        if j in cols:
-            phi *= _b_factor(lam, s, q, t) / _b_factor(mu, s, q, t)
-    return psi, phi
+    A, B, C, D = q.numerator, q.denominator, t.numerator, t.denominator
+    known = memo(q, t, "macdonald.pieri.F")
+
+    def F(x, y):
+        if (v := known.get((x, y))) is None:
+            v = known[x, y] = B**x * D**y - A**x * C**y
+        return v
+
+    lc, mc = conjugate(lam), conjugate(mu)
+    mc += (0,) * (len(lc) - len(mc))
+    mu += (0,) * (len(lam) - len(mu))
+    cols = [j for j, (a, b) in enumerate(zip(lc, mc)) if a > b]  # 0-indexed
+    # guard: the b denominators that land in a numerator below
+    psi_num = psi_den = phi_num = phi_den = guard = 1
+    for i, (li, mi) in enumerate(zip(lam, mu)):
+        for j in range(mi if li > mi else 0):  # the strip's rows
+            if lc[j] == mc[j]:  # off its columns: arm a in mu, li - 1 - j in lam
+                a, l = mi - 1 - j, mc[j] - 1 - i
+                g = F(li - j, l)
+                psi_num *= F(a, l + 1) * g
+                psi_den *= F(a + 1, l) * F(li - 1 - j, l + 1)
+                guard *= g
+    for j in cols:
+        for i in range(lc[j]):  # b_lam over the column
+            a, l = lam[i] - 1 - j, lc[j] - 1 - i
+            phi_num *= F(a, l + 1)
+            phi_den *= F(a + 1, l)
+        for i in range(mc[j]):  # b_mu over the column
+            a, l = mu[i] - 1 - j, mc[j] - 1 - i
+            g = F(a + 1, l)
+            phi_num *= g
+            phi_den *= F(a, l + 1)
+            guard *= g
+    if not guard:
+        raise ZeroDivisionError(f"a b ratio of {lam}/{mu} has a pole at (q, t) = ({q}, {t})")
+    return Fraction(psi_num, psi_den), Fraction(phi_num * B**len(cols), phi_den * D**len(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +452,8 @@ class Specialization:
         if v is None:
             if len(nu) == 1:
                 v = self.p_value(nu[0])
+            elif not nu:
+                raise ValueError("power_product needs a nonempty partition")
             else:
                 v = self.power_product(nu[-1:])
                 if v:

@@ -51,23 +51,6 @@ def contains(lam: tuple, mu: tuple) -> bool:
     return len(mu) <= len(lam) and all(mu[i] <= lam[i] for i in range(len(mu)))
 
 
-def cells(lam: tuple):
-    """All cells (i, j) of the diagram, 1-indexed rows and columns."""
-    for i, p in enumerate(lam, start=1):
-        for j in range(1, p + 1):
-            yield (i, j)
-
-
-def arm_leg(lam: tuple, cell) -> tuple:
-    """Arm and leg lengths of a cell (i, j) inside lam."""
-    i, j = cell
-    if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
-        raise ValueError(f"cell {cell} outside diagram of {lam}")
-    arm = lam[i - 1] - j
-    leg = sum(1 for p in lam if p >= j) - i
-    return arm, leg
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple:
     """All partitions of weight exactly n, in descending lexicographic order."""

@@ -23,7 +23,8 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, product
 from math import gcd, lcm
 from operator import mul
 
@@ -39,19 +40,23 @@ from .stream import random_rows
 # ---------------------------------------------------------------------------
 
 @per_point
-def _down_edges(w: int, q: Fraction, t: Fraction) -> list:
-    """Per side, (scale, down): down[nu] holds (mu, c) for each mu that is nu
-    of weight w less one box, with Pieri edge weight c / scale."""
-    edges = {nu: [(mu, macdonald.pieri(nu, mu, q, t)) for i, p in enumerate(nu)
-                  if i + 1 == len(nu) or p > nu[i + 1]
-                  for mu in [nu[:i] + (p - 1,) + nu[i + 1:] if p > 1 else nu[:i]]]
-             for nu in partitions_of(w)}
+def _down_edges(w: int, q: Fraction, t: Fraction) -> tuple:
+    """For k = 1..w, per side, (scale, down): down[a] holds (b, c) for each
+    partitions_of(k - 1)[b] that is partitions_of(k)[a] less one box, with
+    Pieri edge weight c / scale."""
+    if not w:
+        return ()
+    index = {mu: b for b, mu in enumerate(partitions_of(w - 1))}
+    edges = [[(index[mu], macdonald.pieri(nu, mu, q, t)) for i, p in enumerate(nu)
+              if i + 1 == len(nu) or p > nu[i + 1]
+              for mu in [nu[:i] + (p - 1,) + nu[i + 1:] if p > 1 else nu[:i]]]
+             for nu in partitions_of(w)]
     out = []
     for side in (0, 1):
-        scale = lcm(*(c[side].denominator for es in edges.values() for _, c in es))
-        out.append((scale, {nu: [(mu, c[side].numerator * (scale // c[side].denominator))
-                                 for mu, c in es] for nu, es in edges.items()}))
-    return out
+        scale = lcm(*(c[side].denominator for es in edges for _, c in es))
+        out.append((scale, [[(b, c[side].numerator * (scale // c[side].denominator))
+                             for b, c in es] for es in edges]))
+    return (*_down_edges(w - 1, q, t), out)
 
 
 @per_point
@@ -59,30 +64,29 @@ def _top_rows(side: int, lam: tuple, q: Fraction, t: Fraction) -> list:
     """[(den, nums)] for k = 0..|lam|: nums[a] / den is the path sum, psi
     for side 0 and phi for side 1, from partitions_of(k)[a] up to lam,
     summed down from lam."""
-    den, level, out = 1, {lam: 1}, []
-    for k in range(weight(lam), -1, -1):
-        out.append((den, [level.get(nu, 0) for nu in partitions_of(k)]))
-        if k:
-            scale, down = _down_edges(k, q, t)[side]
-            below = {}
-            for nu, x in level.items():
-                for mu, c in down[nu]:
-                    below[mu] = below.get(mu, 0) + c * x
-            h = gcd(den * scale, *below.values())
-            den, level = den * scale // h, {mu: x // h for mu, x in below.items()}
+    level = [int(nu == lam) for nu in partitions_of(weight(lam))]
+    den, out, edges = 1, [(1, level)], _down_edges(weight(lam), q, t)
+    for k in range(weight(lam), 0, -1):
+        scale, down = edges[k - 1][side]
+        below = [0] * len(partitions_of(k - 1))
+        for x, es in zip(level, down):
+            if x:
+                for b, c in es:
+                    below[b] += c * x
+        h = gcd(den * scale, *below)
+        den, level = den * scale // h, [x // h for x in below]
+        out.append((den, level))
     return out[::-1]
 
 
-def dims(kind: str, mu: tuple, lam: tuple, q: Fraction, t: Fraction) -> Fraction:
-    """Path sums in the Young graph: psi products ("dim"), phi ("dim'"),
-    read from the top-down rows of lam."""
-    if kind not in ("dim", "dim'"):
-        raise ValueError("kind must be 'dim' or \"dim'\"")
-    w = weight(mu)
-    if w > weight(lam):
-        return Fraction(0)
-    den, nums = _top_rows(int(kind == "dim'"), lam, q, t)[w]
-    return Fraction(nums[partitions_of(w).index(mu)], den)
+@lru_cache(maxsize=1024)
+def _plan(u: Fraction, wl: int, wm: int) -> tuple:
+    """(k, j, scale, den) for k = 0..min(wl, wm): the term k of a (wl, wm)
+    entry is G_k scale / den, of gamma degree j = wl + wm - 2k."""
+    a, b = u.numerator, u.denominator
+    return tuple((k, wl + wm - 2 * k, a**k * (b - a)**(wl + wm - 2 * k),
+                  math.factorial(wl - k) * math.factorial(wm - k) * b ** (wl + wm - k))
+                 for k in range(min(wl, wm) + 1))
 
 
 def _level_entries(u: Fraction, rows, cols, top: int, q: Fraction, t: Fraction) -> dict:
@@ -95,48 +99,44 @@ def _level_entries(u: Fraction, rows, cols, top: int, q: Fraction, t: Fraction) 
                         / ((|lam|-k)! (|mu|-k)!),
     where G_k[lam,mu] is the dot product of the top-down rows k of lam (psi)
     and mu (phi).  The rows depend on neither u nor gamma, so T(u), T(v) and
-    T(uv) share them.  Returns {lam: {mu: [c_0, ..., c_top]}}.  Terms whose
-    gamma degree |lam| + |mu| - 2k exceeds ``top`` are skipped, and an entry
-    with no term left is left out.
+    T(uv) share them.  Returns {lam: {mu: (nums, den)}}, the coefficient of
+    gamma^j being nums[j] / den, over the lcm of its terms' denominators.
+    Terms whose gamma degree |lam| + |mu| - 2k exceeds ``top`` are skipped,
+    and an entry with no term left is left out.
     """
-    a, b = u.numerator, u.denominator
-    plans = {}  # (|lam|, |mu|) -> [(k, j, numerator scale, den)]
+    plans = {(wl, wm): _plan(u, wl, wm)[max(0, (wl + wm - top + 1) // 2):]
+             for wl in set(map(weight, rows)) for wm in set(map(weight, cols))}
     out = {}
     phis = [(mu, weight(mu), _top_rows(1, mu, q, t)) for mu in cols]
     for lam in rows:
         wl, psi = weight(lam), _top_rows(0, lam, q, t)
         for mu, wm, phi in phis:
-            plan = plans.get((wl, wm))
-            if plan is None:
-                plan = plans[wl, wm] = [
-                    (k, wl + wm - 2 * k, a**k * (b - a)**(wl + wm - 2 * k),
-                     math.factorial(wl - k) * math.factorial(wm - k) * b ** (wl + wm - k))
-                    for k in range(max(0, (wl + wm - top + 1) // 2), min(wl, wm) + 1)]
-            coeffs = None
-            for k, j, scale, den in plan:
-                (dl, pl), (dm, pm) = psi[k], phi[k]
-                num = sum(map(mul, pl, pm)) * scale
-                if num:
-                    if coeffs is None:
-                        coeffs = [0] * (top + 1)
-                    coeffs[j] = Fraction(num, dl * dm * den)
-            if coeffs is not None:
-                out.setdefault(lam, {})[mu] = coeffs
+            terms = [(j, num * scale, psi[k][0] * phi[k][0] * den)
+                     for k, j, scale, den in plans[wl, wm]
+                     if (num := sum(map(mul, psi[k][1], phi[k][1])))]
+            if terms:
+                den = lcm(*(d for _, _, d in terms))
+                nums = [0] * (top + 1)
+                for j, num, d in terms:
+                    nums[j] = num * (den // d)
+                out.setdefault(lam, {})[mu] = nums, den
     return out
 
 
-def _at_gamma(coeffs, gamma: Fraction) -> tuple:
-    """sum_j coeffs[j] gamma^j exactly, as (num, den) over one common
-    denominator: the lcm of the coefficient denominators times r^top, for
-    gamma = p/r, in one Horner pass from the top coefficient down."""
-    if not coeffs:
-        return 0, 1
+_NO_ENTRY = ((0,), 1)  # an entry that _level_entries leaves out
+
+
+def _at_gamma(entry, gamma: Fraction) -> tuple:
+    """sum_j nums[j] gamma^j / den exactly for an entry (nums, den) of
+    ``_level_entries``, as (num, den r^top) for gamma = p/r, in one Horner
+    pass from the top coefficient down."""
+    nums, den = entry
     p, r = gamma.numerator, gamma.denominator
-    num, scale = 0, lcm(*(c.denominator for c in coeffs))
-    for c in reversed(coeffs):  # scale = lcm r^(top - j) at coefficient j
-        num = num * p + c.numerator * (scale // c.denominator)
+    num, scale = 0, 1
+    for c in reversed(nums):  # scale = r^(top - j) at coefficient j
+        num = num * p + c * scale
         scale *= r
-    return num, scale // r
+    return num, den * scale // r
 
 
 def _gamma_powers(gamma: TruncSeries, ring: SeriesRing) -> list:
@@ -152,26 +152,39 @@ def _gamma_powers(gamma: TruncSeries, ring: SeriesRing) -> list:
         pows.append(nxt)
 
 
-def _prefactor(u: Fraction, q: Fraction, t: Fraction, top: int) -> list:
-    """Coefficients of gamma^0..gamma^top in exp(c gamma^2 (u - 1))."""
-    x = (1 - t) / (1 - q) * (u - 1)
-    out = [0] * (top + 1)
-    term = Fraction(1)
-    for n in range(top // 2 + 1):
-        out[2 * n] = term
-        term = term * x / (n + 1)
+def _prefactor(u: Fraction, q: Fraction, t: Fraction, top: int) -> tuple:
+    """Coefficients of gamma^0..gamma^top in exp(x gamma^2), x = c (u - 1),
+    as (nums, den): x^n / n! = nums[2n] / den, den = x.den^m m!, m = top // 2."""
+    x, m, f = (1 - t) / (1 - q) * (u - 1), top // 2, math.factorial
+    nums = [0] * (top + 1)
+    nums[::2] = [x.numerator**n * x.denominator**(m - n) * f(m) // f(n) for n in range(m + 1)]
+    return nums, x.denominator**m * f(m)
+
+
+def _by_level(entry, levels, top: int) -> dict:
+    """{w: (den, {j: vec})} for ``entry``, a map from partitions to entries
+    (nums, d) of ``_level_entries`` or None: vec holds the gamma^j
+    coefficients at the partitions of levels[w], 0 where there is no entry,
+    as integers over den; zero vectors are left out."""
+    out = {}
+    for w, level in enumerate(levels):
+        got = list(map(entry, level))
+        if any(got):
+            den = lcm(*(e[1] for e in got if e))
+            vecs = zip(*([x * (den // e[1]) for x in e[0]] if e else (0,) * (top + 1)
+                         for e in got))
+            out[w] = den, {j: vec for j, vec in enumerate(vecs) if any(vec)}
     return out
 
 
-def _poly_mul(f: list, g: list, top: int, out: list = None) -> list:
-    """f g in powers of gamma up to gamma^top, added to ``out`` when given."""
-    if out is None:
-        out = [0] * (top + 1)
+def _poly_mul(f: list, g: list, top: int) -> list:
+    """f g in powers of gamma up to gamma^top."""
+    out = [0] * (top + 1)
     for i, x in enumerate(f):
         if x:
-            for j in range(top + 1 - i):
-                if g[j]:
-                    out[i + j] += x * g[j]
+            for j, y in enumerate(g[:top + 1 - i], i):
+                if y:
+                    out[j] += x * y
     return out
 
 
@@ -185,6 +198,21 @@ MAX_DEPTH = 20  # 2714 states; each dense float matrix then takes about 59 MB
 
 
 @per_point
+def _up_level(w: int, q: Fraction, t: Fraction) -> tuple:
+    """The read-only (partitions_of(w), partitions_of(w - 1)) blocks of U and
+    U', psi and phi of each one-box edge."""
+    import numpy as np
+
+    index = {lam: i for i, lam in enumerate(partitions_of(w))}
+    block = np.zeros((2, len(index), len(partitions_of(w - 1))))
+    for j, nu in enumerate(partitions_of(w - 1)):
+        for lam in add_one_box(nu):  # psi and phi, each rounded once
+            block[:, index[lam], j] = macdonald.pieri(lam, nu, q, t)
+    block.setflags(write=False)  # a memo value: shared, never mutated
+    return block[0], block[1]
+
+
+@per_point
 def pieri_up_matrices(depth: int, q: Fraction, t: Fraction) -> tuple:
     """One-box Pieri up-matrices (U, U') over ``partitions_up_to(depth)``, as
     tuples of their read-only blocks between consecutive weight levels.
@@ -193,22 +221,10 @@ def pieri_up_matrices(depth: int, q: Fraction, t: Fraction) -> tuple:
     plus one box, and 0 otherwise.  Both raise the weight by exactly one, so
     they are nilpotent on the truncated space and their other entries vanish:
     block w - 1 of each tuple, for w = 1..depth, is the (partitions_of(w),
-    partitions_of(w - 1)) block.
+    partitions_of(w - 1)) block, memoised per level for every depth.
     """
-    import numpy as np
-
-    up, up_dual = [], []
-    for w in range(1, depth + 1):
-        index = {lam: i for i, lam in enumerate(partitions_of(w))}
-        block = np.zeros((2, len(index), len(partitions_of(w - 1))))
-        for j, nu in enumerate(partitions_of(w - 1)):
-            for lam in add_one_box(nu):
-                psi, phi = macdonald.pieri(lam, nu, q, t)
-                block[:, index[lam], j] = float(psi), float(phi)
-        block.setflags(write=False)  # a memo value: shared, never mutated
-        up.append(block[0])
-        up_dual.append(block[1])
-    return tuple(up), tuple(up_dual)
+    levels = [_up_level(w, q, t) for w in range(1, depth + 1)]
+    return tuple(up for up, _ in levels), tuple(dual for _, dual in levels)
 
 
 def _half_vertex(up, sizes, xi: float):
@@ -324,7 +340,7 @@ def spot_check_float_entries(tm: TransferMatrix, q: Fraction, t: Fraction,
         row = _level_entries(uf, [lam], mus, weight(lam) + max(map(weight, mus)),
                              q, t).get(lam, {})
         for j, mu in zip(js, mus):
-            num, den = _at_gamma(row.get(mu, ()), gf)
+            num, den = _at_gamma(row.get(mu, _NO_ENTRY), gf)
             exact[i, j] = pref * (num / den)  # rounded once, as float(num/den)
     for i, j in pairs:
         expect, got = exact[i, j], tm.entries[i, j]
@@ -353,33 +369,40 @@ def semigroup_defect(gamma, u, v, depth: int, q, t, reserve: int = 4,
         raise ValueError("semigroup_defect is exact only")
     pows = _gamma_powers(gamma, ring)
     top = len(pows) - 1
-    uf, vf = Fraction(u), Fraction(v)
-    states = partitions_up_to(depth)
-    small = [lam for lam in states if weight(lam) <= depth - reserve]
+    uf, vf, safe = Fraction(u), Fraction(v), depth - reserve
     # T_{lam,kap}(u) T_{kap,mu}(v) has gamma degree at least
     # ||lam| - |kap|| + ||kap| - |mu||, which exceeds top on the safe
     # block once 2 |kap| > top + depth - reserve
-    mid = [kap for kap in states if weight(kap) <= (top + depth - reserve) // 2]
+    levels = [partitions_of(w) for w in range((top + safe) // 2 + 1)]
+    mid, small = [kap for level in levels for kap in level], partitions_up_to(safe)
     tu = _level_entries(uf, small, mid, top, q, t)
     tv = _level_entries(vf, mid, small, top, q, t)
-    tuv = _level_entries(uf * vf, small, small, top, q, t)
-    left = _poly_mul(_prefactor(uf, q, t, top), _prefactor(vf, q, t, top), top)
-    right = _prefactor(uf * vf, q, t, top)
-    zero = [0] * (top + 1)
-    for lam in small:
-        for mu in small:
-            if weight(lam) + weight(mu) > depth - reserve:
-                continue
-            acc = [0] * (top + 1)
-            for kap, a in tu.get(lam, {}).items():
-                b = tv.get(kap, {}).get(mu)
-                if b is not None:
-                    _poly_mul(a, b, top, acc)
-            diff = [x - y for x, y in zip(
-                _poly_mul(left, acc, top),
-                _poly_mul(right, tuv.get(lam, {}).get(mu, zero), top))]
+    rows = {lam: _by_level(tu.get(lam, {}).get, levels, top) for lam in small}
+    cols = {mu: _by_level(lambda kap: tv.get(kap, {}).get(mu), levels, top) for mu in small}
+    (pu, du), (pv, dv), (right, dr) = (_prefactor(x, q, t, top) for x in (uf, vf, uf * vf))
+    left, dl = _poly_mul(pu, pv, top), du * dv
+    for wl in range(safe + 1):
+        block = partitions_up_to(safe - wl)
+        tuv = _level_entries(uf * vf, partitions_of(wl), block, top, q, t)
+        for lam, mu in product(partitions_of(wl), block):
+            parts = []  # per level of kap: (den, the sum of T(u) T(v) over it)
+            for w, (da, a) in rows[lam].items():
+                if w in cols[mu]:
+                    db, b = cols[mu][w]
+                    part = [0] * (top + 1)
+                    for (i, x), (j, y) in product(a.items(), b.items()):
+                        if i + j <= top:
+                            part[i + j] += sum(map(mul, x, y))
+                    parts.append((da * db, part))
+            den = lcm(*(d for d, _ in parts))
+            acc = [sum(p[j] * (den // d) for d, p in parts) for j in range(top + 1)]
+            c, dc = tuv.get(lam, {}).get(mu, _NO_ENTRY)
+            # T(u) T(v) - T(uv) = (x - y) / (dl den dr dc)
+            diff = [x * (dr * dc) - y * (dl * den) for x, y in zip(
+                _poly_mul(left, acc, top), _poly_mul(right, c, top))]
             if any(diff):
-                return lam, mu, series.linear_combination(ring, zip(diff, pows))
+                return lam, mu, series.linear_combination(
+                    ring, ((Fraction(x, dl * den * dr * dc), g) for x, g in zip(diff, pows)))
     return Fraction(0)
 
 
@@ -431,7 +454,9 @@ class TrajectorySpec:
 
 def _inverse_cdf(cum, xs):
     """For each x, the first i with x < cum[i], strictly, else the last i."""
-    return cum.searchsorted(xs, side="right").clip(max=len(cum) - 1)
+    import numpy as np
+
+    return np.minimum(cum.searchsorted(xs, side="right"), len(cum) - 1)
 
 
 class Cycle:
@@ -493,8 +518,11 @@ def _draw_blocks(spec: TrajectorySpec, cycle: Cycle):
             # one stable sort groups the samples; a group starts where the key changes
             keys = idx[:, step - 1] * n + idx[:, 0]
             order = np.argsort(keys, kind="stable")
-            starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-            for key, at in zip(keys[order[starts]].tolist(), np.split(order, starts[1:])):
+            keys, x = keys[order], xs[order, step]
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            drawn = np.empty(len(order), int)
+            ends = [*starts[1:].tolist(), len(order)]
+            for key, a, b in zip(keys[starts].tolist(), starts.tolist(), ends):
                 cum = rows.get((step, key))
                 if cum is None:
                     prev, i0 = divmod(key, n)
@@ -505,7 +533,8 @@ def _draw_blocks(spec: TrajectorySpec, cycle: Cycle):
                     cum = np.cumsum(w / s)
                     if len(rows) < MEMO_BYTES // (8 * n):
                         rows[step, key] = cum
-                idx[at, step] = _inverse_cdf(cum, xs[at, step])
+                drawn[a:b] = cum.searchsorted(x[a:b], side="right")
+            idx[order, step] = np.minimum(drawn, n - 1)  # _inverse_cdf of each group
         yield idx
 
 
@@ -570,7 +599,7 @@ def transfer_cycle_weight(lams, gamma: Fraction, u_list, q: Fraction,
     total = Fraction(1)
     for lam, mu, u in zip(lams, [*lams[1:], *lams[:1]], u_list):
         row = _level_entries(u, [lam], [mu], weight(lam) + weight(mu), q, t)
-        total *= Fraction(*_at_gamma(row.get(lam, {}).get(mu, ()), Fraction(gamma)))
+        total *= Fraction(*_at_gamma(row.get(lam, {}).get(mu, _NO_ENTRY), Fraction(gamma)))
     return total
 
 

@@ -3,10 +3,10 @@
 Everything the engine memoises at one point lives here: the mode ratios
 (1 - q^n)/(1 - t^n), z_lambda(q,t), the Gram-Schmidt P tables with their
 norms, the Q rows derived from them, the p-basis rows of both, Pieri edges
-and arm/leg ratios, skew coefficients, observables, free-field columns, and
-the Plancherel path rows and float Pieri up-matrices.  (The products p_nu(X)
-of a specialization do not depend on the point; the Specialization keeps
-them.)
+and their integer arm/leg factors, skew coefficients, observables, free-field
+columns, the Plancherel path rows and the float up-matrices per level.
+(The products p_nu(X) of a specialization do not depend on the point; the
+Specialization keeps them.)
 The store keeps the last MAX_POINTS points used; when a new point comes in,
 the least recently used one is dropped whole.
 

@@ -34,6 +34,44 @@ def remove_one_box(lam: tuple):
     return out
 
 
+def arm_leg(lam: tuple, cell) -> tuple:
+    """Arm and leg lengths of a cell (i, j) inside lam, rows and columns
+    counted from 1."""
+    i, j = cell
+    if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
+        raise ValueError(f"cell {cell} outside diagram of {lam}")
+    return lam[i - 1] - j, sum(1 for p in lam if p >= j) - i
+
+
+def fraction_pieri(lam: tuple, mu: tuple, q, t) -> tuple:
+    """(psi, phi) of the horizontal strip lam/mu one Fraction ratio at a
+    time (Macdonald VI (6.24)): psi multiplies b_mu(s) / b_lam(s) over the
+    cells s of the strip's rows outside its columns, phi b_lam(s) / b_mu(s)
+    over the cells of its columns, where b_nu(s) = (1 - q^a t^(l+1)) /
+    (1 - q^(a+1) t^l) for the arm a and leg l of s in nu, and 1 off nu.  A
+    pole of any ratio it reads is a ZeroDivisionError.  The reference for
+    the integer product of ``macdonald.pieri``."""
+    q, t = Fraction(q), Fraction(t)
+
+    def b(nu, cell):
+        i, j = cell
+        if not (i <= len(nu) and j <= nu[i - 1]):
+            return Fraction(1)
+        a, l = arm_leg(nu, cell)
+        return (1 - q**a * t ** (l + 1)) / (1 - q ** (a + 1) * t**l)
+
+    cells = [(i, j) for i, p in enumerate(lam, 1) for j in range(1, p + 1)]
+    strip = [(i, j) for i, j in cells if not (i <= len(mu) and j <= mu[i - 1])]
+    rows, cols = {i for i, _ in strip}, {j for _, j in strip}
+    psi = phi = Fraction(1)
+    for s in cells:
+        if s[0] in rows and s[1] not in cols:
+            psi *= b(mu, s) / b(lam, s)
+        if s[1] in cols:
+            phi *= b(lam, s) / b(mu, s)
+    return psi, phi
+
+
 def skew_single_alpha(kind: str, lam: tuple, mu: tuple, q, t) -> Fraction:
     """Coefficient of a^{|lam|-|mu|} in the one-variable skew value.
 

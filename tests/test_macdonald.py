@@ -43,7 +43,7 @@ from permac.partitions import (
     weight,
     z_qt,
 )
-from oracles import fraction_m_dict_to_p, fraction_m_gram, skew_single_alpha
+from oracles import fraction_m_dict_to_p, fraction_m_gram, fraction_pieri, skew_single_alpha
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing
 
@@ -336,6 +336,35 @@ def test_pieri_examples():
     assert psi2 == 1 and phi2 == 1
 
 
+def test_pieri_equals_the_fraction_b_ratio_oracle(fresh_memos):
+    # the integer product equals the product of Fraction arm/leg ratios on
+    # every strip with |lam| <= 8, at q = 0, t = 0, q > 1 and q < 0 too
+    strips = [(lam, mu) for lam in partitions_up_to(8)
+              for mu in partitions_up_to(weight(lam)) if horizontal_strip(lam, mu)]
+    points = [(Q0, T0), (Fraction(43, 97), Fraction(59, 89)), (Fraction(0), Fraction(1, 3)),
+              (Fraction(2, 7), Fraction(0)), (Fraction(5, 2), Fraction(1, 3)),
+              (Fraction(-2, 3), Fraction(3, 7)), (Fraction(3), Fraction(-1, 2))]
+    for q, t in points:
+        for lam, mu in strips:
+            got = pieri(lam, mu, q, t)
+            assert got == fraction_pieri(lam, mu, q, t), (lam, mu, q, t)
+            assert all(type(x) is Fraction for x in got)
+    # at a pole both raise ZeroDivisionError on the same strips
+    q, t = Fraction(1, 2), Fraction(2)
+    with pytest.raises(ZeroDivisionError):
+        pieri((2,), (1,), q, t)
+    with pytest.raises(ZeroDivisionError):
+        fraction_pieri((2,), (1,), q, t)
+    for lam, mu in strips:
+        try:
+            want = fraction_pieri(lam, mu, q, t)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                pieri(lam, mu, q, t)
+        else:
+            assert pieri(lam, mu, q, t) == want, (lam, mu)
+
+
 def test_pieri_rules_against_tables():
     # P_mu g_r = sum phi_{lam/mu} P_lam and Q_mu g_r = sum psi Q_lam in the
     # m/p bases, for |mu| <= 4 (within the enumeration budget) and r <= 3
@@ -405,6 +434,15 @@ def test_hall_littlewood_limit_of_E1():
         got = observable("E", 1, lam, Fraction(0), t)
         expect = t ** -(conjugate(lam)[0] if lam else 0) / (1 - 1 / t)
         assert got == expect
+
+
+def test_power_product_of_the_empty_partition_is_a_value_error():
+    # p_() is not a memoised product: it used to recurse on nu[-1:] == ()
+    # until RecursionError
+    spec = alpha_spec([("a", 1)], SeriesRing(["a"], 4))
+    with pytest.raises(ValueError, match="nonempty"):
+        spec.power_product(())
+    assert spec.power_product((2, 1)) == spec.power_product((2,)) * spec.power_product((1,))
 
 
 def test_skew_eval_trivial_and_single_box():

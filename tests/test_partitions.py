@@ -1,7 +1,6 @@
-from oracles import horizontal_strip_by_columns, remove_one_box
+from oracles import arm_leg, horizontal_strip_by_columns, remove_one_box
 from permac.partitions import (
     add_one_box,
-    arm_leg,
     conjugate,
     dominance_leq,
     horizontal_strip,

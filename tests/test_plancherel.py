@@ -20,14 +20,15 @@ from permac.plancherel import (
     MIN_CYCLE_MASS,
     Cycle,
     TrajectorySpec,
+    _NO_ENTRY,
     _at_gamma,
     _gamma_powers,
     _inverse_cdf,
     _level_entries,
     _poly_mul,
     _prefactor,
+    _top_rows,
     chi_square_sf,
-    dims,
     dropped_mass,
     marginal_chi_square,
     pieri_up_matrices,
@@ -53,6 +54,16 @@ def syt_count(lam):
     if not lam:
         return 1
     return sum(syt_count(mu) for mu in remove_one_box(lam))
+
+
+def dims(kind, mu, lam, q, t):
+    """Path sums in the Young graph from mu up to lam: psi products ("dim")
+    or phi products ("dim'"), read from the top-down rows of lam."""
+    w = weight(mu)
+    if w > weight(lam):
+        return Fraction(0)
+    den, nums = _top_rows(int(kind == "dim'"), lam, q, t)[w]
+    return Fraction(nums[partitions_of(w).index(mu)], den)
 
 
 def test_dims_examples():
@@ -146,14 +157,22 @@ def test_dims_equal_the_pairwise_recursion(q, t):
                     (kind, mu, lam)
 
 
+def _coefficients(entry, top):
+    """The gamma coefficients nums[j] / den of an integer entry (nums, den),
+    padded with zeros to gamma^top."""
+    nums, den = entry
+    return [Fraction(c, den) for c in nums] + [0] * (top + 1 - len(nums))
+
+
 def _exact_entries(u, q, t, ring, rows, cols):
     """Nonzero entries of T(u) on rows x cols as series in the formal gamma
     of ``ring``, from the level entries that semigroup_defect reads."""
     pows = _gamma_powers(ring.gen("g"), ring)
     top = len(pows) - 1
-    pref = _prefactor(u, q, t, top)
+    pref = _coefficients(_prefactor(u, q, t, top), top)
     raw = _level_entries(u, rows, cols, top, q, t)
-    return {(lam, mu): series.linear_combination(ring, zip(_poly_mul(pref, c, top), pows))
+    return {(lam, mu): series.linear_combination(
+                ring, zip(_poly_mul(pref, _coefficients(c, top), top), pows))
             for lam, row in raw.items() for mu, c in row.items()}
 
 
@@ -183,7 +202,8 @@ def test_exact_entries_equal_the_nu_sum_oracle(q, t, u):
             want = [0] * (top + 1)
             for k, c in coeffs[lam, mu].items():
                 want[k] = c * (1 - u) ** k
-            assert raw.get(lam, {}).get(mu, [0] * (top + 1)) == want, (lam, mu)
+            assert _coefficients(raw.get(lam, {}).get(mu, _NO_ENTRY), top) == want, \
+                (lam, mu)
     if not u:
         return  # the series form and its prefactor are checked at u = 3/7
     # and as series with the prefactor: every entry of weight <= 6 in a ring
@@ -302,6 +322,21 @@ def test_pieri_up_matrices_are_memoised_read_only(monkeypatch, fresh_memos):
         for block in blocks:
             with pytest.raises(ValueError, match="read-only"):
                 block[0, 0] = 1.0
+
+
+def test_pieri_up_matrices_share_their_levels_across_depths(monkeypatch, fresh_memos):
+    # depth 10 reads depth 8's level blocks, the same read-only objects, and
+    # asks for Pieri edges only on levels 9 and 10
+    up8 = pieri_up_matrices(8, Q0, T0)
+    calls = []
+    pieri = macdonald.pieri
+    monkeypatch.setattr(macdonald, "pieri", lambda *a: calls.append(a) or pieri(*a))
+    up10 = pieri_up_matrices(10, Q0, T0)
+    for short, long in zip(up8, up10):
+        assert len(short) == 8 and len(long) == 10
+        assert all(a is b for a, b in zip(short, long))
+        assert not any(b.flags.writeable for b in long)
+    assert calls and {weight(lam) for lam, _, _, _ in calls} == {9, 10}
 
 
 def test_pieri_up_matrices_add_one_box_and_are_nilpotent():
@@ -558,10 +593,10 @@ def test_transfer_cycle_weight_needs_one_decay_per_state(lams, u_list):
 def test_at_gamma_is_the_exact_polynomial_value():
     coeffs = [Fraction(3, 4), 0, Fraction(-5, 6), Fraction(7, 9), 0]
     gamma = Fraction(-2, 3)
-    num, den = _at_gamma(coeffs, gamma)
+    num, den = _at_gamma(([27, 0, -30, 28, 0], 36), gamma)  # coeffs over 36
     assert Fraction(num, den) == sum(c * gamma ** j for j, c in enumerate(coeffs))
-    assert den == 36 * 3 ** 4  # the lcm of the denominators times r^top
-    assert Fraction(*_at_gamma((), gamma)) == 0
+    assert den == 36 * 3 ** 4  # the entry's denominator times r^top
+    assert Fraction(*_at_gamma(_NO_ENTRY, gamma)) == 0
 
 
 def _tuples_up_to(n, maxwt):

@@ -38,7 +38,6 @@ GOLDEN_VERIFY = os.path.join(ROOT, "tests", "golden", "verify-all.json")
 CONFIG = "run only under --config, or for a missing required flag"
 WARM_CACHE = "reads a table from a warm disk cache"
 BENCHMARK = "perfbench's workloads and spans call it"
-PATH_ROWS = "the tests' reader of the top-down Plancherel path rows"
 QRHO = "the Q[rho] scalars, which no computed value uses (ROADMAP items 5, 10)"
 ITEM_2 = "multi-time Plancherel moments (ROADMAP item 2)"
 ITEM_3 = "shift-mixed processes beyond one step (ROADMAP item 3)"
@@ -56,7 +55,6 @@ UNREACHED = {
     "macdonald.p_dict_to_m": BENCHMARK,
     "macdonald.m_to_p": FRACTION_ROWS,
     "series.TruncSeries.log": BENCHMARK,
-    "plancherel.dims": PATH_ROWS,
     "scalars.QRho": QRHO,
     "plancherel.transfer_cycle_weight": ITEM_2,
     "process.time_grid_process": ITEM_2,
