@@ -519,10 +519,9 @@ def _draw_blocks(spec: TrajectorySpec, cycle: Cycle):
             keys = idx[:, step - 1] * n + idx[:, 0]
             order = np.argsort(keys, kind="stable")
             keys, x = keys[order], xs[order, step]
-            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            bounds = [*np.flatnonzero(np.diff(keys, prepend=-1)).tolist(), len(order)]
             drawn = np.empty(len(order), int)
-            ends = [*starts[1:].tolist(), len(order)]
-            for key, a, b in zip(keys[starts].tolist(), starts.tolist(), ends):
+            for key, a, b in zip(keys[bounds[:-1]].tolist(), bounds, bounds[1:]):
                 cum = rows.get((step, key))
                 if cum is None:
                     prev, i0 = divmod(key, n)
