@@ -11,9 +11,11 @@ The module also hosts vertex operators V(gamma) = exp(sum gamma_{-n} a_{-n}/n)
 exp(sum gamma_n a_n / n), their normal-ordered products and traces, the
 free-field realizations of the four diagonal operator families, and the
 charged extension with its bosonized fermion fields.  One exponential,
-``half_vertex_apply``, expands either half of a vertex operator, and every
-operator application (the free-field families and the fermion fields
-included) builds a ``VertexSpec`` and goes through ``vertex_apply``.  The
+``half_vertex_apply``, expands either half of a vertex operator in closed
+multiset form; ``vertex_apply`` (the brute-force traces, the fermion
+fields) runs its two halves in normal order.  The free-field families run
+it once per z-variable on rational Fock vectors grouped by z-exponent and
+take the constant term by lookup in the Cauchy pair factors.  The
 table of the four families (``operator_family``) and the eta/xi exponent
 coefficients live here once.  So does ``contraction``, the one pairing of
 two sets of vertex modes, and ``wick_exponent``, the one wrap rule of the
@@ -25,16 +27,17 @@ share no code with the Heisenberg modes of the brute-force traces.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, groupby
+from math import comb, factorial
 
 from .laurent import (
     LaurentPoly,
     cauchy_sym_prefactor,
     laurent_exp,
-    product_coefficient,
-    ratio_sym_factor,
+    ratio_sym_coefficients,
 )
 from .macdonald import FREE_FIELD_FAMILIES  # noqa: F401 (re-exported: operator_family's names)
-from .partitions import multiplicity, weight
+from .partitions import weight
 from .point import per_point, qt_ratio
 from .scalars import random_qt_pair
 from .series import (
@@ -69,29 +72,6 @@ def fock_scale(v: dict, c) -> dict:
         b = a * c
         if b:
             out[lam] = b
-    return out
-
-
-def heisenberg_apply(n: int, v: dict, q: Fraction, t: Fraction) -> dict:
-    """Action of the mode a_n (n != 0) on a Fock vector."""
-    if n == 0:
-        raise ValueError("mode index must be nonzero")
-    out = {}
-    if n < 0:
-        k = -n
-        for lam, c in v.items():
-            accumulate(out, tuple(sorted(lam + (k,), reverse=True)), c)
-        return out
-    # positive mode: remove one part equal to n per occurrence, with the
-    # commutator weight n (1-q^n)/(1-t^n)
-    comm = n * qt_ratio(n, q, t)
-    for lam, c in v.items():
-        m = multiplicity(lam, n)
-        if m == 0:
-            continue
-        ls = list(lam)
-        ls.remove(n)
-        accumulate(out, tuple(ls), c * (comm * m))
     return out
 
 
@@ -132,42 +112,76 @@ def z_vertex_spec(zvars, ring, zvar: str, coeffs: dict) -> VertexSpec:
 
 def half_vertex_apply(modes: dict, v: dict, q, t, sign: int,
                       degree_cap: int = None) -> dict:
-    """exp(sum_n modes[n] a_{sign n} / n) v for sign = +1 or -1.
+    """exp(sum_n modes[n] a_{sign n} / n) v for sign = +1 or -1, in closed form.
 
-    The lowering half (sign +1) terminates because degrees drop; the raising
-    half (sign -1) drops grades above ``degree_cap``.  Layer k of the
-    exponential is the previous layer hit by sum_n modes[n] a_{sign n}/(n k).
+    On power sums a_{-n} multiplies by p_n and a_n acts as
+    n (1-q^n)/(1-t^n) d/dp_n.  So the lowering half (sign +1) shifts each
+    p_n by g_n (1-q^n)/(1-t^n), g = modes, and sends |lam> to
+    sum_j prod_n C(m_n(lam), j_n) (g_n (1-q^n)/(1-t^n))^{j_n} |lam - j>;
+    the raising half (sign -1) multiplies by prod_n exp(g_n p_n / n) and
+    sends |lam> to sum_kappa prod_n (g_n/n)^{m_n(kappa)} / m_n(kappa)!
+    |lam + kappa>, over the kappa with |lam| + |kappa| <= ``degree_cap``.
     """
     if sign == -1 and degree_cap is None:
         raise ValueError("the raising half of a vertex operator needs a degree cap")
-    total = dict(v)
-    layer = v
-    k = 1
-    while layer:
-        nxt: dict = {}
-        for n, g in modes.items():
-            gk = g * Fraction(1, n * k)
-            for lam, c in heisenberg_apply(sign * n, layer, q, t).items():
-                if degree_cap is None or weight(lam) <= degree_cap:
-                    accumulate(nxt, lam, c * gk)
-        for lam, c in nxt.items():
-            accumulate(total, lam, c)
-        layer = nxt
-        k += 1
-    return total
+    modes = {n: g for n, g in modes.items() if g}
+    out: dict = {}
+    if sign == 1:
+        shifts: dict = {}  # (n, m) -> [1, C(m, j) (g_n (1-q^n)/(1-t^n))^j for j = 1..m]
+        for lam, c in v.items():
+            terms = [((), c)]  # (the parts of lam - j so far, coefficient)
+            for n, run in groupby(lam):
+                m = len(list(run))
+                if n in modes and (n, m) not in shifts:
+                    shifts[n, m] = [1] + [p * comb(m, j) for j, p in enumerate(
+                        _powers(modes[n] * qt_ratio(n, q, t), m), 1)]
+                fs = shifts.get((n, m), [1])
+                terms = [(head + (n,) * (m - j), a * f if j else a)
+                         for head, a in terms for j, f in enumerate(fs)]
+            for mu, a in terms:
+                accumulate(out, mu, a)
+        return out
+    budget = max([degree_cap - weight(lam) for lam in v] + [0])
+    kappas = [((), 0, None)]  # (kappa, |kappa|, prod_n (g_n/n)^k_n / k_n!)
+    for n in sorted(modes, reverse=True):
+        pw = [p * Fraction(1, factorial(k)) for k, p in
+              enumerate(_powers(modes[n] * Fraction(1, n), budget // n), 1)]
+        grown = []
+        for kappa, w, b in kappas:
+            grown.append((kappa, w, b))
+            for k, f in enumerate(pw[:(budget - w) // n], 1):
+                grown.append((kappa + (n,) * k, w + n * k, f if b is None else b * f))
+        kappas = grown
+    for lam, c in v.items():
+        accumulate(out, lam, c)  # the empty kappa keeps even a ket above the cap
+        room = degree_cap - weight(lam)
+        for kappa, w, b in kappas[1:]:
+            if w <= room:
+                accumulate(out, tuple(sorted(lam + kappa, reverse=True)), c * b)
+    return out
+
+
+def _powers(w, k: int) -> list:
+    """[w, w^2, ..., w^k] in w's own arithmetic."""
+    out = []
+    for _ in range(k):
+        out.append(w if not out else out[-1] * w)
+    return out
 
 
 def vertex_apply(spec: VertexSpec, v: dict, q, t, degree_cap: int) -> dict:
-    """V(gamma) v truncated to grades <= degree_cap.
+    """V(gamma) v truncated to grades <= degree_cap, largest partition first.
 
     When composing several vertex operators the cap must leave headroom for
     excursions above the target grade: with coefficients graded so that
     raising by k costs series degree k, a cap of (max grade of v) + (ring
     cutoff) is lossless, because anything higher carries a dead coefficient.
+    The image is sorted, as the free-field columns are.
     """
     lowered = half_vertex_apply(spec.plus, v, q, t, sign=1)
-    return half_vertex_apply(spec.minus, lowered, q, t, sign=-1,
-                             degree_cap=degree_cap)
+    return dict(sorted(half_vertex_apply(spec.minus, lowered, q, t, sign=-1,
+                                         degree_cap=degree_cap).items(),
+                       reverse=True))
 
 
 def gamma_spec(spec, q, t, nmax: int, sign: str) -> VertexSpec:
@@ -348,10 +362,11 @@ def free_field_apply(family: str, r: int, v: dict, q: Fraction, t: Fraction) -> 
     each column memoised per (family, r, lam, q, t).  In a column the Cauchy
     determinant det(1/(z_i - c z_j)) is replaced by its symmetrized product
     form before expansion, so the ill-defined diagonal entries never appear;
-    the constant term in all z variables is then extracted exactly.  The
-    modes stop at the ket's weight g and the pair factors at ratio power
-    r g + 2, both lossless for a weight-g ket.  At r = 0 the operator is
-    the identity; a negative r is a ValueError.
+    the constant term pairs the Fock vector of each z^e in the current image
+    with the coefficient of z^-e in the pair factors, exactly.  The modes
+    stop at the ket's weight g and the pair factors at ratio power g, both
+    lossless for a weight-g ket.  At r = 0 the operator is the identity; a
+    negative r is a ValueError.
     """
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
@@ -365,31 +380,64 @@ def free_field_apply(family: str, r: int, v: dict, q: Fraction, t: Fraction) -> 
 @per_point
 def _free_field_column(family: str, r: int, lam: tuple, q: Fraction,
                        t: Fraction) -> dict:
-    """The image of the basis ket lam, shared and never mutated; per point
-    the memo holds one column per (family, r) and ket applied."""
-    ring = SeriesRing([], 0)
+    """The image of the basis ket lam, largest partition first, shared and
+    never mutated; per point the memo holds one column per (family, r) and
+    ket applied."""
     kind, c, c0, _ = operator_family(family, q, t)
     prefactor = c0**r * cauchy_sym_prefactor(c, r)
-    zvars = tuple(f"z{i}" for i in range(1, r + 1))
-    g = weight(lam)
-    clip = r * g + 2
-
-    coeffs = eta_xi_exponent(kind, q, t, g)
-    spec = VertexSpec({}, {})
-    for z in zvars:
-        spec = spec.merge(z_vertex_spec(zvars, ring, z, coeffs))
-    sym_factors = [ratio_sym_factor(zvars, ring, i, j, c, clip)
-                   for i in range(r) for j in range(i + 1, r)]
-
+    table = _cauchy_table(c, r, weight(lam), q, t)
     out: dict = {}
-    start = {lam: LaurentPoly.constant(zvars, ring.one())}
-    for mu, lp in vertex_apply(spec, start, q, t, g).items():
-        if weight(mu) != g:
-            continue  # z balance forces degree preservation
-        val = product_coefficient(sym_factors + [lp], (0,) * r)
-        if val:
-            out[mu] = val.constant_term() * prefactor
-    return out
+    for e, vec in _current_image(kind, r, lam, q, t).items():
+        s = table.get(tuple(-x for x in e))
+        if s:
+            for mu, a in vec.items():
+                accumulate(out, mu, a * s)
+    return {mu: val * prefactor for mu, val in sorted(out.items(), reverse=True)}
+
+
+@per_point
+def _current_image(kind: str, r: int, lam: tuple, q: Fraction, t: Fraction) -> dict:
+    """e -> the Fock vector of z^e in :X(z_1) ... X(z_r): |lam>, X the eta or
+    xi current (so E and G share one image, and E' and G' another).
+
+    All lowering halves run first, then the raising halves capped at |lam|,
+    one z-variable at a time on the rational ``eta_xi_exponent`` modes; e_i
+    is the weight change of z_i's halves.  Raising z_i fixes e_1..e_i, and a
+    positive prefix sum e_1 + ... + e_i is dropped: every pair-factor term
+    has nonnegative prefix sums, so none cancels it.  Only sum(e) = 0 stays.
+    """
+    g = weight(lam)
+    coeffs = eta_xi_exponent(kind, q, t, g)
+    halves = ([(1, {n: down for n, (_, down) in coeffs.items()}, None)] * r
+              + [(-1, {n: up for n, (up, _) in coeffs.items()}, g)] * r)
+    groups = {(0,) * r: {lam: Fraction(1)}}
+    for step, (sign, modes, cap) in enumerate(halves):
+        i = step % r
+        nxt: dict = {}
+        for e, vec in groups.items():
+            base = g + sum(e)  # the weight of every ket in the group
+            for mu, a in half_vertex_apply(modes, vec, q, t, sign, cap).items():
+                f = e[:i] + (e[i] + weight(mu) - base,) + e[i + 1:]
+                if sign == 1 or sum(f[:i + 1]) <= 0:
+                    accumulate(nxt.setdefault(f, {}), mu, a)
+        groups = nxt
+    return {e: vec for e, vec in groups.items() if vec and not sum(e)}
+
+
+@per_point
+def _cauchy_table(c: Fraction, r: int, cut: int, q: Fraction, t: Fraction) -> dict:
+    """z-exponent vector -> coefficient in prod_{i<j} of the pair factor
+    (1 - z_i/z_j)/(1 - c z_i/z_j) cut at ratio power ``cut``."""
+    coeffs = ratio_sym_coefficients(c, cut)
+    table = {(0,) * r: Fraction(1)}
+    for i, j in combinations(range(r), 2):
+        nxt: dict = {}
+        for f, a in table.items():
+            for k, b in enumerate(coeffs):
+                accumulate(nxt, f[:i] + (f[i] + k,) + f[i + 1:j] + (f[j] - k,) + f[j + 1:],
+                           a * b)
+        table = nxt
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -306,18 +306,24 @@ def ratio_sym_factor(zvars, ring, i: int, j: int, c, clip: int) -> LaurentPoly:
     expansion direction is positive powers of z_i/z_j.
     """
     terms = {}
-    zero = [0] * len(zvars)
-    terms[tuple(zero)] = ring.one()
-    ck = 1
-    for k in range(1, clip + 1):
-        e = list(zero)
-        e[i] += k
-        e[j] -= k
-        coeff = ring.scalar((c - 1) * ck)  # c^k - c^(k-1)
+    for k, coeff in enumerate(ratio_sym_coefficients(c, clip)):
         if coeff:
-            terms[tuple(e)] = coeff
-        ck *= c
+            e = [0] * len(zvars)
+            e[i] += k
+            e[j] -= k
+            terms[tuple(e)] = ring.scalar(coeff)
     return LaurentPoly(tuple(zvars), ring, terms)
+
+
+def ratio_sym_coefficients(c, clip: int) -> list:
+    """[1, c - 1, (c - 1) c, ..., (c - 1) c^(clip-1)]: the coefficients of
+    (z_i/z_j)^k, k <= clip, in (1 - z_i/z_j)/(1 - c z_i/z_j)."""
+    out = [Fraction(1)]
+    ck = 1
+    for _ in range(clip):
+        out.append((c - 1) * ck)  # c^k - c^(k-1)
+        ck *= c
+    return out
 
 
 def cauchy_sym_prefactor(c, r: int):

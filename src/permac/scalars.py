@@ -19,8 +19,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x) -> str:
-    """Serialize a rational as "num/den" (or "num" when integral)."""
-    x = Fraction(x)
+    """Serialize a rational as "num/den" (or "num" when integral); a value
+    that is not exactly an int or a Fraction (a bool, a float) goes through
+    Fraction(x) first."""
+    if type(x) is int:
+        return str(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -6,11 +6,13 @@ from math import lcm
 from operator import mul
 
 from permac.cylindric import box_level
+from permac.fock import accumulate
 from permac.laurent import LaurentPoly
 from permac.macdonald import m_to_p, pieri
 from permac.partitions import (conjugate, contains, dominance_key, horizontal_strip,
-                               length, make_partition, part, partitions_of,
-                               partitions_up_to, weight, z_qt)
+                               length, make_partition, multiplicity, part,
+                               partitions_of, partitions_up_to, weight, z_qt)
+from permac.point import qt_ratio
 from permac.process import weight_W
 from permac.series import SeriesRing, TruncSeries
 
@@ -82,6 +84,57 @@ def skew_single_alpha(kind: str, lam: tuple, mu: tuple, q, t) -> Fraction:
         return Fraction(0)
     psi, phi = pieri(lam, mu, q, t)
     return psi if kind == "P" else phi
+
+
+def heisenberg_apply(n: int, v: dict, q: Fraction, t: Fraction) -> dict:
+    """Action of the mode a_n (n != 0) on a Fock vector."""
+    if n == 0:
+        raise ValueError("mode index must be nonzero")
+    out = {}
+    if n < 0:
+        k = -n
+        for lam, c in v.items():
+            accumulate(out, tuple(sorted(lam + (k,), reverse=True)), c)
+        return out
+    # positive mode: remove one part equal to n per occurrence, with the
+    # commutator weight n (1-q^n)/(1-t^n)
+    comm = n * qt_ratio(n, q, t)
+    for lam, c in v.items():
+        m = multiplicity(lam, n)
+        if m == 0:
+            continue
+        ls = list(lam)
+        ls.remove(n)
+        accumulate(out, tuple(ls), c * (comm * m))
+    return out
+
+
+def layered_half_vertex_apply(modes: dict, v: dict, q, t, sign: int,
+                              degree_cap: int = None) -> dict:
+    """exp(sum_n modes[n] a_{sign n} / n) v for sign = +1 or -1, layer by layer.
+
+    The lowering half (sign +1) terminates because degrees drop; the raising
+    half (sign -1) drops grades above ``degree_cap``.  Layer k of the
+    exponential is the previous layer hit by sum_n modes[n] a_{sign n}/(n k).
+    The oracle of the closed multiset form ``fock.half_vertex_apply``.
+    """
+    if sign == -1 and degree_cap is None:
+        raise ValueError("the raising half of a vertex operator needs a degree cap")
+    total = dict(v)
+    layer = v
+    k = 1
+    while layer:
+        nxt: dict = {}
+        for n, g in modes.items():
+            gk = g * Fraction(1, n * k)
+            for lam, c in heisenberg_apply(sign * n, layer, q, t).items():
+                if degree_cap is None or weight(lam) <= degree_cap:
+                    accumulate(nxt, lam, c * gk)
+        for lam, c in nxt.items():
+            accumulate(total, lam, c)
+        layer = nxt
+        k += 1
+    return total
 
 
 def marginal_weight(pspec, lams) -> TruncSeries:

@@ -1,11 +1,13 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permac import acceptance, fock, macdonald, partitions, point
+from oracles import heisenberg_apply, layered_half_vertex_apply
+from permac import acceptance, fock, laurent, macdonald, partitions, point
 from permac.fock import (
     FREE_FIELD_FAMILIES,
     VertexSpec,
@@ -17,7 +19,7 @@ from permac.fock import (
     fermion_pair_ope,
     free_field_apply,
     gamma_spec,
-    heisenberg_apply,
+    half_vertex_apply,
     operator_family,
     ope_reorder,
     trace_bruteforce,
@@ -99,6 +101,45 @@ def test_heisenberg_commutator():
                 else:
                     expect = {}
                 assert comm == expect
+
+
+MODE_POINTS = [(Q0, T0), (Fraction(5, 2), Fraction(7, 3)), (Fraction(-2, 3), Fraction(3, 4))]
+
+
+@st.composite
+def half_vertex_cases(draw):
+    """(modes, v, q, t, sign, cap) with rational, series or Laurent
+    coefficients; a raising half gets a random cap, a lowering half none."""
+    kind = draw(st.sampled_from(["rational", "series", "laurent"]))
+    ring = SeriesRing(["a"], draw(st.integers(0, 3)))
+    rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+    def coefficient(z: int):
+        c = draw(rational)
+        if kind == "rational":
+            return c
+        if kind == "series":
+            return ring.monomial(c, a=draw(st.integers(0, 2))) + draw(rational)
+        return (LaurentPoly.monomial(("z",), ring, c, {"z": z})
+                + LaurentPoly.monomial(("z",), ring, draw(rational), {}))
+
+    sign = draw(st.sampled_from([1, -1]))
+    modes = {n: coefficient(-sign * n)
+             for n in draw(st.sets(st.integers(1, 4), max_size=3))}
+    pool = partitions_up_to(5)
+    v = {lam: c for lam in draw(st.lists(st.sampled_from(pool), max_size=3))
+         if (c := coefficient(0))}  # a Fock vector stores no zero
+    q, t = draw(st.sampled_from(MODE_POINTS))
+    cap = draw(st.integers(0, 6)) if sign == -1 else None
+    return modes, v, q, t, sign, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=half_vertex_cases())
+def test_half_vertex_multiset_form_equals_the_layered_one(case):
+    modes, v, q, t, sign, cap = case
+    assert (half_vertex_apply(modes, v, q, t, sign, cap)
+            == layered_half_vertex_apply(modes, v, q, t, sign, cap))
 
 
 def test_vacuum_annihilation_and_vertex_plus():
@@ -392,6 +433,15 @@ def test_eigen_relations_all_families():
                     assert got == expect, (family, r, lam, q, t)
 
 
+def test_eigen_relations_all_families_at_r_three():
+    q, t = Fraction(43, 97), Fraction(59, 89)
+    for lam in partitions_up_to(4):
+        ket = macdonald_P_p(lam, q, t)
+        for family in FREE_FIELD_FAMILIES:
+            got = free_field_apply(family, 3, ket, q, t)
+            assert got == fock_scale(ket, eigenvalue(family, 3, lam, q, t)), (family, lam)
+
+
 def test_eigen_relation_E_weight_four():
     rng = random.Random(29)
     q, t = random_qt_pair(rng)
@@ -463,6 +513,67 @@ def test_free_field_columns_equal_whole_vector_oracle():
                     expect = _free_field_apply_whole_vector(family, r, v, q, t)
                     assert got == expect, (family, r, v)
                     assert repr(got) == repr(expect), (family, r, v)
+
+
+def test_column_cut_is_the_ket_weight():
+    # the pair factors are cut at ratio power |lam|: cuts |lam| + 1 to
+    # |lam| + 3 change no column, and the cut |lam| - 1 changes some
+    def column_at(family, r, lam, cut, q, t):
+        kind, c, c0, _ = operator_family(family, q, t)
+        table = fock._cauchy_table(c, r, cut, q, t)
+        out: dict = {}
+        for e, vec in fock._current_image(kind, r, lam, q, t).items():
+            for mu, a in vec.items():
+                accumulate(out, mu, a * table.get(tuple(-x for x in e), 0)
+                           * c0**r * cauchy_sym_prefactor(c, r))
+        return out
+
+    lowered = 0
+    for q, t in FREE_FIELD_POINTS:
+        for family in FREE_FIELD_FAMILIES:
+            for r in (1, 2, 3):
+                for lam in partitions_up_to(4 if r < 3 else 3):
+                    g = weight(lam)
+                    column = fock._free_field_column(family, r, lam, q, t)
+                    for cut in range(g, g + 4):
+                        assert column_at(family, r, lam, cut, q, t) == column
+                    if g and column_at(family, r, lam, g - 1, q, t) != column:
+                        lowered += 1
+    assert lowered
+
+
+def test_free_field_apply_builds_no_laurent_polynomial(monkeypatch, fresh_memos):
+    # the columns run on rational vectors: no LaurentPoly is built and no
+    # product_coefficient called, cold memos included
+    counts = {"laurent": 0, "product": 0}
+    init, product = LaurentPoly.__init__, laurent.product_coefficient
+
+    def counted_init(self, *args):
+        counts["laurent"] += 1
+        init(self, *args)
+
+    def counted_product(*args):
+        counts["product"] += 1
+        return product(*args)
+
+    monkeypatch.setattr(LaurentPoly, "__init__", counted_init)
+    for mod in list(sys.modules.values()):  # every permac module that imported it
+        if (getattr(mod, "__name__", "").startswith("permac")
+                and getattr(mod, "product_coefficient", None) is product):
+            monkeypatch.setattr(mod, "product_coefficient", counted_product)
+    q, t = Fraction(43, 97), Fraction(59, 89)
+    for family in FREE_FIELD_FAMILIES:
+        for r in (1, 2, 3):
+            for lam in partitions_up_to(3):
+                ket = macdonald_P_p(lam, q, t)
+                assert free_field_apply(family, r, ket, q, t) == fock_scale(
+                    ket, eigenvalue(family, r, lam, q, t))
+    assert counts == {"laurent": 0, "product": 0}
+    # the counters see the Laurent route of the oracle and of the moments
+    _free_field_apply_whole_vector("E", 2, {(1,): Fraction(1)}, q, t)
+    assert counts["laurent"]
+    laurent.product_coefficient([LaurentPoly.constant(("z",), SeriesRing([], 0).one())], (0,))
+    assert counts["product"] == 1
 
 
 def test_extended_E_columns_equal_whole_vector_oracle():

@@ -18,6 +18,14 @@ def test_parse_rational_inverts_format_rational(x):
     assert parse_rational(format_rational(x)) == x
 
 
+@given(x=st.fractions() | st.integers() | st.booleans()
+       | st.floats(allow_nan=False, allow_infinity=False))
+def test_format_rational_reads_every_type_as_its_fraction(x):
+    f = Fraction(x)
+    expect = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    assert format_rational(x) == expect
+
+
 def test_parse_partition_inverts_comma_join():
     lams = partitions_up_to(8)
     assert () in lams
