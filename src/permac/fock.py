@@ -179,9 +179,8 @@ def vertex_apply(spec: VertexSpec, v: dict, q, t, degree_cap: int) -> dict:
     The image is sorted, as the free-field columns are.
     """
     lowered = half_vertex_apply(spec.plus, v, q, t, sign=1)
-    return dict(sorted(half_vertex_apply(spec.minus, lowered, q, t, sign=-1,
-                                         degree_cap=degree_cap).items(),
-                       reverse=True))
+    raised = half_vertex_apply(spec.minus, lowered, q, t, sign=-1, degree_cap=degree_cap)
+    return dict(sorted(raised.items(), reverse=True))
 
 
 def gamma_spec(spec, q, t, nmax: int, sign: str) -> VertexSpec:
@@ -401,10 +400,11 @@ def _current_image(kind: str, r: int, lam: tuple, q: Fraction, t: Fraction) -> d
     xi current (so E and G share one image, and E' and G' another).
 
     All lowering halves run first, then the raising halves capped at |lam|,
-    one z-variable at a time on the rational ``eta_xi_exponent`` modes; e_i
-    is the weight change of z_i's halves.  Raising z_i fixes e_1..e_i, and a
-    positive prefix sum e_1 + ... + e_i is dropped: every pair-factor term
-    has nonnegative prefix sums, so none cancels it.  Only sum(e) = 0 stays.
+    one z-variable at a time on the rational ``eta_xi_exponent`` modes.  A
+    ket mu of a z_i half lands at e_i = |mu| - |lam| - (the other e_j), so
+    one call takes the groups that differ only in e_i.  Raising z_i fixes
+    e_1..e_i and drops a positive e_1 + ... + e_i, which no pair-factor term
+    cancels (their prefix sums are nonnegative).  Only sum(e) = 0 stays.
     """
     g = weight(lam)
     coeffs = eta_xi_exponent(kind, q, t, g)
@@ -413,15 +413,16 @@ def _current_image(kind: str, r: int, lam: tuple, q: Fraction, t: Fraction) -> d
     groups = {(0,) * r: {lam: Fraction(1)}}
     for step, (sign, modes, cap) in enumerate(halves):
         i = step % r
-        nxt: dict = {}
+        merged: dict = {}  # e without e_i -> the kets of those groups
         for e, vec in groups.items():
-            base = g + sum(e)  # the weight of every ket in the group
+            merged.setdefault(e[:i] + e[i + 1:], {}).update(vec)
+        groups = {}
+        for rest, vec in merged.items():
             for mu, a in half_vertex_apply(modes, vec, q, t, sign, cap).items():
-                f = e[:i] + (e[i] + weight(mu) - base,) + e[i + 1:]
+                f = rest[:i] + (weight(mu) - g - sum(rest),) + rest[i:]
                 if sign == 1 or sum(f[:i + 1]) <= 0:
-                    accumulate(nxt.setdefault(f, {}), mu, a)
-        groups = nxt
-    return {e: vec for e, vec in groups.items() if vec and not sum(e)}
+                    groups.setdefault(f, {})[mu] = a
+    return {e: vec for e, vec in groups.items() if not sum(e)}
 
 
 @per_point
@@ -434,8 +435,7 @@ def _cauchy_table(c: Fraction, r: int, cut: int, q: Fraction, t: Fraction) -> di
         nxt: dict = {}
         for f, a in table.items():
             for k, b in enumerate(coeffs):
-                accumulate(nxt, f[:i] + (f[i] + k,) + f[i + 1:j] + (f[j] - k,) + f[j + 1:],
-                           a * b)
+                accumulate(nxt, f[:i] + (f[i] + k,) + f[i + 1:j] + (f[j] - k,) + f[j + 1:], a * b)
         table = nxt
     return table
 
