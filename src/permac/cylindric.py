@@ -5,20 +5,25 @@ sequence of partitions interlacing cyclically: lambda^k precedes lambda^{k+1}
 by a horizontal strip upward when k is in M, downward otherwise, indices mod
 N.  Three weight systems live here: the box-product F built from ratios of
 the hook function f(w) = (t w; q)_inf / (q w; q)_inf (evaluated exactly by
-telescoping pairs), the Pieri product Phi around the cycle, and the
-Hall-Littlewood component weight A.  The generating-function identities
-against Pochhammer products are verified coefficientwise in s; each closed
-side, here and in the vertex traces below, states its symbols once as the
-num/den lists of one ``series.qpochhammer``.
+telescoping pairs, as products of the integers F(x, y) = B^x D^y - A^x C^y
+for q = A/B and t = C/D, memoised per point apart from the Pieri edges'
+own, with one Fraction per weight), the Pieri product Phi around the cycle,
+and the Hall-Littlewood component weight A.  The generating-function
+identities against Pochhammer products are verified coefficientwise in s;
+each closed side, here and in the vertex traces below, states its symbols
+once as the num/den lists of one ``series.qpochhammer``.
 
 The second half covers traces of refined topological vertices, including a
 windowed-Laurent logarithm comparison for profiles whose closed form mixes
-expansion directions.  Their principal specializations are
-``macdonald.Specialization`` instances, series-valued for the empty profile
-and Laurent-valued otherwise.  The direct vertex kernel's log is one
-``fock.wick_exponent`` of the Gamma modes that ``fock.gamma_spec`` builds
-from them, and the E'_1-weighted trace sums the one-step
-``process.weight_W``; both modules load inside those checks only.
+expansion directions.  Where a Laurent product is windowed next (the skew
+products of the literal sum, the last modulus product of a Pochhammer log)
+it is formed inside the window only (``LaurentPoly.mul``'s ``window``).
+Their principal specializations are ``macdonald.Specialization``
+instances, series-valued for the empty profile and Laurent-valued
+otherwise.  The direct vertex kernel's log is one ``fock.wick_exponent`` of
+the Gamma modes that ``fock.gamma_spec`` builds from them, and the
+E'_1-weighted trace sums the one-step ``process.weight_W``; both modules
+load inside those checks only.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .partitions import (
     partitions_up_to,
     weight,
 )
+from .point import memo
 from .series import SeriesRing, TruncSeries, first_mismatch, geometric, \
     qpochhammer, qpochhammer_log
 
@@ -97,61 +103,69 @@ def cp_weight(lams) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _f_ratio(a: int, b: int, m: int, q: Fraction, t: Fraction) -> Fraction:
-    """f(q^a t^m) / f(q^b t^m) as a finite product, f(w)=(tw;q)/(qw;q).
-
-    Same t power above and below makes the infinite products telescope:
-    for a >= b the ratio is (q^{b+1} t^m; q)_{a-b} / (q^b t^{m+1}; q)_{a-b}.
-    """
-    if a == b:
-        return Fraction(1)
-    if a < b:
-        return Fraction(1) / _f_ratio(b, a, m, q, t)
-    c = a - b
-    num = den = Fraction(1)
-    for i in range(c):
-        num *= 1 - q ** (b + 1 + i) * t**m
-        den *= 1 - q ** (b + i) * t ** (m + 1)
-    if den == 0:
-        raise ZeroDivisionError("hook ratio degenerated; bad (q,t) point")
-    return num / den
-
-
-def box_weight_F(profile: CylindricProfile, lams, k: int, j: int,
-                 q: Fraction, t: Fraction) -> Fraction:
-    """Weight of the box (k, j): the m-product of hook-ratio pairs.
-
-    The three auxiliary sequences start at offsets dictated by the profile;
-    factors become 1 once all tails agree, so the product is finite.
-    """
-    N = profile.N
-    lam = lams[k - 1]
-    nxt = lams[k % N]
-    prv = lams[(k - 2) % N]
-    off_mu = 1 if profile.up(k) else 0
-    off_nu = 1 if not profile.up(k - 1) else 0
-    lam1 = part(lam, j)
-    out = Fraction(1)
-    m = 0
-    while True:
-        l1 = part(lam, j + m)
-        l2 = part(lam, j + m + 1)
-        mu = part(nxt, j + off_mu + m)
-        nu = part(prv, j + off_nu + m)
-        if l1 == 0 and l2 == 0 and mu == 0 and nu == 0:
-            break
-        out *= _f_ratio(lam1 - l1, lam1 - mu, m, q, t)
-        out *= _f_ratio(lam1 - l2, lam1 - nu, m, q, t)
-        m += 1
-    return out
-
-
 def weight_F(profile: CylindricProfile, lams, q: Fraction, t: Fraction) -> Fraction:
-    out = Fraction(1)
-    for k in range(1, profile.N + 1):
-        for j in range(1, length(lams[k - 1]) + 1):
-            out *= box_weight_F(profile, lams, k, j, q, t)
-    return out
+    """The product over the boxes (k, j) of their telescoped hook ratios.
+
+    A box's weight is the m-product of the pairs f(q^a t^m) / f(q^b t^m),
+    f(w) = (t w; q)_inf / (q w; q)_inf, for (a, b) = (lam_j - lam_{j+m},
+    lam_j - mu_{j+m+off}) and (lam_j - lam_{j+m+1}, lam_j - nu_{j+m+off'}),
+    mu and nu the neighbours lam^{k+1} and lam^{k-1} read at offsets set by
+    the profile; it stops once all four tails are zero.  The same t power
+    above and below makes the infinite products telescope: for a >= b the
+    ratio is (q^{b+1} t^m; q)_{a-b} / (q^b t^{m+1}; q)_{a-b}, and for a < b
+    the inverse of the swapped one.
+
+    With q = A/B and t = C/D, 1 - q^x t^y = F(x, y) / (B^x D^y) for the
+    integers F(x, y) = B^x D^y - A^x C^y, memoised per point apart from
+    ``macdonald.pieri``'s, so the F = Phi check shares no factor evaluation.
+    Each ratio is then (D/B)^(a-b) times a ratio of products of F, and the
+    weight is one Fraction.  Every exponent is nonnegative on a cylindric
+    partition.  A zero F below a fraction bar, or in the ratio that an a < b
+    pair inverts, is a ZeroDivisionError.
+    """
+    A, B, C, D = q.numerator, q.denominator, t.numerator, t.denominator
+    known = memo(q, t, "cylindric.F")
+
+    def F(x, y):
+        if (v := known.get((x, y))) is None:
+            v = known[x, y] = B**x * D**y - A**x * C**y
+        return v
+
+    N = profile.N
+    num = den = guard = 1  # guard: the F that the a < b ratios invert
+    e = 0  # the power of D/B
+    for k in range(1, N + 1):
+        lam = lams[k - 1]
+        nxt = lams[k % N]
+        prv = lams[(k - 2) % N]
+        off_mu = 1 if profile.up(k) else 0
+        off_nu = 1 if not profile.up(k - 1) else 0
+        for j in range(1, length(lam) + 1):
+            lam1 = lam[j - 1]
+            m = 0
+            while True:
+                l1 = part(lam, j + m)
+                l2 = part(lam, j + m + 1)
+                mu = part(nxt, j + off_mu + m)
+                nu = part(prv, j + off_nu + m)
+                if l1 == 0 and l2 == 0 and mu == 0 and nu == 0:
+                    break
+                for a, b in ((lam1 - l1, lam1 - mu), (lam1 - l2, lam1 - nu)):
+                    e += a - b
+                    for i in range(b, a):
+                        num *= F(i + 1, m)
+                        den *= F(i, m + 1)
+                    for i in range(a, b):
+                        g = F(i, m + 1)
+                        num *= g
+                        den *= F(i + 1, m)
+                        guard *= g
+                m += 1
+    if not den or not guard:
+        raise ZeroDivisionError(f"a hook ratio of {lams} has a pole at (q, t) = ({q}, {t})")
+    if e >= 0:
+        return Fraction(num * D**e, den * B**e)
+    return Fraction(num * B**-e, den * D**-e)
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +414,14 @@ def principal_p_laurent(zvars, ring: SeriesRing, nu: tuple, variant: str,
     return Specialization("principal", p_value, 1)
 
 
-def vertex_skew_sum(lam: tuple, mu: tuple, p_first, p_second, q, t, unit):
+def vertex_skew_sum(lam: tuple, mu: tuple, p_first, p_second, q, t, unit,
+                    window: int = None):
     """sum_eta P_{lam/eta}(first) Q_{mu/eta}(second), summed in one pass.
 
     ``p_first`` and ``p_second`` are Specializations, whose memoised
-    products p_nu serve every eta and every call.
+    products p_nu serve every eta and every call.  With a ``window`` (Laurent
+    p-values only), each product keeps only its z-exponents in [-window,
+    window]: the sum cut to that window, for a caller that cuts it there.
     """
     terms = []
     # a nonzero term needs eta inside both, so inside their meet
@@ -415,7 +432,7 @@ def vertex_skew_sum(lam: tuple, mu: tuple, p_first, p_second, q, t, unit):
         qv = skew_eval("Q", mu, eta, p_second, q, t, unit=unit)
         if not qv:
             continue
-        terms.append((1, pv * qv))
+        terms.append((1, pv * qv if window is None else pv.mul(qv, window=window)))
     return combine(unit, terms)
 
 
@@ -557,9 +574,8 @@ def laurent_log_pochhammer(zvars, ring: SeriesRing, coeff, zexp: dict,
             * geometric(ring, q, k) * geometric(ring, u, k)
         if not scalar:
             continue
-        base = {tuple(e * k for e in exps): scalar}
-        lp = LaurentPoly(tuple(zvars), ring, base)
-        for v in z_moduli:
+        lp = LaurentPoly(tuple(zvars), ring, {tuple(e * k for e in exps): scalar})
+        for n, v in enumerate(z_moduli, start=1):
             iv = zvars.index(v)
             geo_terms = {}
             j = 0
@@ -568,8 +584,12 @@ def laurent_log_pochhammer(zvars, ring: SeriesRing, coeff, zexp: dict,
                 e[iv] = j * k
                 geo_terms[tuple(e)] = ring.one()
                 j += 1
-            lp = lp * LaurentPoly(tuple(zvars), ring, geo_terms)
-        out = out + lp.window(2 * window)
+            # the last product is cut to the window, the earlier ones cannot
+            # be: a later modulus raises an exponent back inside
+            lp = lp.mul(LaurentPoly(tuple(zvars), ring, geo_terms),
+                        window=2 * window if n == len(z_moduli) else None)
+        # with no modulus, k <= kmax keeps the monomial inside the window
+        out = out + lp
     return out
 
 
@@ -657,12 +677,13 @@ def thm_b1_check(nu: tuple, u_cutoff: int, window: int, q: Fraction,
                          for variant in ("yr_nxu", "xr_ynu"))
     one = LaurentPoly.constant(zvars, ring.one())
     lhs = LaurentPoly(zvars, ring, {})
+    # the literal sum on the build window, which its log reads: the skew
+    # products are formed there only
     for lam in partitions_up_to(u_cutoff):
-        term = vertex_skew_sum(lam, lam, p_first, p_second, q, t, one)
+        term = vertex_skew_sum(lam, lam, p_first, p_second, q, t, one, window=build)
         if not term:
             continue
         lhs = lhs + term.scale(ring.monomial(Fraction(1), u=weight(lam)))
-    lhs = lhs.window(build)
     log_lhs = laurent_log(lhs, build).window(window)
 
     u = ring.gen("u")

@@ -593,8 +593,7 @@ def two_point_fermion_trace(v_cutoff: int, window: int, zeta: Fraction,
     pochs = laurent_exp(wick_exponent([(xs.minus, ys.plus, True), (ys.minus, xs.plus, True)],
                                       u, t, t, LaurentPoly(zvars, ring, {})),
                         2 * window + 2)
-    closed = geom * th * pochs
-    closed = closed.scale(theta_den * euler2).window(window)
+    closed = (geom * th).mul(pochs, window=window).scale(theta_den * euler2)
     return {"brute": brute, "closed": closed, "match": brute == closed}
 
 

@@ -10,9 +10,14 @@ balanced digits of base 2 bound + 1.  The bound is taken from the factors'
 exponent ranges, the pruning boxes and the target (or the clip window), so
 every z-exponent a product reaches lies strictly inside its digit.
 
-Products are exact.  To keep them finite, every individual factor is built
-truncated (a per-factor clip bound on z-exponents), and the sequential product
-driver prunes exponent vectors that provably cannot reach the target given the
+Products are exact.  ``LaurentPoly.mul`` forms every term, or, given a
+``window``, only the terms whose z-exponents all lie in [-window, window]
+(the ``_Box`` test of the kernel on the packed z-part): the cut of a product
+that is windowed next, which is lossless there and only there, since a later
+factor with mixed-sign exponents could bring an outside term back in.  To
+keep products finite, every individual factor is built truncated (a
+per-factor clip bound on z-exponents), and the sequential product driver
+prunes exponent vectors that provably cannot reach the target given the
 exponent ranges of the factors still to come; the pruning test on the packed
 z-part is memoised per step (``_Box``).  The driver picks its own
 multiplication order (``_elimination_order``): z-free factors first, then
@@ -123,9 +128,16 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def mul(self, other: "LaurentPoly") -> "LaurentPoly":
+    def mul(self, other: "LaurentPoly", window: int = None) -> "LaurentPoly":
         """The product: a scale and a shift when one factor has one term,
-        else the flat kernel with no pruning."""
+        else the flat kernel with no pruning.
+
+        With a ``window``, only the terms whose z-exponents all lie in
+        [-window, window] are formed: ``self.mul(other).window(window)``
+        without the terms outside.  It is the cut of a product whose result
+        is windowed next, never of one that later factors could bring back
+        inside.
+        """
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
@@ -133,14 +145,20 @@ class LaurentPoly:
             ((e2, c2),) = b.items()
             out = {}
             for e1, c1 in a.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                if window is not None and max(map(abs, e), default=0) > window:
+                    continue
                 c = c1 * c2
                 if c:
-                    out[tuple(x + y for x, y in zip(e1, e2))] = c
+                    out[e] = c
             return LaurentPoly(self.zvars, self.ring, out)
         (lo1, hi1), (lo2, hi2) = self.exp_ranges(), other.exp_ranges()
         pk = _Packing(self.ring, [max(abs(l1 + l2), abs(h1 + h2))
                                   for l1, l2, h1, h2 in zip(lo1, lo2, hi1, hi2)])
-        return LaurentPoly(self.zvars, self.ring, series._product(self.terms, other.terms, pk))
+        keep = None if window is None else \
+            _Box(pk, (-window,) * len(self.zvars), (window,) * len(self.zvars))
+        return LaurentPoly(self.zvars, self.ring,
+                           series._product(self.terms, other.terms, pk, keep))
 
     def coeff(self, zexp: tuple) -> TruncSeries:
         return self.terms.get(tuple(zexp), self.ring.zero())

@@ -18,10 +18,13 @@ is asked for.  Each partition is projected onto every
 earlier partition of a linear extension of dominance, so unitriangularity is a
 checked consequence, not a premise.  Pieri coefficients come from the arm/leg
 products, independently of the orthogonalization; the two routes cross-check
-each other in the test suite.  Of the four operator families, only E and G
-are written out (e_r and g_r of the partition's principal power sums): E'
-and G' are E and G at (1/q, 1/t), and each observable is its eigenvalue
-times s^r, s one of t, 1/t, 1, 1.
+each other in the test suite.  The skew coefficients are integer dot
+products: the p-basis rows of P_lambda and Q_lambda are memoised per point
+as integer numerators over one denominator (the ket row weighted by
+z_kappa(q,t)), and each coefficient is one Fraction.  Of the four operator
+families, only E and G are written out (e_r and g_r of the partition's
+principal power sums): E' and G' are E and G at (1/q, 1/t), and each
+observable is its eigenvalue times s^r, s one of t, 1/t, 1, 1.
 """
 
 from __future__ import annotations
@@ -127,14 +130,9 @@ def m_to_p(n: int) -> dict:
             for lam, (nums, den) in _m_to_p_rows(n).items()}
 
 
-def m_dict_to_p(f: dict) -> dict:
-    """Convert an m-basis map (possibly mixed weights) to the p basis.
-
-    The coefficients are ints or Fractions.  Each term c m_mu is c's
-    numerator times the integer row of m_mu over c's denominator times the
-    row's; the terms are summed over the lcm of those denominators, and one
-    Fraction is built per nonzero entry of the result.
-    """
+def _m_dict_to_p_numerators(f: dict) -> tuple:
+    """``m_dict_to_p`` as ({lam: int}, L): the nonzero integer numerators
+    over one denominator L."""
     terms = []
     L = 1
     for mu, c in f.items():
@@ -147,7 +145,19 @@ def m_dict_to_p(f: dict) -> dict:
         k = a * (L // d)
         for lam, c in nums.items():
             acc[lam] = acc.get(lam, 0) + k * c
-    return {lam: Fraction(v, L) for lam, v in acc.items() if v}
+    return {lam: v for lam, v in acc.items() if v}, L
+
+
+def m_dict_to_p(f: dict) -> dict:
+    """Convert an m-basis map (possibly mixed weights) to the p basis.
+
+    The coefficients are ints or Fractions.  Each term c m_mu is c's
+    numerator times the integer row of m_mu over c's denominator times the
+    row's; the terms are summed over the lcm of those denominators, and one
+    Fraction is built per nonzero entry of the result.
+    """
+    acc, L = _m_dict_to_p_numerators(f)
+    return {lam: Fraction(v, L) for lam, v in acc.items()}
 
 
 def p_dict_to_m(f: dict) -> dict:
@@ -512,6 +522,24 @@ def lambda_rho_p(lam: tuple, r: int, q: Fraction, t: Fraction) -> Fraction:
 
 
 @per_point
+def _p_numerators(basis: str, lam: tuple, q: Fraction, t: Fraction) -> tuple:
+    """P_lam (basis "P") or Q_lam ("Q") in the p basis as ({kappa: int},
+    den): the nonzero integer numerators over one denominator."""
+    return _m_dict_to_p_numerators((macdonald_P if basis == "P" else macdonald_Q)(lam, q, t))
+
+
+@per_point
+def _z_weighted_numerators(basis: str, lam: tuple, q: Fraction, t: Fraction) -> tuple:
+    """``_p_numerators`` with each coefficient weighted by z_kappa(q,t),
+    over the old denominator times the lcm of the z denominators."""
+    nums, den = _p_numerators(basis, lam, q, t)
+    z = {kappa: z_qt(kappa, q, t) for kappa in nums}
+    E = lcm(*(v.denominator for v in z.values()))
+    weighted = {kappa: nums[kappa] * v.numerator * (E // v.denominator) for kappa, v in z.items()}
+    return {kappa: c for kappa, c in weighted.items() if c}, den * E
+
+
+@per_point
 def _skew_coefficients(kind: str, lam: tuple, mu: tuple, q: Fraction,
                        t: Fraction) -> tuple:
     """The pairs (nu, c_nu) with c_nu != 0 in P_{lam/mu} = sum_nu c_nu p_nu.
@@ -524,23 +552,24 @@ def _skew_coefficients(kind: str, lam: tuple, mu: tuple, q: Fraction,
         c_nu = sum_kappa bra_kappa ket_{kappa u nu} z_{kappa u nu}(q,t) / z_nu(q,t),
 
     one lookup of each merged partition in the ket, weighted once by z.
+    Both rows are integer numerators over one denominator, the ket's
+    weighted by z (``_z_weighted_numerators``), so the sum is an integer
+    dot product and each c_nu one Fraction.
     """
-    if kind == "P":
-        ket, bra = macdonald_P_p(lam, q, t), macdonald_Q_p(mu, q, t)
-    elif kind == "Q":
-        ket, bra = macdonald_Q_p(lam, q, t), macdonald_P_p(mu, q, t)
-    else:
+    if kind not in ("P", "Q"):
         raise ValueError("kind must be 'P' or 'Q'")
-    weighted = {kappa: c * z_qt(kappa, q, t) for kappa, c in ket.items()}
+    ket, ket_den = _z_weighted_numerators(kind, lam, q, t)
+    bra, bra_den = _p_numerators("Q" if kind == "P" else "P", mu, q, t)
     out = []
     for nu in partitions_of(weight(lam) - weight(mu)):
         c = 0
         for kappa, b in bra.items():
-            a = weighted.get(tuple(sorted(kappa + nu, reverse=True)))
+            a = ket.get(tuple(sorted(kappa + nu, reverse=True)))
             if a:
                 c += b * a
         if c:
-            out.append((nu, c / z_qt(nu, q, t)))
+            z = z_qt(nu, q, t)
+            out.append((nu, Fraction(c * z.denominator, ket_den * bra_den * z.numerator)))
     return tuple(out)
 
 

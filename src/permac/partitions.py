@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .point import per_point, qt_ratio
 
@@ -90,13 +91,9 @@ def dominance_leq(mu: tuple, lam: tuple) -> bool:
     """True iff mu <= lam in dominance order (false across unequal weights)."""
     if weight(mu) != weight(lam):
         return False
-    sm = sl = 0
-    for k in range(max(len(mu), len(lam))):
-        sm += part(mu, k + 1)
-        sl += part(lam, k + 1)
-        if sm > sl:
-            return False
-    return True
+    # past the shorter partition its prefix sums stay at the common weight,
+    # which the other's never exceed
+    return all(a <= b for a, b in zip(accumulate(mu), accumulate(lam)))
 
 
 def dominance_key(lam: tuple):

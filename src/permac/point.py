@@ -2,9 +2,11 @@
 
 Everything the engine memoises at one point lives here: the mode ratios
 (1 - q^n)/(1 - t^n), z_lambda(q,t), the Gram-Schmidt P tables with their
-norms, the Q rows derived from them, the p-basis rows of both, Pieri edges
-and their integer arm/leg factors, skew coefficients, observables, free-field
-columns, the Plancherel path rows and the float up-matrices per level.
+norms, the Q rows derived from them, the p-basis rows of both (as Fractions,
+and as integer numerators for the skew coefficients), Pieri edges and their
+integer arm/leg factors, skew coefficients, the integer hook factors of the
+cylindric weight F, observables, free-field columns, the Plancherel path
+rows and the float up-matrices per level.
 (The products p_nu(X) of a specialization do not depend on the point; the
 Specialization keeps them.)
 The store keeps the last MAX_POINTS points used; when a new point comes in,

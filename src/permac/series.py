@@ -488,11 +488,12 @@ def _mul_terms(acc: dict, terms: list, pk: _Packing, keep=None) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def _product(a: dict, b: dict, pk: _Packing) -> dict:
-    """The product of two maps from z-exponents to series, unpruned."""
+def _product(a: dict, b: dict, pk: _Packing, keep=None) -> dict:
+    """The product of two maps from z-exponents to series, unpruned, or
+    cut to the z-parts that a ``keep`` map as in ``_mul_terms`` accepts."""
     den1, terms1 = _flatten(a, pk)
     den2, terms2 = _flatten(b, pk)
-    acc = _mul_terms({k: c for _, k, c in terms1}, terms2, pk)
+    acc = _mul_terms({k: c for _, k, c in terms1}, terms2, pk, keep)
     return _unflatten(acc, den1 * den2, pk)
 
 

@@ -8,13 +8,28 @@ from operator import mul
 from permac.cylindric import box_level
 from permac.fock import accumulate
 from permac.laurent import LaurentPoly
-from permac.macdonald import m_to_p, pieri
+from permac.macdonald import m_to_p, macdonald_P_p, macdonald_Q_p, pieri
 from permac.partitions import (conjugate, contains, dominance_key, horizontal_strip,
                                length, make_partition, multiplicity, part,
                                partitions_of, partitions_up_to, weight, z_qt)
 from permac.point import qt_ratio
 from permac.process import weight_W
 from permac.series import SeriesRing, TruncSeries
+
+
+def dominance_leq_by_loop(mu: tuple, lam: tuple) -> bool:
+    """True iff mu <= lam in dominance order (false across unequal weights),
+    by one running pair of prefix sums over the longer length: the
+    reference for ``partitions.dominance_leq``."""
+    if weight(mu) != weight(lam):
+        return False
+    sm = sl = 0
+    for k in range(max(len(mu), len(lam))):
+        sm += part(mu, k + 1)
+        sl += part(lam, k + 1)
+        if sm > sl:
+            return False
+    return True
 
 
 def horizontal_strip_by_columns(lam: tuple, mu: tuple) -> bool:
@@ -84,6 +99,98 @@ def skew_single_alpha(kind: str, lam: tuple, mu: tuple, q, t) -> Fraction:
         return Fraction(0)
     psi, phi = pieri(lam, mu, q, t)
     return psi if kind == "P" else phi
+
+
+def fraction_skew_coefficients(kind: str, lam: tuple, mu: tuple, q: Fraction,
+                               t: Fraction) -> tuple:
+    """The pairs (nu, c_nu) with c_nu != 0 in P_{lam/mu} = sum_nu c_nu p_nu,
+    one Fraction product at a time on the Fraction p-basis rows.
+
+    c_nu = <bra| a_nu |ket> / z_nu(q,t) over |nu| = |lam| - |mu|, with
+    (bra, ket) = (Q_mu, P_lam) for kind "P" and (P_mu, Q_lam) for "Q".
+    a_nu is the adjoint of multiplication by p_nu, and p_nu p_kappa is
+    p_{kappa u nu}, the partition of the parts of both, so
+
+        c_nu = sum_kappa bra_kappa ket_{kappa u nu} z_{kappa u nu}(q,t) / z_nu(q,t),
+
+    one lookup of each merged partition in the ket, weighted once by z.
+    The reference for the integer rows of ``macdonald._skew_coefficients``.
+    """
+    if kind == "P":
+        ket, bra = macdonald_P_p(lam, q, t), macdonald_Q_p(mu, q, t)
+    elif kind == "Q":
+        ket, bra = macdonald_Q_p(lam, q, t), macdonald_P_p(mu, q, t)
+    else:
+        raise ValueError("kind must be 'P' or 'Q'")
+    weighted = {kappa: c * z_qt(kappa, q, t) for kappa, c in ket.items()}
+    out = []
+    for nu in partitions_of(weight(lam) - weight(mu)):
+        c = 0
+        for kappa, b in bra.items():
+            a = weighted.get(tuple(sorted(kappa + nu, reverse=True)))
+            if a:
+                c += b * a
+        if c:
+            out.append((nu, c / z_qt(nu, q, t)))
+    return tuple(out)
+
+
+def _f_ratio(a: int, b: int, m: int, q: Fraction, t: Fraction) -> Fraction:
+    """f(q^a t^m) / f(q^b t^m) as a finite product, f(w)=(tw;q)/(qw;q).
+
+    Same t power above and below makes the infinite products telescope:
+    for a >= b the ratio is (q^{b+1} t^m; q)_{a-b} / (q^b t^{m+1}; q)_{a-b}.
+    """
+    if a == b:
+        return Fraction(1)
+    if a < b:
+        return Fraction(1) / _f_ratio(b, a, m, q, t)
+    c = a - b
+    num = den = Fraction(1)
+    for i in range(c):
+        num *= 1 - q ** (b + 1 + i) * t**m
+        den *= 1 - q ** (b + i) * t ** (m + 1)
+    if den == 0:
+        raise ZeroDivisionError("hook ratio degenerated; bad (q,t) point")
+    return num / den
+
+
+def box_weight_F(profile, lams, k: int, j: int, q: Fraction, t: Fraction) -> Fraction:
+    """Weight of the box (k, j): the m-product of hook-ratio pairs.
+
+    The three auxiliary sequences start at offsets dictated by the profile;
+    factors become 1 once all tails agree, so the product is finite.
+    """
+    N = profile.N
+    lam = lams[k - 1]
+    nxt = lams[k % N]
+    prv = lams[(k - 2) % N]
+    off_mu = 1 if profile.up(k) else 0
+    off_nu = 1 if not profile.up(k - 1) else 0
+    lam1 = part(lam, j)
+    out = Fraction(1)
+    m = 0
+    while True:
+        l1 = part(lam, j + m)
+        l2 = part(lam, j + m + 1)
+        mu = part(nxt, j + off_mu + m)
+        nu = part(prv, j + off_nu + m)
+        if l1 == 0 and l2 == 0 and mu == 0 and nu == 0:
+            break
+        out *= _f_ratio(lam1 - l1, lam1 - mu, m, q, t)
+        out *= _f_ratio(lam1 - l2, lam1 - nu, m, q, t)
+        m += 1
+    return out
+
+
+def fraction_weight_F(profile, lams, q: Fraction, t: Fraction) -> Fraction:
+    """The product of ``box_weight_F`` over the boxes, one Fraction hook
+    factor at a time: the reference for the integer ``cylindric.weight_F``."""
+    out = Fraction(1)
+    for k in range(1, profile.N + 1):
+        for j in range(1, length(lams[k - 1]) + 1):
+            out *= box_weight_F(profile, lams, k, j, q, t)
+    return out
 
 
 def heisenberg_apply(n: int, v: dict, q: Fraction, t: Fraction) -> dict:

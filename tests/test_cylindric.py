@@ -22,7 +22,7 @@ from permac.cylindric import (
     weight_F,
     weight_Phi,
 )
-from oracles import components_two_lists, horizontal_strip_by_columns
+from oracles import components_two_lists, fraction_weight_F, horizontal_strip_by_columns
 from permac.macdonald import observable
 from permac.partitions import conjugate, partitions_up_to, weight
 from permac.scalars import random_qt_pair
@@ -84,6 +84,35 @@ def test_F_equals_Phi_everywhere():
                 for q, t in points:
                     assert weight_F(p, lams, q, t) == weight_Phi(p, lams, q, t), \
                         (p, lams, q, t)
+
+
+CP_UP_TO_6 = [(p, lams) for N in (1, 2, 3) for p in all_profiles(N)
+              for lams in enumerate_cp(p, 6)]
+
+
+@pytest.mark.parametrize("q, t", [(Fraction(0), Fraction(3, 7)),
+                                  (Fraction(5, 2), Fraction(1, 3))],
+                         ids=["q=0", "5/2,1/3"])
+def test_integer_F_equals_the_fraction_hook_ratios(fresh_memos, q, t):
+    for p, lams in CP_UP_TO_6:
+        assert weight_F(p, lams, q, t) == fraction_weight_F(p, lams, q, t), (p, lams)
+
+
+def test_integer_F_fails_where_the_fraction_hook_ratios_fail(fresh_memos):
+    # q t = 1: a hook factor 1 - q^x t^x vanishes, below a fraction bar on
+    # some configurations and only above it on others
+    q, t = Fraction(1, 2), Fraction(2)
+    poles = 0
+    for p, lams in CP_UP_TO_6:
+        try:
+            expect = fraction_weight_F(p, lams, q, t)
+        except ZeroDivisionError:
+            poles += 1
+            with pytest.raises(ZeroDivisionError):
+                weight_F(p, lams, q, t)
+        else:
+            assert weight_F(p, lams, q, t) == expect, (p, lams)
+    assert 0 < poles < len(CP_UP_TO_6)
 
 
 def test_F_at_q_zero_equals_A():
@@ -250,9 +279,11 @@ def test_trivial_vertex_is_one():
     assert vertex_skew_sum((), (), pa, pb, Q0, T0, ring.one()) == ring.one()
 
 
-def _vertex_skew_sum_over_every_eta(lam, mu, p_first, p_second, q, t, unit):
+def _vertex_skew_sum_over_every_eta(lam, mu, p_first, p_second, q, t, unit,
+                                    window=None):
     """vertex_skew_sum with eta over every partition up to min(|lam|, |mu|),
-    kept as the oracle of the sum over the meet of lam and mu."""
+    kept as the oracle of the sum over the meet of lam and mu; a ``window``
+    cuts the whole sum, as ``LaurentPoly.window`` does."""
     terms = []
     for eta in partitions_up_to(min(weight(lam), weight(mu))):
         pv = cylindric.skew_eval("P", lam, eta, p_first, q, t, unit=unit)
@@ -262,7 +293,8 @@ def _vertex_skew_sum_over_every_eta(lam, mu, p_first, p_second, q, t, unit):
         if not qv:
             continue
         terms.append((1, pv * qv))
-    return cylindric.combine(unit, terms)
+    out = cylindric.combine(unit, terms)
+    return out if window is None else out.window(window)
 
 
 def test_vertex_skew_sum_equals_the_sum_over_every_eta():

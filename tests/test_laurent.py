@@ -227,6 +227,18 @@ def test_laurent_product_equals_plain_product(pair):
     assert all(prod.terms.values())
 
 
+@settings(max_examples=60, deadline=None)
+@given(pair=laurent_pairs(), w=st.integers(0, 6))
+def test_windowed_product_equals_the_windowed_plain_product(pair, w):
+    # mixed-sign exponents, empty and one-term factors, w = 0 included
+    a, b = pair
+    expect = plain_laurent_product(a, b).window(w)
+    for x, y in ((a, b), (b, a)):
+        prod = x.mul(y, window=w)
+        assert prod == expect
+        assert all(prod.terms.values())
+
+
 @settings(max_examples=80, deadline=None)
 @given(pair=laurent_pairs(), cs=st.lists(st.one_of(st.just(0), st.integers(-2, 2),
                                                    st.fractions(-2, 2, max_denominator=3)),

@@ -1,9 +1,10 @@
 import random
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 
-from permac import cache, fock, macdonald
+from permac import cache, fock, macdonald, point
 from permac.cylindric import principal_p_laurent, principal_p_trunc
 from permac.laurent import LaurentPoly
 from permac.macdonald import (
@@ -43,7 +44,8 @@ from permac.partitions import (
     weight,
     z_qt,
 )
-from oracles import fraction_m_dict_to_p, fraction_m_gram, fraction_pieri, skew_single_alpha
+from oracles import fraction_m_dict_to_p, fraction_m_gram, fraction_pieri, \
+    fraction_skew_coefficients, skew_single_alpha
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing
 
@@ -568,6 +570,49 @@ def test_skew_eval_equals_half_vertex_oracle(label):
                 expect = _half_vertex_skew(kind, lam, mu, spec, q, t, unit)
                 assert type(got) is type(expect), (kind, lam, mu)
                 assert got == expect, (kind, lam, mu)
+
+
+@pytest.mark.parametrize("q, t", [(Fraction(43, 97), Fraction(59, 89)),
+                                  (Fraction(1, 3), Fraction(1, 3)),
+                                  (Fraction(5, 2), Fraction(7, 3)),
+                                  (Fraction(-2, 3), Fraction(1, 5))],
+                         ids=["generic", "q=t", "above-one", "negative-q"])
+def test_skew_coefficients_equal_the_fraction_rows(fresh_memos, q, t):
+    # every (kind, lam, mu inside lam) with |lam| <= 6: the same pairs, in
+    # the same order
+    for lam in partitions_up_to(6):
+        for mu in partitions_up_to(weight(lam)):
+            if contains(lam, mu):
+                for kind in ("P", "Q"):
+                    assert macdonald._skew_coefficients(kind, lam, mu, q, t) == \
+                        fraction_skew_coefficients(kind, lam, mu, q, t), (kind, lam, mu)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("q, t", [(Fraction(1, 2), Fraction(2)), (Fraction(-1), Fraction(1, 3)),
+                                  (Fraction(1), Fraction(1, 3))])
+def test_skew_coefficients_fail_where_the_fraction_rows_fail(monkeypatch, q, t):
+    # every pole of a skew coefficient found at these points is one of the
+    # table (a GramSingularError), met by both routes on the same pairs; a
+    # division by a vanishing z_nu(q,t) would be a ZeroDivisionError in both
+    failed = 0
+    for lam in partitions_up_to(4):
+        for mu in partitions_up_to(weight(lam)):
+            if contains(lam, mu):
+                for kind in ("P", "Q"):
+                    monkeypatch.setattr(point, "_store", OrderedDict())
+                    got = _outcome(macdonald._skew_coefficients, kind, lam, mu, q, t)
+                    monkeypatch.setattr(point, "_store", OrderedDict())
+                    expect = _outcome(fraction_skew_coefficients, kind, lam, mu, q, t)
+                    assert got == expect, (kind, lam, mu)
+                    failed += isinstance(got, type)
+    assert failed
 
 
 def test_gprime_two_routes_agree():

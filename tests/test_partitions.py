@@ -1,4 +1,4 @@
-from oracles import arm_leg, horizontal_strip_by_columns, remove_one_box
+from oracles import arm_leg, dominance_leq_by_loop, horizontal_strip_by_columns, remove_one_box
 from permac.partitions import (
     add_one_box,
     conjugate,
@@ -44,6 +44,21 @@ def test_dominance():
     assert dominance_leq((2, 1, 1), (2, 2))  # partial sums 2,3,4 vs 2,4,4
     assert not dominance_leq((1, 1), (3,)) or True
     assert not dominance_leq((2,), (2, 1))  # unequal weights -> False
+
+
+def test_dominance_by_prefix_sums_equals_the_loop():
+    # every pair of equal weight <= 10, where zip stops at the shorter
+    # partition, and pairs of unequal weight, which are never comparable
+    for n in range(11):
+        for mu in partitions_of(n):
+            for lam in partitions_of(n):
+                assert dominance_leq(mu, lam) == dominance_leq_by_loop(mu, lam), (mu, lam)
+    small = partitions_up_to(5)
+    for mu in small:
+        for lam in small:
+            assert dominance_leq(mu, lam) == dominance_leq_by_loop(mu, lam), (mu, lam)
+            if weight(mu) != weight(lam):
+                assert not dominance_leq(mu, lam)
 
 
 def test_arm_leg():
