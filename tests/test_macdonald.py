@@ -1,10 +1,9 @@
 import random
-from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 
-from permac import cache, fock, macdonald, point
+from permac import cache, fock, macdonald
 from permac.cylindric import principal_p_laurent, principal_p_trunc
 from permac.laurent import LaurentPoly
 from permac.macdonald import (
@@ -597,7 +596,7 @@ def _outcome(f, *args):
 
 @pytest.mark.parametrize("q, t", [(Fraction(1, 2), Fraction(2)), (Fraction(-1), Fraction(1, 3)),
                                   (Fraction(1), Fraction(1, 3))])
-def test_skew_coefficients_fail_where_the_fraction_rows_fail(monkeypatch, q, t):
+def test_skew_coefficients_fail_where_the_fraction_rows_fail(fresh_memos, q, t):
     # every pole of a skew coefficient found at these points is one of the
     # table (a GramSingularError), met by both routes on the same pairs; a
     # division by a vanishing z_nu(q,t) would be a ZeroDivisionError in both
@@ -606,9 +605,9 @@ def test_skew_coefficients_fail_where_the_fraction_rows_fail(monkeypatch, q, t):
         for mu in partitions_up_to(weight(lam)):
             if contains(lam, mu):
                 for kind in ("P", "Q"):
-                    monkeypatch.setattr(point, "_store", OrderedDict())
+                    fresh_memos()
                     got = _outcome(macdonald._skew_coefficients, kind, lam, mu, q, t)
-                    monkeypatch.setattr(point, "_store", OrderedDict())
+                    fresh_memos()
                     expect = _outcome(fraction_skew_coefficients, kind, lam, mu, q, t)
                     assert got == expect, (kind, lam, mu)
                     failed += isinstance(got, type)
