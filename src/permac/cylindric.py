@@ -587,7 +587,7 @@ def laurent_log_pochhammer(zvars, ring: SeriesRing, coeff, zexp: dict,
             # the last product is cut to the window, the earlier ones cannot
             # be: a later modulus raises an exponent back inside
             lp = lp.mul(LaurentPoly(tuple(zvars), ring, geo_terms),
-                        window=2 * window if n == len(z_moduli) else None)
+                        window=window if n == len(z_moduli) else None)
         # with no modulus, k <= kmax keeps the monomial inside the window
         out = out + lp
     return out
@@ -652,7 +652,7 @@ def kernel_log_factored(zvars, ring: SeriesRing, nu: tuple, q: Fraction,
         den = laurent_log_pochhammer(zvars, ring, Fraction(1), {"x": ex, "y": ey},
                                      q, zmods, window)
         out = out + num - den
-    return out.window(2 * window)
+    return out.window(window)
 
 
 def thm_b1_check(nu: tuple, u_cutoff: int, window: int, q: Fraction,

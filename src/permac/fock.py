@@ -37,6 +37,7 @@ from .laurent import (
     ratio_sym_coefficients,
 )
 from .macdonald import FREE_FIELD_FAMILIES  # noqa: F401 (re-exported: operator_family's names)
+from .macdonald import combine
 from .partitions import weight
 from .point import per_point, qt_ratio
 from .scalars import random_qt_pair
@@ -208,8 +209,13 @@ def contraction(lower: dict, upper: dict, q, t) -> dict:
     from ``point.qt_ratio``, which the Heisenberg modes and z_lambda(q,t)
     of the oracles read.
     """
-    return {n: lo * upper[n] * ((1 - q**n) / ((1 - t**n) * n))
+    return {n: lo * upper[n] * _mode_ratio(n, q, t)
             for n, lo in lower.items() if n in upper}
+
+
+def _mode_ratio(n: int, q, t):
+    """(1-q^n) / ((1-t^n) n): the commutator of a_n and a_{-n} over n^2."""
+    return (1 - q**n) / ((1 - t**n) * n)
 
 
 def wick_exponent(pairs, u, q, t, zero):
@@ -219,12 +225,26 @@ def wick_exponent(pairs, u, q, t, zero):
     The one wrap rule of the traces Tr(u^D ...): a wrapped pair (lowering
     modes right of raising ones) meets only around the trace, any other
     also directly.  ``zero`` is the coefficient zero (series or Laurent).
+    The terms (the rational mode ratio, lower[n] upper[n] times the weight)
+    are summed in one pass by ``macdonald.combine`` in ``zero``'s arithmetic;
+    each ratio and weight is formed once per call.
     """
-    total = zero
+    weights: dict = {}
+
+    def weight(n, wrapped):
+        w = weights.get((n, wrapped))
+        if w is None:
+            w = weights[n, wrapped] = (_mode_ratio(n, q, t),
+                                       geometric(u.ring, u, n, start=int(wrapped)))
+        return w
+
+    terms = []
     for lower, upper, wrapped in pairs:
-        for n, c in contraction(lower, upper, q, t).items():
-            total = total + c * geometric(u.ring, u, n, start=int(wrapped))
-    return total
+        for n, lo in lower.items():
+            if n in upper:
+                ratio, geom = weight(n, wrapped)
+                terms.append((ratio, lo * upper[n] * geom))
+    return combine(zero, terms)
 
 
 def ope_reorder(a: VertexSpec, b: VertexSpec, q, t, one):

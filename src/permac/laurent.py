@@ -172,6 +172,18 @@ class LaurentPoly:
         hi = [max(e[i] for e in self.terms) for i in range(len(self.zvars))]
         return tuple(lo), tuple(hi)
 
+    def placed(self, zvars, at) -> "LaurentPoly":
+        """This polynomial moved into the variables ``zvars``: its k-th
+        z-exponent becomes that of ``zvars[at[k]]``, every other one 0."""
+        n = len(zvars)
+        terms = {}
+        for e, c in self.terms.items():
+            f = [0] * n
+            for k, x in zip(at, e):
+                f[k] = x
+            terms[tuple(f)] = c
+        return LaurentPoly(zvars, self.ring, terms)
+
     def window(self, w: int) -> "LaurentPoly":
         """The terms whose z-exponents all lie in [-w, w]."""
         return LaurentPoly(self.zvars, self.ring, {

@@ -444,7 +444,12 @@ class Specialization:
     ``skew_eval`` sums, p_(n)(X) = p_n(X) among them, each product built
     from the product of nu without its last part; the memo lives and dies
     with the instance, so two specializations never share a product.
+    ``variables`` is the number of alpha variables of an ``alpha_spec`` (None
+    for any other specialization); at one variable ``skew_eval`` reads the
+    Pieri coefficients.
     """
+
+    variables = None
 
     def __init__(self, kind: str, p_value, degree: int):
         self.kind = kind
@@ -489,7 +494,9 @@ def alpha_spec(values, ring) -> Specialization:
             out = out + ring.monomial(Fraction(c) ** n, **{name: n})
         return out
 
-    return Specialization("alpha", p_value, 1)
+    spec = Specialization("alpha", p_value, 1)
+    spec.variables = len(values)
+    return spec
 
 
 def plancherel_spec(xi, ring) -> Specialization:
@@ -556,8 +563,6 @@ def _skew_coefficients(kind: str, lam: tuple, mu: tuple, q: Fraction,
     weighted by z (``_z_weighted_numerators``), so the sum is an integer
     dot product and each c_nu one Fraction.
     """
-    if kind not in ("P", "Q"):
-        raise ValueError("kind must be 'P' or 'Q'")
     ket, ket_den = _z_weighted_numerators(kind, lam, q, t)
     bra, bra_den = _p_numerators("Q" if kind == "P" else "P", mu, q, t)
     out = []
@@ -597,11 +602,25 @@ def skew_eval(kind: str, lam: tuple, mu: tuple, spec: Specialization,
     Specialization (``power_product``), and one pass sums c_nu p_nu(X)
     (``combine``).  ``unit`` fixes the type of the result: a rational, a
     ring one for series p-values, or a Laurent one for Laurent p-values.
+
+    At a one-variable alpha specialization X = x the skew function is
+    P_{lam/mu}(x) = psi_{lam/mu} x^{|lam/mu|} and Q_{lam/mu}(x) = phi_{lam/mu}
+    x^{|lam/mu|} on a horizontal strip, and zero off one (Macdonald VI
+    (7.13'), (7.14')): the memoised ``pieri`` coefficient times p_{|lam/mu|}(X),
+    with no table read.  Every other specialization takes the Fock route.
     """
+    if kind not in ("P", "Q"):
+        raise ValueError("kind must be 'P' or 'Q'")
     if not contains(lam, mu):
         return unit * 0
     if lam == mu:
         return unit
+    if spec.variables == 1:
+        if not horizontal_strip(lam, mu):
+            return unit * 0
+        psi, phi = pieri(lam, mu, q, t)
+        return combine(unit, [(psi if kind == "P" else phi,
+                               spec.power_product((weight(lam) - weight(mu),)))])
     return combine(unit, [(c, p) for nu, c in _skew_coefficients(kind, lam, mu, q, t)
                           if (p := spec.power_product(nu))])
 

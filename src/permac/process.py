@@ -334,10 +334,29 @@ def moment_formula(pspec: ProcessSpec, series_r) -> TruncSeries:
     lowering modes already stand right of its raising ones in the trace (or
     in the same step).  The result is already normalized: the partition
     function cancels inside the derivation.  A step with r = 0 observes the
-    unit; a negative r is a ValueError.
+    unit; a negative r is a ValueError.  The factors are those of
+    ``_moment_factors``.
     """
     if len(series_r) != pspec.N:
         raise ValueError("need one observable per step")
+    zvars, prefactor, factors = _moment_factors(pspec, series_r)
+    if not zvars:
+        return pspec.ring.one()
+    return product_coefficient(factors, (0,) * len(zvars)) * prefactor
+
+
+def _moment_factors(pspec: ProcessSpec, series_r):
+    """(z-variables, prefactor, factor list) of the moment integrand.
+
+    The list holds the ratio factors of each step's variable pairs, then the
+    kernel factor of each variable, then the Delta factor of each ordered
+    pair (j in step b, i in step a).  A factor is a shape moved onto its
+    variables (``LaurentPoly.placed``), and a shape depends on less than its
+    variables: a ratio factor on its step's pole, a kernel factor on its
+    step, a Delta factor on the vertex kinds of steps a and b, whether
+    a >= b (wrapped) and whether i = j.  So each distinct shape is built
+    once, in one or two variables of its own.
+    """
     ring = pspec.ring
     q, t = pspec.q, pspec.t
     clip = ring.cutoff + 2
@@ -354,36 +373,62 @@ def moment_formula(pspec: ProcessSpec, series_r) -> TruncSeries:
         zvars.extend(f"z{a}_{i + 1}" for i in range(r))
     zvars = tuple(zvars)
     if not zvars:
-        return ring.one()
-    currents = [z_vertex_spec(zvars, ring, zvars[i], eta_xi_exponent(kind, q, t, clip))
-                for kind, _, idxs in steps for i in idxs]
+        return zvars, prefactor, []
+
+    one_var, two_vars = ("z",), ("z", "w")
+    modes = {kind: eta_xi_exponent(kind, q, t, clip) for kind, _, _ in steps}
     # the Gamma modes as z-free Laurent polynomials, so that every contraction
     # below multiplies Laurent polynomials
     gammas_plus, gammas_minus = _gammas(pspec)
-    plus = [{n: LaurentPoly.constant(zvars, c) for n, c in g.plus.items()}
+    plus = [{n: LaurentPoly.constant(one_var, c) for n, c in g.plus.items()}
             for g in gammas_plus]
-    minus = [{n: LaurentPoly.constant(zvars, c) for n, c in g.minus.items()}
+    minus = [{n: LaurentPoly.constant(one_var, c) for n, c in g.minus.items()}
              for g in gammas_minus]
-    zero = LaurentPoly(zvars, ring, {})
 
-    factors = [ratio_sym_factor(zvars, ring, i, j, pole, clip)
-               for _, pole, idxs in steps for i, j in combinations(idxs, 2)]
-    # each current against Gamma_+(rho^+_b), b = 0..N-1, and Gamma_-(rho^-_b),
-    # b = 1..N
-    factors += [laurent_exp(wick_exponent([(up, currents[i].minus, b >= a)
-                                           for b, up in enumerate(plus)]
-                                          + [(currents[i].plus, down, b < a)
-                                             for b, down in enumerate(minus, start=1)],
-                                          pspec.u, q, t, zero), clip)
-                for a, (_, _, idxs) in enumerate(steps, start=1) for i in idxs]
+    def exp_wick(pairs, local):
+        return laurent_exp(wick_exponent(pairs, pspec.u, q, t,
+                                         LaurentPoly(local, ring, {})), clip)
+
+    def kernel(a):
+        # the current of a step-a variable against Gamma_+(rho^+_b),
+        # b = 0..N-1, and Gamma_-(rho^-_b), b = 1..N
+        cur = z_vertex_spec(one_var, ring, "z", modes[steps[a - 1][0]])
+        return exp_wick([(up, cur.minus, b >= a) for b, up in enumerate(plus)]
+                        + [(cur.plus, down, b < a)
+                           for b, down in enumerate(minus, start=1)], one_var)
+
+    def delta(kind_a, kind_b, wrapped, same):
+        # the lowering half of i's current (step a) against the raising
+        # half of j's (step b); z is i, w is j
+        local = one_var if same else two_vars
+        lower = z_vertex_spec(local, ring, "z", modes[kind_a]).plus
+        upper = z_vertex_spec(local, ring, local[-1], modes[kind_b]).minus
+        return exp_wick([(lower, upper, wrapped)], local)
+
+    def build(key):
+        role, *rest = key
+        if role == "ratio":
+            return ratio_sym_factor(two_vars, ring, 0, 1, rest[0], clip)
+        return (kernel if role == "kernel" else delta)(*rest)
+
+    # (shape key, variables) per factor, in factor order
+    integrand = [(("ratio", pole), (i, j))
+                 for _, pole, idxs in steps for i, j in combinations(idxs, 2)]
+    integrand += [(("kernel", a), (i,))
+                  for a, (_, _, idxs) in enumerate(steps, start=1) for i in idxs]
     # Delta: variable j of step b against variable i of step a
-    factors += [laurent_exp(wick_exponent([(currents[i].plus, currents[j].minus, a >= b)],
-                                          pspec.u, q, t, zero), clip)
-                for b, (_, _, idxs_b) in enumerate(steps, start=1)
-                for a, (_, _, idxs_a) in enumerate(steps, start=1)
-                for j in idxs_b for i in idxs_a]
-    target = (0,) * len(zvars)
-    return product_coefficient(factors, target) * prefactor
+    integrand += [(("delta", kind_a, kind_b, a >= b, i == j), (i,) if i == j else (i, j))
+                  for b, (kind_b, _, idxs_b) in enumerate(steps, start=1)
+                  for a, (kind_a, _, idxs_a) in enumerate(steps, start=1)
+                  for j in idxs_b for i in idxs_a]
+    shapes = {}
+    factors = []
+    for key, at in integrand:
+        shape = shapes.get(key)
+        if shape is None:
+            shape = shapes[key] = build(key)
+        factors.append(shape.placed(zvars, at))
+    return zvars, prefactor, factors
 
 
 # ---------------------------------------------------------------------------

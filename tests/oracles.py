@@ -1,19 +1,19 @@
 """Independent predicates and values that several tests check the library against."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 from operator import mul
 
 from permac.cylindric import box_level
-from permac.fock import accumulate
-from permac.laurent import LaurentPoly
+from permac.fock import accumulate, eta_xi_exponent, operator_family, wick_exponent, z_vertex_spec
+from permac.laurent import LaurentPoly, laurent_exp, ratio_sym_factor
 from permac.macdonald import m_to_p, macdonald_P_p, macdonald_Q_p, pieri
 from permac.partitions import (conjugate, contains, dominance_key, horizontal_strip,
                                length, make_partition, multiplicity, part,
                                partitions_of, partitions_up_to, weight, z_qt)
 from permac.point import qt_ratio
-from permac.process import weight_W
+from permac.process import _gammas, weight_W
 from permac.series import SeriesRing, TruncSeries
 
 
@@ -494,3 +494,43 @@ def stream_sample(seed: int, k: int, draws: int) -> list:
     output of seed mod 2^64, each word read as (word >> 11) 2^-53."""
     (key,) = splitmix64(seed % (1 << 64), 1)
     return [(w >> 11) * 2.0 ** -53 for w in splitmix64(key, draws, k * draws)]
+
+
+def moment_factors_one_at_a_time(pspec, series_r) -> list:
+    """The factor list of ``process.moment_formula`` with every factor built
+    on its own, in all the z-variables: the ratio factors of each step's
+    variable pairs, then one kernel exponential per variable, then one Delta
+    exponential per ordered pair of variables.  The reference for the
+    factor shapes of ``process._moment_factors``."""
+    ring = pspec.ring
+    q, t = pspec.q, pspec.t
+    clip = ring.cutoff + 2
+    zvars = []
+    steps = []
+    for a, (tag, r) in enumerate(series_r, start=1):
+        kind, pole, _, _ = operator_family(tag, q, t)
+        steps.append((kind, pole, range(len(zvars), len(zvars) + r)))
+        zvars.extend(f"z{a}_{i + 1}" for i in range(r))
+    zvars = tuple(zvars)
+    currents = [z_vertex_spec(zvars, ring, zvars[i], eta_xi_exponent(kind, q, t, clip))
+                for kind, _, idxs in steps for i in idxs]
+    gammas_plus, gammas_minus = _gammas(pspec)
+    plus = [{n: LaurentPoly.constant(zvars, c) for n, c in g.plus.items()}
+            for g in gammas_plus]
+    minus = [{n: LaurentPoly.constant(zvars, c) for n, c in g.minus.items()}
+             for g in gammas_minus]
+    zero = LaurentPoly(zvars, ring, {})
+    factors = [ratio_sym_factor(zvars, ring, i, j, pole, clip)
+               for _, pole, idxs in steps for i, j in combinations(idxs, 2)]
+    factors += [laurent_exp(wick_exponent([(up, currents[i].minus, b >= a)
+                                           for b, up in enumerate(plus)]
+                                          + [(currents[i].plus, down, b < a)
+                                             for b, down in enumerate(minus, start=1)],
+                                          pspec.u, q, t, zero), clip)
+                for a, (_, _, idxs) in enumerate(steps, start=1) for i in idxs]
+    factors += [laurent_exp(wick_exponent([(currents[i].plus, currents[j].minus, a >= b)],
+                                          pspec.u, q, t, zero), clip)
+                for b, (_, _, idxs_b) in enumerate(steps, start=1)
+                for a, (_, _, idxs_a) in enumerate(steps, start=1)
+                for j in idxs_b for i in idxs_a]
+    return factors

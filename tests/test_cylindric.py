@@ -398,3 +398,33 @@ def test_thm_b1_window_beyond_u_cutoff(nu, u_cutoff, window):
     out = thm_b1_check(nu, u_cutoff, window, Q0, T0)
     assert out["trace_match"], out
     assert out["factorization_match"], out
+
+
+@pytest.mark.parametrize("nu, u_cutoff, window", [((1,), 3, 3), ((2, 1), 2, 2)],
+                         ids=["1-u3-w3", "21-u2-w2"])
+def test_factored_log_cut_is_the_window(monkeypatch, nu, u_cutoff, window):
+    # the last modulus product of laurent_log_pochhammer and the final cut
+    # of kernel_log_factored are cut at the window thm_b1_check reads:
+    # raised by 1..3 the report is the same, lowered by 1 the factorization
+    # fails
+    from permac.laurent import LaurentPoly
+
+    factored, mul, cut = cylindric.kernel_log_factored, LaurentPoly.mul, LaurentPoly.window
+
+    def shifted(k):
+        def call(*args):
+            with monkeypatch.context() as m:
+                m.setattr(LaurentPoly, "mul", lambda self, other, window=None: mul(
+                    self, other, None if window is None else window + k))
+                m.setattr(LaurentPoly, "window", lambda self, w: cut(self, w + k))
+                return factored(*args)
+        return call
+
+    report = thm_b1_check(nu, u_cutoff, window, Q0, T0)
+    assert report["match"]
+    for k in (1, 2, 3):
+        monkeypatch.setattr(cylindric, "kernel_log_factored", shifted(k))
+        assert thm_b1_check(nu, u_cutoff, window, Q0, T0) == report, k
+    monkeypatch.setattr(cylindric, "kernel_log_factored", shifted(-1))
+    lowered = thm_b1_check(nu, u_cutoff, window, Q0, T0)
+    assert lowered["trace_match"] and not lowered["factorization_match"]

@@ -45,6 +45,7 @@ from permac.macdonald import (
 from permac.partitions import (contains, make_partition, partitions_of, partitions_up_to,
                                weight, z_qt)
 from permac.process import (
+    ProcessSpec,
     partition_function_bruteforce,
     partition_function_closed,
     process_from_names,
@@ -398,8 +399,13 @@ def test_closed_trace_and_z_read_no_ratio_of_their_oracles(monkeypatch, fresh_me
                                  ring, "u", 4, Q0, T0))
 
     def z_pair():
-        # a new process each time: a process memoises its skew values
-        ps = process_from_names(["alpha"], ["alpha"], Q0, T0, 4)
+        # a new process each time: a process memoises its skew values.  The
+        # two-variable alpha step takes the Fock route of ``skew_eval``,
+        # which reads z_lambda(q,t); a one-variable step reads ``pieri``
+        zring = SeriesRing(["u", "a", "x", "b"], 4)
+        ps = ProcessSpec(zring, Q0, T0, zring.gen("u"),
+                         [alpha_spec([("a", 1), ("x", 2)], zring)],
+                         [alpha_spec([("b", 1)], zring)])
         return partition_function_closed(ps), partition_function_bruteforce(ps, 4)
 
     closed, brute = trace_pair()
@@ -414,6 +420,27 @@ def test_closed_trace_and_z_read_no_ratio_of_their_oracles(monkeypatch, fresh_me
     closed2, brute2 = trace_pair()
     assert closed2 == closed and brute2 != brute
     monkeypatch.setattr(partitions, "qt_ratio", doubled)
+    fresh_memos()
+    z_closed2, z_brute2 = z_pair()
+    assert z_closed2 == z_closed and z_brute2 != z_brute
+
+
+def test_closed_z_reads_no_pieri_coefficient(monkeypatch, fresh_memos):
+    # the one-variable skews of the brute-force Z are Pieri coefficients
+    # times p_|lam/mu|; scaling psi moves that Z and leaves the closed one
+    def z_pair():
+        ps = process_from_names(["alpha"], ["alpha"], Q0, T0, 4)
+        return partition_function_closed(ps), partition_function_bruteforce(ps, 4)
+
+    z_closed, z_brute = z_pair()
+    assert z_closed == z_brute
+    pieri = macdonald.pieri
+
+    def scaled(lam, mu, q, t):
+        psi, phi = pieri(lam, mu, q, t)
+        return 2 * psi, phi
+
+    monkeypatch.setattr(macdonald, "pieri", scaled)
     fresh_memos()
     z_closed2, z_brute2 = z_pair()
     assert z_closed2 == z_closed and z_brute2 != z_brute

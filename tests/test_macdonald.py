@@ -456,10 +456,12 @@ def test_skew_eval_trivial_and_single_box():
 
 
 def test_skew_eval_matches_pieri_single_variable():
+    # the Fock route (a second variable with coefficient 0) against the
+    # Pieri coefficients
     rng = random.Random(14)
     q, t = random_qt_pair(rng)
-    ring = SeriesRing(["a"], 5)
-    spec = alpha_spec([("a", 1)], ring)
+    ring = SeriesRing(["a", "b"], 5)
+    spec = alpha_spec([("a", 1), ("b", 0)], ring)
     for lam in partitions_up_to(5):
         for mu in partitions_up_to(weight(lam)):
             for kind in ("P", "Q"):
@@ -527,6 +529,47 @@ def _half_vertex_skew(kind, lam, mu, spec, q, t, unit):
         term = d * (c * z_qt(nu, q, t))
         acc = term if acc is None else acc + term
     return acc if acc is not None else unit * 0
+
+
+@pytest.mark.parametrize("q, t", [(Fraction(43, 97), Fraction(59, 89)),
+                                  (Fraction(2, 7), Fraction(5, 11))], ids=str)
+def test_one_variable_skews_take_the_pieri_route(q, t):
+    # every (kind, lam, mu) with |lam|, |mu| <= 7: the Pieri route of a
+    # one-variable alpha spec equals the Fock route of the same spec written
+    # with a second variable of coefficient 0, non-strips (0) and lam = mu
+    # (the unit) included
+    ring = SeriesRing(["a", "b"], 7)
+    one = alpha_spec([("a", Fraction(3, 2))], ring)
+    fock_route = alpha_spec([("a", Fraction(3, 2)), ("b", 0)], ring)
+    assert (one.variables, fock_route.variables) == (1, 2)
+    lams = partitions_up_to(7)
+    zeros = strips = 0
+    for lam in lams:
+        for mu in lams:
+            for kind in ("P", "Q"):
+                got = skew_eval(kind, lam, mu, one, q, t, unit=ring.one())
+                assert got == skew_eval(kind, lam, mu, fock_route, q, t,
+                                        unit=ring.one()), (kind, lam, mu)
+                strips += horizontal_strip(lam, mu) and lam != mu
+                zeros += not got
+    assert strips and zeros
+    # a Laurent unit, the one variable being 3/2 x: the same spec without
+    # its variable count takes the Fock route
+    zvars = ("x", "y")
+    unit = LaurentPoly.constant(zvars, ring.one())
+
+    def laurent_spec(variables):
+        spec = Specialization("alpha", lambda n: LaurentPoly.monomial(
+            zvars, ring, Fraction(3, 2) ** n, {"x": n}), 1)
+        spec.variables = variables
+        return spec
+
+    one_x, fock_x = laurent_spec(1), laurent_spec(None)
+    for lam, mu in (((2, 1), (1,)), ((3, 1), (2,)), ((2, 2), (1,)), ((2,), (2,))):
+        for kind in ("P", "Q"):
+            got = skew_eval(kind, lam, mu, one_x, q, t, unit=unit)
+            assert type(got) is LaurentPoly
+            assert got == skew_eval(kind, lam, mu, fock_x, q, t, unit=unit), (kind, lam, mu)
 
 
 def _skew_oracle_specs():

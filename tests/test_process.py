@@ -24,6 +24,7 @@ from permac.process import (
     time_grid_process,
     weight_W,
 )
+from oracles import moment_factors_one_at_a_time
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing, qpochhammer, qpochhammer_finite, theta3
 
@@ -434,6 +435,24 @@ def test_three_step_mixed_moment_formula_vs_bruteforce():
     ps = single_alpha_process(3, q, t, 4)
     steps = [("E", 1), ("E'", 1), ("G", 2)]
     assert moment_formula(ps, steps) == moment_bruteforce(ps, steps, 4)
+
+
+def test_mixed_family_moment_with_two_variables_at_one_step():
+    # a mixed-family N = 3 sequence with r = 2 at one step: two variables
+    # of one step share their kernel shape and their Delta shapes
+    q, t = MIXED_POINTS[1]
+    ps = single_alpha_process(3, q, t, 3)
+    steps = [("E", 2), ("G'", 1), ("E'", 1)]
+    assert moment_formula(ps, steps) == moment_bruteforce(ps, steps, 3)
+
+
+@pytest.mark.parametrize("steps", [[("E", 3)] * 2, [("E", 2), ("G'", 1), ("E'", 1)]],
+                         ids=["E-3-2", "mixed"])
+def test_factor_shapes_equal_the_factors_built_one_at_a_time(steps):
+    ps = single_alpha_process(len(steps), *MIXED_POINTS[0], 3)
+    zvars, prefactor, factors = process._moment_factors(ps, steps)
+    assert factors == moment_factors_one_at_a_time(ps, steps)
+    assert zvars == factors[0].zvars and prefactor
 
 
 def bessel_series(ring, gname, c, nmax):
