@@ -35,8 +35,8 @@ from itertools import accumulate
 from operator import mul
 
 from . import macdonald
-from .laurent import LaurentPoly, laurent_log
-from .macdonald import Specialization, combine, observable, skew_eval
+from .laurent import LaurentPoly, _Box, laurent_log
+from .macdonald import Specialization, observable, skew_eval
 from .partitions import (
     conjugate,
     horizontal_strip,
@@ -47,8 +47,8 @@ from .partitions import (
     weight,
 )
 from .point import memo
-from .series import SeriesRing, TruncSeries, first_mismatch, geometric, \
-    qpochhammer, qpochhammer_log
+from .series import SeriesRing, TruncSeries, _flatten, _Packing, first_mismatch, \
+    geometric, product_sums, qpochhammer, qpochhammer_log
 
 
 class CylindricProfile:
@@ -419,11 +419,14 @@ def vertex_skew_sum(lam: tuple, mu: tuple, p_first, p_second, q, t, unit,
     """sum_eta P_{lam/eta}(first) Q_{mu/eta}(second), summed in one pass.
 
     ``p_first`` and ``p_second`` are Specializations, whose memoised
-    products p_nu serve every eta and every call.  With a ``window`` (Laurent
-    p-values only), each product keeps only its z-exponents in [-window,
-    window]: the sum cut to that window, for a caller that cuts it there.
+    products p_nu serve every eta and every call; ``unit`` is the series or
+    Laurent one of their p-values.  Each skew value is flattened once, and
+    the products are one ``series.product_sums`` on integer numerators.
+    With a ``window`` (Laurent p-values only), each product keeps only its
+    z-exponents in [-window, window] (``LaurentPoly.mul``'s ``_Box``): the
+    sum cut to that window, for a caller that cuts it there.
     """
-    terms = []
+    pairs = []
     # a nonzero term needs eta inside both, so inside their meet
     for eta in partitions_inside(tuple(map(min, lam, mu))):
         pv = skew_eval("P", lam, eta, p_first, q, t, unit=unit)
@@ -432,8 +435,26 @@ def vertex_skew_sum(lam: tuple, mu: tuple, p_first, p_second, q, t, unit,
         qv = skew_eval("Q", mu, eta, p_second, q, t, unit=unit)
         if not qv:
             continue
-        terms.append((1, pv * qv if window is None else pv.mul(qv, window=window)))
-    return combine(unit, terms)
+        pairs.append((pv, qv))
+    ring = unit.ring
+    series_unit = isinstance(unit, TruncSeries)
+    if series_unit:
+        pk, keep = _Packing(ring), None
+        pairs = [({(): pv}, {(): qv}) for pv, qv in pairs]
+    else:
+        # the packing holds every unpruned product, as in ``LaurentPoly.mul``
+        zn = len(unit.zvars)
+        bound = [0] * zn
+        for pv, qv in pairs:
+            (lo1, hi1), (lo2, hi2) = pv.exp_ranges(), qv.exp_ranges()
+            bound = [max(b, abs(l1 + l2), abs(h1 + h2))
+                     for b, l1, l2, h1, h2 in zip(bound, lo1, lo2, hi1, hi2)]
+        pk = _Packing(ring, bound)
+        keep = None if window is None else _Box(pk, (-window,) * zn, (window,) * zn)
+        pairs = [(pv.terms, qv.terms) for pv, qv in pairs]
+    (terms,) = product_sums((((_flatten(a, pk), _flatten(b, pk)), ((1, 1),))
+                             for a, b in pairs), pk, 1, keep)
+    return terms.get((), ring.zero()) if series_unit else LaurentPoly(unit.zvars, ring, terms)
 
 
 def cor_b2_check(grade: int, q: Fraction, t: Fraction) -> dict:

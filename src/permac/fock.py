@@ -87,6 +87,16 @@ class VertexSpec:
     def __init__(self, gamma_plus: dict, gamma_minus: dict):
         self.plus = {n: c for n, c in gamma_plus.items() if c}
         self.minus = {n: c for n, c in gamma_minus.items() if c}
+        self._raising = (-1, None)  # (budget, ``_raising_table`` of minus)
+
+    def raising_table(self, budget: int) -> list:
+        """The ``_raising_table`` of the raising modes to at least
+        ``budget``: built once, at the largest budget asked for.  A table
+        built to a larger budget holds the smaller one's entries, in the same
+        order and with equal weights, among those of larger |kappa|."""
+        if self._raising[0] < budget:
+            self._raising = (budget, _raising_table(self.minus, budget))
+        return self._raising[1]
 
     def merge(self, other: "VertexSpec") -> "VertexSpec":
         plus = dict(self.plus)
@@ -126,8 +136,8 @@ def half_vertex_apply(modes: dict, v: dict, q, t, sign: int,
     if sign == -1 and degree_cap is None:
         raise ValueError("the raising half of a vertex operator needs a degree cap")
     modes = {n: g for n, g in modes.items() if g}
-    out: dict = {}
     if sign == 1:
+        out: dict = {}
         shifts: dict = {}  # (n, m) -> [1, C(m, j) (g_n (1-q^n)/(1-t^n))^j for j = 1..m]
         for lam, c in v.items():
             terms = [((), c)]  # (the parts of lam - j so far, coefficient)
@@ -142,8 +152,19 @@ def half_vertex_apply(modes: dict, v: dict, q, t, sign: int,
             for mu, a in terms:
                 accumulate(out, mu, a)
         return out
-    budget = max([degree_cap - weight(lam) for lam in v] + [0])
-    kappas = [((), 0, None)]  # (kappa, |kappa|, prod_n (g_n/n)^k_n / k_n!)
+    return _raise(_raising_table(modes, _budget(v, degree_cap)), v, degree_cap)
+
+
+def _budget(v: dict, degree_cap: int) -> int:
+    """The largest |kappa| the raising half adds to a ket of ``v``."""
+    return max([degree_cap - weight(lam) for lam in v] + [0])
+
+
+def _raising_table(modes: dict, budget: int) -> list:
+    """(kappa, |kappa|, prod_n (g_n/n)^k_n / k_n!) over the kappa with
+    |kappa| <= ``budget`` built from the nonzero ``modes`` g, the empty
+    kappa first, with weight None."""
+    kappas = [((), 0, None)]
     for n in sorted(modes, reverse=True):
         pw = [p * Fraction(1, factorial(k)) for k, p in
               enumerate(_powers(modes[n] * Fraction(1, n), budget // n), 1)]
@@ -153,6 +174,14 @@ def half_vertex_apply(modes: dict, v: dict, q, t, sign: int,
             for k, f in enumerate(pw[:(budget - w) // n], 1):
                 grown.append((kappa + (n,) * k, w + n * k, f if b is None else b * f))
         kappas = grown
+    return kappas
+
+
+def _raise(kappas: list, v: dict, degree_cap: int) -> dict:
+    """The raising half applied to ``v`` from a ``_raising_table`` whose
+    budget covers every ket: each ket gains the kappa with |lam| + |kappa|
+    <= ``degree_cap``."""
+    out: dict = {}
     for lam, c in v.items():
         accumulate(out, lam, c)  # the empty kappa keeps even a ket above the cap
         room = degree_cap - weight(lam)
@@ -180,7 +209,7 @@ def vertex_apply(spec: VertexSpec, v: dict, q, t, degree_cap: int) -> dict:
     The image is sorted, as the free-field columns are.
     """
     lowered = half_vertex_apply(spec.plus, v, q, t, sign=1)
-    raised = half_vertex_apply(spec.minus, lowered, q, t, sign=-1, degree_cap=degree_cap)
+    raised = _raise(spec.raising_table(_budget(lowered, degree_cap)), lowered, degree_cap)
     return dict(sorted(raised.items(), reverse=True))
 
 

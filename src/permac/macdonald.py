@@ -513,14 +513,27 @@ def lambda_rho_p(lam: tuple, r: int, q: Fraction, t: Fraction) -> Fraction:
 
         p_r = sum_i (q^{lam_i} t^{-i})^r + t^{-r (l + 1)} / (1 - t^{-r}),
 
-    the geometric tail summed in closed form.
+    the geometric tail summed in closed form, for r >= 0 (r = 0 and t^r = 1
+    are a ZeroDivisionError, and so is t = 0).  With q = A/B and t = C/D both
+    parts sit over the one denominator B^{r lam_1} C^{r l} (C^r - D^r): the
+    i-th term is A^{r lam_i} B^{r (lam_1 - lam_i)} D^{r i} C^{r (l - i)}
+    (C^r - D^r) and the tail D^{r (l + 1)} B^{r lam_1}, so the sum is
+    integer arithmetic and one Fraction.
     """
+    if r < 0:
+        raise ValueError(f"r must be nonnegative, got {r}")
+    q, t = Fraction(q), Fraction(t)
+    A, B, C, D = q.numerator, q.denominator, t.numerator, t.denominator
+    if not C:
+        raise ZeroDivisionError("lambda_rho_p at t = 0")
     l = length(lam)
-    acc = Fraction(0)
+    Ar, Br, Cr, Dr = A**r, B**r, C**r, D**r
+    gap = Cr - Dr
+    top = lam[0] if lam else 0
+    acc = Dr ** (l + 1) * Br**top
     for i, li in enumerate(lam, start=1):
-        acc += (q**li * t**-i) ** r
-    acc += t ** (-r * (l + 1)) / (1 - t**-r)
-    return acc
+        acc += Ar**li * Br ** (top - li) * Dr**i * Cr ** (l - i) * gap
+    return Fraction(acc, Br**top * Cr**l * gap)
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +619,9 @@ def skew_eval(kind: str, lam: tuple, mu: tuple, spec: Specialization,
     At a one-variable alpha specialization X = x the skew function is
     P_{lam/mu}(x) = psi_{lam/mu} x^{|lam/mu|} and Q_{lam/mu}(x) = phi_{lam/mu}
     x^{|lam/mu|} on a horizontal strip, and zero off one (Macdonald VI
-    (7.13'), (7.14')): the memoised ``pieri`` coefficient times p_{|lam/mu|}(X),
-    with no table read.  Every other specialization takes the Fock route.
+    (7.13'), (7.14')): p_{|lam/mu|}(X) times the memoised ``pieri``
+    coefficient, one scalar product with no table read and no sum.  Every
+    other specialization takes the Fock route.
     """
     if kind not in ("P", "Q"):
         raise ValueError("kind must be 'P' or 'Q'")
@@ -619,8 +633,7 @@ def skew_eval(kind: str, lam: tuple, mu: tuple, spec: Specialization,
         if not horizontal_strip(lam, mu):
             return unit * 0
         psi, phi = pieri(lam, mu, q, t)
-        return combine(unit, [(psi if kind == "P" else phi,
-                               spec.power_product((weight(lam) - weight(mu),)))])
+        return spec.power_product((weight(lam) - weight(mu),)) * (psi if kind == "P" else phi)
     return combine(unit, [(c, p) for nu, c in _skew_coefficients(kind, lam, mu, q, t)
                           if (p := spec.power_product(nu))])
 

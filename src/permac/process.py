@@ -9,7 +9,8 @@ cyclic weight of a configuration (lambda^1..lambda^N, mu^1..mu^N) is
     u^{|mu^N|} prod_i Q_{lambda^i/mu^i}(rho^-_i) P_{lambda^{i+1}/mu^i}(rho^+_i)
 
 with lambda^{N+1} = lambda^1 and rho^+_N = rho^+_0.  Closed forms are checked
-against literal sums over configurations throughout.  The closed partition
+against literal sums over configurations throughout, each weight a flat
+product of integer numerators (``series.product_sums``).  The closed partition
 function is the free-field trace: the OPE scalars of ``fock`` times its
 ``trace_closed`` of the normal-ordered product.  The moment formulas
 take any of the four observable families at each step, any N, on one path:
@@ -36,8 +37,8 @@ from .laurent import LaurentPoly, cauchy_sym_prefactor, laurent_exp, \
 from .macdonald import alpha_spec, observable, plancherel_spec, skew_eval, \
     zero_spec
 from .partitions import contains, partitions_inside, partitions_up_to, weight
-from .series import SeriesRing, TruncSeries, linear_combination, qpochhammer, \
-    theta3, zterm_sum
+from .series import SeriesRing, TruncSeries, _flatten, _Packing, linear_combination, \
+    product_sums, qpochhammer, theta3
 
 
 class ProcessSpec:
@@ -136,25 +137,42 @@ def time_grid_process(gamma, u_list, q, t) -> ProcessSpec:
 
 
 def weight_W(pspec: ProcessSpec, lam_seq, mu_seq) -> TruncSeries:
-    """Weight of one configuration; zero unless the cyclic chain interlaces."""
+    """Weight of one configuration; zero unless the cyclic chain interlaces.
+
+    The one-configuration case of the flat product that
+    ``_configuration_sums`` sums (``_weight_factors``)."""
     N = pspec.N
     if len(lam_seq) != N or len(mu_seq) != N:
         raise ValueError("sequences must have length N")
-    # the factors that are not the unit: u^|mu^N| unless mu^N is empty, and
-    # the skew functions over nonempty strips (zero off interlacing chains)
+    pk = _Packing(pspec.ring)
+    (w,) = product_sums([(_weight_factors(pspec, lam_seq, mu_seq, {}, pk), ((1, 1),))],
+                        pk, 1)
+    return w.get((), pspec.ring.zero())
+
+
+def _weight_factors(pspec: ProcessSpec, lam_seq, mu_seq, flat: dict, pk):
+    """The flattened factors of a configuration's weight that are not the
+    unit, in order: u^|mu^N| unless mu^N is empty, then the skew functions
+    over nonempty strips (zero off interlacing chains).
+
+    ``flat`` memoises each factor's ``series._flatten`` by its key, so a
+    sum over configurations flattens each distinct factor once.  A factor is
+    evaluated only when it is read.
+    """
+    N = pspec.N
     k = weight(mu_seq[N - 1])
-    out = pspec.u ** k if k else None
+    keys = [("u", k)] if k else []
     for i in range(1, N + 1):
-        lam_i = lam_seq[i - 1]
         mu_i = mu_seq[i - 1]
-        lam_next = lam_seq[i % N]
-        for kind, lam, index in (("Q", lam_i, i - 1), ("P", lam_next, i % N)):
+        for kind, lam, index in (("Q", lam_seq[i - 1], i - 1), ("P", lam_seq[i % N], i % N)):
             if lam != mu_i:
-                f = pspec.skew(kind, lam, mu_i, index)
-                out = f if out is None else out * f
-                if not out:
-                    return pspec.ring.zero()
-    return pspec.ring.one() if out is None else out
+                keys.append((kind, lam, mu_i, index))
+    for key in keys:
+        hit = flat.get(key)
+        if hit is None:
+            value = pspec.u ** key[1] if key[0] == "u" else pspec.skew(*key)
+            hit = flat[key] = _flatten({(): value}, pk)
+        yield hit
 
 
 # ---------------------------------------------------------------------------
@@ -233,28 +251,37 @@ def _configuration_sums(pspec: ProcessSpec, depth: int, series_r=None):
 
     f is the product over steps of the observables ``series_r`` lists, one
     (series_tag, r) per step, each an exact rational that ``observable``
-    memoises per point.  Without ``series_r`` f = 1 and both sums are the
-    one weight sum.  Both sums are one streamed ``zterm_sum`` over an
-    auxiliary exponent: each configuration adds W at exponent 0 and f W at
-    exponent 1.  Each oracle truncates the sums in its own order.  Only the
-    brute-force oracles call this.
+    memoises per point and this call reads once per partition.  Without
+    ``series_r`` f = 1 and both sums are the one weight sum.  Each weight W
+    is the flat product of its factors (``_weight_factors``, each factor
+    flattened once per call), and f enters as one integer numerator and one
+    denominator: both sums are one ``series.product_sums``.  Each oracle
+    truncates the sums in its own order.  Only the brute-force oracles call
+    this.
     """
-    def pairs():
-        for lam_seq, mu_seq in configurations(pspec, depth):
-            w = weight_W(pspec, lam_seq, mu_seq)
-            if not w:
-                continue
-            yield 1, {(0,): w}
-            if series_r is None:
-                continue
-            f = Fraction(1)
-            for (tag, r), lam in zip(series_r, lam_seq):
-                f *= observable(tag, r, lam, pspec.q, pspec.t)
-            yield f, {(1,): w}
+    ring, q, t = pspec.ring, pspec.q, pspec.t
+    pk = _Packing(ring)
+    flat: dict = {}
+    observables: dict = {}
 
-    sums = zterm_sum(pspec.ring, pairs())
-    den = sums.get((0,), pspec.ring.zero())
-    return (den if series_r is None else sums.get((1,), pspec.ring.zero())), den
+    def products():
+        for lam_seq, mu_seq in configurations(pspec, depth):
+            factors = _weight_factors(pspec, lam_seq, mu_seq, flat, pk)
+            if series_r is None:
+                yield factors, ((1, 1),)
+                continue
+            fn = fd = 1
+            for (tag, r), lam in zip(series_r, lam_seq):
+                f = observables.get((tag, r, lam))
+                if f is None:
+                    f = observables[tag, r, lam] = observable(tag, r, lam, q, t)
+                fn *= f.numerator
+                fd *= f.denominator
+            yield factors, ((1, 1), (fn, fd))
+
+    sums = [s.get((), ring.zero())
+            for s in product_sums(products(), pk, 1 if series_r is None else 2)]
+    return sums[-1], sums[0]
 
 
 def partition_function_bruteforce(pspec: ProcessSpec, depth: int) -> TruncSeries:

@@ -16,21 +16,25 @@ numerators over its ``lcm`` denominator.  ``_mul_terms`` multiplies with
 integer arithmetic only, and the one division per coefficient happens when
 the result is unpacked (``_unflatten``).  ``zterm_sum``, the one sum
 c_1 f_1 + ... + c_k f_k of series and Laurent polynomials, adds integer
-numerators too, keyed by the exponents.  ``power_sum`` is the one loop for
-[1 +] sum_k w(k) f^k behind ``inverse``, ``exp`` and ``log`` of series and
-of Laurent polynomials: integer powers until one vanishes, then one
-division.  A product with a one-term factor is a scale and a shift instead,
-the common case of the closed forms and their oracles: one pass over the
-other factor that tests each term's degree against the room the one term
-leaves, adds the one term's exponents, and multiplies coefficients only
-when the one term's coefficient is not 1; zero products are dropped.  A
-product by the unit series (zero exponents, coefficient 1) is this shift
-with ``c2 == 1`` at zero exponent: the other factor's nonzero terms at or
-below the cutoff, with no multiply.  ``TruncSeries.__mul__`` is the one
-home of this unit rule, and callers, ``laurent`` and ``qpochhammer`` among
-them, just multiply.  A coefficient or scalar that is not an int or a
-Fraction is a TypeError where a scalar or monomial is built, in a product
-of two multi-term factors, in a sum and in a power sum.
+numerators too, keyed by the exponents, in one bucket per denominator, and
+each key merges over only the buckets that reach it (``_merge``).
+``product_sums``, the oracles' sum of products of flattened factors, adds
+the products' packed numerators in the same buckets and merge.
+``power_sum`` is the one loop for [1 +] sum_k w(k) f^k behind ``inverse``,
+``exp`` and ``log`` of series and of Laurent polynomials: integer powers
+until one vanishes, then one division.  A product with a one-term factor is
+a scale and a shift instead, the common case of the closed forms and their
+oracles: one pass over the other factor that tests each term's degree
+against the room the one term leaves, adds the one term's exponents, and
+multiplies coefficients only when the one term's coefficient is not 1; zero
+products are dropped.  A product by the unit series (zero exponents,
+coefficient 1) is this shift with ``c2 == 1`` at zero exponent: the other
+factor's nonzero terms at or below the cutoff, with no multiply.
+``TruncSeries.__mul__`` is the one home of this unit rule, and callers,
+``laurent`` and ``qpochhammer`` among them, just multiply.  A coefficient
+or scalar that is not an int or a Fraction is a TypeError where a scalar or
+monomial is built, in a product of two multi-term factors, in a sum and in
+a power sum.
 
 The ring also hosts the q-Pochhammer machinery: infinite symbols
 ``(a; p_1, ..., p_n)_inf`` are expanded through their logarithm
@@ -49,7 +53,8 @@ This module is the one place for the series idioms the closed forms share:
 terms zeta^m v^(m^2) of a theta sum, and the num/den ``qpochhammer`` for any
 product and ratio of Pochhammer symbols.
 Brute-force oracles choose their own terms, but sum them with the shared
-``zterm_sum``, as they add with ``+``.
+``zterm_sum``, as they add with ``+``, or multiply and sum them with
+``product_sums``, which no closed form reads.
 """
 
 from __future__ import annotations
@@ -341,8 +346,10 @@ def zterm_sum(ring: SeriesRing, pairs) -> dict:
     """sum c f over the pairs (c, f), c an int or a Fraction and f a map from
     z-exponents to series of ``ring``, as such a map cut at the ring cutoff.
     Each c times a coefficient is an integer numerator, added in a bucket
-    per denominator, so the pairs stream; the buckets merge over one lcm.
-    The keys stay exponent tuples, as a sum adds no key to another."""
+    per denominator, so the pairs stream; each key merges over the lcm of
+    only the buckets that reach it (``_merge``), so one key's coefficient
+    never carries the denominators of the others.  The keys stay exponent
+    tuples, as a sum adds no key to another."""
     cutoff, degrees = ring.cutoff, ring.degrees
     buckets: dict = {}
     for c, f in pairs:
@@ -358,15 +365,35 @@ def zterm_sum(ring: SeriesRing, pairs) -> dict:
                 acc = buckets.setdefault(cd * v.denominator, {})
                 key = ze, se
                 acc[key] = acc.get(key, 0) + cn * v.numerator
-    total = lcm(*buckets)
     out: dict = {}
+    for (ze, se), v in _merge(buckets).items():
+        out.setdefault(ze, {})[se] = v
+    return {ze: TruncSeries(ring, ts) for ze, ts in out.items()}
+
+
+def _merge(buckets: dict) -> dict:
+    """key -> Fraction of buckets den -> {key: integer numerator}, each key
+    summed over the lcm of only the denominators whose buckets reach it;
+    the keys that sum to zero are dropped."""
+    if len(buckets) == 1:
+        ((den, acc),) = buckets.items()
+        return {k: Fraction(v, den) for k, v in acc.items() if v}
+    reach: dict = {}
     for den, acc in buckets.items():
-        scale = total // den
-        for (ze, se), v in acc.items():
-            ts = out.setdefault(ze, {})
-            ts[se] = ts.get(se, 0) + scale * v
-    return {ze: s for ze, ts in out.items() if (s := TruncSeries(
-        ring, {se: Fraction(v, total) for se, v in ts.items() if v}))}
+        for k, v in acc.items():
+            if v:
+                reach.setdefault(k, []).append((den, v))
+    out = {}
+    for k, parts in reach.items():
+        if len(parts) == 1:
+            ((den, v),) = parts
+            out[k] = Fraction(v, den)
+            continue
+        total = lcm(*(den for den, _ in parts))
+        v = sum(v * (total // den) for den, v in parts)
+        if v:
+            out[k] = Fraction(v, total)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +478,17 @@ def _flatten(zterms: dict, pk: _Packing):
 def _unflatten(acc: dict, den: int, pk: _Packing) -> dict:
     """The map from z-exponents to series of the packed numerators ``acc``
     over ``den``."""
+    return _unpack(((k, Fraction(c, den)) for k, c in acc.items()), pk)
+
+
+def _unpack(items, pk: _Packing) -> dict:
+    """The map from z-exponents to series of the (packed key, rational)
+    pairs ``items``."""
     S = pk.S
     parts = {}
-    for k, c in acc.items():
+    for k, c in items:
         z, low = divmod(k, S)
-        parts.setdefault(z, {})[pk.series_exp(low)] = Fraction(c, den)
+        parts.setdefault(z, {})[pk.series_exp(low)] = c
     ring = pk.ring
     return {pk.zdigits(z): TruncSeries(ring, ts) for z, ts in parts.items()}
 
@@ -495,6 +528,47 @@ def _product(a: dict, b: dict, pk: _Packing, keep=None) -> dict:
     den2, terms2 = _flatten(b, pk)
     acc = _mul_terms({k: c for _, k, c in terms1}, terms2, pk, keep)
     return _unflatten(acc, den1 * den2, pk)
+
+
+def product_sums(products, pk: _Packing, count: int, keep=None) -> list:
+    """The ``count`` sums sum_i c_ij F_i1 ... F_im, j < count, of products
+    of flattened factors, each as a map from z-exponents to series.
+
+    ``products`` yields (factors, coefficients): the factors of one product,
+    each a ``_flatten`` pair, and its coefficient in each sum as an integer
+    pair (numerator, denominator).  The factors are multiplied once, on
+    integer numerators (``_mul_terms``), and read one by one, so none is
+    read once the product vanishes.  A ``keep`` map as in ``_mul_terms``
+    cuts every partial product past the first factor: with two factors, the
+    cut of a product that is cut next, as ``LaurentPoly.mul``'s window.
+    The product's numerators, times a coefficient's numerator, go into that
+    sum's bucket for the product's denominator times the coefficient's, and
+    each output key merges over only the buckets that reach it
+    (``_merge``): one Fraction per output coefficient.
+    """
+    sums = [{} for _ in range(count)]
+    for factors, coefficients in products:
+        acc, den = None, 1
+        for fden, terms in factors:
+            if acc is None:
+                acc = {k: c for _, k, c in terms}
+            else:
+                acc = _mul_terms(acc, terms, pk, keep)
+            if not acc:
+                break
+            den *= fden
+        if acc is None:
+            acc = {0: 1}  # the empty product
+        elif not acc:
+            continue
+        for buckets, (cn, cd) in zip(sums, coefficients):
+            if not cn:
+                continue
+            bucket = buckets.setdefault(den * cd, {})
+            get = bucket.get
+            for k, v in acc.items():
+                bucket[k] = get(k, 0) + cn * v
+    return [_unpack(_merge(buckets).items(), pk) for buckets in sums]
 
 
 def power_sum(zterms: dict, pk: _Packing, weight, unit: bool, keep=None, limit=None):

@@ -8,13 +8,15 @@ from operator import mul
 from permac.cylindric import box_level
 from permac.fock import accumulate, eta_xi_exponent, operator_family, wick_exponent, z_vertex_spec
 from permac.laurent import LaurentPoly, laurent_exp, ratio_sym_factor
-from permac.macdonald import m_to_p, macdonald_P_p, macdonald_Q_p, pieri
+from permac.macdonald import (combine, m_to_p, macdonald_P_p, macdonald_Q_p, observable,
+                               pieri, skew_eval)
 from permac.partitions import (conjugate, contains, dominance_key, horizontal_strip,
                                length, make_partition, multiplicity, part,
-                               partitions_of, partitions_up_to, weight, z_qt)
+                               partitions_inside, partitions_of, partitions_up_to,
+                               weight, z_qt)
 from permac.point import qt_ratio
-from permac.process import _gammas, weight_W
-from permac.series import SeriesRing, TruncSeries
+from permac.process import _gammas, configurations, weight_W
+from permac.series import SeriesRing, TruncSeries, _check_rational
 
 
 def dominance_leq_by_loop(mu: tuple, lam: tuple) -> bool:
@@ -534,3 +536,107 @@ def moment_factors_one_at_a_time(pspec, series_r) -> list:
                 for a, (_, _, idxs_a) in enumerate(steps, start=1)
                 for j in idxs_b for i in idxs_a]
     return factors
+
+
+def zterm_sum_over_one_lcm(ring: SeriesRing, pairs) -> dict:
+    """``series.zterm_sum`` with its buckets merged over one lcm of every
+    denominator met: the reference for its merge per output key."""
+    cutoff, degrees = ring.cutoff, ring.degrees
+    buckets: dict = {}
+    for c, f in pairs:
+        _check_rational(c)
+        if not c:
+            continue
+        cn, cd = c.numerator, c.denominator
+        for ze, ts in f.items():
+            for se, v in ts.terms.items():
+                if sum(map(mul, se, degrees)) > cutoff:
+                    continue
+                _check_rational(v)
+                acc = buckets.setdefault(cd * v.denominator, {})
+                key = ze, se
+                acc[key] = acc.get(key, 0) + cn * v.numerator
+    total = lcm(*buckets)
+    out: dict = {}
+    for den, acc in buckets.items():
+        scale = total // den
+        for (ze, se), v in acc.items():
+            ts = out.setdefault(ze, {})
+            ts[se] = ts.get(se, 0) + scale * v
+    return {ze: s for ze, ts in out.items() if (s := TruncSeries(
+        ring, {se: Fraction(v, total) for se, v in ts.items() if v}))}
+
+
+def lambda_rho_p_by_fractions(lam: tuple, r: int, q: Fraction, t: Fraction) -> Fraction:
+    """``macdonald.lambda_rho_p`` term by term in Fraction arithmetic, the
+    tail as t^{-r (l + 1)} / (1 - t^{-r})."""
+    l = length(lam)
+    acc = Fraction(0)
+    for i, li in enumerate(lam, start=1):
+        acc += (q**li * t**-i) ** r
+    acc += t ** (-r * (l + 1)) / (1 - t**-r)
+    return acc
+
+
+def weight_W_by_series_products(pspec, lam_seq, mu_seq) -> TruncSeries:
+    """``process.weight_W`` as a running product of series: the reference
+    for its flat product."""
+    N = pspec.N
+    if len(lam_seq) != N or len(mu_seq) != N:
+        raise ValueError("sequences must have length N")
+    # the factors that are not the unit: u^|mu^N| unless mu^N is empty, and
+    # the skew functions over nonempty strips (zero off interlacing chains)
+    k = weight(mu_seq[N - 1])
+    out = pspec.u ** k if k else None
+    for i in range(1, N + 1):
+        lam_i = lam_seq[i - 1]
+        mu_i = mu_seq[i - 1]
+        lam_next = lam_seq[i % N]
+        for kind, lam, index in (("Q", lam_i, i - 1), ("P", lam_next, i % N)):
+            if lam != mu_i:
+                f = pspec.skew(kind, lam, mu_i, index)
+                out = f if out is None else out * f
+                if not out:
+                    return pspec.ring.zero()
+    return pspec.ring.one() if out is None else out
+
+
+def configuration_sums_by_weight_W(pspec, depth: int, series_r=None):
+    """``process._configuration_sums`` as one ``zterm_sum_over_one_lcm`` of
+    the series weights ``weight_W_by_series_products`` times the Fraction
+    observable products: the reference for its flat sum of products."""
+    def pairs():
+        for lam_seq, mu_seq in configurations(pspec, depth):
+            w = weight_W_by_series_products(pspec, lam_seq, mu_seq)
+            if not w:
+                continue
+            yield 1, {(0,): w}
+            if series_r is None:
+                continue
+            f = Fraction(1)
+            for (tag, r), lam in zip(series_r, lam_seq):
+                f *= observable(tag, r, lam, pspec.q, pspec.t)
+            yield f, {(1,): w}
+
+    sums = zterm_sum_over_one_lcm(pspec.ring, pairs())
+    den = sums.get((0,), pspec.ring.zero())
+    return (den if series_r is None else sums.get((1,), pspec.ring.zero())), den
+
+
+def vertex_skew_sum_by_combine(lam: tuple, mu: tuple, p_first, p_second, q, t, unit,
+                               window: int = None):
+    """``cylindric.vertex_skew_sum`` as one ``macdonald.combine`` of the
+    products P_{lam/eta} Q_{mu/eta}, each formed by ``*`` or, with a
+    ``window``, ``LaurentPoly.mul(window=)``: the reference for its flat sum
+    of products."""
+    terms = []
+    # a nonzero term needs eta inside both, so inside their meet
+    for eta in partitions_inside(tuple(map(min, lam, mu))):
+        pv = skew_eval("P", lam, eta, p_first, q, t, unit=unit)
+        if not pv:
+            continue
+        qv = skew_eval("Q", mu, eta, p_second, q, t, unit=unit)
+        if not qv:
+            continue
+        terms.append((1, pv * qv if window is None else pv.mul(qv, window=window)))
+    return combine(unit, terms)

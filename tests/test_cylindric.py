@@ -22,8 +22,9 @@ from permac.cylindric import (
     weight_F,
     weight_Phi,
 )
-from oracles import components_two_lists, fraction_weight_F, horizontal_strip_by_columns
-from permac.macdonald import observable
+from oracles import (components_two_lists, fraction_weight_F, horizontal_strip_by_columns,
+                     vertex_skew_sum_by_combine)
+from permac.macdonald import combine, observable
 from permac.partitions import conjugate, partitions_up_to, weight
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing, qpochhammer
@@ -293,7 +294,7 @@ def _vertex_skew_sum_over_every_eta(lam, mu, p_first, p_second, q, t, unit,
         if not qv:
             continue
         terms.append((1, pv * qv))
-    out = cylindric.combine(unit, terms)
+    out = combine(unit, terms)
     return out if window is None else out.window(window)
 
 
@@ -306,6 +307,37 @@ def test_vertex_skew_sum_equals_the_sum_over_every_eta():
     for lam, mu in itertools.product(partitions_up_to(3), repeat=2):
         assert vertex_skew_sum(lam, mu, pa, pb, Q0, T0, ring.one()) == \
             _vertex_skew_sum_over_every_eta(lam, mu, pa, pb, Q0, T0, ring.one()), (lam, mu)
+
+
+@pytest.mark.parametrize("q, t", [(Fraction(43, 97), Fraction(59, 89)),
+                                  (Fraction(5, 2), Fraction(-2, 3))], ids=str)
+@pytest.mark.parametrize("nu, window", [((), None), ((1,), None), ((1,), 2), ((2, 1), 3)],
+                         ids=["series", "laurent", "laurent-window-2", "laurent-window-3"])
+def test_vertex_skew_sum_equals_the_combined_products(nu, window, q, t):
+    # the flat sum of products against one combine of the products formed
+    # by * or LaurentPoly.mul(window=), for series p-values (nu = ()) and
+    # Laurent ones, with and without a window
+    from permac.cylindric import principal_p_laurent, principal_p_trunc, vertex_skew_sum
+    from permac.laurent import LaurentPoly
+
+    if nu:
+        zvars = ("x", "y")
+        ring = SeriesRing(["u"], 3)
+        unit = LaurentPoly.constant(zvars, ring.one())
+        pa, pb = (principal_p_laurent(zvars, ring, nu, variant, 6)
+                  for variant in ("yr_nxu", "xr_ynu"))
+    else:
+        ring = SeriesRing(["u", "x", "y"], 4)
+        unit = ring.one()
+        pa, pb = principal_p_trunc(ring, "yr_nxu"), principal_p_trunc(ring, "xr_ynu")
+    nonzero = 0
+    for lam, mu in itertools.product(partitions_up_to(3), repeat=2):
+        got = vertex_skew_sum(lam, mu, pa, pb, q, t, unit, window=window)
+        assert type(got) is type(unit)
+        assert got == vertex_skew_sum_by_combine(lam, mu, pa, pb, q, t, unit,
+                                                 window=window), (lam, mu)
+        nonzero += bool(got)
+    assert nonzero
 
 
 @pytest.mark.parametrize("check", [

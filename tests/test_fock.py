@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import heisenberg_apply, layered_half_vertex_apply
-from permac import acceptance, fock, laurent, macdonald, partitions, point
+from permac import acceptance, cylindric, fock, laurent, macdonald, partitions, point, \
+    process, series
 from permac.fock import (
     FREE_FIELD_FAMILIES,
     VertexSpec,
@@ -46,6 +47,8 @@ from permac.partitions import (contains, make_partition, partitions_of, partitio
                                weight, z_qt)
 from permac.process import (
     ProcessSpec,
+    moment_formula,
+    nonperiodic_partition_function,
     partition_function_bruteforce,
     partition_function_closed,
     process_from_names,
@@ -444,6 +447,68 @@ def test_closed_z_reads_no_pieri_coefficient(monkeypatch, fresh_memos):
     fresh_memos()
     z_closed2, z_brute2 = z_pair()
     assert z_closed2 == z_closed and z_brute2 != z_brute
+
+
+def test_a_smaller_raising_table_is_the_larger_one_filtered():
+    # the entries of |kappa| <= b, in the same order and with equal weights
+    ring = SeriesRing(["b"], 7)
+    modes = {n: ring.monomial(Fraction(3 - 2 * n, n + 1), b=n) for n in (1, 2, 3)}
+    full = fock._raising_table(modes, 7)
+    for budget in range(8):
+        assert fock._raising_table(modes, budget) == \
+            [entry for entry in full if entry[1] <= budget], budget
+
+
+def test_a_reused_vertex_spec_builds_its_raising_table_once(monkeypatch):
+    # the brute-force trace applies one spec to every basis ket: its raising
+    # table is built once, at the largest budget asked for, and is built
+    # again only for a larger one; the images equal those of a fresh spec
+    ring = SeriesRing(["u", "a", "b"], 6)
+    plus = {n: ring.monomial(Fraction(2, n), a=n) for n in (1, 2)}
+    minus = {n: ring.monomial(Fraction(-1, n), b=n) for n in (1, 2, 3)}
+    builds = []
+    table = fock._raising_table
+
+    def counted(modes, budget):
+        builds.append(budget)
+        return table(modes, budget)
+
+    kets = [({lam: 1}, cap) for lam in partitions_up_to(6) for cap in (6, 4)]
+    fresh = [vertex_apply(VertexSpec(plus, minus), v, Q0, T0, cap) for v, cap in kets]
+    monkeypatch.setattr(fock, "_raising_table", counted)
+    spec = VertexSpec(plus, minus)
+    trace = trace_bruteforce(lambda v: vertex_apply(spec, v, Q0, T0, 6), ring, "u", 6, Q0, T0)
+    assert trace == trace_closed(spec, ring, "u", Q0, T0)
+    assert [vertex_apply(spec, v, Q0, T0, cap) for v, cap in kets] == fresh
+    assert builds == [6]
+    builds.clear()
+    small = VertexSpec(plus, minus)
+    vertex_apply(small, {(): 1}, Q0, T0, 3)
+    vertex_apply(small, {(): 1}, Q0, T0, 5)
+    vertex_apply(small, {(): 1}, Q0, T0, 4)
+    assert builds == [3, 5]
+
+
+def test_closed_forms_reach_no_oracle_sum_or_raising_table(monkeypatch):
+    # the flat sum of products and the raising table serve the oracles only
+    def refused(*args, **kwargs):
+        raise AssertionError("a closed form reached an oracle helper")
+
+    for module in (series, process, cylindric):
+        monkeypatch.setattr(module, "product_sums", refused)
+    monkeypatch.setattr(fock, "_raising_table", refused)
+    monkeypatch.setattr(fock.VertexSpec, "raising_table", refused)
+    ps = process_from_names(["alpha", "plancherel"], ["alpha", "alpha"], Q0, T0, 3)
+    for family in FREE_FIELD_FAMILIES:
+        assert moment_formula(ps, [(family, 1), (family, 2)])
+    assert partition_function_closed(ps) and nonperiodic_partition_function(ps)
+    ring = SeriesRing(["u", "a", "b"], 4)
+    spec = VertexSpec({1: ring.monomial(Fraction(2), a=1)}, {1: ring.monomial(Fraction(-1), b=1)})
+    assert trace_closed(spec, ring, "u", Q0, T0)
+    with pytest.raises(AssertionError, match="oracle helper"):
+        partition_function_bruteforce(ps, 3)
+    with pytest.raises(AssertionError, match="oracle helper"):
+        trace_bruteforce(lambda v: vertex_apply(spec, v, Q0, T0, 4), ring, "u", 4, Q0, T0)
 
 
 def test_eigen_relations_all_families():

@@ -44,7 +44,7 @@ from permac.partitions import (
     z_qt,
 )
 from oracles import fraction_m_dict_to_p, fraction_m_gram, fraction_pieri, \
-    fraction_skew_coefficients, skew_single_alpha
+    fraction_skew_coefficients, lambda_rho_p_by_fractions, skew_single_alpha
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing
 
@@ -411,6 +411,37 @@ def test_lambda_rho_values():
     # one-box partition
     expect = Q0 + (1 / T0) / (1 - 1 / T0)
     assert observable("E", 1, (1,), Q0, T0) == expect
+
+
+@pytest.mark.parametrize("q, t", [
+    (Fraction(43, 97), Fraction(59, 89)), (Fraction(1, 3), Fraction(2, 7)),
+    (Fraction(5, 2), Fraction(7, 3)), (Fraction(0), Fraction(1, 3)),
+    (Fraction(-2, 3), Fraction(1, 5))], ids=str)
+def test_lambda_rho_p_equals_the_fraction_sum(q, t):
+    # one Fraction over B^{r lam_1} C^{r l} (C^r - D^r) against the sum of
+    # Fraction powers and the tail t^{-r (l + 1)} / (1 - t^{-r})
+    for lam in partitions_up_to(8):
+        for r in range(1, 5):
+            assert lambda_rho_p(lam, r, q, t) == lambda_rho_p_by_fractions(lam, r, q, t), \
+                (lam, r)
+
+
+@pytest.mark.parametrize("q, t, r", [
+    (Fraction(1, 3), Fraction(0), 1), (Fraction(1, 3), Fraction(0), 2),
+    (Fraction(1, 2), Fraction(1), 2), (Fraction(1, 2), Fraction(-1), 2),
+    (Fraction(1, 2), Fraction(1, 3), 0)], ids=str)
+def test_lambda_rho_p_raises_where_the_fraction_sum_does(q, t, r):
+    # t = 0 (the empty partition too) and t^r = 1
+    for lam in ((), (2, 1)):
+        with pytest.raises(ZeroDivisionError):
+            lambda_rho_p_by_fractions(lam, r, q, t)
+        with pytest.raises(ZeroDivisionError):
+            lambda_rho_p(lam, r, q, t)
+
+
+def test_lambda_rho_p_refuses_a_negative_r():
+    with pytest.raises(ValueError, match="nonnegative"):
+        lambda_rho_p((2, 1), -1, Q0, T0)
 
 
 @pytest.mark.parametrize("family", ["E", "E'", "G", "G'"])

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from permac import laurent, process
-from permac.macdonald import alpha_spec, zero_spec
+from permac.macdonald import alpha_spec, plancherel_spec, zero_spec
 from permac.partitions import contains, partitions_inside, partitions_up_to, weight
 from permac.process import (
     ProcessSpec,
@@ -24,7 +24,8 @@ from permac.process import (
     time_grid_process,
     weight_W,
 )
-from oracles import moment_factors_one_at_a_time
+from oracles import (configuration_sums_by_weight_W, moment_factors_one_at_a_time,
+                     weight_W_by_series_products)
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing, qpochhammer, qpochhammer_finite, theta3
 
@@ -453,6 +454,64 @@ def test_factor_shapes_equal_the_factors_built_one_at_a_time(steps):
     zvars, prefactor, factors = process._moment_factors(ps, steps)
     assert factors == moment_factors_one_at_a_time(ps, steps)
     assert zvars == factors[0].zvars and prefactor
+
+
+def _step_kinds_process(plus, minus, q, t, cutoff):
+    """A process whose steps name their specialization kinds: "zero",
+    "alpha" (one variable, a<i> or b<j>), "alpha2" (two variables, a<i> and
+    1/2 c<i>, or b<j> and -2/3 d<j>) or "plancherel" (xi = g (1 - u))."""
+    symbols = ["u", "g"]
+    for side, kinds, second in (("a", plus, "c"), ("b", minus, "d")):
+        first = 0 if side == "a" else 1
+        for i, kind in enumerate(kinds, start=first):
+            if kind.startswith("alpha"):
+                symbols.append(f"{side}{i}")
+            if kind == "alpha2":
+                symbols.append(f"{second}{i}")
+    ring = SeriesRing(symbols, cutoff)
+    xi = ring.gen("g") * (ring.one() - ring.gen("u"))
+
+    def spec(kind, name, second, c):
+        if kind == "zero":
+            return zero_spec()
+        if kind == "plancherel":
+            return plancherel_spec(xi, ring)
+        return alpha_spec([(name, 1)] + ([(second, c)] if kind == "alpha2" else []), ring)
+
+    return ProcessSpec(ring, q, t, ring.gen("u"),
+                       [spec(k, f"a{i}", f"c{i}", Fraction(1, 2))
+                        for i, k in enumerate(plus)],
+                       [spec(k, f"b{j}", f"d{j}", Fraction(-2, 3))
+                        for j, k in enumerate(minus, start=1)])
+
+
+# the second point lies outside (0, 1)^2, with a negative t
+ORACLE_POINTS = [(Fraction(43, 97), Fraction(59, 89)), (Fraction(5, 2), Fraction(-2, 3))]
+
+
+@pytest.mark.parametrize("q, t", ORACLE_POINTS, ids=str)
+@pytest.mark.parametrize("plus, minus, steps, cutoff", [
+    (["alpha"], ["alpha2"], [("E", 2)], 6),
+    (["plancherel"], ["alpha"], [("G'", 1)], 6),
+    (["alpha2"], ["zero"], [("E'", 2)], 6),
+    (["alpha2", "zero"], ["plancherel", "alpha"], [("E'", 1), ("G", 2)], 5),
+    (["alpha", "plancherel", "alpha2"], ["zero", "alpha", "alpha"],
+     [("G", 1), ("E", 1), ("G'", 1)], 4),
+    (["zero", "alpha", "alpha"], ["alpha2", "plancherel", "alpha"],
+     [("E'", 1), ("E", 0), ("G'", 2)], 4),
+], ids=["N1-alpha", "N1-plancherel", "N1-zero", "N2", "N3-a", "N3-b"])
+def test_configuration_sums_equal_the_series_weight_sums(plus, minus, steps, cutoff, q, t):
+    # the flat sums of products against the running series products summed
+    # by the one-lcm merge, with and without observables, and weight_W
+    # against the running product on every configuration
+    ps = _step_kinds_process(plus, minus, q, t, cutoff)
+    for series_r in (None, steps):
+        got = process._configuration_sums(ps, cutoff, series_r)
+        assert got == configuration_sums_by_weight_W(ps, cutoff, series_r)
+        assert got[1]
+    for lam_seq, mu_seq in configurations(ps, cutoff):
+        assert weight_W(ps, lam_seq, mu_seq) == \
+            weight_W_by_series_products(ps, lam_seq, mu_seq), (lam_seq, mu_seq)
 
 
 def bessel_series(ring, gname, c, nmax):

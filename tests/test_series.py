@@ -18,9 +18,11 @@ from permac.series import (
     qpochhammer_log,
     theta3,
     theta_terms,
+    zterm_sum,
 )
 
-from oracles import fraction_linear_combination, fraction_power_sum, plain_series_product
+from oracles import (fraction_linear_combination, fraction_power_sum, plain_series_product,
+                     zterm_sum_over_one_lcm)
 
 
 def random_series(ring, rng, nterms=6):
@@ -411,6 +413,26 @@ def test_linear_combination_equals_the_fraction_sum(data, n, cancel):
     got = linear_combination(ring, iter(pairs))
     assert got.terms == fraction_linear_combination(ring, pairs).terms
     assert all(got.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(0, 5), cancel=st.booleans())
+def test_zterm_sum_merge_per_key_equals_the_merge_over_one_lcm(data, n, cancel):
+    # maps from one or two z-exponents to series, int and Fraction scalars,
+    # c = 0, an empty input, terms above the cutoff, and with ``cancel`` a
+    # pair that takes the first one back, so a key may sum to zero
+    ring = _product_ring(data.draw)
+    zexps = st.tuples(*[st.integers(-2, 2)] * data.draw(st.integers(1, 2)))
+    scalars = st.one_of(st.just(0), RATIONAL_COEFFS)
+    pairs = [(data.draw(scalars),
+              {ze: _any_series(data.draw, ring)
+               for ze in data.draw(st.lists(zexps, max_size=3, unique=True))})
+             for _ in range(n)]
+    if cancel and pairs:
+        pairs.append((-pairs[0][0], pairs[0][1]))
+    got = zterm_sum(ring, iter(pairs))
+    assert got == zterm_sum_over_one_lcm(ring, pairs)
+    assert all(s.terms and all(s.terms.values()) for s in got.values())
 
 
 def test_linear_combination_refuses_a_float_scalar():
