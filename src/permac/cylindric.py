@@ -17,7 +17,8 @@ The second half covers traces of refined topological vertices, including a
 windowed-Laurent logarithm comparison for profiles whose closed form mixes
 expansion directions.  Where a Laurent product is windowed next (the skew
 products of the literal sum, the last modulus product of a Pochhammer log)
-it is formed inside the window only (``LaurentPoly.mul``'s ``window``).
+it is formed inside the window only (``LaurentPoly.mul``'s ``window``, or
+the keep map of the literal sum's one ``series.product_sums``).
 Their principal specializations are ``macdonald.Specialization``
 instances, series-valued for the empty profile and Laurent-valued
 otherwise.  The direct vertex kernel's log is one ``fock.wick_exponent`` of
@@ -32,11 +33,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 
 from . import macdonald
 from .laurent import LaurentPoly, _Box, laurent_log
-from .macdonald import Specialization, observable, skew_eval
+from .macdonald import Specialization, _skew_flat, _zbound, observable
 from .partitions import (
     conjugate,
     horizontal_strip,
@@ -47,7 +48,7 @@ from .partitions import (
     weight,
 )
 from .point import memo
-from .series import SeriesRing, TruncSeries, _flatten, _Packing, first_mismatch, \
+from .series import SeriesRing, TruncSeries, _flat, _Packing, first_mismatch, \
     geometric, product_sums, qpochhammer, qpochhammer_log
 
 
@@ -416,45 +417,46 @@ def principal_p_laurent(zvars, ring: SeriesRing, nu: tuple, variant: str,
 
 def vertex_skew_sum(lam: tuple, mu: tuple, p_first, p_second, q, t, unit,
                     window: int = None):
-    """sum_eta P_{lam/eta}(first) Q_{mu/eta}(second), summed in one pass.
+    """sum_eta P_{lam/eta}(first) Q_{mu/eta}(second), the one-pair case of
+    ``_vertex_sum``.
 
-    ``p_first`` and ``p_second`` are Specializations, whose memoised
-    products p_nu serve every eta and every call; ``unit`` is the series or
-    Laurent one of their p-values.  Each skew value is flattened once, and
-    the products are one ``series.product_sums`` on integer numerators.
-    With a ``window`` (Laurent p-values only), each product keeps only its
-    z-exponents in [-window, window] (``LaurentPoly.mul``'s ``_Box``): the
+    ``unit`` is the series or Laurent one of the Specializations' p-values.
+    With a ``window`` (Laurent p-values only: a ValueError for a series
+    unit), each product keeps only its z-exponents in [-window, window]: the
     sum cut to that window, for a caller that cuts it there.
     """
-    pairs = []
-    # a nonzero term needs eta inside both, so inside their meet
-    for eta in partitions_inside(tuple(map(min, lam, mu))):
-        pv = skew_eval("P", lam, eta, p_first, q, t, unit=unit)
-        if not pv:
-            continue
-        qv = skew_eval("Q", mu, eta, p_second, q, t, unit=unit)
-        if not qv:
-            continue
-        pairs.append((pv, qv))
+    return _vertex_sum([(lam, mu, None)], p_first, p_second, q, t, unit, window)
+
+
+def _vertex_sum(items, p_first, p_second, q, t, unit, window):
+    """sum over (lam, mu, w) in ``items`` of w sum_eta P_{lam/eta}(first)
+    Q_{mu/eta}(second) (w a ring element, or None for 1) as one keyed
+    ``series.product_sums`` over (lam, eta), on the flat skew values of
+    ``macdonald._skew_flat`` and the flattened w.  The packing holds every
+    product (``macdonald._zbound``).  w comes first, so its degree bounds
+    the skew products, unless a ``window`` cuts those: then it comes last.
+    """
     ring = unit.ring
-    series_unit = isinstance(unit, TruncSeries)
-    if series_unit:
-        pk, keep = _Packing(ring), None
-        pairs = [({(): pv}, {(): qv}) for pv, qv in pairs]
-    else:
-        # the packing holds every unpruned product, as in ``LaurentPoly.mul``
-        zn = len(unit.zvars)
-        bound = [0] * zn
-        for pv, qv in pairs:
-            (lo1, hi1), (lo2, hi2) = pv.exp_ranges(), qv.exp_ranges()
-            bound = [max(b, abs(l1 + l2), abs(h1 + h2))
-                     for b, l1, l2, h1, h2 in zip(bound, lo1, lo2, hi1, hi2)]
-        pk = _Packing(ring, bound)
-        keep = None if window is None else _Box(pk, (-window,) * zn, (window,) * zn)
-        pairs = [(pv.terms, qv.terms) for pv, qv in pairs]
-    (terms,) = product_sums((((_flatten(a, pk), _flatten(b, pk)), ((1, 1),))
-                             for a, b in pairs), pk, 1, keep)
-    return terms.get((), ring.zero()) if series_unit else LaurentPoly(unit.zvars, ring, terms)
+    zvars = getattr(unit, "zvars", None)
+    if window is not None and zvars is None:
+        raise ValueError("a window needs Laurent p-values")
+    zn = len(zvars or ())
+    k = max(max(weight(lam), weight(mu)) for lam, mu, _ in items)
+    pk = _Packing(ring, list(map(add, _zbound(p_first, k, zn), _zbound(p_second, k, zn))))
+    keep = None if window is None else _Box(pk, (-window,) * zn, (window,) * zn)
+
+    def products():
+        for lam, mu, w in items:
+            extra = [] if w is None else [_flat(w, pk)]
+            # a nonzero term needs eta inside both, so inside their meet
+            for eta in partitions_inside(tuple(map(min, lam, mu))):
+                pv = _skew_flat("P", lam, eta, p_first, q, t, pk)
+                if pv[1] and (qv := _skew_flat("Q", mu, eta, p_second, q, t, pk))[1]:
+                    yield ([pv, qv] + extra if window is not None else extra + [pv, qv]), \
+                        ((0, (1, 1)),)
+
+    terms = product_sums(products(), pk, keep).get(0, {})
+    return terms.get((), ring.zero()) if zvars is None else LaurentPoly(zvars, ring, terms)
 
 
 def cor_b2_check(grade: int, q: Fraction, t: Fraction) -> dict:
@@ -469,10 +471,9 @@ def cor_b2_check(grade: int, q: Fraction, t: Fraction) -> dict:
     ring = SeriesRing(["u", "x", "y"], grade)
     p_first = principal_p_trunc(ring, "yr_nxu")
     p_second = principal_p_trunc(ring, "xr_ynu")
-    lhs = ring.zero()
-    for lam in partitions_up_to(grade):
-        term = vertex_skew_sum(lam, lam, p_first, p_second, q, t, ring.one())
-        lhs = lhs + ring.monomial(Fraction(1), u=weight(lam)) * term
+    lhs = _vertex_sum([(lam, lam, ring.monomial(1, u=weight(lam)))
+                       for lam in partitions_up_to(grade)], p_first, p_second, q, t, ring.one(),
+                      None)
     u, x, y = ring.gen("u"), ring.gen("x"), ring.gen("y")
     tx = ring.monomial(t, x=1)
     rhs = qpochhammer(ring, [(tx, [q, u, x, y]), (x, [q, x, y])],
@@ -696,15 +697,11 @@ def thm_b1_check(nu: tuple, u_cutoff: int, window: int, q: Fraction,
     build = window + max(u_cutoff, window) * max(part(nu, 1), length(nu), 1) + 2
     p_first, p_second = (principal_p_laurent(zvars, ring, nu, variant, build)
                          for variant in ("yr_nxu", "xr_ynu"))
-    one = LaurentPoly.constant(zvars, ring.one())
-    lhs = LaurentPoly(zvars, ring, {})
     # the literal sum on the build window, which its log reads: the skew
     # products are formed there only
-    for lam in partitions_up_to(u_cutoff):
-        term = vertex_skew_sum(lam, lam, p_first, p_second, q, t, one, window=build)
-        if not term:
-            continue
-        lhs = lhs + term.scale(ring.monomial(Fraction(1), u=weight(lam)))
+    lhs = _vertex_sum([(lam, lam, ring.monomial(1, u=weight(lam)))
+                       for lam in partitions_up_to(u_cutoff)], p_first, p_second, q, t,
+                      LaurentPoly.constant(zvars, ring.one()), build)
     log_lhs = laurent_log(lhs, build).window(window)
 
     u = ring.gen("u")

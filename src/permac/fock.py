@@ -29,12 +29,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import comb, factorial
+from operator import add
 
 from .laurent import (
     LaurentPoly,
+    _Box,
     cauchy_sym_prefactor,
     laurent_exp,
     ratio_sym_coefficients,
+    zreach,
 )
 from .macdonald import FREE_FIELD_FAMILIES  # noqa: F401 (re-exported: operator_family's names)
 from .macdonald import combine
@@ -44,6 +47,9 @@ from .scalars import random_qt_pair
 from .series import (
     SeriesRing,
     TruncSeries,
+    _flatten,
+    _mul_terms,
+    _Packing,
     geometric,
     qpochhammer,
     qpochhammer_log,
@@ -88,6 +94,7 @@ class VertexSpec:
         self.plus = {n: c for n, c in gamma_plus.items() if c}
         self.minus = {n: c for n, c in gamma_minus.items() if c}
         self._raising = (-1, None)  # (budget, ``_raising_table`` of minus)
+        self._flat: dict = {}  # ``_raise``'s flattened table, per ring, cap and z-bound
 
     def raising_table(self, budget: int) -> list:
         """The ``_raising_table`` of the raising modes to at least
@@ -96,6 +103,7 @@ class VertexSpec:
         order and with equal weights, among those of larger |kappa|."""
         if self._raising[0] < budget:
             self._raising = (budget, _raising_table(self.minus, budget))
+            self._flat = {}
         return self._raising[1]
 
     def merge(self, other: "VertexSpec") -> "VertexSpec":
@@ -152,7 +160,7 @@ def half_vertex_apply(modes: dict, v: dict, q, t, sign: int,
             for mu, a in terms:
                 accumulate(out, mu, a)
         return out
-    return _raise(_raising_table(modes, _budget(v, degree_cap)), v, degree_cap)
+    return _raise(_raising_table(modes, _budget(v, degree_cap)), v, degree_cap, {})
 
 
 def _budget(v: dict, degree_cap: int) -> int:
@@ -177,17 +185,79 @@ def _raising_table(modes: dict, budget: int) -> list:
     return kappas
 
 
-def _raise(kappas: list, v: dict, degree_cap: int) -> dict:
+def _raise(kappas: list, v: dict, degree_cap: int, flat: dict) -> dict:
     """The raising half applied to ``v`` from a ``_raising_table`` whose
     budget covers every ket: each ket gains the kappa with |lam| + |kappa|
-    <= ``degree_cap``."""
-    out: dict = {}
+    <= ``degree_cap``.
+
+    Rational vectors and weights keep their rational sum, as
+    ``macdonald.combine`` does.  Otherwise the half is one product on
+    integer numerators: a ket is packed as z-digits, its weight and its part
+    multiplicities, which add, so the vector times sum_kappa b_kappa |kappa>
+    (flattened once per VertexSpec and packing, in ``flat``) puts every c b
+    on its ket, and the box test on the weight digit drops the kets above
+    ``degree_cap``; a ket of v above it keeps c.  A Laurent vector holds
+    Laurent polynomials only.
+    """
+    rational = (int, Fraction)
+    weights = [b for _, _, b in kappas[1:]]
+    lead = next((x for x in (*v.values(), *weights) if not isinstance(x, rational)), None)
+    if lead is None:
+        out: dict = {}
+        for lam, c in v.items():
+            accumulate(out, lam, c)  # the empty kappa keeps even a ket above the cap
+            room = degree_cap - weight(lam)
+            for kappa, w, b in kappas[1:]:
+                if w <= room:
+                    accumulate(out, tuple(sorted(lam + kappa, reverse=True)), c * b)
+        return out
+    ring, zvars = lead.ring, getattr(lead, "zvars", None)
+    zn = len(zvars or ())
+    bound = [] if zvars is None else list(map(add, zreach(v.values(), zn), zreach(weights, zn)))
+
+    def place(terms, lam, x):  # x at the ket lam: its z-terms, |lam| and multiplicities appended
+        m = [0] * degree_cap
+        for part in lam:
+            m[part - 1] += 1
+        x = ring.scalar(x) if isinstance(x, rational) else x
+        for ze, s in ({(0,) * zn: x} if isinstance(x, TruncSeries) else x.terms).items():
+            terms[ze + (weight(lam), *m)] = s
+
+    key = (ring, degree_cap, tuple(bound))
+    if key not in flat:
+        digits = bound + [2 * degree_cap] + [2 * (degree_cap // n) for n in range(1, degree_cap + 1)]
+        pk = _Packing(ring, digits)
+        table: dict = {}
+        for kappa, w, b in kappas:
+            if w <= degree_cap:  # so each sum of two digits fits its digit
+                place(table, kappa, 1 if b is None else b)
+        hi = digits[:zn] + [degree_cap] + digits[zn + 1:]  # the kets up to the cap
+        flat[key] = pk, _flatten(table, pk), {}, {}, _Box(pk, [-d for d in digits], hi)
+    pk, (tden, tterms), kets, exps, keep = flat[key]
+    out, vec = {}, {}
     for lam, c in v.items():
-        accumulate(out, lam, c)  # the empty kappa keeps even a ket above the cap
-        room = degree_cap - weight(lam)
-        for kappa, w, b in kappas[1:]:
-            if w <= room:
-                accumulate(out, tuple(sorted(lam + kappa, reverse=True)), c * b)
+        if weight(lam) > degree_cap:
+            out[lam] = c  # the empty kappa keeps even a ket above the cap
+        else:
+            place(vec, lam, c)
+    vden, vterms = _flatten(vec, pk)
+    acc = _mul_terms({k: c for _, k, c in vterms}, tterms, pk, keep)
+    den, parts = vden * tden, {}
+    for k, c in acc.items():  # ``series._unpack``, each z-part and low part decoded once
+        z, low = divmod(k, pk.S)
+        if z not in kets:
+            d = pk.zdigits(z)
+            kets[z] = d[:zn], tuple(n for n in range(degree_cap, 0, -1)
+                                    for _ in range(d[zn + n]))
+        if low not in exps:
+            exps[low] = pk.series_exp(low)
+        parts.setdefault(kets[z], {})[exps[low]] = Fraction(c, den)
+    for (ze, mu), ts in parts.items():
+        ts = TruncSeries(ring, ts)
+        if zvars is None:
+            out[mu] = ts
+        else:
+            out.setdefault(mu, LaurentPoly(zvars, ring, {})).terms[ze] = ts
     return out
 
 
@@ -209,7 +279,8 @@ def vertex_apply(spec: VertexSpec, v: dict, q, t, degree_cap: int) -> dict:
     The image is sorted, as the free-field columns are.
     """
     lowered = half_vertex_apply(spec.plus, v, q, t, sign=1)
-    raised = _raise(spec.raising_table(_budget(lowered, degree_cap)), lowered, degree_cap)
+    raised = _raise(spec.raising_table(_budget(lowered, degree_cap)), lowered, degree_cap,
+                    spec._flat)
     return dict(sorted(raised.items(), reverse=True))
 
 
@@ -299,7 +370,8 @@ def trace_bruteforce(op, ring: SeriesRing, u_name: str, depth: int, q, t) -> Tru
     ``op`` maps Fock vectors to Fock vectors; the lambda-diagonal coefficient
     is read off directly in the power-sum basis.  Each basis vector starts at
     the rational 1, so the first mode weights scale it without a series
-    product.
+    product.  ``q`` and ``t`` are never read: perfbench's workloads pass
+    them, and dropping them waits on ROADMAP item 10.
     """
     from .partitions import partitions_up_to
 

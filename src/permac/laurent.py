@@ -196,6 +196,16 @@ def linear_combination(zvars, ring: SeriesRing, pairs) -> LaurentPoly:
     return LaurentPoly(zvars, ring, series.zterm_sum(ring, ((c, p.terms) for c, p in pairs)))
 
 
+def zreach(values, zn: int) -> list:
+    """Per z-variable, the largest |exponent| among the Laurent ``values``."""
+    bound = [0] * zn
+    for p in values:
+        if isinstance(p, LaurentPoly):
+            for ends in p.exp_ranges():
+                bound = list(map(max, bound, map(abs, ends)))
+    return bound
+
+
 def _elimination_order(factors) -> list:
     """The multiplication order of the factors, as input indices.
 

@@ -21,7 +21,8 @@ products, independently of the orthogonalization; the two routes cross-check
 each other in the test suite.  The skew coefficients are integer dot
 products: the p-basis rows of P_lambda and Q_lambda are memoised per point
 as integer numerators over one denominator (the ket row weighted by
-z_kappa(q,t)), and each coefficient is one Fraction.  Of the four operator
+z_kappa(q,t)), and the coefficients stay integers over one denominator, as
+do the skew values summed from them.  Of the four operator
 families, only E and G are written out (e_r and g_r of the partition's
 principal power sums): E' and G' are E and G at (1/q, 1/t), and each
 observable is its eigenvalue times s^r, s one of t, 1/t, 1, 1.
@@ -456,6 +457,7 @@ class Specialization:
         self.p_value = p_value
         self.degree = degree  # grading degree of p_1 (0 when numeric)
         self._products: dict = {}
+        self._flat: dict = {}  # packing key -> {nu: flattened p_nu(X)}, for ``_skew_flat``
 
     def __repr__(self):
         return f"Specialization({self.kind})"
@@ -562,7 +564,8 @@ def _z_weighted_numerators(basis: str, lam: tuple, q: Fraction, t: Fraction) -> 
 @per_point
 def _skew_coefficients(kind: str, lam: tuple, mu: tuple, q: Fraction,
                        t: Fraction) -> tuple:
-    """The pairs (nu, c_nu) with c_nu != 0 in P_{lam/mu} = sum_nu c_nu p_nu.
+    """(den, ((nu, c), ...)): the nonzero c_nu = c / den in P_{lam/mu} =
+    sum_nu c_nu p_nu, as integer numerators over one denominator.
 
     c_nu = <bra| a_nu |ket> / z_nu(q,t) over |nu| = |lam| - |mu|, with
     (bra, ket) = (Q_mu, P_lam) for kind "P" and (P_mu, Q_lam) for "Q".
@@ -573,12 +576,12 @@ def _skew_coefficients(kind: str, lam: tuple, mu: tuple, q: Fraction,
 
     one lookup of each merged partition in the ket, weighted once by z.
     Both rows are integer numerators over one denominator, the ket's
-    weighted by z (``_z_weighted_numerators``), so the sum is an integer
-    dot product and each c_nu one Fraction.
+    weighted by z (``_z_weighted_numerators``), so each sum is an integer
+    dot product, put over the lcm of the z_nu(q,t) numerators.
     """
     ket, ket_den = _z_weighted_numerators(kind, lam, q, t)
     bra, bra_den = _p_numerators("Q" if kind == "P" else "P", mu, q, t)
-    out = []
+    rows = []
     for nu in partitions_of(weight(lam) - weight(mu)):
         c = 0
         for kappa, b in bra.items():
@@ -587,15 +590,51 @@ def _skew_coefficients(kind: str, lam: tuple, mu: tuple, q: Fraction,
                 c += b * a
         if c:
             z = z_qt(nu, q, t)
-            out.append((nu, Fraction(c * z.denominator, ket_den * bra_den * z.numerator)))
-    return tuple(out)
+            rows.append((nu, c * z.denominator, z.numerator))
+    top = lcm(*(zn for _, _, zn in rows))
+    return ket_den * bra_den * top, tuple((nu, c * (top // zn)) for nu, c, zn in rows)
+
+
+def _skew_flat(kind: str, lam: tuple, mu: tuple, spec: Specialization,
+               q: Fraction, t: Fraction, pk) -> tuple:
+    """P_{lam/mu}(X) or Q_{lam/mu}(X) of the Fock route in the packing ``pk``,
+    as ``series._flatten`` gives a value (no terms when it vanishes): the
+    integer c_nu of ``_skew_coefficients`` times the numerators of each
+    p_nu(X), flattened once per specialization and packing."""
+    from .series import _flat
+
+    if not contains(lam, mu) or lam == mu:
+        return 1, [(0, 0, 1)] if lam == mu else []
+    den, rows = _skew_coefficients(kind, lam, mu, q, t)
+    memo = spec._flat.setdefault(pk.key, {})
+    for nu, _ in rows:
+        if nu not in memo:
+            p = spec.power_product(nu)
+            memo[nu] = _flat(p, pk) if p else (1, [])
+    top = lcm(*(memo[nu][0] for nu, _ in rows))
+    acc: dict = {}
+    for nu, c in rows:
+        fden, terms = memo[nu]
+        c *= top // fden
+        for _, k, v in terms:
+            acc[k] = acc.get(k, 0) + c * v
+    return den * top, sorted((k % pk.C, k, v) for k, v in acc.items() if v)
+
+
+def _zbound(spec: Specialization, k: int, zn: int) -> list:
+    """Per z-variable, a bound on |exponent| of the p_nu(X) with |nu| <= k:
+    k parts at most, each within the reach of some p_n(X), n <= k."""
+    from .laurent import zreach
+
+    return [k * b for b in zreach((spec.power_product((n,)) for n in range(1, k + 1)), zn)]
 
 
 def skew_eval(kind: str, lam: tuple, mu: tuple, spec: Specialization,
               q: Fraction, t: Fraction, unit):
     """P_{lam/mu} or Q_{lam/mu} at a specialization X; zero unless mu is in lam.
 
-    That test lives here alone: ``weight_W`` and ``vertex_skew_sum`` rely on it.
+    That test lives here and in ``_skew_flat``: ``weight_W`` and the vertex
+    sums of ``cylindric`` rely on it.
 
     P_{lam/mu}(X) is the Fock matrix element <Q_mu| Gamma_+(X) |P_lam> of
     the lowering half-vertex Gamma_+(X) = exp(sum_n (1-t^n)/(1-q^n) p_n(X)
@@ -610,11 +649,12 @@ def skew_eval(kind: str, lam: tuple, mu: tuple, spec: Specialization,
         P_{lam/mu}(X) = sum_{|nu| = |lam| - |mu|} c_nu p_nu(X),
         c_nu = <Q_mu| a_nu |P_lam> / z_nu(q,t).
 
-    The rational c_nu depend on (kind, lam, mu, q, t) only and are memoised
-    (``_skew_coefficients``); the products p_nu(X) are memoised by the
-    Specialization (``power_product``), and one pass sums c_nu p_nu(X)
-    (``combine``).  ``unit`` fixes the type of the result: a rational, a
-    ring one for series p-values, or a Laurent one for Laurent p-values.
+    The c_nu depend on (kind, lam, mu, q, t) only and are memoised as
+    integers over one denominator (``_skew_coefficients``); the products
+    p_nu(X) are memoised by the Specialization (``power_product``).  The sum
+    is ``_skew_flat``'s, on integer numerators, unflattened here into the
+    type of ``unit``, a ring one or a Laurent one; a rational ``unit`` keeps
+    the rational sum (``combine``).
 
     At a one-variable alpha specialization X = x the skew function is
     P_{lam/mu}(x) = psi_{lam/mu} x^{|lam/mu|} and Q_{lam/mu}(x) = phi_{lam/mu}
@@ -623,6 +663,8 @@ def skew_eval(kind: str, lam: tuple, mu: tuple, spec: Specialization,
     coefficient, one scalar product with no table read and no sum.  Every
     other specialization takes the Fock route.
     """
+    from .series import TruncSeries, _Packing, _unflatten
+
     if kind not in ("P", "Q"):
         raise ValueError("kind must be 'P' or 'Q'")
     if not contains(lam, mu):
@@ -634,8 +676,17 @@ def skew_eval(kind: str, lam: tuple, mu: tuple, spec: Specialization,
             return unit * 0
         psi, phi = pieri(lam, mu, q, t)
         return spec.power_product((weight(lam) - weight(mu),)) * (psi if kind == "P" else phi)
-    return combine(unit, [(c, p) for nu, c in _skew_coefficients(kind, lam, mu, q, t)
-                          if (p := spec.power_product(nu))])
+    zvars = getattr(unit, "zvars", None)
+    if zvars is None and not isinstance(unit, TruncSeries):
+        den, rows = _skew_coefficients(kind, lam, mu, q, t)
+        return combine(unit, [(Fraction(c, den), p) for nu, c in rows
+                              if (p := spec.power_product(nu))])
+    pk = _Packing(unit.ring, _zbound(spec, weight(lam) - weight(mu), len(zvars or ())))
+    den, terms = _skew_flat(kind, lam, mu, spec, q, t, pk)
+    zterms = _unflatten({k: v for _, k, v in terms}, den, pk)
+    if zvars is None:
+        return zterms.get((), unit.ring.zero())
+    return type(unit)(zvars, unit.ring, zterms)
 
 
 def combine(unit, pairs):

@@ -145,9 +145,8 @@ def weight_W(pspec: ProcessSpec, lam_seq, mu_seq) -> TruncSeries:
     if len(lam_seq) != N or len(mu_seq) != N:
         raise ValueError("sequences must have length N")
     pk = _Packing(pspec.ring)
-    (w,) = product_sums([(_weight_factors(pspec, lam_seq, mu_seq, {}, pk), ((1, 1),))],
-                        pk, 1)
-    return w.get((), pspec.ring.zero())
+    w = product_sums([(_weight_factors(pspec, lam_seq, mu_seq, {}, pk), ((0, (1, 1)),))], pk)
+    return w.get(0, {}).get((), pspec.ring.zero())
 
 
 def _weight_factors(pspec: ProcessSpec, lam_seq, mu_seq, flat: dict, pk):
@@ -255,9 +254,9 @@ def _configuration_sums(pspec: ProcessSpec, depth: int, series_r=None):
     ``series_r`` f = 1 and both sums are the one weight sum.  Each weight W
     is the flat product of its factors (``_weight_factors``, each factor
     flattened once per call), and f enters as one integer numerator and one
-    denominator: both sums are one ``series.product_sums``.  Each oracle
-    truncates the sums in its own order.  Only the brute-force oracles call
-    this.
+    denominator: both sums are one ``series.product_sums``, under keys 0 and
+    1.  Each oracle truncates the sums in its own order.  Only the
+    brute-force oracles call this.
     """
     ring, q, t = pspec.ring, pspec.q, pspec.t
     pk = _Packing(ring)
@@ -268,7 +267,7 @@ def _configuration_sums(pspec: ProcessSpec, depth: int, series_r=None):
         for lam_seq, mu_seq in configurations(pspec, depth):
             factors = _weight_factors(pspec, lam_seq, mu_seq, flat, pk)
             if series_r is None:
-                yield factors, ((1, 1),)
+                yield factors, ((0, (1, 1)),)
                 continue
             fn = fd = 1
             for (tag, r), lam in zip(series_r, lam_seq):
@@ -277,11 +276,11 @@ def _configuration_sums(pspec: ProcessSpec, depth: int, series_r=None):
                     f = observables[tag, r, lam] = observable(tag, r, lam, q, t)
                 fn *= f.numerator
                 fd *= f.denominator
-            yield factors, ((1, 1), (fn, fd))
+            yield factors, ((0, (1, 1)), (1, (fn, fd)))
 
-    sums = [s.get((), ring.zero())
-            for s in product_sums(products(), pk, 1 if series_r is None else 2)]
-    return sums[-1], sums[0]
+    sums = product_sums(products(), pk)
+    w = sums.get(0, {}).get((), ring.zero())
+    return (w if series_r is None else sums.get(1, {}).get((), ring.zero())), w
 
 
 def partition_function_bruteforce(pspec: ProcessSpec, depth: int) -> TruncSeries:

@@ -18,8 +18,8 @@ the result is unpacked (``_unflatten``).  ``zterm_sum``, the one sum
 c_1 f_1 + ... + c_k f_k of series and Laurent polynomials, adds integer
 numerators too, keyed by the exponents, in one bucket per denominator, and
 each key merges over only the buckets that reach it (``_merge``).
-``product_sums``, the oracles' sum of products of flattened factors, adds
-the products' packed numerators in the same buckets and merge.
+``product_sums``, the oracles' keyed sums of products of flattened factors,
+adds the products' packed numerators in the same buckets and merge.
 ``power_sum`` is the one loop for [1 +] sum_k w(k) f^k behind ``inverse``,
 ``exp`` and ``log`` of series and of Laurent polynomials: integer powers
 until one vanishes, then one division.  A product with a one-term factor is
@@ -422,6 +422,7 @@ class _Packing:
         self.sweights = [C ** (j + 1) for j in range(len(ring.symbols))]
         self.S = w = C ** (len(ring.symbols) + 1)
         self.zbases = [2 * b + 1 for b in zbound]
+        self.key = (ring.symbols, ring.degrees, ring.cutoff, tuple(self.zbases))
         self.zweights = []
         for b in self.zbases:
             self.zweights.append(w)
@@ -473,6 +474,11 @@ def _flatten(zterms: dict, pk: _Packing):
     terms = [(d, key, c.numerator * (den // c.denominator)) for d, key, c in raw]
     terms.sort(key=itemgetter(0))
     return den, terms
+
+
+def _flat(x, pk: _Packing):
+    """``_flatten`` of a series or of a Laurent polynomial's term map."""
+    return _flatten({(): x} if isinstance(x, TruncSeries) else x.terms, pk)
 
 
 def _unflatten(acc: dict, den: int, pk: _Packing) -> dict:
@@ -530,23 +536,24 @@ def _product(a: dict, b: dict, pk: _Packing, keep=None) -> dict:
     return _unflatten(acc, den1 * den2, pk)
 
 
-def product_sums(products, pk: _Packing, count: int, keep=None) -> list:
-    """The ``count`` sums sum_i c_ij F_i1 ... F_im, j < count, of products
-    of flattened factors, each as a map from z-exponents to series.
+def product_sums(products, pk: _Packing, keep=None) -> dict:
+    """key -> sum_i c_i F_i1 ... F_im over the products that enter that key,
+    each sum as a map from z-exponents to series.
 
     ``products`` yields (factors, coefficients): the factors of one product,
-    each a ``_flatten`` pair, and its coefficient in each sum as an integer
-    pair (numerator, denominator).  The factors are multiplied once, on
-    integer numerators (``_mul_terms``), and read one by one, so none is
-    read once the product vanishes.  A ``keep`` map as in ``_mul_terms``
-    cuts every partial product past the first factor: with two factors, the
-    cut of a product that is cut next, as ``LaurentPoly.mul``'s window.
-    The product's numerators, times a coefficient's numerator, go into that
-    sum's bucket for the product's denominator times the coefficient's, and
-    each output key merges over only the buckets that reach it
-    (``_merge``): one Fraction per output coefficient.
+    each a ``_flatten`` pair, and the sums it enters as pairs (key, (integer
+    numerator, denominator)).  The factors are multiplied once, on integer
+    numerators (``_mul_terms``), and read one by one, so none is read once
+    the product vanishes; no factor is the product 1.  A ``keep`` map as in
+    ``_mul_terms`` cuts every partial product past the first factor: with
+    two factors, the cut of a product that is cut next, as
+    ``LaurentPoly.mul``'s window.  The product's numerators, times a
+    coefficient's numerator, go into that key's bucket for the product's
+    denominator times the coefficient's, and each output key merges over
+    only the buckets that reach it (``_merge``): one Fraction per output
+    coefficient.
     """
-    sums = [{} for _ in range(count)]
+    sums: dict = {}
     for factors, coefficients in products:
         acc, den = None, 1
         for fden, terms in factors:
@@ -561,14 +568,14 @@ def product_sums(products, pk: _Packing, count: int, keep=None) -> list:
             acc = {0: 1}  # the empty product
         elif not acc:
             continue
-        for buckets, (cn, cd) in zip(sums, coefficients):
+        for key, (cn, cd) in coefficients:
             if not cn:
                 continue
-            bucket = buckets.setdefault(den * cd, {})
+            bucket = sums.setdefault(key, {}).setdefault(den * cd, {})
             get = bucket.get
             for k, v in acc.items():
                 bucket[k] = get(k, 0) + cn * v
-    return [_unpack(_merge(buckets).items(), pk) for buckets in sums]
+    return {key: _unpack(_merge(buckets).items(), pk) for key, buckets in sums.items()}
 
 
 def power_sum(zterms: dict, pk: _Packing, weight, unit: bool, keep=None, limit=None):

@@ -8,8 +8,8 @@ from operator import mul
 from permac.cylindric import box_level
 from permac.fock import accumulate, eta_xi_exponent, operator_family, wick_exponent, z_vertex_spec
 from permac.laurent import LaurentPoly, laurent_exp, ratio_sym_factor
-from permac.macdonald import (combine, m_to_p, macdonald_P_p, macdonald_Q_p, observable,
-                               pieri, skew_eval)
+from permac.macdonald import (_skew_coefficients, combine, m_to_p, macdonald_P_p,
+                               macdonald_Q_p, observable, pieri)
 from permac.partitions import (conjugate, contains, dominance_key, horizontal_strip,
                                length, make_partition, multiplicity, part,
                                partitions_inside, partitions_of, partitions_up_to,
@@ -623,20 +623,73 @@ def configuration_sums_by_weight_W(pspec, depth: int, series_r=None):
     return (den if series_r is None else sums.get((1,), pspec.ring.zero())), den
 
 
+def skew_eval_by_combine(kind: str, lam: tuple, mu: tuple, spec, q, t, unit):
+    """``macdonald.skew_eval`` with its Fock route summed by one
+    ``macdonald.combine`` of the pairs (c_nu, p_nu(X)), c_nu a Fraction: the
+    reference for its flat route on integer numerators."""
+    if kind not in ("P", "Q"):
+        raise ValueError("kind must be 'P' or 'Q'")
+    if not contains(lam, mu):
+        return unit * 0
+    if lam == mu:
+        return unit
+    if spec.variables == 1:
+        if not horizontal_strip(lam, mu):
+            return unit * 0
+        psi, phi = pieri(lam, mu, q, t)
+        return spec.power_product((weight(lam) - weight(mu),)) * (psi if kind == "P" else phi)
+    den, rows = _skew_coefficients(kind, lam, mu, q, t)
+    return combine(unit, [(Fraction(c, den), p) for nu, c in rows
+                          if (p := spec.power_product(nu))])
+
+
 def vertex_skew_sum_by_combine(lam: tuple, mu: tuple, p_first, p_second, q, t, unit,
                                window: int = None):
     """``cylindric.vertex_skew_sum`` as one ``macdonald.combine`` of the
-    products P_{lam/eta} Q_{mu/eta}, each formed by ``*`` or, with a
-    ``window``, ``LaurentPoly.mul(window=)``: the reference for its flat sum
-    of products."""
+    products P_{lam/eta} Q_{mu/eta} of ``skew_eval_by_combine``, each formed
+    by ``*`` or, with a ``window``, ``LaurentPoly.mul(window=)``: the
+    reference for its flat sum of products."""
     terms = []
     # a nonzero term needs eta inside both, so inside their meet
     for eta in partitions_inside(tuple(map(min, lam, mu))):
-        pv = skew_eval("P", lam, eta, p_first, q, t, unit=unit)
+        pv = skew_eval_by_combine("P", lam, eta, p_first, q, t, unit=unit)
         if not pv:
             continue
-        qv = skew_eval("Q", mu, eta, p_second, q, t, unit=unit)
+        qv = skew_eval_by_combine("Q", mu, eta, p_second, q, t, unit=unit)
         if not qv:
             continue
         terms.append((1, pv * qv if window is None else pv.mul(qv, window=window)))
     return combine(unit, terms)
+
+
+def literal_sum_one_lam_at_a_time(lams, p_first, p_second, q, t, unit, window=None):
+    """sum over lam in ``lams`` of u^|lam| sum_eta P_{lam/eta} Q_{lam/eta},
+    one lam at a time, as ``cor_b2_check`` (a series ``unit``) and
+    ``thm_b1_check`` (a Laurent one, with ``window`` = build) summed it: each
+    lam's sum is scaled by u^|lam| (a series product or ``LaurentPoly.scale``)
+    and added.  The reference for their one keyed product sum."""
+    ring = unit.ring
+    lhs = unit * 0
+    for lam in lams:
+        term = vertex_skew_sum_by_combine(lam, lam, p_first, p_second, q, t, unit,
+                                          window=window)
+        if not term:
+            continue
+        mono = ring.monomial(Fraction(1), u=weight(lam))
+        lhs = lhs + (term.scale(mono) if isinstance(term, LaurentPoly) else mono * term)
+    return lhs
+
+
+def raise_by_products(kappas: list, v: dict, degree_cap: int) -> dict:
+    """The raising half applied to ``v`` from a ``_raising_table`` whose
+    budget covers every ket: each ket gains the kappa with |lam| + |kappa|
+    <= ``degree_cap``, every c b formed by ``*`` and added by ``accumulate``.
+    The reference for ``fock._raise``'s one product on integer numerators."""
+    out: dict = {}
+    for lam, c in v.items():
+        accumulate(out, lam, c)  # the empty kappa keeps even a ket above the cap
+        room = degree_cap - weight(lam)
+        for kappa, w, b in kappas[1:]:
+            if w <= room:
+                accumulate(out, tuple(sorted(lam + kappa, reverse=True)), c * b)
+    return out

@@ -23,8 +23,8 @@ from permac.cylindric import (
     weight_Phi,
 )
 from oracles import (components_two_lists, fraction_weight_F, horizontal_strip_by_columns,
-                     vertex_skew_sum_by_combine)
-from permac.macdonald import combine, observable
+                     literal_sum_one_lam_at_a_time, vertex_skew_sum_by_combine)
+from permac.macdonald import combine, observable, skew_eval
 from permac.partitions import conjugate, partitions_up_to, weight
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing, qpochhammer
@@ -287,10 +287,10 @@ def _vertex_skew_sum_over_every_eta(lam, mu, p_first, p_second, q, t, unit,
     cuts the whole sum, as ``LaurentPoly.window`` does."""
     terms = []
     for eta in partitions_up_to(min(weight(lam), weight(mu))):
-        pv = cylindric.skew_eval("P", lam, eta, p_first, q, t, unit=unit)
+        pv = skew_eval("P", lam, eta, p_first, q, t, unit=unit)
         if not pv:
             continue
-        qv = cylindric.skew_eval("Q", mu, eta, p_second, q, t, unit=unit)
+        qv = skew_eval("Q", mu, eta, p_second, q, t, unit=unit)
         if not qv:
             continue
         terms.append((1, pv * qv))
@@ -346,24 +346,155 @@ def test_vertex_skew_sum_equals_the_combined_products(nu, window, q, t):
     lambda q, t: thm_b1_check((2, 1), 2, 2, q, t),
 ], ids=["cor_b2", "thm_b1-1", "thm_b1-21"])
 def test_vertex_checks_skip_only_zero_skew_terms(monkeypatch, fresh_memos, check):
-    # eta runs inside lam and mu only: the reports stay as they were with
-    # fewer skew_eval calls
+    # eta runs inside the meet of lam and mu only: the reports stay as they
+    # are with eta over every partition up to the meet's weight, which
+    # evaluates more skew values
     q, t = Fraction(1, 3), Fraction(2, 7)
     calls = []
-    skew_eval = cylindric.skew_eval
+    skew_flat = cylindric._skew_flat
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args[:3])
-        return skew_eval(*args, **kwargs)
+        return skew_flat(*args)
 
-    monkeypatch.setattr(cylindric, "skew_eval", counted)
+    monkeypatch.setattr(cylindric, "_skew_flat", counted)
     report = check(q, t)
     inside = len(calls)
     calls.clear()
     fresh_memos()
-    monkeypatch.setattr(cylindric, "vertex_skew_sum", _vertex_skew_sum_over_every_eta)
+    monkeypatch.setattr(cylindric, "partitions_inside",
+                        lambda meet: partitions_up_to(weight(meet)))
     assert check(q, t) == report
-    assert inside < len(calls)
+    assert 0 < inside < len(calls)
+
+
+def test_vertex_skew_sum_refuses_a_window_on_series_values():
+    from permac.cylindric import principal_p_trunc, vertex_skew_sum
+
+    ring = SeriesRing(["u", "x", "y"], 3)
+    pa, pb = principal_p_trunc(ring, "yr_nxu"), principal_p_trunc(ring, "xr_ynu")
+    assert vertex_skew_sum((1,), (1,), pa, pb, Q0, T0, ring.one())
+    with pytest.raises(ValueError, match="window"):
+        vertex_skew_sum((1,), (1,), pa, pb, Q0, T0, ring.one(), window=2)
+
+
+def _literal_sum_setups(nu, u_cutoff, build):
+    """(lams, p_first, p_second, unit) of the literal sum of ``cor_b2_check``
+    (nu None, grade u_cutoff) or of ``thm_b1_check`` with p-values to build."""
+    from permac.cylindric import principal_p_laurent, principal_p_trunc
+    from permac.laurent import LaurentPoly
+
+    lams = partitions_up_to(u_cutoff)
+    if nu is None:
+        ring = SeriesRing(["u", "x", "y"], u_cutoff)
+        return (lams, principal_p_trunc(ring, "yr_nxu"), principal_p_trunc(ring, "xr_ynu"),
+                ring.one())
+    zvars = ("x", "y")
+    ring = SeriesRing(["u"], u_cutoff)
+    pa, pb = (principal_p_laurent(zvars, ring, nu, variant, build)
+              for variant in ("yr_nxu", "xr_ynu"))
+    return lams, pa, pb, LaurentPoly.constant(zvars, ring.one())
+
+
+@pytest.mark.parametrize("q, t", [(Fraction(43, 97), Fraction(59, 89)),
+                                  (Fraction(5, 2), Fraction(-2, 3))], ids=str)
+@pytest.mark.parametrize("nu, u_cutoff, build, windows", [
+    (None, 4, None, [None]),
+    ((1,), 3, 6, [None, *range(7)]),
+    ((2, 1), 2, 5, [None, *range(7)]),
+], ids=["series", "laurent-1", "laurent-21"])
+def test_literal_sum_equals_the_sum_one_lam_at_a_time(nu, u_cutoff, build, windows, q, t):
+    # the one keyed product sum over (lam, eta) with u^|lam| as a factor,
+    # against the per-lam sums scaled and added, at zero tolerance: series
+    # p-values, and Laurent ones unwindowed and at windows 0..6
+    lams, pa, pb, unit = _literal_sum_setups(nu, u_cutoff, build)
+    items = [(lam, lam, unit.ring.monomial(1, u=weight(lam))) for lam in lams]
+    for window in windows:
+        got = cylindric._vertex_sum(items, pa, pb, q, t, unit, window)
+        expect = literal_sum_one_lam_at_a_time(lams, pa, pb, q, t, unit, window)
+        assert type(got) is type(unit)
+        assert got == expect, window
+        assert got
+
+
+def _count_series_work(monkeypatch):
+    """Counters on ``TruncSeries.__mul__``, ``LaurentPoly.scale`` and
+    ``series.zterm_sum``, live inside ``cor_b2_check`` and ``thm_b1_check``
+    but not inside the p_nu(X) products or the closed sides."""
+    from permac import laurent, macdonald, series
+
+    counts = {"mul": 0, "scale": 0, "zterm_sum": 0}
+    depth = [0]
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += depth[0] > 0
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def scoped(step, fn):
+        def wrapper(*args, **kwargs):
+            depth[0] += step
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= step
+        return wrapper
+
+    mul = series.TruncSeries.__mul__
+    monkeypatch.setattr(series.TruncSeries, "__mul__", counted("mul", mul))
+    monkeypatch.setattr(series.TruncSeries, "__rmul__", counted("mul", mul))
+    monkeypatch.setattr(laurent.LaurentPoly, "scale",
+                        counted("scale", laurent.LaurentPoly.scale))
+    monkeypatch.setattr(series, "zterm_sum", counted("zterm_sum", series.zterm_sum))
+    for name in ("cor_b2_check", "thm_b1_check"):
+        monkeypatch.setattr(cylindric, name, scoped(1, getattr(cylindric, name)))
+    quiet = [(macdonald.Specialization, "power_product")] + [
+        (cylindric, name) for name in ("qpochhammer", "qpochhammer_log", "kernel_log_direct",
+                                       "kernel_log_factored", "laurent_log")]
+    for owner, name in quiet:
+        monkeypatch.setattr(owner, name, scoped(-1000, getattr(owner, name)))
+    return counts
+
+
+def test_literal_sums_build_no_series_product(monkeypatch, fresh_memos):
+    # the literal lambda sums run on integer numerators: no series product,
+    # no Laurent scale and no zterm_sum, cold memos included; the products
+    # p_nu(X) and the closed sides are not counted
+    q, t = Fraction(43, 97), Fraction(59, 89)
+    counts = _count_series_work(monkeypatch)
+    assert cylindric.cor_b2_check(4, q, t)["match"]
+    assert cylindric.thm_b1_check((1,), 2, 2, q, t)["match"]
+    assert counts == {"mul": 0, "scale": 0, "zterm_sum": 0}
+    # the same counters see the sums one lam at a time
+    monkeypatch.undo()
+    fresh_memos()
+
+    def one_lam_at_a_time(items, *args):
+        return literal_sum_one_lam_at_a_time([lam for lam, _, _ in items], *args)
+
+    monkeypatch.setattr(cylindric, "_vertex_sum", one_lam_at_a_time)
+    counts = _count_series_work(monkeypatch)
+    assert cylindric.cor_b2_check(4, q, t)["match"]
+    assert counts["mul"] and counts["zterm_sum"]
+    assert cylindric.thm_b1_check((1,), 2, 2, q, t)["match"]
+    assert counts["scale"]
+
+
+@pytest.mark.parametrize("nu, size", [((1,), 3), ((2, 1), 2)], ids=["1", "21"])
+def test_literal_sum_cut_above_build_changes_no_report(monkeypatch, nu, size):
+    # thm_b1_check's literal sum is cut at build by the keyed sum's keep
+    # map; cut at build + 1..3 instead, the report is the same
+    q, t = Fraction(1, 3), Fraction(2, 7)
+    report = thm_b1_check(nu, size, size, q, t)
+    assert report["match"]
+    vertex_sum = cylindric._vertex_sum
+    for k in (1, 2, 3):
+        def shifted(items, p_first, p_second, q, t, unit, window=None, k=k):
+            return vertex_sum(items, p_first, p_second, q, t, unit, window + k)
+
+        monkeypatch.setattr(cylindric, "_vertex_sum", shifted)
+        assert thm_b1_check(nu, size, size, q, t) == report, k
 
 
 def test_cor_b2():

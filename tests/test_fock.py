@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import heisenberg_apply, layered_half_vertex_apply
+from oracles import heisenberg_apply, layered_half_vertex_apply, raise_by_products
 from permac import acceptance, cylindric, fock, laurent, macdonald, partitions, point, \
     process, series
 from permac.fock import (
@@ -144,6 +144,90 @@ def test_half_vertex_multiset_form_equals_the_layered_one(case):
     modes, v, q, t, sign, cap = case
     assert (half_vertex_apply(modes, v, q, t, sign, cap)
             == layered_half_vertex_apply(modes, v, q, t, sign, cap))
+
+
+@st.composite
+def raise_cases(draw):
+    """(kappas, v, cap): a raising table of rational, series or Laurent
+    modes and a vector of that kind, with a random cap; a series vector may
+    hold rationals, as the brute-force trace's kets do (a Laurent polynomial
+    and a rational do not add)."""
+    kind = draw(st.sampled_from(["rational", "series", "laurent"]))
+    ring = SeriesRing(["a", "b"], draw(st.integers(0, 4)))
+    rational = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
+
+    def coefficient(z: int, own: bool):
+        c = draw(rational)
+        if kind == "rational" or not own:
+            return c
+        if kind == "series":
+            return ring.monomial(c, a=draw(st.integers(0, 2)), b=z) + draw(rational) * \
+                draw(st.sampled_from([0, 1]))
+        return (LaurentPoly.monomial(("z",), ring, c, {"z": draw(st.integers(-2, 2))})
+                + LaurentPoly.monomial(("z",), ring, draw(rational), {"z": z}))
+
+    modes = {n: coefficient(n, True) for n in draw(st.sets(st.integers(1, 4), max_size=3))}
+    v = {lam: coefficient(0, kind == "laurent" or draw(st.booleans()))
+         for lam in draw(st.lists(st.sampled_from(partitions_up_to(6)), max_size=4))}
+    v = {lam: c for lam, c in v.items() if c}  # a Fock vector stores no zero
+    cap = draw(st.integers(0, 7))
+    budget = fock._budget(v, cap) + draw(st.integers(0, 2))  # a table built larger, as reused
+    return fock._raising_table(modes, budget), v, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=raise_cases())
+def test_raise_as_one_product_equals_the_series_products(case):
+    # the packed product against c * b added by accumulate, at zero
+    # tolerance, with a fresh memo and with the one it filled
+    kappas, v, cap = case
+    expect = raise_by_products(kappas, v, cap)
+    memo: dict = {}
+    for _ in range(2):
+        got = fock._raise(kappas, v, cap, memo)
+        assert got == expect
+        assert all(got[mu] for mu in got)
+
+
+def test_raising_half_builds_no_series_product(monkeypatch):
+    # the raising half inside the brute-force trace multiplies on integer
+    # numerators: no series product, Laurent scale or zterm_sum; the series
+    # products it replaced are counted
+    q, t = Fraction(43, 97), Fraction(59, 89)
+    ring = SeriesRing(["u", "a", "b"], 6)
+    spec = VertexSpec({n: ring.monomial(Fraction(2, n), a=n) for n in (1, 2)},
+                      {n: ring.monomial(Fraction(-3, n + 1), b=n) for n in (1, 2, 3)})
+    counts = {"mul": 0, "scale": 0, "zterm_sum": 0}
+    inside = [0]
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += inside[0]
+            return fn(*args)
+        return wrapper
+
+    def scoped(raise_):
+        def wrapper(*args):
+            inside[0] += 1
+            try:
+                return raise_(*args)
+            finally:
+                inside[0] -= 1
+        return wrapper
+
+    mul = series.TruncSeries.__mul__
+    monkeypatch.setattr(series.TruncSeries, "__mul__", counted("mul", mul))
+    monkeypatch.setattr(series.TruncSeries, "__rmul__", counted("mul", mul))
+    monkeypatch.setattr(LaurentPoly, "scale", counted("scale", LaurentPoly.scale))
+    monkeypatch.setattr(series, "zterm_sum", counted("zterm_sum", series.zterm_sum))
+    monkeypatch.setattr(fock, "_raise", scoped(fock._raise))
+    trace = trace_bruteforce(lambda v: vertex_apply(spec, v, q, t, 6), ring, "u", 6, q, t)
+    assert trace == trace_closed(spec, ring, "u", q, t)
+    assert counts == {"mul": 0, "scale": 0, "zterm_sum": 0}
+    monkeypatch.setattr(fock, "_raise", scoped(lambda kappas, v, cap, flat:
+                                               raise_by_products(kappas, v, cap)))
+    assert trace_bruteforce(lambda v: vertex_apply(spec, v, q, t, 6), ring, "u", 6, q, t) == trace
+    assert counts["mul"]
 
 
 def test_vacuum_annihilation_and_vertex_plus():
@@ -496,6 +580,8 @@ def test_closed_forms_reach_no_oracle_sum_or_raising_table(monkeypatch):
 
     for module in (series, process, cylindric):
         monkeypatch.setattr(module, "product_sums", refused)
+    for module in (macdonald, cylindric):
+        monkeypatch.setattr(module, "_skew_flat", refused)
     monkeypatch.setattr(fock, "_raising_table", refused)
     monkeypatch.setattr(fock.VertexSpec, "raising_table", refused)
     ps = process_from_names(["alpha", "plancherel"], ["alpha", "alpha"], Q0, T0, 3)
@@ -505,10 +591,16 @@ def test_closed_forms_reach_no_oracle_sum_or_raising_table(monkeypatch):
     ring = SeriesRing(["u", "a", "b"], 4)
     spec = VertexSpec({1: ring.monomial(Fraction(2), a=1)}, {1: ring.monomial(Fraction(-1), b=1)})
     assert trace_closed(spec, ring, "u", Q0, T0)
+    zvars, uring = ("x", "y"), SeriesRing(["u"], 2)
+    for wrapped in (True, False):
+        assert cylindric.kernel_log_direct(zvars, uring, (2, 1), Q0, T0, 2, 8, wrapped)
+    assert cylindric.kernel_log_factored(zvars, uring, (2, 1), Q0, T0, 2)
     with pytest.raises(AssertionError, match="oracle helper"):
         partition_function_bruteforce(ps, 3)
     with pytest.raises(AssertionError, match="oracle helper"):
         trace_bruteforce(lambda v: vertex_apply(spec, v, Q0, T0, 4), ring, "u", 4, Q0, T0)
+    with pytest.raises(AssertionError, match="oracle helper"):
+        cylindric.cor_b2_check(2, Q0, T0)
 
 
 def test_eigen_relations_all_families():

@@ -44,7 +44,8 @@ from permac.partitions import (
     z_qt,
 )
 from oracles import fraction_m_dict_to_p, fraction_m_gram, fraction_pieri, \
-    fraction_skew_coefficients, lambda_rho_p_by_fractions, skew_single_alpha
+    fraction_skew_coefficients, lambda_rho_p_by_fractions, skew_eval_by_combine, \
+    skew_single_alpha
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing
 
@@ -652,13 +653,19 @@ def test_skew_eval_equals_half_vertex_oracle(label):
                          ids=["generic", "q=t", "above-one", "negative-q"])
 def test_skew_coefficients_equal_the_fraction_rows(fresh_memos, q, t):
     # every (kind, lam, mu inside lam) with |lam| <= 6: the same pairs, in
-    # the same order
+    # the same order, each integer over the one denominator
     for lam in partitions_up_to(6):
         for mu in partitions_up_to(weight(lam)):
             if contains(lam, mu):
                 for kind in ("P", "Q"):
-                    assert macdonald._skew_coefficients(kind, lam, mu, q, t) == \
+                    assert _skew_fraction_rows(kind, lam, mu, q, t) == \
                         fraction_skew_coefficients(kind, lam, mu, q, t), (kind, lam, mu)
+
+
+def _skew_fraction_rows(kind, lam, mu, q, t):
+    """``macdonald._skew_coefficients`` as (nu, c_nu) pairs of Fractions."""
+    den, rows = macdonald._skew_coefficients(kind, lam, mu, q, t)
+    return tuple((nu, Fraction(c, den)) for nu, c in rows)
 
 
 def _outcome(f, *args):
@@ -680,11 +687,67 @@ def test_skew_coefficients_fail_where_the_fraction_rows_fail(fresh_memos, q, t):
             if contains(lam, mu):
                 for kind in ("P", "Q"):
                     fresh_memos()
-                    got = _outcome(macdonald._skew_coefficients, kind, lam, mu, q, t)
+                    got = _outcome(_skew_fraction_rows, kind, lam, mu, q, t)
                     fresh_memos()
                     expect = _outcome(fraction_skew_coefficients, kind, lam, mu, q, t)
                     assert got == expect, (kind, lam, mu)
                     failed += isinstance(got, type)
+    assert failed
+
+
+SKEW_POINTS = [(Fraction(43, 97), Fraction(59, 89)), (Fraction(1, 3), Fraction(1, 3)),
+               (Fraction(5, 2), Fraction(7, 3)), (Fraction(-2, 3), Fraction(1, 5))]
+
+
+def _flat_route_specs():
+    """(label, spec, unit): the Fock route at a two-variable alpha spec, at
+    p_n = a^n / n and at the vertex specs with series and with Laurent
+    p-values."""
+    ab = SeriesRing(["a", "b"], 6)
+    uxy = SeriesRing(["u", "x", "y"], 4)
+    u = SeriesRing(["u"], 2)
+    zvars = ("x", "y")
+    return [("alpha-ab", alpha_spec([("a", Fraction(2, 3)), ("b", -3)], ab), ab.one()),
+            # p_nu(X) of one weight over different denominators
+            ("p_n=a^n/n", Specialization("alpha", lambda n: ab.monomial(Fraction(1, n), a=n), 1),
+             ab.one()),
+            ("cor_b2-series", principal_p_trunc(uxy, "yr_nxu"), uxy.one()),
+            ("thm_b1-laurent", principal_p_laurent(zvars, u, (2, 1), "xr_ynu", 3),
+             LaurentPoly.constant(zvars, u.one()))]
+
+
+@pytest.mark.parametrize("q, t", SKEW_POINTS, ids=["generic", "q=t", "above-one", "negative-q"])
+def test_skew_eval_flat_route_equals_the_combine_route(fresh_memos, q, t):
+    # every (kind, lam, mu) with |lam| <= 6 (mu outside lam and lam = mu
+    # included), at zero tolerance, in the unit's own type
+    lams = partitions_up_to(6)
+    for label, spec, unit in _flat_route_specs():
+        for lam in lams:
+            for mu in partitions_up_to(weight(lam)):
+                for kind in ("P", "Q"):
+                    got = skew_eval(kind, lam, mu, spec, q, t, unit=unit)
+                    expect = skew_eval_by_combine(kind, lam, mu, spec, q, t, unit)
+                    assert type(got) is type(expect), (label, kind, lam, mu)
+                    assert got == expect, (label, kind, lam, mu)
+
+
+@pytest.mark.parametrize("q, t", [(Fraction(1, 2), Fraction(2)), (Fraction(-1), Fraction(1, 3)),
+                                  (Fraction(1), Fraction(1, 3))])
+def test_skew_eval_flat_route_fails_where_the_combine_route_fails(fresh_memos, q, t):
+    # the same value or the same exception class, cold memos each time
+    ring = SeriesRing(["a", "b"], 4)
+    failed = 0
+    for lam in partitions_up_to(4):
+        for mu in partitions_up_to(weight(lam)):
+            for kind in ("P", "Q"):
+                fresh_memos()
+                spec = alpha_spec([("a", 1), ("b", Fraction(1, 2))], ring)
+                got = _outcome(skew_eval, kind, lam, mu, spec, q, t, ring.one())
+                fresh_memos()
+                spec = alpha_spec([("a", 1), ("b", Fraction(1, 2))], ring)
+                expect = _outcome(skew_eval_by_combine, kind, lam, mu, spec, q, t, ring.one())
+                assert got == expect, (kind, lam, mu)
+                failed += isinstance(got, type)
     assert failed
 
 

@@ -46,12 +46,14 @@ ACCESSOR = "an accessor that tests read"
 DEBUGGING = "a repr, for debugging and failure messages"
 FRACTION_ROWS = "the Fraction m -> p rows, read by tests and wrapped by perfbench's spans"
 IMPORT = "a decorator, run only at import, before the recorders are installed"
+ONE_PAIR = "the one-pair vertex sum: tests read it and perfbench's spans wrap it"
 
 UNREACHED = {
     "cli._leaf_options": CONFIG,
     "macdonald._table_from_disk": WARM_CACHE,
     "point.per_point": IMPORT,
     "plancherel.truncated_trace_float": BENCHMARK,
+    "cylindric.vertex_skew_sum": ONE_PAIR,
     "macdonald.p_dict_to_m": BENCHMARK,
     "macdonald.m_to_p": FRACTION_ROWS,
     "series.TruncSeries.log": BENCHMARK,
