@@ -18,7 +18,9 @@ windowed-Laurent logarithm comparison for profiles whose closed form mixes
 expansion directions.  Where a Laurent product is windowed next (the skew
 products of the literal sum, the last modulus product of a Pochhammer log)
 it is formed inside the window only (``LaurentPoly.mul``'s ``window``, or
-the keep map of the literal sum's one ``series.product_sums``).
+the ``series._Box`` keep map of the literal sum's one
+``series.product_sums``, whose skew factors are the flat pairs of
+``macdonald.skew_eval``).
 Their principal specializations are ``macdonald.Specialization``
 instances, series-valued for the empty profile and Laurent-valued
 otherwise.  The direct vertex kernel's log is one ``fock.wick_exponent`` of
@@ -36,8 +38,8 @@ from itertools import accumulate
 from operator import add, mul
 
 from . import macdonald
-from .laurent import LaurentPoly, _Box, laurent_log
-from .macdonald import Specialization, _skew_flat, _zbound, observable
+from .laurent import LaurentPoly, laurent_log
+from .macdonald import Specialization, _zbound, observable, skew_eval
 from .partitions import (
     conjugate,
     horizontal_strip,
@@ -48,7 +50,7 @@ from .partitions import (
     weight,
 )
 from .point import memo
-from .series import SeriesRing, TruncSeries, _flat, _Packing, first_mismatch, \
+from .series import SeriesRing, TruncSeries, _Box, _flat, _Packing, first_mismatch, \
     geometric, product_sums, qpochhammer, qpochhammer_log
 
 
@@ -432,7 +434,7 @@ def _vertex_sum(items, p_first, p_second, q, t, unit, window):
     """sum over (lam, mu, w) in ``items`` of w sum_eta P_{lam/eta}(first)
     Q_{mu/eta}(second) (w a ring element, or None for 1) as one keyed
     ``series.product_sums`` over (lam, eta), on the flat skew values of
-    ``macdonald._skew_flat`` and the flattened w.  The packing holds every
+    ``macdonald.skew_eval`` and the flattened w.  The packing holds every
     product (``macdonald._zbound``).  w comes first, so its degree bounds
     the skew products, unless a ``window`` cuts those: then it comes last.
     """
@@ -450,8 +452,8 @@ def _vertex_sum(items, p_first, p_second, q, t, unit, window):
             extra = [] if w is None else [_flat(w, pk)]
             # a nonzero term needs eta inside both, so inside their meet
             for eta in partitions_inside(tuple(map(min, lam, mu))):
-                pv = _skew_flat("P", lam, eta, p_first, q, t, pk)
-                if pv[1] and (qv := _skew_flat("Q", mu, eta, p_second, q, t, pk))[1]:
+                pv = skew_eval("P", lam, eta, p_first, q, t, pk)
+                if pv[1] and (qv := skew_eval("Q", mu, eta, p_second, q, t, pk))[1]:
                     yield ([pv, qv] + extra if window is not None else extra + [pv, qv]), \
                         ((0, (1, 1)),)
 

@@ -21,7 +21,9 @@ coefficients live here once.  So does ``contraction``, the one pairing of
 two sets of vertex modes, and ``wick_exponent``, the one wrap rule of the
 traces, of which the closed trace and every moment kernel are exponentials.
 ``contraction`` forms the ratio (1-q^n)/(1-t^n) itself, so the closed forms
-share no code with the Heisenberg modes of the brute-force traces.
+share no code with the Heisenberg modes of the brute-force traces.  The
+raising half of the brute-force traces packs kets into the keys of
+``series``' flat kernel and reads them back through ``series._unflatten``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from operator import add
 
 from .laurent import (
     LaurentPoly,
-    _Box,
     cauchy_sym_prefactor,
     laurent_exp,
     ratio_sym_coefficients,
@@ -47,9 +48,11 @@ from .scalars import random_qt_pair
 from .series import (
     SeriesRing,
     TruncSeries,
+    _Box,
     _flatten,
     _mul_terms,
     _Packing,
+    _unflatten,
     geometric,
     qpochhammer,
     qpochhammer_log,
@@ -190,14 +193,15 @@ def _raise(kappas: list, v: dict, degree_cap: int, flat: dict) -> dict:
     budget covers every ket: each ket gains the kappa with |lam| + |kappa|
     <= ``degree_cap``.
 
-    Rational vectors and weights keep their rational sum, as
-    ``macdonald.combine`` does.  Otherwise the half is one product on
-    integer numerators: a ket is packed as z-digits, its weight and its part
-    multiplicities, which add, so the vector times sum_kappa b_kappa |kappa>
-    (flattened once per VertexSpec and packing, in ``flat``) puts every c b
-    on its ket, and the box test on the weight digit drops the kets above
-    ``degree_cap``; a ket of v above it keeps c.  A Laurent vector holds
-    Laurent polynomials only.
+    Rational vectors and weights keep a rational sum.  Otherwise the half
+    is one product on integer numerators: a ket is packed as z-digits, its
+    weight and its part multiplicities, which add, so the vector times
+    sum_kappa b_kappa |kappa> (flattened once per VertexSpec and packing, in
+    ``flat``) puts every c b on its ket, and the box test on the weight
+    digit drops the kets above ``degree_cap``; a ket of v above it keeps c.
+    The product is decoded by ``series._unflatten``, whose packing memoises
+    the decodes across calls, and ``flat`` memoises the ket of each decoded
+    z-part.  A Laurent vector holds Laurent polynomials only.
     """
     rational = (int, Fraction)
     weights = [b for _, _, b in kappas[1:]]
@@ -232,8 +236,8 @@ def _raise(kappas: list, v: dict, degree_cap: int, flat: dict) -> dict:
             if w <= degree_cap:  # so each sum of two digits fits its digit
                 place(table, kappa, 1 if b is None else b)
         hi = digits[:zn] + [degree_cap] + digits[zn + 1:]  # the kets up to the cap
-        flat[key] = pk, _flatten(table, pk), {}, {}, _Box(pk, [-d for d in digits], hi)
-    pk, (tden, tterms), kets, exps, keep = flat[key]
+        flat[key] = pk, _flatten(table, pk), _Box(pk, [-d for d in digits], hi), {}
+    pk, (tden, tterms), keep, kets = flat[key]
     out, vec = {}, {}
     for lam, c in v.items():
         if weight(lam) > degree_cap:
@@ -242,18 +246,12 @@ def _raise(kappas: list, v: dict, degree_cap: int, flat: dict) -> dict:
             place(vec, lam, c)
     vden, vterms = _flatten(vec, pk)
     acc = _mul_terms({k: c for _, k, c in vterms}, tterms, pk, keep)
-    den, parts = vden * tden, {}
-    for k, c in acc.items():  # ``series._unpack``, each z-part and low part decoded once
-        z, low = divmod(k, pk.S)
-        if z not in kets:
-            d = pk.zdigits(z)
-            kets[z] = d[:zn], tuple(n for n in range(degree_cap, 0, -1)
-                                    for _ in range(d[zn + n]))
-        if low not in exps:
-            exps[low] = pk.series_exp(low)
-        parts.setdefault(kets[z], {})[exps[low]] = Fraction(c, den)
-    for (ze, mu), ts in parts.items():
-        ts = TruncSeries(ring, ts)
+    for d, ts in _unflatten(acc, vden * tden, pk).items():
+        ket = kets.get(d)
+        if ket is None:
+            ket = kets[d] = d[:zn], tuple(n for n in range(degree_cap, 0, -1)
+                                          for _ in range(d[zn + n]))
+        ze, mu = ket
         if zvars is None:
             out[mu] = ts
         else:
@@ -656,6 +654,12 @@ def two_point_fermion_trace(v_cutoff: int, window: int, zeta: Fraction,
     |exponent| <= window.  The closed form is
     (x - y)^{-1} theta(zeta y/x) / theta(zeta) (u;u)^2 / ((ux/y;u)(uy/x;u))
     with (x - y)^{-1} expanded in positive powers of y/x.  Returns both.
+
+    The closed side's cuts are lossless: a theta term (y/x)^m carries
+    v^(m^2) and a Pochhammer term (x/y)^j at least v^(2|j|), in every power
+    of the exponential too, so |m| <= isqrt(v_cutoff), |j| <= v_cutoff // 2,
+    and the window keeps x^(-1-k) y^k (y/x)^m (x/y)^j only if
+    k <= window - 1 - m + j.
     """
     from math import isqrt
 
@@ -703,8 +707,8 @@ def two_point_fermion_trace(v_cutoff: int, window: int, zeta: Fraction,
     euler2 = qpochhammer(ring, [(u, [u])] * 2, [])
     # assemble (x-y)^{-1} * theta(zeta y/x) * (u x/y; u)^{-1} (u y/x; u)^{-1}
     geom = LaurentPoly(zvars, ring, {
-        (-1 - k, k): ring.one() for k in range(2 * window + 2)})
-    th = theta3_ratio_laurent(ring, zvars, "v", zeta, window)
+        (-1 - k, k): ring.one() for k in range(window + nmax + v_cutoff // 2)})
+    th = theta3_ratio_laurent(ring, zvars, "v", zeta)
     # 1/((u x/y; u)(u y/x; u)): the wrapped pairs of the modes x^n, y^-n and
     # y^n, x^-n at q = t, whose weight u^n/(1-u^n) = v^2n/(1-v^2n) vanishes
     # past n = v_cutoff // 2
@@ -713,13 +717,13 @@ def two_point_fermion_trace(v_cutoff: int, window: int, zeta: Fraction,
               for z in zvars)
     pochs = laurent_exp(wick_exponent([(xs.minus, ys.plus, True), (ys.minus, xs.plus, True)],
                                       u, t, t, LaurentPoly(zvars, ring, {})),
-                        2 * window + 2)
+                        v_cutoff // 2)
     closed = (geom * th).mul(pochs, window=window).scale(theta_den * euler2)
     return {"brute": brute, "closed": closed, "match": brute == closed}
 
 
-def theta3_ratio_laurent(ring, zvars, v: str, zeta, window: int) -> LaurentPoly:
-    """theta_3(zeta y/x; u) as a Laurent polynomial in the ratio y/x."""
+def theta3_ratio_laurent(ring, zvars, v: str, zeta) -> LaurentPoly:
+    """theta_3(zeta y/x; u) as a Laurent polynomial in the ratio y/x, every
+    charge inside the ring cutoff."""
     return LaurentPoly(zvars, ring, {
-        (-m, m): mono for m, mono in theta_terms(ring, v, zeta).items()
-        if abs(m) <= 2 * window + 1})
+        (-m, m): mono for m, mono in theta_terms(ring, v, zeta).items()})

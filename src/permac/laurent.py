@@ -12,14 +12,14 @@ every z-exponent a product reaches lies strictly inside its digit.
 
 Products are exact.  ``LaurentPoly.mul`` forms every term, or, given a
 ``window``, only the terms whose z-exponents all lie in [-window, window]
-(the ``_Box`` test of the kernel on the packed z-part): the cut of a product
+(the ``series._Box`` test on the packed z-part): the cut of a product
 that is windowed next, which is lossless there and only there, since a later
 factor with mixed-sign exponents could bring an outside term back in.  To
 keep products finite, every individual factor is built truncated (a
 per-factor clip bound on z-exponents), and the sequential product driver
 prunes exponent vectors that provably cannot reach the target given the
 exponent ranges of the factors still to come; the pruning test on the packed
-z-part is memoised per step (``_Box``).  The driver picks its own
+z-part is memoised per step (``series._Box``).  The driver picks its own
 multiplication order (``_elimination_order``): z-free factors first, then
 factors in more z-variables before factors in fewer, so the narrow factors
 come last, when the pruning boxes of the factors still to come are tight
@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import series
-from .series import SeriesRing, TruncSeries, _Packing, _mul_terms
+from .series import SeriesRing, TruncSeries, _Box, _Packing, _mul_terms
 
 
 class ClipExhausted(Exception):
@@ -225,26 +225,6 @@ def _elimination_order(factors) -> list:
         return (nvars > 0, -nvars, len(terms), k)
 
     return sorted(range(len(factors)), key=key)
-
-
-class _Box(dict):
-    """Memoised test, per packed z-part, that the z-exponents lie in a box."""
-
-    def __init__(self, pk: _Packing, lo, hi):
-        super().__init__()
-        self.digits = [(b, b // 2, a, c) for b, a, c in zip(pk.zbases, lo, hi)]
-
-    def __missing__(self, z):
-        # ``_Packing.zdigits`` inlined, stopping at the first digit outside
-        key, ok = z, True
-        for b, h, lo, hi in self.digits:
-            x = (z + h) % b - h
-            if not lo <= x <= hi:
-                ok = False
-                break
-            z = (z - x) // b
-        self[key] = ok
-        return ok
 
 
 def product_coefficient(factors, target: tuple) -> TruncSeries:

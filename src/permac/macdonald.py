@@ -22,7 +22,10 @@ each other in the test suite.  The skew coefficients are integer dot
 products: the p-basis rows of P_lambda and Q_lambda are memoised per point
 as integer numerators over one denominator (the ket row weighted by
 z_kappa(q,t)), and the coefficients stay integers over one denominator, as
-do the skew values summed from them.  Of the four operator
+do the skew values summed from them.  ``skew_eval`` is the one skew
+evaluator: it returns a value as the ``series`` flat pair in the packing
+its caller multiplies in, by the Pieri route at a one-variable alpha
+specialization and by the Fock route otherwise.  Of the four operator
 families, only E and G are written out (e_r and g_r of the partition's
 principal power sums): E' and G' are E and G at (1/q, 1/t), and each
 observable is its eigenvalue times s^r, s one of t, 1/t, 1, 1.
@@ -457,7 +460,7 @@ class Specialization:
         self.p_value = p_value
         self.degree = degree  # grading degree of p_1 (0 when numeric)
         self._products: dict = {}
-        self._flat: dict = {}  # packing key -> {nu: flattened p_nu(X)}, for ``_skew_flat``
+        self._flat: dict = {}  # packing key -> {nu: flattened p_nu(X)}, for ``skew_eval``
 
     def __repr__(self):
         return f"Specialization({self.kind})"
@@ -595,32 +598,6 @@ def _skew_coefficients(kind: str, lam: tuple, mu: tuple, q: Fraction,
     return ket_den * bra_den * top, tuple((nu, c * (top // zn)) for nu, c, zn in rows)
 
 
-def _skew_flat(kind: str, lam: tuple, mu: tuple, spec: Specialization,
-               q: Fraction, t: Fraction, pk) -> tuple:
-    """P_{lam/mu}(X) or Q_{lam/mu}(X) of the Fock route in the packing ``pk``,
-    as ``series._flatten`` gives a value (no terms when it vanishes): the
-    integer c_nu of ``_skew_coefficients`` times the numerators of each
-    p_nu(X), flattened once per specialization and packing."""
-    from .series import _flat
-
-    if not contains(lam, mu) or lam == mu:
-        return 1, [(0, 0, 1)] if lam == mu else []
-    den, rows = _skew_coefficients(kind, lam, mu, q, t)
-    memo = spec._flat.setdefault(pk.key, {})
-    for nu, _ in rows:
-        if nu not in memo:
-            p = spec.power_product(nu)
-            memo[nu] = _flat(p, pk) if p else (1, [])
-    top = lcm(*(memo[nu][0] for nu, _ in rows))
-    acc: dict = {}
-    for nu, c in rows:
-        fden, terms = memo[nu]
-        c *= top // fden
-        for _, k, v in terms:
-            acc[k] = acc.get(k, 0) + c * v
-    return den * top, sorted((k % pk.C, k, v) for k, v in acc.items() if v)
-
-
 def _zbound(spec: Specialization, k: int, zn: int) -> list:
     """Per z-variable, a bound on |exponent| of the p_nu(X) with |nu| <= k:
     k parts at most, each within the reach of some p_n(X), n <= k."""
@@ -630,11 +607,11 @@ def _zbound(spec: Specialization, k: int, zn: int) -> list:
 
 
 def skew_eval(kind: str, lam: tuple, mu: tuple, spec: Specialization,
-              q: Fraction, t: Fraction, unit):
-    """P_{lam/mu} or Q_{lam/mu} at a specialization X; zero unless mu is in lam.
-
-    That test lives here and in ``_skew_flat``: ``weight_W`` and the vertex
-    sums of ``cylindric`` rely on it.
+              q: Fraction, t: Fraction, pk) -> tuple:
+    """P_{lam/mu} or Q_{lam/mu} at a specialization X, as the ``series``
+    flat pair (denominator, degree-sorted terms) in the packing ``pk``; no
+    terms unless mu is in lam.  ``weight_W`` and the vertex sums of
+    ``cylindric`` rely on that zero.
 
     P_{lam/mu}(X) is the Fock matrix element <Q_mu| Gamma_+(X) |P_lam> of
     the lowering half-vertex Gamma_+(X) = exp(sum_n (1-t^n)/(1-q^n) p_n(X)
@@ -644,62 +621,57 @@ def skew_eval(kind: str, lam: tuple, mu: tuple, spec: Specialization,
     the matrix element is sum_kappa P_kappa(X) <Q_kappa Q_mu, P_lam> =
     P_{lam/mu}(X) (Macdonald VI (7.6)); Q_{lam/mu} swaps P and Q.
     Expanding the exponential gives Gamma_+(X) = sum_nu p_nu(X) a_nu /
-    z_nu(q,t), hence
+    z_nu(q,t), hence the Fock route
 
         P_{lam/mu}(X) = sum_{|nu| = |lam| - |mu|} c_nu p_nu(X),
         c_nu = <Q_mu| a_nu |P_lam> / z_nu(q,t).
 
     The c_nu depend on (kind, lam, mu, q, t) only and are memoised as
     integers over one denominator (``_skew_coefficients``); the products
-    p_nu(X) are memoised by the Specialization (``power_product``).  The sum
-    is ``_skew_flat``'s, on integer numerators, unflattened here into the
-    type of ``unit``, a ring one or a Laurent one; a rational ``unit`` keeps
-    the rational sum (``combine``).
+    p_nu(X) are memoised by the Specialization (``power_product``) and
+    flattened once per packing, and the value is their integer sum
+    (``series._flat_sum``), with no Fraction built.
 
     At a one-variable alpha specialization X = x the skew function is
     P_{lam/mu}(x) = psi_{lam/mu} x^{|lam/mu|} and Q_{lam/mu}(x) = phi_{lam/mu}
     x^{|lam/mu|} on a horizontal strip, and zero off one (Macdonald VI
-    (7.13'), (7.14')): p_{|lam/mu|}(X) times the memoised ``pieri``
-    coefficient, one scalar product with no table read and no sum.  Every
-    other specialization takes the Fock route.
+    (7.13'), (7.14')): the Pieri route, the flattened p_{|lam/mu|}(X) times
+    the memoised ``pieri`` coefficient, with no table read.  Every other
+    specialization takes the Fock route.
     """
-    from .series import TruncSeries, _Packing, _unflatten
+    from .series import _flat, _flat_sum
 
     if kind not in ("P", "Q"):
         raise ValueError("kind must be 'P' or 'Q'")
     if not contains(lam, mu):
-        return unit * 0
+        return 1, []
     if lam == mu:
-        return unit
+        return _flat(pk.ring.one(), pk)
     if spec.variables == 1:
         if not horizontal_strip(lam, mu):
-            return unit * 0
+            return 1, []
         psi, phi = pieri(lam, mu, q, t)
-        return spec.power_product((weight(lam) - weight(mu),)) * (psi if kind == "P" else phi)
-    zvars = getattr(unit, "zvars", None)
-    if zvars is None and not isinstance(unit, TruncSeries):
+        c = psi if kind == "P" else phi
+        den, rows = c.denominator, (((weight(lam) - weight(mu),), c.numerator),)
+    else:
         den, rows = _skew_coefficients(kind, lam, mu, q, t)
-        return combine(unit, [(Fraction(c, den), p) for nu, c in rows
-                              if (p := spec.power_product(nu))])
-    pk = _Packing(unit.ring, _zbound(spec, weight(lam) - weight(mu), len(zvars or ())))
-    den, terms = _skew_flat(kind, lam, mu, spec, q, t, pk)
-    zterms = _unflatten({k: v for _, k, v in terms}, den, pk)
-    if zvars is None:
-        return zterms.get((), unit.ring.zero())
-    return type(unit)(zvars, unit.ring, zterms)
+    flat = spec._flat.setdefault(pk.key, {})
+    for nu, _ in rows:
+        if nu not in flat:
+            p = spec.power_product(nu)
+            flat[nu] = _flat(p, pk) if p else (1, [])
+    return _flat_sum(((c, flat[nu]) for nu, c in rows), den, pk)
 
 
 def combine(unit, pairs):
     """sum c v over the pairs (c, v), c rational, in one pass and in the
-    arithmetic of ``unit``: ``series.zterm_sum`` for a series or a Laurent
-    unit, through each layer's ``linear_combination``, else a rational sum."""
+    arithmetic of ``unit``, a series or a Laurent polynomial:
+    ``series.zterm_sum`` through each layer's ``linear_combination``."""
     from . import laurent, series
 
-    if isinstance(unit, series.TruncSeries):
-        return series.linear_combination(unit.ring, pairs)
     if isinstance(unit, laurent.LaurentPoly):
         return laurent.linear_combination(unit.zvars, unit.ring, pairs)
-    return sum((c * v for c, v in pairs), unit * 0)
+    return series.linear_combination(unit.ring, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ cyclic weight of a configuration (lambda^1..lambda^N, mu^1..mu^N) is
 
 with lambda^{N+1} = lambda^1 and rho^+_N = rho^+_0.  Closed forms are checked
 against literal sums over configurations throughout, each weight a flat
-product of integer numerators (``series.product_sums``).  The closed partition
+product of integer numerators (``series.product_sums``) whose skew factors
+are the flat pairs of ``macdonald.skew_eval``.  The closed partition
 function is the free-field trace: the OPE scalars of ``fock`` times its
 ``trace_closed`` of the normal-ordered product.  The moment formulas
 take any of the four observable families at each step, any N, on one path:
@@ -63,22 +64,6 @@ class ProcessSpec:
         self.N = len(self.rho_plus)
         if not self.N:
             raise ValueError("a process needs at least one step")
-        self._skew_cache: dict = {}
-
-    def skew(self, kind: str, lam: tuple, mu: tuple, index: int):
-        """Cached P_{lam/mu}(rho^+_index) or Q_{lam/mu}(rho^-_{index+1}).
-
-        ``kind`` picks the list: "P" reads ``rho_plus[index]``, "Q" reads
-        ``rho_minus[index]``.
-        """
-        key = (kind, lam, mu, index)
-        hit = self._skew_cache.get(key)
-        if hit is None:
-            spec = (self.rho_plus if kind == "P" else self.rho_minus)[index]
-            hit = skew_eval(kind, lam, mu, spec, self.q, self.t,
-                            unit=self.ring.one())
-            self._skew_cache[key] = hit
-        return hit
 
 
 def process_from_names(plus_names, minus_names, q, t, cutoff: int) -> ProcessSpec:
@@ -152,25 +137,28 @@ def weight_W(pspec: ProcessSpec, lam_seq, mu_seq) -> TruncSeries:
 def _weight_factors(pspec: ProcessSpec, lam_seq, mu_seq, flat: dict, pk):
     """The flattened factors of a configuration's weight that are not the
     unit, in order: u^|mu^N| unless mu^N is empty, then the skew functions
-    over nonempty strips (zero off interlacing chains).
+    over nonempty strips (zero off interlacing chains), Q_{lambda^i/mu^i}
+    at rho^-_i and P_{lambda^{i+1}/mu^i} at rho^+_i, each the flat pair of
+    ``skew_eval``.
 
-    ``flat`` memoises each factor's ``series._flatten`` by its key, so a
-    sum over configurations flattens each distinct factor once.  A factor is
-    evaluated only when it is read.
+    ``flat`` memoises each factor by its key, so a sum over configurations
+    evaluates each distinct factor once.  A factor is evaluated only when it
+    is read.
     """
     N = pspec.N
     k = weight(mu_seq[N - 1])
     keys = [("u", k)] if k else []
     for i in range(1, N + 1):
         mu_i = mu_seq[i - 1]
-        for kind, lam, index in (("Q", lam_seq[i - 1], i - 1), ("P", lam_seq[i % N], i % N)):
+        for kind, lam, spec in (("Q", lam_seq[i - 1], pspec.rho_minus[i - 1]),
+                                ("P", lam_seq[i % N], pspec.rho_plus[i % N])):
             if lam != mu_i:
-                keys.append((kind, lam, mu_i, index))
+                keys.append((kind, lam, mu_i, spec))
     for key in keys:
         hit = flat.get(key)
         if hit is None:
-            value = pspec.u ** key[1] if key[0] == "u" else pspec.skew(*key)
-            hit = flat[key] = _flatten({(): value}, pk)
+            hit = flat[key] = (_flatten({(): pspec.u ** k}, pk) if key[0] == "u"
+                               else skew_eval(*key, pspec.q, pspec.t, pk))
         yield hit
 
 

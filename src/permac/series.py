@@ -14,7 +14,12 @@ every exponent into one int by a linear map (``_Packing``), so adding keys
 multiplies monomials, and each factor's coefficients become integer
 numerators over its ``lcm`` denominator.  ``_mul_terms`` multiplies with
 integer arithmetic only, and the one division per coefficient happens when
-the result is unpacked (``_unflatten``).  ``zterm_sum``, the one sum
+the result is unpacked (``_unflatten``), whose decodes of the z-digits and
+the series exponents the packing memoises.  The layout of a key is read in
+this module only: other modules hand flattened pairs to these helpers, cut
+products with a ``_Box`` over the z-digits, and sum integer multiples of
+flattened values with ``_flat_sum`` (the skew values of
+``macdonald.skew_eval``).  ``zterm_sum``, the one sum
 c_1 f_1 + ... + c_k f_k of series and Laurent polynomials, adds integer
 numerators too, keyed by the exponents, in one bucket per denominator, and
 each key merges over only the buckets that reach it (``_merge``).
@@ -427,29 +432,51 @@ class _Packing:
         for b in self.zbases:
             self.zweights.append(w)
             w *= b
+        self._zexps: dict = {}  # the decodes of ``zdigits`` and ``series_exp``
+        self._sexps: dict = {}
 
     def zkey(self, e) -> int:
         return sum(x * w for x, w in zip(e, self.zweights))
 
     def zdigits(self, z: int) -> tuple:
-        """The z-exponents of a z-part ``key // S``, one balanced digit each."""
-        e = []
-        for b in self.zbases:
-            h = b // 2
-            x = (z + h) % b - h
-            e.append(x)
-            z = (z - x) // b
-        return tuple(e)
+        """The z-exponents of a z-part ``key // S``, one balanced digit each;
+        memoised."""
+        e = self._zexps.get(z)
+        if e is None:
+            e, rest = [], z
+            for b in self.zbases:
+                e.append((rest + b // 2) % b - b // 2)
+                rest = (rest - e[-1]) // b
+            e = self._zexps[z] = tuple(e)
+        return e
 
-    def series_exp(self, skey: int) -> tuple:
-        """The series exponents of a key's low part ``key % S``."""
-        C = self.C
-        skey //= C
-        e = []
-        for _ in self.sweights:
-            e.append(skey % C)
-            skey //= C
-        return tuple(e)
+    def series_exp(self, low: int) -> tuple:
+        """The series exponents of a key's low part ``key % S``; memoised."""
+        e = self._sexps.get(low)
+        if e is None:
+            e = self._sexps[low] = tuple(low // w % self.C for w in self.sweights)
+        return e
+
+
+class _Box(dict):
+    """Memoised test, per packed z-part ``key // S``, that the z-exponents
+    lie in the box [lo, hi]: the ``keep`` map of ``_mul_terms``."""
+
+    def __init__(self, pk: _Packing, lo, hi):
+        super().__init__()
+        self.digits = [(b, b // 2, a, c) for b, a, c in zip(pk.zbases, lo, hi)]
+
+    def __missing__(self, z):
+        # ``_Packing.zdigits`` inlined, stopping at the first digit outside
+        key, ok = z, True
+        for b, h, lo, hi in self.digits:
+            x = (z + h) % b - h
+            if not lo <= x <= hi:
+                ok = False
+                break
+            z = (z - x) // b
+        self[key] = ok
+        return ok
 
 
 def _flatten(zterms: dict, pk: _Packing):
@@ -479,6 +506,22 @@ def _flatten(zterms: dict, pk: _Packing):
 def _flat(x, pk: _Packing):
     """``_flatten`` of a series or of a Laurent polynomial's term map."""
     return _flatten({(): x} if isinstance(x, TruncSeries) else x.terms, pk)
+
+
+def _flat_sum(pairs, den: int, pk: _Packing):
+    """The ``_flatten`` pair of (c_1 F_1 + ... + c_k F_k) / den over the
+    ``pairs`` (c_i, F_i), each c_i an integer and F_i a ``_flatten`` pair:
+    the numerators over the lcm of the F_i denominators, summed by key, with
+    no terms when the sum vanishes and no division."""
+    pairs = list(pairs)
+    top = lcm(*(fden for _, (fden, _) in pairs))
+    acc: dict = {}
+    for c, (fden, terms) in pairs:
+        c *= top // fden
+        for _, k, v in terms:
+            acc[k] = acc.get(k, 0) + c * v
+    C = pk.C
+    return den * top, sorted((k % C, k, v) for k, v in acc.items() if v)
 
 
 def _unflatten(acc: dict, den: int, pk: _Packing) -> dict:

@@ -8,15 +8,15 @@ from operator import mul
 from permac.cylindric import box_level
 from permac.fock import accumulate, eta_xi_exponent, operator_family, wick_exponent, z_vertex_spec
 from permac.laurent import LaurentPoly, laurent_exp, ratio_sym_factor
-from permac.macdonald import (_skew_coefficients, combine, m_to_p, macdonald_P_p,
-                               macdonald_Q_p, observable, pieri)
+from permac.macdonald import (_skew_coefficients, _zbound, combine, m_to_p, macdonald_P_p,
+                               macdonald_Q_p, observable, pieri, skew_eval)
 from permac.partitions import (conjugate, contains, dominance_key, horizontal_strip,
                                length, make_partition, multiplicity, part,
                                partitions_inside, partitions_of, partitions_up_to,
                                weight, z_qt)
 from permac.point import qt_ratio
 from permac.process import _gammas, configurations, weight_W
-from permac.series import SeriesRing, TruncSeries, _check_rational
+from permac.series import SeriesRing, TruncSeries, _check_rational, _Packing, _unflatten
 
 
 def dominance_leq_by_loop(mu: tuple, lam: tuple) -> bool:
@@ -594,7 +594,8 @@ def weight_W_by_series_products(pspec, lam_seq, mu_seq) -> TruncSeries:
         lam_next = lam_seq[i % N]
         for kind, lam, index in (("Q", lam_i, i - 1), ("P", lam_next, i % N)):
             if lam != mu_i:
-                f = pspec.skew(kind, lam, mu_i, index)
+                spec = (pspec.rho_plus if kind == "P" else pspec.rho_minus)[index]
+                f = skew_value(kind, lam, mu_i, spec, pspec.q, pspec.t, pspec.ring.one())
                 out = f if out is None else out * f
                 if not out:
                     return pspec.ring.zero()
@@ -621,6 +622,20 @@ def configuration_sums_by_weight_W(pspec, depth: int, series_r=None):
     sums = zterm_sum_over_one_lcm(pspec.ring, pairs())
     den = sums.get((0,), pspec.ring.zero())
     return (den if series_r is None else sums.get((1,), pspec.ring.zero())), den
+
+
+def skew_value(kind: str, lam: tuple, mu: tuple, spec, q, t, unit):
+    """``macdonald.skew_eval``'s flat pair unflattened into the type of
+    ``unit``, a series one or a Laurent one, in a packing that holds every
+    p_nu(X) it reads (``macdonald._zbound``): the typed skew value that the
+    tests compare."""
+    zvars = getattr(unit, "zvars", None)
+    pk = _Packing(unit.ring, _zbound(spec, weight(lam) - weight(mu), len(zvars or ())))
+    den, terms = skew_eval(kind, lam, mu, spec, q, t, pk)
+    zterms = _unflatten({k: v for _, k, v in terms}, den, pk)
+    if zvars is None:
+        return zterms.get((), unit.ring.zero())
+    return LaurentPoly(zvars, unit.ring, zterms)
 
 
 def skew_eval_by_combine(kind: str, lam: tuple, mu: tuple, spec, q, t, unit):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from permac import fock
 from permac.fock import (
     extended_E_apply,
     fermion_apply,
@@ -36,14 +37,45 @@ def test_fermion_fields_require_schur_point():
         fermion_apply(False, "x", start, ring, zvars, Fraction(1, 3), T0, 2)
 
 
-@pytest.mark.parametrize("zeta, t, window", [
-    (Fraction(2, 5), T0, 3),
-    (Fraction(2, 5), T0, 2),
-    (Fraction(-3, 2), Fraction(2, 3), 2),
-])
-def test_two_point_trace_matches_closed_form(zeta, t, window):
-    out = two_point_fermion_trace(v_cutoff=6, window=window, zeta=zeta, t=t)
+@pytest.mark.parametrize("zeta, t, v_cutoff, window", [
+    (Fraction(2, 5), T0, 6, 3),
+    (Fraction(2, 5), T0, 6, 2),
+    (Fraction(-3, 2), Fraction(2, 3), 6, 2),
+    # v_cutoff past the window: the closed side's cuts follow both
+    (Fraction(2, 3), Fraction(1, 3), 7, 1),
+    (Fraction(2, 3), Fraction(1, 3), 8, 1),
+    (Fraction(2, 3), Fraction(1, 3), 10, 1),
+    (Fraction(2, 3), Fraction(1, 3), 9, 2),
+], ids=["w3", "w2", "w2-zeta-3_2", "v7-w1", "v8-w1", "v10-w1", "v9-w2"])
+def test_two_point_trace_matches_closed_form(zeta, t, v_cutoff, window):
+    out = two_point_fermion_trace(v_cutoff=v_cutoff, window=window, zeta=zeta, t=t)
     assert out["match"], (out["brute"].terms, out["closed"].terms)
+
+
+@pytest.mark.parametrize("v_cutoff, window", [(6, 2), (5, 2)], ids=["v6-w2", "v5-w2"])
+def test_fermion_mode_cut_is_half_the_v_cutoff(monkeypatch, v_cutoff, window):
+    # the closed side's modes x^n, y^-n stop at v_cutoff // 2, past which
+    # their weight u^n/(1-u^n) = v^2n/(1-v^2n) vanishes: one mode more
+    # (1..3) leaves the report as it is, one fewer breaks the match.  The
+    # closed side's modes are the z_vertex_spec calls with coefficients
+    # (1, 1); the brute side's carry opposite signs.
+    spec = fock.z_vertex_spec
+    zeta, t = Fraction(2, 3), Fraction(1, 3)
+
+    def shifted(k):
+        def call(zvars, ring, zvar, coeffs):
+            if set(coeffs.values()) == {(1, 1)}:
+                coeffs = {n: (1, 1) for n in range(1, max(coeffs) + k + 1)}
+            return spec(zvars, ring, zvar, coeffs)
+        return call
+
+    report = two_point_fermion_trace(v_cutoff, window, zeta, t)
+    assert report["match"]
+    for k in (1, 2, 3):
+        monkeypatch.setattr(fock, "z_vertex_spec", shifted(k))
+        assert two_point_fermion_trace(v_cutoff, window, zeta, t) == report, k
+    monkeypatch.setattr(fock, "z_vertex_spec", shifted(-1))
+    assert not two_point_fermion_trace(v_cutoff, window, zeta, t)["match"]
 
 
 def test_extended_operator_equals_fermion_bilinear_at_schur_point():

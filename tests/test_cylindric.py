@@ -23,8 +23,8 @@ from permac.cylindric import (
     weight_Phi,
 )
 from oracles import (components_two_lists, fraction_weight_F, horizontal_strip_by_columns,
-                     literal_sum_one_lam_at_a_time, vertex_skew_sum_by_combine)
-from permac.macdonald import combine, observable, skew_eval
+                     literal_sum_one_lam_at_a_time, skew_value, vertex_skew_sum_by_combine)
+from permac.macdonald import combine, observable
 from permac.partitions import conjugate, partitions_up_to, weight
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing, qpochhammer
@@ -287,10 +287,10 @@ def _vertex_skew_sum_over_every_eta(lam, mu, p_first, p_second, q, t, unit,
     cuts the whole sum, as ``LaurentPoly.window`` does."""
     terms = []
     for eta in partitions_up_to(min(weight(lam), weight(mu))):
-        pv = skew_eval("P", lam, eta, p_first, q, t, unit=unit)
+        pv = skew_value("P", lam, eta, p_first, q, t, unit=unit)
         if not pv:
             continue
-        qv = skew_eval("Q", mu, eta, p_second, q, t, unit=unit)
+        qv = skew_value("Q", mu, eta, p_second, q, t, unit=unit)
         if not qv:
             continue
         terms.append((1, pv * qv))
@@ -351,13 +351,13 @@ def test_vertex_checks_skip_only_zero_skew_terms(monkeypatch, fresh_memos, check
     # evaluates more skew values
     q, t = Fraction(1, 3), Fraction(2, 7)
     calls = []
-    skew_flat = cylindric._skew_flat
+    skew_eval = cylindric.skew_eval
 
     def counted(*args):
         calls.append(args[:3])
-        return skew_flat(*args)
+        return skew_eval(*args)
 
-    monkeypatch.setattr(cylindric, "_skew_flat", counted)
+    monkeypatch.setattr(cylindric, "skew_eval", counted)
     report = check(q, t)
     inside = len(calls)
     calls.clear()
@@ -591,3 +591,34 @@ def test_factored_log_cut_is_the_window(monkeypatch, nu, u_cutoff, window):
     monkeypatch.setattr(cylindric, "kernel_log_factored", shifted(-1))
     lowered = thm_b1_check(nu, u_cutoff, window, Q0, T0)
     assert lowered["trace_match"] and not lowered["factorization_match"]
+
+
+@pytest.mark.parametrize("nu, u_cutoff, window", [((1,), 3, 3), ((2, 1), 2, 2)],
+                         ids=["1-u3-w3", "21-u2-w2"])
+def test_wrapped_kernel_modes_stop_at_the_u_cutoff(monkeypatch, nu, u_cutoff, window):
+    # the wrapped kernel's Gamma modes stop at the u cutoff, past which
+    # their weight u^n/(1-u^n) vanishes: asked for 1..3 more modes the
+    # report is the same, for one fewer the trace fails
+    from permac import fock
+
+    direct, gamma_spec = cylindric.kernel_log_direct, fock.gamma_spec
+    q, t = Fraction(1, 3), Fraction(2, 7)
+
+    def shifted(k):
+        def call(*args, wrapped):
+            if not wrapped:
+                return direct(*args, wrapped=wrapped)
+            with monkeypatch.context() as m:
+                m.setattr(fock, "gamma_spec", lambda spec, q, t, nmax, sign: gamma_spec(
+                    spec, q, t, nmax + k, sign))
+                return direct(*args, wrapped=wrapped)
+        return call
+
+    report = thm_b1_check(nu, u_cutoff, window, q, t)
+    assert report["match"]
+    for k in (1, 2, 3):
+        monkeypatch.setattr(cylindric, "kernel_log_direct", shifted(k))
+        assert thm_b1_check(nu, u_cutoff, window, q, t) == report, k
+    monkeypatch.setattr(cylindric, "kernel_log_direct", shifted(-1))
+    lowered = thm_b1_check(nu, u_cutoff, window, q, t)
+    assert not lowered["trace_match"] and lowered["factorization_match"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import heisenberg_apply, layered_half_vertex_apply, raise_by_products
+from oracles import heisenberg_apply, layered_half_vertex_apply, raise_by_products, skew_value
 from permac import acceptance, cylindric, fock, laurent, macdonald, partitions, point, \
     process, series
 from permac.fock import (
@@ -41,7 +41,6 @@ from permac.macdonald import (
     macdonald_P_p,
     macdonald_Q_p,
     observable,
-    skew_eval,
 )
 from permac.partitions import (contains, make_partition, partitions_of, partitions_up_to,
                                weight, z_qt)
@@ -486,9 +485,10 @@ def test_closed_trace_and_z_read_no_ratio_of_their_oracles(monkeypatch, fresh_me
                                  ring, "u", 4, Q0, T0))
 
     def z_pair():
-        # a new process each time: a process memoises its skew values.  The
-        # two-variable alpha step takes the Fock route of ``skew_eval``,
-        # which reads z_lambda(q,t); a one-variable step reads ``pieri``
+        # a new process each time, so nothing read before the patch is
+        # reused.  The two-variable alpha step takes the Fock route of
+        # ``skew_eval``, which reads z_lambda(q,t); a one-variable step reads
+        # ``pieri``
         zring = SeriesRing(["u", "a", "x", "b"], 4)
         ps = ProcessSpec(zring, Q0, T0, zring.gen("u"),
                          [alpha_spec([("a", 1), ("x", 2)], zring)],
@@ -580,8 +580,8 @@ def test_closed_forms_reach_no_oracle_sum_or_raising_table(monkeypatch):
 
     for module in (series, process, cylindric):
         monkeypatch.setattr(module, "product_sums", refused)
-    for module in (macdonald, cylindric):
-        monkeypatch.setattr(module, "_skew_flat", refused)
+    for module in (macdonald, process, cylindric):
+        monkeypatch.setattr(module, "skew_eval", refused)
     monkeypatch.setattr(fock, "_raising_table", refused)
     monkeypatch.setattr(fock.VertexSpec, "raising_table", refused)
     ps = process_from_names(["alpha", "plancherel"], ["alpha", "alpha"], Q0, T0, 3)
@@ -792,7 +792,7 @@ def test_shared_memos_survive_the_flows_that_read_them():
         for lam in lams:
             for mu in partitions_up_to(weight(lam)):
                 for kind in ("P", "Q"):
-                    skew_eval(kind, lam, mu, spec, q, t, unit=ring.one())
+                    skew_value(kind, lam, mu, spec, q, t, unit=ring.one())
 
     def shared():
         return ([f(lam, q, t) for lam in lams for f in (macdonald_P_p, macdonald_Q_p)]
@@ -825,7 +825,7 @@ def test_shared_memos_survive_the_flows_that_read_them():
     twin = alpha_spec([("a", 1), ("a", 2)], ring)
     for lam in lams:
         for kind in ("P", "Q"):
-            skew_eval(kind, lam, (), twin, q, t, unit=ring.one())
+            skew_value(kind, lam, (), twin, q, t, unit=ring.one())
     assert twin._products and twin._products is not spec._products
     assert all(twin.power_product(nu) == spec.power_product(nu)
                and twin.power_product(nu) is not spec.power_product(nu)

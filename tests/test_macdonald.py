@@ -29,7 +29,6 @@ from permac.macdonald import (
     p_to_m,
     pieri,
     plancherel_spec,
-    skew_eval,
 )
 from permac.partitions import (
     add_one_box,
@@ -45,7 +44,7 @@ from permac.partitions import (
 )
 from oracles import fraction_m_dict_to_p, fraction_m_gram, fraction_pieri, \
     fraction_skew_coefficients, lambda_rho_p_by_fractions, skew_eval_by_combine, \
-    skew_single_alpha
+    skew_single_alpha, skew_value
 from permac.scalars import random_qt_pair
 from permac.series import SeriesRing
 
@@ -482,8 +481,8 @@ def test_skew_eval_trivial_and_single_box():
     ring = SeriesRing(["a"], 4)
     spec = alpha_spec([("a", 1)], ring)
     for lam in partitions_up_to(3):
-        assert skew_eval("Q", lam, lam, spec, Q0, T0, unit=ring.one()) == ring.one()
-    got = skew_eval("P", (1,), (), spec, Q0, T0, unit=ring.one())
+        assert skew_value("Q", lam, lam, spec, Q0, T0, unit=ring.one()) == ring.one()
+    got = skew_value("P", (1,), (), spec, Q0, T0, unit=ring.one())
     assert got == ring.gen("a")
 
 
@@ -497,7 +496,7 @@ def test_skew_eval_matches_pieri_single_variable():
     for lam in partitions_up_to(5):
         for mu in partitions_up_to(weight(lam)):
             for kind in ("P", "Q"):
-                got = skew_eval(kind, lam, mu, spec, q, t, unit=ring.one())
+                got = skew_value(kind, lam, mu, spec, q, t, unit=ring.one())
                 coeff = skew_single_alpha(kind, lam, mu, q, t)
                 d = weight(lam) - weight(mu)
                 expect = ring.monomial(coeff, a=d)
@@ -525,7 +524,7 @@ def test_skew_eval_plancherel_path_sums():
     fact = [1, 1, 2, 6, 24]
     for lam in partitions_up_to(4):
         for mu in partitions_up_to(weight(lam)):
-            got = skew_eval("P", lam, mu, spec, q, t, unit=ring.one())
+            got = skew_value("P", lam, mu, spec, q, t, unit=ring.one())
             d = weight(lam) - weight(mu)
             if not all((mu[i] if i < len(mu) else 0) <= (lam[i] if i < len(lam) else 0)
                        for i in range(len(mu))):
@@ -579,9 +578,9 @@ def test_one_variable_skews_take_the_pieri_route(q, t):
     for lam in lams:
         for mu in lams:
             for kind in ("P", "Q"):
-                got = skew_eval(kind, lam, mu, one, q, t, unit=ring.one())
-                assert got == skew_eval(kind, lam, mu, fock_route, q, t,
-                                        unit=ring.one()), (kind, lam, mu)
+                got = skew_value(kind, lam, mu, one, q, t, unit=ring.one())
+                assert got == skew_value(kind, lam, mu, fock_route, q, t,
+                                         unit=ring.one()), (kind, lam, mu)
                 strips += horizontal_strip(lam, mu) and lam != mu
                 zeros += not got
     assert strips and zeros
@@ -599,9 +598,9 @@ def test_one_variable_skews_take_the_pieri_route(q, t):
     one_x, fock_x = laurent_spec(1), laurent_spec(None)
     for lam, mu in (((2, 1), (1,)), ((3, 1), (2,)), ((2, 2), (1,)), ((2,), (2,))):
         for kind in ("P", "Q"):
-            got = skew_eval(kind, lam, mu, one_x, q, t, unit=unit)
+            got = skew_value(kind, lam, mu, one_x, q, t, unit=unit)
             assert type(got) is LaurentPoly
-            assert got == skew_eval(kind, lam, mu, fock_x, q, t, unit=unit), (kind, lam, mu)
+            assert got == skew_value(kind, lam, mu, fock_x, q, t, unit=unit), (kind, lam, mu)
 
 
 def _skew_oracle_specs():
@@ -609,13 +608,16 @@ def _skew_oracle_specs():
     g = SeriesRing(["g"], 5)
     uxy = SeriesRing(["u", "x", "y"], 5)
     u = SeriesRing(["u"], 2)
+    scalars = SeriesRing([], 0)
     zvars = ("x", "y")
 
     def gap(n):  # p_2 = 0
         return ab.zero() if n == 2 else ab.monomial(Fraction(n, 3), a=n)
 
-    def odd_zero(n):  # alpha = (1/2, -1/2): p_n = 2^(1-n) for even n, else 0
-        return Fraction(0) if n % 2 else 2 * Fraction(1, 2) ** n
+    # alpha = (1/2, -1/2): p_n = 2^(1-n) for even n, else 0, as scalars of a
+    # symbol-free ring, like the specs of ``time_grid_process``
+    def odd_zero(n):
+        return scalars.scalar(Fraction(0) if n % 2 else 2 * Fraction(1, 2) ** n)
 
     return {
         "alpha-a-2b": (alpha_spec([("a", 1), ("b", 2)], ab), ab.one()),
@@ -624,7 +626,7 @@ def _skew_oracle_specs():
         "thm_b1-laurent": (principal_p_laurent(zvars, u, (2, 1), "yr_nxu", 4),
                            LaurentPoly.constant(zvars, u.one())),
         "p2-zero": (Specialization("alpha", gap, 1), ab.one()),
-        "odd-p-zero": (Specialization("alpha", odd_zero, 0), Fraction(1)),
+        "odd-p-zero": (Specialization("alpha", odd_zero, 0), scalars.one()),
     }
 
 
@@ -640,7 +642,7 @@ def test_skew_eval_equals_half_vertex_oracle(label):
             if not contains(lam, mu):
                 continue
             for kind in ("P", "Q"):
-                got = skew_eval(kind, lam, mu, spec, q, t, unit=unit)
+                got = skew_value(kind, lam, mu, spec, q, t, unit=unit)
                 expect = _half_vertex_skew(kind, lam, mu, spec, q, t, unit)
                 assert type(got) is type(expect), (kind, lam, mu)
                 assert got == expect, (kind, lam, mu)
@@ -725,7 +727,7 @@ def test_skew_eval_flat_route_equals_the_combine_route(fresh_memos, q, t):
         for lam in lams:
             for mu in partitions_up_to(weight(lam)):
                 for kind in ("P", "Q"):
-                    got = skew_eval(kind, lam, mu, spec, q, t, unit=unit)
+                    got = skew_value(kind, lam, mu, spec, q, t, unit=unit)
                     expect = skew_eval_by_combine(kind, lam, mu, spec, q, t, unit)
                     assert type(got) is type(expect), (label, kind, lam, mu)
                     assert got == expect, (label, kind, lam, mu)
@@ -742,7 +744,7 @@ def test_skew_eval_flat_route_fails_where_the_combine_route_fails(fresh_memos, q
             for kind in ("P", "Q"):
                 fresh_memos()
                 spec = alpha_spec([("a", 1), ("b", Fraction(1, 2))], ring)
-                got = _outcome(skew_eval, kind, lam, mu, spec, q, t, ring.one())
+                got = _outcome(skew_value, kind, lam, mu, spec, q, t, ring.one())
                 fresh_memos()
                 spec = alpha_spec([("a", 1), ("b", Fraction(1, 2))], ring)
                 expect = _outcome(skew_eval_by_combine, kind, lam, mu, spec, q, t, ring.one())

@@ -47,14 +47,16 @@ def test_weight_examples():
 
 
 def test_skew_kind_picks_the_specialization():
-    # distinct alpha symbols per step: the one-box skew value is the symbol
-    # of the specialization it read, P at rho^+_i and Q at rho^-_{i+1}
+    # distinct alpha symbols per step: with one box in lambda^{i+1} and every
+    # other partition empty, the weight is P_{(1)}(rho^+_i) Q_{(1)}(rho^-_{i+1}),
+    # the symbols of the specializations its two skew factors read
     ps = single_alpha_process(3, Q0, T0, 2)
     ring = ps.ring
     for i in range(3):
-        assert ps.skew("P", (1,), (), i) == ring.gen(f"a{i}")
-        assert ps.skew("Q", (1,), (), i) == ring.monomial(
-            (1 - T0) / (1 - Q0), **{f"b{i + 1}": 1})
+        lams = [()] * 3
+        lams[i] = (1,)
+        assert weight_W(ps, lams, [()] * 3) == ring.monomial(
+            (1 - T0) / (1 - Q0), **{f"a{i}": 1, f"b{i + 1}": 1})
 
 
 @pytest.mark.parametrize("plus, minus", [

@@ -1,11 +1,14 @@
 import random
+import re
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import permac
 from permac.partitions import partitions_of
 from permac.scalars import QRho
 from permac.series import (
@@ -541,3 +544,18 @@ def test_ring_refuses_a_negative_cutoff():
         SeriesRing(["u"], -1)
     ring = SeriesRing(["u"], 0)
     assert ring.one() * ring.one() == ring.one()
+
+
+# a read of the packed key's layout: the z-digit bases and decodes, the
+# series-exponent decode, the key's weights S and C, or a box over z-digits
+PACKED_LAYOUT = re.compile(r"\.zbases\b|\.zdigits\(|\.series_exp\(|\bpk\.[SC]\b"
+                           r"|^\s*class \w*Box\b", re.M)
+
+
+def test_only_series_reads_the_packed_layout():
+    sources = sorted(Path(permac.__file__).parent.glob("*.py"))
+    assert any(path.name == "series.py" for path in sources)
+    readers = {path.name: PACKED_LAYOUT.findall(path.read_text())
+               for path in sources if path.name != "series.py"}
+    assert {name: found for name, found in readers.items() if found} == {}
+    assert PACKED_LAYOUT.search((Path(permac.__file__).parent / "series.py").read_text())
